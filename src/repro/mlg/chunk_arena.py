@@ -1,0 +1,268 @@
+"""Slab storage for terrain state (§2.3): one array per field, one row
+per loaded chunk.
+
+:class:`ChunkArena` keeps ``blocks``/``aux``/``skylight``/``blocklight``
+as ``[slot, lx, lz, y]`` slabs (plus ``heightmap[slot, lx, lz]`` and
+``dirty[slot]``), so a query that spans many chunks is one fancy index
+instead of a Python loop over chunk objects.  :class:`Chunk` is a handle
+over one slot: its array attributes are views resolved on access.  A
+free-standing ``Chunk(cx, cz)`` (region IO, tests) owns a private one-slot
+page; :meth:`ChunkArena.adopt` copies it into a slot, and
+:meth:`ChunkArena.release` *detaches* the handle back onto a private copy,
+so a stale reference keeps reading the chunk it named, not whichever one
+reuses the slot (the ``Entity`` reap pattern).
+
+Slabs grow by whole pages and never move, so growth neither copies nor
+touches a live slot.  Released slots are zeroed and reused lowest-first,
+which keeps the touched part of a page dense under eviction churn.
+"""
+
+from __future__ import annotations
+
+import heapq
+import mmap
+from math import prod
+from operator import attrgetter
+
+import numpy as np
+
+from repro.mlg.blocks import Block
+from repro.mlg.constants import CHUNK_SIZE, WORLD_HEIGHT
+
+__all__ = ["Chunk", "ChunkArena", "pack_keys"]
+
+_VOXELS = ((CHUNK_SIZE, CHUNK_SIZE, WORLD_HEIGHT), np.uint8)
+#: Per-slot shape and dtype of every terrain field.
+_FIELDS = {
+    "blocks": _VOXELS,
+    "aux": _VOXELS,
+    "skylight": _VOXELS,
+    "blocklight": _VOXELS,
+    "heightmap": ((CHUNK_SIZE, CHUNK_SIZE), np.int16),
+    "dirty": ((), np.bool_),
+}
+
+
+def _lazy_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Zeros on a private anonymous mapping of their own: resident only
+    where written, 4 KiB at a time, and returned to the kernel whole.
+    ``np.zeros`` promises neither at slab size — numpy advises huge pages
+    for large blocks (a first write then faults in 2 MiB of each field),
+    and malloc may hand back recycled heap that it has to memset.
+    POSIX only (``MAP_PRIVATE``/``MAP_ANONYMOUS``); the mapping counts
+    against ``RLIMIT_AS`` and strict overcommit in full from the start."""
+    size = prod(shape) * np.dtype(dtype).itemsize
+    buffer = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(buffer, dtype).reshape(shape)
+
+
+class _Page:
+    """``n`` slots of every terrain field, zero-initialised."""
+
+    __slots__ = ("base", *_FIELDS)
+
+    def __init__(self, n: int, base: int = -1, zeros=np.zeros) -> None:
+        #: Arena slot of row 0 (-1: the private page of a free chunk).
+        self.base = base
+        for name, (shape, dtype) in _FIELDS.items():
+            setattr(self, name, zeros((n, *shape), dtype))
+
+
+def _copy_slot(src: _Page, i: int, dst: _Page, j: int) -> None:
+    for name in _FIELDS:
+        getattr(dst, name)[j] = getattr(src, name)[i]
+
+
+def _slot_view(name: str) -> property:
+    field = attrgetter(name)
+    return property(lambda self: field(self._page)[self._slot])
+
+
+class Chunk:
+    """A 16×16 column of blocks with light and auxiliary state.
+
+    Arrays are indexed ``[local_x, local_z, y]``.  ``aux`` stores per-block
+    metadata (crop growth stage, repeater delay, redstone power, fluid
+    level).  ``heightmap[x, z]`` is the y of the highest non-air block plus
+    one (0 for an empty column).
+    """
+
+    __slots__ = ("cx", "cz", "_page", "_slot")
+
+    #: In-memory size of one chunk's state arrays.
+    NBYTES = (4 * WORLD_HEIGHT + 2) * CHUNK_SIZE * CHUNK_SIZE
+
+    def __init__(
+        self, cx: int, cz: int, _page: _Page | None = None, _slot: int = 0
+    ) -> None:
+        self.cx = cx
+        self.cz = cz
+        self._page = _Page(1) if _page is None else _page
+        self._slot = _slot
+
+    blocks = _slot_view("blocks")
+    aux = _slot_view("aux")
+    skylight = _slot_view("skylight")
+    blocklight = _slot_view("blocklight")
+    heightmap = _slot_view("heightmap")
+
+    @property
+    def dirty(self) -> bool:
+        return bool(self._page.dirty[self._slot])
+
+    @dirty.setter
+    def dirty(self, value: bool) -> None:
+        self._page.dirty[self._slot] = value
+
+    @property
+    def nbytes(self) -> int:
+        return self.NBYTES
+
+    def recompute_heightmap(self) -> None:
+        """Rebuild the heightmap from the block array (vectorized)."""
+        nonair = self.blocks != Block.AIR
+        # Highest non-air index + 1 per column; 0 when the column is empty.
+        first_from_top = nonair[:, :, ::-1].argmax(axis=2)
+        self.heightmap[:, :] = np.where(
+            nonair.any(axis=2), WORLD_HEIGHT - first_from_top, 0
+        )
+
+    def update_height_at(self, lx: int, lz: int) -> None:
+        """Recompute the heightmap for a single column."""
+        nz = np.flatnonzero(self.blocks[lx, lz])
+        self.heightmap[lx, lz] = int(nz[-1]) + 1 if nz.size else 0
+
+
+class ChunkArena:
+    """Paged slabs plus the ``(cx, cz) → handle`` index of one world."""
+
+    #: Slots per page: 132 MiB of address space in six mappings for every
+    #: world, however small, resident only as written.  A world that fits
+    #: gathers from one page; the benchmark's peak over 4 s of seed 1 is
+    #: 289 slots (floor_control, entities_farm, terrain_writes), 324
+    #: (wire_farm) and 441 (campaign_matrix), so only tests that shrink
+    #: the page reach the paged path of ``_per_page``.
+    PAGE_SLOTS = 1024
+
+    def __init__(self) -> None:
+        #: Loaded chunks in insertion order (the order growth pairs RNG
+        #: draws with chunks, so it must survive unload/reload as a dict's).
+        self.handles: dict[tuple[int, int], Chunk] = {}
+        self._page_slots = self.PAGE_SLOTS
+        self._pages = [_Page(self._page_slots, 0, _lazy_zeros)]
+        self._free: list[int] = []  # heap: released slots, all-zero
+        self._fresh = 0  # lowest never-claimed slot
+        self._cache: tuple[np.ndarray, ...] | None = None  # see _index
+
+    # -- slots ---------------------------------------------------------------
+
+    def _claim(self) -> tuple[_Page, int]:
+        self._cache = None
+        if self._free:
+            slot = heapq.heappop(self._free)
+        else:
+            slot = self._fresh
+            self._fresh += 1
+            if slot == len(self._pages) * self._page_slots:
+                self._pages.append(_Page(self._page_slots, slot, _lazy_zeros))
+        page, local = divmod(slot, self._page_slots)
+        return self._pages[page], local
+
+    def create(self, cx: int, cz: int) -> Chunk:
+        """A new all-air chunk at ``(cx, cz)`` (which must not be loaded)."""
+        chunk = self.handles[(cx, cz)] = Chunk(cx, cz, *self._claim())
+        return chunk
+
+    def adopt(self, chunk: Chunk) -> Chunk:
+        """Copy a free-standing ``chunk`` into a slot and attach it there,
+        as the newest chunk; one loaded at its coordinates is released."""
+        if chunk._page.base >= 0:
+            raise ValueError(f"chunk ({chunk.cx}, {chunk.cz}) is attached")
+        self.release(chunk.cx, chunk.cz)
+        page, slot = self._claim()
+        _copy_slot(chunk._page, 0, page, slot)
+        chunk._page, chunk._slot = page, slot
+        self.handles[(chunk.cx, chunk.cz)] = chunk
+        return chunk
+
+    def release(self, cx: int, cz: int) -> Chunk | None:
+        """Unload ``(cx, cz)``: detach its handle onto a private copy of
+        its state, then zero and free the slot."""
+        chunk = self.handles.pop((cx, cz), None)
+        if chunk is None:
+            return None
+        page, slot = chunk._page, chunk._slot
+        chunk._page, chunk._slot = _Page(1), 0
+        _copy_slot(page, slot, chunk._page, 0)
+        for name in _FIELDS:
+            getattr(page, name)[slot] = 0
+        heapq.heappush(self._free, page.base + slot)
+        self._cache = None
+        return chunk
+
+    # -- vectorised addressing -----------------------------------------------
+
+    def _index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Slots in iteration order; sorted packed keys and their slots."""
+        if self._cache is None:
+            order = np.array(
+                [c._page.base + c._slot for c in self.handles.values()],
+                dtype=np.int64,
+            )
+            coords = np.array(list(self.handles), dtype=np.int64)
+            keys = pack_keys(*coords.reshape(-1, 2).T)
+            by_key = np.argsort(keys)
+            self._cache = order, keys[by_key], order[by_key]
+        return self._cache
+
+    def order(self) -> np.ndarray:
+        """Slots of the loaded chunks, in iteration order."""
+        return self._index()[0]
+
+    def slots_of(self, cxs: np.ndarray, czs: np.ndarray) -> np.ndarray:
+        """Slot of each chunk coordinate pair, -1 where not loaded."""
+        if not self.handles:
+            return np.full(cxs.shape, -1, dtype=np.int64)
+        _, keys, slots = self._index()
+        wanted = pack_keys(cxs, czs)
+        at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+        return np.where(keys[at] == wanted, slots[at], -1)
+
+    def _per_page(self, slots: np.ndarray, index: tuple):
+        """Split a fancy index by page: ``(page, where, page-local index)``;
+        ``where`` is ``...`` when one page serves the whole index."""
+        if len(self._pages) == 1 or not slots.size:
+            yield self._pages[0], ..., (slots, *index)
+            return
+        slots, *index = np.broadcast_arrays(slots, *index)
+        page_of, local = np.divmod(slots, self._page_slots)
+        for p in np.unique(page_of).tolist():
+            where = page_of == p
+            at = (local[where], *(i[where] for i in index))
+            yield self._pages[p], where, at
+
+    def gather(self, field: str, slots: np.ndarray, *index) -> np.ndarray:
+        """``field[slots, *index]`` across pages (slots must be claimed)."""
+        out = None
+        for page, where, at in self._per_page(slots, index):
+            part = getattr(page, field)[at]
+            if where is ...:
+                return part
+            if out is None:
+                out = np.empty(where.shape, part.dtype)
+            out[where] = part
+        return out
+
+    def scatter(self, field: str, slots, *index, values, ufunc=None) -> None:
+        """``field[slots, *index] = values`` across pages, or with a
+        ``ufunc``, ``ufunc.at(field, (slots, *index), values)``."""
+        for page, where, at in self._per_page(slots, index):
+            if ufunc is None:
+                getattr(page, field)[at] = values[where]
+            else:
+                ufunc.at(getattr(page, field), at, values[where])
+
+
+def pack_keys(cxs: np.ndarray, czs: np.ndarray) -> np.ndarray:
+    """One sortable int64 key per chunk coordinate pair."""
+    return cxs * (1 << 32) + (czs & 0xFFFFFFFF)

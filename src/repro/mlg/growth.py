@@ -49,19 +49,11 @@ class GrowthEngine:
         dispatch order match :meth:`tick_scalar` exactly, so both paths
         are bit-identical for the same RNG state.
         """
-        self.matured.clear()
-        chunks = list(self.world.loaded_chunks())
+        chunks, lxs, lzs, ys = self._draw()
         if not chunks:
             return 0
-        # Vectorized draw of all random positions for all chunks at once.
-        n = len(chunks) * RANDOM_TICK_SPEED
-        lxs = self.rng.integers(0, CHUNK_SIZE, size=n)
-        lzs = self.rng.integers(0, CHUNK_SIZE, size=n)
-        ys = self.rng.integers(0, WORLD_HEIGHT, size=n)
-        blocks = np.empty(n, dtype=np.uint8)
-        for i, chunk in enumerate(chunks):
-            sl = slice(i * RANDOM_TICK_SPEED, (i + 1) * RANDOM_TICK_SPEED)
-            blocks[sl] = chunk.blocks[lxs[sl], lzs[sl], ys[sl]]
+        n = lxs.size
+        blocks = self.world.blocks_per_chunk(lxs, lzs, ys)
         heap = np.flatnonzero(
             (blocks == Block.CROP)
             | (blocks == Block.KELP)
@@ -98,18 +90,23 @@ class GrowthEngine:
         report.add(Op.GROWTH, n)
         return n
 
-    def tick_scalar(self, report: WorkReport) -> int:
-        """Scalar reference for :meth:`tick` (per-chunk per-draw loop),
-        kept for the batched-vs-scalar parity fixtures."""
+    def _draw(self):
+        """The loaded chunks and one vectorized draw of positions for all."""
         self.matured.clear()
-        applied = 0
         chunks = list(self.world.loaded_chunks())
-        if not chunks:
-            return 0
         n = len(chunks) * RANDOM_TICK_SPEED
         lxs = self.rng.integers(0, CHUNK_SIZE, size=n)
         lzs = self.rng.integers(0, CHUNK_SIZE, size=n)
         ys = self.rng.integers(0, WORLD_HEIGHT, size=n)
+        return chunks, lxs, lzs, ys
+
+    def tick_scalar(self, report: WorkReport) -> int:
+        """Scalar reference for :meth:`tick` (per-chunk per-draw loop),
+        kept for the batched-vs-scalar parity fixtures."""
+        chunks, lxs, lzs, ys = self._draw()
+        if not chunks:
+            return 0
+        applied = 0
         for i, chunk in enumerate(chunks):
             base = i * RANDOM_TICK_SPEED
             for j in range(RANDOM_TICK_SPEED):
@@ -128,9 +125,10 @@ class GrowthEngine:
         return applied
 
     def _grow_crop(self, chunk, lx: int, lz: int, y: int) -> None:
-        stage = int(chunk.aux[lx, lz, y])
+        aux = chunk.aux
+        stage = int(aux[lx, lz, y])
         if stage < CROP_MATURE_STAGE:
-            chunk.aux[lx, lz, y] = stage + 1
+            aux[lx, lz, y] = stage + 1
             chunk.dirty = True
             if stage + 1 == CROP_MATURE_STAGE:
                 x = chunk.cx * CHUNK_SIZE + lx
@@ -142,21 +140,19 @@ class GrowthEngine:
     ) -> int | None:
         """Returns the y the stalk grew into, or None if it did not grow."""
         # Kelp grows one block up through water, bounded by stalk height.
+        column = chunk.blocks[lx, lz]
         top = y
-        while (
-            top + 1 < WORLD_HEIGHT
-            and chunk.blocks[lx, lz, top + 1] == Block.KELP
-        ):
+        while top + 1 < WORLD_HEIGHT and column[top + 1] == Block.KELP:
             top += 1
         base = y
-        while base > 0 and chunk.blocks[lx, lz, base - 1] == Block.KELP:
+        while base > 0 and column[base - 1] == Block.KELP:
             base -= 1
         if top - base + 1 >= KELP_MAX_HEIGHT:
             return None
         above = top + 1
         if (
             above < min(SEA_LEVEL, WORLD_HEIGHT)
-            and chunk.blocks[lx, lz, above] == Block.WATER_SOURCE
+            and column[above] == Block.WATER_SOURCE
         ):
             x = chunk.cx * CHUNK_SIZE + lx
             z = chunk.cz * CHUNK_SIZE + lz

@@ -48,8 +48,8 @@ class LightEngine:
         """Top-down skylight: full light until the first opaque block."""
         opaque = OPAQUE_LUT[chunk.blocks]
         # cumulative "any opaque above" per column, scanning from the top.
-        blocked = np.cumsum(opaque[:, :, ::-1], axis=2)[:, :, ::-1] > 0
-        chunk.skylight[:] = np.where(blocked, 0, MAX_LIGHT).astype(np.uint8)
+        blocked = np.logical_or.accumulate(opaque[:, :, ::-1], axis=2)
+        chunk.skylight[:, :, ::-1] = ~blocked * np.uint8(MAX_LIGHT)
         # The column scan is vectorized; charge one node per column, not
         # per voxel, so initial chunk lighting stays proportional to the
         # real engine's column-based skylight pass.
@@ -57,8 +57,9 @@ class LightEngine:
 
     def _seed_blocklight(self, chunk: Chunk) -> int:
         """BFS block light from all emitting blocks inside the chunk."""
-        chunk.blocklight[:] = 0
-        emission_map = LIGHT_EMISSION_LUT[chunk.blocks]
+        blocks, blocklight = chunk.blocks, chunk.blocklight
+        blocklight[:] = 0
+        emission_map = LIGHT_EMISSION_LUT[blocks]
         xs, zs, ys = np.nonzero(emission_map)
         emitters = [
             (int(x), int(z), int(y), int(emission_map[x, z, y]))
@@ -67,7 +68,7 @@ class LightEngine:
         nodes = 0
         queue: deque[tuple[int, int, int, int]] = deque()
         for lx, lz, y, emission in emitters:
-            chunk.blocklight[lx, lz, y] = emission
+            blocklight[lx, lz, y] = emission
             queue.append((lx, lz, y, emission))
         while queue:
             lx, lz, y, level = queue.popleft()
@@ -83,10 +84,10 @@ class LightEngine:
                     and 0 <= ny < WORLD_HEIGHT
                 ):
                     continue
-                if OPAQUE_LUT[chunk.blocks[nx, nz, ny]]:
+                if OPAQUE_LUT[blocks[nx, nz, ny]]:
                     continue
-                if chunk.blocklight[nx, nz, ny] < next_level:
-                    chunk.blocklight[nx, nz, ny] = next_level
+                if blocklight[nx, nz, ny] < next_level:
+                    blocklight[nx, nz, ny] = next_level
                     queue.append((nx, nz, ny, next_level))
         return nodes
 

@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import heapq
 
-from repro.mlg.blocks import Block
+from repro.mlg.blocks import SOLID_LUT, Block
 from repro.mlg.workreport import Op, WorkReport
 from repro.mlg.world import World
 
 __all__ = ["PathFinder", "PathResult"]
+
+_WATER = (Block.WATER_SOURCE, Block.WATER_FLOW)
+#: ``SOLID_LUT`` as a tuple: scalar lookups without a numpy round trip.
+_SOLID = tuple(SOLID_LUT.tolist())
 
 
 class PathResult:
@@ -48,18 +52,13 @@ class PathFinder:
 
     def is_walkable(self, x: int, y: int, z: int) -> bool:
         """Can a mob stand at (occupy) this cell?"""
-        world = self.world
-        floor = world.get_block(x, y - 1, z)
-        body = world.get_block(x, y, z)
-        head = world.get_block(x, y + 1, z)
-        floor_ok = world.is_solid_at(x, y - 1, z) or floor in (
-            Block.WATER_SOURCE,
-            Block.WATER_FLOW,
+        get_block = self.world.get_block
+        floor = get_block(x, y - 1, z)
+        return (
+            (_SOLID[floor] or floor in _WATER)
+            and not _SOLID[get_block(x, y, z)]
+            and not _SOLID[get_block(x, y + 1, z)]
         )
-        body_ok = not world.is_solid_at(x, y, z)
-        head_ok = not world.is_solid_at(x, y + 1, z)
-        del body, head
-        return floor_ok and body_ok and head_ok
 
     def _neighbors(self, x: int, y: int, z: int):
         for dx, dz in ((1, 0), (-1, 0), (0, 1), (0, -1)):

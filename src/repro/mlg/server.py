@@ -307,22 +307,17 @@ class MLGServer:
             return
         now = self.clock.now_us
         if now - self._last_autosave_us >= s_to_us(AUTOSAVE_INTERVAL_S):
+            new = set(self.world.dirty_keys())
             if self.lifecycle is None:
-                dirty = sum(1 for c in self.world.loaded_chunks() if c.dirty)
-                self._disk_bytes_written += dirty * 4096
-                for chunk in self.world.loaded_chunks():
-                    chunk.dirty = False
+                for key in new:
+                    self.world.get_chunk(*key).dirty = False
             else:
                 # Flags stay set (eviction safety), so charge each
                 # dirtied chunk once instead of re-charging the whole
                 # ever-dirty set every interval.
-                new = [
-                    (c.cx, c.cz)
-                    for c in self.world.loaded_chunks()
-                    if c.dirty and (c.cx, c.cz) not in self._legacy_counted
-                ]
-                self._disk_bytes_written += len(new) * 4096
-                self._legacy_counted.update(new)
+                new -= self._legacy_counted
+                self._legacy_counted |= new
+            self._disk_bytes_written += len(new) * 4096
             self._last_autosave_us = now
 
     # -- introspection (used by collectors) ------------------------------------------------

@@ -15,11 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mlg.blocks import Block, spec
-from repro.mlg.constants import CHUNK_SIZE, WORLD_HEIGHT
+from repro.mlg.constants import WORLD_HEIGHT
 from repro.mlg.entity import Entity, EntityKind
 from repro.mlg.entity_manager import EntityManager
 from repro.mlg.workreport import Op, WorkReport
-from repro.mlg.world import BlockChange, World
+from repro.mlg.world import World, cuboid_cells
 
 __all__ = ["TNTSystem", "DEFAULT_FUSE_TICKS", "RAYS_PER_EXPLOSION"]
 
@@ -133,80 +133,49 @@ class TNTSystem:
         self, cx: float, cy: float, cz: float, radius: float,
         report: WorkReport,
     ) -> int:
-        """Vectorized blast-sphere destruction across overlapped chunks."""
+        """Vectorized blast-sphere destruction: one gather over the
+        sphere's bounding box, one bulk write of what it broke."""
         r = int(np.ceil(radius))
-        x_lo, x_hi = int(np.floor(cx - r)), int(np.floor(cx + r))
-        z_lo, z_hi = int(np.floor(cz - r)), int(np.floor(cz + r))
         y_lo = max(1, int(np.floor(cy - r)))
         y_hi = min(WORLD_HEIGHT - 1, int(np.floor(cy + r)))
         if y_hi < y_lo:
             return 0
-        destroyed = 0
-        chain_fuses: list[tuple[int, int, int]] = []
+        xs, ys, zs = cuboid_cells(
+            int(np.floor(cx - r)), y_lo, int(np.floor(cz - r)),
+            int(np.floor(cx + r)), y_hi, int(np.floor(cz + r)),
+        )
+        # Chunk by chunk (x, then z) and x, z, y inside each: the order in
+        # which changes are logged and drops draw from the RNG.
+        order = np.lexsort((zs >> 4, xs >> 4))
+        xs, ys, zs = xs[order], ys[order], zs[order]
+        blocks = self.world.blocks_bulk(xs, ys, zs)
+        dist_sq = (
+            (xs + 0.5 - cx) ** 2 + (zs + 0.5 - cz) ** 2 + (ys + 0.5 - cy) ** 2
+        )
+        # TNT blocks in (or just beyond) the blast get primed.
+        primed = (blocks == Block.TNT) & (dist_sq <= (radius + 1.0) ** 2)
+        broken = np.flatnonzero(
+            (np.isin(blocks, _BREAKABLE_IDS) & (dist_sq <= radius * radius))
+            | primed
+        )
+        chain_fuses = zip(*(a[primed].tolist() for a in (xs, ys, zs)))
+        xs, ys, zs, blocks = xs[broken], ys[broken], zs[broken], blocks[broken]
         drops = 0
-        for chunk_x in range(x_lo >> 4, (x_hi >> 4) + 1):
-            for chunk_z in range(z_lo >> 4, (z_hi >> 4) + 1):
-                chunk = self.world.get_chunk(chunk_x, chunk_z)
-                if chunk is None:
-                    continue
-                base_x = chunk_x * CHUNK_SIZE
-                base_z = chunk_z * CHUNK_SIZE
-                lx_lo = max(0, x_lo - base_x)
-                lx_hi = min(CHUNK_SIZE - 1, x_hi - base_x)
-                lz_lo = max(0, z_lo - base_z)
-                lz_hi = min(CHUNK_SIZE - 1, z_hi - base_z)
-                if lx_hi < lx_lo or lz_hi < lz_lo:
-                    continue
-                region = chunk.blocks[
-                    lx_lo : lx_hi + 1, lz_lo : lz_hi + 1, y_lo : y_hi + 1
-                ]
-                gx = base_x + np.arange(lx_lo, lx_hi + 1)
-                gz = base_z + np.arange(lz_lo, lz_hi + 1)
-                gy = np.arange(y_lo, y_hi + 1)
-                dist_sq = (
-                    (gx[:, None, None] + 0.5 - cx) ** 2
-                    + (gz[None, :, None] + 0.5 - cz) ** 2
-                    + (gy[None, None, :] + 0.5 - cy) ** 2
+        for i in np.flatnonzero(_DROPS_ITEM_LUT[blocks]).tolist():
+            if drops == MAX_DROPS_PER_EXPLOSION:
+                break
+            if self.rng.random() < DROP_CHANCE:
+                self.entities.spawn(
+                    EntityKind.ITEM,
+                    int(xs[i]) + 0.5, int(ys[i]) + 0.5, int(zs[i]) + 0.5,
+                    vy=0.15,
                 )
-                in_blast = dist_sq <= radius * radius
-                breakable = np.isin(region, _BREAKABLE_IDS) & in_blast
-                # TNT blocks in (or just beyond) the blast get primed.
-                tnt_mask = (region == Block.TNT) & (
-                    dist_sq <= (radius + 1.0) ** 2
-                )
-                txs, tzs, tys = np.nonzero(tnt_mask)
-                for tx, tz, ty in zip(txs, tzs, tys):
-                    chain_fuses.append(
-                        (base_x + lx_lo + int(tx), y_lo + int(ty),
-                         base_z + lz_lo + int(tz))
-                    )
-                breakable |= tnt_mask
-                n_broken = int(breakable.sum())
-                if n_broken:
-                    bxs, bzs, bys = np.nonzero(breakable)
-                    for bx, bz, by in zip(bxs, bzs, bys):
-                        wx = base_x + lx_lo + int(bx)
-                        wz = base_z + lz_lo + int(bz)
-                        wy = y_lo + int(by)
-                        old = int(region[bx, bz, by])
-                        self.world._change_log.append(
-                            BlockChange(wx, wy, wz, old, Block.AIR)
-                        )
-                        if (
-                            old != Block.TNT
-                            and spec(old).drops_item
-                            and drops < MAX_DROPS_PER_EXPLOSION
-                            and self.rng.random() < DROP_CHANCE
-                        ):
-                            self.entities.spawn(
-                                EntityKind.ITEM, wx + 0.5, wy + 0.5, wz + 0.5,
-                                vy=0.15,
-                            )
-                            drops += 1
-                    region[breakable] = Block.AIR
-                    chunk.dirty = True
-                    chunk.recompute_heightmap()
-                    destroyed += n_broken
+                drops += 1
+        # Blocks become air; their aux state is left as it was.
+        destroyed = self.world.set_blocks_bulk(
+            xs, ys, zs, np.zeros(broken.size, np.uint8),
+            auxs=self.world.aux_bulk(xs, ys, zs),
+        )
         for x, y, z in chain_fuses:
             # Chain-primed TNT gets a short random fuse (vanilla: 10-30).
             # The block was already cleared with the blast region above, so
@@ -240,6 +209,11 @@ class TNTSystem:
             other.vy += abs(dy) / dist * strength * 0.5 + 0.05
             other.vz += dz / dist * strength
 
+
+#: Blocks whose destruction may drop an item (TNT is primed instead).
+_DROPS_ITEM_LUT = np.array(
+    [spec(b).drops_item and b != Block.TNT for b in Block.ALL], dtype=np.bool_
+)
 
 _BREAKABLE_IDS = np.array(
     [

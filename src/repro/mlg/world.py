@@ -1,7 +1,10 @@
 """Chunked voxel world — the terrain state of the operational model (§2.3).
 
 The world is an endless horizontal grid of 16×16×``WORLD_HEIGHT`` chunks,
-lazily created (and optionally generated) when first touched.  Every block
+lazily created (and optionally generated) when first touched.  Chunk state
+lives in a :class:`~repro.mlg.chunk_arena.ChunkArena`, one slab per field,
+and :class:`Chunk` objects are handles over its slots, so the bulk queries
+below are single gathers however many chunks they span.  Every block
 mutation is appended to a per-tick change log which the game loop drains to
 drive terrain simulation triggers and client state-update packets.
 """
@@ -10,13 +13,18 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from repro.mlg.blocks import SOLID_LUT, Block, is_opaque, is_solid
-from repro.mlg.constants import CHUNK_SIZE, WORLD_HEIGHT
+from repro.mlg.blocks import SOLID_LUT, Block, is_solid
+from repro.mlg.chunk_arena import Chunk, ChunkArena, pack_keys
+from repro.mlg.constants import WORLD_HEIGHT
 
-__all__ = ["BlockChange", "Chunk", "World"]
+__all__ = ["BlockChange", "Chunk", "World", "cuboid_cells"]
+
+Array = np.ndarray
+_int64 = partial(np.asarray, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -30,68 +38,22 @@ class BlockChange:
     new: int
 
 
-class Chunk:
-    """A 16×16 column of blocks with light and auxiliary state.
-
-    Arrays are indexed ``[local_x, local_z, y]``.  ``aux`` stores per-block
-    metadata (crop growth stage, repeater delay, redstone power, fluid
-    level).  ``heightmap[x, z]`` is the y of the highest non-air block plus
-    one (0 for an empty column).
-    """
-
-    __slots__ = (
-        "cx",
-        "cz",
-        "blocks",
-        "aux",
-        "skylight",
-        "blocklight",
-        "heightmap",
-        "dirty",
+def cuboid_cells(
+    x0: int, y0: int, z0: int, x1: int, y1: int, z1: int
+) -> tuple[Array, Array, Array]:
+    """``(xs, ys, zs)`` of every cell of an inclusive cuboid, ordered by x,
+    then z, then y (the scalar loops' change-log order)."""
+    xs, zs, ys = np.meshgrid(
+        np.arange(x0, x1 + 1),
+        np.arange(z0, z1 + 1),
+        np.arange(y0, y1 + 1),
+        indexing="ij",
     )
-
-    def __init__(self, cx: int, cz: int) -> None:
-        self.cx = cx
-        self.cz = cz
-        shape = (CHUNK_SIZE, CHUNK_SIZE, WORLD_HEIGHT)
-        self.blocks = np.zeros(shape, dtype=np.uint8)
-        self.aux = np.zeros(shape, dtype=np.uint8)
-        self.skylight = np.zeros(shape, dtype=np.uint8)
-        self.blocklight = np.zeros(shape, dtype=np.uint8)
-        self.heightmap = np.zeros((CHUNK_SIZE, CHUNK_SIZE), dtype=np.int16)
-        self.dirty = False
-
-    def recompute_heightmap(self) -> None:
-        """Rebuild the heightmap from the block array (vectorized)."""
-        nonair = self.blocks != Block.AIR
-        # Highest non-air index + 1 per column; 0 when the column is empty.
-        reversed_cols = nonair[:, :, ::-1]
-        first_from_top = reversed_cols.argmax(axis=2)
-        any_block = nonair.any(axis=2)
-        self.heightmap[:, :] = np.where(
-            any_block, WORLD_HEIGHT - first_from_top, 0
-        ).astype(np.int16)
-
-    def update_height_at(self, lx: int, lz: int) -> None:
-        """Recompute the heightmap for a single column."""
-        column = self.blocks[lx, lz]
-        nz = np.flatnonzero(column)
-        self.heightmap[lx, lz] = int(nz[-1]) + 1 if nz.size else 0
-
-    @property
-    def nbytes(self) -> int:
-        """Approximate in-memory size of the chunk's state arrays."""
-        return (
-            self.blocks.nbytes
-            + self.aux.nbytes
-            + self.skylight.nbytes
-            + self.blocklight.nbytes
-            + self.heightmap.nbytes
-        )
+    return xs.ravel(), ys.ravel(), zs.ravel()
 
 
 class World:
-    """The global terrain state: a dictionary of loaded chunks.
+    """The global terrain state: an arena of loaded chunks.
 
     ``generator`` — when provided — is invoked to populate newly created
     chunks (signature ``generator(chunk) -> None``), which models the lazy
@@ -109,7 +71,9 @@ class World:
         generator: Callable[[Chunk], None] | None = None,
         loader: Callable[[int, int], Chunk | None] | None = None,
     ) -> None:
-        self._chunks: dict[tuple[int, int], Chunk] = {}
+        self._arena = ChunkArena()
+        #: ``(cx, cz) → handle`` in load order (owned by the arena).
+        self._chunks = self._arena.handles
         self._generator = generator
         self._loader = loader
         self._change_log: list[BlockChange] = []
@@ -137,18 +101,15 @@ class World:
         """Like :meth:`ensure_chunk`, also reporting where the chunk came
         from: ``"resident"`` (already in memory), ``"loaded"`` (read back
         through the loader hook), or ``"generated"`` — the distinction the
-        cost model charges differently (§ satellite: generation vs disk
-        load must be attributable)."""
+        cost model charges differently."""
         chunk = self._chunks.get((cx, cz))
         if chunk is not None:
             return chunk, "resident"
         if self._loader is not None:
             chunk = self._loader(cx, cz)
             if chunk is not None:
-                self._chunks[(cx, cz)] = chunk
-                return chunk, "loaded"
-        chunk = Chunk(cx, cz)
-        self._chunks[(cx, cz)] = chunk
+                return self._arena.adopt(chunk), "loaded"
+        chunk = self._arena.create(cx, cz)
         if self._generator is not None:
             self._generator(chunk)
             chunk.recompute_heightmap()
@@ -161,10 +122,11 @@ class World:
         """Install the disk-load hook (wired by the chunk lifecycle)."""
         self._loader = loader
 
-    def adopt_chunk(self, chunk: Chunk) -> None:
-        """Install an externally constructed chunk (deserialization),
-        replacing any resident chunk at its coordinates."""
-        self._chunks[(chunk.cx, chunk.cz)] = chunk
+    def adopt_chunk(self, chunk: Chunk) -> Chunk:
+        """Install a free-standing chunk (deserialization) by copying it
+        into the arena, replacing any resident chunk at its coordinates;
+        ``chunk`` becomes the handle of its slot."""
+        return self._arena.adopt(chunk)
 
     @property
     def has_generator(self) -> bool:
@@ -174,14 +136,18 @@ class World:
     def unload_chunk(self, cx: int, cz: int) -> Chunk | None:
         """Drop a chunk from memory (the eviction half of streaming).
 
-        Returns the evicted chunk, or ``None`` when it was not loaded.
-        The caller (the lifecycle manager) is responsible for never
-        evicting unsaved dirty state.
+        Returns the evicted chunk, detached onto a private copy of its
+        state, or ``None`` when it was not loaded.  The caller (the
+        lifecycle manager) must never evict unsaved dirty state.
         """
-        return self._chunks.pop((cx, cz), None)
+        return self._arena.release(cx, cz)
 
     def loaded_chunks(self) -> Iterator[Chunk]:
         return iter(self._chunks.values())
+
+    def loaded_keys(self):
+        """Set-like view of the loaded ``(cx, cz)``, in load order."""
+        return self._chunks.keys()
 
     @property
     def loaded_chunk_count(self) -> int:
@@ -190,7 +156,16 @@ class World:
     @property
     def nbytes(self) -> int:
         """Total chunk memory, the world's contribution to heap usage."""
-        return sum(chunk.nbytes for chunk in self._chunks.values())
+        return len(self._chunks) * Chunk.NBYTES
+
+    def dirty_keys(self) -> list[tuple[int, int]]:
+        """Loaded ``(cx, cz)`` modified since they were last marked clean."""
+        flags = self._arena.gather("dirty", self._arena.order())
+        keys = list(self._chunks)
+        return [keys[i] for i in np.flatnonzero(flags).tolist()]
+
+    def dirty_count(self) -> int:
+        return int(self._arena.gather("dirty", self._arena.order()).sum())
 
     # -- block access -------------------------------------------------------
 
@@ -200,27 +175,27 @@ class World:
     def get_block(self, x: int, y: int, z: int) -> int:
         """Block id at world coordinates; AIR outside vertical bounds or in
         unloaded chunks (reads never force generation)."""
-        if not self.in_bounds_y(y):
+        if not 0 <= y < WORLD_HEIGHT:
             return Block.AIR
         chunk = self._chunks.get((x >> 4, z >> 4))
         if chunk is None:
             return Block.AIR
-        return int(chunk.blocks[x & 15, z & 15, y])
+        return int(chunk._page.blocks[chunk._slot, x & 15, z & 15, y])
 
     def get_aux(self, x: int, y: int, z: int) -> int:
-        if not self.in_bounds_y(y):
+        if not 0 <= y < WORLD_HEIGHT:
             return 0
         chunk = self._chunks.get((x >> 4, z >> 4))
         if chunk is None:
             return 0
-        return int(chunk.aux[x & 15, z & 15, y])
+        return int(chunk._page.aux[chunk._slot, x & 15, z & 15, y])
 
     def set_aux(self, x: int, y: int, z: int, value: int) -> None:
-        if not self.in_bounds_y(y):
+        if not 0 <= y < WORLD_HEIGHT:
             return
         chunk = self.ensure_chunk(x >> 4, z >> 4)
-        chunk.aux[x & 15, z & 15, y] = value & 0xFF
-        chunk.dirty = True
+        chunk._page.aux[chunk._slot, x & 15, z & 15, y] = value & 0xFF
+        chunk._page.dirty[chunk._slot] = True
 
     def set_block(
         self, x: int, y: int, z: int, block_id: int, aux: int = 0,
@@ -232,19 +207,20 @@ class World:
         construction before an experiment starts, so that building a workload
         world does not masquerade as runtime terrain work.
         """
-        if not self.in_bounds_y(y):
+        if not 0 <= y < WORLD_HEIGHT:
             return None
         chunk = self.ensure_chunk(x >> 4, z >> 4)
+        page, slot = chunk._page, chunk._slot
         lx, lz = x & 15, z & 15
-        old = int(chunk.blocks[lx, lz, y])
-        if old == block_id and int(chunk.aux[lx, lz, y]) == aux:
+        old = int(page.blocks[slot, lx, lz, y])
+        if old == block_id and int(page.aux[slot, lx, lz, y]) == aux:
             return None
-        chunk.blocks[lx, lz, y] = block_id
-        chunk.aux[lx, lz, y] = aux & 0xFF
-        chunk.dirty = True
-        height = int(chunk.heightmap[lx, lz])
+        page.blocks[slot, lx, lz, y] = block_id
+        page.aux[slot, lx, lz, y] = aux & 0xFF
+        page.dirty[slot] = True
+        height = int(page.heightmap[slot, lx, lz])
         if block_id != Block.AIR and y >= height:
-            chunk.heightmap[lx, lz] = y + 1
+            page.heightmap[slot, lx, lz] = y + 1
         elif block_id == Block.AIR and y == height - 1:
             chunk.update_height_at(lx, lz)
         change = BlockChange(x, y, z, old, block_id)
@@ -271,189 +247,154 @@ class World:
         chunk = self._chunks.get((x >> 4, z >> 4))
         if chunk is None:
             return 0
-        return int(chunk.heightmap[x & 15, z & 15])
+        return int(chunk._page.heightmap[chunk._slot, x & 15, z & 15])
 
-    def column_heights_bulk(
-        self, xs: "np.ndarray", zs: "np.ndarray"
-    ) -> "np.ndarray":
+    def _locate(self, xs: Array, zs: Array) -> tuple[Array, Array]:
+        """``(slots, loaded)`` of the chunk over each column; slot 0 stands
+        in where none is loaded, so a gather stays in range."""
+        slots = self._arena.slots_of(xs >> 4, zs >> 4)
+        return np.maximum(slots, 0), slots >= 0
+
+    def column_heights_bulk(self, xs: Array, zs: Array) -> Array:
         """Vectorized :meth:`column_height` for integer coordinate arrays.
 
-        Unloaded chunks report height 0.  Used by the entity manager's bulk
-        physics path (TNT swarms, item floods).
+        Unloaded chunks report height 0.
         """
-        xs = np.asarray(xs, dtype=np.int64)
-        zs = np.asarray(zs, dtype=np.int64)
-        out = np.zeros(xs.shape, dtype=np.int64)
-        for key, idx in self._chunk_groups(xs, zs):
-            chunk = self._chunks.get(key)
-            if chunk is None:
-                continue
-            out[idx] = chunk.heightmap[xs[idx] & 15, zs[idx] & 15]
-        return out
+        xs, zs = _int64(xs), _int64(zs)
+        slots, loaded = self._locate(xs, zs)
+        heights = self._arena.gather("heightmap", slots, xs & 15, zs & 15)
+        return np.where(loaded, heights, 0).astype(np.int64)
 
-    def blocks_bulk(
-        self, xs: "np.ndarray", ys: "np.ndarray", zs: "np.ndarray"
-    ) -> "np.ndarray":
+    def _voxels_bulk(self, field: str, xs, ys, zs) -> Array:
+        xs, ys, zs = _int64(xs), _int64(ys), _int64(zs)
+        slots, ok = self._locate(xs, zs)
+        ok &= (ys >= 0) & (ys < WORLD_HEIGHT)
+        values = self._arena.gather(
+            field, slots, xs & 15, zs & 15, np.clip(ys, 0, WORLD_HEIGHT - 1)
+        )
+        return np.where(ok, values, np.uint8(0))
+
+    def blocks_bulk(self, xs: Array, ys: Array, zs: Array) -> Array:
         """Vectorized :meth:`get_block` for integer coordinate arrays.
 
         AIR outside vertical bounds and in unloaded chunks, matching the
         scalar read semantics (reads never force generation).
         """
-        xs = np.asarray(xs, dtype=np.int64)
-        ys = np.asarray(ys, dtype=np.int64)
-        zs = np.asarray(zs, dtype=np.int64)
-        out = np.zeros(xs.shape, dtype=np.uint8)
-        in_bounds = (ys >= 0) & (ys < WORLD_HEIGHT)
-        for key, idx in self._chunk_groups(xs, zs):
-            chunk = self._chunks.get(key)
-            if chunk is None:
-                continue
-            idx = idx[in_bounds[idx]]
-            if idx.size == 0:
-                continue
-            out[idx] = chunk.blocks[xs[idx] & 15, zs[idx] & 15, ys[idx]]
-        return out
+        return self._voxels_bulk("blocks", xs, ys, zs)
 
-    def aux_bulk(
-        self, xs: "np.ndarray", ys: "np.ndarray", zs: "np.ndarray"
-    ) -> "np.ndarray":
-        """Vectorized :meth:`get_aux` for integer coordinate arrays.
+    def aux_bulk(self, xs: Array, ys: Array, zs: Array) -> Array:
+        """Vectorized :meth:`get_aux` for integer coordinate arrays."""
+        return self._voxels_bulk("aux", xs, ys, zs)
 
-        0 outside vertical bounds and in unloaded chunks, matching the
-        scalar read semantics.
-        """
-        xs = np.asarray(xs, dtype=np.int64)
-        ys = np.asarray(ys, dtype=np.int64)
-        zs = np.asarray(zs, dtype=np.int64)
-        out = np.zeros(xs.shape, dtype=np.uint8)
-        in_bounds = (ys >= 0) & (ys < WORLD_HEIGHT)
-        for key, idx in self._chunk_groups(xs, zs):
-            chunk = self._chunks.get(key)
-            if chunk is None:
-                continue
-            idx = idx[in_bounds[idx]]
-            if idx.size == 0:
-                continue
-            out[idx] = chunk.aux[xs[idx] & 15, zs[idx] & 15, ys[idx]]
-        return out
+    def blocks_per_chunk(self, lxs: Array, lzs: Array, ys: Array) -> Array:
+        """Block ids at chunk-local positions: equal consecutive runs of
+        the inputs belong to each loaded chunk, in :meth:`loaded_chunks`
+        order (the random-tick read, one gather for the whole world)."""
+        order = self._arena.order()
+        slots = np.repeat(order, lxs.size // max(1, order.size))
+        return self._arena.gather("blocks", slots, lxs, lzs, ys)
+
+    def _slots_for_write(self, xs: Array, zs: Array) -> Array:
+        """Slot of the chunk over each column, loading or generating the
+        missing ones first (in packed-key order, which fixes their rank in
+        :meth:`loaded_chunks` and so the random-tick pairing)."""
+        cxs, czs = xs >> 4, zs >> 4
+        slots = self._arena.slots_of(cxs, czs)
+        missing = np.flatnonzero(slots < 0)
+        if missing.size:
+            _, first = np.unique(
+                pack_keys(cxs[missing], czs[missing]), return_index=True
+            )
+            for i in missing[first].tolist():
+                self.ensure_chunk(int(cxs[i]), int(czs[i]))
+            slots = self._arena.slots_of(cxs, czs)
+        return slots
 
     def set_aux_bulk(
-        self,
-        xs: "np.ndarray",
-        ys: "np.ndarray",
-        zs: "np.ndarray",
-        values: "np.ndarray",
+        self, xs: Array, ys: Array, zs: Array, values: Array
     ) -> None:
         """Vectorized :meth:`set_aux`: no change log, marks chunks dirty.
 
         Positions must be unique (duplicate targets would make the write
         order unspecified, unlike the scalar last-write-wins loop).
         """
-        xs = np.asarray(xs, dtype=np.int64)
-        ys = np.asarray(ys, dtype=np.int64)
-        zs = np.asarray(zs, dtype=np.int64)
-        values = np.asarray(values).astype(np.uint8)
-        in_bounds = (ys >= 0) & (ys < WORLD_HEIGHT)
-        for key, idx in self._chunk_groups(xs, zs):
-            idx = idx[in_bounds[idx]]
-            if idx.size == 0:
-                continue
-            chunk = self.ensure_chunk(*key)
-            chunk.aux[xs[idx] & 15, zs[idx] & 15, ys[idx]] = values[idx]
-            chunk.dirty = True
+        ys = _int64(ys)
+        sel = np.flatnonzero((ys >= 0) & (ys < WORLD_HEIGHT))
+        if sel.size == 0:
+            return
+        xs, zs = _int64(xs)[sel], _int64(zs)[sel]
+        slots = self._slots_for_write(xs, zs)
+        self._arena.scatter(
+            "aux", slots, xs & 15, zs & 15, ys[sel],
+            values=np.asarray(values).astype(np.uint8)[sel],
+        )
+        self._arena.scatter("dirty", slots, values=np.ones(sel.size, np.bool_))
 
     def set_blocks_bulk(
-        self,
-        xs: "np.ndarray",
-        ys: "np.ndarray",
-        zs: "np.ndarray",
-        block_ids: "np.ndarray",
-        auxs: "np.ndarray | None" = None,
-        log: bool = True,
+        self, xs: Array, ys: Array, zs: Array, block_ids: Array,
+        auxs: Array | None = None, log: bool = True,
     ) -> int:
         """Vectorized :meth:`set_block`; returns the number of real changes.
 
-        Applies per-chunk array writes, updates heightmaps, and appends
-        change-log entries (in input order) in one pass — the write half
-        of the batched terrain engines.  No-op writes (same block and aux)
-        are skipped exactly like the scalar path.  Positions must be
-        unique; out-of-bounds y positions are ignored.
+        One gather reads the old state, one scatter per field writes the
+        new, heightmaps follow, and change-log entries are appended in
+        input order.  No-op writes (same block and aux) are skipped like
+        the scalar path.  Positions must be unique; out-of-bounds y
+        positions are ignored.
         """
-        xs = np.asarray(xs, dtype=np.int64)
-        ys = np.asarray(ys, dtype=np.int64)
-        zs = np.asarray(zs, dtype=np.int64)
+        xs, ys, zs = _int64(xs), _int64(ys), _int64(zs)
         block_ids = np.asarray(block_ids).astype(np.uint8)
         if auxs is None:
             auxs = np.zeros(xs.shape, dtype=np.uint8)
         else:
             auxs = np.asarray(auxs).astype(np.uint8)
-        in_bounds = (ys >= 0) & (ys < WORLD_HEIGHT)
-        changed = np.zeros(xs.shape, dtype=np.bool_)
-        old_blocks = np.zeros(xs.shape, dtype=np.uint8)
-        for key, idx in self._chunk_groups(xs, zs):
-            idx = idx[in_bounds[idx]]
-            if idx.size == 0:
-                continue
-            chunk = self.ensure_chunk(*key)
-            lx, lz, yy = xs[idx] & 15, zs[idx] & 15, ys[idx]
-            ob = chunk.blocks[lx, lz, yy]
-            oa = chunk.aux[lx, lz, yy]
-            mask = (ob != block_ids[idx]) | (oa != auxs[idx])
-            if not mask.any():
-                continue
-            widx = idx[mask]
-            changed[widx] = True
-            old_blocks[widx] = ob[mask]
-            wlx, wlz, wy = lx[mask], lz[mask], yy[mask]
-            chunk.blocks[wlx, wlz, wy] = block_ids[widx]
-            chunk.aux[wlx, wlz, wy] = auxs[widx]
-            chunk.dirty = True
-            nonair = block_ids[widx] != Block.AIR
-            if nonair.any():
-                np.maximum.at(
-                    chunk.heightmap,
-                    (wlx[nonair], wlz[nonair]),
-                    (wy[nonair] + 1).astype(np.int16),
-                )
-            if (~nonair).any():
-                # Carving air can lower a column top; rescan only columns
-                # whose recorded top was the carved cell.
-                alx, alz, ay = wlx[~nonair], wlz[~nonair], wy[~nonair]
-                tops = chunk.heightmap[alx, alz]
-                for k in np.flatnonzero(ay == tops - 1):
-                    chunk.update_height_at(int(alx[k]), int(alz[k]))
-        if log and changed.any():
-            for i in np.flatnonzero(changed):
-                self._change_log.append(
-                    BlockChange(
-                        int(xs[i]),
-                        int(ys[i]),
-                        int(zs[i]),
-                        int(old_blocks[i]),
-                        int(block_ids[i]),
-                    )
-                )
-        return int(changed.sum())
+        sel = np.flatnonzero((ys >= 0) & (ys < WORLD_HEIGHT))
+        if sel.size == 0:
+            return 0
+        arena = self._arena
+        slots = self._slots_for_write(xs[sel], zs[sel])
+        at = (slots, xs[sel] & 15, zs[sel] & 15, ys[sel])
+        old = arena.gather("blocks", *at)
+        mask = (old != block_ids[sel]) | (
+            arena.gather("aux", *at) != auxs[sel]
+        )
+        if not mask.any():
+            return 0
+        # Everything below is in input order, restricted to real changes.
+        sel, old = sel[mask], old[mask]
+        slots, lx, lz, y = at = tuple(a[mask] for a in at)
+        new = block_ids[sel]
+        arena.scatter("blocks", *at, values=new)
+        arena.scatter("aux", *at, values=auxs[sel])
+        arena.scatter("dirty", slots, values=np.ones(sel.size, np.bool_))
+        solid = new != Block.AIR
+        if solid.any():
+            arena.scatter(
+                "heightmap", slots[solid], lx[solid], lz[solid],
+                values=(y[solid] + 1).astype(np.int16), ufunc=np.maximum,
+            )
+        if not solid.all():
+            # Carving air can lower a column top; rescan only columns
+            # whose recorded top was the carved cell.
+            air = np.flatnonzero(~solid)
+            tops = arena.gather("heightmap", slots[air], lx[air], lz[air])
+            for i in sel[air[y[air] == tops - 1]].tolist():
+                x, z = int(xs[i]), int(zs[i])
+                self._chunks[(x >> 4, z >> 4)].update_height_at(x & 15, z & 15)
+        if log:
+            columns = (xs[sel], ys[sel], zs[sel], old, new)
+            self._change_log.extend(
+                map(BlockChange, *(column.tolist() for column in columns))
+            )
+        return int(sel.size)
 
-    def chunks_loaded_bulk(
-        self, xs: "np.ndarray", zs: "np.ndarray"
-    ) -> "np.ndarray":
+    def chunks_loaded_bulk(self, xs: Array, zs: Array) -> Array:
         """Boolean mask: is the chunk containing each ``(x, z)`` loaded?"""
-        xs = np.asarray(xs, dtype=np.int64)
-        zs = np.asarray(zs, dtype=np.int64)
-        out = np.zeros(xs.shape, dtype=np.bool_)
-        for key, idx in self._chunk_groups(xs, zs):
-            if key in self._chunks:
-                out[idx] = True
-        return out
+        return self._arena.slots_of(_int64(xs) >> 4, _int64(zs) >> 4) >= 0
 
     def ground_below_bulk(
-        self,
-        xs: "np.ndarray",
-        ys: "np.ndarray",
-        zs: "np.ndarray",
-        max_scan: int = 12,
-    ) -> "np.ndarray":
+        self, xs: Array, ys: Array, zs: Array, max_scan: int = 12
+    ) -> Array:
         """Vectorized downward ground scan for entity physics.
 
         For each position: the top surface (``y + 1``) of the first solid
@@ -469,84 +410,24 @@ class World:
             np.floor(np.asarray(ys, dtype=np.float64)).astype(np.int64),
             WORLD_HEIGHT - 1,
         )
-        # Clustered populations (farm mobs on a platform, items in a kill
-        # chamber) repeat the same column query; scan each distinct
-        # (x, z, start) once and broadcast the result back.
-        keys = (
-            ((xs & 0xFFFFFF) << 40)
-            | ((zs & 0xFFFFFF) << 16)
-            | (start & 0xFFFF)
+        scan_y = start[:, None] - np.arange(max_scan)
+        slots, loaded = self._locate(xs, zs)
+        column = (slots[:, None], (xs & 15)[:, None], (zs & 15)[:, None])
+        columns = self._arena.gather(
+            "blocks", *column, np.clip(scan_y, 0, WORLD_HEIGHT - 1)
         )
-        uniq, first_idx, inverse = np.unique(
-            keys, return_index=True, return_inverse=True
-        )
-        if uniq.size < keys.size:
-            unique_result = self._ground_below_distinct(
-                xs[first_idx], start[first_idx], zs[first_idx], max_scan
-            )
-            return unique_result[inverse]
-        return self._ground_below_distinct(xs, start, zs, max_scan)
-
-    def _ground_below_distinct(
-        self,
-        xs: "np.ndarray",
-        start: "np.ndarray",
-        zs: "np.ndarray",
-        max_scan: int,
-    ) -> "np.ndarray":
-        """Downward scan for already-deduplicated column queries."""
-        out = np.maximum(0, start - max_scan).astype(np.float64)
-        scan_y = start[:, None] - np.arange(max_scan)[None, :]
-        valid = scan_y >= 0
-        clipped_y = np.clip(scan_y, 0, WORLD_HEIGHT - 1)
-        for key, idx in self._chunk_groups(xs, zs):
-            chunk = self._chunks.get(key)
-            if chunk is None:
-                continue
-            columns = chunk.blocks[
-                xs[idx][:, None] & 15, zs[idx][:, None] & 15, clipped_y[idx]
-            ]
-            solid = SOLID_LUT[columns] & valid[idx]
-            hit = solid.any(axis=1)
-            if not hit.any():
-                continue
-            first = solid.argmax(axis=1)
-            tops = scan_y[idx, first] + 1
-            out[idx[hit]] = tops[hit].astype(np.float64)
-        return out
-
-    def _chunk_groups(
-        self, xs: "np.ndarray", zs: "np.ndarray"
-    ) -> Iterator[tuple[tuple[int, int], "np.ndarray"]]:
-        """Group positions by containing chunk: ``((cx, cz), indices)``.
-
-        Sort-based grouping: one O(n log n) argsort instead of an O(n)
-        boolean mask per chunk, which matters when a TNT swarm spreads
-        across dozens of chunks.
-        """
-        cxs = xs >> 4
-        czs = zs >> 4
-        keys = cxs * (1 << 32) + (czs & 0xFFFFFFFF)
-        if keys.size == 0:
-            return
-        order = np.argsort(keys, kind="stable")
-        boundaries = np.flatnonzero(np.diff(keys[order])) + 1
-        starts = (0, *boundaries.tolist())
-        ends = (*boundaries.tolist(), keys.size)
-        for group_start, group_end in zip(starts, ends):
-            idx = order[group_start:group_end]
-            first = int(idx[0])
-            yield (int(cxs[first]), int(czs[first])), idx
+        solid = SOLID_LUT[columns] & (scan_y >= 0) & loaded[:, None]
+        first = solid.argmax(axis=1)
+        return np.where(
+            solid.any(axis=1),
+            start - first + 1,
+            np.maximum(0, start - max_scan),
+        ).astype(np.float64)
 
     def is_solid_at(self, x: int, y: int, z: int) -> bool:
         return is_solid(self.get_block(x, y, z))
 
-    def is_opaque_at(self, x: int, y: int, z: int) -> bool:
-        return is_opaque(self.get_block(x, y, z))
-
-    def neighbors6(
-        self, x: int, y: int, z: int
-    ) -> Iterable[tuple[int, int, int]]:
+    def neighbors6(self, x: int, y: int, z: int) -> Iterable[tuple]:
         """The six face-adjacent positions (unfiltered)."""
         return (
             (x + 1, y, z),
@@ -559,76 +440,33 @@ class World:
 
     def count_blocks(self, block_id: int) -> int:
         """Total count of ``block_id`` across loaded chunks (vectorized)."""
-        return int(
-            sum(
-                int((chunk.blocks == block_id).sum())
-                for chunk in self._chunks.values()
-            )
+        return sum(
+            int((chunk.blocks == block_id).sum())
+            for chunk in self._chunks.values()
         )
 
     def fill(
-        self,
-        x0: int,
-        y0: int,
-        z0: int,
-        x1: int,
-        y1: int,
-        z1: int,
-        block_id: int,
-        log: bool = False,
+        self, x0: int, y0: int, z0: int, x1: int, y1: int, z1: int,
+        block_id: int, log: bool = False,
     ) -> int:
         """Fill an inclusive cuboid; returns the number of blocks written.
 
-        Bulk construction helper used by the workload world builders.
+        Bulk construction helper used by the workload world builders.  One
+        ``set_blocks_bulk`` over the cuboid's coordinates (about 100 bytes
+        of index temporaries per cell, where slice writes needed none), so
+        it is sized for what the builders fill — at most 3,584 cells a
+        call — not for clearing a region.
         """
         if x1 < x0 or y1 < y0 or z1 < z0:
             raise ValueError("fill cuboid corners must be ordered")
         ylo, yhi = max(y0, 0), min(y1, WORLD_HEIGHT - 1)
         if ylo > yhi:
             return 0
-        count = 0
-        logged: list[tuple[int, int, int, int]] = []
+        # Every chunk under the cuboid, x then z: the order they load in
+        # is the order random ticks will visit them.
         for cx in range(x0 >> 4, (x1 >> 4) + 1):
             for cz in range(z0 >> 4, (z1 >> 4) + 1):
-                chunk = self.ensure_chunk(cx, cz)
-                gx0, gx1 = max(x0, cx << 4), min(x1, (cx << 4) + 15)
-                gz0, gz1 = max(z0, cz << 4), min(z1, (cz << 4) + 15)
-                sx = slice(gx0 & 15, (gx1 & 15) + 1)
-                sz = slice(gz0 & 15, (gz1 & 15) + 1)
-                sy = slice(ylo, yhi + 1)
-                sub_b = chunk.blocks[sx, sz, sy]
-                sub_a = chunk.aux[sx, sz, sy]
-                mask = (sub_b != block_id) | (sub_a != 0)
-                n_changed = int(mask.sum())
-                if n_changed == 0:
-                    continue
-                if log:
-                    mlx, mlz, my = np.nonzero(mask)
-                    old = sub_b[mlx, mlz, my]
-                    for lx, lz, y, ob in zip(
-                        mlx.tolist(), mlz.tolist(), my.tolist(), old.tolist()
-                    ):
-                        logged.append((gx0 + lx, gz0 + lz, ylo + y, ob))
-                chunk.blocks[sx, sz, sy] = block_id
-                chunk.aux[sx, sz, sy] = 0
-                chunk.dirty = True
-                if block_id != Block.AIR:
-                    chunk.heightmap[sx, sz] = np.maximum(
-                        chunk.heightmap[sx, sz], np.int16(yhi + 1)
-                    )
-                else:
-                    # Carving air: rebuild the covered columns exactly.
-                    cols = chunk.blocks[sx, sz, :] != Block.AIR
-                    first_from_top = cols[:, :, ::-1].argmax(axis=2)
-                    chunk.heightmap[sx, sz] = np.where(
-                        cols.any(axis=2), WORLD_HEIGHT - first_from_top, 0
-                    ).astype(np.int16)
-                count += n_changed
-        if logged:
-            # Match the scalar loop's change-log order (x, then z, then y).
-            logged.sort()
-            self._change_log.extend(
-                BlockChange(x, y, z, old, block_id)
-                for x, z, y, old in logged
-            )
-        return count
+                self.ensure_chunk(cx, cz)
+        xs, ys, zs = cuboid_cells(x0, ylo, z0, x1, yhi, z1)
+        ids = np.full(xs.size, block_id, dtype=np.uint8)
+        return self.set_blocks_bulk(xs, ys, zs, ids, log=log)

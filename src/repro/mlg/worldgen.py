@@ -135,14 +135,15 @@ class TerrainGenerator:
     def _plant_trees(self, chunk: Chunk, heights: np.ndarray) -> None:
         """Sparse trees on grass above sea level (trunk + leaf blob)."""
         mask = self._feature_mask(chunk, 0x7E3E, 0.004)
+        blocks = chunk.blocks
         for lx, lz in zip(*np.nonzero(mask)):
             ground = int(heights[lx, lz])
             if ground <= SEA_LEVEL or ground + 7 >= WORLD_HEIGHT:
                 continue
-            if chunk.blocks[lx, lz, ground - 1] != Block.GRASS:
+            if blocks[lx, lz, ground - 1] != Block.GRASS:
                 continue
             trunk_top = ground + 5
-            chunk.blocks[lx, lz, ground:trunk_top] = Block.WOOD
+            blocks[lx, lz, ground:trunk_top] = Block.WOOD
             for dx in range(-2, 3):
                 for dz in range(-2, 3):
                     for dy in range(3, 7):
@@ -154,8 +155,8 @@ class TerrainGenerator:
                         ):
                             continue
                         if abs(dx) + abs(dz) + abs(dy - 4) <= 4:
-                            if chunk.blocks[tx, tz, ty] == Block.AIR:
-                                chunk.blocks[tx, tz, ty] = Block.LEAVES
+                            if blocks[tx, tz, ty] == Block.AIR:
+                                blocks[tx, tz, ty] = Block.LEAVES
 
     def _plant_kelp(self, chunk: Chunk, heights: np.ndarray) -> None:
         """Kelp stalks in deeper water columns."""

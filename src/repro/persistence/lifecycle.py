@@ -133,7 +133,7 @@ class ChunkLifecycle:
         return read
 
     def dirty_count(self) -> int:
-        return sum(1 for chunk in self.world.loaded_chunks() if chunk.dirty)
+        return self.world.dirty_count()
 
     def stats(self) -> dict[str, int]:
         """Counters for the iteration-telemetry ``world`` section."""
@@ -214,11 +214,9 @@ class ChunkLifecycle:
             # keys off dirty flags) cannot double-enqueue them.
             self._flush_staged()
             backlog = sorted(
-                (
-                    (chunk.cx, chunk.cz)
-                    for chunk in self.world.loaded_chunks()
-                    if self._needs_save((chunk.cx, chunk.cz), chunk)
-                ),
+                # Dirty, or never persisted (see _needs_save).
+                (self.world.loaded_keys() - self._on_disk)
+                | set(self.world.dirty_keys()),
                 # Region-major order: the incremental drain then touches
                 # each region file once, not once per 16-chunk batch.
                 key=lambda key: (chunk_to_region(*key), key),
@@ -336,9 +334,9 @@ class ChunkLifecycle:
         pinned = self._pinned_cache
         regenerable = self.world.has_generator
         candidates: list[tuple[int, tuple[int, int]]] = []
-        for chunk in self.world.loaded_chunks():
-            key = (chunk.cx, chunk.cz)
-            if key in in_view or key in pinned or chunk.dirty:
+        dirty = set(self.world.dirty_keys())
+        for key in self.world.loaded_keys():
+            if key in in_view or key in pinned or key in dirty:
                 continue
             if key not in self._on_disk:
                 # With a store, a not-yet-persisted chunk waits for its

@@ -29,7 +29,10 @@ The building blocks:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
+from functools import reduce
+from itertools import repeat
+from operator import add, itemgetter, sub
 
 __all__ = [
     "MetricAccumulator",
@@ -55,6 +58,16 @@ class WelfordAccumulator:
         delta = value - self.mean
         self.mean += delta / self.count
         self.m2 += delta * (value - self.mean)
+
+    def update_many(self, values) -> None:
+        """``update`` for each value in order, in one call."""
+        count, mean, m2 = self.count, self.mean, self.m2
+        for value in values:
+            count += 1
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+        self.count, self.mean, self.m2 = count, mean, m2
 
     def merge(self, other: "WelfordAccumulator") -> None:
         """Fold ``other`` in (Chan et al.'s parallel variance formula)."""
@@ -197,13 +210,27 @@ class QuantileSketch:
     bin resolution, not by which stream a sample arrived on.
     """
 
-    __slots__ = ("max_bins", "_bins", "_min", "_max", "_count")
+    __slots__ = (
+        "max_bins",
+        "_bins",
+        "_counts",
+        "_gaps",
+        "_min",
+        "_max",
+        "_count",
+    )
 
     def __init__(self, max_bins: int = 64) -> None:
         if max_bins < 8:
             raise ValueError(f"max_bins must be >= 8, got {max_bins!r}")
         self.max_bins = max_bins
-        self._bins: list[list[float]] = []  # sorted [value, count] pairs
+        #: Sorted centroid values and, in step, their masses: flat lists,
+        #: so the search runs in C.  ``_gaps[i]`` is kept equal to
+        #: ``_bins[i + 1] - _bins[i]``, so finding the closest pair is a
+        #: ``min`` and not 64 subtractions on every collapse.
+        self._bins: list[float] = []
+        self._counts: list[float] = []
+        self._gaps: list[float] = []
         self._min = math.inf
         self._max = -math.inf
         self._count = 0
@@ -219,35 +246,65 @@ class QuantileSketch:
         if value > self._max:
             self._max = value
         bins = self._bins
-        lo, hi = 0, len(bins)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if bins[mid][0] < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(bins) and bins[lo][0] == value:
-            bins[lo][1] += 1.0
+        lo = bisect_left(bins, value)
+        if lo < len(bins) and bins[lo] == value:
+            self._counts[lo] += 1.0
+        else:
+            self._insert(lo, value, 1.0)
+
+    def update_many(self, values) -> None:
+        """``update`` for each value of a list in order, in one call."""
+        if not values:
             return
-        bins.insert(lo, [value, 1.0])
+        self._count += len(values)
+        self._min = min(self._min, min(values))
+        self._max = max(self._max, max(values))
+        bins, counts = self._bins, self._counts
+        # While nothing can be compressed the sketch is an exact tally,
+        # which does not depend on the order: add each of the batch's
+        # distinct values once, with its multiplicity.  Past the budget a
+        # collapse moves centroids under later values, so each value goes
+        # in on its own.
+        distinct = set(values)
+        if len(bins) + len(distinct) <= self.max_bins:
+            pairs = zip(distinct, map(values.count, distinct))
+        else:
+            pairs = zip(values, repeat(1))
+        for value, n in pairs:
+            lo = bisect_left(bins, value)
+            if lo < len(bins) and bins[lo] == value:
+                counts[lo] += n
+            else:
+                self._insert(lo, value, float(n))
+
+    def _insert(self, lo: int, value: float, count: float) -> None:
+        """A new centroid at ``lo``; collapse a pair if over the budget."""
+        bins, gaps = self._bins, self._gaps
+        bins.insert(lo, value)
+        self._counts.insert(lo, count)
+        last = len(bins) - 1
+        if 0 < lo < last:
+            gaps[lo - 1 : lo] = (value - bins[lo - 1], bins[lo + 1] - value)
+        elif lo < last:
+            gaps.insert(0, bins[1] - value)
+        elif lo > 0:
+            gaps.append(value - bins[lo - 1])
         if len(bins) > self.max_bins:
             self._compress_once()
 
     def _compress_once(self) -> None:
         """Collapse the closest adjacent centroid pair (count-weighted)."""
-        bins = self._bins
-        best = 0
-        best_gap = math.inf
-        for i in range(len(bins) - 1):
-            gap = bins[i + 1][0] - bins[i][0]
-            if gap < best_gap:
-                best_gap = gap
-                best = i
-        v1, c1 = bins[best]
-        v2, c2 = bins[best + 1]
+        bins, counts, gaps = self._bins, self._counts, self._gaps
+        best = gaps.index(min(gaps))  # the first of equally close pairs
+        c1, c2 = counts[best], counts[best + 1]
         total = c1 + c2
-        bins[best] = [(v1 * c1 + v2 * c2) / total, total]
-        del bins[best + 1]
+        bins[best] = (bins[best] * c1 + bins[best + 1] * c2) / total
+        counts[best] = total
+        del bins[best + 1], counts[best + 1], gaps[best]
+        if best > 0:
+            gaps[best - 1] = bins[best] - bins[best - 1]
+        if best < len(gaps):
+            gaps[best] = bins[best + 1] - bins[best]
 
     def merge(self, other: "QuantileSketch") -> None:
         if other._count == 0:
@@ -256,10 +313,12 @@ class QuantileSketch:
         self._min = min(self._min, other._min)
         self._max = max(self._max, other._max)
         merged = sorted(
-            ([v, c] for v, c in self._bins + other._bins),
-            key=lambda bin_: bin_[0],
+            zip(self._bins + other._bins, self._counts + other._counts),
+            key=itemgetter(0),
         )
-        self._bins = merged
+        self._bins = [value for value, _ in merged]
+        self._counts = [count for _, count in merged]
+        self._gaps = list(map(sub, self._bins[1:], self._bins))
         while len(self._bins) > self.max_bins:
             self._compress_once()
 
@@ -273,13 +332,12 @@ class QuantileSketch:
             return self._min
         if q >= 1.0:
             return self._max
-        bins = self._bins
         target = q * self._count
         # Cumulative count at each centroid, treating each centroid's mass
         # as centred on its value; clamp to the observed extremes.
         cum = 0.0
         prev_value, prev_cum = self._min, 0.0
-        for value, count in bins:
+        for value, count in zip(self._bins, self._counts):
             centre = cum + count / 2.0
             if centre >= target:
                 if centre <= prev_cum:
@@ -296,7 +354,7 @@ class QuantileSketch:
     def to_dict(self) -> dict:
         return {
             "max_bins": self.max_bins,
-            "bins": [[v, c] for v, c in self._bins],
+            "bins": [[v, c] for v, c in zip(self._bins, self._counts)],
             "min": self._min if self._count else None,
             "max": self._max if self._count else None,
             "count": self._count,
@@ -305,7 +363,9 @@ class QuantileSketch:
     @classmethod
     def from_dict(cls, data: dict) -> "QuantileSketch":
         sketch = cls(max_bins=int(data["max_bins"]))
-        sketch._bins = [[float(v), float(c)] for v, c in data["bins"]]
+        sketch._bins = [float(v) for v, _ in data["bins"]]
+        sketch._counts = [float(c) for _, c in data["bins"]]
+        sketch._gaps = list(map(sub, sketch._bins[1:], sketch._bins))
         sketch._count = int(data["count"])
         if sketch._count:
             sketch._min = float(data["min"])
@@ -417,6 +477,29 @@ class MetricAccumulator:
         for label, cutoff in self.thresholds.items():
             if value > cutoff:
                 self._over[label] += 1
+
+    def update_many(self, values) -> None:
+        """``update`` for each value in order, in one call.
+
+        Every field ends bit-identical with the one-at-a-time path: the
+        sum and the moments run the same operations in the same order, and
+        the sketch does wherever the order matters.  A batch saves the
+        three calls per value and lets the sketch add repeats once.
+        """
+        values = list(map(float, values))
+        if not values:
+            return
+        # Not ``sum``: since 3.12 it compensates, the running sum does not.
+        self.total = reduce(add, values, self.total)
+        self.minimum = min(self.minimum, min(values))
+        self.maximum = max(self.maximum, max(values))
+        self.welford.update_many(values)
+        self.sketch.update_many(values)
+        if self.tail is not None:
+            for value in values:
+                self.tail.append(value)
+        for label, cutoff in self.thresholds.items():
+            self._over[label] += sum(value > cutoff for value in values)
 
     def merge(self, other: "MetricAccumulator") -> None:
         """Fold another shard of the same metric in.

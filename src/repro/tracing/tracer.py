@@ -16,9 +16,10 @@ clock.  On a sampled tick the game loop runs against a
 innermost open span's *segment*: entering a span pushes a fresh segment,
 so the engines' ``add``/``merge`` calls run the **unmodified base-class
 code path** (zero per-operation overhead); exiting pops the segment —
-which now holds exactly the ops recorded while the span was open — folds
-it into the enclosing segment, and prices it to simulated microseconds
-with the variant's cost table.  Because every count is an integer tally
+which now holds exactly the ops recorded while the span was open — and
+folds it into the enclosing segment; when the tick ends the tracer prices
+every span's segment to simulated microseconds with the variant's cost
+table.  Because every count is an integer tally
 (exactly representable as a float), segment sums telescope without
 rounding: merging the top-level spans of a tick reproduces the tick's
 report — and therefore its ``work_us`` and ``breakdown_us`` — bit for
@@ -47,7 +48,7 @@ On top of the spans:
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 
 from repro.mlg.workreport import WorkReport
 from repro.telemetry.accumulators import MetricAccumulator
@@ -82,24 +83,30 @@ class TracedWorkReport(WorkReport):
         super().__init__()
         #: Open-segment stack; ``counts`` always aliases ``segments[-1]``.
         self.segments: list[dict[str, float]] = [self.counts]
+        #: The tick's spans, in the order they were entered.
+        self.spans: list[Span] = []
 
     def _merged(self) -> dict[str, float]:
-        merged = dict(self.segments[0])
+        """The whole tally: the base segment itself while no open span
+        holds an op (the game loop prices the tick inside an empty span).
+        """
+        base, *open_segments = self.segments
+        if not any(open_segments):
+            return base
+        merged = dict(base)
         merged_get = merged.get
-        for seg in self.segments[1:]:
+        for seg in open_segments:
             for op, n in seg.items():
                 merged[op] = merged_get(op, 0.0) + n
         return merged
 
     def get(self, op: str) -> float:
-        segments = self.segments
-        if len(segments) == 1:
-            return self.counts.get(op, 0.0)
-        return sum(seg.get(op, 0.0) for seg in segments)
+        total = 0.0
+        for seg in self.segments:
+            total += seg.get(op, 0.0)
+        return total
 
     def cost_us(self, cost_table) -> dict[str, float]:
-        if len(self.segments) == 1:
-            return super().cost_us(cost_table)
         get = cost_table.get
         return {
             op: n * get(op, 0.0)
@@ -108,13 +115,10 @@ class TracedWorkReport(WorkReport):
         }
 
     def nonzero_ops(self):
-        merged = self._merged() if len(self.segments) > 1 else self.counts
-        return (op for op, n in merged.items() if n > 0)
+        return (op for op, n in self._merged().items() if n > 0)
 
     def copy(self) -> WorkReport:
-        if len(self.segments) == 1:
-            return WorkReport(dict(self.counts))
-        return WorkReport(self._merged())
+        return WorkReport(dict(self._merged()))
 
 
 class _NullSpan:
@@ -164,59 +168,53 @@ NULL_TRACER = NullTracer()
 class Span:
     """One traced section of a tick: an owned segment of the report.
 
-    Entering pushes a fresh segment onto the report's stack (ops
-    recorded inside land there via the unmodified ``WorkReport`` code
-    path); exiting pops it — the segment *is* the span's delta op counts
-    (``ops``) — prices it (``cost_us``), and folds it into the enclosing
-    segment.  ``note()`` attaches extra key/values (the pricing span
-    records ``work_us`` and ``duration_us`` this way).  Spans nest;
-    ``depth`` starts at 1 for top-level phases and, because children
-    fold into their parent's segment before the parent closes, a
-    parent's ops include its children's.
+    Entering pushes the span's own ``ops`` dict onto the report's stack
+    as a fresh segment (ops recorded inside land there via the unmodified
+    ``WorkReport`` code path); exiting pops it — the segment *is* the
+    span's delta op counts — and folds it into the enclosing segment.
+    The tracer prices every span of a tick (``cost_us``) when the tick
+    ends.  ``note()`` attaches extra key/values (the pricing span records
+    ``work_us`` and ``duration_us`` this way).  Spans nest; ``depth``
+    starts at 1 for top-level phases and, because children fold into
+    their parent's segment before the parent closes, a parent's ops
+    include its children's.
     """
 
-    __slots__ = ("name", "depth", "ops", "cost_us", "args", "_tracer")
-
-    def __init__(self, tracer: "Tracer", name: str) -> None:
-        self._tracer = tracer
-        self.name = name
-        self.depth = 0
-        self.ops: dict[str, float] = {}
-        self.cost_us = 0.0
-        self.args: dict = {}
+    # No ``__init__``: ``Tracer.span`` fills the slots itself, which spares
+    # every span of every sampled tick a Python-level constructor frame.
+    # Enter and exit reach nothing but the span and its report: between
+    # two spans an engine has run, so whatever they touch comes from cold
+    # memory, and that, not the bytecode, is what a span costs.  ``args``
+    # holds ``note()``'s key/values, ``None`` on the many spans without.
+    __slots__ = ("name", "depth", "ops", "cost_us", "args", "_report")
 
     def note(self, **kwargs) -> None:
         """Attach extra values to the span (rendered as trace args)."""
-        self.args.update(kwargs)
+        if self.args is None:
+            self.args = kwargs
+        else:
+            self.args.update(kwargs)
 
     def __enter__(self) -> "Span":
-        tracer = self._tracer
-        tracer._depth += 1
-        self.depth = tracer._depth
-        tracer._spans.append(self)
-        report = tracer._report
-        seg: dict[str, float] = {}
-        report.segments.append(seg)
-        report.counts = seg
+        report = self._report
+        report.spans.append(self)
+        segments = report.segments
+        # The base segment is depth 0, so the stack's length before the
+        # push is this span's depth.
+        self.depth = len(segments)
+        segments.append(self.ops)
+        report.counts = self.ops
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        tracer = self._tracer
-        report = tracer._report
+        report = self._report
         segments = report.segments
         seg = segments.pop()
-        outer = segments[-1]
-        report.counts = outer
+        report.counts = outer = segments[-1]
         if seg:
-            self.ops = seg
             outer_get = outer.get
-            table_get = tracer.cost_table.get
-            cost = 0.0
             for op, n in seg.items():
                 outer[op] = outer_get(op, 0.0) + n
-                cost += n * table_get(op, 0.0)
-            self.cost_us = cost
-        tracer._depth -= 1
         return False
 
 
@@ -256,8 +254,8 @@ def compact_span(span: Span) -> dict:
 class Tracer:
     """Span tracer + flight recorder for one server's tick loop.
 
-    ``cost_table`` is the variant's op→µs pricing (spans price their own
-    deltas with it); ``budget_us`` the 50 ms tick budget the slow-tick
+    ``cost_table`` is the variant's op→µs pricing (``end_tick`` prices the
+    tick's span deltas with it); ``budget_us`` the 50 ms tick budget the slow-tick
     threshold multiplies.  ``sample_every=N`` captures spans on every
     Nth tick (1 = all); the flight recorder watches *every* tick
     regardless.  ``retain_ticks`` bounds the span ring,
@@ -266,6 +264,11 @@ class Tracer:
     """
 
     enabled = True
+
+    #: Sampled ticks whose phase costs wait, one list per phase, before
+    #: they go into ``phases`` as one batch each: same bits as one
+    #: accumulator call per phase per tick, a third of the time.
+    FOLD_EVERY = 32
 
     def __init__(
         self,
@@ -300,8 +303,8 @@ class Tracer:
         self._ring: list[dict | None] = [None] * retain_ticks
         self._ring_next = 0
         self._ring_count = 0
-        #: Per-phase streaming accumulators, one per top-level span name.
-        self.phases: dict[str, MetricAccumulator] = {}
+        self._phases: dict[str, MetricAccumulator] = {}
+        self._unfolded: defaultdict[str, list[float]] = defaultdict(list)
         #: Bounded slow-tick flight-recorder dumps, oldest dropped first.
         self.anomalies: deque = deque(maxlen=max_anomalies)
         self.ticks_seen = 0
@@ -309,8 +312,6 @@ class Tracer:
         self.slow_ticks = 0
         # Per-tick capture state.
         self._report = None
-        self._spans: list[Span] = []
-        self._depth = 0
         self._active = False
         self._tick_index = 0
         self._start_us = 0
@@ -330,8 +331,6 @@ class Tracer:
             return WorkReport()
         report = TracedWorkReport()
         self._report = report
-        self._spans = []
-        self._depth = 0
         self._tick_index = tick_index
         self._start_us = start_us
         return report
@@ -340,14 +339,31 @@ class Tracer:
         """A context manager tracing one named section of the tick."""
         if not self._active:
             return _NULL_SPAN
-        return Span(self, name)
+        span = Span()
+        span._report = self._report
+        span.name = name
+        span.depth = 0
+        span.ops = {}
+        span.cost_us = 0.0
+        span.args = None
+        return span
 
     def end_tick(self, record, report) -> None:
         """Close the tick: fold accumulators, ring the dump, watch slowness."""
         dump = None
         if self._active:
             self.ticks_sampled += 1
-            spans = self._spans
+            spans = report.spans
+            price = self.cost_table.get
+            unfolded = self._unfolded
+            for span in spans:
+                if span.ops:
+                    cost = 0.0
+                    for op, n in span.ops.items():
+                        cost += n * price(op, 0.0)
+                    span.cost_us = cost
+                if span.depth == 1:
+                    unfolded[span.name].append(span.cost_us)
             dump = {
                 "tick": record.index,
                 "start_us": record.start_us,
@@ -355,16 +371,8 @@ class Tracer:
                 "work_us": record.work_us,
                 "spans": spans,
             }
-            phases = self.phases
-            for span in spans:
-                if span.depth != 1:
-                    continue
-                acc = phases.get(span.name)
-                if acc is None:
-                    acc = phases[span.name] = MetricAccumulator(
-                        span.name, tail_size=0
-                    )
-                acc.update(span.cost_us)
+            if self.ticks_sampled % self.FOLD_EVERY == 0:
+                self._fold()
             self._ring[self._ring_next] = dump
             self._ring_next = (self._ring_next + 1) % self.retain_ticks
             if self._ring_count < self.retain_ticks:
@@ -374,6 +382,23 @@ class Tracer:
         if record.duration_us > self.slow_tick_factor * self.budget_us:
             self.slow_ticks += 1
             self.anomalies.append(self._anomaly(record, report, dump))
+
+    @property
+    def phases(self) -> dict[str, MetricAccumulator]:
+        """Per-phase streaming accumulators, one per top-level span name."""
+        self._fold()
+        return self._phases
+
+    def _fold(self) -> None:
+        phases = self._phases
+        for name, costs in self._unfolded.items():
+            if not costs:
+                continue
+            acc = phases.get(name)
+            if acc is None:
+                acc = phases[name] = MetricAccumulator(name, tail_size=0)
+            acc.update_many(costs)
+            costs.clear()
 
     # -- flight recorder -----------------------------------------------------
 

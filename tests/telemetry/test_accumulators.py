@@ -236,3 +236,44 @@ class TestMetricAccumulator:
         assert snap["count"] == 0
         assert snap["mean"] == 0.0
         assert not math.isinf(snap["min"])
+
+    @pytest.mark.parametrize(
+        "stream", ["continuous", "few_values", "integers", "one_value"]
+    )
+    def test_update_many_is_bit_identical_to_update(self, stream):
+        # Batches of every size, repeats within and across batches, and
+        # enough distinct values to push the sketch past its budget: the
+        # batch path may reorder work only where the result cannot tell.
+        rng = np.random.default_rng(11)
+        data = {
+            "continuous": rng.lognormal(0.0, 2.0, 1500).tolist(),
+            "few_values": rng.choice([0.0, -0.0, 1.5, 2.25, 7.0], 600).tolist(),
+            "integers": [int(v) for v in rng.integers(0, 200, 900)],
+            "one_value": [3.5] * 300,
+        }[stream]
+        kwargs = dict(thresholds={"low": 1.0, "high": 50.0}, tail_size=16)
+        one_by_one = MetricAccumulator("x", **kwargs)
+        for value in data:
+            one_by_one.update(value)
+        batched = MetricAccumulator("x", **kwargs)
+        start = 0
+        while start < len(data):
+            size = int(rng.choice([0, 1, 2, 32, 100]))
+            batched.update_many(data[start : start + size])
+            start += size
+        assert repr(batched.to_dict()) == repr(one_by_one.to_dict())
+        assert repr(batched.snapshot()) == repr(one_by_one.snapshot())
+
+    def test_sketch_gaps_follow_the_centroids(self):
+        rng = np.random.default_rng(5)
+        sketch = QuantileSketch(max_bins=16)
+        other = QuantileSketch(max_bins=16)
+        for value in rng.normal(0.0, 10.0, 400):
+            sketch.update(float(value))
+            bins = sketch._bins
+            assert sketch._gaps == [b - a for a, b in zip(bins, bins[1:])]
+        other.update_many(rng.normal(5.0, 1.0, 100).tolist())
+        sketch.merge(other)
+        for restored in (sketch, QuantileSketch.from_dict(sketch.to_dict())):
+            bins = restored._bins
+            assert restored._gaps == [b - a for a, b in zip(bins, bins[1:])]

@@ -25,6 +25,7 @@ from repro.mlg.constants import TICK_BUDGET_US
 from repro.mlg.server import MLGServer
 from repro.mlg.workreport import WorkReport
 from repro.simtime import SimClock
+from repro.telemetry import MetricAccumulator
 from repro.tracing.tracer import (
     NULL_TRACER,
     Tracer,
@@ -95,6 +96,27 @@ class TestReconciliation:
         for name, acc in snap["phases"].items():
             assert acc["count"] == 60
             assert acc["mean"] * acc["count"] == pytest.approx(totals[name])
+
+    def test_phases_folded_in_batches_match_one_update_per_tick(self):
+        # Phase costs wait up to FOLD_EVERY ticks before they reach the
+        # accumulators; reading ``phases`` mid-batch flushes them, and the
+        # state is bit-identical with one ``update`` per phase per tick.
+        server, swarm = _traced_server(trace=True)
+        tracer = server.tracer
+        expected: dict[str, MetricAccumulator] = {}
+        for tick in range(2 * tracer.FOLD_EVERY + 5):
+            server.loop.run_tick()
+            swarm.step()
+            for span in tracer.last_dump["spans"]:
+                if span.depth == 1:
+                    expected.setdefault(
+                        span.name, MetricAccumulator(span.name, tail_size=0)
+                    ).update(span.cost_us)
+            if tick == 3:  # a read before the first full batch
+                assert all(acc.count == 4 for acc in tracer.phases.values())
+        assert list(tracer.phases) == list(expected)
+        for name, acc in tracer.phases.items():
+            assert repr(acc.to_dict()) == repr(expected[name].to_dict())
 
     def test_traced_report_tallies_like_plain_report(self):
         plain, traced = WorkReport(), TracedWorkReport()
