@@ -8,13 +8,14 @@ the same state.  Kinds:
 
 * ``ITEM`` — dropped resources; transported by water flows, merged into
   stacks by PaperMC's optimization, despawn after five minutes;
-* ``MOB`` — NPCs with wander/goal AI that pathfind over live terrain;
+* ``MOB`` — NPCs with wander/goal AI that pathfind over live terrain
+  (goal, waypoint and platform owner are store columns too);
 * ``TNT`` — primed explosives with a fuse (see :mod:`repro.mlg.tnt`);
 * ``PLAYER`` — the server-side avatar of a connected client.
 
 When an entity is reaped its slot is recycled; the handle is *detached*
-onto a frozen copy of its final state, so stale references (a farm
-platform's mob list, a test's local variable) keep reading the dead
+onto a frozen copy of its final state, so stale references (a workload
+hook's captured item, a test's local variable) keep reading the dead
 entity's last values instead of whatever entity reuses the slot.
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from math import floor
 
-from repro.mlg.entity_store import KIND_NAME, EntityStore
+from repro.mlg.entity_store import FIELDS, KIND_NAME, EntityStore
 
 __all__ = ["EntityKind", "Entity"]
 
@@ -48,41 +49,27 @@ class _DetachedSlot:
     plain one-element lists, so :class:`Entity` properties need no branch.
     """
 
-    __slots__ = (
-        "eid", "kind", "alive", "moved", "x", "y", "z",
-        "vx", "vy", "vz", "age", "fuse", "stack",
-    )
+    __slots__ = tuple(name for name, _ in FIELDS)
 
     def __init__(self, store: EntityStore, slot: int) -> None:
-        self.eid = [int(store.eid[slot])]
-        self.kind = [int(store.kind[slot])]
+        for name in self.__slots__:
+            setattr(self, name, [getattr(store, name)[slot]])
         self.alive = [False]
-        self.moved = [bool(store.moved[slot])]
-        self.x = [float(store.x[slot])]
-        self.y = [float(store.y[slot])]
-        self.z = [float(store.z[slot])]
-        self.vx = [float(store.vx[slot])]
-        self.vy = [float(store.vy[slot])]
-        self.vz = [float(store.vz[slot])]
-        self.age = [int(store.age[slot])]
-        self.fuse = [int(store.fuse[slot])]
-        self.stack = [int(store.stack[slot])]
 
 
 class Entity:
     """Handle over one store slot; positions in blocks, velocities in
     blocks/tick.  Created only by the entity manager."""
 
-    __slots__ = ("_store", "_slot", "eid", "goal", "path", "path_index")
+    __slots__ = ("_store", "_slot", "eid", "path")
 
     def __init__(self, store: EntityStore, slot: int, eid: int) -> None:
         self._store = store
         self._slot = slot
         self.eid = eid
-        #: Optional navigation target for mobs, set by farm constructs.
-        self.goal: tuple[int, int, int] | None = None
+        #: The mob's current A* path; its last ``path_left`` cells (a store
+        #: column) are still to be walked.
         self.path: list[tuple[int, int, int]] | None = None
-        self.path_index = 0
 
     def _detach(self) -> None:
         """Freeze the handle onto a copy of its slot (called at reap)."""
@@ -184,6 +171,34 @@ class Entity:
     def stack_count(self, value: int) -> None:
         self._store.stack[self._slot] = value
 
+    @property
+    def goal(self) -> tuple[int, int, int] | None:
+        """Optional navigation target for mobs, set by farm constructs."""
+        store, slot = self._store, self._slot
+        if not store.has_goal[slot]:
+            return None
+        return (
+            int(store.goal_x[slot]),
+            int(store.goal_y[slot]),
+            int(store.goal_z[slot]),
+        )
+
+    @goal.setter
+    def goal(self, value: tuple[int, int, int] | None) -> None:
+        store, slot = self._store, self._slot
+        store.has_goal[slot] = value is not None
+        if value is not None:
+            store.goal_x[slot], store.goal_y[slot], store.goal_z[slot] = value
+
+    @property
+    def owner(self) -> int:
+        """Index of the owning spawn platform (-1: none)."""
+        return int(self._store.owner[self._slot])
+
+    @owner.setter
+    def owner(self, value: int) -> None:
+        self._store.owner[self._slot] = value
+
     # -- derived -------------------------------------------------------------
 
     @property
@@ -195,13 +210,6 @@ class Entity:
             floor(store.y[slot]),
             floor(store.z[slot]),
         )
-
-    def distance_sq_to(self, x: float, y: float, z: float) -> float:
-        store, slot = self._store, self._slot
-        dx = store.x[slot] - x
-        dy = store.y[slot] - y
-        dz = store.z[slot] - z
-        return float(dx * dx + dy * dy + dz * dz)
 
     def __repr__(self) -> str:
         return (

@@ -15,8 +15,13 @@ discontinuities into the variability metrics.  Ground resolution scans
 *below* each entity (the bulk equivalent of a downward ray), never the
 heightmap top, so items inside enclosed farms stay inside.
 
-Mob AI (pathfinding, wander impulses) is inherently sequential and runs
-scalar per mob, but mob *physics* goes through the same kernel.
+Mob AI runs ahead of the kernel as one masked pass over the store's
+navigation columns (goal, waypoint, ``path_left``): every mob on a path is
+steered by the same array expressions, and Python runs per mob only for an
+A* search (under one a tick on the Farm world) or a reached waypoint.  The
+per-mob scalar AI it replaced lives on as the oracle of
+``tests/mlg/test_mob_ai_parity.py``.  Mob *physics* goes through the same
+kernel as everything else.
 
 PaperMC's entity-handler optimization (paper Appendix A) appears here as
 ``merge_items`` (nearby item stacks merge into one entity) and is enabled
@@ -26,7 +31,6 @@ per variant profile.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from math import floor
 
 import numpy as np
 
@@ -52,6 +56,13 @@ CELL_SIZE = 1.0
 NEIGHBOR_FACTOR = 3.0
 #: Mobs re-path every this many ticks (staggered by entity id).
 REPATH_INTERVAL = 40
+#: Goal-less mobs get a wander impulse every this many ticks (same stagger).
+WANDER_INTERVAL = 60
+#: Walking speed along a path / of a wander impulse, in blocks per tick.
+PATH_SPEED = 0.15
+WANDER_SPEED = 0.08
+#: A waypoint counts as reached within this horizontal distance.
+WAYPOINT_REACH = 0.4
 #: Horizontal ground friction applied to grounded entities.
 GROUND_FRICTION = 0.6
 #: Water-flow push strength per tick (blocks/tick per unit flow).
@@ -125,6 +136,11 @@ class EntityManager:
             entity.alive = False
             self.removed_this_tick.append(entity)
 
+    def remove_slots(self, slots: np.ndarray) -> None:
+        """:meth:`remove` the entities in ``slots``, in the order given."""
+        for slot in slots.tolist():
+            self.remove(self._handles[slot])
+
     def get(self, eid: int) -> Entity | None:
         return self._entities.get(eid)
 
@@ -150,9 +166,8 @@ class EntityManager:
         return self.store.moved_count()
 
     def entities_of(self, kind: str) -> list[Entity]:
-        code = KIND_CODE[kind]
-        slots = np.flatnonzero(self.store.kind == code)
-        return [self._handles[int(slot)] for slot in slots]
+        slots = self.store.alive_slots(KIND_CODE[kind])
+        return [self._handles[slot] for slot in slots.tolist()]
 
     def entities_near(
         self, x: float, y: float, z: float, radius: float
@@ -199,8 +214,7 @@ class EntityManager:
             # free-list recycling favours the newest items).
             oldest = np.argsort(-store.age[hits], kind="stable")
             hits = hits[oldest[:limit]]
-        for slot in hits:
-            self.remove(self._handles[int(slot)])
+        self.remove_slots(hits)
         self.collected_items += int(hits.size)
         return int(hits.size)
 
@@ -223,21 +237,18 @@ class EntityManager:
 
     def tick(self, report: WorkReport) -> None:
         """Advance all physical entities by one game tick."""
-        store = self.store
-        store.moved[:] = False
-        for slot in store.alive_slots(KIND_MOB):
-            self._tick_mob_ai(int(slot), report)
-        self._tick_kernel(report)
-        self._count_collisions(report)
+        self.store.moved[:] = False
+        self._steer_mobs(report)
+        phys, is_item, keys = self._tick_kernel(report)
+        self._count_collisions(report, phys, keys)
         if self.merge_items:
-            self._merge_item_stacks(report)
+            self._merge_item_stacks(phys[is_item], keys[is_item])
         self._reap()
 
     def _reap(self) -> None:
         store = self.store
         dead = np.flatnonzero((store.eid != 0) & ~store.alive)
-        for slot in dead:
-            slot = int(slot)
+        for slot in dead.tolist():
             handle = self._handles[slot]
             handle._detach()
             del self._entities[handle.eid]
@@ -254,63 +265,84 @@ class EntityManager:
 
     # -- mob AI ------------------------------------------------------------------
 
-    def _tick_mob_ai(self, slot: int, report: WorkReport) -> None:
-        """Steer one mob: pathfind toward its goal or wander.
+    def _steer_mobs(self, report: WorkReport) -> None:
+        """Mob AI as one masked pass: repath, steer, advance, wander.
 
         Only velocity decisions happen here — integration, grounding, and
         chunk containment run in the shared kernel with everything else.
-        Reads the store arrays directly: this is the hot scalar loop, so
-        it skips the handle's property dispatch.
+        A mob reads nothing another mob writes, so the pass equals the
+        per-mob loop in slot order; the wander draws are one batch, which
+        consumes the generator exactly like one draw per mob.
         """
         store = self.store
-        mob = self._handles[slot]
-        report.add(Op.ENTITY_UPDATE)
-        store.age[slot] += 1
-        age_plus_eid = int(store.age[slot]) + mob.eid
-        needs_path = (
-            mob.goal is not None
-            and (mob.path is None or mob.path_index >= len(mob.path))
-            and age_plus_eid % REPATH_INTERVAL == 0
-        )
-        if needs_path:
-            result = self.pathfinder.find_path(
+        mobs = store.alive_slots(KIND_MOB)
+        if mobs.size == 0:
+            return
+        report.add(Op.ENTITY_UPDATE, mobs.size)
+        age = store.age[mobs] + 1
+        store.age[mobs] = age
+        phase = age + store.eid[mobs]
+        has_goal = store.has_goal[mobs]
+        left = store.path_left[mobs]
+        repath = has_goal & (left == 0) & (phase % REPATH_INTERVAL == 0)
+        for i in np.flatnonzero(repath).tolist():
+            slot = int(mobs[i])
+            mob = self._handles[slot]
+            mob.path = self.pathfinder.find_path(
                 mob.block_pos, mob.goal, report
-            )
-            mob.path = result.path if result else None
-            mob.path_index = 0
-        if mob.path and mob.path_index < len(mob.path):
-            tx, ty, tz = mob.path[mob.path_index]
-            dx = (tx + 0.5) - float(store.x[slot])
-            dz = (tz + 0.5) - float(store.z[slot])
-            dist = max(1e-6, (dx * dx + dz * dz) ** 0.5)
-            speed = 0.15
-            store.vx[slot] = dx / dist * speed
-            store.vz[slot] = dz / dist * speed
-            if dist < 0.4:
-                mob.path_index += 1
-        elif mob.goal is None and age_plus_eid % 60 == 0:
-            # Idle wander impulse.
-            angle = self.rng.random() * 2 * np.pi
-            store.vx[slot] = np.cos(angle) * 0.08
-            store.vz[slot] = np.sin(angle) * 0.08
+            ).path
+            left[i] = len(mob.path)
+            self._aim(slot, len(mob.path))
+        walking = left > 0
+        at = mobs[walking]
+        if at.size:
+            dx = store.way_x[at] - store.x[at]
+            dz = store.way_z[at] - store.z[at]
+            # float_power is libm pow, as the scalar AI's ``** 0.5`` was;
+            # sqrt rounds one in a thousand of these differently.
+            dist = np.maximum(1e-6, np.float_power(dx * dx + dz * dz, 0.5))
+            store.vx[at] = dx / dist * PATH_SPEED
+            store.vz[at] = dz / dist * PATH_SPEED
+            arrived = np.flatnonzero(walking)[dist < WAYPOINT_REACH]
+            left[arrived] -= 1
+            for slot, n in zip(mobs[arrived].tolist(), left[arrived].tolist()):
+                self._aim(slot, n)
+            store.path_left[mobs] = left
+        wander = mobs[~walking & ~has_goal & (phase % WANDER_INTERVAL == 0)]
+        if wander.size:
+            angle = self.rng.random(wander.size) * 2 * np.pi
+            store.vx[wander] = np.cos(angle) * WANDER_SPEED
+            store.vz[wander] = np.sin(angle) * WANDER_SPEED
+
+    def _aim(self, slot: int, left: int) -> None:
+        """Point a mob at the centre of its next waypoint, ``left`` cells
+        from the end of its path (0: the path is walked, nothing to aim at)."""
+        if left:
+            x, _, z = self._handles[slot].path[-left]
+            self.store.way_x[slot] = x + 0.5
+            self.store.way_z[slot] = z + 0.5
 
     # -- the unified physics kernel ----------------------------------------------
 
-    def _tick_kernel(self, report: WorkReport) -> None:
-        """One vectorized physics pass over every live physical entity."""
+    def _tick_kernel(
+        self, report: WorkReport
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One vectorized physics pass over every live physical entity.
+
+        Returns their slots, which of them are items, and their packed
+        cell keys after the move, for the collision and merge passes.
+        Each state column is gathered once, worked on densely and
+        scattered back once.
+        """
         store = self.store
         kind = store.kind
         phys = np.flatnonzero(
-            store.alive
-            & ((kind == KIND_ITEM) | (kind == KIND_MOB) | (kind == KIND_TNT))
+            store.alive & (kind >= KIND_ITEM) & (kind <= KIND_TNT)
         )
-        if phys.size == 0:
-            return
-
-        is_item = kind[phys] == KIND_ITEM
-        is_tnt = kind[phys] == KIND_TNT
-        n_items = int(is_item.sum())
-        n_tnt = int(is_tnt.sum())
+        kinds = kind[phys]
+        is_item = kinds == KIND_ITEM
+        n_items = int(np.count_nonzero(is_item))
+        n_tnt = int(np.count_nonzero(kinds == KIND_TNT))
         if n_items:
             report.add(Op.ITEM_UPDATE, n_items)
         if n_tnt:
@@ -319,35 +351,33 @@ class EntityManager:
         # Age items and TNT (mobs age in the AI pass), then despawn expired
         # items BEFORE they move — despawn ordering is part of the physics
         # contract, so it happens in exactly one place.
-        store.age[phys[is_item | is_tnt]] += 1
-        item_slots = phys[is_item]
-        expired = item_slots[store.age[item_slots] > _ITEM_DESPAWN_TICKS]
-        if expired.size:
-            for slot in expired:
-                self.remove(self._handles[int(slot)])
-            phys = phys[store.alive[phys]]
-            if phys.size == 0:
-                return
+        if n_items or n_tnt:
+            store.age[phys[kinds != KIND_MOB]] += 1
+            item_slots = phys[is_item]
+            expired = item_slots[store.age[item_slots] > _ITEM_DESPAWN_TICKS]
+            if expired.size:
+                self.remove_slots(expired)
+                keep = store.alive[phys]
+                phys, kinds, is_item = phys[keep], kinds[keep], is_item[keep]
+        if phys.size == 0:
+            return phys, is_item, phys
 
+        x, y, z = store.x[phys], store.y[phys], store.z[phys]
+        vx, vy, vz = store.vx[phys], store.vy[phys], store.vz[phys]
         # Water-stream transport applies at every population, not just
         # below some threshold: farms rely on it as their collection belt.
-        if self.fluid_flow is not None:
-            self._apply_water_push(phys[store.kind[phys] == KIND_ITEM])
+        if self.fluid_flow is not None and n_items:
+            self._apply_water_push(np.flatnonzero(is_item), x, y, z, vx, vy, vz)
 
         # Integrate: same float-op order as the historical scalar path, so
         # a lone item and one item among thousands trace identical paths.
-        store.vy[phys] -= GRAVITY_PER_TICK
-        store.vx[phys] *= DRAG
-        store.vy[phys] *= DRAG
-        store.vz[phys] *= DRAG
-        old_x = store.x[phys].copy()
-        old_y = store.y[phys].copy()
-        old_z = store.z[phys].copy()
-        store.x[phys] += store.vx[phys]
-        store.z[phys] += store.vz[phys]
-        new_x = store.x[phys]
-        new_z = store.z[phys]
-        new_y = old_y + store.vy[phys]
+        vy -= GRAVITY_PER_TICK
+        vx *= DRAG
+        vy *= DRAG
+        vz *= DRAG
+        new_x = x + vx
+        new_z = z + vz
+        new_y = y + vy
         # Ground = first solid surface BELOW the entity (downward scan),
         # never the column's heightmap top: under a roof the two disagree.
         # Scan depth: only blocks an entity can cross this tick can change
@@ -355,95 +385,80 @@ class EntityManager:
         # fall (+2 margin) bounds the scan exactly — a deeper solid block
         # would sit strictly below every entity's new_y, and the phantom
         # fallback floor only engages past a 12-block/tick fall.
-        depth = min(
-            12,
-            int(np.clip(np.max(np.floor(old_y) - np.floor(new_y)), 0, 10))
-            + 2,
-        )
-        ground = self.world.ground_below_bulk(
-            new_x, old_y, new_z, max_scan=depth
+        fall = float(np.max(np.floor(y) - np.floor(new_y)))
+        depth = min(12, int(min(max(fall, 0.0), 10.0)) + 2)
+        ground, loaded = self.world.ground_and_loaded_bulk(
+            new_x, y, new_z, max_scan=depth
         )
         grounded = new_y <= ground
         new_y = np.where(grounded, ground, new_y)
-        store.y[phys] = new_y
-        store.vy[phys] = np.where(grounded, 0.0, store.vy[phys])
+        vy[grounded] = 0.0
         friction = np.where(grounded, GROUND_FRICTION, 1.0)
-        store.vx[phys] *= friction
-        store.vz[phys] *= friction
+        vx *= friction
+        vz *= friction
         store.moved[phys] = (
-            (np.abs(new_x - old_x) > 1e-3)
-            | (np.abs(new_y - old_y) > 1e-3)
-            | (np.abs(new_z - old_z) > 1e-3)
+            (np.abs(new_x - x) > 1e-3)
+            | (np.abs(new_y - y) > 1e-3)
+            | (np.abs(new_z - z) > 1e-3)
         )
-
         # Entities do not tick in unloaded chunks; keep mobs inside the
         # loaded world instead of letting them wander off the edge.
-        is_mob = store.kind[phys] == KIND_MOB
-        if is_mob.any():
-            mob_slots = phys[is_mob]
-            loaded = self.world.chunks_loaded_bulk(
-                np.floor(store.x[mob_slots]).astype(np.int64),
-                np.floor(store.z[mob_slots]).astype(np.int64),
-            )
-            if not loaded.all():
-                escaped = mob_slots[~loaded]
-                store.x[escaped] = old_x[is_mob][~loaded]
-                store.z[escaped] = old_z[is_mob][~loaded]
-                store.vx[escaped] = -store.vx[escaped]
-                store.vz[escaped] = -store.vz[escaped]
+        escaped = ~loaded & (kinds == KIND_MOB)
+        if escaped.any():
+            new_x[escaped] = x[escaped]
+            new_z[escaped] = z[escaped]
+            vx[escaped] = -vx[escaped]
+            vz[escaped] = -vz[escaped]
+        store.x[phys], store.y[phys], store.z[phys] = new_x, new_y, new_z
+        store.vx[phys], store.vy[phys], store.vz[phys] = vx, vy, vz
+        return phys, is_item, self._cell_keys(new_x, new_y, new_z)
 
-    def _apply_water_push(self, item_slots: np.ndarray) -> None:
-        """Vectorized flow push for items standing in water."""
-        if item_slots.size == 0:
-            return
-        store = self.store
-        bx = np.floor(store.x[item_slots]).astype(np.int64)
-        by = np.floor(store.y[item_slots]).astype(np.int64)
-        bz = np.floor(store.z[item_slots]).astype(np.int64)
+    def _apply_water_push(self, items, x, y, z, vx, vy, vz) -> None:
+        """Flow push, in place, for the ``items`` (indices into the dense
+        kernel columns) that stand in water."""
+        bx = np.floor(x[items]).astype(np.int64)
+        by = np.floor(y[items]).astype(np.int64)
+        bz = np.floor(z[items]).astype(np.int64)
         blocks = self.world.blocks_bulk(bx, by, bz)
-        wet = (blocks == Block.WATER_FLOW) | (blocks == Block.WATER_SOURCE)
-        if not wet.any():
+        wet = np.flatnonzero(
+            (blocks == Block.WATER_FLOW) | (blocks == Block.WATER_SOURCE)
+        )
+        if wet.size == 0:
             return
-        w = np.flatnonzero(wet)
-        wet_slots = item_slots[w]
         # One flow lookup per distinct water cell; streams funnel many
         # items through few cells.
-        push = np.empty((w.size, 2), dtype=np.float64)
-        flow_cache: dict[tuple[int, int, int], tuple[float, float]] = {}
-        for i, j in enumerate(w):
-            cell = (int(bx[j]), int(by[j]), int(bz[j]))
-            vec = flow_cache.get(cell)
-            if vec is None:
-                vec = self.fluid_flow(*cell)
-                flow_cache[cell] = vec
-            push[i, 0] = vec[0]
-            push[i, 1] = vec[1]
-        store.vx[wet_slots] += push[:, 0] * WATER_PUSH
-        store.vz[wet_slots] += push[:, 1] * WATER_PUSH
-        store.vy[wet_slots] = np.maximum(store.vy[wet_slots], WATER_BUOYANCY_VY)
+        cells = list(zip(bx[wet].tolist(), by[wet].tolist(), bz[wet].tolist()))
+        flow_of = {cell: self.fluid_flow(*cell) for cell in dict.fromkeys(cells)}
+        flow = np.array([flow_of[cell] for cell in cells])
+        wet = items[wet]
+        vx[wet] += flow[:, 0] * WATER_PUSH
+        vz[wet] += flow[:, 1] * WATER_PUSH
+        vy[wet] = np.maximum(vy[wet], WATER_BUOYANCY_VY)
 
     # -- collision accounting -------------------------------------------------------
 
-    def _cell_keys(self, slots: np.ndarray) -> np.ndarray:
-        """Packed spatial-hash keys for the given slots.
+    @staticmethod
+    def _cell_keys(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Packed spatial-hash keys for the given positions.
 
         Cell coordinates use ``floor``, not ``int()`` truncation: truncation
         collapses the two cells straddling each axis at negative coordinates
         (x ∈ (-1, 1) would alias into one cell), inflating pair counts and
         over-merging stacks near the origin.
         """
-        store = self.store
         inv = 1.0 / CELL_SIZE
-        cx = np.floor(store.x[slots] * inv).astype(np.int64)
-        cy = np.floor(store.y[slots] * inv).astype(np.int64)
-        cz = np.floor(store.z[slots] * inv).astype(np.int64)
+        cx = np.floor(x * inv).astype(np.int64)
+        cy = np.floor(y * inv).astype(np.int64)
+        cz = np.floor(z * inv).astype(np.int64)
         return (
             ((cx & 0x1FFFFF) << 42)
             | ((cy & 0x1FFFFF) << 21)
             | (cz & 0x1FFFFF)
         )
 
-    def _count_collisions(self, report: WorkReport) -> float:
+    def _count_collisions(
+        self, report: WorkReport, phys: np.ndarray, keys: np.ndarray
+    ) -> None:
         """Count collision-pair checks via spatial-hash occupancy.
 
         Entities in the same (and, via ``NEIGHBOR_FACTOR``, adjacent) cells
@@ -451,15 +466,9 @@ class EntityManager:
         work, so that is what we count.  Crowded cells also get a
         separation impulse so dense swarms spread out physically.
         """
-        store = self.store
-        kind = store.kind
-        phys = np.flatnonzero(
-            store.alive
-            & ((kind == KIND_ITEM) | (kind == KIND_MOB) | (kind == KIND_TNT))
-        )
         if phys.size < 2:
-            return 0.0
-        keys = self._cell_keys(phys)
+            return
+        store = self.store
         _, inverse, counts = np.unique(
             keys, return_inverse=True, return_counts=True
         )
@@ -474,23 +483,20 @@ class EntityManager:
             )
             store.vx[crowded_slots] += jitter[:, 0]
             store.vz[crowded_slots] += jitter[:, 1]
-        return pairs
 
     # -- PaperMC item merging -----------------------------------------------------
 
-    def _merge_item_stacks(self, report: WorkReport) -> None:
-        """Merge co-located item entities into stacks (PaperMC behaviour)."""
-        store = self.store
-        slots = store.alive_slots(KIND_ITEM)
-        if slots.size < 2:
+    def _merge_item_stacks(self, items: np.ndarray, keys: np.ndarray) -> None:
+        """Merge co-located item entities into stacks (PaperMC behaviour):
+        the first item of a cell in slot order keeps the cell's stack."""
+        if items.size < 2:
             return
-        by_cell: dict[tuple[int, int, int], Entity] = {}
-        for slot in slots:
-            item = self._handles[int(slot)]
-            cell = (floor(item.x), floor(item.y), floor(item.z))
-            keeper = by_cell.get(cell)
-            if keeper is None:
-                by_cell[cell] = item
-            else:
-                keeper.stack_count += item.stack_count
-                self.remove(item)
+        _, first, cell_of = np.unique(
+            keys, return_index=True, return_inverse=True
+        )
+        keepers = items[first[cell_of]]
+        merged = keepers != items
+        if merged.any():
+            stack = self.store.stack
+            np.add.at(stack, keepers[merged], stack[items[merged]])
+            self.remove_slots(items[merged])

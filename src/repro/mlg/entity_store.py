@@ -56,6 +56,18 @@ FIELDS: tuple[tuple[str, type], ...] = (
     ("age", np.int64),
     ("fuse", np.int64),
     ("stack", np.int64),
+    # Mob navigation: the goal (valid while ``has_goal``), the centre of
+    # the waypoint being walked to (valid while ``path_left`` > 0; the
+    # path itself stays on the handle), and the index of the owning
+    # ``SpawnPlatform`` (-1: none).
+    ("has_goal", np.bool_),
+    ("goal_x", np.int64),
+    ("goal_y", np.int64),
+    ("goal_z", np.int64),
+    ("way_x", np.float64),
+    ("way_z", np.float64),
+    ("path_left", np.int64),
+    ("owner", np.int64),
 )
 
 #: Smallest capacity the store grows from / compacts down to.
@@ -112,6 +124,12 @@ class EntityStore:
         self.age[slot] = 0
         self.fuse[slot] = fuse
         self.stack[slot] = stack
+        # A recycled slot must not inherit a goal, a path or an owner.
+        self.has_goal[slot] = False
+        self.goal_x[slot] = self.goal_y[slot] = self.goal_z[slot] = 0
+        self.way_x[slot] = self.way_z[slot] = 0.0
+        self.path_left[slot] = 0
+        self.owner[slot] = -1
         self.live_count += 1
         return slot
 
@@ -131,23 +149,23 @@ class EntityStore:
 
     def used_slots(self) -> np.ndarray:
         """Slots currently claimed (alive or dead-but-not-reaped)."""
-        return np.flatnonzero(self.kind != KIND_FREE)
+        return (self.kind != KIND_FREE).nonzero()[0]
 
     def alive_slots(self, kind_code: int | None = None) -> np.ndarray:
         """Slots of live entities, optionally filtered by kind."""
         if kind_code is None:
-            return np.flatnonzero(self.alive)
-        return np.flatnonzero(self.alive & (self.kind == kind_code))
+            return self.alive.nonzero()[0]
+        return (self.alive & (self.kind == kind_code)).nonzero()[0]
 
     def count(self, kind_code: int | None = None) -> int:
         """Live entity count — a pure array reduction."""
         if kind_code is None:
-            return int(self.alive.sum())
-        return int((self.alive & (self.kind == kind_code)).sum())
+            return int(np.count_nonzero(self.alive))
+        return int(np.count_nonzero(self.alive & (self.kind == kind_code)))
 
     def moved_count(self) -> int:
         """Live entities whose last tick changed their position."""
-        return int((self.alive & self.moved).sum())
+        return int(np.count_nonzero(self.alive & self.moved))
 
     # -- capacity management --------------------------------------------------
 

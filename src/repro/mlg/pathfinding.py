@@ -20,6 +20,11 @@ __all__ = ["PathFinder", "PathResult"]
 _WATER = (Block.WATER_SOURCE, Block.WATER_FLOW)
 #: ``SOLID_LUT`` as a tuple: scalar lookups without a numpy round trip.
 _SOLID = tuple(SOLID_LUT.tolist())
+#: A search reads the box from its start toward its goal (at most
+#: ``WINDOW_REACH`` cells a side) plus this margin in one gather; cells
+#: outside it are read one by one, so the sizes affect speed only.
+WINDOW_MARGIN = 2
+WINDOW_REACH = 16
 
 
 class PathResult:
@@ -60,15 +65,37 @@ class PathFinder:
             and not _SOLID[get_block(x, y + 1, z)]
         )
 
-    def _neighbors(self, x: int, y: int, z: int):
+    def _window(self, start: tuple[int, int, int], goal: tuple[int, int, int]):
+        """:meth:`is_walkable` of every cell around one search, gathered
+        once: ``(flags, x0, y0, z0, nx, nz, ny)``, flags in x, z, y order."""
+        lo = [max(min(a, b), a - WINDOW_REACH) for a, b in zip(start, goal)]
+        hi = [min(max(a, b), a + WINDOW_REACH) for a, b in zip(start, goal)]
+        x0, x1 = lo[0] - WINDOW_MARGIN, hi[0] + WINDOW_MARGIN
+        z0, z1 = lo[2] - WINDOW_MARGIN, hi[2] + WINDOW_MARGIN
+        # A step reaches y+1 and y-3; a cell needs its floor and headroom.
+        y0, y1 = lo[1] - 4, hi[1] + 2
+        blocks = self.world.blocks_cuboid(x0, y0, z0, x1, y1, z1)
+        solid = SOLID_LUT[blocks]
+        floor = solid | (blocks == _WATER[0]) | (blocks == _WATER[1])
+        walkable = floor[:, :, :-2] & ~solid[:, :, 1:-1] & ~solid[:, :, 2:]
+        return walkable.tobytes(), x0, y0 + 1, z0, *walkable.shape
+
+    def _neighbors(self, x: int, y: int, z: int, window):
+        flags, x0, y0, z0, wx, wz, wy = window
         for dx, dz in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             nx, nz = x + dx, z + dz
+            inside = 0 <= nx - x0 < wx and 0 <= nz - z0 < wz
+            column = ((nx - x0) * wz + nz - z0) * wy - y0
             # Same level, step up, or step/fall down (up to 3).
             for dy in (0, 1, -1, -2, -3):
                 ny = y + dy
                 if ny < 1:
                     continue
-                if self.is_walkable(nx, ny, nz):
+                if (
+                    flags[column + ny]
+                    if inside and 0 <= ny - y0 < wy
+                    else self.is_walkable(nx, ny, nz)
+                ):
                     yield nx, ny, nz
                     break
 
@@ -94,6 +121,7 @@ class PathFinder:
             if report is not None:
                 report.add(Op.PATHFIND_NODE, 1)
             return PathResult([], 1, False)
+        window = self._window(start, goal)
         open_heap: list[tuple[float, int, tuple[int, int, int]]] = []
         heapq.heappush(open_heap, (self._heuristic(start, goal), 0, start))
         came_from: dict[tuple[int, int, int], tuple[int, int, int]] = {}
@@ -109,7 +137,7 @@ class PathFinder:
                 found = True
                 break
             cg = g_score[current]
-            for neighbor in self._neighbors(*current):
+            for neighbor in self._neighbors(*current, window):
                 tentative = cg + 1.0 + 0.4 * abs(neighbor[1] - current[1])
                 if tentative < g_score.get(neighbor, float("inf")):
                     g_score[neighbor] = tentative

@@ -16,8 +16,9 @@ import numpy as np
 
 from repro.mlg.blocks import Block
 from repro.mlg.constants import MOB_CAP, MOB_SPAWN_LIGHT_MAX
-from repro.mlg.entity import Entity, EntityKind
+from repro.mlg.entity import EntityKind
 from repro.mlg.entity_manager import EntityManager
+from repro.mlg.entity_store import KIND_ITEM
 from repro.mlg.lighting import LightEngine
 from repro.mlg.workreport import Op, WorkReport
 from repro.mlg.world import World
@@ -30,6 +31,10 @@ NATURAL_ATTEMPTS_PER_PLAYER = 3
 NATURAL_RADIUS = (12, 48)
 #: Fraction of natural attempts that try passive (daylight) mobs.
 PASSIVE_ATTEMPT_FRACTION = 0.3
+#: Squared distance to its platform's goal within which a mob is killed.
+KILL_RANGE_SQ = 2.5
+#: Horizontal catchment radius of the hopper line under a kill chamber.
+HOPPER_RADIUS = 6.0
 
 
 @dataclass
@@ -38,6 +43,9 @@ class SpawnPlatform:
 
     ``goal`` is where spawned mobs navigate to (the farm's kill chamber);
     mobs reaching it are killed and drop ``drops_per_kill`` item entities.
+    A platform's mobs carry its index in the entity store's ``owner``
+    column.  ``goal`` and ``collect_after_ticks`` are read when the
+    platform is added to a :class:`SpawnEngine`.
     """
 
     x0: int
@@ -53,8 +61,6 @@ class SpawnPlatform:
     collect_after_ticks: int = 120
     #: Fractional-attempt accumulator.
     _accumulator: float = field(default=0.0, repr=False)
-    #: Live mobs owned by this platform.
-    _mobs: list[Entity] = field(default_factory=list, repr=False)
 
     def contains(self, x: float, z: float) -> bool:
         return self.x0 <= x <= self.x1 and self.z0 <= z <= self.z1
@@ -77,9 +83,16 @@ class SpawnEngine:
         self.platforms: list[SpawnPlatform] = []
         #: Kills performed at platform goals (exposed to collectors).
         self.kills_total = 0
+        #: Per platform: kill-chamber centre (NaN without a goal, so that
+        #: nothing is ever near it) and the hoppers' settle time.
+        self._centre = np.empty((0, 3))
+        self._settle = np.empty(0, dtype=np.int64)
 
     def add_platform(self, platform: SpawnPlatform) -> SpawnPlatform:
         self.platforms.append(platform)
+        gx, gy, gz = platform.goal or (np.nan,) * 3
+        self._centre = np.vstack((self._centre, (gx + 0.5, gy, gz + 0.5)))
+        self._settle = np.append(self._settle, platform.collect_after_ticks)
         return platform
 
     # -- spawn-point validity ----------------------------------------------------
@@ -114,8 +127,9 @@ class SpawnEngine:
     ) -> int:
         """Run all spawn attempts for this tick; returns mobs spawned."""
         spawned = self._natural_spawning(player_positions, report)
-        spawned += self._platform_spawning(report)
-        self._platform_kills(report)
+        if self.platforms:
+            spawned += self._platform_spawning(report)
+            self._platform_kills(report)
         return spawned
 
     def _natural_spawning(
@@ -148,16 +162,24 @@ class SpawnEngine:
                     spawned += 1
         return spawned
 
+    def _owned_mobs(self) -> np.ndarray:
+        """Slots of the live mobs that belong to a platform."""
+        store = self.entities.store
+        return np.flatnonzero(store.alive & (store.owner >= 0))
+
     def _platform_spawning(self, report: WorkReport) -> int:
         spawned = 0
-        for platform in self.platforms:
-            platform._mobs = [m for m in platform._mobs if m.alive]
+        live = np.bincount(
+            self.entities.store.owner[self._owned_mobs()],
+            minlength=len(self.platforms),
+        ).tolist()
+        for index, platform in enumerate(self.platforms):
             platform._accumulator += platform.attempts_per_tick
             attempts = int(platform._accumulator)
             platform._accumulator -= attempts
             for _ in range(attempts):
                 report.add(Op.SPAWN_ATTEMPT)
-                if len(platform._mobs) >= platform.local_cap:
+                if live[index] >= platform.local_cap:
                     continue
                 x = int(self.rng.integers(platform.x0, platform.x1 + 1))
                 z = int(self.rng.integers(platform.z0, platform.z1 + 1))
@@ -167,37 +189,58 @@ class SpawnEngine:
                     EntityKind.MOB, x + 0.5, float(platform.y), z + 0.5
                 )
                 mob.goal = platform.goal
-                platform._mobs.append(mob)
+                mob.owner = index
+                live[index] += 1
                 spawned += 1
         return spawned
 
     def _platform_kills(self, report: WorkReport) -> None:
-        """Kill mobs at their platform's goal; drop and later collect items."""
-        for platform in self.platforms:
-            if platform.goal is None:
-                continue
+        """Kill mobs at their platform's goal; drop and later collect items.
+
+        One distance test over every owned mob and one ``[platforms x
+        items]`` catchment mask decide what happens; Python runs only for
+        the kills and the absorbed items, platform by platform (kills in
+        spawn order, then that platform's hoppers).
+        """
+        entities, store = self.entities, self.entities.store
+        centre, settle = self._centre, self._settle
+        mobs = self._owned_mobs()
+        owner = store.owner[mobs]
+        goal = centre[owner]
+        dx = store.x[mobs] - goal[:, 0]
+        dy = store.y[mobs] - goal[:, 1]
+        dz = store.z[mobs] - goal[:, 2]
+        near = np.flatnonzero(dx * dx + dy * dy + dz * dz < KILL_RANGE_SQ)
+        near = near[np.lexsort((store.eid[mobs[near]], owner[near]))]
+        mobs, killer = mobs[near], owner[near]
+        # The farm's hopper line absorbs settled drops (keeps the item
+        # population bounded, as a real farm's collection system does); an
+        # item in reach of several lines goes to the first platform.  This
+        # tick's drops are too young for any of them.
+        items = store.alive_slots(KIND_ITEM)
+        items = items[store.age[items] > settle.min()]
+        dx = store.x[items] - centre[:, :1]
+        dz = store.z[items] - centre[:, 2:]
+        caught = (store.age[items] > settle[:, None]) & (
+            dx * dx + dz * dz <= HOPPER_RADIUS * HOPPER_RADIUS
+        )
+        taken = np.flatnonzero(caught.any(axis=0))
+        items, taker = items[taken], caught.argmax(axis=0)[taken]
+        for index in sorted({*killer.tolist(), *taker.tolist()}):
+            platform = self.platforms[index]
             gx, gy, gz = platform.goal
-            for mob in platform._mobs:
-                if not mob.alive:
-                    continue
-                if mob.distance_sq_to(gx + 0.5, gy, gz + 0.5) < 2.5:
-                    self.entities.remove(mob)
-                    self.kills_total += 1
-                    for _ in range(platform.drops_per_kill):
-                        self.entities.spawn(
-                            EntityKind.ITEM,
-                            gx + 0.5 + float(self.rng.uniform(-0.3, 0.3)),
-                            float(gy),
-                            gz + 0.5 + float(self.rng.uniform(-0.3, 0.3)),
-                            vy=0.1,
-                        )
-            # The farm's hopper line absorbs settled drops (keeps the item
-            # population bounded, as a real farm's collection system does).
-            absorbed = self.entities.absorb_items(
-                gx + 0.5,
-                gz + 0.5,
-                radius=6.0,
-                min_age_ticks=platform.collect_after_ticks,
-            )
-            if absorbed:
-                report.add(Op.BLOCK_UPDATE, 8 * absorbed)
+            killed = mobs[killer == index]
+            entities.remove_slots(killed)
+            self.kills_total += killed.size
+            for _ in range(killed.size * platform.drops_per_kill):
+                entities.spawn(
+                    EntityKind.ITEM,
+                    gx + 0.5 + float(self.rng.uniform(-0.3, 0.3)),
+                    float(gy),
+                    gz + 0.5 + float(self.rng.uniform(-0.3, 0.3)),
+                    vy=0.1,
+                )
+            entities.remove_slots(items[taker == index])
+        if items.size:
+            entities.collected_items += items.size
+            report.add(Op.BLOCK_UPDATE, 8 * items.size)

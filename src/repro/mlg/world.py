@@ -282,6 +282,31 @@ class World:
         """
         return self._voxels_bulk("blocks", xs, ys, zs)
 
+    def blocks_cuboid(
+        self, x0: int, y0: int, z0: int, x1: int, y1: int, z1: int
+    ) -> Array:
+        """Block ids of an inclusive cuboid as ``[x, z, y]``: one slice
+        copy per chunk under it, AIR where :meth:`get_block` reads AIR."""
+        out = np.zeros((x1 - x0 + 1, z1 - z0 + 1, y1 - y0 + 1), np.uint8)
+        ya, yb = max(y0, 0), min(y1, WORLD_HEIGHT - 1)
+        if ya > yb:
+            return out
+        for cx in range(x0 >> 4, (x1 >> 4) + 1):
+            xa, xb = max(x0, cx << 4), min(x1, (cx << 4) + 15)
+            for cz in range(z0 >> 4, (z1 >> 4) + 1):
+                chunk = self._chunks.get((cx, cz))
+                if chunk is None:
+                    continue
+                za, zb = max(z0, cz << 4), min(z1, (cz << 4) + 15)
+                out[
+                    xa - x0 : xb - x0 + 1, za - z0 : zb - z0 + 1,
+                    ya - y0 : yb - y0 + 1,
+                ] = chunk._page.blocks[
+                    chunk._slot, xa & 15 : (xb & 15) + 1,
+                    za & 15 : (zb & 15) + 1, ya : yb + 1,
+                ]
+        return out
+
     def aux_bulk(self, xs: Array, ys: Array, zs: Array) -> Array:
         """Vectorized :meth:`get_aux` for integer coordinate arrays."""
         return self._voxels_bulk("aux", xs, ys, zs)
@@ -395,7 +420,14 @@ class World:
     def ground_below_bulk(
         self, xs: Array, ys: Array, zs: Array, max_scan: int = 12
     ) -> Array:
-        """Vectorized downward ground scan for entity physics.
+        """The ground half of :meth:`ground_and_loaded_bulk`."""
+        return self.ground_and_loaded_bulk(xs, ys, zs, max_scan)[0]
+
+    def ground_and_loaded_bulk(
+        self, xs: Array, ys: Array, zs: Array, max_scan: int = 12
+    ) -> tuple[Array, Array]:
+        """Vectorized downward ground scan for entity physics, and whether
+        each position's chunk is loaded (the same column lookup).
 
         For each position: the top surface (``y + 1``) of the first solid
         block at or below the entity, scanning up to ``max_scan`` blocks
@@ -418,11 +450,12 @@ class World:
         )
         solid = SOLID_LUT[columns] & (scan_y >= 0) & loaded[:, None]
         first = solid.argmax(axis=1)
-        return np.where(
+        ground = np.where(
             solid.any(axis=1),
             start - first + 1,
             np.maximum(0, start - max_scan),
         ).astype(np.float64)
+        return ground, loaded
 
     def is_solid_at(self, x: int, y: int, z: int) -> bool:
         return is_solid(self.get_block(x, y, z))

@@ -338,6 +338,45 @@ class TestStoreInvariants:
         assert victim.kind == EntityKind.ITEM
         assert mgr.get(victim_eid) is None
 
+    def test_recycled_slot_inherits_no_goal_path_or_owner(self):
+        mgr, _ = _manager()
+        mob = mgr.spawn(EntityKind.MOB, 3.5, 60.0, 3.5)
+        mob.goal = (9, 60, 3)
+        mob.owner = 4
+        slot = mob._slot
+        for _ in range(45):  # long enough to repath and start walking
+            self._reap(mgr)
+        assert mgr.store.path_left[slot] > 0 and mob.path
+        mgr.remove(mob)
+        self._reap(mgr)
+        # The detached handle keeps its navigation state ...
+        assert mob.goal == (9, 60, 3) and mob.owner == 4
+        # ... and the newcomer in its slot starts with none.
+        newcomer = mgr.spawn(EntityKind.MOB, 20.5, 60.0, 20.5)
+        assert newcomer._slot == slot
+        assert newcomer.goal is None
+        assert newcomer.owner == -1
+        assert mgr.store.path_left[slot] == 0
+        before = (newcomer.vx, newcomer.vz)
+        self._reap(mgr)
+        assert (newcomer.vx, newcomer.vz) == before, "walked a stale path"
+
+    def test_detached_slot_freezes_every_store_field(self):
+        from repro.mlg.entity import _DetachedSlot
+        from repro.mlg.entity_store import FIELDS
+
+        assert _DetachedSlot.__slots__ == tuple(name for name, _ in FIELDS)
+
+    def test_entities_of_skips_dead_unreaped_handles(self):
+        mgr, _ = _manager()
+        items = [
+            mgr.spawn(EntityKind.ITEM, 1.0 + i, 61.0, 1.0) for i in range(3)
+        ]
+        mgr.remove(items[1])
+        # Before the reap, like count / entities_near / absorb_items.
+        assert mgr.entities_of(EntityKind.ITEM) == [items[0], items[2]]
+        assert mgr.count(EntityKind.ITEM) == 2
+
     def test_absorb_items_takes_oldest_first_under_limit(self):
         mgr, _ = _manager()
         # Younger items land in the lowest slots; the oldest item spawns

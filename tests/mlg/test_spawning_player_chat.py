@@ -91,7 +91,7 @@ class TestPlatformSpawning:
         )
         spawning.add_platform(platform)
         mob = entities.spawn(EntityKind.MOB, 4.5, 61.0, 4.5)
-        platform._mobs.append(mob)
+        mob.owner = spawning.platforms.index(platform)
         report = WorkReport()
         spawning.tick([], report)
         assert not mob.alive
