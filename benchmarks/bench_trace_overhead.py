@@ -19,11 +19,10 @@ Two artifacts:
 
 import gc
 import json
-import statistics
 import time
 
 import numpy as np
-from conftest import OUT_DIR, write_artifact
+from conftest import OUT_DIR, median_interval, write_artifact
 
 from repro.campaign.executor import CampaignExecutor
 from repro.campaign.spec import CampaignSpec
@@ -107,15 +106,6 @@ def _paired_cost(trace_b: bool) -> tuple[list[float], object, object]:
     return diffs, a[0], b[0]
 
 
-def _median_interval(values: list[float]) -> tuple[float, float, float]:
-    """Median and its distribution-free 95 % interval (the order
-    statistics a sign test cannot reject)."""
-    ordered = sorted(values)
-    n = len(ordered)
-    k = max(0, int((n - 1.96 * n**0.5) / 2))
-    return statistics.median(ordered), ordered[k], ordered[n - 1 - k]
-
-
 def test_trace_overhead(benchmark, out_dir):
     """Full-rate tracing costs a bounded, absolute amount of host time per
     tick and leaves the measurement itself untouched."""
@@ -128,8 +118,8 @@ def test_trace_overhead(benchmark, out_dir):
     control, (cost, base, traced) = benchmark.pedantic(
         measure, rounds=1, iterations=1
     )
-    median, low, high = _median_interval(cost)
-    null_median, null_low, null_high = _median_interval(control)
+    median, low, high = median_interval(cost)
+    null_median, null_low, null_high = median_interval(control)
     identical = base.loop.records == traced.loop.records
     trace_snapshot = traced.tracer.snapshot()
 

@@ -1,27 +1,42 @@
 """Wire-path cost: codec throughput and loopback TCP round trips.
 
-Two artifacts:
+Three artifacts:
 
 * raw codec throughput — encode and decode rates (messages/s, MB/s)
   over a traffic mix matching what ``WireServer`` actually flushes
   (state frames weighted toward entity moves, per-client deliveries,
   client actions, and batched entity moves),
+* kernel against oracle — the codec's array kernels and layout tables
+  timed against the scalar loops they replaced (kept verbatim in
+  ``tests/mlg/wire_oracle.py``) on the two shapes a farm flush is made
+  of, a 172-move entity batch and a run of 83 ``entity_velocity`` state
+  frames: paired, interleaved, reported as a ratio with its interval,
+  and held to a floor of 3x on batch encode and on batch decode,
 * a real loopback campaign cell (``serve_cell`` + ``run_clients`` over
   127.0.0.1 sockets) reporting client-measured response times and the
   bytes the server pushed.
 
-Both land in ``benchmarks/out/bench_wire.txt`` and one ``wire_bench``
-record is appended to ``benchmarks/out/perf_history.jsonl`` so the
-campaign report's perf-trajectory panel picks the wire path up alongside
-the figure gates.
+All land under ``benchmarks/out/`` and ``wire_bench`` records are
+appended to ``benchmarks/out/perf_history.jsonl`` so the campaign
+report's perf-trajectory panel picks the wire path up alongside the
+figure gates.
+
+The decoder side of the boundary is not timed here but belongs to the
+same contract: a peer's bytes either decode or raise
+``wirecodec.ProtocolError``, and no frame longer than
+``wirecodec.MAX_FRAME_BYTES`` is ever buffered
+(``tests/net/test_protocol_errors.py``).
 """
 
+import gc
+import importlib.util
 import json
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
-from conftest import OUT_DIR, write_artifact
+from conftest import OUT_DIR, median_interval, write_artifact
 
 from repro.campaign.store import JobStore
 from repro.core.visualization import format_table
@@ -39,6 +54,17 @@ CODEC_REPS = 3
 #: because the serve loop paces ticks against the tick budget).
 RTT_BOTS = 4
 RTT_DURATION_S = 2.0
+
+#: The two shapes one farm flush is made of (per client, seed 1): the
+#: batched entity moves and the run of velocity syncs a quarter as long
+#: as both clients' moves together.
+FLUSH_BATCH_MOVES = 172
+FLUSH_STATE_RUN = 83
+#: Paired timed blocks per kernel-vs-oracle case, and calls per block.
+KERNEL_PAIRS = 30
+KERNEL_CALLS_PER_BLOCK = 20
+#: What the array kernels must stay ahead of the scalar loops by.
+KERNEL_SPEEDUP_FLOOR = 3.0
 
 #: State-frame traffic mix, roughly the per-tick composition the server
 #: flushes for a small bot fleet (entity moves dominate).
@@ -137,6 +163,118 @@ def test_codec_throughput(benchmark, out_dir):
     )
     write_artifact("bench_wire_codec.txt", text)
     _record_history("codec", {"current_s": round(encode_s + decode_s, 4)})
+
+
+def _load_oracle():
+    """The scalar codec the kernels replaced (the parity tests' oracle)."""
+    path = Path(__file__).parents[1] / "tests" / "mlg" / "wire_oracle.py"
+    spec = importlib.util.spec_from_file_location("wire_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _paired_speedups(oracle_call, kernel_call) -> list[float]:
+    """Oracle time over kernel time, once per pair of timed blocks; the
+    sides alternate within the pairs, so drift in the host's speed taxes
+    both evenly."""
+
+    def block_s(call) -> float:
+        start = time.perf_counter()
+        for _ in range(KERNEL_CALLS_PER_BLOCK):
+            call()
+        return time.perf_counter() - start
+
+    for call in (oracle_call, kernel_call):  # warm both before timing
+        block_s(call)
+    ratios = []
+    gc.collect()
+    gc.disable()
+    try:
+        for pair in range(KERNEL_PAIRS):
+            if pair % 2:
+                kernel_s = block_s(kernel_call)
+                oracle_s = block_s(oracle_call)
+            else:
+                oracle_s = block_s(oracle_call)
+                kernel_s = block_s(kernel_call)
+            ratios.append(oracle_s / kernel_s)
+    finally:
+        gc.enable()
+    return ratios
+
+
+def test_kernels_against_oracle(benchmark, out_dir):
+    """The array kernels and layout tables against the scalar loops they
+    replaced, on the shapes of one farm flush."""
+    oracle = _load_oracle()
+    rows_array = np.empty((FLUSH_BATCH_MOVES, 4), dtype=np.int64)
+    rows_array[:, 0] = np.arange(FLUSH_BATCH_MOVES)
+    rows_array[:, 1:] = (1, 0, -1)
+    moves = tuple(map(tuple, rows_array.tolist()))
+    batch = oracle.encode_entity_batch(moves)
+    velocity = PacketCategory.ENTITY_VELOCITY
+    payloads = [(i, 2, 0, -2) for i in range(FLUSH_STATE_RUN)]
+
+    def oracle_state_run():
+        buf = bytearray()
+        for payload in payloads:
+            buf += oracle.encode_state(velocity, payload)
+        return buf
+
+    def kernel_state_run():
+        buf = bytearray()
+        for payload in payloads:
+            wc.append_state(buf, velocity, payload)
+        return buf
+
+    # Same bytes and same moves, or the ratios below compare nothing.
+    assert wc.encode_entity_batch(rows_array) == batch
+    assert wc.decode_frame(batch)[0].moves == moves
+    assert oracle.decode_entity_batch_frame(batch) == moves
+    assert kernel_state_run() == oracle_state_run()
+
+    cases = {
+        f"batch encode ({FLUSH_BATCH_MOVES} moves)": (
+            lambda: oracle.encode_entity_batch(moves),
+            lambda: wc.encode_entity_batch(rows_array),
+        ),
+        f"batch decode ({FLUSH_BATCH_MOVES} moves)": (
+            lambda: oracle.decode_entity_batch_frame(batch),
+            lambda: wc.decode_frame(batch),
+        ),
+        f"state run encode ({FLUSH_STATE_RUN} frames)": (
+            oracle_state_run,
+            kernel_state_run,
+        ),
+    }
+
+    def measure():
+        return {
+            name: median_interval(_paired_speedups(*calls))
+            for name, calls in cases.items()
+        }
+
+    speedups = benchmark.pedantic(measure, rounds=1, iterations=1)
+    rows = [
+        [name, f"{median:.1f}x", f"[{low:.1f}, {high:.1f}]x"]
+        for name, (median, low, high) in speedups.items()
+    ]
+    text = format_table(["oracle / kernel", "median", "95% interval"], rows)
+    text += (
+        f"\n\n{KERNEL_PAIRS} paired blocks of {KERNEL_CALLS_PER_BLOCK}"
+        " calls, sides alternating; the oracle is the scalar codec kept"
+        " in tests/mlg/wire_oracle.py.  Floor on both batch rows:"
+        f" {KERNEL_SPEEDUP_FLOOR:.0f}x (the run fails only if a whole"
+        " interval lies below it)."
+    )
+    write_artifact("bench_wire_kernels.txt", text)
+    for name, (_, low, high) in speedups.items():
+        if name.startswith("batch"):
+            assert high >= KERNEL_SPEEDUP_FLOOR, (
+                f"{name}: kernel is [{low:.1f}, {high:.1f}]x the oracle,"
+                f" floor {KERNEL_SPEEDUP_FLOOR:.0f}x"
+            )
 
 
 def test_loopback_rtt(benchmark, out_dir, tmp_path):

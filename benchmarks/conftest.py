@@ -11,6 +11,7 @@ Artifacts (paper-vs-measured tables and series CSVs) are written to
 
 import json
 import os
+import statistics
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,15 @@ OUT_DIR = Path(__file__).parent / "out"
 def out_dir() -> Path:
     OUT_DIR.mkdir(parents=True, exist_ok=True)
     return OUT_DIR
+
+
+def median_interval(values: list[float]) -> tuple[float, float, float]:
+    """Median and its distribution-free 95 % interval (the order
+    statistics a sign test cannot reject)."""
+    ordered = sorted(values)
+    n = len(ordered)
+    k = max(0, int((n - 1.96 * n**0.5) / 2))
+    return statistics.median(ordered), ordered[k], ordered[n - 1 - k]
 
 
 def write_artifact(name: str, text: str) -> Path:

@@ -256,8 +256,8 @@ class _Connection:
                     else:
                         await writer.drain()
                 prev_done = time.monotonic()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
+        except (ConnectionError, asyncio.CancelledError, wc.ProtocolError):
+            pass  # a server that stops making sense is a server gone
         finally:
             if self.bot is not None:
                 self.bot.session.mark_closed()

@@ -31,6 +31,8 @@ from __future__ import annotations
 import asyncio
 import time
 
+import numpy as np
+
 from repro.mlg import wirecodec as wc
 from repro.mlg.constants import TICK_BUDGET_US
 from repro.mlg.protocol import PacketCategory
@@ -56,37 +58,32 @@ _WIRE_METRICS = (WIRE_BYTES_IN, WIRE_BYTES_OUT, WIRE_FLUSH_US, WIRE_CONNECTS)
 _READ_CHUNK = 65536
 
 
-def _synth_payload(category: str, index: int) -> tuple:
-    """Deterministic schema-valid payload for a counted packet."""
-    if category == PacketCategory.ENTITY_SPAWN:
-        return (index, index % 7, 0.0, 64.0, 0.0)
-    if category == PacketCategory.ENTITY_MOVE:
-        return (index, 1, 0, -1)
-    if category == PacketCategory.ENTITY_VELOCITY:
-        return (index, 2, 0, -2)
-    if category == PacketCategory.ENTITY_DESTROY:
-        return (index,)
-    if category == PacketCategory.BLOCK_CHANGE:
-        return (index, 64, -index, 1)
-    if category == PacketCategory.CHUNK_DATA:
-        return (index, -index)
-    if category == PacketCategory.CHUNK_SECTION:
-        return (index, -index, index % 16)
-    if category == PacketCategory.LIGHT_UPDATE:
-        return (index, -index)
-    if category == PacketCategory.SOUND_EFFECT:
-        return (index % 256, index, 64, -index)
-    if category == PacketCategory.BLOCK_ENTITY_DATA:
-        return (index, 64, -index)
-    if category == PacketCategory.CHAT:
-        return (0, index)
-    if category == PacketCategory.KEEPALIVE:
-        return (index,)
-    if category == PacketCategory.TIME_UPDATE:
-        return (index * 20, index * 20 % 24_000)
-    if category == PacketCategory.PLAYER_INFO:
-        return (index, 1)
-    raise ValueError(f"unknown packet category {category!r}")
+#: Deterministic schema-valid payload of the ``index``-th counted packet
+#: of a category in one flush.
+_SYNTH_PAYLOAD = {
+    PacketCategory.ENTITY_SPAWN: lambda i: (i, i % 7, 0.0, 64.0, 0.0),
+    PacketCategory.ENTITY_MOVE: lambda i: (i, 1, 0, -1),
+    PacketCategory.ENTITY_VELOCITY: lambda i: (i, 2, 0, -2),
+    PacketCategory.ENTITY_DESTROY: lambda i: (i,),
+    PacketCategory.BLOCK_CHANGE: lambda i: (i, 64, -i, 1),
+    PacketCategory.CHUNK_DATA: lambda i: (i, -i),
+    PacketCategory.CHUNK_SECTION: lambda i: (i, -i, i % 16),
+    PacketCategory.LIGHT_UPDATE: lambda i: (i, -i),
+    PacketCategory.SOUND_EFFECT: lambda i: (i % 256, i, 64, -i),
+    PacketCategory.BLOCK_ENTITY_DATA: lambda i: (i, 64, -i),
+    PacketCategory.CHAT: lambda i: (0, i),
+    PacketCategory.KEEPALIVE: lambda i: (i,),
+    PacketCategory.TIME_UPDATE: lambda i: (i * 20, i * 20 % 24_000),
+    PacketCategory.PLAYER_INFO: lambda i: (i, 1),
+}
+
+
+def _synth_batch(count: int) -> np.ndarray:
+    """The ``ENTITY_MOVE`` payloads of ``count`` packets as batch rows."""
+    rows = np.empty((count, 4), dtype=np.int64)
+    rows[:, 0] = np.arange(count)
+    rows[:, 1:] = _SYNTH_PAYLOAD[PacketCategory.ENTITY_MOVE](0)[1:]
+    return rows
 
 
 def wire_metrics_snapshot(server) -> dict:
@@ -161,6 +158,7 @@ class WireServer:
         if task is not None:
             self._reader_tasks.add(task)
         client_id: int | None = None
+        reason = "socket closed"
         decoder = wc.FrameDecoder()
         try:
             pending: list = []
@@ -209,11 +207,15 @@ class WireServer:
                     self._handle_message(client_id, msg)
         except (ConnectionError, asyncio.CancelledError):
             pass
+        except wc.ProtocolError as exc:
+            # This peer does not speak the protocol: drop it alone.  The
+            # tick loop and the other clients go on.
+            reason = f"protocol error: {exc}"
         finally:
             if task is not None:
                 self._reader_tasks.discard(task)
             if client_id is not None:
-                self.server.net.disconnect(client_id, "socket closed")
+                self.server.net.disconnect(client_id, reason)
                 self._writers.pop(client_id, None)
             writer.close()
 
@@ -234,24 +236,24 @@ class WireServer:
     def _build_flush(self) -> list[tuple[int, bytearray]]:
         """Encode this tick's outbound traffic, one buffer per client."""
         net = self.server.net
+        counts = net.stats.counts
         delta: dict[str, int] = {}
-        for category, count in net.stats.counts.items():
+        for category, count in counts.items():
             moved = count - self._prev_counts.get(category, 0)
             if moved:
                 delta[category] = moved
-        self._prev_counts = dict(net.stats.counts)
+        self._prev_counts = dict(counts)
         targets: list[tuple[int, bytearray]] = []
-        endpoints = {}
         for client_id in sorted(self._writers):
             endpoint = net.client(client_id)
             if endpoint is None or endpoint.disconnected:
                 continue
-            endpoints[client_id] = endpoint
-            targets.append((client_id, bytearray()))
-        # 1. Materialized deliveries (chat echoes) — shared drain path.
-        for client_id, buf in targets:
-            for delivery in endpoints[client_id].drain_deliveries():
-                buf += wc.encode_delivery(
+            buf = bytearray()
+            targets.append((client_id, buf))
+            # 1. Materialized deliveries (chat echoes) — shared drain path.
+            for delivery in endpoint.drain_deliveries():
+                wc.append_delivery(
+                    buf,
                     delivery.category,
                     delivery.payload,
                     delivery.delivered_at_us,
@@ -259,51 +261,49 @@ class WireServer:
                 delta[delivery.category] = (
                     delta.get(delivery.category, 0) - 1
                 )
+        if not targets:
+            return targets
         # 2. Counted state packets: distribute the tick's PacketStats
         # delta across connected clients (it was recorded per client).
         n_clients = len(targets)
-        if n_clients:
-            for category in PacketCategory.ALL:
-                remaining = delta.get(category, 0)
-                if remaining <= 0:
-                    continue
-                per, extra = divmod(remaining, n_clients)
-                for index, (client_id, buf) in enumerate(targets):
-                    count = per + (1 if index < extra else 0)
-                    if count <= 0:
-                        continue
-                    if (
-                        category == PacketCategory.ENTITY_MOVE
-                        and self.batch_flush
-                    ):
-                        buf += wc.encode_entity_batch(
-                            tuple((i, 1, 0, -1) for i in range(count))
-                        )
-                    else:
-                        for i in range(count):
-                            buf += wc.encode_state(
-                                category, _synth_payload(category, i)
-                            )
+        for category in PacketCategory.ALL:
+            remaining = delta.get(category, 0)
+            if remaining <= 0:
+                continue
+            per, extra = divmod(remaining, n_clients)
+            batched = (
+                category == PacketCategory.ENTITY_MOVE and self.batch_flush
+            )
+            synth = _SYNTH_PAYLOAD[category]
+            for index, (_, buf) in enumerate(targets):
+                count = per + (1 if index < extra else 0)
+                if not batched:
+                    for i in range(count):
+                        wc.append_state(buf, category, synth(i))
+                elif count:
+                    wc.append_entity_batch(buf, _synth_batch(count))
         # 3. Clock sync.
-        now_us = self.server.clock.now_us
-        for client_id, buf in targets:
-            buf += wc.encode_tick(now_us, self._tick_index)
+        tick = wc.encode_tick(self.server.clock.now_us, self._tick_index)
+        for _, buf in targets:
+            buf += tick
         return targets
 
     async def _flush(self) -> None:
         flush_start = time.perf_counter()
-        targets = self._build_flush()
         bytes_out = 0
-        drains = []
-        for client_id, buf in targets:
+        written = []
+        for client_id, buf in self._build_flush():
             writer = self._writers.get(client_id)
             if writer is None:
                 continue
-            writer.write(bytes(buf))
+            writer.write(buf)
             bytes_out += len(buf)
-            drains.append(writer.drain())
-        if drains:
-            await asyncio.gather(*drains, return_exceptions=True)
+            written.append(writer)
+        for writer in written:
+            try:
+                await writer.drain()
+            except OSError:
+                pass  # a dead socket; that client's reader task ends on it
         flush_us = (time.perf_counter() - flush_start) * 1e6
         bus = self.server.telemetry.bus
         bus.publish(WIRE_BYTES_OUT, float(bytes_out))
