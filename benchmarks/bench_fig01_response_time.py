@@ -8,7 +8,7 @@ world's simulated constructs are running.
 from conftest import DURATION_S, write_artifact
 
 from repro.analysis import PAPER, fig1_response_time
-from repro.core.visualization import format_table
+from repro.reporting.text import format_table
 from repro.metrics import NOTICEABLE_MS, UNPLAYABLE_MS
 
 

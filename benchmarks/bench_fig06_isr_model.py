@@ -8,7 +8,7 @@ distributions but different order, an order of magnitude apart in ISR.
 from conftest import write_artifact
 
 from repro.analysis import PAPER, fig6_isr_model
-from repro.core.visualization import format_table
+from repro.reporting.text import format_table
 
 
 def test_fig6_isr_model(benchmark, out_dir):

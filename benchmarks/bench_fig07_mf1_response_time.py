@@ -9,7 +9,7 @@ Control's outliers appear right after a player connects.
 from conftest import DURATION_S, write_artifact
 
 from repro.analysis import PAPER, fig7_response_times
-from repro.core.visualization import format_table
+from repro.reporting.text import format_table
 from repro.metrics import UNPLAYABLE_MS
 
 

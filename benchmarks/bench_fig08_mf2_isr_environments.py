@@ -10,7 +10,7 @@ environment (except PaperMC on AWS staying low), the Lag workload in the
 from conftest import DURATION_S, write_artifact
 
 from repro.analysis import PAPER, fig8_isr_grid
-from repro.core.visualization import format_table
+from repro.reporting.text import format_table
 
 
 def test_fig8_mf2_isr_grid(benchmark, out_dir):

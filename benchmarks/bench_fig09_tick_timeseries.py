@@ -9,7 +9,7 @@ import numpy as np
 from conftest import DURATION_S, write_artifact
 
 from repro.analysis import PAPER, fig9_tick_timeseries
-from repro.core.visualization import ascii_timeseries, format_table
+from repro.reporting.text import ascii_timeseries, format_table
 
 
 def test_fig9_tick_timeseries(benchmark, out_dir):

@@ -11,7 +11,7 @@ Forge, Azure favors PaperMC); PaperMC on AWS is the worst combination
 from conftest import FIG10_DURATION_S, FIG10_ITERATIONS, write_artifact
 
 from repro.analysis import PAPER, fig10_cloud_variability
-from repro.core.visualization import format_table
+from repro.reporting.text import format_table
 
 
 def test_fig10_mf3_cloud_variability(benchmark, out_dir):

@@ -9,7 +9,7 @@ share is visibly smaller than Minecraft's and Forge's.
 from conftest import DURATION_S, write_artifact
 
 from repro.analysis import PAPER, fig11_tick_distribution
-from repro.core.visualization import format_table
+from repro.reporting.text import format_table
 
 BUCKETS = (
     "Block Add/Remove",

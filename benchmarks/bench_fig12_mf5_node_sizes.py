@@ -11,7 +11,7 @@ from conftest import DURATION_S, write_artifact
 
 from repro.analysis import PAPER, fig12_node_sizes
 from repro.analysis.hosting import most_common_recommendation
-from repro.core.visualization import format_table
+from repro.reporting.text import format_table
 
 
 def test_fig12_mf5_node_sizes(benchmark, out_dir):

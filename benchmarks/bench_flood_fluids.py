@@ -12,7 +12,7 @@ import time
 from conftest import DURATION_S, write_artifact
 
 from repro.analysis.figures import run_cell
-from repro.core.visualization import format_table
+from repro.reporting.text import format_table
 from repro.mlg.blocks import Block
 from repro.mlg.fluids import FluidEngine
 from repro.mlg.workreport import WorkReport

@@ -20,7 +20,7 @@ import urllib.request
 from conftest import OUT_DIR, write_artifact
 
 from repro.campaign import CampaignExecutor, CampaignSpec
-from repro.core.visualization import format_table
+from repro.reporting.text import format_table
 from repro.tracing.perf_baseline import append_history, history_entry
 
 #: Interleaved measurement pairs (off, on, off, on, ...).

@@ -19,7 +19,7 @@ import numpy as np
 from conftest import DURATION_S, OUT_DIR, write_artifact
 
 from repro.core.experiment import run_iteration
-from repro.core.visualization import format_table
+from repro.reporting.text import format_table
 from repro.mlg.world import World
 from repro.mlg.worldgen import TerrainGenerator
 from repro.persistence.region import RAW_CHUNK_BYTES

@@ -11,7 +11,7 @@ from conftest import write_artifact
 
 from repro.analysis import PAPER
 from repro.analysis.hosting import HOSTING_PLANS, most_common_recommendation
-from repro.core.visualization import format_table
+from repro.reporting.text import format_table
 from repro.metrics import (
     allan_variance,
     clustered_outlier_trace,

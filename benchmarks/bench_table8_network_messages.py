@@ -10,7 +10,7 @@ batched entity sends), while contributing only a small share of the bytes
 from conftest import DURATION_S, write_artifact
 
 from repro.analysis import PAPER, table8_network_shares
-from repro.core.visualization import format_table
+from repro.reporting.text import format_table
 
 
 def test_table8_network_messages(benchmark, out_dir):

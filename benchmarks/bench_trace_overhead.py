@@ -28,7 +28,7 @@ from repro.campaign.executor import CampaignExecutor
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import JobStore
 from repro.cloud.providers import get_environment
-from repro.core.visualization import format_table
+from repro.reporting.text import format_table
 from repro.emulation.swarm import BotSwarm
 from repro.mlg.server import MLGServer
 from repro.reporting.dataset import load_dataset

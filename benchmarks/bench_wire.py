@@ -39,7 +39,7 @@ import numpy as np
 from conftest import OUT_DIR, median_interval, write_artifact
 
 from repro.campaign.store import JobStore
-from repro.core.visualization import format_table
+from repro.reporting.text import format_table
 from repro.mlg import wirecodec as wc
 from repro.mlg.protocol import PACKET_SIZES, ActionKind, PacketCategory, PlayerAction
 from repro.net import run_clients, serve_cell

@@ -15,7 +15,7 @@ import sys
 
 from repro.campaign import CampaignExecutor, CampaignSpec, JobStore
 from repro.core.retrieval import retrieve
-from repro.core.visualization import ascii_boxplot
+from repro.reporting.text import ascii_boxplot
 
 
 def main() -> None:

@@ -7,7 +7,7 @@ plots per environment — the data a game operator needs to pick a host.
 """
 
 from repro.core import ExperimentRunner, MeterstickConfig
-from repro.core.visualization import ascii_boxplot, format_table
+from repro.reporting.text import ascii_boxplot, format_table
 
 ENVIRONMENTS = ("das5-2core", "azure-d2v3", "aws-t3.large")
 SERVERS = ("vanilla", "forge", "papermc")

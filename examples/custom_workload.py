@@ -9,7 +9,7 @@ running — then benchmarks it on two environments.  Shows how to subclass
 
 from repro.cloud import get_environment
 from repro.core import run_iteration
-from repro.core.visualization import format_table
+from repro.reporting.text import format_table
 from repro.emulation import BotSwarm, BoundedRandomWalk
 from repro.mlg.blocks import Block
 from repro.mlg.server import MLGServer

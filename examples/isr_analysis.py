@@ -8,7 +8,7 @@ and RFC 3550 jitter; then sweeps the closed-form model ISR(s, lambda).
 
 import numpy as np
 
-from repro.core.visualization import format_table
+from repro.reporting.text import format_table
 from repro.metrics import (
     allan_variance,
     clustered_outlier_trace,

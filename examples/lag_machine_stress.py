@@ -9,7 +9,7 @@ Demonstrates the paper's §5.3 crash and the every-other-tick ISR pattern.
 
 from repro.cloud import get_environment
 from repro.core import run_iteration
-from repro.core.visualization import ascii_timeseries
+from repro.reporting.text import ascii_timeseries
 from repro.simtime import SimClock
 
 

@@ -13,7 +13,7 @@ Usage::
 import sys
 
 from repro.core import run_iteration
-from repro.core.visualization import ascii_timeseries
+from repro.reporting.text import ascii_timeseries
 from repro.metrics import NOTICEABLE_MS, UNPLAYABLE_MS
 
 

@@ -41,7 +41,7 @@ from pathlib import Path
 
 from repro.analysis.figures import campaign_grid
 from repro.core.retrieval import retrieve, summary_rows
-from repro.core.visualization import ascii_boxplot, format_table, write_csv_rows
+from repro.reporting.text import ascii_boxplot, format_table, write_csv_rows
 from repro.campaign.executor import CampaignExecutor
 from repro.campaign.planner import Job
 from repro.campaign.spec import CampaignSpec

@@ -19,7 +19,7 @@ import time
 from collections.abc import Callable
 from pathlib import Path
 
-from repro.core.experiment import run_server_chain
+from repro.core.experiment import require_transport, run_server_chain
 from repro.core.results import ExperimentResult, IterationResult
 from repro.campaign.planner import Job, JobPlanner
 from repro.campaign.spec import CampaignSpec
@@ -33,6 +33,8 @@ __all__ = [
     "CampaignExecutor",
     "anomaly_lines",
     "execute_job",
+    "open_campaign",
+    "run_job_chain",
     "telemetry_line",
 ]
 
@@ -63,6 +65,58 @@ def _ensure_spec_unchanged(recorded: dict, current: dict, root) -> None:
             f"(fields: {', '.join(changed)}); completed shards were "
             "measured under the old spec — rerun into a fresh output_dir"
         )
+
+
+def open_campaign(
+    spec: CampaignSpec, store: JobStore, plan: list[Job], resume: bool
+) -> tuple[set[str], dict]:
+    """Claim ``store`` for ``spec``: check what it already holds, then
+    stamp the manifest.  Returns (completed job ids, manifest provenance).
+
+    With ``resume`` the store may hold shards of this same spec (checked
+    against the recorded manifest); without it a non-empty store is an
+    error.  Shards of a different spec are always refused — never
+    silently clobber or silently reuse another campaign's measurements.
+    """
+    completed = store.completed_ids()
+    stale = completed - {job.job_id for job in plan}
+    if completed and not resume:
+        raise FileExistsError(
+            f"{store.root} already holds {len(completed)} completed "
+            "job(s); resume the campaign or choose a fresh output_dir"
+        )
+    if stale:
+        raise ValueError(
+            f"{store.root} holds {len(stale)} shard(s) from a "
+            "different campaign spec; choose a fresh output_dir"
+        )
+    if resume:
+        manifest = store.read_manifest()
+        if manifest is not None:
+            recorded = manifest["spec"]
+            try:
+                # Normalize older manifests: fields added to the spec
+                # since (e.g. retain_raw) pick up their defaults
+                # instead of reading as spurious changes.
+                recorded = CampaignSpec.from_dict(recorded).to_dict()
+            except (TypeError, ValueError):
+                pass
+            _ensure_spec_unchanged(recorded, spec.to_dict(), store.root)
+    # The manifest carries the campaign's provenance fingerprint —
+    # the only timestamped one: shards and sidecars must stay
+    # byte-identical across re-runs, the manifest need not.  The
+    # measurement-hygiene snapshot (host conditions vs the spec's
+    # ``system:`` requests) rides along *outside* the digest: probes
+    # read live host state (load average, affinity), which must not
+    # perturb the measurement fingerprint.
+    from repro.reporting.hygiene import hygiene_snapshot
+
+    provenance = provenance_fingerprint(
+        measurement_config(spec.to_dict()), include_timestamp=True
+    )
+    provenance["hygiene"] = hygiene_snapshot(spec.system)
+    store.write_manifest(spec, plan, provenance=provenance)
+    return completed, provenance
 
 
 def _strip_tails(snapshot) -> object:
@@ -138,6 +192,39 @@ def anomaly_lines(job: Job, it: IterationResult) -> list[str]:
     ]
 
 
+def run_job_chain(
+    job: Job, config, telemetry_dir, drive=None
+) -> list[IterationResult]:
+    """Run ``job``'s server chain, streaming its sidecars as it goes.
+
+    With a ``telemetry_dir``, one JSONL line per finished iteration goes
+    to ``<telemetry_dir>/<job_id>.jsonl`` (truncating any sidecar left by
+    a previous attempt), which is what makes in-flight jobs observable
+    via ``python -m repro status``.  Traced iterations additionally
+    stream their slow-tick flight-recorder dumps into
+    ``<telemetry_dir>/<job_id>.anomalies.jsonl``.
+    """
+    if telemetry_dir is None:
+        return run_server_chain(config, job.server, drive=drive)
+    path = Path(telemetry_dir) / f"{job.job_id}.jsonl"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    anomalies_path = Path(telemetry_dir) / f"{job.job_id}.anomalies.jsonl"
+    anomalies_path.unlink(missing_ok=True)
+    with path.open("w") as sidecar:
+
+        def stream(it: IterationResult) -> None:
+            sidecar.write(telemetry_line(job, it) + "\n")
+            sidecar.flush()
+            lines = anomaly_lines(job, it)
+            if lines:
+                with anomalies_path.open("a") as recorder:
+                    recorder.write("\n".join(lines) + "\n")
+
+        return run_server_chain(
+            config, job.server, on_iteration=stream, drive=drive
+        )
+
+
 def execute_job(payload: dict) -> tuple[dict, list[dict], dict]:
     """Run one job's server chain; the unit shipped to worker processes.
 
@@ -145,43 +232,16 @@ def execute_job(payload: dict) -> tuple[dict, list[dict], dict]:
     the serial path, ``multiprocessing`` pickling, and shard files.  The
     third element is the job's lifecycle phase timings (wall seconds for
     plan → iterate → externalize), which the executor folds into the
-    campaign trace.
-
-    When the payload carries a ``telemetry_dir``, the worker streams one
-    JSONL line per finished iteration into
-    ``<telemetry_dir>/<job_id>.jsonl`` (truncating any sidecar left by a
-    previous attempt), which is what makes in-flight jobs observable via
-    ``python -m repro status``.  Traced iterations additionally stream
-    their slow-tick flight-recorder dumps into
-    ``<telemetry_dir>/<job_id>.anomalies.jsonl``.
+    campaign trace.  The payload's ``telemetry_dir`` (optional) is where
+    :func:`run_job_chain` streams the job's sidecars.
     """
     plan_start = time.perf_counter()
     spec = CampaignSpec.from_dict(payload["spec"])
     job = Job.from_dict(payload["job"])
     config = JobPlanner(spec).job_config(job)
     phases = {"plan_s": time.perf_counter() - plan_start}
-    telemetry_dir = payload.get("telemetry_dir")
     iterate_start = time.perf_counter()
-    if telemetry_dir is None:
-        iterations = run_server_chain(config, job.server)
-    else:
-        path = Path(telemetry_dir) / f"{job.job_id}.jsonl"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        anomalies_path = Path(telemetry_dir) / f"{job.job_id}.anomalies.jsonl"
-        anomalies_path.unlink(missing_ok=True)
-        with path.open("w") as sidecar:
-
-            def stream(it: IterationResult) -> None:
-                sidecar.write(telemetry_line(job, it) + "\n")
-                sidecar.flush()
-                lines = anomaly_lines(job, it)
-                if lines:
-                    with anomalies_path.open("a") as recorder:
-                        recorder.write("\n".join(lines) + "\n")
-
-            iterations = run_server_chain(
-                config, job.server, on_iteration=stream
-            )
+    iterations = run_job_chain(job, config, payload.get("telemetry_dir"))
     phases["iterate_s"] = time.perf_counter() - iterate_start
     externalize_start = time.perf_counter()
     iteration_dicts = [it.to_dict() for it in iterations]
@@ -285,46 +345,13 @@ class CampaignExecutor:
         planner = JobPlanner(self.spec)
         plan = planner.plan()
         plan_s = time.perf_counter() - run_start
-        if resume:
-            manifest = self.store.read_manifest()
-            if manifest is not None:
-                recorded = manifest["spec"]
-                try:
-                    # Normalize older manifests: fields added to the spec
-                    # since (e.g. retain_raw) pick up their defaults
-                    # instead of reading as spurious changes.
-                    recorded = CampaignSpec.from_dict(recorded).to_dict()
-                except (TypeError, ValueError):
-                    pass
-                _ensure_spec_unchanged(
-                    recorded, self.spec.to_dict(), self.store.root
-                )
-        completed = self.store.completed_ids()
-        stale = completed - {job.job_id for job in plan}
-        if completed and not resume:
-            raise FileExistsError(
-                f"{self.store.root} already holds {len(completed)} completed "
-                "job(s); resume the campaign or choose a fresh output_dir"
+        for job in plan:
+            require_transport(
+                planner.job_config(job), "inproc", f"cell {job.cell.key()}"
             )
-        if stale:
-            raise ValueError(
-                f"{self.store.root} holds {len(stale)} shard(s) from a "
-                "different campaign spec; choose a fresh output_dir"
-            )
-        # The manifest carries the campaign's provenance fingerprint —
-        # the only timestamped one: shards and sidecars must stay
-        # byte-identical across re-runs, the manifest need not.  The
-        # measurement-hygiene snapshot (host conditions vs the spec's
-        # ``system:`` requests) rides along *outside* the digest: probes
-        # read live host state (load average, affinity), which must not
-        # perturb the measurement fingerprint.
-        from repro.reporting.hygiene import hygiene_snapshot
-
-        provenance = provenance_fingerprint(
-            measurement_config(self.spec.to_dict()), include_timestamp=True
+        completed, provenance = open_campaign(
+            self.spec, self.store, plan, resume
         )
-        provenance["hygiene"] = hygiene_snapshot(self.spec.system)
-        self.store.write_manifest(self.spec, plan, provenance=provenance)
         obs = None
         if self.spec.obs:
             obs = _ObsPlane(

@@ -18,7 +18,13 @@ from itertools import product
 from pathlib import Path
 
 from repro.cloud.providers import get_environment
-from repro.core.config import MeterstickConfig
+from repro.core.config import (
+    AT_LEAST_ONE,
+    MeterstickConfig,
+    RunKnobs,
+    check_knob,
+    knob,
+)
 from repro.emulation.behavior import BEHAVIORS
 from repro.mlg.variants import get_variant
 from repro.workloads import WORKLOADS
@@ -35,32 +41,16 @@ MATRIX_AXES = (
     ("behaviors", "behavior"),
 )
 
-#: ``overrides[*].set`` may patch any of these MeterstickConfig fields.
-#: Matrix-axis fields (scale, number_of_bots, behavior) and ``seed`` are
-#: deliberately absent: they define a cell's identity — its job id, seeds,
-#: and export labels — so patching them would let two "distinct" jobs run
-#: identical configs, or report an axis value the run never used.
+#: ``overrides[*].set`` may patch the MeterstickConfig fields declared
+#: ``overridable``.  Matrix-axis fields (scale, number_of_bots, behavior)
+#: and ``seed`` are deliberately not: they define a cell's identity — its
+#: job id, seeds, and export labels — so patching them would let two
+#: "distinct" jobs run identical configs, or report an axis value the run
+#: never used.
 _OVERRIDABLE_FIELDS = frozenset(
-    {
-        "duration_s",
-        "iterations",
-        "warm_machines",
-        "inter_iteration_gap_s",
-        "ram_gb",
-        "retain_raw",
-        "autosave_interval_s",
-        "autosave_flush_every",
-        "max_loaded_chunks",
-        "trace",
-        "trace_sample_every",
-        "slow_tick_factor",
-        "transport",
-        "wire_port",
-        "wire_batch_flush",
-        "obs",
-        "obs_port",
-        "obs_scrape_grace",
-    }
+    name
+    for name, declared in MeterstickConfig.__dataclass_fields__.items()
+    if declared.metadata.get("overridable")
 )
 
 
@@ -84,13 +74,14 @@ class CampaignCell:
 
 
 @dataclass
-class CampaignSpec:
+class CampaignSpec(RunKnobs):
     """A full benchmark campaign: matrix axes plus shared run parameters.
 
     Axes multiply: ``len(servers) * len(workloads) * len(environments) *
-    len(scales) * len(bot_counts) * len(behaviors)`` cells.  Shared
-    parameters (``iterations``, ``duration_s``, ``seed``, …) apply to
-    every cell unless an ``overrides`` entry patches it.
+    len(scales) * len(bot_counts) * len(behaviors)`` cells.  The shared
+    run knobs (:class:`~repro.core.config.RunKnobs`: ``iterations``,
+    ``duration_s``, ``seed``, …) apply to every cell unless an
+    ``overrides`` entry patches it.
 
     ``overrides`` entries have the shape::
 
@@ -109,44 +100,14 @@ class CampaignSpec:
     bot_counts: list[int] = field(default_factory=lambda: [25])
     behaviors: list[str] = field(default_factory=lambda: ["bounded-random"])
 
-    iterations: int = 1
-    duration_s: float = 60.0
-    seed: int = 0
-    inter_iteration_gap_s: float = 20.0
-    warm_machines: bool = False
-    #: Keep raw per-tick series in shards (figure pipeline); ``False``
-    #: streams bounded-memory telemetry only.
-    retain_raw: bool = True
-
-    # -- world persistence (applied to every cell; see MeterstickConfig) --
-    #: Root of the live world directories: each cell gets its own subtree
-    #: (and each iteration its own directory) beneath it.
-    world_dir: str | None = None
-    autosave_interval_s: float = 45.0
-    autosave_flush_every: int = 6
-    max_loaded_chunks: int | None = None
     #: Pre-generate each (workload, scale) world once under
     #: ``<output_dir>/world-cache/`` and warm-boot every iteration from
     #: it: faster campaigns, bit-identical initial worlds.  Pins each
     #: cell's terrain seed to the campaign ``seed``.
     warm_world_cache: bool = False
 
-    # -- observability (applied to every cell; see MeterstickConfig) ------
-    trace: bool = False
-    trace_sample_every: int = 1
-    slow_tick_factor: float = 3.0
-    obs: bool = False
-    obs_port: int = 0
-    obs_scrape_grace: float = 0.0
-
-    # -- transport (applied to every cell; see MeterstickConfig) ----------
-    transport: str = "inproc"
-    wire_port: int = 0
-    wire_batch_flush: bool = True
-
-    output_dir: str = "meterstick-out"
     #: Default worker-process count for the executor (CLI ``--jobs`` wins).
-    jobs: int = 1
+    jobs: int = knob(1, check=AT_LEAST_ONE, fingerprint=False)
 
     overrides: list[dict] = field(default_factory=list)
 
@@ -154,8 +115,9 @@ class CampaignSpec:
     #: ``output:`` report declaration (pivots, plots, html/csv names);
     #: empty mapping -> the default report.  Editable after a campaign
     #: ran — ``repro report --update-output`` re-renders without
-    #: touching job shards.  See :mod:`repro.reporting.spec`.
-    output: dict = field(default_factory=dict)
+    #: touching job shards, so it stays outside the fingerprint.  See
+    #: :mod:`repro.reporting.spec`.
+    output: dict = field(default_factory=dict, metadata={"fingerprint": False})
     #: ``system:`` measurement-hygiene requests (governor, SMT, ASLR,
     #: boost, CPU isolation, load ceiling).  Probed against the host at
     #: run start and stamped into the manifest's provenance.
@@ -188,59 +150,10 @@ class CampaignSpec:
                     f"unknown behavior {behavior!r}; known: {known}"
                 )
         for scale in self.scales:
-            if scale <= 0:
-                raise ValueError(f"scale must be positive: {scale!r}")
+            check_knob(MeterstickConfig, "scale", scale)
         for n_bots in self.bot_counts:
-            if n_bots < 0:
-                raise ValueError(f"bots must be >= 0: {n_bots!r}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1: {self.iterations!r}")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration must be positive: {self.duration_s!r}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1: {self.jobs!r}")
-        if self.autosave_interval_s <= 0:
-            raise ValueError(
-                f"autosave_interval_s must be positive: "
-                f"{self.autosave_interval_s!r}"
-            )
-        if self.autosave_flush_every < 0:
-            raise ValueError(
-                f"autosave_flush_every must be >= 0: "
-                f"{self.autosave_flush_every!r}"
-            )
-        if self.max_loaded_chunks is not None and self.max_loaded_chunks < 1:
-            raise ValueError(
-                f"max_loaded_chunks must be >= 1 (or None): "
-                f"{self.max_loaded_chunks!r}"
-            )
-        if self.trace_sample_every < 1:
-            raise ValueError(
-                f"trace_sample_every must be >= 1: "
-                f"{self.trace_sample_every!r}"
-            )
-        if self.slow_tick_factor <= 0:
-            raise ValueError(
-                f"slow_tick_factor must be positive: "
-                f"{self.slow_tick_factor!r}"
-            )
-        if self.transport not in ("inproc", "tcp"):
-            raise ValueError(
-                f"unknown transport {self.transport!r}; known: inproc, tcp"
-            )
-        if not 0 <= self.wire_port <= 65535:
-            raise ValueError(
-                f"wire_port must be 0..65535: {self.wire_port!r}"
-            )
-        if not 0 <= self.obs_port <= 65535:
-            raise ValueError(
-                f"obs_port must be 0..65535: {self.obs_port!r}"
-            )
-        if self.obs_scrape_grace < 0:
-            raise ValueError(
-                f"obs_scrape_grace must be >= 0: "
-                f"{self.obs_scrape_grace!r}"
-            )
+            check_knob(MeterstickConfig, "number_of_bots", n_bots)
+        self.check_knobs()
         if self.output:
             from repro.reporting.spec import validate_output
 
@@ -319,34 +232,19 @@ class CampaignSpec:
                 / "world-cache"
                 / world_cache_key(cell.workload, cell.scale, self.seed)
             )
-        kwargs: dict = dict(
+        kwargs = {
+            name: getattr(self, name)
+            for name in RunKnobs.__dataclass_fields__
+        }
+        kwargs.update(
             servers=[cell.server],
             world=cell.workload,
             environment=cell.environment,
             scale=cell.scale,
             number_of_bots=cell.n_bots,
             behavior=cell.behavior,
-            iterations=self.iterations,
-            duration_s=self.duration_s,
-            seed=self.seed,
-            inter_iteration_gap_s=self.inter_iteration_gap_s,
-            warm_machines=self.warm_machines,
-            retain_raw=self.retain_raw,
-            output_dir=self.output_dir,
             world_dir=world_dir,
             world_cache_dir=world_cache_dir,
-            autosave_interval_s=self.autosave_interval_s,
-            autosave_flush_every=self.autosave_flush_every,
-            max_loaded_chunks=self.max_loaded_chunks,
-            trace=self.trace,
-            trace_sample_every=self.trace_sample_every,
-            slow_tick_factor=self.slow_tick_factor,
-            transport=self.transport,
-            wire_port=self.wire_port,
-            wire_batch_flush=self.wire_batch_flush,
-            obs=self.obs,
-            obs_port=self.obs_port,
-            obs_scrape_grace=self.obs_scrape_grace,
         )
         for override in self.overrides:
             where = override.get("where", {})

@@ -27,7 +27,7 @@ from repro.core.experiment import (
 from repro.core.messages import Message, MessageType
 from repro.core.results import ExperimentResult, IterationResult
 from repro.core.retrieval import retrieve, summary_rows
-from repro.core.visualization import (
+from repro.reporting.text import (
     ascii_boxplot,
     ascii_timeseries,
     format_table,

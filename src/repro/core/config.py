@@ -4,6 +4,14 @@ All of Table 4's parameters are represented; deployment-oriented ones
 (IPs, SSL keys, ports, JMX endpoints) configure the simulated control
 plane, and experiment-oriented ones (servers, world, bots, duration,
 iterations, scale) configure the runs themselves.
+
+A run knob is declared once, as a dataclass field built with
+:func:`knob`: its default, its doc comment, and in the field metadata
+its value check, whether ``overrides`` may patch it per cell, and
+whether it is part of the measurement fingerprint.  :class:`RunKnobs`
+holds the knobs a single-cell :class:`MeterstickConfig` and a campaign
+spec share; validation, the spec's per-cell forward, the overridable set
+and provenance's exclusion list are all read off these declarations.
 """
 
 from __future__ import annotations
@@ -16,7 +24,18 @@ from repro.emulation.behavior import BEHAVIORS
 from repro.mlg.variants import get_variant
 from repro.workloads import WORKLOADS
 
-__all__ = ["MeterstickConfig", "DEFAULT_JMX_PORT_RANGE", "stable_crc"]
+__all__ = [
+    "AT_LEAST_ONE",
+    "DEFAULT_JMX_PORT_RANGE",
+    "MeterstickConfig",
+    "NON_NEGATIVE",
+    "PORT",
+    "POSITIVE",
+    "RunKnobs",
+    "check_knob",
+    "knob",
+    "stable_crc",
+]
 
 DEFAULT_JMX_PORT_RANGE = (25585, 25635)
 
@@ -33,8 +52,136 @@ def stable_crc(*parts: object) -> int:
     return zlib.crc32(key) & 0x7FFFFFFF
 
 
+#: Knob checks: (predicate, what a valid value is — the error's wording).
+POSITIVE = (lambda value: value > 0, "must be positive")
+NON_NEGATIVE = (lambda value: value >= 0, "must be >= 0")
+AT_LEAST_ONE = (lambda value: value >= 1, "must be >= 1")
+PORT = (lambda value: 0 <= value <= 65535, "must be 0..65535")
+
+
+def knob(
+    default,
+    *,
+    check: tuple | None = None,
+    overridable: bool = False,
+    fingerprint: bool = True,
+):
+    """Declare a config field together with everything said about it.
+
+    ``check`` is a ``(predicate, requirement)`` pair enforced by
+    :func:`check_knob`.  ``overridable`` lets a campaign's ``overrides``
+    patch the field per cell.  ``fingerprint=False`` keeps the field out
+    of the measurement fingerprint; only fields that locate storage,
+    size the worker pool or shape presentation say so, so a knob nobody
+    thought about is fingerprinted.
+    """
+    return field(
+        default=default,
+        metadata={
+            "check": check,
+            "overridable": overridable,
+            "fingerprint": fingerprint,
+        },
+    )
+
+
+def check_knob(cls, name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` passes ``cls.name``'s check."""
+    check = cls.__dataclass_fields__[name].metadata.get("check")
+    if check is not None and not check[0](value):
+        raise ValueError(f"{name} {check[1]}: {value!r}")
+
+
 @dataclass
-class MeterstickConfig:
+class RunKnobs:
+    """The run knobs a single-cell config and a campaign spec share."""
+
+    duration_s: float = knob(60.0, check=POSITIVE, overridable=True)
+    iterations: int = knob(1, check=AT_LEAST_ONE, overridable=True)
+    #: Where results land; never part of what gets measured.
+    output_dir: str = knob("meterstick-out", fingerprint=False)
+
+    # -- transport (wire serving) ------------------------------------------
+    #: How bots reach the server: ``"inproc"`` (direct-call sessions,
+    #: driven by ``repro run``) or ``"tcp"`` (the asyncio wire front
+    #: end, driven by ``repro serve`` + ``repro clients``).
+    transport: str = knob(
+        "inproc",
+        check=(
+            lambda value: value in ("inproc", "tcp"),
+            "must be one of inproc, tcp",
+        ),
+        overridable=True,
+    )
+    #: TCP port the wire front end binds (0 = OS-assigned ephemeral).
+    wire_port: int = knob(0, check=PORT, overridable=True)
+    #: Pack per-tick entity moves into batched wire frames instead of one
+    #: padded packet per modeled move.
+    wire_batch_flush: bool = knob(True, overridable=True)
+
+    # -- world persistence & chunk streaming -------------------------------
+    #: Live world directory (region files; autosave writes, reloads read).
+    #: ``None`` (the default) keeps the purely in-memory world.  On a
+    #: campaign spec it is the root under which each cell gets its own
+    #: subtree (and each iteration its own directory).
+    world_dir: str | None = knob(None, fingerprint=False)
+    #: Simulated seconds between incremental autosaves.
+    autosave_interval_s: float = knob(45.0, check=POSITIVE, overridable=True)
+    #: Every Nth autosave is a save-all full flush (0 disables flushes).
+    autosave_flush_every: int = knob(6, check=NON_NEGATIVE, overridable=True)
+    #: Evict clean out-of-view chunks beyond this count (None: no cap).
+    max_loaded_chunks: int | None = knob(
+        None,
+        check=(
+            lambda value: value is None or value >= 1,
+            "must be >= 1 (or None)",
+        ),
+        overridable=True,
+    )
+
+    # -- observability -----------------------------------------------------
+    #: Tick-phase span tracing + slow-tick flight recorder.  Off by
+    #: default; untraced runs are bit-identical with the pre-tracing
+    #: simulation (the tracer hooks are no-ops).
+    trace: bool = knob(False, overridable=True)
+    #: Capture span trees on every Nth tick (1 = all).  The flight
+    #: recorder watches every tick regardless of sampling.
+    trace_sample_every: int = knob(1, check=AT_LEAST_ONE, overridable=True)
+    #: A tick is an anomaly when its wall duration exceeds this multiple
+    #: of the 50 ms budget.
+    slow_tick_factor: float = knob(3.0, check=POSITIVE, overridable=True)
+    #: Serve a live pull-based metrics endpoint (Prometheus text +
+    #: JSON snapshot) from ``repro serve`` and the campaign executor.
+    #: Off by default; obs-off runs are bit-identical with the
+    #: endpoint-less path (nothing is constructed, nothing polls).
+    obs: bool = knob(False, overridable=True)
+    #: TCP port the metrics endpoint binds (0 = OS-assigned ephemeral).
+    obs_port: int = knob(0, check=PORT, overridable=True)
+    #: Seconds the endpoint keeps serving after the run finishes, so an
+    #: in-flight scrape (or a final one) still lands.
+    obs_scrape_grace: float = knob(0.0, check=NON_NEGATIVE, overridable=True)
+
+    # -- reproducibility ---------------------------------------------------
+    #: Campaign seed.  Not overridable: with the matrix axes it defines a
+    #: cell's identity (job id, iteration seeds, export labels).
+    seed: int = 0
+    #: Simulated idle seconds between iterations (teardown + setup).
+    inter_iteration_gap_s: float = knob(20.0, overridable=True)
+    #: Start cloud machines with drained burst credits (warm VMs).
+    warm_machines: bool = knob(False, overridable=True)
+    #: Keep raw per-tick/per-sample lists (the figure pipeline needs
+    #: them).  ``False`` runs with O(1) telemetry memory per metric —
+    #: summaries and sidecar telemetry are streamed either way.
+    retain_raw: bool = knob(True, overridable=True)
+
+    def check_knobs(self) -> None:
+        """Raise ``ValueError`` on the first field failing its check."""
+        for name in self.__dataclass_fields__:
+            check_knob(type(self), name, getattr(self, name))
+
+
+@dataclass
+class MeterstickConfig(RunKnobs):
     """One benchmark campaign's configuration (Table 4).
 
     ``servers`` lists the systems under test by variant name; every server
@@ -49,83 +196,26 @@ class MeterstickConfig:
     game_port: int = 25565
     jmx_urls: list[str] = field(default_factory=list)
     jmx_port_range: tuple[int, int] = DEFAULT_JMX_PORT_RANGE
-    output_dir: str = "meterstick-out"
-    resume: bool = False
+    resume: bool = knob(False, fingerprint=False)
 
     # -- systems under test ------------------------------------------------
     servers: list[str] = field(
         default_factory=lambda: ["vanilla", "forge", "papermc"]
     )
     environment: str = "das5-2core"
-    ram_gb: float = 4.0
+    ram_gb: float = knob(4.0, check=POSITIVE, overridable=True)
     affinity_mask: int = 0xFFFFFFFF
 
-    # -- workload ----------------------------------------------------------
+    # -- workload (a campaign's matrix axes; not overridable per cell) -----
     world: str = "control"
-    number_of_bots: int = 25
+    number_of_bots: int = knob(25, check=NON_NEGATIVE)
     behavior: str = "bounded-random"
-    duration_s: float = 60.0
-    iterations: int = 1
-    scale: float = 1.0
+    scale: float = knob(1.0, check=POSITIVE)
 
-    # -- transport (wire serving) ------------------------------------------
-    #: How bots reach the server: ``"inproc"`` (direct-call sessions,
-    #: bit-identical to the historical path) or ``"tcp"`` (the asyncio
-    #: wire front end, served via ``repro serve`` + ``repro clients``).
-    transport: str = "inproc"
-    #: TCP port the wire front end binds (0 = OS-assigned ephemeral).
-    wire_port: int = 0
-    #: Pack per-tick entity moves into batched wire frames instead of one
-    #: padded packet per modeled move.
-    wire_batch_flush: bool = True
-
-    # -- world persistence & chunk streaming -------------------------------
-    #: Live world directory (region files; autosave writes, reloads read).
-    #: ``None`` (the default) keeps the purely in-memory world.
-    world_dir: str | None = None
     #: Read-only warm-boot source: chunks missing from ``world_dir`` load
     #: from here before falling back to generation.  Campaigns fill it
     #: via the executor's warm world cache; iterations never write to it.
-    world_cache_dir: str | None = None
-    #: Simulated seconds between incremental autosaves.
-    autosave_interval_s: float = 45.0
-    #: Every Nth autosave is a save-all full flush (0 disables flushes).
-    autosave_flush_every: int = 6
-    #: Evict clean out-of-view chunks beyond this count (None: no cap).
-    max_loaded_chunks: int | None = None
-
-    # -- observability -----------------------------------------------------
-    #: Tick-phase span tracing + slow-tick flight recorder.  Off by
-    #: default; untraced runs are bit-identical with the pre-tracing
-    #: simulation (the tracer hooks are no-ops).
-    trace: bool = False
-    #: Capture span trees on every Nth tick (1 = all).  The flight
-    #: recorder watches every tick regardless of sampling.
-    trace_sample_every: int = 1
-    #: A tick is an anomaly when its wall duration exceeds this multiple
-    #: of the 50 ms budget.
-    slow_tick_factor: float = 3.0
-    #: Serve a live pull-based metrics endpoint (Prometheus text +
-    #: JSON snapshot) from ``repro serve`` and the campaign executor.
-    #: Off by default; obs-off runs are bit-identical with the
-    #: endpoint-less path (nothing is constructed, nothing polls).
-    obs: bool = False
-    #: TCP port the metrics endpoint binds (0 = OS-assigned ephemeral).
-    obs_port: int = 0
-    #: Seconds the endpoint keeps serving after the run finishes, so an
-    #: in-flight scrape (or a final one) still lands.
-    obs_scrape_grace: float = 0.0
-
-    # -- reproducibility ------------------------------------------------------
-    seed: int = 0
-    #: Simulated idle seconds between iterations (teardown + setup).
-    inter_iteration_gap_s: float = 20.0
-    #: Start cloud machines with drained burst credits (warm VMs).
-    warm_machines: bool = False
-    #: Keep raw per-tick/per-sample lists (the figure pipeline needs
-    #: them).  ``False`` runs with O(1) telemetry memory per metric —
-    #: summaries and sidecar telemetry are streamed either way.
-    retain_raw: bool = True
+    world_cache_dir: str | None = knob(None, fingerprint=False)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -144,64 +234,12 @@ class MeterstickConfig:
             raise ValueError(
                 f"unknown world workload {self.world!r}; known: {known}"
             )
-        if self.duration_s <= 0:
-            raise ValueError(f"duration must be positive: {self.duration_s!r}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1: {self.iterations!r}")
-        if self.number_of_bots < 0:
-            raise ValueError(f"bots must be >= 0: {self.number_of_bots!r}")
         if self.behavior.lower() not in BEHAVIORS:
             known = ", ".join(BEHAVIORS)
             raise ValueError(
                 f"unknown behavior {self.behavior!r}; known: {known}"
             )
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive: {self.scale!r}")
-        if self.ram_gb <= 0:
-            raise ValueError(f"ram_gb must be positive: {self.ram_gb!r}")
-        if self.autosave_interval_s <= 0:
-            raise ValueError(
-                f"autosave_interval_s must be positive: "
-                f"{self.autosave_interval_s!r}"
-            )
-        if self.autosave_flush_every < 0:
-            raise ValueError(
-                f"autosave_flush_every must be >= 0: "
-                f"{self.autosave_flush_every!r}"
-            )
-        if self.max_loaded_chunks is not None and self.max_loaded_chunks < 1:
-            raise ValueError(
-                f"max_loaded_chunks must be >= 1 (or None): "
-                f"{self.max_loaded_chunks!r}"
-            )
-        if self.transport not in ("inproc", "tcp"):
-            raise ValueError(
-                f"unknown transport {self.transport!r}; "
-                f"known: inproc, tcp"
-            )
-        if not 0 <= self.wire_port <= 65535:
-            raise ValueError(
-                f"wire_port must be 0..65535: {self.wire_port!r}"
-            )
-        if not 0 <= self.obs_port <= 65535:
-            raise ValueError(
-                f"obs_port must be 0..65535: {self.obs_port!r}"
-            )
-        if self.obs_scrape_grace < 0:
-            raise ValueError(
-                f"obs_scrape_grace must be >= 0: "
-                f"{self.obs_scrape_grace!r}"
-            )
-        if self.trace_sample_every < 1:
-            raise ValueError(
-                f"trace_sample_every must be >= 1: "
-                f"{self.trace_sample_every!r}"
-            )
-        if self.slow_tick_factor <= 0:
-            raise ValueError(
-                f"slow_tick_factor must be positive: "
-                f"{self.slow_tick_factor!r}"
-            )
+        self.check_knobs()
         lo, hi = self.jmx_port_range
         if lo > hi:
             raise ValueError("jmx_port_range must be (low, high)")

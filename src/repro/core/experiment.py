@@ -7,6 +7,14 @@ logging, connect the player emulation, run for the configured duration,
 stop, collect.  Machines persist across iterations of the same server
 (the deployment reuses nodes), with an idle gap between iterations during
 which burstable credits accrue.
+
+There is one iteration body, ``build -> drive -> collect``, and it reads
+its knobs from the :class:`MeterstickConfig` itself.  What differs
+between transports is only the *drive*: which fleet ``workload.install``
+populates, how the tick loop is run, and which extra telemetry section
+comes back.  :class:`SwarmDrive` (a :class:`BotSwarm` stepped in a
+synchronous loop) is the in-process one; ``repro serve`` supplies a drive
+that runs the same server behind real sockets (:mod:`repro.net.serve`).
 """
 
 from __future__ import annotations
@@ -27,96 +35,115 @@ from repro.simtime import SimClock, s_to_us
 from repro.tracing.provenance import measurement_config, provenance_fingerprint
 from repro.workloads import get_workload
 
-__all__ = ["ExperimentRunner", "run_iteration", "run_server_chain"]
+__all__ = [
+    "ExperimentRunner",
+    "SwarmDrive",
+    "require_transport",
+    "run_iteration",
+    "run_server_chain",
+]
 
 #: Per-iteration streaming callback for live campaign observability.
 IterationFn = Callable[[IterationResult], None]
 
+#: The CLI verb that drives each ``transport``.
+_VERBS = {"inproc": "repro run", "tcp": "repro serve"}
 
-def run_iteration(
-    workload_name: str,
-    server_name: str,
-    environment_name: str,
-    duration_s: float = 60.0,
-    seed: int = 0,
-    scale: float = 1.0,
-    n_bots: int = 25,
-    behavior: str = "bounded-random",
-    machine=None,
-    clock: SimClock | None = None,
-    iteration: int = 0,
-    retain_raw: bool = True,
-    world_dir: str | None = None,
-    world_cache_dir: str | None = None,
-    autosave_interval_s: float = 45.0,
-    autosave_flush_every: int = 6,
-    max_loaded_chunks: int | None = None,
-    world_seed: int | None = None,
-    trace: bool = False,
-    trace_sample_every: int = 1,
-    slow_tick_factor: float = 3.0,
-    transport: str = "inproc",
-    wire_port: int = 0,
-    wire_batch_flush: bool = True,
-    obs: bool = False,
-    obs_port: int = 0,
-    obs_scrape_grace: float = 0.0,
-) -> IterationResult:
-    """Run one iteration and return its measurements.
 
-    ``machine``/``clock`` may be passed in to persist node state across
-    iterations; fresh ones are created when omitted.  With
-    ``retain_raw=False`` the raw per-tick and per-sample series are
-    dropped as they stream through the telemetry layer: the result then
-    carries only the O(1) telemetry snapshot (exact counts, moments,
-    exceedance fractions, sketched quantiles, and the recent tail).
+def require_transport(
+    config: MeterstickConfig, transport: str, cell: str = "this cell"
+) -> None:
+    """Refuse to drive ``config`` over a transport it does not declare.
 
-    The persistence knobs mirror :class:`MeterstickConfig`: ``world_dir``
-    enables region-file autosave/reload, ``world_cache_dir`` warm-boots
-    missing chunks from a read-only snapshot, ``max_loaded_chunks``
-    bounds residency via eviction.  ``world_seed`` decouples the world's
-    terrain seed from the iteration seed — a warm-cached campaign pins it
-    to the campaign seed so every iteration boots the same world.
+    The ``transport`` knob is part of every shard's fingerprint, so a
+    cell must be measured the way it says it was.
     """
-    env = get_environment(environment_name)
-    if machine is None:
-        machine = env.create_machine(seed=seed)
-    if clock is None:
-        clock = SimClock()
+    if config.transport != transport:
+        raise ValueError(
+            f"{cell} declares transport {config.transport!r}: drive it "
+            f"with `{_VERBS[config.transport]}`, not `{_VERBS[transport]}`"
+        )
 
+
+class SwarmDrive:
+    """The in-process drive: a bot swarm stepped in the tick loop.
+
+    A drive is the transport-specific part of an iteration.  It names the
+    ``transport`` it carries, builds the ``fleet`` that
+    ``workload.install`` populates, and ``run``s the started server for
+    the iteration's duration, returning the client-observed response
+    times and any telemetry sections only this transport has.
+    """
+
+    transport = "inproc"
+
+    def fleet(self, server: MLGServer, network, seed: int) -> BotSwarm:
+        return BotSwarm(server, network, np.random.default_rng(seed ^ 0x5EED))
+
+    def run(
+        self,
+        server: MLGServer,
+        fleet: BotSwarm,
+        system: SystemMetricsCollector,
+        duration_s: float,
+    ) -> tuple[list[float], dict]:
+        clock = server.clock
+        deadline = clock.now_us + s_to_us(duration_s)
+        while clock.now_us < deadline and server.running:
+            server.tick()
+            fleet.step()
+            system.maybe_sample()
+            if server.crashed:
+                break
+        # Bots streamed every probe through the tap as it completed; the
+        # raw per-bot lists exist only when the server retained them.
+        return fleet.response_times_ms(), {}
+
+
+def _iterate(
+    config: MeterstickConfig,
+    server_name: str,
+    drive,
+    *,
+    seed: int,
+    iteration: int,
+    machine,
+    clock: SimClock,
+    world_dir: str | None,
+    world_seed: int | None,
+) -> IterationResult:
+    """One iteration of ``server_name`` under ``config``: build the world
+    and server, let ``drive`` run the ticks, collect the measurements.
+
+    ``config.world_dir`` is not read here: the caller passes this
+    iteration's own live directory as ``world_dir``.
+    """
+    require_transport(config, drive.transport)
+    env = get_environment(config.environment)
     workload_kwargs = {}
-    if workload_name.lower() == "players":
-        workload_kwargs["n_bots"] = n_bots
-        workload_kwargs["behavior"] = behavior
-    workload = get_workload(workload_name, scale=scale, **workload_kwargs)
-    world = workload.create_world(
-        seed if world_seed is None else world_seed
-    )
+    if config.world.lower() == "players":
+        workload_kwargs["n_bots"] = config.number_of_bots
+        workload_kwargs["behavior"] = config.behavior
+    workload = get_workload(config.world, scale=config.scale, **workload_kwargs)
+    world = workload.create_world(seed if world_seed is None else world_seed)
     server = MLGServer(
         server_name,
         machine,
         world=world,
         clock=clock,
         seed=seed,
-        retain_raw=retain_raw,
+        retain_raw=config.retain_raw,
         world_dir=world_dir,
-        world_cache_dir=world_cache_dir,
-        autosave_interval_s=autosave_interval_s,
-        autosave_flush_every=autosave_flush_every,
-        max_loaded_chunks=max_loaded_chunks,
-        trace=trace,
-        trace_sample_every=trace_sample_every,
-        slow_tick_factor=slow_tick_factor,
-        transport=transport,
-        wire_port=wire_port,
-        wire_batch_flush=wire_batch_flush,
-        obs=obs,
-        obs_port=obs_port,
-        obs_scrape_grace=obs_scrape_grace,
+        world_cache_dir=config.world_cache_dir,
+        autosave_interval_s=config.autosave_interval_s,
+        autosave_flush_every=config.autosave_flush_every,
+        max_loaded_chunks=config.max_loaded_chunks,
+        trace=config.trace,
+        trace_sample_every=config.trace_sample_every,
+        slow_tick_factor=config.slow_tick_factor,
     )
-    rng = np.random.default_rng(seed ^ 0x5EED)
-    swarm = BotSwarm(server, env.network, rng)
-    workload.install(server, swarm)
+    fleet = drive.fleet(server, env.network, seed)
+    workload.install(server, fleet)
     # With persistence in play, fingerprint the post-install world: warm
     # and cold boots of the same world seed must agree bit-for-bit.  The
     # hash covers the connect-time view: every workload connects at
@@ -132,26 +159,22 @@ def run_iteration(
     system = SystemMetricsCollector(server)
 
     server.start()
-    deadline = clock.now_us + s_to_us(duration_s)
-    while clock.now_us < deadline and server.running:
-        server.tick()
-        swarm.step()
-        system.maybe_sample()
-        if server.crashed:
-            break
-    server.running = False
+    try:
+        response_times, drive_telemetry = drive.run(
+            server, fleet, system, config.duration_s
+        )
+    finally:
+        server.running = False
 
     stats = server.net.stats
     n_share, b_share = stats.entity_share()
-    # Bots streamed every probe through the tap as it completed; the raw
-    # per-bot lists exist only when the server retained them.
-    response_times = swarm.response_times_ms()
     telemetry = {
         "tick": server.telemetry.snapshot(include_tails=True),
         "system": system.snapshot(),
         "response_ms": server.telemetry.response_ms.snapshot(
             include_tail=False
         ),
+        **drive_telemetry,
     }
     if server.lifecycle is not None:
         telemetry["world"] = {
@@ -164,12 +187,14 @@ def run_iteration(
         telemetry["trace"] = server.tracer.snapshot()
     return IterationResult(
         server=server_name,
-        workload=workload_name,
-        environment=environment_name,
+        workload=config.world,
+        environment=config.environment,
         iteration=iteration,
         seed=seed,
-        duration_s=duration_s,
-        tick_durations_ms=externalizer.tick_durations_ms() if retain_raw else [],
+        duration_s=config.duration_s,
+        tick_durations_ms=(
+            externalizer.tick_durations_ms() if config.retain_raw else []
+        ),
         response_times_ms=response_times,
         tick_distribution=externalizer.tick_distribution().shares,
         packet_counts=dict(stats.counts),
@@ -181,10 +206,64 @@ def run_iteration(
         crash_reason=server.crash_reason,
         throttled_ticks=machine.throttled_executions,
         final_credits_s=machine.credits_s,
-        scale=scale,
-        n_bots=n_bots,
-        behavior=behavior,
+        scale=config.scale,
+        n_bots=config.number_of_bots,
+        behavior=config.behavior,
         telemetry=telemetry,
+    )
+
+
+def run_iteration(
+    workload_name: str,
+    server_name: str,
+    environment_name: str,
+    duration_s: float = 60.0,
+    seed: int = 0,
+    *,
+    scale: float = 1.0,
+    n_bots: int = 25,
+    behavior: str = "bounded-random",
+    machine=None,
+    clock: SimClock | None = None,
+    iteration: int = 0,
+    world_dir: str | None = None,
+    **knobs,
+) -> IterationResult:
+    """Run one in-process iteration and return its measurements.
+
+    ``server_name`` is a variant name or a ``VariantProfile`` (ablation
+    studies build their own).  ``seed`` is this iteration's own seed.
+    ``machine``/``clock`` may be passed in to persist node state across
+    iterations; fresh ones are created when omitted.  ``world_dir`` is
+    this iteration's live world directory — an existing one is booted
+    from, which is how a saved world is reloaded.  ``knobs`` are
+    :class:`MeterstickConfig` fields by name (``retain_raw``,
+    ``world_cache_dir``, ``max_loaded_chunks``, ``trace``, ...), with the
+    config's defaults and checks.
+    """
+    config = MeterstickConfig(
+        world=workload_name,
+        environment=environment_name,
+        scale=scale,
+        number_of_bots=n_bots,
+        behavior=behavior,
+        **knobs,
+    )
+    # Assigned past the config's check: a zero-length run (set-up only)
+    # is a legal single iteration, though not a legal campaign.
+    config.duration_s = duration_s
+    if machine is None:
+        machine = get_environment(environment_name).create_machine(seed=seed)
+    return _iterate(
+        config,
+        server_name,
+        SwarmDrive(),
+        seed=seed,
+        iteration=iteration,
+        machine=machine,
+        clock=clock if clock is not None else SimClock(),
+        world_dir=world_dir,
+        world_seed=None,
     )
 
 
@@ -192,6 +271,7 @@ def run_server_chain(
     config: MeterstickConfig,
     server_name: str,
     on_iteration: IterationFn | None = None,
+    drive=None,
 ) -> list[IterationResult]:
     """Run every iteration of one server on one persistent machine.
 
@@ -203,7 +283,11 @@ def run_server_chain(
     ``on_iteration`` is called with each :class:`IterationResult` as soon
     as it finishes — the hook the campaign executor uses to stream
     per-iteration telemetry to disk while the chain is still running.
+    ``drive`` carries the chain over ``config.transport``; the default is
+    the in-process :class:`SwarmDrive`.
     """
+    if drive is None:
+        drive = SwarmDrive()
     env = get_environment(config.environment)
     machine = env.create_machine(seed=config.iteration_seed(server_name, -1))
     if config.warm_machines:
@@ -218,7 +302,6 @@ def run_server_chain(
     )
     iterations: list[IterationResult] = []
     for iteration in range(config.iterations):
-        seed = config.iteration_seed(server_name, iteration)
         # Live world directories are per (server, iteration): iterations
         # must not inherit each other's terrain mutations, and parallel
         # chains must not interleave region writes.  A leftover directory
@@ -238,38 +321,20 @@ def run_server_chain(
         # Machine throttle counts are cumulative across the chain; bracket
         # the iteration to attribute only its own throttled executions.
         throttled_before = machine.throttled_executions
-        iteration_result = run_iteration(
-            workload_name=config.world,
-            server_name=server_name,
-            environment_name=config.environment,
-            duration_s=config.duration_s,
-            seed=seed,
-            scale=config.scale,
-            n_bots=config.number_of_bots,
-            behavior=config.behavior,
+        iteration_result = _iterate(
+            config,
+            server_name,
+            drive,
+            seed=config.iteration_seed(server_name, iteration),
+            iteration=iteration,
             machine=machine,
             clock=clock,
-            iteration=iteration,
-            retain_raw=config.retain_raw,
             world_dir=world_dir,
-            world_cache_dir=config.world_cache_dir,
-            autosave_interval_s=config.autosave_interval_s,
-            autosave_flush_every=config.autosave_flush_every,
-            max_loaded_chunks=config.max_loaded_chunks,
             # A warm cache pins the terrain seed to the campaign seed so
             # every iteration/server boots the identical on-disk world.
             world_seed=(
                 config.seed if config.world_cache_dir is not None else None
             ),
-            trace=config.trace,
-            trace_sample_every=config.trace_sample_every,
-            slow_tick_factor=config.slow_tick_factor,
-            transport=config.transport,
-            wire_port=config.wire_port,
-            wire_batch_flush=config.wire_batch_flush,
-            obs=config.obs,
-            obs_port=config.obs_port,
-            obs_scrape_grace=config.obs_scrape_grace,
         )
         iteration_result.throttled_ticks = (
             machine.throttled_executions - throttled_before

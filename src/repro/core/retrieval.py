@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.core.results import ExperimentResult, IterationResult
-from repro.core.visualization import write_csv_rows, write_csv_series
+from repro.reporting.text import write_csv_rows, write_csv_series
 
 __all__ = ["retrieve", "summary_rows"]
 

@@ -4,9 +4,8 @@ Every correctness claim this repo makes — serial==parallel campaigns,
 batched==scalar engines, trace-off==seed-path bit-identity, byte-stable
 report renders — rests on conventions nothing enforced statically: no
 wall-clock or unseeded-RNG reads inside the simulation, complete Op
-cost/bucket registries, knobs threaded consistently through
-``MLGServer`` / ``MeterstickConfig`` / ``CampaignSpec``, and
-timestamp-free provenance fingerprints.  A parity test only catches a
+cost/bucket registries, every published metric registered where reports
+and scrapers look for it.  A parity test only catches a
 violation it happens to exercise; these checkers catch the whole class
 at diff time.
 

@@ -15,6 +15,7 @@ from pathlib import Path
 from repro.lint.baseline import BASELINE_FILENAME, Baseline
 from repro.lint.engine import LintEngine
 from repro.lint.findings import render_json, render_text
+from repro.lint.rules import RULES
 
 __all__ = ["add_lint_parser", "run_lint"]
 
@@ -24,7 +25,9 @@ def add_lint_parser(sub) -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run the static invariant checkers (determinism, op "
-        "accounting, knob threading, provenance hygiene)",
+        "accounting, metric registration, rng and transport discipline)",
+        epilog="rules: "
+        + "; ".join(f"{rule} {RULES[rule][1]}" for rule in sorted(RULES)),
     )
     lint.add_argument(
         "paths",

@@ -1,5 +1,9 @@
 """The project-specific checkers (MSL001–MSL008).
 
+MSL003 (knob threading) and MSL004 (provenance hygiene) are retired ids:
+a knob is declared once, on its dataclass field, so there are no copies
+left to compare.
+
 Each checker subscribes to the AST node types it cares about; the engine
 walks each tree exactly once and dispatches.  Cross-file rules also get
 a ``finalize`` pass over the :class:`~repro.lint.symbols.ProjectSymbols`
@@ -13,10 +17,6 @@ MSL001   determinism hazards in simulation/executor paths: wall-clock
          iteration over set expressions whose order escapes
 MSL002   op accounting: every ``Op`` constant priced, bucketed, listed
          in ``Op.ALL``; every ``report.add`` site names a registered Op
-MSL003   knob threading: MLGServer / MeterstickConfig / CampaignSpec
-         declare the same knobs with the same defaults
-MSL004   provenance hygiene: every config/spec field is explicitly
-         fingerprinted or excluded in tracing/provenance.py
 MSL005   telemetry registration: every bus-published metric is in the
          reporting sidecar-metric registry (and vice versa)
 MSL006   rng discipline: functions taking ``rng``/``seed`` must not
@@ -104,27 +104,12 @@ ORDER_SAFE_SINKS = frozenset(
     {"sorted", "set", "frozenset", "len", "sum", "min", "max", "any", "all"}
 )
 
-#: MLGServer.__init__ parameters that are wiring, not knobs: injected
-#: collaborators and server-local tuning that deliberately never appear
-#: on MeterstickConfig.  NB ``world`` collides across layers by name
-#: only: the server takes a World *object*, the config's ``world`` is a
-#: workload name (threaded via the spec's ``workloads`` axis).
-SERVER_LOCAL_PARAMS = frozenset(
-    {"variant", "machine", "world", "clock", "telemetry_window"}
-)
-
-#: Config knobs the campaign layer derives instead of declaring:
-#: ``world_cache_dir`` is computed from ``warm_world_cache`` per cell.
-SPEC_DERIVED_KNOBS = frozenset({"world_cache_dir"})
-
 #: rule id -> (severity, one-line summary) — the registry the CLI and
 #: README table are generated from.
 RULES = {
     "MSL000": ("warning", "pragma hygiene (missing justification, unused)"),
     "MSL001": ("error", "determinism hazard in a simulation path"),
     "MSL002": ("error", "op accounting registry incomplete or stale"),
-    "MSL003": ("error", "config knob not threaded consistently"),
-    "MSL004": ("error", "config field missing a provenance decision"),
     "MSL005": ("error", "bus metric missing from the sidecar registry"),
     "MSL006": ("error", "rng constructed instead of threaded"),
     "MSL007": ("error", "emulation imports mlg internals past the transport boundary"),
@@ -425,136 +410,6 @@ class OpAccountingChecker(Checker):
                     )
 
 
-class KnobThreadingChecker(Checker):
-    """MSL003: server/config/spec knobs exist on all layers, same default."""
-
-    rule = "MSL003"
-    interests = ()
-
-    def finalize(self, ctx: "ProjectContext") -> None:
-        symbols = ctx.symbols
-        server = symbols.server_knobs
-        config = symbols.config_knobs
-        spec = symbols.spec_knobs
-        if not ctx.full_scan or not (server and config and spec):
-            return
-        for name, server_knob in sorted(server.items()):
-            if name in SERVER_LOCAL_PARAMS:
-                continue
-            config_knob = config.get(name)
-            if config_knob is None:
-                self.report_at(
-                    ctx,
-                    server_knob.ref.path,
-                    server_knob.ref.line,
-                    f"MLGServer knob {name!r} is not declared on "
-                    "MeterstickConfig — campaigns cannot set it",
-                )
-                continue
-            spec_knob = spec.get(name)
-            if spec_knob is None and name not in SPEC_DERIVED_KNOBS:
-                self.report_at(
-                    ctx,
-                    config_knob.ref.path,
-                    config_knob.ref.line,
-                    f"knob {name!r} is declared on MLGServer and "
-                    "MeterstickConfig but missing from CampaignSpec — "
-                    "thread it through all three layers",
-                )
-            self._check_default(
-                ctx, name, "MLGServer", server_knob, "MeterstickConfig",
-                config_knob,
-            )
-            if spec_knob is not None:
-                self._check_default(
-                    ctx, name, "MeterstickConfig", config_knob,
-                    "CampaignSpec", spec_knob,
-                )
-        for name, ref in sorted(symbols.overridable_fields.items()):
-            if name not in config:
-                self.report_at(
-                    ctx,
-                    ref.path,
-                    ref.line,
-                    f"_OVERRIDABLE_FIELDS lists {name!r}, which is not a "
-                    "MeterstickConfig field",
-                )
-
-    def _check_default(
-        self,
-        ctx: "ProjectContext",
-        name: str,
-        layer_a: str,
-        knob_a,
-        layer_b: str,
-        knob_b,
-    ) -> None:
-        if not (knob_a.has_default and knob_b.has_default):
-            return
-        if knob_a.default != knob_b.default:
-            self.report_at(
-                ctx,
-                knob_b.ref.path,
-                knob_b.ref.line,
-                f"knob {name!r} defaults diverge: {layer_a} uses "
-                f"{knob_a.default!r}, {layer_b} uses {knob_b.default!r}",
-            )
-
-
-class ProvenanceHygieneChecker(Checker):
-    """MSL004: every config/spec field has an explicit provenance fate."""
-
-    rule = "MSL004"
-    interests = ()
-
-    def finalize(self, ctx: "ProjectContext") -> None:
-        symbols = ctx.symbols
-        if not ctx.full_scan or not symbols.has_provenance_registry:
-            return
-        config = symbols.config_knobs
-        spec = symbols.spec_knobs
-        if not (config or spec):
-            return
-        fingerprinted = set(symbols.measurement_fields)
-        excluded = set(symbols.non_measurement_fields)
-        fields: dict[str, object] = {}
-        fields.update(spec)
-        fields.update(config)  # config wins for shared names (same fate)
-        for name, knob in sorted(fields.items()):
-            registered = (name in fingerprinted) + (name in excluded)
-            if registered == 0:
-                self.report_at(
-                    ctx,
-                    knob.ref.path,  # type: ignore[attr-defined]
-                    knob.ref.line,  # type: ignore[attr-defined]
-                    f"config field {name!r} has no provenance decision — "
-                    "add it to _MEASUREMENT_FIELDS (fingerprinted) or "
-                    "_NON_MEASUREMENT_FIELDS (excluded) in "
-                    "tracing/provenance.py",
-                )
-            elif registered == 2:
-                ref = symbols.measurement_fields[name]
-                self.report_at(
-                    ctx,
-                    ref.path,
-                    ref.line,
-                    f"config field {name!r} is listed as both fingerprinted "
-                    "and excluded in tracing/provenance.py",
-                )
-        for name, ref in sorted(
-            {**symbols.measurement_fields, **symbols.non_measurement_fields}
-            .items()
-        ):
-            if name not in fields:
-                self.report_at(
-                    ctx,
-                    ref.path,
-                    ref.line,
-                    f"stale provenance registry entry {name!r}: not a field "
-                    "of MeterstickConfig or CampaignSpec",
-                )
-
-
 class TelemetryRegistrationChecker(Checker):
     """MSL005: published bus metrics exist in the sidecar registry."""
 
@@ -785,8 +640,6 @@ class ObsRegistrationChecker(Checker):
 ALL_CHECKERS = (
     DeterminismHazardChecker,
     OpAccountingChecker,
-    KnobThreadingChecker,
-    ProvenanceHygieneChecker,
     TelemetryRegistrationChecker,
     RngDisciplineChecker,
     TransportLayeringChecker,

@@ -1,14 +1,13 @@
 """Cross-file symbol tables for the project-level lint rules.
 
-The cross-file rules (MSL002 op accounting, MSL003 knob threading,
-MSL004 provenance hygiene, MSL005 telemetry registration) check
-*registries* against *usage*: the ``Op`` constants against the cost
-table and bucket map, the knob surface of ``MLGServer`` /
-``MeterstickConfig`` / ``CampaignSpec``, the provenance field lists, and
-the sidecar metric registry.  This module parses those registries out of
-their defining files — pure ``ast``, nothing is imported or executed, so
-the linter works on any tree that merely *looks* like the project
-(which is also how the corpus tests exercise it).
+The cross-file rules (MSL002 op accounting, MSL005 telemetry
+registration, MSL008 obs registration) check *registries* against
+*usage*: the ``Op`` constants against the cost table and bucket map, the
+sidecar metric registry, and the obs endpoint registry.  This module
+parses those registries out of their defining files — pure ``ast``,
+nothing is imported or executed, so the linter works on any tree that
+merely *looks* like the project (which is also how the corpus tests
+exercise it).
 
 Every extracted symbol carries the ``path:line`` it was defined at, so
 project-level findings anchor to the registry entry at fault.
@@ -20,13 +19,12 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-__all__ = ["UNRESOLVED", "Knob", "ProjectSymbols", "SourceRef"]
+__all__ = ["UNRESOLVED", "ProjectSymbols", "SourceRef"]
 
 
 class _Unresolved:
-    """Sentinel: a default value the parser could not reduce to a literal
-    (``default_factory``, computed expressions).  Never equal to anything,
-    so consistency checks silently skip it."""
+    """Sentinel: an expression the parser could not reduce to a literal.
+    Never equal to anything, so lookups silently skip it."""
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return "<unresolved>"
@@ -43,26 +41,9 @@ class SourceRef:
     line: int
 
 
-@dataclass(frozen=True)
-class Knob:
-    """One configuration knob on one layer: its default and location."""
-
-    name: str
-    default: object
-    ref: SourceRef
-
-    @property
-    def has_default(self) -> bool:
-        return self.default is not UNRESOLVED
-
-
 #: Relative paths (under the project root) of the registry files.
 WORKREPORT_PATH = "src/repro/mlg/workreport.py"
 VARIANTS_PATH = "src/repro/mlg/variants.py"
-SERVER_PATH = "src/repro/mlg/server.py"
-CONFIG_PATH = "src/repro/core/config.py"
-SPEC_PATH = "src/repro/campaign/spec.py"
-PROVENANCE_PATH = "src/repro/tracing/provenance.py"
 REPORTING_SPEC_PATH = "src/repro/reporting/spec.py"
 OBS_REGISTRY_PATH = "src/repro/obs/registry.py"
 
@@ -158,85 +139,6 @@ def _str_sequence(node: ast.expr) -> list[str]:
     ]
 
 
-def _dataclass_fields(
-    cls: ast.ClassDef, constants: dict[str, object], path: str
-) -> dict[str, Knob]:
-    """Annotated fields of a dataclass body, with resolved defaults."""
-    fields: dict[str, Knob] = {}
-    for stmt in cls.body:
-        if not isinstance(stmt, ast.AnnAssign):
-            continue
-        if not isinstance(stmt.target, ast.Name):
-            continue
-        name = stmt.target.id
-        default: object = UNRESOLVED
-        value = stmt.value
-        if value is not None:
-            if (
-                isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Name)
-                and value.func.id == "field"
-            ):
-                for keyword in value.keywords:
-                    if keyword.arg == "default":
-                        default = _literal(keyword.value, constants)
-            else:
-                default = _literal(value, constants)
-        fields[name] = Knob(
-            name=name,
-            default=default,
-            ref=SourceRef(path=path, line=stmt.lineno),
-        )
-    return fields
-
-
-def _init_params(
-    cls: ast.ClassDef, constants: dict[str, object], path: str
-) -> dict[str, Knob]:
-    """Keyword(-able) parameters of ``cls.__init__`` with defaults."""
-    init = next(
-        (
-            stmt
-            for stmt in cls.body
-            if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
-        ),
-        None,
-    )
-    if init is None:
-        return {}
-    params: dict[str, Knob] = {}
-    args = init.args
-    positional = args.posonlyargs + args.args
-    defaults: list[ast.expr | None] = [None] * (
-        len(positional) - len(args.defaults)
-    ) + list(args.defaults)
-    for arg, default_node in zip(positional, defaults):
-        if arg.arg == "self":
-            continue
-        default = (
-            UNRESOLVED
-            if default_node is None
-            else _literal(default_node, constants)
-        )
-        params[arg.arg] = Knob(
-            name=arg.arg,
-            default=default,
-            ref=SourceRef(path=path, line=arg.lineno),
-        )
-    for arg, default_node in zip(args.kwonlyargs, args.kw_defaults):
-        default = (
-            UNRESOLVED
-            if default_node is None
-            else _literal(default_node, constants)
-        )
-        params[arg.arg] = Knob(
-            name=arg.arg,
-            default=default,
-            ref=SourceRef(path=path, line=arg.lineno),
-        )
-    return params
-
-
 @dataclass
 class ProjectSymbols:
     """Everything the cross-file rules need, parsed once per run."""
@@ -260,18 +162,6 @@ class ProjectSymbols:
     cost_ops: dict[str, SourceRef] = field(default_factory=dict)
     ref_cost_table: SourceRef | None = None
 
-    # -- knob threading (server.py + config.py + spec.py) -----------------
-    server_knobs: dict[str, Knob] = field(default_factory=dict)
-    config_knobs: dict[str, Knob] = field(default_factory=dict)
-    spec_knobs: dict[str, Knob] = field(default_factory=dict)
-    #: ``_OVERRIDABLE_FIELDS`` entries (spec.py) -> definition site.
-    overridable_fields: dict[str, SourceRef] = field(default_factory=dict)
-
-    # -- provenance hygiene (provenance.py) -------------------------------
-    non_measurement_fields: dict[str, SourceRef] = field(default_factory=dict)
-    measurement_fields: dict[str, SourceRef] = field(default_factory=dict)
-    has_provenance_registry: bool = False
-
     # -- telemetry registration (reporting/spec.py) -----------------------
     #: Bus metric name -> report fields derived from it.
     sidecar_metrics: dict[str, list[str]] = field(default_factory=dict)
@@ -290,11 +180,6 @@ class ProjectSymbols:
         symbols = cls(root=root)
         symbols._load_workreport()
         symbols._load_variants()
-        symbols._load_knob_layer(SERVER_PATH, "MLGServer", "server_knobs")
-        symbols._load_knob_layer(CONFIG_PATH, "MeterstickConfig", "config_knobs")
-        symbols._load_knob_layer(SPEC_PATH, "CampaignSpec", "spec_knobs")
-        symbols._load_overridable_fields()
-        symbols._load_provenance()
         symbols._load_reporting_spec()
         symbols._load_obs_registry()
         return symbols
@@ -377,54 +262,6 @@ class ProjectSymbols:
             op_name = _op_attr_name(key)
             if op_name is not None:
                 self.cost_ops[op_name] = SourceRef(VARIANTS_PATH, key.lineno)
-
-    def _load_knob_layer(
-        self, rel_path: str, class_name: str, attr: str
-    ) -> None:
-        tree = self._parse(rel_path)
-        if tree is None:
-            return
-        cls_node = _find_class(tree, class_name)
-        if cls_node is None:
-            return
-        constants = _module_constants(tree)
-        has_init = any(
-            isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
-            for stmt in cls_node.body
-        )
-        if has_init:
-            knobs = _init_params(cls_node, constants, rel_path)
-        else:
-            knobs = _dataclass_fields(cls_node, constants, rel_path)
-        setattr(self, attr, knobs)
-
-    def _load_overridable_fields(self) -> None:
-        tree = self._parse(SPEC_PATH)
-        if tree is None:
-            return
-        assign = _find_assign(tree, "_OVERRIDABLE_FIELDS")
-        if assign is None:
-            return
-        for name in _str_sequence(assign.value):
-            self.overridable_fields[name] = SourceRef(
-                SPEC_PATH, assign.lineno
-            )
-
-    def _load_provenance(self) -> None:
-        tree = self._parse(PROVENANCE_PATH)
-        if tree is None:
-            return
-        for attr, var_name in (
-            ("non_measurement_fields", "_NON_MEASUREMENT_FIELDS"),
-            ("measurement_fields", "_MEASUREMENT_FIELDS"),
-        ):
-            assign = _find_assign(tree, var_name)
-            if assign is None:
-                continue
-            self.has_provenance_registry = True
-            registry: dict[str, SourceRef] = getattr(self, attr)
-            for name in _str_sequence(assign.value):
-                registry[name] = SourceRef(PROVENANCE_PATH, assign.lineno)
 
     def _load_reporting_spec(self) -> None:
         tree = self._parse(REPORTING_SPEC_PATH)

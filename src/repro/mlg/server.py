@@ -71,12 +71,6 @@ class MLGServer:
         trace: bool = False,
         trace_sample_every: int = 1,
         slow_tick_factor: float = 3.0,
-        transport: str = "inproc",
-        wire_port: int = 0,
-        wire_batch_flush: bool = True,
-        obs: bool = False,
-        obs_port: int = 0,
-        obs_scrape_grace: float = 0.0,
     ) -> None:
         self.variant = (
             get_variant(variant) if isinstance(variant, str) else variant
@@ -88,23 +82,6 @@ class MLGServer:
         #: Keep the raw per-tick record list (the figure pipeline needs
         #: it); ``False`` runs with O(1) telemetry memory per metric.
         self.retain_raw = retain_raw
-        #: Transport knobs: how clients reach this server.  ``inproc``
-        #: serves direct-call sessions (:mod:`repro.mlg.transport`);
-        #: ``tcp`` is consumed by the wire front end (:mod:`repro.net`),
-        #: which binds ``wire_port`` and batches entity-move frames when
-        #: ``wire_batch_flush`` is set.  The simulation itself never
-        #: branches on these — a served run ticks identically.
-        self.transport = transport
-        self.wire_port = wire_port
-        self.wire_batch_flush = wire_batch_flush
-        #: Live-observability knobs, consumed by the serving layers
-        #: (:mod:`repro.net.serve`, the campaign executor): ``obs``
-        #: stands up the pull-based metrics endpoint on ``obs_port`` and
-        #: keeps it up ``obs_scrape_grace`` seconds past the run.  The
-        #: simulation itself never branches on these either.
-        self.obs = obs
-        self.obs_port = obs_port
-        self.obs_scrape_grace = obs_scrape_grace
         #: Streaming per-tick telemetry; the game loop is its producer.
         self.telemetry = ServerTelemetry(
             TICK_BUDGET_US, window_size=telemetry_window

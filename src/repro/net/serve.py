@@ -2,34 +2,29 @@
 
 The serve side owns the full measurement record: it plans the campaign
 exactly like the executor (same job ids, same manifest, same provenance
-fingerprints), picks one cell, and runs its server chain behind a
-:class:`~repro.net.server.WireServer` instead of an in-process swarm.
-Players arrive over real sockets (``repro clients``); everything the
-in-process path writes — manifest, per-iteration telemetry sidecars,
-the completed job shard — lands in the same layout, so ``repro report``
-and ``repro status`` work on wire-served campaigns unchanged.  The
-sidecars additionally carry the ``wire_*`` metrics (bytes in/out, flush
-wall time, connects) that only exist when real sockets are involved.
+fingerprints), picks one cell, and runs its server chain through the
+same driver (:func:`~repro.core.experiment.run_server_chain`, with the
+executor's sidecar streaming) — only the *drive* differs: a
+:class:`~repro.net.server.WireServer` paced on an event loop instead of
+an in-process swarm.  Players arrive over real sockets (``repro
+clients``); manifest, per-iteration telemetry sidecars and the completed
+job shard land in the same layout, so ``repro report`` and ``repro
+status`` work on wire-served campaigns unchanged.  The sidecars
+additionally carry the ``wire_*`` metrics (bytes in/out, flush wall
+time, connects) that only exist when real sockets are involved.
 """
 
 from __future__ import annotations
 
 import asyncio
-import shutil
 from pathlib import Path
 
-from repro.campaign.executor import anomaly_lines, telemetry_line
+from repro.campaign.executor import open_campaign, run_job_chain
 from repro.campaign.planner import JobPlanner
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import JobStore
-from repro.cloud.providers import get_environment
-from repro.core.collectors import MetricExternalizer, SystemMetricsCollector
-from repro.core.results import IterationResult
-from repro.mlg.server import MLGServer
+from repro.core.experiment import require_transport
 from repro.net.server import WireServer, wire_metrics_snapshot
-from repro.simtime import SimClock, s_to_us
-from repro.tracing.provenance import measurement_config, provenance_fingerprint
-from repro.workloads import get_workload
 
 __all__ = ["serve_cell"]
 
@@ -52,15 +47,100 @@ class _ExternalFleet:
     def add_player_workload(self, *args, **kwargs) -> None:
         pass
 
-    def step(self) -> None:
-        pass
 
-    def response_times_ms(self) -> list[float]:
-        return []
+class _WireDrive:
+    """The TCP drive of one served chain (see ``SwarmDrive`` for the
+    contract): an empty fleet at install, then the server paced behind a
+    :class:`WireServer` for the iteration's duration.
 
-    @property
-    def connected_count(self) -> int:
-        return 0
+    Whichever port the first iteration binds is kept for the rest of the
+    chain so clients can reconnect between iterations.
+    """
+
+    transport = "tcp"
+
+    def __init__(
+        self, job, config, host: str, port: int | None, realtime: bool,
+        on_listen,
+    ) -> None:
+        self.job = job
+        self.host = host
+        self.port = config.wire_port if port is None else port
+        self.batch_flush = config.wire_batch_flush
+        self.realtime = realtime
+        self.on_listen = on_listen
+        #: The server the metrics endpoint scrapes, and its iteration.
+        self.live_server = None
+        self.iteration = -1
+
+    def fleet(self, server, network, seed: int) -> _ExternalFleet:
+        return _ExternalFleet()
+
+    def run(self, server, fleet, system, duration_s: float):
+        self.live_server = server
+        self.iteration += 1
+        return asyncio.run(self._serve(server, system, duration_s))
+
+    async def _serve(self, server, system, duration_s: float):
+        wire = WireServer(
+            server,
+            host=self.host,
+            port=self.port,
+            batch_flush=self.batch_flush,
+            realtime=self.realtime,
+            on_tick=system.maybe_sample,
+        )
+        await wire.start()
+        self.port = wire.port
+        print(
+            f"serving {self.job.server} iteration {self.iteration} "
+            f"on {wire.host}:{wire.port}",
+            flush=True,
+        )
+        if self.on_listen is not None:
+            self.on_listen(wire.port)
+        try:
+            await wire.run(duration_s)
+        finally:
+            await wire.close()
+        return list(wire.response_samples), {
+            "wire": wire_metrics_snapshot(server)
+        }
+
+    def obs_snapshot(self):
+        """One scrape of the currently-running iteration's accumulators.
+
+        Builds the same sidecar-shaped telemetry mapping the executor's
+        sidecars carry, from the *live* tap/wire/tracer state — so a
+        mid-run scrape and the iteration's final sidecar line can never
+        disagree on what a metric means.  Raises until the first
+        iteration has started its server; the endpoint answers 503 (or
+        the last good body) for those scrapes.
+        """
+        from repro.obs import telemetry_obs_snapshot
+
+        server = self.live_server
+        if server is None:
+            raise RuntimeError("no iteration has started yet")
+        telemetry = {
+            "tick": server.telemetry.snapshot(include_tails=False),
+            "response_ms": server.telemetry.response_ms.snapshot(
+                include_tail=False
+            ),
+            "wire": wire_metrics_snapshot(server),
+        }
+        if server.tracer.enabled:
+            telemetry["trace"] = {
+                "enabled": True,
+                "slow_ticks": server.tracer.slow_ticks,
+                "anomaly_count": len(server.tracer.anomalies),
+            }
+        meta = {
+            "cell": self.job.cell.key(),
+            "job_id": self.job.job_id,
+            "iteration": self.iteration,
+        }
+        return telemetry_obs_snapshot(telemetry, meta=meta)
 
 
 def serve_cell(
@@ -74,15 +154,14 @@ def serve_cell(
 ) -> dict:
     """Serve one planned cell of ``spec_path`` over TCP; returns a summary.
 
-    ``cell`` indexes the planned job list (``repro plan`` order).  The
-    wire port comes from ``--port``, else the spec's ``wire_port`` knob
-    (0 = OS-assigned); whichever port the first iteration binds is kept
-    for the rest of the chain so clients can reconnect between
-    iterations.  ``on_listen(port)`` fires once per iteration after the
-    socket is bound — scripts and tests use it to start their client
-    fleet at the right moment.  With the spec's ``obs`` knob on, one
-    metrics endpoint serves the whole chain (``on_obs(url)`` fires once,
-    before the first iteration binds).
+    ``cell`` indexes the planned job list (``repro plan`` order) and must
+    declare ``transport: tcp``.  The wire port comes from ``--port``,
+    else the cell's ``wire_port`` knob (0 = OS-assigned).
+    ``on_listen(port)`` fires once per iteration after the socket is
+    bound — scripts and tests use it to start their client fleet at the
+    right moment.  With the cell's ``obs`` knob on, one metrics endpoint
+    serves the whole chain (``on_obs(url)`` fires once, before the first
+    iteration binds).
     """
     spec = CampaignSpec.from_file(spec_path)
     planner = JobPlanner(spec)
@@ -93,93 +172,24 @@ def serve_cell(
         )
     job = plan[cell]
     config = planner.job_config(job)
+    require_transport(config, "tcp", f"cell {job.cell.key()}")
     store = JobStore(spec.output_dir)
     if store.shard_path(job.job_id).exists():
         raise FileExistsError(
             f"{store.shard_path(job.job_id)} already holds this cell's "
             "measurements; choose a fresh output_dir"
         )
-    # Same manifest the executor writes: full planned job list, spec, and
-    # the campaign's (timestamped) provenance + hygiene snapshot — other
-    # cells of the same spec may be served later into the same store.
-    from repro.reporting.hygiene import hygiene_snapshot
+    # Opened like a resumed campaign: other cells of the same spec may
+    # already have been served into this store.
+    open_campaign(spec, store, plan, resume=True)
 
-    provenance = provenance_fingerprint(
-        measurement_config(spec.to_dict()), include_timestamp=True
-    )
-    provenance["hygiene"] = hygiene_snapshot(spec.system)
-    store.write_manifest(spec, plan, provenance=provenance)
-
-    iterations = asyncio.run(
-        _serve_chain(
-            job, config, store, host, port, realtime, on_listen, on_obs
-        )
-    )
-    store.save_job(job, iterations)
-    return {
-        "job_id": job.job_id,
-        "cell": job.cell.key(),
-        "iterations": len(iterations),
-        "crashed": any(it.crashed for it in iterations),
-        "shard": str(store.shard_path(job.job_id)),
-    }
-
-
-def _live_obs_snapshot(job, state: dict):
-    """One scrape of the currently-running iteration's accumulators.
-
-    Builds the same sidecar-shaped telemetry mapping the executor's
-    sidecars carry, from the *live* tap/wire/tracer state — so a mid-run
-    scrape and the iteration's final sidecar line can never disagree on
-    what a metric means.  Raises until the first iteration has
-    constructed its server; the endpoint answers 503 (or the last good
-    body) for those scrapes.
-    """
-    from repro.obs import telemetry_obs_snapshot
-
-    server = state.get("server")
-    if server is None:
-        raise RuntimeError("no iteration has started yet")
-    telemetry = {
-        "tick": server.telemetry.snapshot(include_tails=False),
-        "response_ms": server.telemetry.response_ms.snapshot(
-            include_tail=False
-        ),
-        "wire": wire_metrics_snapshot(server),
-    }
-    if server.tracer.enabled:
-        telemetry["trace"] = {
-            "enabled": True,
-            "slow_ticks": server.tracer.slow_ticks,
-            "anomaly_count": len(server.tracer.anomalies),
-        }
-    meta = {
-        "cell": job.cell.key(),
-        "job_id": job.job_id,
-        "iteration": state.get("iteration"),
-    }
-    return telemetry_obs_snapshot(telemetry, meta=meta)
-
-
-async def _serve_chain(
-    job,
-    config,
-    store: JobStore,
-    host: str,
-    port: int | None,
-    realtime: bool,
-    on_listen,
-    on_obs=None,
-) -> list[IterationResult]:
-    """The wire twin of ``run_server_chain``: one persistent machine and
-    clock across the chain, one sidecar line per finished iteration."""
+    drive = _WireDrive(job, config, host, port, realtime, on_listen)
     obs = None
-    obs_state: dict = {"server": None, "iteration": None}
     if config.obs:
         from repro.obs import ObsHttpServer
 
         obs = ObsHttpServer(
-            lambda: _live_obs_snapshot(job, obs_state),
+            drive.obs_snapshot,
             host=host,
             port=config.obs_port,
             scrape_grace_s=config.obs_scrape_grace,
@@ -188,209 +198,15 @@ async def _serve_chain(
         if on_obs is not None:
             on_obs(obs.url)
     try:
-        return await _serve_chain_inner(
-            job, config, store, host, port, realtime, on_listen, obs_state
-        )
+        iterations = run_job_chain(job, config, store.telemetry_dir, drive)
     finally:
         if obs is not None:
             obs.stop()
-
-
-async def _serve_chain_inner(
-    job,
-    config,
-    store: JobStore,
-    host: str,
-    port: int | None,
-    realtime: bool,
-    on_listen,
-    obs_state: dict,
-) -> list[IterationResult]:
-    server_name = job.server
-    env = get_environment(config.environment)
-    machine = env.create_machine(seed=config.iteration_seed(server_name, -1))
-    if config.warm_machines:
-        machine.drain_credits()
-    clock = SimClock()
-    chain_provenance = provenance_fingerprint(
-        measurement_config(config.to_dict()), extra={"server": server_name}
-    )
-    sidecar_path = store.telemetry_path(job.job_id)
-    sidecar_path.parent.mkdir(parents=True, exist_ok=True)
-    anomalies_path = store.anomaly_path(job.job_id)
-    anomalies_path.unlink(missing_ok=True)
-    bound_port = port
-    iterations: list[IterationResult] = []
-    with sidecar_path.open("w") as sidecar:
-        for iteration in range(config.iterations):
-            seed = config.iteration_seed(server_name, iteration)
-            world_dir = None
-            if config.world_dir is not None:
-                iteration_dir = (
-                    Path(config.world_dir)
-                    / server_name
-                    / f"iter{iteration:03d}"
-                )
-                if iteration_dir.exists():
-                    shutil.rmtree(iteration_dir)
-                world_dir = str(iteration_dir)
-            throttled_before = machine.throttled_executions
-            it, bound_port = await _serve_iteration(
-                config,
-                server_name,
-                seed=seed,
-                machine=machine,
-                clock=clock,
-                iteration=iteration,
-                world_dir=world_dir,
-                host=host,
-                port=bound_port,
-                realtime=realtime,
-                on_listen=on_listen,
-                obs_state=obs_state,
-            )
-            it.throttled_ticks = (
-                machine.throttled_executions - throttled_before
-            )
-            it.provenance = dict(chain_provenance)
-            iterations.append(it)
-            sidecar.write(telemetry_line(job, it) + "\n")
-            sidecar.flush()
-            lines = anomaly_lines(job, it)
-            if lines:
-                with anomalies_path.open("a") as recorder:
-                    recorder.write("\n".join(lines) + "\n")
-            clock.advance(s_to_us(config.inter_iteration_gap_s))
-    return iterations
-
-
-async def _serve_iteration(
-    config,
-    server_name: str,
-    seed: int,
-    machine,
-    clock: SimClock,
-    iteration: int,
-    world_dir: str | None,
-    host: str,
-    port: int | None,
-    realtime: bool,
-    on_listen,
-    obs_state: dict | None = None,
-) -> tuple[IterationResult, int]:
-    """The wire twin of ``run_iteration``: identical server construction
-    and result collection, with the swarm replaced by real sockets."""
-    workload_kwargs = {}
-    if config.world.lower() == "players":
-        workload_kwargs["n_bots"] = config.number_of_bots
-        workload_kwargs["behavior"] = config.behavior
-    workload = get_workload(
-        config.world, scale=config.scale, **workload_kwargs
-    )
-    world_seed = (
-        config.seed if config.world_cache_dir is not None else None
-    )
-    world = workload.create_world(seed if world_seed is None else world_seed)
-    server = MLGServer(
-        server_name,
-        machine,
-        world=world,
-        clock=clock,
-        seed=seed,
-        retain_raw=config.retain_raw,
-        world_dir=world_dir,
-        world_cache_dir=config.world_cache_dir,
-        autosave_interval_s=config.autosave_interval_s,
-        autosave_flush_every=config.autosave_flush_every,
-        max_loaded_chunks=config.max_loaded_chunks,
-        trace=config.trace,
-        trace_sample_every=config.trace_sample_every,
-        slow_tick_factor=config.slow_tick_factor,
-        transport=config.transport,
-        wire_port=config.wire_port,
-        wire_batch_flush=config.wire_batch_flush,
-        obs=config.obs,
-        obs_port=config.obs_port,
-        obs_scrape_grace=config.obs_scrape_grace,
-    )
-    workload.install(server, _ExternalFleet())
-    if obs_state is not None:
-        # Point the chain's metrics endpoint at this iteration's live
-        # accumulators (the scrape path reads, never writes).
-        obs_state["server"] = server
-        obs_state["iteration"] = iteration
-    initial_world_hash = None
-    if server.lifecycle is not None:
-        from repro.persistence.store import world_hash
-
-        initial_world_hash = f"{world_hash(world):08x}"
-
-    externalizer = MetricExternalizer(server)
-    system = SystemMetricsCollector(server)
-
-    server.start()
-    wire = WireServer(
-        server,
-        host=host,
-        port=port,
-        realtime=realtime,
-        on_tick=system.maybe_sample,
-    )
-    await wire.start()
-    print(
-        f"serving {server_name} iteration {iteration} "
-        f"on {wire.host}:{wire.port}",
-        flush=True,
-    )
-    if on_listen is not None:
-        on_listen(wire.port)
-    try:
-        await wire.run(config.duration_s)
-    finally:
-        server.running = False
-        await wire.close()
-
-    stats = server.net.stats
-    n_share, b_share = stats.entity_share()
-    telemetry = {
-        "tick": server.telemetry.snapshot(include_tails=True),
-        "system": system.snapshot(),
-        "response_ms": server.telemetry.response_ms.snapshot(
-            include_tail=False
-        ),
-        "wire": wire_metrics_snapshot(server),
+    store.save_job(job, iterations)
+    return {
+        "job_id": job.job_id,
+        "cell": job.cell.key(),
+        "iterations": len(iterations),
+        "crashed": any(it.crashed for it in iterations),
+        "shard": str(store.shard_path(job.job_id)),
     }
-    if server.lifecycle is not None:
-        telemetry["world"] = {
-            "initial_hash": initial_world_hash,
-            **server.lifecycle.stats(),
-        }
-    if server.tracer.enabled:
-        telemetry["trace"] = server.tracer.snapshot()
-    result = IterationResult(
-        server=server_name,
-        workload=config.world,
-        environment=config.environment,
-        iteration=iteration,
-        seed=seed,
-        duration_s=config.duration_s,
-        tick_durations_ms=(
-            externalizer.tick_durations_ms() if config.retain_raw else []
-        ),
-        response_times_ms=list(wire.response_samples),
-        tick_distribution=externalizer.tick_distribution().shares,
-        packet_counts=dict(stats.counts),
-        packet_bytes=dict(stats.bytes_),
-        entity_message_share=n_share,
-        entity_byte_share=b_share,
-        system_summary=system.summary(),
-        crashed=server.crashed,
-        crash_reason=server.crash_reason,
-        throttled_ticks=machine.throttled_executions,
-        final_credits_s=machine.credits_s,
-        scale=config.scale,
-        n_bots=config.number_of_bots,
-        behavior=config.behavior,
-        telemetry=telemetry,
-    )
-    return result, wire.port

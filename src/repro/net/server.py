@@ -105,17 +105,15 @@ class WireServer:
         self,
         server,
         host: str = "127.0.0.1",
-        port: int | None = None,
-        batch_flush: bool | None = None,
+        port: int = 0,
+        batch_flush: bool = True,
         realtime: bool = True,
         on_tick=None,
     ) -> None:
         self.server = server
         self.host = host
-        self.port = server.wire_port if port is None else port
-        self.batch_flush = (
-            server.wire_batch_flush if batch_flush is None else batch_flush
-        )
+        self.port = port
+        self.batch_flush = batch_flush
         self.realtime = realtime
         #: Called after every ``server.tick()`` (the slot the serve loop
         #: uses for ``SystemMetricsCollector.maybe_sample``).

@@ -6,9 +6,9 @@ tables, inline-SVG figures, and one self-contained HTML report, driven
 by the spec's ``output:`` section; :mod:`repro.reporting.hygiene`
 supplies the ``system:`` measurement-hygiene probes.
 
-Import discipline: :mod:`repro.core.visualization` re-exports this
-package's text renderers, so ``repro.core`` triggers this module during
-its own import.  Only cycle-free modules (text, spec, hygiene, pivot)
+Import discipline: ``repro.core`` exports this package's text
+renderers (:mod:`repro.reporting.text`), so it triggers this module
+during its own import.  Only cycle-free modules (text, spec, hygiene, pivot)
 may be imported eagerly here; everything that reaches back into
 ``repro.campaign`` or ``repro.analysis`` (dataset, html, svg) loads
 lazily through ``__getattr__``.

@@ -2,10 +2,7 @@
 
 This is the single code path for tables, sparklines, box plots, and CSV
 files: the CLI (``repro status``/``export``), the benchmark harness, and
-the HTML report engine all render through these helpers.  They moved
-here verbatim from :mod:`repro.core.visualization` (which now re-exports
-them for compatibility), so their ASCII output is bit-identical with the
-pre-reporting releases.
+the HTML report engine all render through these helpers.
 """
 
 from __future__ import annotations

@@ -42,97 +42,29 @@ __all__ = [
     "provenance_fingerprint",
 ]
 
-#: Config fields that locate storage, size the worker pool, or shape
-#: presentation — they do not affect what gets measured, so provenance
-#: strips them (two runs into different output dirs must fingerprint the
-#: same, or the serial/parallel byte-identity of shards would break).
-#: ``output`` (the campaign report declaration) is here so editing a
-#: report layout and re-rendering with ``repro report --update-output``
-#: never invalidates a recorded measurement fingerprint.
-_NON_MEASUREMENT_FIELDS = (
-    "output_dir",
-    "world_dir",
-    "world_cache_dir",
-    "jobs",
-    "resume",
-    "output",
-)
-
-#: Every other MeterstickConfig/CampaignSpec field, acknowledged as
-#: *fingerprinted*: part of the sha256 measurement identity.  A field
-#: must appear in exactly one of these two registries — lint rule
-#: MSL004 refuses config fields nobody made a provenance decision for,
-#: and flags stale entries, so adding a knob forces the question "does
-#: this change what gets measured?" at diff time instead of after two
-#: incomparable campaigns ship.
-_MEASUREMENT_FIELDS = (
-    # deployment (simulated control plane — part of Table 4 identity)
-    "ips",
-    "ssl_keys",
-    "control_port",
-    "game_port",
-    "jmx_urls",
-    "jmx_port_range",
-    # systems under test
-    "servers",
-    "environment",
-    "ram_gb",
-    "affinity_mask",
-    # workload (single-cell config)
-    "world",
-    "number_of_bots",
-    "behavior",
-    "duration_s",
-    "iterations",
-    "scale",
-    # campaign matrix axes + identity
-    "name",
-    "workloads",
-    "environments",
-    "scales",
-    "bot_counts",
-    "behaviors",
-    "overrides",
-    # world persistence & chunk streaming
-    "autosave_interval_s",
-    "autosave_flush_every",
-    "max_loaded_chunks",
-    "warm_world_cache",
-    # observability (tracing perturbs what the flight recorder sees,
-    # so traced and untraced campaigns must not share a fingerprint)
-    "trace",
-    "trace_sample_every",
-    "slow_tick_factor",
-    # live observability: a scraped run shares its process (and, in
-    # serve mode, its event loop's wall clock) with the endpoint, so
-    # obs-on and obs-off campaigns must not share a fingerprint.
-    "obs",
-    "obs_port",
-    "obs_scrape_grace",
-    # transport: a wire-served run measures real socket/kernel effects
-    # (and the port/batching shape the traffic), so inproc and tcp
-    # campaigns must never share a fingerprint.
-    "transport",
-    "wire_port",
-    "wire_batch_flush",
-    # reproducibility
-    "seed",
-    "inter_iteration_gap_s",
-    "warm_machines",
-    "retain_raw",
-    # measurement-hygiene requests: they gate PASS/WARN provenance, and
-    # a campaign run under different requested conditions is a
-    # different measurement.
-    "system",
-)
-
-
 def measurement_config(config: dict) -> dict:
-    """A resolved config dict minus storage-location/worker fields."""
+    """A resolved config dict minus the fields declared ``fingerprint=False``.
+
+    Those are the fields that locate storage, size the worker pool, or
+    shape presentation — they do not affect what gets measured (two runs
+    into different output dirs must fingerprint the same, or the
+    serial/parallel byte-identity of shards would break; editing a report
+    layout and re-rendering must not invalidate a recorded fingerprint).
+    The decision is part of each field's declaration
+    (:func:`repro.core.config.knob`), and fingerprinted is its default.
+    """
+    # Imported here: both modules reach this one through core.experiment.
+    from repro.campaign.spec import CampaignSpec
+    from repro.core.config import MeterstickConfig
+
+    excluded = {
+        name
+        for cls in (MeterstickConfig, CampaignSpec)
+        for name, declared in cls.__dataclass_fields__.items()
+        if not declared.metadata.get("fingerprint", True)
+    }
     return {
-        key: value
-        for key, value in config.items()
-        if key not in _NON_MEASUREMENT_FIELDS
+        key: value for key, value in config.items() if key not in excluded
     }
 
 

@@ -153,6 +153,19 @@ class TestExecutor:
         with pytest.raises(ValueError, match="different campaign"):
             CampaignExecutor(spec, jobs=1).run(resume=True)
 
+    def test_tcp_cell_is_refused_before_anything_is_written(self, tmp_path):
+        # A tcp cell run in-process would stamp `transport: tcp` on
+        # measurements no socket carried; the error names the verb.
+        spec = tiny_spec(
+            tmp_path,
+            overrides=[
+                {"where": {"server": "papermc"}, "set": {"transport": "tcp"}}
+            ],
+        )
+        with pytest.raises(ValueError, match="papermc.*`repro serve`"):
+            CampaignExecutor(spec).run()
+        assert not JobStore(spec.output_dir).manifest_path.exists()
+
     def test_progress_callback_counts_all_jobs(self, tmp_path):
         spec = tiny_spec(tmp_path)
         seen = []

@@ -202,3 +202,88 @@ class TestResultsExport:
         payload = json.loads(path.read_text())
         assert payload["config"]["world"] == "control"
         assert payload["iterations"][0]["isr"] >= 0.0
+
+
+class NullFleet:
+    """What ``workload.install`` sees when the players live elsewhere."""
+
+    def add_bot(self, *args, **kwargs):
+        pass
+
+    add_observer = add_player_workload = add_bot
+
+
+class StubWireDrive:
+    """A tcp-shaped drive without sockets: no fleet, the same tick loop,
+    and a telemetry section of its own."""
+
+    transport = "tcp"
+
+    def fleet(self, server, network, seed):
+        return NullFleet()
+
+    def run(self, server, fleet, system, duration_s):
+        server.run_for(duration_s)
+        return [], {"wire": {"stub": True}}
+
+
+class TestOneIterationBody:
+    @pytest.mark.parametrize(
+        "transport, drive, own_sections",
+        [("inproc", None, set()), ("tcp", StubWireDrive(), {"wire"})],
+    )
+    def test_every_drive_yields_the_same_record(
+        self, transport, drive, own_sections, tmp_path
+    ):
+        import dataclasses
+
+        from repro.core.experiment import run_server_chain
+        from repro.core.results import IterationResult
+        from repro.tracing.provenance import measurement_config
+
+        config = MeterstickConfig(
+            servers=["vanilla"],
+            world="players",
+            number_of_bots=2,
+            duration_s=1.0,
+            iterations=2,
+            trace=True,
+            transport=transport,
+            world_dir=str(tmp_path / "world"),
+        )
+        streamed = []
+        results = run_server_chain(
+            config, "vanilla", on_iteration=streamed.append, drive=drive
+        )
+        assert streamed == results and len(results) == 2
+        for iteration, result in enumerate(results):
+            assert set(result.to_dict()) >= {
+                f.name for f in dataclasses.fields(IterationResult)
+            }
+            assert result.iteration == iteration
+            assert result.workload == "players"
+            assert result.seed == config.iteration_seed("vanilla", iteration)
+            assert (result.n_bots, result.duration_s) == (2, 1.0)
+            assert set(result.telemetry) - own_sections == {
+                "tick", "system", "response_ms", "world", "trace",
+            }
+            assert own_sections <= set(result.telemetry)
+            assert result.telemetry["tick"]["ticks"] > 0
+            assert set(result.provenance) == {
+                "environment", "config", "server", "fingerprint",
+            }
+            assert result.provenance["config"] == measurement_config(
+                config.to_dict()
+            )
+
+    def test_a_drive_cannot_carry_a_cell_of_another_transport(self):
+        from repro.core.experiment import run_server_chain
+
+        with pytest.raises(ValueError, match="`repro serve`"):
+            run_server_chain(MeterstickConfig(transport="tcp"), "vanilla")
+        with pytest.raises(ValueError, match="`repro run`"):
+            run_server_chain(
+                MeterstickConfig(), "vanilla", drive=StubWireDrive()
+            )
+        with pytest.raises(ValueError, match="`repro serve`"):
+            run_iteration("control", "vanilla", "das5", 1.0, transport="tcp")

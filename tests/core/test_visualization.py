@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from repro.core import (
+from repro.reporting.text import (
     ascii_boxplot,
     ascii_timeseries,
     format_table,

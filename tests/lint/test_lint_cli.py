@@ -53,7 +53,7 @@ class TestJsonOutput:
         )
         assert code == 1
         findings = findings_from_json(artifact.read_text())
-        assert {f.rule for f in findings} >= {"MSL002", "MSL003", "MSL004"}
+        assert {f.rule for f in findings} >= {"MSL002", "MSL005", "MSL008"}
 
 
 class TestBaselineWorkflow:

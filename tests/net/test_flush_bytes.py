@@ -111,10 +111,8 @@ def stub_wire_server(n_clients: int, batch_flush: bool):
         net=net,
         clock=SimpleNamespace(now_us=NOW_US),
         telemetry=SimpleNamespace(bus=TelemetryBus()),
-        wire_port=0,
-        wire_batch_flush=batch_flush,
     )
-    wire = WireServer(server)
+    wire = WireServer(server, batch_flush=batch_flush)
     wire._tick_index = TICK_INDEX
     wire._writers = {cid: StubWriter() for cid in deliveries}
     return wire, deliveries

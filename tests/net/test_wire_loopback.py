@@ -136,3 +136,43 @@ class TestLoopbackCampaign:
         spec_path = loopback_run["store"].root.parent / "wire.yaml"
         with pytest.raises(FileExistsError):
             serve_cell(spec_path, cell=0)
+
+
+def _write_spec(path, out_dir, **fields):
+    path.write_text(
+        json.dumps(
+            {
+                "servers": ["vanilla"],
+                "workloads": ["control"],
+                "environments": ["das5"],
+                "duration_s": 1.0,
+                "transport": "tcp",
+                "output_dir": str(out_dir),
+                **fields,
+            }
+        )
+    )
+    return path
+
+
+class TestServeRefusals:
+    def test_inproc_cell_is_refused_before_anything_is_written(
+        self, tmp_path
+    ):
+        # Served over sockets it would be stamped `transport: inproc`.
+        spec_path = _write_spec(
+            tmp_path / "inproc.json", tmp_path / "out", transport="inproc"
+        )
+        with pytest.raises(ValueError, match="`repro run`"):
+            serve_cell(spec_path)
+        assert not (tmp_path / "out").exists()
+
+    def test_foreign_store_keeps_its_manifest(self, loopback_run, tmp_path):
+        # A cell of a *different* spec served into a used output_dir must
+        # not replace the manifest under the shards already there.
+        store = loopback_run["store"]
+        before = store.manifest_path.read_bytes()
+        spec_path = _write_spec(tmp_path / "other.json", store.root, seed=8)
+        with pytest.raises(ValueError, match="different campaign spec"):
+            serve_cell(spec_path)
+        assert store.manifest_path.read_bytes() == before

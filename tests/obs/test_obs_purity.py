@@ -5,8 +5,8 @@ Three executions of the same tiny campaign: two with the obs plane off
 serving a live endpoint that is actively scraped mid-run.  The scraped
 run's *measurements* — tick series, response times, telemetry, seeds —
 must match the unobserved ones exactly; only the recorded obs knobs and
-the provenance fingerprint may differ (the obs knobs are deliberately
-fingerprinted: see ``_MEASUREMENT_FIELDS`` in tracing/provenance.py).
+the provenance fingerprint may differ (the obs knobs are fingerprinted,
+like every knob not declared ``fingerprint=False`` in core/config.py).
 """
 
 import json

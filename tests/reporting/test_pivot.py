@@ -103,11 +103,11 @@ class TestBuildPivot:
 
 
 class TestVisualizationFold:
-    def test_core_visualization_reexports_the_same_objects(self):
-        # Satellite: one code path — core.visualization is a re-export
-        # of reporting.text, so ASCII output is bit-identical by
-        # construction.
-        import repro.core.visualization as viz
+    def test_core_exports_the_reporting_renderers(self):
+        # One code path: the names ``repro.core`` exports are
+        # reporting.text's own objects, so ASCII output is bit-identical
+        # by construction.
+        import repro.core as core
         import repro.reporting.text as text
 
         for name in (
@@ -117,4 +117,4 @@ class TestVisualizationFold:
             "write_csv_series",
             "write_csv_rows",
         ):
-            assert getattr(viz, name) is getattr(text, name), name
+            assert getattr(core, name) is getattr(text, name), name
