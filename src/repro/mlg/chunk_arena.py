@@ -12,6 +12,10 @@ page; :meth:`ChunkArena.adopt` copies it into a slot, and
 so a stale reference keeps reading the chunk it named, not whichever one
 reuses the slot (the ``Entity`` reap pattern).
 
+Whole-chunk work (generation, initial lighting) addresses chunks a
+:class:`ChunkStrip` at a time: up to ``STRIP_CHUNKS`` handles whose fields
+read and write as one ``[n, ...]`` array.
+
 Slabs grow by whole pages and never move, so growth neither copies nor
 touches a live slot.  Released slots are zeroed and reused lowest-first,
 which keeps the touched part of a page dense under eviction churn.
@@ -29,7 +33,9 @@ import numpy as np
 from repro.mlg.blocks import Block
 from repro.mlg.constants import CHUNK_SIZE, WORLD_HEIGHT
 
-__all__ = ["Chunk", "ChunkArena", "pack_keys"]
+__all__ = [
+    "Chunk", "ChunkArena", "ChunkStrip", "column_tops", "pack_keys", "strips",
+]
 
 _VOXELS = ((CHUNK_SIZE, CHUNK_SIZE, WORLD_HEIGHT), np.uint8)
 #: Per-slot shape and dtype of every terrain field.
@@ -120,17 +126,75 @@ class Chunk:
 
     def recompute_heightmap(self) -> None:
         """Rebuild the heightmap from the block array (vectorized)."""
-        nonair = self.blocks != Block.AIR
-        # Highest non-air index + 1 per column; 0 when the column is empty.
-        first_from_top = nonair[:, :, ::-1].argmax(axis=2)
-        self.heightmap[:, :] = np.where(
-            nonair.any(axis=2), WORLD_HEIGHT - first_from_top, 0
-        )
+        self.heightmap[:, :] = column_tops(self.blocks != Block.AIR)
 
     def update_height_at(self, lx: int, lz: int) -> None:
         """Recompute the heightmap for a single column."""
         nz = np.flatnonzero(self.blocks[lx, lz])
         self.heightmap[lx, lz] = int(nz[-1]) + 1 if nz.size else 0
+
+
+def column_tops(filled: np.ndarray) -> np.ndarray:
+    """Highest set index + 1 along the last (``y``) axis of a boolean
+    array, 0 where a column has none set: the heightmap of ``blocks !=
+    AIR``, the skylight cut-off of an opacity mask."""
+    first_from_top = filled[..., ::-1].argmax(axis=-1)
+    return np.where(
+        filled.any(axis=-1), filled.shape[-1] - first_from_top, 0
+    ).astype(np.int16)
+
+
+#: Most chunks addressed by one index.  A whole-field temporary of a strip
+#: is ``STRIP_CHUNKS`` x 32 KiB = 1 MiB, so building a view's 289 chunks
+#: peaks no higher than building 32.
+STRIP_CHUNKS = 32
+
+
+class ChunkStrip:
+    """A few chunk handles addressed together: a field reads and writes as
+    one ``[n, ...]`` array, row ``i`` being ``chunks[i]``, with one fancy
+    index per page under them — one in all for chunks of one arena page,
+    whichever slots they hold; a free-standing chunk is a page of its own.
+    """
+
+    __slots__ = ("chunks", "_groups")
+
+    def __init__(self, chunks: list[Chunk]) -> None:
+        self.chunks = chunks
+        pages: dict[int, tuple[_Page, list[int], list[int]]] = {}
+        for row, chunk in enumerate(chunks):
+            group = pages.setdefault(id(chunk._page), (chunk._page, [], []))
+            group[1].append(row)
+            group[2].append(chunk._slot)
+        self._groups = list(pages.values())
+
+    def lattice(self) -> tuple[np.ndarray, np.ndarray]:
+        """World ``(xs[n, 16, 1], zs[n, 1, 16])`` of the strip's columns,
+        which broadcast to ``[n, 16, 16]``."""
+        corner = CHUNK_SIZE * np.array(
+            [(c.cx, c.cz) for c in self.chunks], np.int64
+        ).reshape(-1, 2, 1, 1)
+        local = np.arange(CHUNK_SIZE)
+        return corner[:, 0] + local[:, None], corner[:, 1] + local
+
+    def read(self, name: str) -> np.ndarray:
+        """A copy of field ``name`` of every chunk, ``[n, ...]``."""
+        shape, dtype = _FIELDS[name]
+        out = np.empty((len(self.chunks), *shape), dtype)
+        for page, rows, slots in self._groups:
+            out[rows] = getattr(page, name)[slots]
+        return out
+
+    def write(self, name: str, values: np.ndarray) -> None:
+        """Store ``values[i]`` as field ``name`` of ``chunks[i]``."""
+        for page, rows, slots in self._groups:
+            getattr(page, name)[slots] = values[rows]
+
+
+def strips(chunks: list[Chunk]):
+    """``chunks`` as consecutive :class:`ChunkStrip` s of bounded size."""
+    for start in range(0, len(chunks), STRIP_CHUNKS):
+        yield ChunkStrip(chunks[start : start + STRIP_CHUNKS])
 
 
 class ChunkArena:

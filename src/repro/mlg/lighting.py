@@ -14,9 +14,10 @@ from collections import deque
 import numpy as np
 
 from repro.mlg.blocks import LIGHT_EMISSION_LUT, OPAQUE_LUT
+from repro.mlg.chunk_arena import Chunk, column_tops, strips
 from repro.mlg.constants import CHUNK_SIZE, MAX_LIGHT, WORLD_HEIGHT
 from repro.mlg.workreport import Op, WorkReport
-from repro.mlg.world import Chunk, World
+from repro.mlg.world import World
 
 __all__ = ["LightEngine"]
 
@@ -33,43 +34,49 @@ class LightEngine:
     # -- initial lighting ----------------------------------------------------
 
     def light_chunk(self, chunk: Chunk, report: WorkReport | None = None) -> int:
-        """(Re)light a whole chunk; returns the number of nodes computed.
+        """(Re)light one chunk: :meth:`light_chunks` on a batch of one."""
+        return self.light_chunks([chunk], report)[0]
 
-        Called when a chunk is generated/loaded.  Skylight is a vectorized
-        top-down scan; block light BFS-propagates from in-chunk emitters.
-        """
-        nodes = self._compute_skylight(chunk)
-        nodes += self._seed_blocklight(chunk)
+    def light_chunks(
+        self, chunks: list[Chunk], report: WorkReport | None = None
+    ) -> list[int]:
+        """(Re)light whole chunks (on generation/load); returns the nodes
+        computed for each.  A column's skylight is decided by its highest
+        opaque block, so a strip's is one gather from ``_SKY_COLUMNS``; block
+        light BFS-propagates from emitters, in the chunks that hold one."""
+        nodes = []
+        for strip in strips(chunks):
+            blocks = strip.read("blocks")
+            # bytes.translate: the uint8 table lookup that does not widen
+            # 1 MiB of block ids into 8 MiB of indices first.
+            opaque = np.frombuffer(
+                blocks.tobytes().translate(_OPAQUE_BYTES), np.bool_
+            ).reshape(blocks.shape)
+            strip.write("skylight", _SKY_COLUMNS[column_tops(opaque)])
+            # Light to spread, or left over from an emitter since removed;
+            # everywhere else block light is, and stays, zero.
+            glows = strip.read("blocklight").any(axis=(1, 2, 3))
+            for emitter in _EMITTERS:
+                glows |= (blocks == emitter).any(axis=(1, 2, 3))
+            # One node per column, not per voxel, so initial lighting stays
+            # proportional to the real engine's column-based skylight pass.
+            nodes += [
+                CHUNK_SIZE * CHUNK_SIZE
+                + (self._seed_blocklight(chunk) if glow else 0)
+                for chunk, glow in zip(strip.chunks, glows.tolist())
+            ]
         if report is not None:
-            report.add(Op.LIGHTING, nodes)
+            report.add(Op.LIGHTING, sum(nodes))
         return nodes
-
-    def _compute_skylight(self, chunk: Chunk) -> int:
-        """Top-down skylight: full light until the first opaque block."""
-        opaque = OPAQUE_LUT[chunk.blocks]
-        # cumulative "any opaque above" per column, scanning from the top.
-        blocked = np.logical_or.accumulate(opaque[:, :, ::-1], axis=2)
-        chunk.skylight[:, :, ::-1] = ~blocked * np.uint8(MAX_LIGHT)
-        # The column scan is vectorized; charge one node per column, not
-        # per voxel, so initial chunk lighting stays proportional to the
-        # real engine's column-based skylight pass.
-        return CHUNK_SIZE * CHUNK_SIZE
 
     def _seed_blocklight(self, chunk: Chunk) -> int:
         """BFS block light from all emitting blocks inside the chunk."""
         blocks, blocklight = chunk.blocks, chunk.blocklight
         blocklight[:] = 0
-        emission_map = LIGHT_EMISSION_LUT[blocks]
-        xs, zs, ys = np.nonzero(emission_map)
-        emitters = [
-            (int(x), int(z), int(y), int(emission_map[x, z, y]))
-            for x, z, y in zip(xs, zs, ys)
-        ]
+        emitters = np.nonzero(LIGHT_EMISSION_LUT[blocks])
+        blocklight[emitters] = levels = LIGHT_EMISSION_LUT[blocks[emitters]]
+        queue = deque(zip(*(a.tolist() for a in (*emitters, levels))))
         nodes = 0
-        queue: deque[tuple[int, int, int, int]] = deque()
-        for lx, lz, y, emission in emitters:
-            blocklight[lx, lz, y] = emission
-            queue.append((lx, lz, y, emission))
         while queue:
             lx, lz, y, level = queue.popleft()
             nodes += 1
@@ -82,9 +89,7 @@ class LightEngine:
                     0 <= nx < CHUNK_SIZE
                     and 0 <= nz < CHUNK_SIZE
                     and 0 <= ny < WORLD_HEIGHT
-                ):
-                    continue
-                if OPAQUE_LUT[blocks[nx, nz, ny]]:
+                ) or OPAQUE_LUT[blocks[nx, nz, ny]]:
                     continue
                 if blocklight[nx, nz, ny] < next_level:
                     blocklight[nx, nz, ny] = next_level
@@ -100,13 +105,8 @@ class LightEngine:
         chunk = self.world.get_chunk(x >> 4, z >> 4)
         if chunk is None:
             return 0
-        lx, lz = x & 15, z & 15
-        column = chunk.blocks[lx, lz]
-        light = np.full(WORLD_HEIGHT, MAX_LIGHT, dtype=np.uint8)
-        opaque_ys = np.flatnonzero(OPAQUE_LUT[column])
-        if opaque_ys.size:
-            light[: int(opaque_ys[-1]) + 1] = 0
-        chunk.skylight[lx, lz] = light
+        opaque = OPAQUE_LUT[chunk.blocks[x & 15, z & 15]]
+        chunk.skylight[x & 15, z & 15] = _SKY_COLUMNS[column_tops(opaque)]
         if report is not None:
             report.add(Op.LIGHTING, WORLD_HEIGHT)
         return WORLD_HEIGHT
@@ -154,12 +154,13 @@ class LightEngine:
         )
 
 
-_NEIGHBORS = (
-    (1, 0, 0),
-    (-1, 0, 0),
-    (0, 1, 0),
-    (0, -1, 0),
-    (0, 0, 1),
-    (0, 0, -1),
+#: Skylight column under a highest opaque block at ``row - 1``: dark up
+#: to it, full light above (row 0: nothing opaque in the column).
+_SKY_COLUMNS = np.uint8(MAX_LIGHT) * (
+    np.arange(WORLD_HEIGHT) >= np.arange(WORLD_HEIGHT + 1)[:, None]
 )
-
+_OPAQUE_BYTES = OPAQUE_LUT.tobytes().ljust(256, b"\0")
+_EMITTERS = np.flatnonzero(LIGHT_EMISSION_LUT).tolist()
+_NEIGHBORS = (
+    (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
+)

@@ -101,38 +101,40 @@ class PlayerHandler:
         return [(p.chunk_pos, p.view_distance) for p in self.players.values()]
 
     def _load_view(self, conn: PlayerConnection, report: WorkReport) -> int:
-        """Load/generate every chunk within view distance; returns new count."""
+        """Load/generate every chunk within view distance as one batch, then
+        charge the work chunk by chunk; returns the new count."""
         ccx, ccz = conn.chunk_pos
         view = conn.view_distance
-        newly_loaded = 0
-        for cx in range(ccx - view, ccx + view + 1):
-            for cz in range(ccz - view, ccz + view + 1):
-                # A chunk this player already has is skipped only while it
-                # is still resident: one the lifecycle evicted since must
-                # stream back in (and be re-sent) on re-entry.  Without
-                # eviction nothing is ever unloaded, so this check keeps
-                # the seed path untouched.
-                if (cx, cz) in conn.loaded_chunks and self.world.has_chunk(
-                    cx, cz
-                ):
-                    continue
-                chunk, source = self.world.ensure_chunk_tracked(cx, cz)
-                if source == "generated":
-                    report.add(Op.CHUNK_GEN)
-                    self.lights.light_chunk(chunk, report)
-                elif source == "loaded":
-                    # Streamed back in from a region file (relit by the
-                    # lifecycle loader; the op's cost covers the relight).
-                    report.add(Op.CHUNK_LOAD)
-                else:
-                    # Already resident: only view attachment and packets.
-                    report.add(Op.CHUNK_VIEW)
-                conn.loaded_chunks.add((cx, cz))
-                self.net.send_counted(
-                    conn.client_id, PacketCategory.CHUNK_DATA, 1, report
-                )
-                newly_loaded += 1
-        return newly_loaded
+        # A chunk this player already has is skipped only while it is still
+        # resident: one the lifecycle evicted since must stream back in (and
+        # be re-sent) on re-entry.  Without eviction nothing is unloaded.
+        wanted = [
+            (cx, cz)
+            for cx in range(ccx - view, ccx + view + 1)
+            for cz in range(ccz - view, ccz + view + 1)
+            if (cx, cz) not in conn.loaded_chunks
+            or not self.world.has_chunk(cx, cz)
+        ]
+        ensured = self.world.ensure_chunks(wanted)
+        lit = iter(self.lights.light_chunks(
+            [chunk for chunk, source in ensured if source == "generated"]
+        ))
+        for _, source in ensured:
+            if source == "generated":
+                report.add(Op.CHUNK_GEN)
+                report.add(Op.LIGHTING, next(lit))
+            elif source == "loaded":
+                # Streamed back in from a region file (relit by the
+                # lifecycle loader; the op's cost covers the relight).
+                report.add(Op.CHUNK_LOAD)
+            else:
+                # Already resident: only view attachment and packets.
+                report.add(Op.CHUNK_VIEW)
+            self.net.send_counted(
+                conn.client_id, PacketCategory.CHUNK_DATA, 1, report
+            )
+        conn.loaded_chunks.update(wanted)
+        return len(wanted)
 
     # -- action processing ----------------------------------------------------------
 
@@ -152,9 +154,9 @@ class PlayerHandler:
             if action.kind == ActionKind.MOVE:
                 self._apply_move(conn, action, report)
             elif action.kind == ActionKind.BUILD:
-                self._apply_build(conn, action, report)
+                self._apply_build(action, report)
             elif action.kind == ActionKind.DIG:
-                self._apply_dig(conn, action, report)
+                self._apply_dig(action, report)
             elif action.kind == ActionKind.CHAT:
                 probe_id, _ = action.payload
                 self.chat.submit(action.client_id, probe_id, 0, report)
@@ -178,26 +180,18 @@ class PlayerHandler:
         if conn.chunk_pos != old_chunk:
             self._load_view(conn, report)
 
-    def _apply_build(
-        self, conn: PlayerConnection, action: PlayerAction, report: WorkReport
-    ) -> None:
+    def _apply_build(self, action: PlayerAction, report: WorkReport) -> None:
         x, y, z, block_id = action.payload
-        if self.world.is_solid_at(x, y, z):
-            return  # cannot place into a solid block
-        change = self.world.set_block(x, y, z, block_id)
-        if change is not None:
-            report.add(Op.BLOCK_ADD_REMOVE)
-            self.lights.relight_around(x, y, z, report)
-            self.fluids.schedule_neighbors(x, y, z)
+        if not self.world.is_solid_at(x, y, z):  # not into a solid block
+            self._write(x, y, z, block_id, report)
 
-    def _apply_dig(
-        self, conn: PlayerConnection, action: PlayerAction, report: WorkReport
-    ) -> None:
+    def _apply_dig(self, action: PlayerAction, report: WorkReport) -> None:
         x, y, z = action.payload
-        if self.world.get_block(x, y, z) == 0:
-            return
-        change = self.world.set_block(x, y, z, 0)
-        if change is not None:
+        if self.world.get_block(x, y, z) != 0:
+            self._write(x, y, z, 0, report)
+
+    def _write(self, x: int, y: int, z: int, block_id: int, report) -> None:
+        if self.world.set_block(x, y, z, block_id) is not None:
             report.add(Op.BLOCK_ADD_REMOVE)
             self.lights.relight_around(x, y, z, report)
             self.fluids.schedule_neighbors(x, y, z)

@@ -18,7 +18,13 @@ from functools import partial
 import numpy as np
 
 from repro.mlg.blocks import SOLID_LUT, Block, is_solid
-from repro.mlg.chunk_arena import Chunk, ChunkArena, pack_keys
+from repro.mlg.chunk_arena import (
+    Chunk,
+    ChunkArena,
+    column_tops,
+    pack_keys,
+    strips,
+)
 from repro.mlg.constants import WORLD_HEIGHT
 
 __all__ = ["BlockChange", "Chunk", "World", "cuboid_cells"]
@@ -55,9 +61,13 @@ def cuboid_cells(
 class World:
     """The global terrain state: an arena of loaded chunks.
 
-    ``generator`` — when provided — is invoked to populate newly created
-    chunks (signature ``generator(chunk) -> None``), which models the lazy
-    terrain generation of §2.2.2.
+    ``generator`` — when provided — populates newly created chunks, which
+    models the lazy terrain generation of §2.2.2.  One with a
+    ``generate(chunks)`` method (:class:`~repro.mlg.worldgen.
+    TerrainGenerator`) is handed every chunk an :meth:`ensure_chunks` call
+    created, once, and leaves their heightmaps in step with their blocks;
+    a plain ``generator(chunk) -> None`` callable is called for each, and
+    the world rebuilds their heightmaps after it.
 
     ``loader`` — when provided — is consulted *before* the generator when
     a missing chunk is touched (signature ``loader(cx, cz) -> Chunk |
@@ -95,26 +105,57 @@ class World:
 
     def ensure_chunk(self, cx: int, cz: int) -> Chunk:
         """Return the chunk, creating (and generating) it if needed."""
-        return self.ensure_chunk_tracked(cx, cz)[0]
+        chunk = self._chunks.get((cx, cz))  # every scalar write comes here
+        if chunk is None:
+            chunk = self.ensure_chunks(((cx, cz),))[0][0]
+        return chunk
 
     def ensure_chunk_tracked(self, cx: int, cz: int) -> tuple[Chunk, str]:
-        """Like :meth:`ensure_chunk`, also reporting where the chunk came
-        from: ``"resident"`` (already in memory), ``"loaded"`` (read back
-        through the loader hook), or ``"generated"`` — the distinction the
-        cost model charges differently."""
-        chunk = self._chunks.get((cx, cz))
-        if chunk is not None:
-            return chunk, "resident"
-        if self._loader is not None:
-            chunk = self._loader(cx, cz)
-            if chunk is not None:
-                return self._arena.adopt(chunk), "loaded"
-        chunk = self._arena.create(cx, cz)
-        if self._generator is not None:
-            self._generator(chunk)
-            chunk.recompute_heightmap()
-            self.chunks_generated_this_tick += 1
-        return chunk, "generated"
+        """:meth:`ensure_chunks` for one coordinate pair."""
+        return self.ensure_chunks(((cx, cz),))[0]
+
+    def ensure_chunks(
+        self, coords: Iterable[tuple[int, int]]
+    ) -> list[tuple[Chunk, str]]:
+        """Make every ``(cx, cz)`` resident, in order; returns ``(chunk,
+        source)`` per coordinate pair.
+
+        ``source`` says where the chunk came from — ``"resident"`` (already
+        in memory), ``"loaded"`` (read back through the loader hook) or
+        ``"generated"`` — the distinction the cost model charges
+        differently.  Slots are claimed one coordinate at a time, so load
+        order is the order of ``coords``; the chunks that had to be created
+        are then generated together.
+        """
+        ensured, created = [], []
+        try:
+            for cx, cz in coords:
+                chunk, source = self._chunks.get((cx, cz)), "resident"
+                if chunk is None and self._loader is not None:
+                    chunk, source = self._loader(cx, cz), "loaded"
+                    if chunk is not None:
+                        self._arena.adopt(chunk)
+                if chunk is None:
+                    chunk, source = self._arena.create(cx, cz), "generated"
+                    created.append(chunk)
+                ensured.append((chunk, source))
+        finally:
+            # Also when a loader raised: no created chunk stays blank.
+            if created and self._generator is not None:
+                self._generate(created)
+        return ensured
+
+    def _generate(self, created: list[Chunk]) -> None:
+        generate = getattr(self._generator, "generate", None)
+        if generate is not None:
+            generate(created)
+        else:
+            for chunk in created:
+                self._generator(chunk)
+            for strip in strips(created):
+                nonair = strip.read("blocks") != Block.AIR
+                strip.write("heightmap", column_tops(nonair))
+        self.chunks_generated_this_tick += len(created)
 
     def set_loader(
         self, loader: Callable[[int, int], Chunk | None] | None
@@ -330,8 +371,8 @@ class World:
             _, first = np.unique(
                 pack_keys(cxs[missing], czs[missing]), return_index=True
             )
-            for i in missing[first].tolist():
-                self.ensure_chunk(int(cxs[i]), int(czs[i]))
+            new = missing[first]
+            self.ensure_chunks(zip(cxs[new].tolist(), czs[new].tolist()))
             slots = self._arena.slots_of(cxs, czs)
         return slots
 
@@ -497,9 +538,11 @@ class World:
             return 0
         # Every chunk under the cuboid, x then z: the order they load in
         # is the order random ticks will visit them.
-        for cx in range(x0 >> 4, (x1 >> 4) + 1):
-            for cz in range(z0 >> 4, (z1 >> 4) + 1):
-                self.ensure_chunk(cx, cz)
+        self.ensure_chunks(
+            (cx, cz)
+            for cx in range(x0 >> 4, (x1 >> 4) + 1)
+            for cz in range(z0 >> 4, (z1 >> 4) + 1)
+        )
         xs, ys, zs = cuboid_cells(x0, ylo, z0, x1, yhi, z1)
         ids = np.full(xs.size, block_id, dtype=np.uint8)
         return self.set_blocks_bulk(xs, ys, zs, ids, log=log)

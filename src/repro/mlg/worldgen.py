@@ -6,6 +6,13 @@ a deterministic value-noise heightmap (two octaves, bilinear interpolation
 over hashed lattice points), layered soil, sea-level water, beaches, sparse
 trees, and underwater kelp — enough structure for every downstream engine
 (lighting, growth, spawning, pathfinding) to do representative work.
+
+Chunks are generated a strip at a time (one chunk is a strip of one).
+Stone, dirt, grass, bedrock, water and beach sand depend on nothing but a
+column's terrain height, so a strip's voxels and heightmap are row
+``height`` of two column tables built at import, gathered for all ``n x 16
+x 16`` columns at once.  Trees and kelp reach into neighbouring columns and
+stop at the chunk edge, so they are stamped onto the gathered strip after.
 """
 
 from __future__ import annotations
@@ -13,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mlg.blocks import Block
+from repro.mlg.chunk_arena import Chunk, column_tops, strips
 from repro.mlg.constants import CHUNK_SIZE, SEA_LEVEL, WORLD_HEIGHT
-from repro.mlg.world import Chunk
 
 __all__ = ["TerrainGenerator", "PAPER_SEED", "value_noise_2d"]
 
@@ -69,12 +76,73 @@ def value_noise_2d(
     return top + (bottom - top) * tz
 
 
-class TerrainGenerator:
-    """Generates chunk terrain from a world seed.
+def _terrain_columns() -> tuple[np.ndarray, np.ndarray]:
+    """``(blocks[h, y], tops[h])`` for terrain heights ``h`` in ``[0,
+    WORLD_HEIGHT]``: the voxel column under a surface at ``h`` (stone, dirt,
+    grass, bedrock floor, water up to sea level, shoreline sand) and its
+    heightmap entry."""
+    h = np.arange(WORLD_HEIGHT + 1)[:, None]
+    ys = np.arange(WORLD_HEIGHT)[None, :]
+    blocks = np.full((WORLD_HEIGHT + 1, WORLD_HEIGHT), Block.AIR, np.uint8)
+    blocks[ys < h - 4] = Block.STONE
+    blocks[(ys >= h - 4) & (ys < h - 1)] = Block.DIRT
+    blocks[ys == h - 1] = Block.GRASS
+    blocks[:, 0] = Block.BEDROCK
+    # Water fills air below sea level; shoreline columns become sand.
+    water = (ys >= h) & (ys < SEA_LEVEL) & (blocks == Block.AIR)
+    blocks[water] = Block.WATER_SOURCE
+    beach = np.arange(SEA_LEVEL - 2, SEA_LEVEL + 2)
+    blocks[beach, beach - 1] = Block.SAND
+    return blocks, column_tops(blocks != Block.AIR)
 
-    Instances are callables compatible with :class:`repro.mlg.world.World`'s
-    ``generator`` argument.
-    """
+
+_COLUMN_BLOCKS, _COLUMN_TOPS = _terrain_columns()
+#: Leaf blob of a tree: 60 ``(dx, dz, dy)`` from the trunk's ground cell.
+_LEAF_DX, _LEAF_DZ, _LEAF_DY = np.array([
+    (dx, dz, dy) for dx in range(-2, 3) for dz in range(-2, 3)
+    for dy in range(3, 7) if abs(dx) + abs(dz) + abs(dy - 4) <= 4
+]).T
+_TRUNK, _KELP = np.arange(5), np.arange(6)  # tallest trunk / kelp stalk
+
+
+def _stamp(blocks, tops, cells, keep, block: int) -> None:
+    """Write ``block`` at the ``[chunk, lx, lz, y]`` ``cells`` selected by
+    ``keep`` and raise the tops of the columns it now stands above."""
+    keep, *cells = np.broadcast_arrays(keep, *cells)
+    c, lx, lz, ys = (a[keep] for a in cells)
+    blocks[c, lx, lz, ys] = block
+    np.maximum.at(tops, (c, lx, lz), (ys + 1).astype(tops.dtype))
+
+
+def _plant_trees(blocks, tops, heights, mask) -> None:
+    """Sparse trees on grass above sea level (trunk + leaf blob).  Leaves
+    stop at the chunk edge and go only into air, trunks overwrite, and no
+    tree reads a cell another writes otherwise: all leaves, then all trunks,
+    give what planting tree by tree in chunk-then-column order gives."""
+    mask = mask & (heights > SEA_LEVEL) & (heights + 7 < WORLD_HEIGHT)
+    c, lx, lz = (a[:, None] for a in np.nonzero(mask))
+    ground = heights[c, lx, lz]
+    grass = blocks[c, lx, lz, ground - 1] == Block.GRASS
+    tx, tz, ty = lx + _LEAF_DX, lz + _LEAF_DZ, ground + _LEAF_DY
+    inside = (tx >= 0) & (tx < CHUNK_SIZE) & (tz >= 0) & (tz < CHUNK_SIZE)
+    air = blocks[c, tx % CHUNK_SIZE, tz % CHUNK_SIZE, ty] == Block.AIR
+    _stamp(blocks, tops, (c, tx, tz, ty), grass & inside & air, Block.LEAVES)
+    _stamp(blocks, tops, (c, lx, lz, ground + _TRUNK), grass, Block.WOOD)
+
+
+def _plant_kelp(blocks, tops, heights, mask) -> None:
+    """Kelp stalks in deeper water columns."""
+    depth = SEA_LEVEL - heights
+    c, lx, lz = (a[:, None] for a in np.nonzero(mask & (depth >= 4)))
+    stalk = np.minimum(depth[c, lx, lz] - 1, _KELP.size)
+    cells = (c, lx, lz, heights[c, lx, lz] + _KELP)
+    _stamp(blocks, tops, cells, _KELP < stalk, Block.KELP)
+
+
+class TerrainGenerator:
+    """Generates chunk terrain from a world seed: :meth:`generate` for all
+    the chunks one ``World.ensure_chunks`` call created, or the instance
+    called on one chunk (a batch of one)."""
 
     def __init__(self, seed: int = PAPER_SEED) -> None:
         self.seed = seed
@@ -88,83 +156,20 @@ class TerrainGenerator:
         return np.clip(height, 8.0, WORLD_HEIGHT - 20.0).astype(np.int32)
 
     def __call__(self, chunk: Chunk) -> None:
-        """Populate ``chunk`` with layered terrain, water, trees, and kelp."""
-        x0 = chunk.cx * CHUNK_SIZE
-        z0 = chunk.cz * CHUNK_SIZE
-        lx, lz = np.meshgrid(
-            np.arange(CHUNK_SIZE), np.arange(CHUNK_SIZE), indexing="ij"
-        )
-        heights = self.height_at(x0 + lx, z0 + lz)
+        self.generate([chunk])
 
-        ys = np.arange(WORLD_HEIGHT)[None, None, :]
-        h3 = heights[:, :, None]
-        blocks = chunk.blocks
-        blocks[:] = Block.AIR
-        blocks[ys < h3 - 4] = Block.STONE
-        blocks[(ys >= h3 - 4) & (ys < h3 - 1)] = Block.DIRT
-        blocks[ys == h3 - 1] = Block.GRASS
-        blocks[:, :, 0] = Block.BEDROCK
-        # Water fills air below sea level; shoreline columns become sand.
-        underwater = (ys >= h3) & (ys < SEA_LEVEL)
-        blocks[underwater & (blocks == Block.AIR)] = Block.WATER_SOURCE
-        beach = (heights >= SEA_LEVEL - 2) & (heights <= SEA_LEVEL + 1)
-        top_idx = np.clip(heights - 1, 0, WORLD_HEIGHT - 1)
-        bx, bz = np.nonzero(beach)
-        blocks[bx, bz, top_idx[bx, bz]] = Block.SAND
-
-        self._plant_trees(chunk, heights)
-        self._plant_kelp(chunk, heights)
-        chunk.recompute_heightmap()
-
-    def _feature_mask(
-        self, chunk: Chunk, salt: int, probability: float
-    ) -> np.ndarray:
-        """Deterministic per-column Bernoulli mask for feature placement."""
-        x0 = chunk.cx * CHUNK_SIZE
-        z0 = chunk.cz * CHUNK_SIZE
-        lx, lz = np.meshgrid(
-            np.arange(CHUNK_SIZE), np.arange(CHUNK_SIZE), indexing="ij"
-        )
-        noise = _hash_lattice(
-            (x0 + lx).astype(np.int64),
-            (z0 + lz).astype(np.int64),
-            self.seed ^ salt,
-        )
-        return noise < probability
-
-    def _plant_trees(self, chunk: Chunk, heights: np.ndarray) -> None:
-        """Sparse trees on grass above sea level (trunk + leaf blob)."""
-        mask = self._feature_mask(chunk, 0x7E3E, 0.004)
-        blocks = chunk.blocks
-        for lx, lz in zip(*np.nonzero(mask)):
-            ground = int(heights[lx, lz])
-            if ground <= SEA_LEVEL or ground + 7 >= WORLD_HEIGHT:
-                continue
-            if blocks[lx, lz, ground - 1] != Block.GRASS:
-                continue
-            trunk_top = ground + 5
-            blocks[lx, lz, ground:trunk_top] = Block.WOOD
-            for dx in range(-2, 3):
-                for dz in range(-2, 3):
-                    for dy in range(3, 7):
-                        tx, tz, ty = lx + dx, lz + dz, ground + dy
-                        if not (
-                            0 <= tx < CHUNK_SIZE
-                            and 0 <= tz < CHUNK_SIZE
-                            and ty < WORLD_HEIGHT
-                        ):
-                            continue
-                        if abs(dx) + abs(dz) + abs(dy - 4) <= 4:
-                            if blocks[tx, tz, ty] == Block.AIR:
-                                blocks[tx, tz, ty] = Block.LEAVES
-
-    def _plant_kelp(self, chunk: Chunk, heights: np.ndarray) -> None:
-        """Kelp stalks in deeper water columns."""
-        mask = self._feature_mask(chunk, 0x6B21, 0.01)
-        for lx, lz in zip(*np.nonzero(mask)):
-            ground = int(heights[lx, lz])
-            depth = SEA_LEVEL - ground
-            if depth < 4:
-                continue
-            stalk = min(depth - 1, 6)
-            chunk.blocks[lx, lz, ground : ground + stalk] = Block.KELP
+    def generate(self, chunks: list[Chunk]) -> None:
+        """Populate ``chunks`` with layered terrain, water, trees, and
+        kelp, and their heightmaps."""
+        for strip in strips(chunks):
+            # One evaluation per noise octave and feature hash per strip.
+            xs, zs = strip.lattice()
+            heights = self.height_at(xs, zs)
+            blocks, tops = _COLUMN_BLOCKS[heights], _COLUMN_TOPS[heights]
+            # Deterministic per-column Bernoulli masks place the features.
+            trees = _hash_lattice(xs, zs, self.seed ^ 0x7E3E) < 0.004
+            kelp = _hash_lattice(xs, zs, self.seed ^ 0x6B21) < 0.01
+            _plant_trees(blocks, tops, heights, trees)
+            _plant_kelp(blocks, tops, heights, kelp)
+            strip.write("blocks", blocks)
+            strip.write("heightmap", tops)

@@ -95,9 +95,8 @@ def prepare_world(
         raise ValueError(f"radius must be >= 0: {radius!r}")
     workload = get_workload(workload_name, scale=scale)
     world = workload.create_world(seed)
-    for cx in range(-radius, radius + 1):
-        for cz in range(-radius, radius + 1):
-            world.ensure_chunk(cx, cz)
+    span = range(-radius, radius + 1)
+    world.ensure_chunks((cx, cz) for cx in span for cz in span)
     out_dir = Path(out_dir)
     if (out_dir / REGION_DIR).exists():
         shutil.rmtree(out_dir / REGION_DIR)
