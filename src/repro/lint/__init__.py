@@ -1,8 +1,9 @@
 """Meterstick-lint: AST-based invariant checks for measurement hygiene.
 
 Every correctness claim this repo makes — serial==parallel campaigns,
-batched==scalar engines, trace-off==seed-path bit-identity, byte-stable
-report renders — rests on conventions nothing enforced statically: no
+batched engines == their scalar test oracles, trace-off==seed-path
+bit-identity, byte-stable report renders — rests on conventions nothing
+enforced statically: no
 wall-clock or unseeded-RNG reads inside the simulation, complete Op
 cost/bucket registries, every published metric registered where reports
 and scrapers look for it.  A parity test only catches a

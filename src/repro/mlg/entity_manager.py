@@ -141,6 +141,10 @@ class EntityManager:
         for slot in slots.tolist():
             self.remove(self._handles[slot])
 
+    def slots_of(self, entities: Iterable[Entity]) -> np.ndarray:
+        """Store slots of not-yet-reaped ``entities``, in the order given."""
+        return np.array([e._slot for e in entities], dtype=np.int64)
+
     def get(self, eid: int) -> Entity | None:
         return self._entities.get(eid)
 

@@ -10,16 +10,17 @@ and item sorter rely on (§3.3.1).  Lava spreads the same way but slower
 Each due batch is processed as one chunk-grouped numpy pass: bulk-read the
 cells and their neighborhoods from a tick-start snapshot, classify
 support / flow-down / sideways spread as masks, merge the writes (max
-fluid level wins, any fluid write beats a clear — the same outcome the
-sequential scalar loop produces regardless of queue order), and apply
-them through :meth:`World.set_blocks_bulk`.  A scalar reference
-implementation is kept (``batched=False``) and pinned bit-identical on
-quiescent scenarios by the parity tests.
+fluid level wins, any fluid write beats a clear — the same outcome a
+cell-by-cell loop over the queue produces regardless of queue order), and
+apply them through :meth:`World.set_blocks_bulk`.  The cell-by-cell loop is
+the oracle of ``tests/mlg/test_terrain_parity.py``, which pins final
+worlds bit-identical and the queue sequence equal.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -49,6 +50,10 @@ _SELF, _BELOW, _ABOVE = 0, 1, 2
 _SIDES = slice(3, 7)
 #: (dx, dz) for the four side columns, matching _OFF_X/_OFF_Z order.
 _SIDE_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+#: The six face neighbours, in :meth:`World.neighbors6` order.
+_NEAR_X = np.array([1, -1, 0, 0, 0, 0], dtype=np.int64)
+_NEAR_Y = np.array([0, 0, 1, -1, 0, 0], dtype=np.int64)
+_NEAR_Z = np.array([0, 0, 0, 0, 1, -1], dtype=np.int64)
 
 
 class FluidEngine:
@@ -58,12 +63,9 @@ class FluidEngine:
         self,
         world: World,
         max_updates_per_tick: int = 4096,
-        batched: bool = True,
     ) -> None:
         self.world = world
         self.max_updates_per_tick = max_updates_per_tick
-        #: ``False`` selects the scalar reference path (parity tests).
-        self.batched = batched
         self._queue: deque[tuple[int, int, int]] = deque()
         self._queued: set[tuple[int, int, int]] = set()
         self._lava_queue: deque[tuple[int, int, int]] = deque()
@@ -77,30 +79,36 @@ class FluidEngine:
         entry is reclassified, uncharged, when it is popped.
         """
         if self.world.get_block(x, y, z) == Block.LAVA:
-            self._schedule_lava(x, y, z)
+            self._schedule_lava([(x, y, z)])
         else:
-            self._schedule_water(x, y, z)
+            self._schedule_water([(x, y, z)])
 
-    def _schedule_water(self, x: int, y: int, z: int) -> None:
-        key = (x, y, z)
-        if key not in self._queued:
-            self._queued.add(key)
-            self._queue.append(key)
+    def _schedule_water(self, cells: Iterable[tuple[int, int, int]]) -> None:
+        _enqueue(self._queue, self._queued, cells)
 
-    def _schedule_lava(self, x: int, y: int, z: int) -> None:
-        key = (x, y, z)
-        if key not in self._lava_queued:
-            self._lava_queued.add(key)
-            self._lava_queue.append(key)
+    def _schedule_lava(self, cells: Iterable[tuple[int, int, int]]) -> None:
+        _enqueue(self._lava_queue, self._lava_queued, cells)
 
     def schedule_neighbors(self, x: int, y: int, z: int) -> None:
         """Queue updates for fluid blocks adjacent to a changed block."""
-        for nx, ny, nz in self.world.neighbors6(x, y, z):
-            block = self.world.get_block(nx, ny, nz)
-            if block in (Block.WATER_SOURCE, Block.WATER_FLOW):
-                self._schedule_water(nx, ny, nz)
-            elif block == Block.LAVA:
-                self._schedule_lava(nx, ny, nz)
+        self.schedule_neighbors_bulk([x], [y], [z])
+
+    def schedule_neighbors_bulk(self, xs, ys, zs) -> None:
+        """Queue updates for the fluid blocks adjacent to each changed
+        block: one read of the ``[n, 6]`` neighborhoods, queued block by
+        block with each block's neighbors in :meth:`World.neighbors6`
+        order."""
+        nx = np.asarray(xs, dtype=np.int64)[:, None] + _NEAR_X
+        ny = np.asarray(ys, dtype=np.int64)[:, None] + _NEAR_Y
+        nz = np.asarray(zs, dtype=np.int64)[:, None] + _NEAR_Z
+        blocks = self.world.blocks_bulk(nx, ny, nz)
+        water = (blocks == Block.WATER_SOURCE) | (blocks == Block.WATER_FLOW)
+        for fluid, schedule in (
+            (water, self._schedule_water),
+            (blocks == Block.LAVA, self._schedule_lava),
+        ):
+            at = np.nonzero(fluid)
+            schedule(_cells(nx[at], ny[at], nz[at]))
 
     def queued_chunks(self) -> set[tuple[int, int]]:
         """Chunks holding scheduled fluid cells (anchors for eviction)."""
@@ -132,17 +140,9 @@ class FluidEngine:
             self._lava_queued.difference_update(lava_cells)
         effective = 0
         if water_cells:
-            if self.batched:
-                effective += self._update_water_batch(water_cells, report)
-            else:
-                for x, y, z in water_cells:
-                    effective += self._update_water_cell(x, y, z, report)
+            effective += self._update_water_batch(water_cells, report)
         if lava_cells:
-            if self.batched:
-                effective += self._update_lava_batch(lava_cells, report)
-            else:
-                for x, y, z in lava_cells:
-                    effective += self._update_lava_cell(x, y, z, report)
+            effective += self._update_lava_batch(lava_cells, report)
         if effective:
             report.add(Op.FLUID, effective)
         return effective
@@ -151,14 +151,10 @@ class FluidEngine:
 
     def _gather(self, cells: list[tuple[int, int, int]]):
         """Snapshot the 7-cell neighborhood of every queued position."""
-        arr = np.array(cells, dtype=np.int64)
-        x, y, z = arr[:, 0], arr[:, 1], arr[:, 2]
-        px = (x[:, None] + _OFF_X[None, :]).ravel()
-        py = (y[:, None] + _OFF_Y[None, :]).ravel()
-        pz = (z[:, None] + _OFF_Z[None, :]).ravel()
-        n = len(cells)
-        blocks = self.world.blocks_bulk(px, py, pz).reshape(n, 7)
-        auxs = self.world.aux_bulk(px, py, pz).reshape(n, 7)
+        x, y, z = np.array(cells, dtype=np.int64).T
+        blocks, auxs = self.world.blocks_and_aux_bulk(
+            x[:, None] + _OFF_X, y[:, None] + _OFF_Y, z[:, None] + _OFF_Z
+        )
         return x, y, z, blocks, auxs
 
     def _update_water_batch(
@@ -312,10 +308,9 @@ class FluidEngine:
             schedule=schedule,
             report=report,
         )
-        # Cleared cells wake their fluid neighbors, exactly as the scalar
-        # path's schedule_neighbors does.
-        for i in np.flatnonzero(clear):
-            self.schedule_neighbors(int(x[i]), int(y[i]), int(z[i]))
+        # Cleared cells wake their fluid neighbors.
+        if clear.any():
+            self.schedule_neighbors_bulk(x[clear], y[clear], z[clear])
         return int(effective.sum())
 
     def _apply_writes(
@@ -375,142 +370,8 @@ class FluidEngine:
                 x[aux_mask], y[aux_mask], z[aux_mask], lvl[aux_mask]
             )
         # Every written target re-checks itself on the next due tick.
-        for i in range(len(x)):
-            if kind[i] != 0:
-                schedule(int(x[i]), int(y[i]), int(z[i]))
-
-    # -- scalar reference updates ---------------------------------------------
-
-    def _update_water_cell(
-        self, x: int, y: int, z: int, report: WorkReport
-    ) -> int:
-        """Scalar water update; returns 1 when the cell was effective."""
-        block = self.world.get_block(x, y, z)
-        if block == Block.WATER_SOURCE:
-            level = MAX_FLOW_LEVEL + 1
-        elif block == Block.WATER_FLOW:
-            level = self.world.get_aux(x, y, z)
-            if not self._is_supported(x, y, z):
-                self.world.set_block(x, y, z, Block.AIR)
-                report.add(Op.BLOCK_ADD_REMOVE)
-                self.schedule_neighbors(x, y, z)
-                return 1
-        else:
-            return 0
-        # Flow down first (full strength), then sideways with decay.
-        below = self.world.get_block(x, y - 1, z)
-        if y - 1 >= 0:
-            if below == Block.AIR:
-                self.world.set_block(x, y - 1, z, Block.WATER_FLOW,
-                                     aux=MAX_FLOW_LEVEL)
-                report.add(Op.BLOCK_ADD_REMOVE)
-                self._schedule_water(x, y - 1, z)
-                return 1
-            if (
-                below == Block.WATER_FLOW
-                and self.world.get_aux(x, y - 1, z) < MAX_FLOW_LEVEL
-            ):
-                # Falling water refreshes the weaker flow beneath it —
-                # previously only AIR below was ever written, so a
-                # lower-level flow under a source stayed stale forever.
-                self.world.set_aux(x, y - 1, z, MAX_FLOW_LEVEL)
-                self._schedule_water(x, y - 1, z)
-                return 1
-        next_level = level - 1
-        if next_level <= 0:
-            return 1
-        for nx, nz in ((x + 1, z), (x - 1, z), (x, z + 1), (x, z - 1)):
-            neighbor = self.world.get_block(nx, y, nz)
-            if neighbor == Block.AIR:
-                self.world.set_block(nx, y, nz, Block.WATER_FLOW,
-                                     aux=next_level)
-                report.add(Op.BLOCK_ADD_REMOVE)
-                self._schedule_water(nx, y, nz)
-            elif (
-                neighbor == Block.WATER_FLOW
-                and self.world.get_aux(nx, y, nz) < next_level
-            ):
-                self.world.set_aux(nx, y, nz, next_level)
-                self._schedule_water(nx, y, nz)
-        return 1
-
-    def _update_lava_cell(
-        self, x: int, y: int, z: int, report: WorkReport
-    ) -> int:
-        """Scalar lava update: slower, shorter-reach water spread."""
-        if self.world.get_block(x, y, z) != Block.LAVA:
-            return 0
-        aux = self.world.get_aux(x, y, z)
-        if aux == 0:
-            level = MAX_LAVA_FLOW_LEVEL + 1
-        else:
-            level = aux
-            if not self._is_lava_supported(x, y, z):
-                self.world.set_block(x, y, z, Block.AIR)
-                report.add(Op.BLOCK_ADD_REMOVE)
-                self.schedule_neighbors(x, y, z)
-                return 1
-        below = self.world.get_block(x, y - 1, z)
-        if y - 1 >= 0:
-            if below == Block.AIR:
-                self.world.set_block(x, y - 1, z, Block.LAVA,
-                                     aux=MAX_LAVA_FLOW_LEVEL)
-                report.add(Op.BLOCK_ADD_REMOVE)
-                self._schedule_lava(x, y - 1, z)
-                return 1
-            below_aux = self.world.get_aux(x, y - 1, z)
-            if (
-                below == Block.LAVA
-                and 0 < below_aux < MAX_LAVA_FLOW_LEVEL
-            ):
-                self.world.set_aux(x, y - 1, z, MAX_LAVA_FLOW_LEVEL)
-                self._schedule_lava(x, y - 1, z)
-                return 1
-        next_level = level - 1
-        if next_level <= 0:
-            return 1
-        for nx, nz in ((x + 1, z), (x - 1, z), (x, z + 1), (x, z - 1)):
-            neighbor = self.world.get_block(nx, y, nz)
-            if neighbor == Block.AIR:
-                self.world.set_block(nx, y, nz, Block.LAVA, aux=next_level)
-                report.add(Op.BLOCK_ADD_REMOVE)
-                self._schedule_lava(nx, y, nz)
-            elif neighbor == Block.LAVA:
-                n_aux = self.world.get_aux(nx, y, nz)
-                if 0 < n_aux < next_level:
-                    self.world.set_aux(nx, y, nz, next_level)
-                    self._schedule_lava(nx, y, nz)
-        return 1
-
-    def _is_supported(self, x: int, y: int, z: int) -> bool:
-        """A flow block survives only while fed by a higher-level neighbor."""
-        my_level = self.world.get_aux(x, y, z)
-        above = self.world.get_block(x, y + 1, z)
-        if above in (Block.WATER_SOURCE, Block.WATER_FLOW):
-            return True
-        for nx, nz in ((x + 1, z), (x - 1, z), (x, z + 1), (x, z - 1)):
-            neighbor = self.world.get_block(nx, y, nz)
-            if neighbor == Block.WATER_SOURCE:
-                return True
-            if (
-                neighbor == Block.WATER_FLOW
-                and self.world.get_aux(nx, y, nz) > my_level
-            ):
-                return True
-        return False
-
-    def _is_lava_supported(self, x: int, y: int, z: int) -> bool:
-        """Flowing lava survives while fed by a source or stronger flow."""
-        my_level = self.world.get_aux(x, y, z)
-        if self.world.get_block(x, y + 1, z) == Block.LAVA:
-            return True
-        for nx, nz in ((x + 1, z), (x - 1, z), (x, z + 1), (x, z - 1)):
-            if self.world.get_block(nx, y, nz) != Block.LAVA:
-                continue
-            n_aux = self.world.get_aux(nx, y, nz)
-            if n_aux == 0 or n_aux > my_level:
-                return True
-        return False
+        written = kind != 0
+        schedule(_cells(x[written], y[written], z[written]))
 
     # -- item transport -------------------------------------------------------
 
@@ -540,3 +401,16 @@ class FluidEngine:
                 return (float(dx) * 2.0, float(dz) * 2.0)
         scale = 1.4
         return (best[0] * scale, best[1] * scale)
+
+
+def _cells(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray):
+    """Coordinate arrays as ``(x, y, z)`` tuples of Python ints."""
+    return zip(xs.tolist(), ys.tolist(), zs.tolist())
+
+
+def _enqueue(queue: deque, queued: set, cells) -> None:
+    """Append the ``cells`` not already waiting in ``queue``, in order."""
+    for cell in cells:
+        if cell not in queued:
+            queued.add(cell)
+            queue.append(cell)

@@ -45,9 +45,9 @@ class GrowthEngine:
 
         One vectorized gather reads every drawn position across every
         loaded chunk at once; only the rare CROP/KELP/SAPLING hits are
-        dispatched to the scalar growth handlers.  Draw order and handler
-        dispatch order match :meth:`tick_scalar` exactly, so both paths
-        are bit-identical for the same RNG state.
+        dispatched to the scalar growth handlers, in draw order — the run
+        is bit-identical to reading every drawn position in a loop (the
+        oracle of ``tests/mlg/test_terrain_parity.py``).
         """
         chunks, lxs, lzs, ys = self._draw()
         if not chunks:
@@ -75,8 +75,8 @@ class GrowthEngine:
                     # Kelp growth is the one mutation that can turn a
                     # later snapshot-miss into a live hit; promote any
                     # remaining draw of this chunk that landed on the
-                    # freshly grown cell so dispatch matches the scalar
-                    # loop exactly.
+                    # freshly grown cell, as a position-by-position loop
+                    # would meet it.
                     chunk_end = (k // RANDOM_TICK_SPEED + 1) * RANDOM_TICK_SPEED
                     for j in range(k + 1, chunk_end):
                         if (
@@ -99,30 +99,6 @@ class GrowthEngine:
         lzs = self.rng.integers(0, CHUNK_SIZE, size=n)
         ys = self.rng.integers(0, WORLD_HEIGHT, size=n)
         return chunks, lxs, lzs, ys
-
-    def tick_scalar(self, report: WorkReport) -> int:
-        """Scalar reference for :meth:`tick` (per-chunk per-draw loop),
-        kept for the batched-vs-scalar parity fixtures."""
-        chunks, lxs, lzs, ys = self._draw()
-        if not chunks:
-            return 0
-        applied = 0
-        for i, chunk in enumerate(chunks):
-            base = i * RANDOM_TICK_SPEED
-            for j in range(RANDOM_TICK_SPEED):
-                lx = int(lxs[base + j])
-                lz = int(lzs[base + j])
-                y = int(ys[base + j])
-                block = int(chunk.blocks[lx, lz, y])
-                applied += 1
-                if block == Block.CROP:
-                    self._grow_crop(chunk, lx, lz, y)
-                elif block == Block.KELP:
-                    self._grow_kelp(chunk, lx, lz, y, report)
-                elif block == Block.SAPLING:
-                    self._grow_sapling(chunk, lx, lz, y, report)
-        report.add(Op.GROWTH, applied)
-        return applied
 
     def _grow_crop(self, chunk, lx: int, lz: int, y: int) -> None:
         aux = chunk.aux

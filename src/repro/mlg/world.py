@@ -12,8 +12,8 @@ drive terrain simulation triggers and client state-update packets.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ Array = np.ndarray
 _int64 = partial(np.asarray, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class BlockChange:
+class BlockChange(NamedTuple):
     """One block mutation, as recorded in the world's change log."""
 
     x: int
@@ -306,22 +305,33 @@ class World:
         heights = self._arena.gather("heightmap", slots, xs & 15, zs & 15)
         return np.where(loaded, heights, 0).astype(np.int64)
 
-    def _voxels_bulk(self, field: str, xs, ys, zs) -> Array:
+    def _voxels_bulk(self, xs, ys, zs, *fields: str) -> list[Array]:
+        """Each of ``fields`` at the same positions (coordinate arrays
+        that broadcast against each other), from one chunk lookup."""
         xs, ys, zs = _int64(xs), _int64(ys), _int64(zs)
         slots, ok = self._locate(xs, zs)
-        ok &= (ys >= 0) & (ys < WORLD_HEIGHT)
-        values = self._arena.gather(
-            field, slots, xs & 15, zs & 15, np.clip(ys, 0, WORLD_HEIGHT - 1)
-        )
-        return np.where(ok, values, np.uint8(0))
+        ok = ok & (ys >= 0) & (ys < WORLD_HEIGHT)
+        at = (slots, xs & 15, zs & 15, np.clip(ys, 0, WORLD_HEIGHT - 1))
+        return [
+            np.where(ok, self._arena.gather(field, *at), np.uint8(0))
+            for field in fields
+        ]
 
     def blocks_bulk(self, xs: Array, ys: Array, zs: Array) -> Array:
-        """Vectorized :meth:`get_block` for integer coordinate arrays.
+        """Vectorized :meth:`get_block` for integer coordinate arrays
+        (which may broadcast against each other: a lattice is three axes).
 
         AIR outside vertical bounds and in unloaded chunks, matching the
         scalar read semantics (reads never force generation).
         """
-        return self._voxels_bulk("blocks", xs, ys, zs)
+        return self._voxels_bulk(xs, ys, zs, "blocks")[0]
+
+    def blocks_and_aux_bulk(
+        self, xs: Array, ys: Array, zs: Array
+    ) -> tuple[Array, Array]:
+        """:meth:`blocks_bulk` and :meth:`aux_bulk` of the same positions."""
+        blocks, aux = self._voxels_bulk(xs, ys, zs, "blocks", "aux")
+        return blocks, aux
 
     def blocks_cuboid(
         self, x0: int, y0: int, z0: int, x1: int, y1: int, z1: int
@@ -350,7 +360,7 @@ class World:
 
     def aux_bulk(self, xs: Array, ys: Array, zs: Array) -> Array:
         """Vectorized :meth:`get_aux` for integer coordinate arrays."""
-        return self._voxels_bulk("aux", xs, ys, zs)
+        return self._voxels_bulk(xs, ys, zs, "aux")[0]
 
     def blocks_per_chunk(self, lxs: Array, lzs: Array, ys: Array) -> Array:
         """Block ids at chunk-local positions: equal consecutive runs of
@@ -441,12 +451,21 @@ class World:
             )
         if not solid.all():
             # Carving air can lower a column top; rescan only columns
-            # whose recorded top was the carved cell.
+            # whose recorded top was the carved cell (positions are
+            # unique, so at most one cell a column), all in one gather.
             air = np.flatnonzero(~solid)
             tops = arena.gather("heightmap", slots[air], lx[air], lz[air])
-            for i in sel[air[y[air] == tops - 1]].tolist():
-                x, z = int(xs[i]), int(zs[i])
-                self._chunks[(x >> 4, z >> 4)].update_height_at(x & 15, z & 15)
+            carved = air[y[air] == tops - 1]
+            if carved.size:
+                column = slots[carved], lx[carved], lz[carved]
+                cells = arena.gather(
+                    "blocks", *(c[:, None] for c in column),
+                    np.arange(WORLD_HEIGHT),
+                )
+                arena.scatter(
+                    "heightmap", *column,
+                    values=column_tops(cells != Block.AIR),
+                )
         if log:
             columns = (xs[sel], ys[sel], zs[sel], old, new)
             self._change_log.extend(

@@ -19,7 +19,7 @@ from repro.emulation.swarm import BotSwarm
 from repro.mlg.blocks import Block
 from repro.mlg.server import MLGServer
 from repro.mlg.workreport import Op, WorkReport
-from repro.mlg.world import World
+from repro.mlg.world import World, cuboid_cells
 from repro.mlg.worldgen import PAPER_SEED, TerrainGenerator
 from repro.workloads.base import Workload
 from repro.workloads.constructs import (
@@ -311,9 +311,10 @@ class FloodWorkload(Workload):
                 )
                 if changed:
                     report.add(Op.BLOCK_ADD_REMOVE, changed)
-                for z in range(gz0, gz1 + 1):
-                    for y in range(gy0, gy1 + 1):
-                        server_.fluids.schedule_neighbors(gx0, y, z)
+                # The slabs are one block thick in x: z-major, y inside.
+                server_.fluids.schedule_neighbors_bulk(
+                    *cuboid_cells(gx0, gy0, gz0, gx0, gy1, gz1)
+                )
 
         server.add_tick_hook(cycle_gates)
         sx, sz = self._spawn

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from terrain_oracle import growth_tick_scalar
 
 from repro.mlg.blocks import Block, is_solid
 from repro.mlg.chunk_arena import ChunkArena
@@ -220,7 +221,7 @@ def _churned_growth(root, scalar: bool):
                 if source == "generated":  # something for random ticks to hit
                     chunk.blocks[::2, ::2, 60:100] = Block.CROP
                     chunk.blocks[1::4, 1::4, 60:90] = Block.SAPLING
-        (growth.tick_scalar if scalar else growth.tick)(report)
+        (growth_tick_scalar if scalar else GrowthEngine.tick)(growth, report)
         lifecycle.tick(tick, report, [((ccx, 0), 0)])
     return world, lifecycle, growth, report
 

@@ -1,13 +1,15 @@
 """Scalar-vs-batched parity for the terrain engines and bulk world APIs.
 
-The batched fluid/growth paths must produce the *bit-identical* final
-world state (blocks + aux + heightmap) as the scalar reference on
-recorded scenarios — the contract that makes the numpy batching a pure
-performance change rather than a simulation-model change.
+The batched fluid/growth engines must produce the *bit-identical* final
+world state (blocks + aux + heightmap) as the cell-by-cell code they
+replaced (``terrain_oracle.py``) on recorded scenarios — the contract that
+makes the numpy batching a pure performance change rather than a
+simulation-model change.
 """
 
 import numpy as np
 import pytest
+from terrain_oracle import ScalarFluidEngine, growth_tick_scalar
 
 from repro.mlg.blocks import Block
 from repro.mlg.constants import CHUNK_SIZE, WORLD_HEIGHT
@@ -99,9 +101,9 @@ FLUID_SCENARIOS = {
 }
 
 
-def _run_fluid_scenario(build, batched: bool, max_ticks: int = 4000):
+def _run_fluid_scenario(build, engine=FluidEngine, max_ticks: int = 4000):
     world = _flat_world()
-    fluids = FluidEngine(world, batched=batched)
+    fluids = engine(world)
     build(world, fluids)
     report = WorkReport()
     tick = 0
@@ -116,15 +118,76 @@ class TestFluidParity:
     @pytest.mark.parametrize("name", sorted(FLUID_SCENARIOS))
     def test_final_state_bit_identical(self, name):
         build = FLUID_SCENARIOS[name]
-        world_scalar, _ = _run_fluid_scenario(build, batched=False)
-        world_batched, _ = _run_fluid_scenario(build, batched=True)
+        world_scalar, _ = _run_fluid_scenario(build, ScalarFluidEngine)
+        world_batched, _ = _run_fluid_scenario(build)
         _assert_worlds_identical(world_scalar, world_batched)
 
     @pytest.mark.parametrize("name", sorted(FLUID_SCENARIOS))
     def test_scenarios_do_real_work(self, name):
-        _, report = _run_fluid_scenario(FLUID_SCENARIOS[name], batched=True)
+        _, report = _run_fluid_scenario(FLUID_SCENARIOS[name])
         assert report.get(Op.FLUID) > 0
         assert report.get(Op.BLOCK_ADD_REMOVE) > 0
+
+
+class _ScalarWake(FluidEngine):
+    """The batched engine, waking a cleared cell's neighbors as it used to:
+    cell by cell, six ``get_block`` calls each."""
+
+    def schedule_neighbors_bulk(self, xs, ys, zs):
+        for x, y, z in zip(xs, ys, zs):
+            for cell in self.world.neighbors6(int(x), int(y), int(z)):
+                block = self.world.get_block(*cell)
+                if block in (Block.WATER_SOURCE, Block.WATER_FLOW):
+                    self._schedule_water([cell])
+                elif block == Block.LAVA:
+                    self._schedule_lava([cell])
+
+
+class TestFluidQueueSequence:
+    """Which cells a budget-limited tick reaches is decided by the order of
+    the queue, so the bulk wake-up must queue exactly what the per-cell
+    one did, in the same order."""
+
+    @pytest.mark.parametrize("name", sorted(FLUID_SCENARIOS))
+    @pytest.mark.parametrize("budget", [3, 7])
+    def test_queue_equals_per_cell_wakeups(self, name, budget):
+        runs = []
+        for engine in (FluidEngine, _ScalarWake):
+            world = _flat_world()
+            fluids = engine(world, max_updates_per_tick=budget)
+            FLUID_SCENARIOS[name](world, fluids)
+            fluids.schedule_neighbors(10, 42, 12)
+            queues, report = [], WorkReport()
+            for tick in range(0, 1500, WATER_TICK_INTERVAL):
+                fluids.tick(tick, report)
+                queues.append((list(fluids._queue), list(fluids._lava_queue)))
+            runs.append((world, queues, report.counts))
+        (world_a, queues_a, counts_a), (world_b, queues_b, counts_b) = runs
+        assert queues_a == queues_b
+        assert max(len(w) + len(l) for w, l in queues_a) > budget, (
+            "the budget must have cut a tick short"
+        )
+        assert counts_a == counts_b
+        _assert_worlds_identical(world_a, world_b)
+
+    def test_bulk_wakeup_is_the_scalar_one_block_by_block(self):
+        def woken(engine):
+            world = _flat_world()
+            fluids = engine(world)
+            world.fill(8, 40, 8, 14, 44, 14, Block.WATER_SOURCE)
+            world.fill(10, 40, 10, 12, 42, 12, Block.LAVA)
+            # One-cell-wide cuts: both neighbors across each are fluid.
+            world.fill(11, 41, 9, 11, 43, 13, Block.AIR, log=True)
+            world.fill(9, 42, 11, 13, 42, 11, Block.AIR, log=True)
+            world.fill(9, 43, 9, 13, 43, 13, Block.AIR, log=True)
+            xs, ys, zs = zip(*((c.x, c.y, c.z) for c in world.drain_changes()))
+            fluids.schedule_neighbors_bulk(xs, ys, zs)
+            return list(fluids._queue), list(fluids._lava_queue)
+
+        water, lava = woken(FluidEngine)
+        assert (water, lava) == woken(ScalarFluidEngine)
+        assert len(water) > 50 and len(lava) > 5
+        assert len(set(water)) == len(water)
 
 
 class TestGrowthParity:
@@ -152,7 +215,7 @@ class TestGrowthParity:
             growth_a.tick(report_a)
             matured_a.extend(growth_a.matured)
         for _ in range(2000):
-            growth_b.tick_scalar(report_b)
+            growth_tick_scalar(growth_b, report_b)
             matured_b.extend(growth_b.matured)
         _assert_worlds_identical(world_a, world_b)
         assert matured_a == matured_b
@@ -201,6 +264,40 @@ class TestSetBlocksBulk:
         # between the scalar input order and chunk grouping — it doesn't:
         # bulk appends in input order too).
         assert world_a.drain_changes() == world_b.drain_changes()
+
+    def test_carving_several_cells_of_a_column_in_one_call(self):
+        """Column tops are rescanned once per write batch: a batch that
+        carves a column's top and the cells under it, while building
+        another up, leaves every heightmap what a full rescan gives."""
+        world = _flat_world(ground_y=40, size=2)
+        world.fill(3, 40, 3, 9, 47, 20, Block.STONE)  # tops at 48
+        world.set_block(5, 60, 5, Block.GLASS)  # a floating top
+        xs, ys, zs, ids = [], [], [], []
+        for x, z, carve in (
+            (3, 3, range(44, 48)),  # the top four
+            (4, 17, range(0, 48)),  # the whole column, across a chunk edge
+            (5, 5, (60, 47, 46, 20)),  # top first, then below it
+            (6, 6, (30, 31)),  # nothing at the top: heightmap untouched
+            (7, 7, (47, 45)),  # the top and a gap
+        ):
+            for y in carve:
+                xs.append(x), ys.append(y), zs.append(z), ids.append(Block.AIR)
+        for y in (48, 49, 50):  # and one column grows in the same call
+            xs.append(8), ys.append(y), zs.append(8), ids.append(Block.SAND)
+        changed = world.set_blocks_bulk(xs, ys, zs, ids)
+        assert changed == len(xs)
+        tops = {
+            (x, z): world.column_height(x, z)
+            for x, z in ((3, 3), (4, 17), (5, 5), (6, 6), (7, 7), (8, 8))
+        }
+        assert tops == {
+            (3, 3): 44, (4, 17): 0, (5, 5): 46, (6, 6): 48, (7, 7): 47,
+            (8, 8): 51,
+        }
+        for chunk in world.loaded_chunks():
+            recorded = chunk.heightmap.copy()
+            chunk.recompute_heightmap()
+            np.testing.assert_array_equal(recorded, chunk.heightmap)
 
     def test_aux_bulk_matches_get_aux(self):
         world = _flat_world(size=2)
