@@ -5,9 +5,11 @@ clock, and every RNG seed derive only from the spec — so jobs can run in
 any order, in any process, and produce bit-identical results.  The
 executor exploits that: with ``jobs=1`` it runs chains inline; with
 ``jobs=N`` it fans them out over a ``multiprocessing`` pool.  Either way
-the parent process writes one shard per finished job into the
-:class:`~repro.campaign.store.JobStore`, which is what makes a killed
-campaign resumable.
+the process that ran a job writes its shard into the
+:class:`~repro.campaign.store.JobStore` — once, atomically — and hands
+the parent only its path: a result crosses the process boundary as a
+file, not as a pickle to rebuild and serialise again.  A shard per
+finished job is what makes a killed campaign resumable.
 """
 
 from __future__ import annotations
@@ -74,9 +76,10 @@ def open_campaign(
     stamp the manifest.  Returns (completed job ids, manifest provenance).
 
     With ``resume`` the store may hold shards of this same spec (checked
-    against the recorded manifest); without it a non-empty store is an
-    error.  Shards of a different spec are always refused — never
-    silently clobber or silently reuse another campaign's measurements.
+    against the recorded manifest; one that no longer parses is not
+    completed); without it a non-empty store is an error.  Shards of a
+    different spec are always refused — never silently clobber or
+    silently reuse another campaign's measurements.
     """
     completed = store.completed_ids()
     stale = completed - {job.job_id for job in plan}
@@ -91,6 +94,15 @@ def open_campaign(
             "different campaign spec; choose a fresh output_dir"
         )
     if resume:
+        # A shard truncated or scribbled on from outside is a job that
+        # never finished: run it again, do not trip over it in merge.
+        for job_id in sorted(completed):
+            try:
+                store.load_job(job_id)
+            except (ValueError, TypeError, KeyError):
+                completed.discard(job_id)
+                print(f"resume: shard of job {job_id} does not parse; "
+                      "it is pending again", flush=True)
         manifest = store.read_manifest()
         if manifest is not None:
             recorded = manifest["spec"]
@@ -197,15 +209,13 @@ def run_job_chain(
 ) -> list[IterationResult]:
     """Run ``job``'s server chain, streaming its sidecars as it goes.
 
-    With a ``telemetry_dir``, one JSONL line per finished iteration goes
+    One JSONL line per finished iteration goes
     to ``<telemetry_dir>/<job_id>.jsonl`` (truncating any sidecar left by
     a previous attempt), which is what makes in-flight jobs observable
     via ``python -m repro status``.  Traced iterations additionally
     stream their slow-tick flight-recorder dumps into
     ``<telemetry_dir>/<job_id>.anomalies.jsonl``.
     """
-    if telemetry_dir is None:
-        return run_server_chain(config, job.server, drive=drive)
     path = Path(telemetry_dir) / f"{job.job_id}.jsonl"
     path.parent.mkdir(parents=True, exist_ok=True)
     anomalies_path = Path(telemetry_dir) / f"{job.job_id}.anomalies.jsonl"
@@ -225,28 +235,30 @@ def run_job_chain(
         )
 
 
-def execute_job(payload: dict) -> tuple[dict, list[dict], dict]:
-    """Run one job's server chain; the unit shipped to worker processes.
+def execute_job(payload: dict) -> tuple[dict, str, dict]:
+    """Run one job's server chain and write its shard; the unit shipped
+    to worker processes.
 
-    Takes and returns plain JSON-able dicts so the same function serves
-    the serial path, ``multiprocessing`` pickling, and shard files.  The
-    third element is the job's lifecycle phase timings (wall seconds for
-    plan → iterate → externalize), which the executor folds into the
-    campaign trace.  The payload's ``telemetry_dir`` (optional) is where
-    :func:`run_job_chain` streams the job's sidecars.
+    Takes and returns plain picklable values, so the same function serves
+    the serial path and ``multiprocessing``: in, the spec, the job and
+    the ``store`` root (sidecars stream under it while the chain runs,
+    the shard lands in it when the chain is done); out, the job, the path
+    of the shard this process wrote, and the job's phase timings (wall
+    seconds for plan → iterate → externalize) for the campaign trace.
     """
     plan_start = time.perf_counter()
     spec = CampaignSpec.from_dict(payload["spec"])
     job = Job.from_dict(payload["job"])
+    store = JobStore(payload["store"])
     config = JobPlanner(spec).job_config(job)
     phases = {"plan_s": time.perf_counter() - plan_start}
     iterate_start = time.perf_counter()
-    iterations = run_job_chain(job, config, payload.get("telemetry_dir"))
+    iterations = run_job_chain(job, config, store.telemetry_dir)
     phases["iterate_s"] = time.perf_counter() - iterate_start
     externalize_start = time.perf_counter()
-    iteration_dicts = [it.to_dict() for it in iterations]
+    shard = store.save_job_payload(job, [it.to_dict() for it in iterations])
     phases["externalize_s"] = time.perf_counter() - externalize_start
-    return payload["job"], iteration_dicts, phases
+    return payload["job"], str(shard), phases
 
 
 class _ObsPlane:
@@ -371,7 +383,7 @@ class CampaignExecutor:
                 {
                     "spec": self.spec.to_dict(),
                     "job": job.to_dict(),
-                    "telemetry_dir": str(self.store.telemetry_dir),
+                    "store": str(self.store.root),
                 }
                 for job in pending
             ]
@@ -381,9 +393,8 @@ class CampaignExecutor:
                 results = map(execute_job, payloads)
             iterate_start = time.perf_counter()
             job_phases: dict[str, dict] = {}
-            for job_dict, iteration_dicts, phases in results:
+            for job_dict, _shard, phases in results:
                 job = Job.from_dict(job_dict)
-                self.store.save_job_payload(job, iteration_dicts)
                 job_phases[job.job_id] = phases
                 n_done += 1
                 if self.progress is not None:
@@ -430,9 +441,10 @@ class CampaignExecutor:
     def _run_parallel(self, payloads: list[dict]):
         """Fan pending jobs out over a process pool, yielding completions.
 
-        ``imap_unordered`` streams results back as chains finish, so
-        shards land (and resume-progress accrues) job by job rather than
-        all at once; merge order is restored from the plan afterwards.
+        A worker has written its job's shard by the time
+        ``imap_unordered`` streams its small result back, so shards land
+        (and resume-progress accrues) job by job rather than all at once;
+        merge order is restored from the plan afterwards.
         """
         n_workers = min(self.jobs, len(payloads))
         with multiprocessing.Pool(processes=n_workers) as pool:

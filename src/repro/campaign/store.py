@@ -14,9 +14,13 @@ Layout, under the campaign's ``output_dir``::
                                 slow-tick flight-recorder dumps (traced
                                 runs only; one line per anomalous tick)
 
-Shards are written atomically (temp file + ``os.replace``), so a campaign
-killed mid-run leaves either a complete shard or none — never a torn one.
-``resume`` is then just "skip every job that already has a shard".
+Each shard is written once, by the process that ran the job (a pool
+worker, or the parent when the campaign runs inline), atomically (temp
+file + ``os.replace``): a campaign killed mid-run leaves either a complete
+shard or none — never a torn one.  ``resume`` is then "skip every job
+whose shard parses".  Shards are one unindented line (the C encoder
+writes them; older indented ones load the same); the manifest and the
+campaign trace, which people read, stay indented.
 
 Telemetry sidecars are different on purpose: they are *streamed* (append
 + flush per iteration) so ``python -m repro status`` can show live
@@ -43,10 +47,20 @@ TELEMETRY_DIR = "telemetry"
 REPORT_DIR = "report"
 
 
-def _iteration_from_dict(raw: dict) -> IterationResult:
-    raw = dict(raw)
-    raw.pop("isr", None)  # derived property, not a constructor field
-    return IterationResult(**raw)
+def _read_jsonl(path: Path) -> list[dict]:
+    """The intact lines of a streamed sidecar, oldest first."""
+    if not path.exists():
+        return []
+    lines: list[dict] = []
+    for raw in path.read_text().splitlines():
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            lines.append(json.loads(raw))
+        except json.JSONDecodeError:
+            continue  # torn write from a killed worker
+    return lines
 
 
 class JobStore:
@@ -110,13 +124,16 @@ class JobStore:
             return None
         return json.loads(self.manifest_path.read_text())
 
-    def manifest_spec(self) -> CampaignSpec:
+    def _manifest(self) -> dict:
         manifest = self.read_manifest()
         if manifest is None:
             raise FileNotFoundError(
                 f"no campaign manifest at {self.manifest_path}"
             )
-        return CampaignSpec.from_dict(manifest["spec"])
+        return manifest
+
+    def manifest_spec(self) -> CampaignSpec:
+        return CampaignSpec.from_dict(self._manifest()["spec"])
 
     def update_manifest_output(self, output: dict) -> Path:
         """Rewrite only the manifest spec's ``output:`` section.
@@ -127,52 +144,37 @@ class JobStore:
         without invalidating jobs, shards, or provenance — the rewrite
         is atomic and touches nothing else in the manifest.
         """
-        manifest = self.read_manifest()
-        if manifest is None:
-            raise FileNotFoundError(
-                f"no campaign manifest at {self.manifest_path}"
-            )
+        manifest = self._manifest()
         manifest.setdefault("spec", {})["output"] = output
         self._write_atomic(self.manifest_path, manifest)
         return self.manifest_path
 
     def manifest_jobs(self) -> list[Job]:
-        manifest = self.read_manifest()
-        if manifest is None:
-            raise FileNotFoundError(
-                f"no campaign manifest at {self.manifest_path}"
-            )
-        return [Job.from_dict(raw) for raw in manifest["jobs"]]
+        return [Job.from_dict(raw) for raw in self._manifest()["jobs"]]
 
     # -- shards -------------------------------------------------------------
 
-    def save_job(
-        self, job: Job, iterations: list[IterationResult]
-    ) -> Path:
-        self.shard_dir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "job": job.to_dict(),
-            "iterations": [it.to_dict() for it in iterations],
-        }
-        path = self.shard_path(job.job_id)
-        self._write_atomic(path, payload)
-        return path
+    def save_job(self, job: Job, iterations: list[IterationResult]) -> Path:
+        return self.save_job_payload(job, [it.to_dict() for it in iterations])
 
     def save_job_payload(self, job: Job, iterations: list[dict]) -> Path:
-        """Like :meth:`save_job` for already-serialized iteration dicts
-        (what worker processes return)."""
-        return self.save_job(
-            job, [_iteration_from_dict(raw) for raw in iterations]
+        """The shard writer: ``iterations`` as ``to_dict`` gave them."""
+        self.shard_dir.mkdir(parents=True, exist_ok=True)
+        path = self.shard_path(job.job_id)
+        self._write_atomic(
+            path, {"job": job.to_dict(), "iterations": iterations}, indent=None
         )
+        return path
 
     def load_job(self, job_id: str) -> list[IterationResult] | None:
         path = self.shard_path(job_id)
         if not path.exists():
             return None
         payload = json.loads(path.read_text())
-        return [_iteration_from_dict(raw) for raw in payload["iterations"]]
+        return list(map(IterationResult.from_dict, payload["iterations"]))
 
     def completed_ids(self) -> set[str]:
+        """Every job with a shard file, whole or not (``status`` polls)."""
         if not self.shard_dir.is_dir():
             return set()
         return {path.stem for path in self.shard_dir.glob("*.json")}
@@ -182,19 +184,7 @@ class JobStore:
     def read_job_telemetry(self, job_id: str) -> list[dict]:
         """Per-iteration telemetry lines streamed by a (possibly still
         running) job, oldest first.  A torn trailing line is skipped."""
-        path = self.telemetry_path(job_id)
-        if not path.exists():
-            return []
-        lines: list[dict] = []
-        for raw in path.read_text().splitlines():
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                lines.append(json.loads(raw))
-            except json.JSONDecodeError:
-                continue  # torn write from a killed worker
-        return lines
+        return _read_jsonl(self.telemetry_path(job_id))
 
     #: How many trailing sidecar bytes ``status`` reads per job — enough
     #: for several iteration lines.
@@ -233,19 +223,7 @@ class JobStore:
 
     def read_job_anomalies(self, job_id: str) -> list[dict]:
         """Flight-recorder dumps streamed by one job, oldest first."""
-        path = self.anomaly_path(job_id)
-        if not path.exists():
-            return []
-        dumps: list[dict] = []
-        for raw in path.read_text().splitlines():
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                dumps.append(json.loads(raw))
-            except json.JSONDecodeError:
-                continue  # torn write from a killed worker
-        return dumps
+        return _read_jsonl(self.anomaly_path(job_id))
 
     # -- campaign trace -----------------------------------------------------
 
@@ -323,9 +301,11 @@ class JobStore:
     # -- internals ----------------------------------------------------------
 
     @staticmethod
-    def _write_atomic(path: Path, payload: dict) -> None:
+    def _write_atomic(
+        path: Path, payload: dict, indent: int | None = 2
+    ) -> None:
         tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2))
+        tmp.write_text(json.dumps(payload, indent=indent))
         os.replace(tmp, path)
 
 

@@ -8,7 +8,7 @@ exportable to JSON/CSV for the Data Retrieval component (Fig. 5, #9).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.metrics import instability_ratio, summarize
@@ -116,9 +116,16 @@ class IterationResult:
         return None
 
     def to_dict(self) -> dict:
-        data = asdict(self)
+        """The fields in declaration order, then ``isr``.  Shallow: the
+        series and the telemetry are the result's own objects."""
+        data = {key: getattr(self, key) for key in self.__dataclass_fields__}
         data["isr"] = self.isr
         return data
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "IterationResult":
+        """Inverse of :meth:`to_dict` (``isr`` is derived, not a field)."""
+        return cls(**{k: v for k, v in raw.items() if k != "isr"})
 
 
 @dataclass
@@ -170,9 +177,5 @@ class ExperimentResult:
     @classmethod
     def load_json(cls, path: str | Path) -> "ExperimentResult":
         payload = json.loads(Path(path).read_text())
-        iterations = []
-        for raw in payload["iterations"]:
-            raw = dict(raw)
-            raw.pop("isr", None)
-            iterations.append(IterationResult(**raw))
-        return cls(config=payload["config"], iterations=iterations)
+        iterations = map(IterationResult.from_dict, payload["iterations"])
+        return cls(config=payload["config"], iterations=list(iterations))

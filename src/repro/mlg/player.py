@@ -11,6 +11,7 @@ occur directly after a player connects").
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.mlg.chat import ChatSystem
@@ -23,6 +24,16 @@ from repro.mlg.workreport import Op, WorkReport
 from repro.mlg.world import World
 
 __all__ = ["PlayerConnection", "PlayerHandler"]
+
+#: What bringing a chunk into a view is charged as, by where
+#: ``World.ensure_chunks`` found it: generated (lit on top), streamed back
+#: in from a region file (relit by the lifecycle loader; the op's cost
+#: covers the relight), or already resident (view attachment only).
+_VIEW_OPS = {
+    "generated": Op.CHUNK_GEN,
+    "loaded": Op.CHUNK_LOAD,
+    "resident": Op.CHUNK_VIEW,
+}
 
 
 @dataclass
@@ -102,7 +113,7 @@ class PlayerHandler:
 
     def _load_view(self, conn: PlayerConnection, report: WorkReport) -> int:
         """Load/generate every chunk within view distance as one batch, then
-        charge the work chunk by chunk; returns the new count."""
+        charge the work once per source; returns the new count."""
         ccx, ccz = conn.chunk_pos
         view = conn.view_distance
         # A chunk this player already has is skipped only while it is still
@@ -116,23 +127,22 @@ class PlayerHandler:
             or not self.world.has_chunk(cx, cz)
         ]
         ensured = self.world.ensure_chunks(wanted)
-        lit = iter(self.lights.light_chunks(
+        lit = self.lights.light_chunks(
             [chunk for chunk, source in ensured if source == "generated"]
-        ))
-        for _, source in ensured:
+        )
+        # Ops enter the report in the order a chunk-by-chunk walk would
+        # first meet them (the cost total is summed in that order): the
+        # first chunk's source, the view's packets, the other sources.
+        sources = Counter(source for _, source in ensured)
+        for i, (source, n) in enumerate(sources.items()):
+            report.add(_VIEW_OPS[source], n)
             if source == "generated":
-                report.add(Op.CHUNK_GEN)
-                report.add(Op.LIGHTING, next(lit))
-            elif source == "loaded":
-                # Streamed back in from a region file (relit by the
-                # lifecycle loader; the op's cost covers the relight).
-                report.add(Op.CHUNK_LOAD)
-            else:
-                # Already resident: only view attachment and packets.
-                report.add(Op.CHUNK_VIEW)
-            self.net.send_counted(
-                conn.client_id, PacketCategory.CHUNK_DATA, 1, report
-            )
+                report.add(Op.LIGHTING, sum(lit))
+            if i == 0:
+                self.net.send_counted(
+                    conn.client_id, PacketCategory.CHUNK_DATA, len(ensured),
+                    report,
+                )
         conn.loaded_chunks.update(wanted)
         return len(wanted)
 

@@ -69,16 +69,19 @@ class World:
     the world rebuilds their heightmaps after it.
 
     ``loader`` — when provided — is consulted *before* the generator when
-    a missing chunk is touched (signature ``loader(cx, cz) -> Chunk |
-    None``): the hook through which the persistence layer streams chunks
-    back in from region files.  A ``None`` return falls through to
-    generation.
+    a missing chunk is touched (signature ``loader(cx, cz, create) ->
+    Chunk | None``): the hook through which the persistence layer streams
+    chunks back in from region files.  ``create(cx, cz)`` claims the
+    chunk's arena slot and returns its all-air handle, so a loader that
+    has the bytes decodes them where they will live; one that already
+    holds a free-standing chunk returns that, and it is copied in.  A
+    ``None`` return (nothing claimed) falls through to generation.
     """
 
     def __init__(
         self,
         generator: Callable[[Chunk], None] | None = None,
-        loader: Callable[[int, int], Chunk | None] | None = None,
+        loader: Callable[..., Chunk | None] | None = None,
     ) -> None:
         self._arena = ChunkArena()
         #: ``(cx, cz) → handle`` in load order (owned by the arena).
@@ -131,8 +134,9 @@ class World:
             for cx, cz in coords:
                 chunk, source = self._chunks.get((cx, cz)), "resident"
                 if chunk is None and self._loader is not None:
-                    chunk, source = self._loader(cx, cz), "loaded"
-                    if chunk is not None:
+                    chunk = self._loader(cx, cz, self._arena.create)
+                    source = "loaded"
+                    if chunk is not None and chunk._page.base < 0:
                         self._arena.adopt(chunk)
                 if chunk is None:
                     chunk, source = self._arena.create(cx, cz), "generated"
@@ -156,9 +160,7 @@ class World:
                 strip.write("heightmap", column_tops(nonair))
         self.chunks_generated_this_tick += len(created)
 
-    def set_loader(
-        self, loader: Callable[[int, int], Chunk | None] | None
-    ) -> None:
+    def set_loader(self, loader: Callable[..., Chunk | None] | None) -> None:
         """Install the disk-load hook (wired by the chunk lifecycle)."""
         self._loader = loader
 

@@ -20,16 +20,25 @@ hysteresis margin) are dropped, least-recently-viewed first, so the
 loaded-chunk count — and therefore ``World.nbytes`` — plateaus instead of
 growing forever.  Two invariants hold unconditionally: a dirty chunk is
 never evicted, and a chunk is only evicted when it can come back (it is
-on disk, in the warm cache, or deterministically regenerable).
+on disk, in the warm cache, or deterministically regenerable).  Recency
+is a 2-D ``int32`` grid over chunk coordinates holding the last tick each
+was in some player's view (-1: never): a view is one slice assignment, "in
+view this tick" is ``grid[cx, cz] == tick_index`` over the loaded keys,
+and the grid grows, keeping what it held, when a view leaves it.
 
 Loads stream back in through the world's loader hook: store first, then
-the read-only warm cache, then regeneration.
+the read-only warm cache, then regeneration.  A hit is inflated, checked,
+and decoded straight into the arena slot the world offers, then relit
+there; a payload that fails claims no slot.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, Iterable
+from itertools import chain
+
+import numpy as np
 
 from repro.mlg.workreport import Op, WorkReport
 from repro.mlg.world import Chunk, World
@@ -55,6 +64,9 @@ class ChunkLifecycle:
     #: far fluid fronts or entities can drift in this window, and it
     #: amortizes the pure-Python anchor walk across over-cap ticks.
     PIN_REFRESH_TICKS = 4
+    #: Chunks of slack on every side when the recency grid (re)grows, so
+    #: a walking player regrows it every 16 chunks, not every tick.
+    GRID_PAD = 16
 
     def __init__(
         self,
@@ -105,7 +117,11 @@ class ChunkLifecycle:
         self._staged: list[Chunk] = []
         self._next_autosave_tick = autosave_interval_ticks
         self._autosave_index = 0
-        self._last_seen: dict[tuple[int, int], int] = {}
+        #: Last tick each chunk coordinate was in a view, -1 for never;
+        #: ``_seen[cx - x0, cz - z0]`` with ``(x0, z0) = _seen_origin``.
+        #: Coordinates outside the grid have never been in a view.
+        self._seen = np.full((0, 0), -1, np.int32)
+        self._seen_origin = (0, 0)
         # -- counters (exported to iteration telemetry) --
         self.chunks_saved = 0
         self.chunks_loaded = 0
@@ -157,37 +173,36 @@ class ChunkLifecycle:
         report: WorkReport,
         anchors: Iterable[ViewAnchor],
     ) -> None:
-        """Run one tick of lifecycle work (called by the game loop)."""
+        """Run one tick of lifecycle work (called by the game loop, with
+        a ``tick_index`` that grows from call to call: "in view now" is
+        "last seen at ``tick_index``")."""
         count = self.world.loaded_chunk_count
         if count > self.peak_loaded_chunks:
             self.peak_loaded_chunks = count
         if self.store is not None:
             self._autosave(tick_index, report)
-        # The in-view set (≈ players × view²) is only materialized on
-        # ticks where eviction can actually run: below the cap the whole
-        # pass — including the recency bookkeeping — costs nothing.
-        # Recency therefore freezes between over-cap episodes, which
-        # only coarsens the LRU order among chunks that were all last
-        # seen before the episode began.
-        if (
-            self.eviction_enabled
-            and self.world.loaded_chunk_count > self.max_loaded_chunks
-        ):
+        # Views are only stamped on ticks where eviction can actually
+        # run: below the cap the whole pass — including the recency
+        # bookkeeping — costs nothing.  Recency therefore freezes between
+        # over-cap episodes, which only coarsens the LRU order among
+        # chunks that were all last seen before the episode began.
+        if self.eviction_enabled and count > self.max_loaded_chunks:
             with self.tracer.span("evict"):
-                in_view = self._in_view(anchors)
-                for key in in_view:
-                    self._last_seen[key] = tick_index
-                self._evict(tick_index, in_view)
+                self._stamp_views(tick_index, anchors)
+                self._evict(tick_index, count - self.max_loaded_chunks)
 
     # -- loading -------------------------------------------------------------
 
-    def _load(self, cx: int, cz: int) -> Chunk | None:
-        """The world's loader hook: store, then warm cache, else miss."""
+    def _load(
+        self, cx: int, cz: int, create: Callable[[int, int], Chunk]
+    ) -> Chunk | None:
+        """The world's loader hook: store, then warm cache, else miss.
+        A hit is decoded into the slot ``create`` claims and relit there."""
         chunk = None
         if self.store is not None:
-            chunk = self.store.load_chunk(cx, cz)
+            chunk = self.store.load_chunk(cx, cz, create)
         if chunk is None and self.cache is not None:
-            chunk = self.cache.load_chunk(cx, cz)
+            chunk = self.cache.load_chunk(cx, cz, create)
         if chunk is None:
             return None
         if self.relight is not None:
@@ -301,23 +316,53 @@ class ChunkLifecycle:
 
     # -- eviction ------------------------------------------------------------
 
-    def _in_view(
-        self, anchors: Iterable[ViewAnchor]
-    ) -> set[tuple[int, int]]:
-        in_view: set[tuple[int, int]] = set()
+    def _stamp_views(
+        self, tick_index: int, anchors: Iterable[ViewAnchor]
+    ) -> None:
+        """Record ``tick_index`` for every chunk coordinate (loaded or
+        not) within a view plus the hysteresis margin."""
+        seen, (x0, z0) = self._seen, self._seen_origin
         for (ccx, ccz), view in anchors:
             reach = view + self.EVICT_MARGIN
-            for cx in range(ccx - reach, ccx + reach + 1):
-                for cz in range(ccz - reach, ccz + reach + 1):
-                    in_view.add((cx, cz))
-        return in_view
+            xa, xb = ccx - reach, ccx + reach + 1
+            za, zb = ccz - reach, ccz + reach + 1
+            if (
+                xa < x0 or za < z0
+                or xb > x0 + seen.shape[0] or zb > z0 + seen.shape[1]
+            ):
+                self._grow_seen(xa, xb, za, zb)
+                seen, (x0, z0) = self._seen, self._seen_origin
+            seen[xa - x0 : xb - x0, za - z0 : zb - z0] = tick_index
 
-    def _evict(
-        self, tick_index: int, in_view: set[tuple[int, int]]
-    ) -> None:
-        over = self.world.loaded_chunk_count - self.max_loaded_chunks
-        if over <= 0:
-            return
+    def _grow_seen(self, xa: int, xb: int, za: int, zb: int) -> None:
+        """Regrow the recency grid to hold ``[xa, xb) × [za, zb)`` as well
+        as what it holds."""
+        old, (x0, z0) = self._seen, self._seen_origin
+        pad = self.GRID_PAD
+        xa, xb, za, zb = xa - pad, xb + pad, za - pad, zb + pad
+        if old.size:
+            xa, xb = min(xa, x0), max(xb, x0 + old.shape[0])
+            za, zb = min(za, z0), max(zb, z0 + old.shape[1])
+        grown = np.full((xb - xa, zb - za), -1, np.int32)
+        if old.size:
+            grown[
+                x0 - xa : x0 - xa + old.shape[0],
+                z0 - za : z0 - za + old.shape[1],
+            ] = old
+        self._seen, self._seen_origin = grown, (xa, za)
+
+    def _last_seen(self, keys: list[tuple[int, int]]) -> list[int]:
+        """The recency grid's entry for each of ``keys``."""
+        seen, origin = self._seen, self._seen_origin
+        flat = np.fromiter(chain.from_iterable(keys), np.int64, 2 * len(keys))
+        at = flat.reshape(-1, 2) - origin
+        inside = ((at >= 0) & (at < seen.shape)).all(axis=1)
+        last = np.full(len(keys), -1, np.int32)
+        last[inside] = seen[at[inside, 0], at[inside, 1]]
+        return last.tolist()
+
+    def _evict(self, tick_index: int, over: int) -> None:
+        """Unload the ``over`` least recently viewed evictable chunks."""
         # Active simulation state (fluid queues, redstone nets, entity
         # positions) reads terrain through the AIR-for-unloaded bulk
         # queries: evicting beneath it would diverge the simulation, not
@@ -335,8 +380,10 @@ class ChunkLifecycle:
         regenerable = self.world.has_generator
         candidates: list[tuple[int, tuple[int, int]]] = []
         dirty = set(self.world.dirty_keys())
-        for key in self.world.loaded_keys():
-            if key in in_view or key in pinned or key in dirty:
+        keys = list(self.world.loaded_keys())
+        for key, last in zip(keys, self._last_seen(keys)):
+            # Stamped this tick: in view.
+            if last == tick_index or key in pinned or key in dirty:
                 continue
             if key not in self._on_disk:
                 # With a store, a not-yet-persisted chunk waits for its
@@ -346,9 +393,11 @@ class ChunkLifecycle:
                 # neither stay resident forever.
                 if self.store is not None or not regenerable:
                     continue
-            candidates.append((self._last_seen.get(key, -1), key))
+            candidates.append((last, key))
         candidates.sort()
-        for _, key in candidates[:over]:
-            self.world.unload_chunk(*key)
-            self._last_seen.pop(key, None)
+        x0, z0 = self._seen_origin
+        for last, (cx, cz) in candidates[:over]:
+            self.world.unload_chunk(cx, cz)
+            if last >= 0:
+                self._seen[cx - x0, cz - z0] = -1
             self.chunks_evicted += 1

@@ -17,9 +17,10 @@ flat file::
     +-----------------------------+
 
 Chunk payloads are the raw bytes of the three persisted arrays — blocks
-(uint8), aux (uint8), heightmap (little-endian int16) — so a load is two
-``np.frombuffer`` reshapes away from a live :class:`~repro.mlg.world.Chunk`
-(light is recomputed on load, exactly as after generation).
+(uint8), aux (uint8), heightmap (little-endian int16) — so a load is three
+``np.frombuffer`` copies into the chunk's arrays, wherever those live: a
+private page, or a slot the caller claimed from a world's arena (light is
+recomputed on load, exactly as after generation).
 
 Crash safety is two-layered: whole files are written via temp-file +
 ``os.replace`` (a killed save leaves either the old region or the new one,
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -109,14 +111,22 @@ def serialize_chunk(chunk: Chunk) -> bytes:
     )
 
 
-def deserialize_chunk(cx: int, cz: int, raw: bytes) -> Chunk:
-    """Rebuild a chunk from its persisted bytes (bit-identical arrays)."""
+def deserialize_chunk(
+    cx: int, cz: int, raw: bytes, create: Callable[[int, int], Chunk] = Chunk
+) -> Chunk:
+    """Rebuild a chunk from its persisted bytes (bit-identical arrays).
+
+    The bytes are decoded straight into the chunk ``create(cx, cz)``
+    returns — all-air and free-standing by default, a fresh arena slot
+    when the caller is a world — and ``create`` is not called for a
+    payload of the wrong length.
+    """
     if len(raw) != RAW_CHUNK_BYTES:
         raise ValueError(
             f"chunk payload is {len(raw)} bytes, expected {RAW_CHUNK_BYTES}"
         )
     shape = (CHUNK_SIZE, CHUNK_SIZE, WORLD_HEIGHT)
-    chunk = Chunk(cx, cz)
+    chunk = create(cx, cz)
     chunk.blocks[:] = np.frombuffer(
         raw, dtype=np.uint8, count=_BLOCK_BYTES, offset=0
     ).reshape(shape)

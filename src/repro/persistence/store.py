@@ -22,6 +22,7 @@ from __future__ import annotations
 import struct
 import zlib
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -140,14 +141,22 @@ class RegionStore:
             positions.update(self._region(rx, rz))
         return positions
 
-    def load_chunk(self, cx: int, cz: int) -> Chunk | None:
-        """Deserialize one chunk, or ``None`` when absent or damaged."""
+    def load_chunk(
+        self, cx: int, cz: int, create: Callable[[int, int], Chunk] = Chunk
+    ) -> Chunk | None:
+        """Deserialize one chunk, or ``None`` when absent or damaged.
+
+        The payload is inflated and checked first and then decoded into
+        the chunk ``create(cx, cz)`` returns: free-standing by default; a
+        world passes its arena's ``create``, so the bytes land in the
+        slot they will live in.  A payload that fails claims nothing.
+        """
         comp = self._region(*chunk_to_region(cx, cz)).get((cx, cz))
         if comp is None:
             return None
         try:
             raw = zlib.decompress(comp)
-            chunk = deserialize_chunk(cx, cz, raw)
+            chunk = deserialize_chunk(cx, cz, raw, create)
         except (zlib.error, ValueError) as exc:
             self.corrupt.append(CorruptEntry(cx, cz, f"payload: {exc}"))
             return None

@@ -108,7 +108,7 @@ class TestOrder:
         shelf: dict[tuple[int, int], Chunk] = {}
         world = World(
             generator=TerrainGenerator(seed=4),
-            loader=lambda cx, cz: shelf.pop((cx, cz), None),
+            loader=lambda cx, cz, create: shelf.pop((cx, cz), None),
         )
         model: dict[tuple[int, int], None] = {}
         rng = np.random.default_rng(11)

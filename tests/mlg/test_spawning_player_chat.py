@@ -14,7 +14,7 @@ from repro.mlg.player import PlayerHandler
 from repro.mlg.protocol import ActionKind, PacketCategory, PlayerAction
 from repro.mlg.spawning import SpawnEngine, SpawnPlatform
 from repro.mlg.workreport import Op, WorkReport
-from repro.mlg.world import World
+from repro.mlg.world import Chunk, World
 
 
 def _flat_world(ground_y=60, size=3):
@@ -146,6 +146,70 @@ class TestPlayerHandler:
             + report.get(Op.CHUNK_VIEW)
         ) == 25
         assert net.stats.counts[PacketCategory.CHUNK_DATA] == 25
+
+    @pytest.mark.parametrize("shift", [0, 1, 2])
+    def test_view_is_charged_per_source_in_chunk_walk_order(self, shift):
+        """One ``add`` per source and one ``send_counted`` for the view put
+        the ops in the report in the order (and with the totals) the
+        chunk-by-chunk walk did: the cost total is summed in that order."""
+        coords = [(cx, cz) for cx in range(3) for cz in range(3)]
+        kinds = ("resident", "loaded", "generated")
+
+        def rig():
+            def generate(chunk):
+                chunk.blocks[:, :, : 50 + chunk.cx] = Block.STONE
+                chunk.blocks[4, 4, 70] = Block.TORCH  # more light nodes
+
+            shelf = {
+                key: Chunk(*key)
+                for i, key in enumerate(coords)
+                if kinds[(i + shift) % 3] == "loaded"
+            }
+            world = World(
+                generator=generate,
+                loader=lambda cx, cz, create: shelf.pop((cx, cz), None),
+            )
+            world.ensure_chunks(
+                key
+                for i, key in enumerate(coords)
+                if kinds[(i + shift) % 3] == "resident"
+            )
+            net = NetworkQueues()
+            net.register_client(1, 0, 1000, 1000)
+            handler = PlayerHandler(
+                world, LightEngine(world), FluidEngine(world), net,
+                ChatSystem(net, async_mode=False),
+            )
+            report = WorkReport()
+            report.add(Op.PLAYER_ACTION)  # the report is never empty
+            return handler, world, net, report
+
+        handler, world, net, report = rig()
+        conn = handler.connect(1, "alice", 24.0, 24.0, report, view_distance=1)
+        assert conn.loaded_chunks == set(coords)
+
+        # The walk this replaced, verbatim, on a twin.
+        twin, world, twin_net, expected = rig()
+        world.ensure_chunk(1, 1)  # connect() touches the spawn chunk first
+        ensured = world.ensure_chunks(coords)
+        lit = iter(twin.lights.light_chunks(
+            [chunk for chunk, source in ensured if source == "generated"]
+        ))
+        for _, source in ensured:
+            if source == "generated":
+                expected.add(Op.CHUNK_GEN)
+                expected.add(Op.LIGHTING, next(lit))
+            elif source == "loaded":
+                expected.add(Op.CHUNK_LOAD)
+            else:
+                expected.add(Op.CHUNK_VIEW)
+            twin_net.send_counted(1, PacketCategory.CHUNK_DATA, 1, expected)
+        twin_net.broadcast_counted(PacketCategory.PLAYER_INFO, 1, expected)
+
+        assert [source for _, source in ensured][0] == kinds[shift % 3]
+        assert list(report.counts.items()) == list(expected.counts.items())
+        assert net.stats == twin_net.stats
+        assert report.get(Op.LIGHTING) > 256 * report.get(Op.CHUNK_GEN)
 
     def test_connect_spawns_at_ground_level(self):
         handler, world, _, _ = self._handler()

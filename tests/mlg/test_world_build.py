@@ -111,7 +111,7 @@ class TestBatchEqualsOracle:
             for key in coords[::3]:
                 served[key] = Chunk(*key)
                 oracle.generate_chunk(seed ^ 0xD15C, served[key])
-            return lambda cx, cz: served.pop((cx, cz), None)
+            return lambda cx, cz, create: served.pop((cx, cz), None)
 
         # Four chunks resident first; the batch then meets all three.
         world, _ = _batch_world(3, coords[5:9], loader=shelf(3))
