@@ -33,11 +33,19 @@ Bytes that arrive from a peer are not trusted: :class:`FrameDecoder`
 raises :class:`ProtocolError` — and never anything else — for a stream
 that is not this protocol, and refuses a frame longer than
 ``MAX_FRAME_BYTES`` before buffering it.
+
+Message types flow one way: ``HELLO``, ``ACTION``, ``RESPONSE_SAMPLE``
+and ``BYE`` to the server, the rest to the client.  A decoder told what
+its owner reads (``FrameDecoder(reads)``) returns those messages, puts
+the other types of that flow — a client's ``STATE`` and ``ENTITY_BATCH``
+traffic — through the same parse without building anything, and refuses
+the opposite flow.  Told nothing, it returns one message per frame.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
@@ -77,12 +85,14 @@ __all__ = [
     "WireState",
     "WireTick",
     "WireWelcome",
+    "append_batch_frame",
     "append_delivery",
     "append_entity_batch",
     "append_state",
     "decode_frame",
     "decode_varints",
     "encode_action",
+    "encode_batch_fields",
     "encode_bye",
     "encode_delivery",
     "encode_entity_batch",
@@ -453,6 +463,16 @@ class _FrameLayout:
             values.append(value)
         return tuple(values)
 
+    def check(self, body: bytes, offset: int) -> None:
+        """Raise what :meth:`decode` would; build nothing when every
+        field is a single byte."""
+        narrow = self.narrow
+        if narrow is not None:
+            fields = body[offset : offset + len(narrow)]
+            if len(fields) == len(narrow) and fields.isascii():
+                return
+        self.decode(body, offset)
+
 
 def _append_frame(
     out: bytearray, layout: _FrameLayout, payload, *lead: int
@@ -662,30 +682,45 @@ def _batch_rows(moves) -> np.ndarray:
     return rows.astype(np.int64, copy=False)
 
 
-def append_entity_batch(out: bytearray, moves) -> None:
-    """Append one ``ENTITY_BATCH`` frame to ``out``; see
-    :func:`encode_entity_batch`."""
-    rows = _batch_rows(moves)
-    count = len(rows)
-    fields = b""
-    if count:
-        eids = rows[:, 0]
-        previous = np.empty_like(eids)
-        previous[0] = 0
-        previous[1:] = eids[:-1]
-        deltas = eids - previous
-        # int64 subtraction wraps; it overflowed where the operands'
-        # signs differ and the result's sign is not the minuend's.
-        if (((eids ^ previous) & (eids ^ deltas)) < 0).any():
-            raise ValueError("entity batch id deltas must fit int64")
-        columns = rows.copy()
-        columns[:, 0] = deltas
-        fields = encode_varints(zigzag_array(columns).ravel())
+def _batch_fields(rows: np.ndarray) -> bytes:
+    if not len(rows):
+        return b""
+    eids = rows[:, 0]
+    previous = np.empty_like(eids)
+    previous[0] = 0
+    previous[1:] = eids[:-1]
+    deltas = eids - previous
+    # int64 subtraction wraps; it overflowed where the operands'
+    # signs differ and the result's sign is not the minuend's.
+    if (((eids ^ previous) & (eids ^ deltas)) < 0).any():
+        raise ValueError("entity batch id deltas must fit int64")
+    columns = rows.copy()
+    columns[:, 0] = deltas
+    return encode_varints(zigzag_array(columns).ravel())
+
+
+def encode_batch_fields(moves) -> bytes:
+    """What an ``ENTITY_BATCH`` frame carries behind its move count:
+    four zigzag varints a move, ids as deltas in the order given.  The
+    fields of the first ``n`` of these moves are a prefix of it."""
+    return _batch_fields(_batch_rows(moves))
+
+
+def append_batch_frame(out: bytearray, count: int, fields) -> None:
+    """Append the ``ENTITY_BATCH`` frame of ``count`` moves whose
+    :func:`encode_batch_fields` bytes are ``fields``."""
     head = encode_varint(count)
     out += encode_varint(1 + len(head) + len(fields))
     out.append(MSG_ENTITY_BATCH)
     out += head
     out += fields
+
+
+def append_entity_batch(out: bytearray, moves) -> None:
+    """Append one ``ENTITY_BATCH`` frame to ``out``; see
+    :func:`encode_entity_batch`."""
+    rows = _batch_rows(moves)
+    append_batch_frame(out, len(rows), _batch_fields(rows))
 
 
 def encode_entity_batch(moves) -> bytes:
@@ -791,6 +826,19 @@ def _decode_entity_batch(body: bytes) -> WireEntityBatch:
     return WireEntityBatch(tuple(zip(accumulate(eids), dx, dy, dz)))
 
 
+def _check_state(body: bytes) -> None:
+    _layout_of(_STATE_BY_ID, body).check(body, 2)
+
+
+def _check_entity_batch(body: bytes) -> None:
+    count, offset = decode_varint(body, 1)
+    fields = body[offset : offset + 4 * count]
+    if len(fields) != 4 * count or not fields.isascii():
+        # Not all single bytes: the array parse finds what is wrong, if
+        # anything is.
+        decode_varints(body, offset, 4 * count)
+
+
 def _decode_tick(body: bytes) -> WireTick:
     now_us, offset = decode_varint(body, 1)
     tick_index, offset = decode_varint(body, offset)
@@ -818,14 +866,51 @@ _BODY_DECODERS = {
     MSG_BYE: _decode_bye,
 }
 
+#: type byte -> the same parse with nothing built (returns ``None``),
+#: for the world traffic an end is sent but does not read.
+_BODY_CHECKS = {
+    MSG_STATE: _check_state,
+    MSG_ENTITY_BATCH: _check_entity_batch,
+}
 
-def _decode_body(body: bytes):
+#: The message types that flow each way over a connection.
+_FLOWS = (
+    frozenset((MSG_HELLO, MSG_ACTION, MSG_RESPONSE_SAMPLE, MSG_BYE)),
+    frozenset(
+        (MSG_WELCOME, MSG_DELIVERY, MSG_STATE, MSG_ENTITY_BATCH, MSG_TICK)
+    ),
+)
+
+
+def _body_handlers(reads: Iterable[int]) -> dict:
+    """type byte -> body handler of an end that reads ``reads``: the
+    decoder of each type it reads and the check of each other type that
+    flows the same way.  A type of the opposite flow has no entry."""
+    reads = frozenset(reads)
+    for flow in _FLOWS:
+        if reads <= flow and flow - reads <= _BODY_CHECKS.keys():
+            return {
+                kind: (_BODY_DECODERS if kind in reads else _BODY_CHECKS)[kind]
+                for kind in flow
+            }
+    raise ValueError(
+        f"no end of a connection reads exactly the types {sorted(reads)}"
+    )
+
+
+def _decode_body(body: bytes, handlers: dict = _BODY_DECODERS):
+    """The message of one frame body, or ``None`` for a body that
+    ``handlers`` only checks."""
     if not body:
         raise ProtocolError("zero-length frame body")
-    decode = _BODY_DECODERS.get(body[0])
-    if decode is None:
+    handle = handlers.get(body[0])
+    if handle is None:
+        if body[0] in _BODY_DECODERS:
+            raise ProtocolError(
+                f"wire message type {body[0]} does not flow to this end"
+            )
         raise ProtocolError(f"unknown wire message type {body[0]}")
-    return decode(body)
+    return handle(body)
 
 
 def decode_frame(buf: bytes, offset: int = 0):
@@ -837,9 +922,10 @@ def decode_frame(buf: bytes, offset: int = 0):
     return _decode_body(bytes(buf[body_start:end])), end
 
 
-def _decode_stream(buf: bytearray) -> tuple[list, int]:
-    """The messages of every complete frame at the front of ``buf`` and
-    the bytes they took; raises :class:`ProtocolError` only."""
+def _decode_stream(buf: bytearray, handlers: dict) -> tuple[list, int]:
+    """The messages of every complete frame at the front of ``buf`` that
+    ``handlers`` decodes (the frames it checks yield none) and the bytes
+    the frames took; raises :class:`ProtocolError` only."""
     messages = []
     offset = 0
     available = len(buf)
@@ -869,11 +955,13 @@ def _decode_stream(buf: bytearray) -> tuple[list, int]:
             # body below is a single slice of it.
             frames = bytes(buf)
         try:
-            messages.append(_decode_body(frames[body_start:end]))
+            message = _decode_body(frames[body_start:end], handlers)
         except ProtocolError:
             raise
         except ValueError as exc:
             raise ProtocolError(f"malformed frame body: {exc}") from exc
+        if message is not None:
+            messages.append(message)
         offset = end
     return messages, offset
 
@@ -884,17 +972,28 @@ class FrameDecoder:
     Fails closed: whatever the peer sends, :meth:`feed` returns messages
     or raises :class:`ProtocolError`, and it never holds more than one
     frame of at most ``MAX_FRAME_BYTES`` plus the chunk just fed.
+
+    ``reads`` names the message types the owner acts on, all flowing one
+    way (to the server or to the client).  Their frames come back as
+    messages; the other types that flow that way (``STATE`` and
+    ``ENTITY_BATCH`` at a client) go through the same parse and fail
+    with the same :class:`ProtocolError`, but no message is built for
+    them; a type that flows the other way is a :class:`ProtocolError`.
+    Without ``reads`` every frame comes back as a message.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, reads: Iterable[int] | None = None) -> None:
         self._buf = bytearray()
+        self._handlers = (
+            _BODY_DECODERS if reads is None else _body_handlers(reads)
+        )
 
     def feed(self, data: bytes) -> list:
         """Append ``data``; returns every complete message now decodable."""
         buf = self._buf
         buf += data
         try:
-            messages, consumed = _decode_stream(buf)
+            messages, consumed = _decode_stream(buf, self._handlers)
         except ProtocolError:
             buf.clear()  # a length-prefixed stream does not resynchronise
             raise

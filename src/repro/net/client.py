@@ -12,6 +12,14 @@ measurement record and writes the standard iteration sidecars.
 Clients keep the simulation's keepalive contract on their own wall
 clock: a connection that goes ``CLIENT_TIMEOUT_US`` without any traffic
 is abandoned, mirroring how real clients give up on a stalled server.
+That deadline, and the fleet's run time, are one re-armed timer per
+connection: a read carries no deadline of its own and only notes when
+the last byte arrived.
+
+A client acts on ``WELCOME``, ``DELIVERY`` and ``TICK``.  The ``STATE``
+and ``ENTITY_BATCH`` frames in between are the world traffic a real
+client would render; here their bytes cross the socket and the decoder
+checks them, but no message is built for them.
 """
 
 from __future__ import annotations
@@ -28,10 +36,20 @@ from repro.emulation.bot import EmulatedPlayer
 from repro.mlg import wirecodec as wc
 from repro.mlg.constants import CLIENT_TIMEOUT_US
 from repro.mlg.transport import Delivery, ServerSession, SessionInfo
+from repro.simtime import us_to_s
 
 __all__ = ["TcpSession", "run_clients"]
 
 _READ_CHUNK = 65536
+
+#: Wall seconds without a byte from the server after which a connection
+#: is abandoned.
+_IDLE_TIMEOUT_S = us_to_s(CLIENT_TIMEOUT_US)
+
+#: The message types a client acts on.  ``STATE`` and ``ENTITY_BATCH``
+#: are world traffic the bot does not act on — their bytes are the point
+#: (bandwidth realism) — so the decoder checks them and builds nothing.
+_CLIENT_READS = (wc.MSG_WELCOME, wc.MSG_DELIVERY, wc.MSG_TICK)
 
 #: Players workload movement box (matches ``BotSwarm.add_player_workload``).
 _DEFAULT_AREA = (0.0, 0.0, 32.0, 32.0)
@@ -148,6 +166,9 @@ class _Connection:
         self.ticks_seen = 0
         self.bot: EmulatedPlayer | None = None
         self._writer: asyncio.StreamWriter | None = None
+        self._last_rx = 0.0
+        self._stop_at_wall: float | None = None
+        self._timer: asyncio.TimerHandle | None = None
         #: Per-tick-cycle client spans (``trace=True`` only): each TICK
         #: frame closes one record decomposing the client's wall time —
         #: wait for the first byte, decode+dispatch up to the tick, the
@@ -164,6 +185,25 @@ class _Connection:
     def response_times_ms(self) -> list[float]:
         return self.bot.response_times_ms if self.bot is not None else []
 
+    def _on_deadline(self) -> None:
+        """The connection's one timer: close the socket — the pending
+        read then sees EOF — once the fleet's run time is up or the
+        server has been silent for ``_IDLE_TIMEOUT_S``; until then re-arm
+        for whichever comes first.  A read only moves ``_last_rx``."""
+        now = time.monotonic()
+        stop_at = self._stop_at_wall
+        due = self._last_rx + _IDLE_TIMEOUT_S
+        if stop_at is not None:
+            due = min(due, stop_at)
+        if now < due:
+            self._timer = asyncio.get_running_loop().call_later(
+                due - now, self._on_deadline
+            )
+            return
+        if stop_at is not None and now >= stop_at and self.bot is not None:
+            self.bot.session.disconnect("client done")
+        self._writer.close()  # flushes what is buffered (the BYE) first
+
     async def run(self, stop_at_wall: float | None) -> None:
         spawn_x = float(self.rng.uniform(_DEFAULT_AREA[0], _DEFAULT_AREA[2]))
         spawn_z = float(self.rng.uniform(_DEFAULT_AREA[1], _DEFAULT_AREA[3]))
@@ -174,7 +214,10 @@ class _Connection:
         except OSError:
             return
         self._writer = writer
-        decoder = wc.FrameDecoder()
+        self._stop_at_wall = stop_at_wall
+        self._last_rx = time.monotonic()
+        self._on_deadline()
+        decoder = wc.FrameDecoder(_CLIENT_READS)
         try:
             writer.write(
                 wc.encode_hello(
@@ -193,6 +236,7 @@ class _Connection:
                 chunk = await reader.read(_READ_CHUNK)
                 if not chunk:
                     return
+                self._last_rx = time.monotonic()
                 for msg in decoder.feed(chunk):
                     if welcome is None and isinstance(msg, wc.WireWelcome):
                         welcome = msg
@@ -214,30 +258,15 @@ class _Connection:
             )
             self.connected = True
             await writer.drain()
-            timeout_s = CLIENT_TIMEOUT_US / 1e6
-            last_rx = time.monotonic()
             for msg in backlog:
                 self._dispatch(session, msg)
             prev_done = time.monotonic()
             while True:
-                if stop_at_wall is not None and (
-                    time.monotonic() >= stop_at_wall
-                ):
-                    session.disconnect("client done")
-                    await writer.drain()
-                    break
-                try:
-                    chunk = await asyncio.wait_for(
-                        reader.read(_READ_CHUNK), timeout=1.0
-                    )
-                except asyncio.TimeoutError:
-                    if time.monotonic() - last_rx >= timeout_s:
-                        break  # server went silent: client-side timeout
-                    continue
+                chunk = await reader.read(_READ_CHUNK)
                 if not chunk:
-                    break  # server closed the iteration
+                    break  # closed: by the server, or by the deadline
                 recv_at = time.monotonic()
-                last_rx = recv_at
+                self._last_rx = recv_at
                 wait_us = (recv_at - prev_done) * 1e6
                 stepped = False
                 for msg in decoder.feed(chunk):
@@ -259,6 +288,8 @@ class _Connection:
         except (ConnectionError, asyncio.CancelledError, wc.ProtocolError):
             pass  # a server that stops making sense is a server gone
         finally:
+            if self._timer is not None:
+                self._timer.cancel()
             if self.bot is not None:
                 self.bot.session.mark_closed()
             writer.close()
@@ -305,8 +336,6 @@ class _Connection:
                 }
             )
             return True
-        # STATE / ENTITY_BATCH frames are world traffic the bot does not
-        # act on; their bytes are the point (bandwidth realism).
         return False
 
 

@@ -14,10 +14,20 @@ traffic as real frames:
   ``wire_batch_flush`` is on;
 - every flush ends with a ``TICK`` clock-sync frame.
 
+Nobody reads what a counted packet says — its bytes are the point — so
+the ``count`` packets of a category are always frames ``0..count-1`` of
+one synthetic sequence, and a flush copies them out of a table of
+encoded runs (:class:`_RunTable`) instead of encoding them again: a
+steady-state tick encodes its deliveries and its ``TICK``, nothing else.
+
 Keepalive/timeout semantics are the simulation's own: the sim counts
 keepalives and ages clients out after ``CLIENT_TIMEOUT_US``; this layer
 just closes the socket of any endpoint the sim disconnected, and clients
-independently age out the server on their own wall clock.
+independently age out the server on their own wall clock.  What this
+layer adds is the socket's own boundary: a connection has
+``_HANDSHAKE_TIMEOUT_S`` to say ``HELLO`` before it is closed, and a
+peer that sends a frame this end does not read — garbage, or a type only
+a server sends — is disconnected alone with a ``protocol error`` reason.
 
 Wire measurements published to the server's telemetry bus (registered in
 ``SIDECAR_METRICS``; MSL005): ``wire_bytes_in``/``wire_bytes_out`` per
@@ -34,9 +44,9 @@ import time
 import numpy as np
 
 from repro.mlg import wirecodec as wc
-from repro.mlg.constants import TICK_BUDGET_US
+from repro.mlg.constants import CLIENT_TIMEOUT_US, TICK_BUDGET_US
 from repro.mlg.protocol import PacketCategory
-from repro.simtime import s_to_us
+from repro.simtime import s_to_us, us_to_s
 
 __all__ = [
     "WIRE_BYTES_IN",
@@ -56,6 +66,21 @@ WIRE_CONNECTS = "wire_connects"
 _WIRE_METRICS = (WIRE_BYTES_IN, WIRE_BYTES_OUT, WIRE_FLUSH_US, WIRE_CONNECTS)
 
 _READ_CHUNK = 65536
+
+#: Wall seconds a new connection has to complete its ``HELLO``: what the
+#: simulation gives a client that has gone quiet.
+_HANDSHAKE_TIMEOUT_S = us_to_s(CLIENT_TIMEOUT_US)
+
+#: The message types this end acts on; a peer that sends any other is
+#: not a client.
+_SERVER_READS = (
+    wc.MSG_HELLO, wc.MSG_ACTION, wc.MSG_RESPONSE_SAMPLE, wc.MSG_BYE,
+)
+
+#: Encoded bytes the run table keeps per category.  It bounds what a
+#: flush can hold twice: a connect burst's 324 ``chunk_data`` frames of
+#: 13 KB each are appended one by one past it.
+_RUN_TABLE_BYTES = 1 << 16
 
 
 #: Deterministic schema-valid payload of the ``index``-th counted packet
@@ -84,6 +109,52 @@ def _synth_batch(count: int) -> np.ndarray:
     rows[:, 0] = np.arange(count)
     rows[:, 1:] = _SYNTH_PAYLOAD[PacketCategory.ENTITY_MOVE](0)[1:]
     return rows
+
+
+class _RunTable:
+    """The encoded counted packets of every category, kept as runs.
+
+    The ``count`` packets a client is sent of a category are frames
+    ``0..count-1`` of one fixed sequence (``_SYNTH_PAYLOAD``), whatever
+    the tick and the client, so their bytes are a prefix of one string
+    per category: ``run``, grown frame by frame the first time a count
+    reaches that far, with ``ends[k]`` the length of its first ``k``
+    frames.  A run stops growing at ``_RUN_TABLE_BYTES``; the frames of
+    a larger count are encoded behind it as they always were.
+
+    The batched ``ENTITY_MOVE`` rows ``(i, 1, 0, -1)`` are four one-byte
+    varints each (an id delta of 0 or 1, then 1, 0, -1), so the fields
+    of ``n`` rows are the first ``4 * n`` bytes of the fields of any
+    ``N >= n`` rows, under the same bound.
+    """
+
+    def __init__(self) -> None:
+        self._runs = {
+            category: (bytearray(), [0]) for category in _SYNTH_PAYLOAD
+        }
+        self._batch_fields = b""
+
+    def append_states(self, out: bytearray, category: str, count: int) -> None:
+        """Append the ``STATE`` frames of ``count`` counted packets."""
+        run, ends = self._runs[category]
+        synth = _SYNTH_PAYLOAD[category]
+        while len(ends) <= count and len(run) < _RUN_TABLE_BYTES:
+            wc.append_state(run, category, synth(len(ends) - 1))
+            ends.append(len(run))
+        held = min(count, len(ends) - 1)
+        out += memoryview(run)[: ends[held]]
+        for i in range(held, count):
+            wc.append_state(out, category, synth(i))
+
+    def append_batch(self, out: bytearray, count: int) -> None:
+        """Append the ``ENTITY_BATCH`` frame of ``count`` counted moves."""
+        size = 4 * count
+        if size > _RUN_TABLE_BYTES:
+            wc.append_entity_batch(out, _synth_batch(count))
+            return
+        if size > len(self._batch_fields):
+            self._batch_fields = wc.encode_batch_fields(_synth_batch(count))
+        wc.append_batch_frame(out, count, self._batch_fields[:size])
 
 
 def wire_metrics_snapshot(server) -> dict:
@@ -125,6 +196,7 @@ class WireServer:
         self._writers: dict[int, asyncio.StreamWriter] = {}
         self._reader_tasks: set[asyncio.Task] = set()
         self._prev_counts: dict[str, int] = {}
+        self._runs = _RunTable()
         self._bytes_in_tick = 0
         self._tick_index = 0
 
@@ -157,20 +229,14 @@ class WireServer:
             self._reader_tasks.add(task)
         client_id: int | None = None
         reason = "socket closed"
-        decoder = wc.FrameDecoder()
+        decoder = wc.FrameDecoder(_SERVER_READS)
         try:
-            pending: list = []
-            hello: wc.WireHello | None = None
-            while hello is None:
-                chunk = await reader.read(_READ_CHUNK)
-                if not chunk:
-                    return
-                self._bytes_in_tick += len(chunk)
-                for msg in decoder.feed(chunk):
-                    if hello is None and isinstance(msg, wc.WireHello):
-                        hello = msg
-                    else:
-                        pending.append(msg)
+            try:
+                hello, pending = await asyncio.wait_for(
+                    self._read_hello(reader, decoder), _HANDSHAKE_TIMEOUT_S
+                )
+            except asyncio.TimeoutError:
+                return  # connected and said nothing: not a client
             view_kwargs = (
                 {}
                 if hello.view_distance is None
@@ -216,6 +282,25 @@ class WireServer:
                 self.server.net.disconnect(client_id, reason)
                 self._writers.pop(client_id, None)
             writer.close()
+
+    async def _read_hello(
+        self, reader: asyncio.StreamReader, decoder: wc.FrameDecoder
+    ) -> tuple[wc.WireHello, list]:
+        """Read up to the peer's ``HELLO``; returns it with the messages
+        that arrived around it."""
+        pending: list = []
+        hello: wc.WireHello | None = None
+        while hello is None:
+            chunk = await reader.read(_READ_CHUNK)
+            if not chunk:
+                raise ConnectionResetError("closed before its HELLO")
+            self._bytes_in_tick += len(chunk)
+            for msg in decoder.feed(chunk):
+                if hello is None and isinstance(msg, wc.WireHello):
+                    hello = msg
+                else:
+                    pending.append(msg)
+        return hello, pending
 
     def _handle_message(self, client_id: int, msg) -> None:
         if isinstance(msg, wc.WireAction):
@@ -272,14 +357,14 @@ class WireServer:
             batched = (
                 category == PacketCategory.ENTITY_MOVE and self.batch_flush
             )
-            synth = _SYNTH_PAYLOAD[category]
             for index, (_, buf) in enumerate(targets):
                 count = per + (1 if index < extra else 0)
-                if not batched:
-                    for i in range(count):
-                        wc.append_state(buf, category, synth(i))
-                elif count:
-                    wc.append_entity_batch(buf, _synth_batch(count))
+                if not count:
+                    continue
+                if batched:
+                    self._runs.append_batch(buf, count)
+                else:
+                    self._runs.append_states(buf, category, count)
         # 3. Clock sync.
         tick = wc.encode_tick(self.server.clock.now_us, self._tick_index)
         for _, buf in targets:

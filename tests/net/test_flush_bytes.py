@@ -8,6 +8,13 @@ by frame by the scalar encoders the codec used to have
 (``tests/mlg/wire_oracle.py``).  That pins the bytes, the ``divmod``
 distribution of counted packets over clients, the debit a materialized
 delivery takes from its category, and the closing ``TICK``.
+
+The counted packets come out of the server's run table (a prefix of one
+encoded string per category), so the comparison is repeated on a cold
+table, on a warm one, over ticks whose counts grow and shrink, past the
+table's bound and without batching — and a steady-state tick is shown,
+by counting, to encode no frame on the server and to build no message
+for a ``STATE`` or ``ENTITY_BATCH`` frame on the client.
 """
 
 import asyncio
@@ -16,10 +23,15 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.mlg import wirecodec as wc
 from repro.mlg.netqueue import NetworkQueues
 from repro.mlg.protocol import PACKET_SIZES, PacketCategory
 from repro.mlg.workreport import WorkReport
+from repro.net import server as wire_server
+from repro.net.client import _CLIENT_READS
 from repro.net.server import WIRE_BYTES_OUT, WireServer
 from repro.telemetry.bus import TelemetryBus
 
@@ -85,14 +97,38 @@ class StubWriter:
         pass
 
 
+def idle_wire_server(n_clients: int, batch_flush: bool) -> WireServer:
+    """A ``WireServer`` over a stub simulation with ``n_clients``
+    connected and nothing counted yet."""
+    net = NetworkQueues()
+    for client_id in range(1, n_clients + 1):
+        net.register_client(client_id, 0, 0, 25_000 * client_id)
+    server = SimpleNamespace(
+        net=net,
+        clock=SimpleNamespace(now_us=NOW_US),
+        telemetry=SimpleNamespace(bus=TelemetryBus()),
+    )
+    wire = WireServer(server, batch_flush=batch_flush)
+    wire._tick_index = TICK_INDEX
+    wire._writers = {
+        client_id: StubWriter() for client_id in range(1, n_clients + 1)
+    }
+    return wire
+
+
+def count_tick(wire: WireServer, counts: dict) -> None:
+    """One more tick's counted packets."""
+    for category, count in counts.items():
+        wire.server.net.stats.record(category, count)
+
+
 def stub_wire_server(n_clients: int, batch_flush: bool):
     """A ``WireServer`` over a stub simulation that has just finished a
     tick: ``n_clients`` connected, counts recorded, chat echoes queued.
     Returns it with the deliveries queued per client id."""
-    net = NetworkQueues()
+    wire = idle_wire_server(n_clients, batch_flush)
+    net = wire.server.net
     report = WorkReport()
-    for client_id in range(1, n_clients + 1):
-        net.register_client(client_id, 0, 0, 25_000 * client_id)
     # Materialized chat echoes, which the flush sends as DELIVERY frames
     # and debits from the tick's counted chat packets.
     deliveries: dict[int, list] = {cid: [] for cid in range(1, n_clients + 1)}
@@ -103,33 +139,30 @@ def stub_wire_server(n_clients: int, batch_flush: bool):
                 NOW_US, report,
             )
         )
-    for category, count in TICK_COUNTS.items():
-        net.stats.record(
-            category, count - net.stats.counts.get(category, 0)
-        )
-    server = SimpleNamespace(
-        net=net,
-        clock=SimpleNamespace(now_us=NOW_US),
-        telemetry=SimpleNamespace(bus=TelemetryBus()),
+    count_tick(
+        wire,
+        {
+            category: count - net.stats.counts.get(category, 0)
+            for category, count in TICK_COUNTS.items()
+        },
     )
-    wire = WireServer(server, batch_flush=batch_flush)
-    wire._tick_index = TICK_INDEX
-    wire._writers = {cid: StubWriter() for cid in deliveries}
     return wire, deliveries
 
 
-def expected_buffers(n_clients: int, batch_flush: bool, deliveries) -> dict:
+def expected_buffers(
+    n_clients: int, batch_flush: bool, deliveries=None, counts=TICK_COUNTS
+) -> dict:
     """The flush composed frame by frame with the oracle encoders."""
     buffers = {cid: bytearray() for cid in range(1, n_clients + 1)}
-    remaining = dict(TICK_COUNTS)
+    remaining = dict(counts)
     for client_id, buf in buffers.items():
-        for delivery in deliveries[client_id]:
+        for delivery in (deliveries or {}).get(client_id, ()):
             buf += oracle.encode_delivery(
                 delivery.category, delivery.payload, delivery.delivered_at_us
             )
             remaining[delivery.category] -= 1
     for category in PacketCategory.ALL:
-        per, extra = divmod(remaining[category], n_clients)
+        per, extra = divmod(remaining.get(category, 0), n_clients)
         for index, buf in enumerate(buffers.values()):
             count = per + (1 if index < extra else 0)
             if count <= 0:
@@ -198,3 +231,135 @@ def test_disconnected_clients_get_nothing_and_no_share():
         tuple((i, 1, 0, -1) for i in range(moves - moves // 2))
     )
     assert batch in bytes(targets[1])
+
+
+def scaled(factor: float, plus: int = 0) -> dict:
+    return {
+        category: int(count * factor) + plus
+        for category, count in TICK_COUNTS.items()
+    }
+
+
+#: The connect burst (two full views of 13 KB ``chunk_data`` frames) on
+#: top of counts that outrun ``_RUN_TABLE_BYTES`` as ``STATE`` frames
+#: (13 B an ``entity_move``) and as batch fields (4 B a move).
+BURST = {
+    PacketCategory.CHUNK_DATA: 2 * 324,
+    PacketCategory.CHUNK_SECTION: 120,
+    PacketCategory.ENTITY_MOVE: 3 * (wire_server._RUN_TABLE_BYTES // 4) + 7,
+    PacketCategory.ENTITY_VELOCITY: 17,
+}
+
+#: Ticks fed to one server in this order: a cold table, the same counts
+#: warm, counts that grow (the runs, their ``ends`` and the batch prefix
+#: all extend), shrink, run past the bound, and come back.
+TICK_SEQUENCE = (
+    TICK_COUNTS,
+    TICK_COUNTS,
+    scaled(2.5, plus=3),
+    scaled(0.3),
+    {PacketCategory.KEEPALIVE: 1},
+    BURST,
+    scaled(1.0, plus=1),
+)
+
+
+@pytest.mark.parametrize("batch_flush", (True, False))
+@pytest.mark.parametrize("n_clients", (1, 2, 3))
+def test_ticks_that_grow_shrink_and_outrun_the_run_table(
+    n_clients, batch_flush
+):
+    wire = idle_wire_server(n_clients, batch_flush)
+    for tick, counts in enumerate(TICK_SEQUENCE):
+        count_tick(wire, counts)
+        expected = expected_buffers(n_clients, batch_flush, counts=counts)
+        for client_id, buf in wire._build_flush():
+            assert bytes(buf) == bytes(expected[client_id]), (tick, client_id)
+    # What the table kept is bounded by a constant and one frame.
+    for category, (run, ends) in wire._runs._runs.items():
+        assert len(run) < wire_server._RUN_TABLE_BYTES + PACKET_SIZES[category]
+        assert ends[-1] == len(run)
+    assert len(wire._runs._batch_fields) <= wire_server._RUN_TABLE_BYTES
+
+
+@given(
+    n_clients=st.integers(1, 5),
+    batch_flush=st.booleans(),
+    bound=st.sampled_from((48, 700, wire_server._RUN_TABLE_BYTES)),
+    ticks=st.lists(
+        st.dictionaries(
+            st.sampled_from(PacketCategory.ALL), st.integers(0, 60),
+            max_size=6,
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_random_deltas_match_the_oracle_and_the_bytes_out_metric(
+    n_clients, batch_flush, bound, ticks
+):
+    wire = idle_wire_server(n_clients, batch_flush)
+    written = 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wire_server, "_RUN_TABLE_BYTES", bound)
+        for counts in ticks:
+            count_tick(wire, counts)
+            asyncio.run(wire._flush())
+            expected = expected_buffers(n_clients, batch_flush, counts=counts)
+            for client_id, writer in wire._writers.items():
+                assert writer.written == expected[client_id]
+                written += len(writer.written)
+                writer.written.clear()
+    bytes_out = wire.server.telemetry.bus.metric(WIRE_BYTES_OUT)
+    assert bytes_out.total == written
+
+
+def test_steady_state_tick_encodes_no_frame_and_builds_no_state_message(
+    monkeypatch,
+):
+    wire = idle_wire_server(2, batch_flush=True)
+    count_tick(wire, TICK_COUNTS)
+    wire._build_flush()  # the table is warm from here on
+
+    calls = {"append_state": 0, "append_entity_batch": 0}
+
+    def counting(name):
+        inner = getattr(wc, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(wc, name, counting(name))
+    built = []
+    for name in ("WireState", "WireEntityBatch"):
+        monkeypatch.setattr(
+            wc,
+            name,
+            lambda *args, _name=name, _cls=getattr(wc, name): (
+                built.append(_name) or _cls(*args)
+            ),
+        )
+
+    counts = scaled(0.9)
+    count_tick(wire, counts)
+    targets = wire._build_flush()
+    expected = expected_buffers(2, True, counts=counts)
+    assert calls == {"append_state": 0, "append_entity_batch": 0}
+    for client_id, buf in targets:
+        assert bytes(buf) == bytes(expected[client_id])
+        # The client's decoder walks the STATE and ENTITY_BATCH frames
+        # and hands back the tick alone ...
+        assert wc.FrameDecoder(_CLIENT_READS).feed(bytes(buf)) == [
+            wc.WireTick(NOW_US, TICK_INDEX)
+        ]
+    assert built == []
+    # ... where the full decoder builds one message a frame.
+    messages = wc.FrameDecoder().feed(bytes(targets[0][1]))
+    assert len(messages) > 100
+    assert len(built) == len(messages) - 1  # every frame but the tick
+    assert built.count("WireEntityBatch") == 1
