@@ -42,6 +42,7 @@ from pathlib import Path
 from repro.analysis.figures import campaign_grid
 from repro.core.retrieval import retrieve, summary_rows
 from repro.reporting.text import ascii_boxplot, format_table, write_csv_rows
+from repro.telemetry.catalog import COLUMNS, lookup, read_columns, top_bucket
 from repro.campaign.executor import CampaignExecutor
 from repro.campaign.planner import Job
 from repro.campaign.spec import CampaignSpec
@@ -333,42 +334,26 @@ def _cmd_run(args: argparse.Namespace, resume: bool) -> int:
     return 0
 
 
-def _top_bucket(tick: dict) -> str:
-    """The cell's dominant Fig. 11 bucket, as ``name share%``.
-
-    Read from the sidecar's cumulative per-bucket totals — the quickest
-    "what is this server spending its ticks on" signal without a full
-    export.
-    """
-    buckets = tick.get("breakdown_us") or {}
-    total = sum(buckets.values())
-    if total <= 0:
-        return "-"
-    name, us = max(buckets.items(), key=lambda kv: (kv[1], kv[0]))
-    return f"{name} {100.0 * us / total:.0f}%"
-
-
 def _telemetry_columns(entry: dict, iterations: int) -> list[str]:
     """Live columns for one job: iterations, p50/p99/CoV, warmup state,
-    and the dominant Fig. 11 bucket.
+    and the dominant Fig. 11 bucket as ``name share%``.
 
-    Read from the job's streamed JSONL sidecar, so they update while the
-    job is still running (``status`` on a live campaign).
+    Read from the latest line of the job's streamed JSONL sidecar, at
+    the places the metric catalog names, so they update while the job is
+    still running (``status`` on a live campaign).
     """
-    live = entry.get("telemetry") or {}
-    tick = (live.get("telemetry") or {}).get("tick") or {}
-    snap = tick.get("tick_ms") or {}
-    windows = tick.get("windows") or {}
-    if not snap:
+    line = entry.get("telemetry") or {}
+    cols = read_columns(line)
+    if cols["tick_p50_ms"] is None:
         return [f"0/{iterations}", "-", "-", "-", "-", "-"]
-    phase = "steady" if windows.get("steady") else "warmup"
+    top = top_bucket(lookup(line, COLUMNS["top_bucket"].path))
     return [
         f"{entry.get('iterations_done', 0)}/{iterations}",
-        f"{snap['p50']:.1f}",
-        f"{snap['p99']:.1f}",
-        f"{snap['cov']:.3f}",
-        phase,
-        _top_bucket(tick),
+        f"{cols['tick_p50_ms']:.1f}",
+        f"{cols['tick_p99_ms']:.1f}",
+        f"{cols['tick_cov']:.3f}",
+        "steady" if cols["steady"] else "warmup",
+        "-" if top is None else f"{top[0]} {100.0 * top[1] / top[2]:.0f}%",
     ]
 
 

@@ -3,12 +3,14 @@
 Every correctness claim this repo makes — serial==parallel campaigns,
 batched engines == their scalar test oracles, trace-off==seed-path
 bit-identity, byte-stable report renders — rests on conventions nothing
-enforced statically: no
-wall-clock or unseeded-RNG reads inside the simulation, complete Op
-cost/bucket registries, every published metric registered where reports
-and scrapers look for it.  A parity test only catches a
-violation it happens to exercise; these checkers catch the whole class
-at diff time.
+enforced statically: no wall-clock or unseeded-RNG reads inside the
+simulation, RNGs threaded rather than constructed, bots that touch only
+the session boundary.  A parity test only catches a violation it happens
+to exercise; these checkers catch the whole class at diff time.  (What
+they do not check: ops and metrics.  Each is declared once — a row of
+``mlg/workreport.OP_TABLE``, an entry of ``telemetry/catalog.CATALOG`` —
+and tier-1 tests run the engines, the bus and the endpoint against the
+declaration.)
 
 Entry points: ``repro lint [paths]`` (see :mod:`repro.lint.cli`) and
 :func:`repro.lint.engine.lint_paths` for programmatic use.

@@ -24,8 +24,8 @@ def add_lint_parser(sub) -> argparse.ArgumentParser:
     """Attach the ``lint`` subcommand to the ``repro`` CLI."""
     lint = sub.add_parser(
         "lint",
-        help="run the static invariant checkers (determinism, op "
-        "accounting, metric registration, rng and transport discipline)",
+        help="run the static invariant checkers (determinism, rng and "
+        "transport discipline)",
         epilog="rules: "
         + "; ".join(f"{rule} {RULES[rule][1]}" for rule in sorted(RULES)),
     )
@@ -44,8 +44,9 @@ def add_lint_parser(sub) -> argparse.ArgumentParser:
     lint.add_argument(
         "--root",
         default=None,
-        help="project root the registries and the baseline live under "
-        "(default: current directory)",
+        help="project root: paths are reported relative to it, rules are "
+        "scoped by them, and the baseline lives under it (default: "
+        "current directory)",
     )
     lint.add_argument(
         "--baseline",

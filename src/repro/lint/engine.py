@@ -1,9 +1,10 @@
 """The lint engine: one AST walk per file, checkers subscribe by node type.
 
 Flow: collect files → parse → per-file visit pass (every checker sees
-the nodes it subscribed to, in one walk) → project ``finalize`` pass
-over the parsed registries → pragma suppression → pragma-hygiene
-findings → stable sort.  Output is byte-deterministic: no timestamps,
+the nodes it subscribed to, in one walk) → pragma suppression →
+pragma-hygiene findings → stable sort.  Every finding belongs to the
+file it was found in; nothing is imported or executed and no file is
+read for another's sake.  Output is byte-deterministic: no timestamps,
 no absolute paths, no dict-order dependence.
 """
 
@@ -15,39 +16,19 @@ from pathlib import Path, PurePosixPath
 from repro.lint.findings import Finding, sort_findings
 from repro.lint.pragmas import PRAGMA_RULE, Pragma, scan_pragmas
 from repro.lint.rules import ALL_CHECKERS, ORDER_SAFE_SINKS, Checker
-from repro.lint.symbols import ProjectSymbols, _module_constants
 
-__all__ = ["FileContext", "LintEngine", "ProjectContext", "lint_paths"]
-
-
-class ProjectContext:
-    """Run-wide state shared by every checker's ``finalize``."""
-
-    def __init__(self, symbols: ProjectSymbols, full_scan: bool) -> None:
-        self.symbols = symbols
-        #: True when the scan covers the whole ``src/repro`` tree —
-        #: "never used anywhere" registry checks only make sense then.
-        self.full_scan = full_scan
-        self.findings: list[Finding] = []
-
-    def add(self, finding: Finding) -> None:
-        self.findings.append(finding)
+__all__ = ["FileContext", "LintEngine", "lint_paths"]
 
 
 class FileContext:
     """Per-file state handed to checkers during the walk."""
 
-    def __init__(
-        self, rel_path: str, tree: ast.Module, project: ProjectContext
-    ) -> None:
+    def __init__(self, rel_path: str, tree: ast.Module) -> None:
         self.rel_path = rel_path
         self.tree = tree
-        self.project = project
         self.findings: list[Finding] = []
         #: local alias -> fully dotted module/name it binds.
         self.imports: dict[str, str] = {}
-        #: module-level literal constants (for resolving metric names).
-        self.constants = _module_constants(tree)
         self.parents: dict[ast.AST, ast.AST] = {}
         for parent in ast.walk(tree):
             for child in ast.iter_child_nodes(parent):
@@ -95,16 +76,6 @@ class FileContext:
             return None
         parts.append(resolved)
         return ".".join(reversed(parts))
-
-    def resolve_str(self, node: ast.expr) -> str | None:
-        """A string literal, or a module-level string constant by name."""
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return node.value
-        if isinstance(node, ast.Name):
-            value = self.constants.get(node.id)
-            if isinstance(value, str):
-                return value
-        return None
 
     # -- structural helpers -------------------------------------------------
 
@@ -201,26 +172,10 @@ class LintEngine:
             relative = path
         return str(PurePosixPath(relative))
 
-    def is_full_scan(self, paths: list[Path]) -> bool:
-        covered = {
-            (p if p.is_absolute() else self.root / p).resolve()
-            for p in paths
-        }
-        for candidate in (
-            self.root,
-            self.root / "src",
-            self.root / "src" / "repro",
-        ):
-            if candidate in covered:
-                return True
-        return False
-
     # -- the run ------------------------------------------------------------
 
     def run(self, paths: list[Path]) -> list[Finding]:
         files = self.collect_files(paths)
-        symbols = ProjectSymbols.load(self.root)
-        project = ProjectContext(symbols, full_scan=self.is_full_scan(paths))
         checkers: list[Checker] = [cls() for cls in self.checker_classes]
         dispatch: dict[type, list[Checker]] = {}
         for checker in checkers:
@@ -252,7 +207,7 @@ class LintEngine:
                     )
                 )
                 continue
-            ctx = FileContext(rel, tree, project)
+            ctx = FileContext(rel, tree)
             applicable = {
                 id(checker): checker.applies_to(rel) for checker in checkers
             }
@@ -262,28 +217,21 @@ class LintEngine:
                         checker.visit(node, ctx)
             per_file.append((rel, ctx.findings, pragmas))
 
-        for checker in checkers:
-            checker.finalize(project)
-
-        return self._apply_pragmas(per_file, project.findings)
+        return self._apply_pragmas(per_file)
 
     def _apply_pragmas(
         self,
         per_file: list[tuple[str, list[Finding], dict[int, Pragma]]],
-        project_findings: list[Finding],
     ) -> list[Finding]:
         """Suppress pragma'd findings, then report pragma hygiene."""
-        pragmas_by_path = {rel: pragmas for rel, _, pragmas in per_file}
-        candidates = [f for _, found, _ in per_file for f in found]
-        candidates.extend(project_findings)
         kept: list[Finding] = []
-        for finding in candidates:
-            pragma = pragmas_by_path.get(finding.path, {}).get(finding.line)
-            if pragma is not None and pragma.allows(finding.rule):
-                pragma.used.add(finding.rule)
-                continue
-            kept.append(finding)
-        for rel, _, pragmas in per_file:
+        for rel, found, pragmas in per_file:
+            for finding in found:
+                pragma = pragmas.get(finding.line)
+                if pragma is not None and pragma.allows(finding.rule):
+                    pragma.used.add(finding.rule)
+                    continue
+                kept.append(finding)
             for line in sorted(pragmas):
                 pragma = pragmas[line]
                 if not pragma.justification:

@@ -1,13 +1,18 @@
-"""The project-specific checkers (MSL001–MSL008).
+"""The project-specific checkers (MSL001, MSL006, MSL007).
 
-MSL003 (knob threading) and MSL004 (provenance hygiene) are retired ids:
-a knob is declared once, on its dataclass field, so there are no copies
-left to compare.
+Retired ids, never reused: MSL003 (knob threading) and MSL004
+(provenance hygiene) went when a knob became one dataclass field; MSL002
+(op accounting), MSL005 (telemetry registration) and MSL008 (obs
+registration) went when an op became one row of
+``mlg/workreport.OP_TABLE`` and a metric one entry of
+``telemetry/catalog.CATALOG``.  With one declaration there are no copies
+to compare statically; what is left to check — that the engines, the bus
+and the endpoint use what is declared — is checked by running them
+(``tests/mlg/test_op_registry.py``, ``tests/telemetry/test_catalog.py``).
 
-Each checker subscribes to the AST node types it cares about; the engine
-walks each tree exactly once and dispatches.  Cross-file rules also get
-a ``finalize`` pass over the :class:`~repro.lint.symbols.ProjectSymbols`
-registries after every file has been visited.
+The rules that remain are about *code*, not lists.  Each checker
+subscribes to the AST node types it cares about; the engine walks each
+tree exactly once and dispatches.
 
 Rule inventory (the README carries the user-facing table):
 
@@ -15,18 +20,11 @@ Rule inventory (the README carries the user-facing table):
 MSL001   determinism hazards in simulation/executor paths: wall-clock
          reads, module-level RNG APIs, unsorted directory listings,
          iteration over set expressions whose order escapes
-MSL002   op accounting: every ``Op`` constant priced, bucketed, listed
-         in ``Op.ALL``; every ``report.add`` site names a registered Op
-MSL005   telemetry registration: every bus-published metric is in the
-         reporting sidecar-metric registry (and vice versa)
 MSL006   rng discipline: functions taking ``rng``/``seed`` must not
          construct their own generator; ``default_rng()`` must be seeded
 MSL007   transport layering: emulation code may import only the session
          boundary (``repro.mlg.transport``/``protocol``), never server
          internals
-MSL008   obs registration: every metric exported to the obs endpoint is
-         in ``OBS_METRICS`` (and vice versa), and every registry entry
-         names a real sidecar stream or obs section as its source
 =======  ==============================================================
 """
 
@@ -38,7 +36,7 @@ from typing import TYPE_CHECKING
 from repro.lint.findings import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.engine import FileContext, ProjectContext
+    from repro.lint.engine import FileContext
 
 __all__ = ["ALL_CHECKERS", "Checker", "RULES"]
 
@@ -109,17 +107,9 @@ ORDER_SAFE_SINKS = frozenset(
 RULES = {
     "MSL000": ("warning", "pragma hygiene (missing justification, unused)"),
     "MSL001": ("error", "determinism hazard in a simulation path"),
-    "MSL002": ("error", "op accounting registry incomplete or stale"),
-    "MSL005": ("error", "bus metric missing from the sidecar registry"),
     "MSL006": ("error", "rng constructed instead of threaded"),
     "MSL007": ("error", "emulation imports mlg internals past the transport boundary"),
-    "MSL008": ("error", "obs metric missing from the endpoint registry"),
 }
-
-#: MSL008: registry sources that are obs-plane sections rather than
-#: sidecar metric streams.  ``tap``/``trace`` summarise the live server;
-#: ``campaign`` entries are aggregated by the campaign parent.
-OBS_ALLOWED_SECTIONS = frozenset({"tap", "trace", "campaign"})
 
 #: MSL007: the only ``repro.mlg`` modules emulation code may touch — the
 #: session boundary itself and the pure protocol vocabulary.  Everything
@@ -134,7 +124,7 @@ EMULATION_PATH_PREFIX = "src/repro/emulation/"
 
 
 class Checker:
-    """Base checker: subscribe to node types, visit, finalize."""
+    """Base checker: subscribe to node types, visit."""
 
     rule = "MSL000"
     #: AST node types this checker wants to see.
@@ -149,9 +139,6 @@ class Checker:
 
     def visit(self, node: ast.AST, ctx: "FileContext") -> None:
         """Called once per matching node during the single file walk."""
-
-    def finalize(self, ctx: "ProjectContext") -> None:
-        """Called once after all files, for registry-level checks."""
 
     # -- helpers ------------------------------------------------------------
 
@@ -168,20 +155,6 @@ class Checker:
                 path=ctx.rel_path,
                 line=getattr(node, "lineno", 1),
                 col=getattr(node, "col_offset", 0) + 1,
-                message=message,
-            )
-        )
-
-    def report_at(
-        self, ctx: "ProjectContext", path: str, line: int, message: str
-    ) -> None:
-        ctx.add(
-            Finding(
-                rule=self.rule,
-                severity=self.severity,
-                path=path,
-                line=line,
-                col=1,
                 message=message,
             )
         )
@@ -296,180 +269,6 @@ class DeterminismHazardChecker(Checker):
                 )
 
 
-class OpAccountingChecker(Checker):
-    """MSL002: the Op registry, cost table, and bucket map agree."""
-
-    rule = "MSL002"
-    interests = (ast.Attribute, ast.Call)
-
-    def visit(self, node: ast.AST, ctx: "FileContext") -> None:
-        ops = ctx.project.symbols.ops
-        if not ops:
-            return
-        if isinstance(node, ast.Attribute):
-            if (
-                isinstance(node.value, ast.Name)
-                and node.value.id == "Op"
-                and node.attr != "ALL"
-                and node.attr not in ops
-            ):
-                self.report(
-                    ctx,
-                    node,
-                    f"Op.{node.attr} is not a registered Op constant "
-                    "(see mlg/workreport.py)",
-                )
-            return
-        # report.add("literal") sites: the string must be a registered
-        # op *value*.  Only receivers named `report` are considered so
-        # unrelated `.add(...)` calls (sets, argparse) stay out of scope.
-        func = node.func  # type: ignore[union-attr]
-        if not (isinstance(func, ast.Attribute) and func.attr == "add"):
-            return
-        receiver = func.value
-        is_report = (
-            isinstance(receiver, ast.Name) and receiver.id == "report"
-        ) or (isinstance(receiver, ast.Attribute) and receiver.attr == "report")
-        args = node.args  # type: ignore[union-attr]
-        if not is_report or not args:
-            return
-        first = args[0]
-        if isinstance(first, ast.Constant) and isinstance(first.value, str):
-            if first.value not in ops.values():
-                self.report(
-                    ctx,
-                    first,
-                    f"report.add({first.value!r}) does not name a "
-                    "registered Op value — count sites must stay "
-                    "attributable to the cost table",
-                )
-
-    def finalize(self, ctx: "ProjectContext") -> None:
-        symbols = ctx.symbols
-        if not ctx.full_scan or not symbols.ops:
-            return
-        all_listed = set(symbols.op_all)
-        for name in symbols.ops:
-            ref = symbols.op_refs[name]
-            if symbols.op_all and name not in all_listed:
-                self.report_at(
-                    ctx, ref.path, ref.line, f"Op.{name} missing from Op.ALL"
-                )
-            if symbols.ref_cost_table and name not in symbols.cost_ops:
-                self.report_at(
-                    ctx,
-                    ref.path,
-                    ref.line,
-                    f"Op.{name} has no cost in variants._BASE_COSTS — "
-                    "uncosted work silently vanishes from tick time",
-                )
-            if symbols.ref_bucket_by_op and name not in symbols.bucket_by_op:
-                self.report_at(
-                    ctx,
-                    ref.path,
-                    ref.line,
-                    f"Op.{name} has no explicit _BUCKET_BY_OP entry — "
-                    "map it (use 'Other' deliberately, not by fallback)",
-                )
-        for name in all_listed:
-            if name not in symbols.ops and symbols.ref_op_all:
-                ref = symbols.ref_op_all
-                self.report_at(
-                    ctx,
-                    ref.path,
-                    ref.line,
-                    f"Op.ALL lists unknown constant {name}",
-                )
-        for name, ref in symbols.cost_ops.items():
-            if name not in symbols.ops:
-                self.report_at(
-                    ctx,
-                    ref.path,
-                    ref.line,
-                    f"stale cost-table entry Op.{name}: no such constant",
-                )
-        if symbols.ref_bucket_by_op:
-            ref = symbols.ref_bucket_by_op
-            for name, bucket in symbols.bucket_by_op.items():
-                if name not in symbols.ops:
-                    self.report_at(
-                        ctx,
-                        ref.path,
-                        ref.line,
-                        f"stale bucket entry Op.{name}: no such constant",
-                    )
-                if symbols.figure_buckets and (
-                    bucket not in symbols.figure_buckets
-                ):
-                    self.report_at(
-                        ctx,
-                        ref.path,
-                        ref.line,
-                        f"Op.{name} maps to unknown bucket {bucket!r} "
-                        "(not in FIGURE11_BUCKETS)",
-                    )
-
-
-class TelemetryRegistrationChecker(Checker):
-    """MSL005: published bus metrics exist in the sidecar registry."""
-
-    rule = "MSL005"
-    interests = (ast.Call,)
-
-    def __init__(self) -> None:
-        self.published: dict[str, tuple[str, int]] = {}
-
-    def visit(self, node: ast.AST, ctx: "FileContext") -> None:
-        func = node.func  # type: ignore[union-attr]
-        if not (isinstance(func, ast.Attribute) and func.attr == "publish"):
-            return
-        args = node.args  # type: ignore[union-attr]
-        if not args:
-            return
-        metric = ctx.resolve_str(args[0])
-        if metric is None:
-            return
-        self.published.setdefault(
-            metric, (ctx.rel_path, args[0].lineno)
-        )
-        registry = ctx.project.symbols.sidecar_metrics
-        if ctx.project.symbols.ref_sidecar_metrics and metric not in registry:
-            self.report(
-                ctx,
-                args[0],
-                f"metric {metric!r} is published to the bus but missing "
-                "from reporting SIDECAR_METRICS — reports cannot pivot "
-                "on it",
-            )
-
-    def finalize(self, ctx: "ProjectContext") -> None:
-        symbols = ctx.symbols
-        if not ctx.full_scan or symbols.ref_sidecar_metrics is None:
-            return
-        ref = symbols.ref_sidecar_metrics
-        for metric, fields in sorted(symbols.sidecar_metrics.items()):
-            if metric not in self.published:
-                self.report_at(
-                    ctx,
-                    ref.path,
-                    ref.line,
-                    f"SIDECAR_METRICS entry {metric!r} is never published "
-                    "to a telemetry bus — stale registry entry",
-                )
-            for field_name in fields:
-                if (
-                    symbols.metric_fields
-                    and field_name not in symbols.metric_fields
-                ):
-                    self.report_at(
-                        ctx,
-                        ref.path,
-                        ref.line,
-                        f"SIDECAR_METRICS[{metric!r}] names {field_name!r}, "
-                        "which is not a METRIC_FIELDS report metric",
-                    )
-
-
 class RngDisciplineChecker(Checker):
     """MSL006: RNGs are threaded, never ambiently constructed."""
 
@@ -577,71 +376,10 @@ class TransportLayeringChecker(Checker):
         )
 
 
-class ObsRegistrationChecker(Checker):
-    """MSL008: obs-endpoint exports match the ``OBS_METRICS`` registry."""
-
-    rule = "MSL008"
-    interests = (ast.Call,)
-
-    def __init__(self) -> None:
-        self.exported: dict[str, tuple[str, int]] = {}
-
-    def visit(self, node: ast.AST, ctx: "FileContext") -> None:
-        func = node.func  # type: ignore[union-attr]
-        if not (isinstance(func, ast.Attribute) and func.attr == "export"):
-            return
-        args = node.args  # type: ignore[union-attr]
-        if not args:
-            return
-        metric = ctx.resolve_str(args[0])
-        if metric is None:
-            return
-        self.exported.setdefault(metric, (ctx.rel_path, args[0].lineno))
-        registry = ctx.project.symbols.obs_metrics
-        if ctx.project.symbols.ref_obs_metrics and metric not in registry:
-            self.report(
-                ctx,
-                args[0],
-                f"metric {metric!r} is exported to the obs endpoint but "
-                "missing from OBS_METRICS — scrapers cannot rely on it",
-            )
-
-    def finalize(self, ctx: "ProjectContext") -> None:
-        symbols = ctx.symbols
-        if not ctx.full_scan or symbols.ref_obs_metrics is None:
-            return
-        sidecar = symbols.sidecar_metrics
-        for metric, source in sorted(symbols.obs_metrics.items()):
-            ref = symbols.obs_metric_refs.get(metric, symbols.ref_obs_metrics)
-            if metric not in self.exported:
-                self.report_at(
-                    ctx,
-                    ref.path,
-                    ref.line,
-                    f"OBS_METRICS entry {metric!r} is never exported to the "
-                    "obs endpoint — stale registry entry",
-                )
-            if (
-                sidecar
-                and source not in sidecar
-                and source not in OBS_ALLOWED_SECTIONS
-            ):
-                self.report_at(
-                    ctx,
-                    ref.path,
-                    ref.line,
-                    f"OBS_METRICS[{metric!r}] names source {source!r}, which "
-                    "is neither a SIDECAR_METRICS stream nor an obs section",
-                )
-
-
 #: Checker classes in rule order; the engine instantiates fresh ones
-#: per run (MSL005/MSL008 carry cross-file state).
+#: per run.
 ALL_CHECKERS = (
     DeterminismHazardChecker,
-    OpAccountingChecker,
-    TelemetryRegistrationChecker,
     RngDisciplineChecker,
     TransportLayeringChecker,
-    ObsRegistrationChecker,
 )

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from repro.mlg.workreport import Op
+from repro.mlg.workreport import OP_TABLE, Op
 
 __all__ = [
     "VariantProfile",
@@ -32,53 +32,13 @@ __all__ = [
     "get_variant",
 ]
 
-#: Baseline (vanilla) cost per operation, in simulated microseconds.
-_BASE_COSTS: dict[str, float] = {
-    Op.TICK_FIXED: 350.0,
-    Op.BLOCK_ADD_REMOVE: 2.2,
-    Op.BLOCK_UPDATE: 1.0,
-    Op.LIGHTING: 0.5,
-    # A fluid cell update is an order pricier than a generic block
-    # update: the engine re-reads the full neighborhood and runs the
-    # slope/support search before deciding where to spread.
-    Op.FLUID: 14.0,
-    Op.GROWTH: 0.7,
-    Op.REDSTONE: 1.15,
-    Op.ENTITY_UPDATE: 80.0,
-    Op.ITEM_UPDATE: 11.0,
-    Op.TNT_UPDATE: 12.0,
-    Op.COLLISION_PAIR: 2.0,
-    Op.EXPLOSION_RAY: 0.7,
-    Op.PATHFIND_NODE: 1.4,
-    Op.SPAWN_ATTEMPT: 3.0,
-    Op.SPAWN_SCAN: 55.0,
-    Op.CHUNK_GEN: 950.0,
-    # Reading a chunk back from a region file: seek + inflate (~66 KB
-    # raw per chunk) + deserialize + relight.  An order cheaper than
-    # generating it, an order pricier than serving it from memory.
-    Op.CHUNK_LOAD: 260.0,
-    # Writing one dirty chunk during an autosave: deflate + region
-    # read-modify-write, amortized across the chunks of a save batch.
-    Op.CHUNK_SAVE: 210.0,
-    # Attaching an already-resident chunk to a player view: no disk and
-    # no generation, but the chunk-data packet is serialized and
-    # compressed per send — the same 140 µs the pre-persistence model
-    # charged this path (as CHUNK_LOAD), keeping fixed-seed runs without
-    # disk IO bit-identical with the seed simulation.
-    Op.CHUNK_VIEW: 140.0,
-    Op.CHUNK_TICK: 30.0,
-    Op.PLAYER_ACTION: 5.0,
-    Op.CHAT: 25.0,
-    Op.PACKET: 0.45,
-    Op.BYTES_OUT: 0.0012,
-}
-
 
 def _scaled(multipliers: dict[str, float], overall: float = 1.0) -> dict[str, float]:
-    """Derive a cost table from the baseline with per-op multipliers."""
+    """Derive a cost table from the op table's vanilla base costs with
+    per-op multipliers."""
     return {
         op: base * multipliers.get(op, 1.0) * overall
-        for op, base in _BASE_COSTS.items()
+        for op, base, _ in OP_TABLE
     }
 
 

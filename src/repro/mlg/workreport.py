@@ -12,7 +12,13 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
-__all__ = ["Op", "WorkReport", "FIGURE11_BUCKETS", "bucket_of"]
+__all__ = [
+    "FIGURE11_BUCKETS",
+    "OP_TABLE",
+    "Op",
+    "WorkReport",
+    "bucket_of",
+]
 
 
 class Op:
@@ -43,33 +49,6 @@ class Op:
     PACKET = "packet"
     BYTES_OUT = "bytes_out"
 
-    ALL = (
-        TICK_FIXED,
-        BLOCK_ADD_REMOVE,
-        BLOCK_UPDATE,
-        LIGHTING,
-        FLUID,
-        GROWTH,
-        REDSTONE,
-        ENTITY_UPDATE,
-        ITEM_UPDATE,
-        TNT_UPDATE,
-        COLLISION_PAIR,
-        EXPLOSION_RAY,
-        PATHFIND_NODE,
-        SPAWN_ATTEMPT,
-        SPAWN_SCAN,
-        CHUNK_GEN,
-        CHUNK_LOAD,
-        CHUNK_SAVE,
-        CHUNK_VIEW,
-        CHUNK_TICK,
-        PLAYER_ACTION,
-        CHAT,
-        PACKET,
-        BYTES_OUT,
-    )
-
 
 #: Figure 11's tick-distribution buckets (waiting buckets are added by the
 #: game loop from measured wait time, not from work counts).
@@ -83,57 +62,75 @@ FIGURE11_BUCKETS = (
     "Other",
 )
 
-_BUCKET_BY_OP = {
-    Op.BLOCK_ADD_REMOVE: "Block Add/Remove",
-    Op.BLOCK_UPDATE: "Block Update",
-    Op.LIGHTING: "Block Update",
-    # Fluid cell updates get their own bucket (§2.2.2's "Fluids"
-    # terrain-simulation workload) so water-dominated scenarios are
-    # attributable in the tick-time distribution.
-    Op.FLUID: "Fluids",
-    Op.GROWTH: "Block Update",
-    Op.REDSTONE: "Block Update",
-    Op.ENTITY_UPDATE: "Entities",
-    Op.ITEM_UPDATE: "Entities",
-    Op.TNT_UPDATE: "Entities",
-    Op.COLLISION_PAIR: "Entities",
-    Op.EXPLOSION_RAY: "Entities",
-    Op.PATHFIND_NODE: "Entities",
-    Op.SPAWN_ATTEMPT: "Entities",
+
+#: The op table: one ``(op, vanilla cost per counted operation in
+#: simulated µs, Figure 11 bucket)`` row per ``Op`` attribute, in
+#: declaration order (the order of every variant's cost table; the
+#: variants scale the cost).  A row cannot leave its price or its bucket
+#: out, so an op that lands in "Other" does so because its row says so
+#: (Fig. 11 lumps fixed tick overhead, chunk ticking, player actions,
+#: chat and networking into its catch-all bucket), never by fallback.
+#: ``tests/mlg/test_op_registry.py`` checks rows against attributes and
+#: against every ``report.add`` site under ``src/``.
+OP_TABLE = (
+    (Op.TICK_FIXED, 350.0, "Other"),
+    (Op.BLOCK_ADD_REMOVE, 2.2, "Block Add/Remove"),
+    (Op.BLOCK_UPDATE, 1.0, "Block Update"),
+    (Op.LIGHTING, 0.5, "Block Update"),
+    # A fluid cell update is an order pricier than a generic block
+    # update: the engine re-reads the full neighborhood and runs the
+    # slope/support search before deciding where to spread.  It gets its
+    # own bucket (§2.2.2's "Fluids" terrain-simulation workload) so
+    # water-dominated scenarios are attributable in the tick-time
+    # distribution.
+    (Op.FLUID, 14.0, "Fluids"),
+    (Op.GROWTH, 0.7, "Block Update"),
+    (Op.REDSTONE, 1.15, "Block Update"),
+    (Op.ENTITY_UPDATE, 80.0, "Entities"),
+    (Op.ITEM_UPDATE, 11.0, "Entities"),
+    (Op.TNT_UPDATE, 12.0, "Entities"),
+    (Op.COLLISION_PAIR, 2.0, "Entities"),
+    (Op.EXPLOSION_RAY, 0.7, "Entities"),
+    (Op.PATHFIND_NODE, 1.4, "Entities"),
+    (Op.SPAWN_ATTEMPT, 3.0, "Entities"),
     # The per-chunk mob-spawning eligibility scan is entity work (MF4).
-    Op.SPAWN_SCAN: "Entities",
+    (Op.SPAWN_SCAN, 55.0, "Entities"),
     # Chunk IO gets its own buckets so the persistence workloads are
     # attributable in the tick-time distribution: "Autosave" is the
     # periodic dirty-chunk write-back, "Chunk Load" covers bringing a
     # chunk into play — generating it, reading it back from a region
     # file, or re-attaching an already-resident chunk to a player view.
-    Op.CHUNK_SAVE: "Autosave",
-    Op.CHUNK_GEN: "Chunk Load",
-    Op.CHUNK_LOAD: "Chunk Load",
-    Op.CHUNK_VIEW: "Chunk Load",
-    # Deliberately "Other" (Fig. 11 lumps fixed tick overhead, chunk
-    # ticking, player actions, chat, and networking into its catch-all
-    # bucket).  Explicit entries rather than fallback so MSL002 can
-    # prove every Op has a *decided* bucket — a new Op landing in
-    # "Other" by accident is exactly the attribution leak the lint
-    # exists to catch.
-    Op.TICK_FIXED: "Other",
-    Op.CHUNK_TICK: "Other",
-    Op.PLAYER_ACTION: "Other",
-    Op.CHAT: "Other",
-    Op.PACKET: "Other",
-    Op.BYTES_OUT: "Other",
-}
+    (Op.CHUNK_GEN, 950.0, "Chunk Load"),
+    # Reading a chunk back from a region file: seek + inflate (~66 KB
+    # raw per chunk) + deserialize + relight.  An order cheaper than
+    # generating it, an order pricier than serving it from memory.
+    (Op.CHUNK_LOAD, 260.0, "Chunk Load"),
+    # Writing one dirty chunk during an autosave: deflate + region
+    # read-modify-write, amortized across the chunks of a save batch.
+    (Op.CHUNK_SAVE, 210.0, "Autosave"),
+    # Attaching an already-resident chunk to a player view: no disk and
+    # no generation, but the chunk-data packet is serialized and
+    # compressed per send — the same 140 µs the pre-persistence model
+    # charged this path (as CHUNK_LOAD), keeping fixed-seed runs without
+    # disk IO bit-identical with the seed simulation.
+    (Op.CHUNK_VIEW, 140.0, "Chunk Load"),
+    (Op.CHUNK_TICK, 30.0, "Other"),
+    (Op.PLAYER_ACTION, 5.0, "Other"),
+    (Op.CHAT, 25.0, "Other"),
+    (Op.PACKET, 0.45, "Other"),
+    (Op.BYTES_OUT, 0.0012, "Other"),
+)
+
+_BUCKET = {op: bucket for op, _, bucket in OP_TABLE}
 
 
 def bucket_of(op: str) -> str:
     """Map a fine operation category to its Figure 11 bucket.
 
-    Every registered Op has an explicit entry (enforced by lint rule
-    MSL002 and ``tests/mlg/test_op_registry.py``); the fallback only
-    covers ad-hoc strings from external callers.
+    Every op has a row in :data:`OP_TABLE`; the fallback only covers
+    ad-hoc strings from external callers.
     """
-    return _BUCKET_BY_OP.get(op, "Other")
+    return _BUCKET.get(op, "Other")
 
 
 @dataclass

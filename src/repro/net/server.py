@@ -29,10 +29,11 @@ layer adds is the socket's own boundary: a connection has
 peer that sends a frame this end does not read — garbage, or a type only
 a server sends — is disconnected alone with a ``protocol error`` reason.
 
-Wire measurements published to the server's telemetry bus (registered in
-``SIDECAR_METRICS``; MSL005): ``wire_bytes_in``/``wire_bytes_out`` per
-tick, ``wire_flush_us`` (wall time spent encoding + writing a flush),
-and ``wire_connects`` (one sample per accepted connection — the
+Wire measurements published to the server's telemetry bus, under the
+stream names the metric catalog declares
+(:mod:`repro.telemetry.catalog`): ``wire_bytes_in``/``wire_bytes_out``
+per tick, ``wire_flush_us`` (wall time spent encoding + writing a
+flush), and ``wire_connects`` (one sample per accepted connection — the
 connect-storm counter).
 """
 
@@ -47,23 +48,15 @@ from repro.mlg import wirecodec as wc
 from repro.mlg.constants import CLIENT_TIMEOUT_US, TICK_BUDGET_US
 from repro.mlg.protocol import PacketCategory
 from repro.simtime import s_to_us, us_to_s
+from repro.telemetry.catalog import (
+    WIRE_BYTES_IN,
+    WIRE_BYTES_OUT,
+    WIRE_CONNECTS,
+    WIRE_FLUSH_US,
+    WIRE_STREAMS,
+)
 
-__all__ = [
-    "WIRE_BYTES_IN",
-    "WIRE_BYTES_OUT",
-    "WIRE_CONNECTS",
-    "WIRE_FLUSH_US",
-    "WireServer",
-    "wire_metrics_snapshot",
-]
-
-#: Bus metric names (the string constants MSL005 resolves).
-WIRE_BYTES_IN = "wire_bytes_in"
-WIRE_BYTES_OUT = "wire_bytes_out"
-WIRE_FLUSH_US = "wire_flush_us"
-WIRE_CONNECTS = "wire_connects"
-
-_WIRE_METRICS = (WIRE_BYTES_IN, WIRE_BYTES_OUT, WIRE_FLUSH_US, WIRE_CONNECTS)
+__all__ = ["WireServer", "wire_metrics_snapshot"]
 
 _READ_CHUNK = 65536
 
@@ -161,7 +154,7 @@ def wire_metrics_snapshot(server) -> dict:
     """Sidecar-shaped snapshots of the wire metrics (totals included)."""
     out: dict = {}
     bus = server.telemetry.bus
-    for name in _WIRE_METRICS:
+    for name in WIRE_STREAMS:
         acc = bus.metric(name)
         snap = acc.snapshot(include_tail=False)
         snap["total"] = acc.total

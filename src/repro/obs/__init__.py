@@ -1,4 +1,4 @@
-"""Live observability plane: registry, endpoint, aggregation, dashboard.
+"""Live observability plane: snapshot, endpoint, aggregation, dashboard.
 
 Everything here is pull-based and off by default (``obs: false``): a run
 without the endpoint is bit-identical with one that never imported this
@@ -8,7 +8,6 @@ package, and a scraped run only pays for the scrapes it serves.
 from repro.obs.aggregate import CampaignObsAggregate
 from repro.obs.endpoint import ObsHttpServer
 from repro.obs.registry import (
-    OBS_METRICS,
     ObsSnapshot,
     render_json,
     render_prometheus,
@@ -18,7 +17,6 @@ from repro.obs.top import fetch_snapshot, render_top, run_top
 
 __all__ = [
     "CampaignObsAggregate",
-    "OBS_METRICS",
     "ObsHttpServer",
     "ObsSnapshot",
     "fetch_snapshot",

@@ -5,33 +5,30 @@ iteration — the very sidecar-line dict they just streamed to disk —
 through a multiprocessing queue.  The parent folds them here and serves
 a single endpoint for the whole campaign.
 
-Aggregation semantics:
+How a metric's iterations combine is its catalog entry's ``combine``
+rule (:mod:`repro.telemetry.catalog`):
 
 - **Counters sum exactly** (ticks, response samples, wire bytes,
   connects, per-phase microseconds, slow ticks, anomaly dumps) — a
   scrape's counter is monotone and never exceeds the final sidecar sum.
-- **Gauges average, weighted by ticks** (tick quantiles, CoV, ISR,
-  overloaded fraction, response quantiles by sample count): the sidecar
-  snapshots are not mergeable at full fidelity, so campaign-level
-  quantiles are the weighted mean of the per-iteration quantiles — an
-  approximation, clearly scoped to the dashboard (reports keep using
-  the exact sidecar values).
-- ``entities_peak`` takes the max; ``entities_last`` the latest fold.
+- **Maxima merge exactly** (``tick_ms`` max, ``entities_peak``);
+  ``entities_last`` is the latest fold's.
+- **Quantiles, CoV, ISR and the overloaded fraction average**, weighted
+  by the sample count of their own section (tick quantiles by ticks,
+  response quantiles by response samples, the flush p99 by flushes): the
+  sidecar snapshots are not mergeable at full fidelity, so these
+  campaign-level gauges are an approximation, clearly scoped to the
+  dashboard (reports keep using the exact sidecar values).
 """
 
 from __future__ import annotations
 
 import threading
 
-from repro.obs.registry import ObsSnapshot, telemetry_obs_snapshot
+from repro.obs.registry import ObsSnapshot
+from repro.telemetry.catalog import lookup, scraped
 
 __all__ = ["CampaignObsAggregate"]
-
-#: tick-section gauge fields averaged weighted by each iteration's ticks.
-_TICK_GAUGES = ("isr", "overloaded_fraction")
-_TICK_MS_GAUGES = ("mean", "p50", "p95", "p99", "max", "cov")
-_RESPONSE_GAUGES = ("p50", "p99")
-_WIRE_TOTALS = ("wire_bytes_in", "wire_bytes_out")
 
 
 class CampaignObsAggregate:
@@ -43,131 +40,61 @@ class CampaignObsAggregate:
         self._lock = threading.Lock()
         self._jobs_observed: set[str] = set()
         self._iterations = 0
-        self._ticks = 0.0
-        self._tick_weighted = {k: 0.0 for k in _TICK_GAUGES}
-        self._tick_ms_weighted = {k: 0.0 for k in _TICK_MS_GAUGES}
-        self._phase_us: dict[str, float] = {}
-        self._entities_last = 0.0
-        self._entities_peak = 0.0
-        self._responses = 0.0
-        self._response_weighted = {k: 0.0 for k in _RESPONSE_GAUGES}
-        self._wire_seen = False
-        self._wire_totals = {k: 0.0 for k in _WIRE_TOTALS}
-        self._wire_connects = 0.0
-        self._wire_flush_p99_weighted = 0.0
-        self._trace_seen = False
-        self._slow_ticks = 0.0
-        self._anomalies = 0.0
+        #: Exposition name -> combined value so far (a ``mean``'s weighted
+        #: total; label -> sum for a family).  Starts at the zero of every
+        #: metric an empty line would carry; wire and trace names appear
+        #: once a line with the section has been folded.
+        self._combined: dict = {
+            metric.name: {} if metric.label_key else 0.0
+            for metric, _ in scraped({})
+        }
+        #: Exposition name -> summed weight, for ``mean`` metrics.
+        self._weights: dict[str, float] = {}
 
     def fold(self, line: dict) -> None:
         """Fold one sidecar-line dict (one finished iteration)."""
-        telemetry = line.get("telemetry") or {}
-        tick = telemetry.get("tick") or {}
-        tick_ms = tick.get("tick_ms") or {}
-        ticks = float(tick.get("ticks", 0))
         with self._lock:
             job_id = line.get("job_id")
             if job_id:
                 self._jobs_observed.add(job_id)
             self._iterations += 1
-            self._ticks += ticks
-            for key in _TICK_GAUGES:
-                self._tick_weighted[key] += ticks * float(tick.get(key, 0.0))
-            for key in _TICK_MS_GAUGES:
-                self._tick_ms_weighted[key] += ticks * float(
-                    tick_ms.get(key, 0.0)
-                )
-            for bucket, us in (tick.get("breakdown_us") or {}).items():
-                self._phase_us[bucket] = self._phase_us.get(bucket, 0.0) + us
-            self._entities_last = float(tick.get("entities_last", 0))
-            self._entities_peak = max(
-                self._entities_peak, float(tick.get("entities_peak", 0))
-            )
-            response = telemetry.get("response_ms") or {}
-            samples = float(response.get("count", 0))
-            self._responses += samples
-            for key in _RESPONSE_GAUGES:
-                self._response_weighted[key] += samples * float(
-                    response.get(key, 0.0)
-                )
-            wire = telemetry.get("wire")
-            if wire:
-                self._wire_seen = True
-                for key in _WIRE_TOTALS:
-                    self._wire_totals[key] += float(
-                        (wire.get(key) or {}).get("total", 0.0)
+            for metric, value in scraped(line):
+                name = metric.name
+                if metric.label_key:
+                    family = self._combined.setdefault(name, {})
+                    for label, sample in (value or {}).items():
+                        family[label] = family.get(label, 0.0) + sample
+                    continue
+                value = float(value or 0.0)
+                so_far = self._combined.get(name, 0.0)
+                if metric.combine == "sum":
+                    self._combined[name] = so_far + value
+                elif metric.combine == "max":
+                    self._combined[name] = max(so_far, value)
+                elif metric.combine == "last":
+                    self._combined[name] = value
+                else:  # mean, weighted by a count beside the value
+                    weight = float(
+                        lookup(line, (*metric.path[:-1], metric.weight)) or 0
                     )
-                self._wire_connects += float(
-                    (wire.get("wire_connects") or {}).get("count", 0)
-                )
-                flushes = float(
-                    (wire.get("wire_flush_us") or {}).get("count", 0)
-                )
-                self._wire_flush_p99_weighted += flushes * float(
-                    (wire.get("wire_flush_us") or {}).get("p99", 0.0)
-                )
-            trace = telemetry.get("trace")
-            if trace and trace.get("enabled"):
-                self._trace_seen = True
-                self._slow_ticks += float(trace.get("slow_ticks", 0))
-                anomalies = trace.get("anomaly_count")
-                if anomalies is None:
-                    anomalies = len(trace.get("anomalies") or [])
-                self._anomalies += float(anomalies)
-
-    def _weighted(self, total: float, weight: float) -> float:
-        return total / weight if weight else 0.0
+                    self._combined[name] = so_far + weight * value
+                    self._weights[name] = (
+                        self._weights.get(name, 0.0) + weight
+                    )
 
     def snapshot(self) -> ObsSnapshot:
-        """One campaign-wide snapshot in the sidecar telemetry shape."""
+        """One campaign-wide snapshot of everything folded so far."""
+        snap = ObsSnapshot(self.meta)
         with self._lock:
-            telemetry: dict = {
-                "tick": {
-                    "ticks": self._ticks,
-                    "entities_last": self._entities_last,
-                    "entities_peak": self._entities_peak,
-                    "breakdown_us": dict(sorted(self._phase_us.items())),
-                    **{
-                        key: self._weighted(value, self._ticks)
-                        for key, value in self._tick_weighted.items()
-                    },
-                    "tick_ms": {
-                        key: self._weighted(value, self._ticks)
-                        for key, value in self._tick_ms_weighted.items()
-                    },
-                },
-                "response_ms": {
-                    "count": self._responses,
-                    **{
-                        key: self._weighted(value, self._responses)
-                        for key, value in self._response_weighted.items()
-                    },
-                },
-            }
-            if self._wire_seen:
-                flushes = 1.0  # weighted p99 already normalizes below
-                telemetry["wire"] = {
-                    "wire_bytes_in": {
-                        "total": self._wire_totals["wire_bytes_in"]
-                    },
-                    "wire_bytes_out": {
-                        "total": self._wire_totals["wire_bytes_out"]
-                    },
-                    "wire_connects": {"count": self._wire_connects},
-                    "wire_flush_us": {
-                        "p99": self._weighted(
-                            self._wire_flush_p99_weighted,
-                            self._wire_connects or flushes,
-                        )
-                    },
-                }
-            if self._trace_seen:
-                telemetry["trace"] = {
-                    "enabled": True,
-                    "slow_ticks": self._slow_ticks,
-                    "anomaly_count": self._anomalies,
-                }
-            snap = telemetry_obs_snapshot(telemetry, meta=self.meta)
+            for name, value in self._combined.items():
+                if isinstance(value, dict):
+                    for label, sample in value.items():
+                        snap.export(name, sample, label=label)
+                elif name in self._weights:
+                    weight = self._weights[name]
+                    snap.export(name, value / weight if weight else 0.0)
+                else:
+                    snap.export(name, value)
             snap.export("repro_jobs_total", self.n_jobs)
             snap.export("repro_jobs_observed", len(self._jobs_observed))
             snap.export("repro_iterations_total", self._iterations)

@@ -1,16 +1,15 @@
-"""The obs metric registry: one name table for everything the live
-endpoint exports.
+"""The obs snapshot: one scrape's worth of catalogued metrics, rendered.
 
 Meterstick's thesis is that variability must be observed *while it
 happens*; the endpoint therefore re-exports the same streaming state the
 sidecars already carry — the :class:`~repro.telemetry.tap.ServerTelemetry`
 tap, the tracer's per-phase accumulators, and the wire metrics — rather
-than keeping a second set of counters.  :data:`OBS_METRICS` is the single
-registry of exported names: every ``ObsSnapshot.export`` call must name
-an entry (enforced at runtime here and statically by lint rule MSL008),
-and every entry must be exported by some call site (the MSL008 reverse
-direction), so the endpoint's surface can never drift from the table
-documenting it.
+than keeping a second set of counters.  What may be exported, under
+which name, type and help text, is the exposition side of the metric
+catalog (:data:`repro.telemetry.catalog.EXPOSITION`):
+:func:`telemetry_obs_snapshot` is a loop over it, and
+``ObsSnapshot.export`` refuses a name it does not list, so the
+endpoint's surface cannot drift from the table documenting it.
 
 Scrape-diffability contract: rendered output is stable-sorted by metric
 name (label values sorted within a family) and carries **no wall-clock
@@ -22,70 +21,14 @@ from __future__ import annotations
 
 import json
 
+from repro.telemetry.catalog import EXPOSITION, scraped
+
 __all__ = [
-    "OBS_METRICS",
     "ObsSnapshot",
     "render_json",
     "render_prometheus",
     "telemetry_obs_snapshot",
 ]
-
-#: Exported metric name -> (prometheus type, source stream, label, help).
-#: ``source`` names the sidecar stream the value derives from — a
-#: ``SIDECAR_METRICS`` key for bus metrics, else the tap/trace/campaign
-#: section of the sidecar line.  ``label`` is the label key for family
-#: metrics ("" = plain scalar).
-OBS_METRICS = {
-    "repro_ticks_total": (
-        "counter", "tick_ms", "", "ticks simulated so far"),
-    "repro_tick_ms_mean": (
-        "gauge", "tick_ms", "", "mean tick duration (ms)"),
-    "repro_tick_ms_p50": (
-        "gauge", "tick_ms", "", "p50 tick duration (ms)"),
-    "repro_tick_ms_p95": (
-        "gauge", "tick_ms", "", "p95 tick duration (ms)"),
-    "repro_tick_ms_p99": (
-        "gauge", "tick_ms", "", "p99 tick duration (ms)"),
-    "repro_tick_ms_max": (
-        "gauge", "tick_ms", "", "max tick duration (ms)"),
-    "repro_tick_cov": (
-        "gauge", "tick_ms", "", "tick-duration coefficient of variation"),
-    "repro_isr": (
-        "gauge", "tick_ms", "", "streaming Instability Ratio (Eq. 1)"),
-    "repro_overloaded_fraction": (
-        "gauge", "tick_ms", "", "fraction of ticks over the 50 ms budget"),
-    "repro_entities": (
-        "gauge", "tap", "", "live entities at the last observed tick"),
-    "repro_entities_peak": (
-        "gauge", "tap", "", "peak live-entity population"),
-    "repro_phase_us_total": (
-        "counter", "tap", "phase",
-        "simulated microseconds per Fig. 11 work bucket"),
-    "repro_response_samples_total": (
-        "counter", "response_ms", "", "client response samples observed"),
-    "repro_response_ms_p50": (
-        "gauge", "response_ms", "", "p50 client response time (ms)"),
-    "repro_response_ms_p99": (
-        "gauge", "response_ms", "", "p99 client response time (ms)"),
-    "repro_wire_bytes_in_total": (
-        "counter", "wire_bytes_in", "", "bytes received on the wire"),
-    "repro_wire_bytes_out_total": (
-        "counter", "wire_bytes_out", "", "bytes flushed to the wire"),
-    "repro_wire_flush_us_p99": (
-        "gauge", "wire_flush_us", "", "p99 wire flush wall time (µs)"),
-    "repro_wire_connects_total": (
-        "counter", "wire_connects", "", "client connections accepted"),
-    "repro_slow_ticks_total": (
-        "counter", "trace", "", "ticks slower than the flight-recorder cut"),
-    "repro_trace_anomalies_total": (
-        "counter", "trace", "", "slow-tick flight-recorder dumps"),
-    "repro_jobs_total": (
-        "gauge", "campaign", "", "planned campaign jobs"),
-    "repro_jobs_observed": (
-        "gauge", "campaign", "", "jobs that have streamed telemetry"),
-    "repro_iterations_total": (
-        "counter", "campaign", "", "completed campaign iterations"),
-}
 
 
 class ObsSnapshot:
@@ -101,12 +44,13 @@ class ObsSnapshot:
         self.values: dict = {}
 
     def export(self, name: str, value, label: str | None = None) -> None:
-        """Record one sample; ``name`` must be in :data:`OBS_METRICS`."""
-        if name not in OBS_METRICS:
+        """Record one sample; ``name`` must be a catalogued exposition
+        name."""
+        if name not in EXPOSITION:
             raise ValueError(
-                f"metric {name!r} is not in the OBS_METRICS registry"
+                f"metric {name!r} is not in the metric catalog"
             )
-        label_key = OBS_METRICS[name][2]
+        label_key = EXPOSITION[name].label_key
         if label is None:
             if label_key:
                 raise ValueError(
@@ -131,52 +75,12 @@ def telemetry_obs_snapshot(
     disagree on what a metric means.
     """
     snap = ObsSnapshot(meta)
-    tick = telemetry.get("tick") or {}
-    tick_ms = tick.get("tick_ms") or {}
-    snap.export("repro_ticks_total", tick.get("ticks", 0))
-    snap.export("repro_isr", tick.get("isr", 0.0))
-    snap.export(
-        "repro_overloaded_fraction", tick.get("overloaded_fraction", 0.0)
-    )
-    snap.export("repro_tick_ms_mean", tick_ms.get("mean", 0.0))
-    snap.export("repro_tick_ms_p50", tick_ms.get("p50", 0.0))
-    snap.export("repro_tick_ms_p95", tick_ms.get("p95", 0.0))
-    snap.export("repro_tick_ms_p99", tick_ms.get("p99", 0.0))
-    snap.export("repro_tick_ms_max", tick_ms.get("max", 0.0))
-    snap.export("repro_tick_cov", tick_ms.get("cov", 0.0))
-    snap.export("repro_entities", tick.get("entities_last", 0))
-    snap.export("repro_entities_peak", tick.get("entities_peak", 0))
-    for bucket, us in sorted((tick.get("breakdown_us") or {}).items()):
-        snap.export("repro_phase_us_total", us, label=bucket)
-    response = telemetry.get("response_ms") or {}
-    snap.export("repro_response_samples_total", response.get("count", 0))
-    snap.export("repro_response_ms_p50", response.get("p50", 0.0))
-    snap.export("repro_response_ms_p99", response.get("p99", 0.0))
-    wire = telemetry.get("wire")
-    if wire:
-        snap.export(
-            "repro_wire_bytes_in_total",
-            (wire.get("wire_bytes_in") or {}).get("total", 0.0),
-        )
-        snap.export(
-            "repro_wire_bytes_out_total",
-            (wire.get("wire_bytes_out") or {}).get("total", 0.0),
-        )
-        snap.export(
-            "repro_wire_flush_us_p99",
-            (wire.get("wire_flush_us") or {}).get("p99", 0.0),
-        )
-        snap.export(
-            "repro_wire_connects_total",
-            (wire.get("wire_connects") or {}).get("count", 0),
-        )
-    trace = telemetry.get("trace")
-    if trace and trace.get("enabled"):
-        snap.export("repro_slow_ticks_total", trace.get("slow_ticks", 0))
-        anomalies = trace.get("anomaly_count")
-        if anomalies is None:
-            anomalies = len(trace.get("anomalies") or [])
-        snap.export("repro_trace_anomalies_total", anomalies)
+    for metric, value in scraped({"telemetry": telemetry}):
+        if metric.label_key:
+            for label, sample in sorted((value or {}).items()):
+                snap.export(metric.name, sample, label=label)
+        else:
+            snap.export(metric.name, 0 if value is None else value)
     return snap
 
 
@@ -197,14 +101,14 @@ def render_prometheus(snap: ObsSnapshot) -> str:
     """The Prometheus text exposition body: stable-sorted, timestamp-free."""
     lines: list[str] = []
     for name in sorted(snap.values):
-        mtype, _source, label_key, help_text = OBS_METRICS[name]
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {mtype}")
+        metric = EXPOSITION[name]
+        lines.append(f"# HELP {name} {metric.help}")
+        lines.append(f"# TYPE {name} {metric.kind}")
         value = snap.values[name]
         if isinstance(value, dict):
             for label_value in sorted(value):
                 lines.append(
-                    f'{name}{{{label_key}="{_escape_label(label_value)}"}} '
+                    f'{name}{{{metric.label_key}="{_escape_label(label_value)}"}} '
                     f"{_format_value(value[label_value])}"
                 )
         else:

@@ -23,7 +23,7 @@ import sys
 import time
 import urllib.request
 
-from repro.obs.registry import OBS_METRICS
+from repro.telemetry.catalog import EXPOSITION
 
 __all__ = ["fetch_snapshot", "render_top", "run_top"]
 
@@ -49,13 +49,21 @@ def fetch_snapshot(url: str, timeout_s: float = 5.0) -> dict:
         return json.loads(response.read().decode("utf-8"))
 
 
-def _metric(doc: dict, name: str, default: float = 0.0) -> float:
-    value = (doc.get("metrics") or {}).get(name, default)
-    return float(value)
+def _sample(doc: dict, name: str):
+    """What the document holds for a catalogued exposition name.  A name
+    the catalog does not list is a bug here, not a zero on the screen:
+    a rename there fails the first frame."""
+    if name not in EXPOSITION:
+        raise KeyError(f"repro top reads uncatalogued metric {name!r}")
+    return (doc.get("metrics") or {}).get(name)
+
+
+def _metric(doc: dict, name: str) -> float:
+    return float(_sample(doc, name) or 0.0)
 
 
 def _family(doc: dict, name: str) -> dict:
-    value = (doc.get("metrics") or {}).get(name) or {}
+    value = _sample(doc, name) or {}
     return value if isinstance(value, dict) else {}
 
 
@@ -209,13 +217,3 @@ def run_top(
     except KeyboardInterrupt:
         return 0
 
-
-# Self-check: every metric name this module reads must be registered —
-# a rename in the registry should fail here, not render zeros forever.
-for _name in (
-    "repro_ticks_total",
-    "repro_phase_us_total",
-    "repro_jobs_total",
-):
-    if _name not in OBS_METRICS:  # pragma: no cover - import-time guard
-        raise AssertionError(f"repro top reads unregistered metric {_name!r}")

@@ -14,8 +14,9 @@ The report engine consumes *only* what a campaign already wrote to disk
   perf-trajectory panel (optional; the panel is skipped without them).
 
 Each sidecar line becomes one flat *report row*: the cell's axis fields
-(:data:`repro.reporting.spec.AXIS_FIELDS`) plus every derivable metric
-(:data:`repro.reporting.spec.METRIC_FIELDS`).  Rows are ordered by
+(:data:`repro.reporting.spec.AXIS_FIELDS`) plus every report column of
+the metric catalog (:mod:`repro.telemetry.catalog`, which says where in
+the line each one sits).  Rows are ordered by
 planned job index then iteration, so two renders of the same campaign
 directory are byte-identical.
 """
@@ -27,64 +28,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.reporting.spec import AXIS_FIELDS
+from repro.telemetry.catalog import read_columns
 
 __all__ = ["CampaignDataset", "JobView", "load_dataset", "sidecar_row"]
 
 
 def sidecar_row(job_dict: dict, line: dict) -> dict:
-    """Flatten one telemetry sidecar line into a report row."""
-    telemetry = line.get("telemetry") or {}
-    tick = telemetry.get("tick") or {}
-    snap = tick.get("tick_ms") or {}
-    windows = tick.get("windows") or {}
-    response = telemetry.get("response_ms") or {}
-    trace = telemetry.get("trace") or {}
-    wire = telemetry.get("wire") or {}
-    wire_in = wire.get("wire_bytes_in") or {}
-    wire_out = wire.get("wire_bytes_out") or {}
-    wire_flush = wire.get("wire_flush_us") or {}
-    wire_connects = wire.get("wire_connects") or {}
+    """Flatten one telemetry sidecar line into a report row: the cell's
+    axes and identity, then every catalog column (wire and trace columns
+    stay ``None`` on lines without those sections)."""
     row = {axis: job_dict.get(axis) for axis in AXIS_FIELDS}
     row["iteration"] = line.get("iteration", 0)
     row["seed"] = line.get("seed")
     row["job_id"] = job_dict.get("job_id")
-    buckets = tick.get("breakdown_us") or {}
-    bucket_total = sum(buckets.values())
-    top_bucket, top_share = None, None
-    if bucket_total > 0:
-        top_bucket, top_us = max(
-            buckets.items(), key=lambda kv: (kv[1], kv[0])
-        )
-        top_share = top_us / bucket_total
-    row.update(
-        {
-            "crashed": bool(line.get("crashed")),
-            "isr": line.get("isr"),
-            "ticks": tick.get("ticks"),
-            "tick_mean_ms": snap.get("mean"),
-            "tick_p50_ms": snap.get("p50"),
-            "tick_p95_ms": snap.get("p95"),
-            "tick_p99_ms": snap.get("p99"),
-            "tick_max_ms": snap.get("max"),
-            "tick_cov": snap.get("cov"),
-            "overloaded_fraction": tick.get("overloaded_fraction"),
-            "entities_peak": tick.get("entities_peak"),
-            "response_p50_ms": response.get("p50"),
-            "response_p99_ms": response.get("p99"),
-            "steady": windows.get("steady"),
-            "warmup_samples": windows.get("warmup_samples"),
-            "slow_ticks": trace.get("slow_ticks"),
-            "anomaly_count": trace.get("anomaly_count"),
-            "top_bucket": top_bucket,
-            "top_bucket_share": top_share,
-            # Wire-served cells only; inproc sidecars have no "wire"
-            # section, so these stay None there.
-            "wire_bytes_in": wire_in.get("total"),
-            "wire_bytes_out": wire_out.get("total"),
-            "wire_flush_p99_us": wire_flush.get("p99"),
-            "wire_connects": wire_connects.get("count"),
-        }
-    )
+    row.update(read_columns(line))
     return row
 
 

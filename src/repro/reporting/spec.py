@@ -41,6 +41,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.telemetry.catalog import COLUMNS
+
 __all__ = [
     "AGGREGATES",
     "AXIS_FIELDS",
@@ -48,7 +50,6 @@ __all__ = [
     "OutputSpec",
     "PivotSpec",
     "PlotSpec",
-    "SIDECAR_METRICS",
     "SYSTEM_FIELDS",
     "default_output",
     "validate_output",
@@ -68,60 +69,12 @@ AXIS_FIELDS = (
 )
 
 #: Metrics derivable from a telemetry sidecar line alone (no shards, no
-#: re-simulation).  Values are short human labels for table headers.
+#: re-simulation): the catalog's report columns that carry a header.
+#: Values are short human labels for table headers.
 METRIC_FIELDS = {
-    "isr": "instability ratio (Eq. 1)",
-    "tick_mean_ms": "mean tick (ms)",
-    "tick_p50_ms": "p50 tick (ms)",
-    "tick_p95_ms": "p95 tick (ms)",
-    "tick_p99_ms": "p99 tick (ms)",
-    "tick_max_ms": "max tick (ms)",
-    "tick_cov": "tick CoV",
-    "overloaded_fraction": "ticks over budget",
-    "ticks": "ticks",
-    "entities_peak": "peak entities",
-    "response_p50_ms": "p50 response (ms)",
-    "response_p99_ms": "p99 response (ms)",
-    "warmup_samples": "warmup ticks",
-    "steady": "reached steady state",
-    "crashed": "crashed",
-    "slow_ticks": "slow ticks",
-    "anomaly_count": "anomaly dumps",
-    "top_bucket_share": "top-bucket share",
-    "wire_bytes_in": "wire bytes in",
-    "wire_bytes_out": "wire bytes out",
-    "wire_flush_p99_us": "p99 wire flush (µs)",
-    "wire_connects": "wire connects",
-}
-
-#: The sidecar metric registry: which bus-published metric each family
-#: of report metrics derives from.  Keys are the exact names producers
-#: pass to ``TelemetryBus.publish``; values are the METRIC_FIELDS
-#: columns the reporting layer derives from that stream's sidecar
-#: snapshot.  Lint rule MSL005 enforces both directions — a metric
-#: published but not registered here is invisible to report pivots, and
-#: a registry entry nothing publishes is dead weight.  (The remaining
-#: METRIC_FIELDS come from tap/flight-recorder state, not bus streams.)
-SIDECAR_METRICS = {
-    "tick_ms": (
-        "tick_mean_ms",
-        "tick_p50_ms",
-        "tick_p95_ms",
-        "tick_p99_ms",
-        "tick_max_ms",
-        "tick_cov",
-        "overloaded_fraction",
-    ),
-    "response_ms": (
-        "response_p50_ms",
-        "response_p99_ms",
-    ),
-    # Wire-served cells only (``repro serve``); inproc rows leave the
-    # columns empty.
-    "wire_bytes_in": ("wire_bytes_in",),
-    "wire_bytes_out": ("wire_bytes_out",),
-    "wire_flush_us": ("wire_flush_p99_us",),
-    "wire_connects": ("wire_connects",),
+    column: metric.header
+    for column, metric in COLUMNS.items()
+    if metric.header is not None
 }
 
 #: Supported pivot aggregates.

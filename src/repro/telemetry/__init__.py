@@ -17,8 +17,10 @@ Layers (bottom up):
 - :mod:`repro.telemetry.bus` — :class:`TelemetryBus`: named metric
   streams plus synchronous pub/sub.
 - :mod:`repro.telemetry.tap` — :class:`ServerTelemetry`: the per-server
-  tick tap (streaming ISR, Fig. 11 bucket totals, overload fraction);
-  its docstring carries the metric → paper figure/table map.
+  tick tap (streaming ISR, Fig. 11 bucket totals, overload fraction).
+
+Beside them: :mod:`repro.telemetry.catalog` — every metric declared
+once; its docstring carries the metric → paper figure/table map.
 """
 
 from repro.telemetry.accumulators import (

@@ -19,33 +19,19 @@ duck-typed against the record (``duration_ms``/``duration_us``/
 ``wait_us``/``breakdown_us``/``overloaded``) so the telemetry package
 does not depend on :mod:`repro.mlg`.
 
-Metric → paper mapping (see also the README's Telemetry section):
-
-======================  =============================================
-Streamed metric         Paper figure / table
-======================  =============================================
-``tick_ms`` quantiles   Fig. 9 tick-time series (tail buffer) and the
-                        Fig. 10/12 box plots (p25/p50/p75/p95)
-``tick_ms`` CoV,        Fig. 8 / Table 6 variability columns
-windowed CoV
-``isr``                 Fig. 6/8, Table 6 (Equation 1)
-``breakdown_us`` totals Fig. 11 tick-time distribution buckets
-``frac_over_budget``    §2.1 overload fraction (>50 ms ticks, Fig. 9
-                        annotations)
-======================  =============================================
+Which figure or table of the paper each streamed metric feeds is
+tabulated once, beside the metric catalog
+(:mod:`repro.telemetry.catalog`), which also names the two bus streams
+this tap publishes.
 """
 
 from __future__ import annotations
 
 from repro.metrics.stats import NOTICEABLE_MS, UNPLAYABLE_MS
 from repro.telemetry.bus import TelemetryBus
+from repro.telemetry.catalog import RESPONSE_MS, TICK_MS
 
 __all__ = ["ServerTelemetry"]
-
-#: Bus metric name for tick durations.
-TICK_METRIC = "tick_ms"
-#: Bus metric name for bot-observed chat-probe response times.
-RESPONSE_METRIC = "response_ms"
 
 
 class ServerTelemetry:
@@ -61,13 +47,13 @@ class ServerTelemetry:
         self.budget_ms = budget_us / 1000.0
         self.bus = TelemetryBus(tail_size=tail_size)
         self.tick_ms = self.bus.metric(
-            TICK_METRIC, thresholds={"budget": self.budget_ms}
+            TICK_MS, thresholds={"budget": self.budget_ms}
         )
-        self.windows = self.bus.watch(TICK_METRIC, window_size=window_size)
+        self.windows = self.bus.watch(TICK_MS, window_size=window_size)
         #: Response times, published by the emulated players as each
         #: chat-probe echo arrives (thresholds: the §3.5.1 QoS cutoffs).
         self.response_ms = self.bus.metric(
-            RESPONSE_METRIC,
+            RESPONSE_MS,
             thresholds={
                 "noticeable": NOTICEABLE_MS,
                 "unplayable": UNPLAYABLE_MS,
@@ -94,7 +80,7 @@ class ServerTelemetry:
         """Fold one finished tick record into the streaming state."""
         self.ticks += 1
         duration_ms = record.duration_ms
-        self.bus.publish(TICK_METRIC, duration_ms)
+        self.bus.publish(TICK_MS, duration_ms)
         for bucket, us in record.breakdown_us.items():
             self.bucket_totals_us[bucket] = (
                 self.bucket_totals_us.get(bucket, 0.0) + us
@@ -116,7 +102,7 @@ class ServerTelemetry:
 
     def observe_response(self, response_ms: float) -> None:
         """Fold one completed client probe (bot-side response time)."""
-        self.bus.publish(RESPONSE_METRIC, response_ms)
+        self.bus.publish(RESPONSE_MS, response_ms)
 
     # -- derived metrics ----------------------------------------------------
 

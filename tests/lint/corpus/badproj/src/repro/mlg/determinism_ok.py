@@ -5,6 +5,8 @@ import os
 import time
 from pathlib import Path
 
+from repro.mlg.world import World  # mlg files import each other freely
+
 
 def safe(world_dir):
     started = time.time()  # lint: allow[MSL001] operator-log wall stamp, never enters simulation

@@ -16,8 +16,11 @@ class TestExitCodes:
     def test_findings_exit_1(self, capsys):
         assert main(["lint", "src", "--root", str(CORPUS / "badproj")]) == 1
 
-    def test_clean_tree_exit_0(self, capsys):
-        assert main(["lint", "src", "--root", str(CORPUS / "regok")]) == 0
+    def test_clean_tree_exit_0(self, tmp_path, capsys):
+        clean = tmp_path / "src" / "repro" / "mlg" / "clean.py"
+        clean.parent.mkdir(parents=True)
+        clean.write_text("def f(rng):\n    return rng.random()\n")
+        assert main(["lint", "src", "--root", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "0 finding(s): 0 error(s), 0 warning(s)" in out
 
@@ -31,7 +34,7 @@ class TestJsonOutput:
         code = main(
             [
                 "lint", "src",
-                "--root", str(CORPUS / "regbad"),
+                "--root", str(CORPUS / "badproj"),
                 "--format", "json",
             ]
         )
@@ -47,13 +50,13 @@ class TestJsonOutput:
         code = main(
             [
                 "lint", "src",
-                "--root", str(CORPUS / "regbad"),
+                "--root", str(CORPUS / "badproj"),
                 "--out", str(artifact),
             ]
         )
         assert code == 1
         findings = findings_from_json(artifact.read_text())
-        assert {f.rule for f in findings} >= {"MSL002", "MSL005", "MSL008"}
+        assert {f.rule for f in findings} >= {"MSL001", "MSL006", "MSL007"}
 
 
 class TestBaselineWorkflow:
@@ -62,7 +65,7 @@ class TestBaselineWorkflow:
 
     def seeded_tree(self, tmp_path) -> Path:
         root = tmp_path / "proj"
-        shutil.copytree(CORPUS / "regbad", root)
+        shutil.copytree(CORPUS / "badproj", root)
         return root
 
     def test_update_then_baseline_passes(self, tmp_path, capsys):

@@ -88,7 +88,7 @@ class TestSyntaxError:
 
 class TestOrderingAndDeterminism:
     def test_findings_are_stably_sorted(self):
-        findings = lint_paths(["src"], root=CORPUS / "regbad")
+        findings = lint_paths(["src"], root=CORPUS / "badproj")
         assert findings == sort_findings(findings)
         keys = [f.sort_key() for f in findings]
         assert keys == sorted(keys)
@@ -100,9 +100,9 @@ class TestOrderingAndDeterminism:
         assert render_json(first).encode() == render_json(second).encode()
 
     def test_text_rendering_shape(self):
-        findings = lint_paths(["src"], root=CORPUS / "regbad")
+        findings = lint_paths(["src"], root=CORPUS / "badproj")
         lines = render_text(findings).splitlines()
-        assert lines[-1].endswith("finding(s): 13 error(s), 0 warning(s)")
+        assert lines[-1].endswith("finding(s): 17 error(s), 0 warning(s)")
         first = findings[0]
         assert lines[0] == (
             f"{first.path}:{first.line}:{first.col}: "
@@ -112,11 +112,11 @@ class TestOrderingAndDeterminism:
 
 class TestJsonRoundTrip:
     def test_round_trip_preserves_findings(self):
-        findings = lint_paths(["src"], root=CORPUS / "regbad")
+        findings = lint_paths(["src"], root=CORPUS / "badproj")
         assert findings_from_json(render_json(findings)) == findings
 
     def test_schema_shape(self):
-        findings = lint_paths(["src"], root=CORPUS / "regbad")
+        findings = lint_paths(["src"], root=CORPUS / "badproj")
         payload = json.loads(render_json(findings))
         assert payload["schema"] == JSON_SCHEMA
         assert payload["count"] == len(findings)
@@ -144,7 +144,7 @@ class TestJsonRoundTrip:
 
 class TestFindingOrderKey:
     def test_sort_key_orders_by_location_then_rule(self):
-        a = Finding("MSL002", "error", "a.py", 3, 1, "zzz")
+        a = Finding("MSL006", "error", "a.py", 3, 1, "zzz")
         b = Finding("MSL001", "error", "a.py", 3, 1, "aaa")
         c = Finding("MSL001", "error", "a.py", 2, 9, "mmm")
         assert sort_findings([a, b, c]) == [c, b, a]

@@ -32,8 +32,9 @@ from repro.mlg.protocol import PACKET_SIZES, PacketCategory
 from repro.mlg.workreport import WorkReport
 from repro.net import server as wire_server
 from repro.net.client import _CLIENT_READS
-from repro.net.server import WIRE_BYTES_OUT, WireServer
+from repro.net.server import WireServer
 from repro.telemetry.bus import TelemetryBus
+from repro.telemetry.catalog import WIRE_BYTES_OUT
 
 _spec = importlib.util.spec_from_file_location(
     "wire_oracle", Path(__file__).parents[1] / "mlg" / "wire_oracle.py"

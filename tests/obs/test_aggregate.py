@@ -13,11 +13,12 @@ def sidecar_line(job_id: str, ticks: int, p50: float, **extra) -> dict:
             "entities_peak": extra.get("entities_peak", 10),
             "breakdown_us": extra.get("breakdown_us", {"redstone": 100.0}),
             "tick_ms": {
+                "count": ticks,
                 "mean": p50,
                 "p50": p50,
                 "p95": p50,
                 "p99": p50,
-                "max": p50,
+                "max": extra.get("tick_max", p50),
                 "cov": 0.1,
             },
         },
@@ -63,6 +64,31 @@ class TestFold:
         agg.fold(sidecar_line("job-a", 10, 1.0, entities_peak=50))
         agg.fold(sidecar_line("job-a", 10, 1.0, entities_peak=30))
         assert agg.snapshot().values["repro_entities_peak"] == 50
+
+    def test_tick_max_is_the_max_of_maxima(self):
+        # A maximum merges exactly; it used to be tick-weighted like the
+        # quantiles and read 65.0 here.
+        agg = CampaignObsAggregate(n_jobs=1)
+        agg.fold(sidecar_line("job-a", 100, 1.0, tick_max=40.0))
+        agg.fold(sidecar_line("job-a", 100, 1.0, tick_max=90.0))
+        assert agg.snapshot().values["repro_tick_ms_max"] == 90.0
+
+    def test_flush_p99_is_weighted_by_flushes_not_connects(self):
+        # The weighted total used to be divided by the connect count:
+        # 1000 flushes at p99 300 over 2 connects read 150000.
+        def wire(flushes, p99):
+            return {
+                "wire_bytes_in": {"total": 0.0},
+                "wire_bytes_out": {"total": 0.0},
+                "wire_connects": {"count": 2},
+                "wire_flush_us": {"count": flushes, "p99": p99},
+            }
+
+        agg = CampaignObsAggregate(n_jobs=1)
+        agg.fold(sidecar_line("job-a", 10, 1.0, wire=wire(1000, 300.0)))
+        assert agg.snapshot().values["repro_wire_flush_us_p99"] == 300.0
+        agg.fold(sidecar_line("job-a", 10, 1.0, wire=wire(3000, 100.0)))
+        assert agg.snapshot().values["repro_wire_flush_us_p99"] == 150.0
 
     def test_wire_and_trace_appear_only_when_seen(self):
         agg = CampaignObsAggregate(n_jobs=1)

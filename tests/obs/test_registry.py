@@ -1,21 +1,16 @@
-"""The obs metric registry: export validation and render determinism."""
+"""The obs snapshot: export validation and render determinism."""
 
 import json
 
 import pytest
 
 from repro.obs import (
-    OBS_METRICS,
     ObsSnapshot,
     render_json,
     render_prometheus,
     telemetry_obs_snapshot,
 )
-from repro.reporting.spec import SIDECAR_METRICS
-
-#: Registry sources that are obs-plane sections, not sidecar streams
-#: (mirrors lint rule MSL008's OBS_ALLOWED_SECTIONS).
-SECTIONS = {"tap", "trace", "campaign"}
+from repro.telemetry.catalog import EXPOSITION
 
 
 def sample_telemetry(wire: bool = True, trace: bool = True) -> dict:
@@ -54,25 +49,29 @@ def sample_telemetry(wire: bool = True, trace: bool = True) -> dict:
     return telemetry
 
 
-class TestRegistryTable:
-    def test_every_source_is_a_sidecar_stream_or_section(self):
-        # Runtime twin of lint rule MSL008's source check.
-        for name, (mtype, source, _label, help_text) in OBS_METRICS.items():
-            assert mtype in {"counter", "gauge"}, name
-            assert source in SIDECAR_METRICS or source in SECTIONS, name
-            assert help_text, name
+class TestExpositionTable:
+    def test_every_entry_has_a_type_help_and_combine_rule(self):
+        for name, metric in EXPOSITION.items():
+            assert metric.kind in {"counter", "gauge"}, name
+            assert metric.help, name
+            if metric.path is not None:
+                assert metric.combine in {"sum", "max", "last", "mean"}, name
+                assert (metric.weight is not None) == (
+                    metric.combine == "mean"
+                ), name
 
     def test_naming_convention(self):
-        for name, (mtype, _s, _l, _h) in OBS_METRICS.items():
+        for name, metric in EXPOSITION.items():
             assert name.startswith("repro_"), name
-            if mtype == "counter":
+            if metric.kind == "counter":
                 assert name.endswith(("_total", "_observed")), name
+                assert metric.combine in {"sum", None}, name
 
 
 class TestExportValidation:
     def test_unregistered_name_rejected(self):
         snap = ObsSnapshot()
-        with pytest.raises(ValueError, match="not in the OBS_METRICS"):
+        with pytest.raises(ValueError, match="not in the metric catalog"):
             snap.export("repro_mystery_total", 1)
 
     def test_label_discipline(self):

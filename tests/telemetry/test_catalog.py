@@ -1,0 +1,242 @@
+"""The metric catalog, checked by running the system against it.
+
+``repro.telemetry.catalog`` is the one declaration of every metric; lint
+rules MSL005 / MSL008 used to compare its predecessors' copies by parsing
+them.  These tests run one cell per transport instead and compare what
+the bus, the sidecar line and the scrape bodies actually hold with what
+is declared — both directions, so a stream nothing declares, an entry
+nothing produces and an export nothing catalogues each fail here.
+
+``sidecar_pins.json`` holds two sidecar lines captured at the commit
+before the catalog existed (one traced ``transport: tcp`` cell, one plain
+in-process cell) with what that commit's hand-written readers made of
+them: the report row, both scrape bodies, the ``status`` frame, and the
+message ``validate_output`` gives an unknown metric.  The catalog's
+readers must still give every one of those bytes, in that order; a
+column or an exposition name added since shows up between them and is
+not pinned.
+"""
+
+import ast
+import json
+import threading
+from pathlib import Path
+
+import pytest
+
+from repro.campaign import CampaignSpec, JobPlanner, JobStore
+from repro.campaign.cli import _status_frame
+from repro.core import run_iteration
+from repro.net import run_clients, serve_cell
+from repro.obs import (
+    CampaignObsAggregate,
+    render_json,
+    render_prometheus,
+    telemetry_obs_snapshot,
+)
+from repro.reporting.dataset import sidecar_row
+from repro.reporting.spec import METRIC_FIELDS, validate_output
+from repro.telemetry import bus as bus_module
+from repro.telemetry import tap
+from repro.telemetry.catalog import (
+    CATALOG,
+    EXPOSITION,
+    TAP_STREAMS,
+    WIRE_STREAMS,
+)
+
+PINS = json.loads((Path(__file__).parent / "sidecar_pins.json").read_text())
+
+N_CLIENTS = 2
+
+
+@pytest.fixture(scope="module")
+def buses():
+    """Every ``TelemetryBus`` a server creates while the module runs."""
+    created = []
+
+    class RecordingBus(bus_module.TelemetryBus):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tap, "TelemetryBus", RecordingBus)
+        yield created
+
+
+@pytest.fixture(scope="module")
+def wire_cell(buses, tmp_path_factory):
+    """One traced farm cell served over loopback: its sidecar line and
+    its server's bus."""
+    before = len(buses)
+    root = tmp_path_factory.mktemp("catalog-wire")
+    spec_path = root / "wire.json"
+    spec_path.write_text(
+        json.dumps(
+            dict(PINS["cells"]["wire"]["spec"], output_dir=str(root / "out"))
+        )
+    )
+    listening = threading.Event()
+    box = {}
+
+    def on_listen(port):
+        box["port"] = port
+        listening.set()
+
+    def serve():
+        try:
+            box["serve"] = serve_cell(spec_path, cell=0, on_listen=on_listen)
+        except BaseException as exc:  # surface into the test thread
+            box["error"] = exc
+            listening.set()
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    assert listening.wait(30), "serve_cell never bound its socket"
+    if "error" not in box:
+        run_clients("127.0.0.1", box["port"], N_CLIENTS, stagger_s=0.05, seed=7)
+    thread.join(60)
+    assert not thread.is_alive(), "serve_cell did not finish"
+    if "error" in box:
+        raise box["error"]
+    (line,) = JobStore(root / "out").read_job_telemetry(box["serve"]["job_id"])
+    (bus,) = buses[before:]
+    return {"line": line, "bus": bus}
+
+
+@pytest.fixture(scope="module")
+def wire_line(wire_cell):
+    return wire_cell["line"]
+
+
+def in_order(pinned, current) -> bool:
+    """Is ``pinned`` a subsequence of ``current``?"""
+    rest = iter(current)
+    return all(item in rest for item in pinned)
+
+
+def published(bus) -> list[str]:
+    """The streams that received a sample (``wire_metrics_snapshot`` and
+    the tap register theirs up front, so being on the bus proves
+    nothing)."""
+    return [name for name in bus.metric_names if bus.metric(name).count]
+
+
+def reaches(line: dict, path: tuple) -> bool:
+    """Does every key of ``path`` exist in ``line``?  (A present ``None``
+    — ``warmup_samples`` before steady state — counts as produced.)"""
+    node = line
+    for key in path:
+        if not isinstance(node, dict) or key not in node:
+            return False
+        node = node[key]
+    return True
+
+
+class TestStreamsOnTheBus:
+    def test_inproc_cell_publishes_exactly_the_tap_streams(self, buses):
+        before = len(buses)
+        run_iteration("farm", "vanilla", "das5", duration_s=1.0, seed=3)
+        (bus,) = buses[before:]
+        assert published(bus) == bus.metric_names == sorted(TAP_STREAMS)
+
+    def test_wire_cell_adds_exactly_the_wire_streams(self, wire_cell):
+        bus = wire_cell["bus"]
+        assert published(bus) == bus.metric_names == sorted(
+            TAP_STREAMS + WIRE_STREAMS
+        )
+
+
+class TestEntriesAreProduced:
+    def test_every_path_is_in_a_traced_wire_line(self, wire_line):
+        missing = [
+            metric
+            for metric in CATALOG
+            if metric.path is not None and not reaches(wire_line, metric.path)
+        ]
+        assert missing == []
+
+    def test_every_weight_sits_beside_its_value(self, wire_line):
+        for metric in CATALOG:
+            if metric.combine == "mean":
+                assert reaches(
+                    wire_line, (*metric.path[:-1], metric.weight)
+                ), metric.name
+
+
+class TestScrapeSurface:
+    def test_bodies_carry_every_exposition_name_and_no_other(self, wire_line):
+        aggregate = CampaignObsAggregate(n_jobs=1)
+        aggregate.fold(wire_line)
+        bodies = render_prometheus(
+            telemetry_obs_snapshot(wire_line["telemetry"])
+        ) + render_prometheus(aggregate.snapshot())
+        named = {
+            row.split()[2] for row in bodies.splitlines() if "# TYPE" in row
+        }
+        assert named == set(EXPOSITION)
+
+
+@pytest.mark.parametrize("kind", sorted(PINS["cells"]))
+class TestParentPins:
+    def test_report_row(self, kind):
+        pin = PINS["cells"][kind]
+        spec = CampaignSpec.from_dict(dict(pin["spec"], output_dir="unused"))
+        (job,) = JobPlanner(spec).plan()
+        row = sidecar_row(job.to_dict(), pin["line"])
+        assert in_order(
+            pin["sidecar_row"], [list(item) for item in row.items()]
+        )
+
+    def test_scrape_bodies(self, kind):
+        pin = PINS["cells"][kind]
+        line = pin["line"]
+        snap = telemetry_obs_snapshot(
+            line["telemetry"],
+            meta={"cell": line["cell"], "job_id": line["job_id"]},
+        )
+        assert in_order(
+            pin["prometheus"].splitlines(),
+            render_prometheus(snap).splitlines(),
+        )
+        pinned, body = json.loads(pin["json"]), json.loads(render_json(snap))
+        assert pinned["metrics"].items() <= body.pop("metrics").items()
+        del pinned["metrics"]
+        assert body == pinned
+
+    def test_status_frame(self, kind, tmp_path):
+        pin = PINS["cells"][kind]
+        spec = CampaignSpec.from_dict(
+            dict(pin["spec"], output_dir=str(tmp_path))
+        )
+        store = JobStore(tmp_path)
+        (job,) = JobPlanner(spec).plan()
+        store.write_manifest(spec, [job])
+        store.telemetry_dir.mkdir(parents=True)
+        store.telemetry_path(job.job_id).write_text(
+            json.dumps(pin["line"], sort_keys=True) + "\n"
+        )
+        frame = _status_frame(spec, store, store.status())
+        assert frame.replace(str(store.root), "<root>") == pin["status"]
+
+
+class TestUnknownMetricMessage:
+    """Same words as before the catalog; the ``known:`` list may only
+    have grown."""
+
+    @pytest.mark.parametrize(
+        "kind, output",
+        [
+            ("pivot", {"pivots": [{"value": "nope"}]}),
+            ("plot", {"plots": [{"kind": "matrix", "metric": "tick_p99"}]}),
+        ],
+    )
+    def test_message(self, kind, output):
+        with pytest.raises(ValueError) as caught:
+            validate_output(output)
+        pinned_head, pinned_known = PINS["validate_output"][kind].split("known: ")
+        head, known = str(caught.value).split("known: ")
+        assert head == pinned_head
+        assert known == str(sorted(METRIC_FIELDS))
+        assert set(ast.literal_eval(pinned_known)) <= set(METRIC_FIELDS)
