@@ -1,10 +1,13 @@
 """Slab storage for terrain state (§2.3): one array per field, one row
 per loaded chunk.
 
-:class:`ChunkArena` keeps ``blocks``/``aux``/``skylight``/``blocklight``
-as ``[slot, lx, lz, y]`` slabs (plus ``heightmap[slot, lx, lz]`` and
-``dirty[slot]``), so a query that spans many chunks is one fancy index
-instead of a Python loop over chunk objects.  :class:`Chunk` is a handle
+:class:`ChunkArena` keeps ``blocks``/``aux``/``blocklight`` as ``[slot,
+lx, lz, y]`` slabs (plus ``heightmap`` and ``skylit`` as ``[slot, lx, lz]``,
+``dirty[slot]`` and ``glows[slot]``), so a query that spans many chunks is
+one fancy index instead of a Python loop over chunk objects.  Skylight is
+not a slab: a column is lit from the top down to its highest opaque block,
+so ``skylit`` holds how many cells that is, an all-zero slot reads dark,
+and :attr:`Chunk.skylight` derives the voxels.  :class:`Chunk` is a handle
 over one slot: its array attributes are views resolved on access.  A
 free-standing ``Chunk(cx, cz)`` (region IO, tests) owns a private one-slot
 page; :meth:`ChunkArena.adopt` copies it into a slot, and
@@ -31,21 +34,25 @@ from operator import attrgetter
 import numpy as np
 
 from repro.mlg.blocks import Block
-from repro.mlg.constants import CHUNK_SIZE, WORLD_HEIGHT
+from repro.mlg.constants import CHUNK_SIZE, MAX_LIGHT, WORLD_HEIGHT
 
 __all__ = [
     "Chunk", "ChunkArena", "ChunkStrip", "column_tops", "pack_keys", "strips",
 ]
 
 _VOXELS = ((CHUNK_SIZE, CHUNK_SIZE, WORLD_HEIGHT), np.uint8)
+_COLUMNS = ((CHUNK_SIZE, CHUNK_SIZE), np.int16)
 #: Per-slot shape and dtype of every terrain field.
 _FIELDS = {
     "blocks": _VOXELS,
     "aux": _VOXELS,
-    "skylight": _VOXELS,
     "blocklight": _VOXELS,
-    "heightmap": ((CHUNK_SIZE, CHUNK_SIZE), np.int16),
+    "heightmap": _COLUMNS,
+    #: Sky-lit cells of each column, counted from the top of the world.
+    "skylit": _COLUMNS,
     "dirty": ((), np.bool_),
+    #: Whether ``blocklight`` may be non-zero (the light engine's flag).
+    "glows": ((), np.bool_),
 }
 
 
@@ -108,9 +115,18 @@ class Chunk:
 
     blocks = _slot_view("blocks")
     aux = _slot_view("aux")
-    skylight = _slot_view("skylight")
     blocklight = _slot_view("blocklight")
     heightmap = _slot_view("heightmap")
+    skylit = _slot_view("skylit")
+
+    @property
+    def skylight(self) -> np.ndarray:
+        """Sky light per voxel, derived from ``skylit`` (read-only: light
+        is written through the :class:`~repro.mlg.lighting.LightEngine`)."""
+        lit = np.arange(WORLD_HEIGHT, 0, -1) <= self.skylit[:, :, None]
+        voxels = lit * np.uint8(MAX_LIGHT)
+        voxels.flags.writeable = False
+        return voxels
 
     @property
     def dirty(self) -> bool:
@@ -137,11 +153,17 @@ class Chunk:
 def column_tops(filled: np.ndarray) -> np.ndarray:
     """Highest set index + 1 along the last (``y``) axis of a boolean
     array, 0 where a column has none set: the heightmap of ``blocks !=
-    AIR``, the skylight cut-off of an opacity mask."""
-    first_from_top = filled[..., ::-1].argmax(axis=-1)
-    return np.where(
-        filled.any(axis=-1), filled.shape[-1] - first_from_top, 0
-    ).astype(np.int16)
+    AIR``, the skylight cut-off of an opacity mask.  Columns are read eight
+    cells at a time, so the last axis must be contiguous and a multiple of
+    eight long (``WORLD_HEIGHT`` is)."""
+    words = filled.view("<u8")
+    top_word = words.shape[-1] - 1 - (words[..., ::-1] != 0).argmax(axis=-1)
+    word = np.take_along_axis(words, top_word[..., None], axis=-1)[..., 0]
+    # A word of bools is a sum of 256**k: its float exponent is 8k + 1 for
+    # the highest k (exactly: only bit 0 can fall off the 53-bit mantissa,
+    # and it rounds down).
+    top_cell = (np.frexp(word.astype(np.float64))[1] + 7) // 8
+    return np.where(word != 0, 8 * top_word + top_cell, 0).astype(np.int16)
 
 
 #: Most chunks addressed by one index.  A whole-field temporary of a strip
@@ -155,9 +177,11 @@ class ChunkStrip:
     one ``[n, ...]`` array, row ``i`` being ``chunks[i]``, with one fancy
     index per page under them — one in all for chunks of one arena page,
     whichever slots they hold; a free-standing chunk is a page of its own.
+    Chunks holding one ascending run of slots of one page (what a batch
+    of claims from a fresh or densely freed arena gets) are a slice.
     """
 
-    __slots__ = ("chunks", "_groups")
+    __slots__ = ("chunks", "_groups", "_run")
 
     def __init__(self, chunks: list[Chunk]) -> None:
         self.chunks = chunks
@@ -167,6 +191,14 @@ class ChunkStrip:
             group[1].append(row)
             group[2].append(chunk._slot)
         self._groups = list(pages.values())
+        #: Whether one slice of one page is the whole strip.
+        self._run = False
+        if len(self._groups) == 1:
+            page, _, slots = self._groups[0]
+            run = range(slots[0], slots[0] + len(slots))
+            if slots == list(run):
+                self._run = True
+                self._groups = [(page, ..., slice(run.start, run.stop))]
 
     def lattice(self) -> tuple[np.ndarray, np.ndarray]:
         """World ``(xs[n, 16, 1], zs[n, 1, 16])`` of the strip's columns,
@@ -178,7 +210,11 @@ class ChunkStrip:
         return corner[:, 0] + local[:, None], corner[:, 1] + local
 
     def read(self, name: str) -> np.ndarray:
-        """A copy of field ``name`` of every chunk, ``[n, ...]``."""
+        """Field ``name`` of every chunk, ``[n, ...]``, for reading: a
+        view of the slab where the strip is a slice of it, else a copy."""
+        if self._run:
+            page, _, run = self._groups[0]
+            return getattr(page, name)[run]
         shape, dtype = _FIELDS[name]
         out = np.empty((len(self.chunks), *shape), dtype)
         for page, rows, slots in self._groups:
@@ -200,7 +236,7 @@ def strips(chunks: list[Chunk]):
 class ChunkArena:
     """Paged slabs plus the ``(cx, cz) → handle`` index of one world."""
 
-    #: Slots per page: 132 MiB of address space in six mappings for every
+    #: Slots per page: 97 MiB of address space in seven mappings for every
     #: world, however small, resident only as written.  A world that fits
     #: gathers from one page; the benchmark's peak over 4 s of seed 1 is
     #: 289 slots (floor_control, entities_farm, terrain_writes), 324

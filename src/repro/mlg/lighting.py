@@ -5,6 +5,12 @@ terrain is modifiable ("once the bridge has collapsed, the bridge no longer
 casts shadow").  We implement column skylight (top-down occlusion) and BFS
 block-light propagation from emitters, and count every relit node so the
 cost model can charge for it.
+
+Skylight is stored as what decides it: ``skylit[lx, lz]``, the number of
+cells above a column's highest opaque block, so lighting a chunk writes 256
+counts and a query is one compare.  Block light is a voxel slab that almost
+no chunk uses; the arena's per-slot ``glows`` flag, kept here, says which
+do, and only those slabs are ever read or written.
 """
 
 from __future__ import annotations
@@ -33,38 +39,40 @@ class LightEngine:
 
     # -- initial lighting ----------------------------------------------------
 
-    def light_chunk(self, chunk: Chunk, report: WorkReport | None = None) -> int:
-        """(Re)light one chunk: :meth:`light_chunks` on a batch of one."""
-        return self.light_chunks([chunk], report)[0]
-
     def light_chunks(
         self, chunks: list[Chunk], report: WorkReport | None = None
     ) -> list[int]:
         """(Re)light whole chunks (on generation/load); returns the nodes
         computed for each.  A column's skylight is decided by its highest
-        opaque block, so a strip's is one gather from ``_SKY_COLUMNS``; block
-        light BFS-propagates from emitters, in the chunks that hold one."""
+        opaque block, so a strip's is one ``[n, 16, 16]`` store; block light
+        BFS-propagates from emitters, in the chunks that hold one."""
         nodes = []
         for strip in strips(chunks):
             blocks = strip.read("blocks")
             # bytes.translate: the uint8 table lookup that does not widen
             # 1 MiB of block ids into 8 MiB of indices first.
+            raw = blocks.tobytes()
             opaque = np.frombuffer(
-                blocks.tobytes().translate(_OPAQUE_BYTES), np.bool_
+                raw.translate(_OPAQUE_BYTES), np.bool_
             ).reshape(blocks.shape)
-            strip.write("skylight", _SKY_COLUMNS[column_tops(opaque)])
-            # Light to spread, or left over from an emitter since removed;
-            # everywhere else block light is, and stays, zero.
-            glows = strip.read("blocklight").any(axis=(1, 2, 3))
-            for emitter in _EMITTERS:
-                glows |= (blocks == emitter).any(axis=(1, 2, 3))
-            # One node per column, not per voxel, so initial lighting stays
-            # proportional to the real engine's column-based skylight pass.
-            nodes += [
-                CHUNK_SIZE * CHUNK_SIZE
-                + (self._seed_blocklight(chunk) if glow else 0)
-                for chunk, glow in zip(strip.chunks, glows.tolist())
-            ]
+            strip.write("skylit", WORLD_HEIGHT - column_tops(opaque))
+            # Block light is seeded where there is light to spread, or some
+            # left over from an emitter since removed (``glows``); everywhere
+            # else it is, and stays, zero.
+            size = blocks[0].size
+            for chunk, glows, start in zip(
+                strip.chunks,
+                strip.read("glows").tolist(),
+                range(0, len(raw), size),
+            ):
+                # One node per column, not per voxel, so initial lighting
+                # stays proportional to the real engine's column-based pass.
+                lit = CHUNK_SIZE * CHUNK_SIZE
+                if glows or any(
+                    raw.find(e, start, start + size) >= 0 for e in _EMITTERS
+                ):
+                    lit += self._seed_blocklight(chunk)
+                nodes.append(lit)
         if report is not None:
             report.add(Op.LIGHTING, sum(nodes))
         return nodes
@@ -75,6 +83,7 @@ class LightEngine:
         blocklight[:] = 0
         emitters = np.nonzero(LIGHT_EMISSION_LUT[blocks])
         blocklight[emitters] = levels = LIGHT_EMISSION_LUT[blocks[emitters]]
+        chunk._page.glows[chunk._slot] = levels.size > 0
         queue = deque(zip(*(a.tolist() for a in (*emitters, levels))))
         nodes = 0
         while queue:
@@ -106,7 +115,7 @@ class LightEngine:
         if chunk is None:
             return 0
         opaque = OPAQUE_LUT[chunk.blocks[x & 15, z & 15]]
-        chunk.skylight[x & 15, z & 15] = _SKY_COLUMNS[column_tops(opaque)]
+        chunk.skylit[x & 15, z & 15] = WORLD_HEIGHT - column_tops(opaque)
         if report is not None:
             report.add(Op.LIGHTING, WORLD_HEIGHT)
         return WORLD_HEIGHT
@@ -148,17 +157,12 @@ class LightEngine:
         chunk = self.world.get_chunk(x >> 4, z >> 4)
         if chunk is None:
             return MAX_LIGHT
-        lx, lz = x & 15, z & 15
-        return max(
-            int(chunk.skylight[lx, lz, y]), int(chunk.blocklight[lx, lz, y])
-        )
+        page, slot, lx, lz = chunk._page, chunk._slot, x & 15, z & 15
+        if WORLD_HEIGHT - y <= page.skylit[slot, lx, lz]:
+            return MAX_LIGHT
+        return int(page.blocklight[slot, lx, lz, y]) if page.glows[slot] else 0
 
 
-#: Skylight column under a highest opaque block at ``row - 1``: dark up
-#: to it, full light above (row 0: nothing opaque in the column).
-_SKY_COLUMNS = np.uint8(MAX_LIGHT) * (
-    np.arange(WORLD_HEIGHT) >= np.arange(WORLD_HEIGHT + 1)[:, None]
-)
 _OPAQUE_BYTES = OPAQUE_LUT.tobytes().ljust(256, b"\0")
 _EMITTERS = np.flatnonzero(LIGHT_EMISSION_LUT).tolist()
 _NEIGHBORS = (

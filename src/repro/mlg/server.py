@@ -140,7 +140,7 @@ class MLGServer:
                 ),
                 full_flush_every=autosave_flush_every,
                 max_loaded_chunks=max_loaded_chunks,
-                relight=self.lights.light_chunk,
+                relight=self.lights.light_chunks,
                 pinned=self.simulation_anchor_chunks,
                 tracer=self.tracer,
             )

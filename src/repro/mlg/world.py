@@ -75,7 +75,10 @@ class World:
     chunk's arena slot and returns its all-air handle, so a loader that
     has the bytes decodes them where they will live; one that already
     holds a free-standing chunk returns that, and it is copied in.  A
-    ``None`` return (nothing claimed) falls through to generation.
+    ``None`` return (nothing claimed) falls through to generation.  Light
+    is not persisted, so the hook comes with a second one (see
+    :meth:`set_loader`) that relights what an :meth:`ensure_chunks` call
+    loaded, together.
     """
 
     def __init__(
@@ -88,6 +91,7 @@ class World:
         self._chunks = self._arena.handles
         self._generator = generator
         self._loader = loader
+        self._relight: Callable[[list[Chunk]], object] | None = None
         self._change_log: list[BlockChange] = []
         #: Chunks generated since the last drain (for work accounting).
         self.chunks_generated_this_tick = 0
@@ -127,25 +131,30 @@ class World:
         ``"generated"`` — the distinction the cost model charges
         differently.  Slots are claimed one coordinate at a time, so load
         order is the order of ``coords``; the chunks that had to be created
-        are then generated together.
+        are then generated together, and the loaded ones relit together.
         """
-        ensured, created = [], []
+        ensured, created, loaded = [], [], []
         try:
             for cx, cz in coords:
                 chunk, source = self._chunks.get((cx, cz)), "resident"
                 if chunk is None and self._loader is not None:
                     chunk = self._loader(cx, cz, self._arena.create)
                     source = "loaded"
-                    if chunk is not None and chunk._page.base < 0:
-                        self._arena.adopt(chunk)
+                    if chunk is not None:
+                        if chunk._page.base < 0:
+                            self._arena.adopt(chunk)
+                        loaded.append(chunk)
                 if chunk is None:
                     chunk, source = self._arena.create(cx, cz), "generated"
                     created.append(chunk)
                 ensured.append((chunk, source))
         finally:
-            # Also when a loader raised: no created chunk stays blank.
+            # Also when a loader raised: no created chunk stays blank, no
+            # loaded one unlit.
             if created and self._generator is not None:
                 self._generate(created)
+            if loaded and self._relight is not None:
+                self._relight(loaded)
         return ensured
 
     def _generate(self, created: list[Chunk]) -> None:
@@ -160,9 +169,16 @@ class World:
                 strip.write("heightmap", column_tops(nonair))
         self.chunks_generated_this_tick += len(created)
 
-    def set_loader(self, loader: Callable[..., Chunk | None] | None) -> None:
-        """Install the disk-load hook (wired by the chunk lifecycle)."""
+    def set_loader(
+        self,
+        loader: Callable[..., Chunk | None] | None,
+        relight: Callable[[list[Chunk]], object] | None = None,
+    ) -> None:
+        """Install the disk-load hook (wired by the chunk lifecycle) and
+        ``relight(chunks)``, called once per :meth:`ensure_chunks` with
+        the chunks the loader returned, after the last of them."""
         self._loader = loader
+        self._relight = relight
 
     def adopt_chunk(self, chunk: Chunk) -> Chunk:
         """Install a free-standing chunk (deserialization) by copying it

@@ -28,8 +28,10 @@ and the grid grows, keeping what it held, when a view leaves it.
 
 Loads stream back in through the world's loader hook: store first, then
 the read-only warm cache, then regeneration.  A hit is inflated, checked,
-and decoded straight into the arena slot the world offers, then relit
-there; a payload that fails claims no slot.
+and decoded straight into the arena slot the world offers; a payload that
+fails claims no slot.  Light is not in the payload: the world hands what
+one ``ensure_chunks`` call loaded to ``relight`` as one list, after the
+last decode, so a view's loads are decoded singly and lit together.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class ChunkLifecycle:
         autosave_interval_ticks: int = 900,
         full_flush_every: int = 6,
         max_loaded_chunks: int | None = None,
-        relight: Callable[[Chunk], object] | None = None,
+        relight: Callable[[list[Chunk]], object] | None = None,
         pinned: Callable[[], set[tuple[int, int]]] | None = None,
         tracer=None,
     ) -> None:
@@ -96,7 +98,6 @@ class ChunkLifecycle:
         self.autosave_interval_ticks = autosave_interval_ticks
         self.full_flush_every = full_flush_every
         self.max_loaded_chunks = max_loaded_chunks
-        self.relight = relight
         #: Extra chunks to exclude from eviction (active simulation
         #: anchors: fluid queues, redstone nets, entity positions).
         self.pinned = pinned
@@ -129,7 +130,7 @@ class ChunkLifecycle:
         self.autosaves = 0
         self.full_flushes = 0
         self.peak_loaded_chunks = 0
-        world.set_loader(self._load)
+        world.set_loader(self._load, relight)
 
     # -- introspection -------------------------------------------------------
 
@@ -197,7 +198,7 @@ class ChunkLifecycle:
         self, cx: int, cz: int, create: Callable[[int, int], Chunk]
     ) -> Chunk | None:
         """The world's loader hook: store, then warm cache, else miss.
-        A hit is decoded into the slot ``create`` claims and relit there."""
+        A hit is decoded into the slot ``create`` claims."""
         chunk = None
         if self.store is not None:
             chunk = self.store.load_chunk(cx, cz, create)
@@ -205,8 +206,6 @@ class ChunkLifecycle:
             chunk = self.cache.load_chunk(cx, cz, create)
         if chunk is None:
             return None
-        if self.relight is not None:
-            self.relight(chunk)
         self._on_disk.add((cx, cz))
         self.chunks_loaded += 1
         return chunk

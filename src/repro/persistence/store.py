@@ -224,9 +224,8 @@ def world_hash(world: World) -> int:
     digest = 0
     for chunk in sorted(world.loaded_chunks(), key=lambda c: (c.cx, c.cz)):
         digest = zlib.crc32(struct.pack("<qq", chunk.cx, chunk.cz), digest)
-        digest = zlib.crc32(chunk.blocks.tobytes(), digest)
-        digest = zlib.crc32(chunk.aux.tobytes(), digest)
-        digest = zlib.crc32(
-            chunk.heightmap.astype("<i2", copy=False).tobytes(), digest
-        )
+        # Slot views are C-contiguous: crc32 reads them where they are.
+        digest = zlib.crc32(chunk.blocks, digest)
+        digest = zlib.crc32(chunk.aux, digest)
+        digest = zlib.crc32(chunk.heightmap.astype("<i2", copy=False), digest)
     return digest & 0xFFFFFFFF

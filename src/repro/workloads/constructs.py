@@ -94,7 +94,7 @@ def build_entity_farm(server: MLGServer, x0: int, z0: int,
     # Relight so the roofed platform is actually dark.
     chunk = server.world.get_chunk(x0 >> 4, z0 >> 4)
     if chunk is not None:
-        server.lights.light_chunk(chunk)
+        server.lights.light_chunks([chunk])
     return platform
 
 

@@ -9,8 +9,9 @@ from terrain_oracle import growth_tick_scalar
 
 from repro.mlg.blocks import Block, is_solid
 from repro.mlg.chunk_arena import ChunkArena
-from repro.mlg.constants import WORLD_HEIGHT
+from repro.mlg.constants import MAX_LIGHT, WORLD_HEIGHT
 from repro.mlg.growth import GrowthEngine
+from repro.mlg.lighting import LightEngine
 from repro.mlg.workreport import WorkReport
 from repro.mlg.world import Chunk, World
 from repro.mlg.worldgen import TerrainGenerator
@@ -54,17 +55,23 @@ class TestSlots:
         world = World()
         old = world.ensure_chunk(0, 0)
         world.set_block(3, 70, 5, Block.STONE, aux=9)
-        old.skylight[:] = 7
+        world.set_block(3, 71, 5, Block.TORCH)
+        LightEngine(world).light_chunks([old])
+        assert old._page.glows[old._slot]
         evicted = world.unload_chunk(0, 0)
         assert evicted is old and not world.has_chunk(0, 0)
         fresh = world.ensure_chunk(5, 5)  # lowest free slot: the same one
-        for name in ("blocks", "aux", "skylight", "blocklight", "heightmap"):
+        for name in (
+            "blocks", "aux", "skylight", "skylit", "blocklight", "heightmap",
+        ):
             assert not getattr(fresh, name).any(), name
-        assert not fresh.dirty
+        assert not fresh.dirty and not fresh._page.glows[fresh._slot]
         fresh.blocks[:] = Block.DIRT
         assert old.blocks[3, 5, 70] == Block.STONE and old.aux[3, 5, 70] == 9
         assert int((old.blocks == Block.STONE).sum()) == 1
-        assert old.heightmap[3, 5] == 71 and old.skylight.min() == 7
+        assert old.heightmap[3, 5] == 72 and old.blocklight[3, 5, 71] == 14
+        assert old.skylight[3, 5].tolist() == [0] * 71 + [MAX_LIGHT] * 57
+        assert old.skylight[0, 0].all() and old._page.glows[old._slot]
         assert old.dirty
         old.blocks[0, 0, 0] = Block.TNT  # a detached handle writes nowhere
         assert world.count_blocks(Block.TNT) == 0

@@ -34,14 +34,14 @@ class TestLighting:
         world = _flat_world()
         lights = LightEngine(world)
         chunk = world.get_chunk(0, 0)
-        lights.light_chunk(chunk)
+        lights.light_chunks([chunk])
         assert lights.light_at(4, 80, 4) == MAX_LIGHT
 
     def test_skylight_blocked_below_ground(self):
         world = _flat_world()
         lights = LightEngine(world)
         chunk = world.get_chunk(0, 0)
-        lights.light_chunk(chunk)
+        lights.light_chunks([chunk])
         assert int(chunk.skylight[4, 4, 10]) == 0
 
     def test_roof_makes_darkness(self):
@@ -59,7 +59,7 @@ class TestLighting:
         world.set_block(8, 60, 8, Block.TORCH)
         lights = LightEngine(world)
         chunk = world.get_chunk(0, 0)
-        lights.light_chunk(chunk)
+        lights.light_chunks([chunk])
         assert int(chunk.blocklight[8, 8, 60]) == 14
         # One block away: one less.
         assert int(chunk.blocklight[8, 8, 61]) == 13
@@ -69,13 +69,13 @@ class TestLighting:
         world.set_block(8, 70, 8, Block.TORCH)
         lights = LightEngine(world)
         chunk = world.get_chunk(0, 0)
-        lights.light_chunk(chunk)
+        lights.light_chunks([chunk])
         assert int(chunk.blocklight[8, 8, 75]) == 14 - 5
 
     def test_relight_records_work(self):
         world = _flat_world()
         lights = LightEngine(world)
-        lights.light_chunk(world.get_chunk(0, 0))
+        lights.light_chunks([world.get_chunk(0, 0)])
         report = WorkReport()
         lights.relight_around(4, 60, 4, report)
         assert report.get(Op.LIGHTING) > 0

@@ -514,7 +514,7 @@ class TestPlatformMatrix:
         for x in range(0, 9):
             for z in range(0, 9):
                 world.set_block(x, 64, z, Block.STONE, log=False)
-        engine.lights.light_chunk(world.get_chunk(0, 0))
+        engine.lights.light_chunks([world.get_chunk(0, 0)])
         engine.add_platform(SpawnPlatform(
             0, 0, 8, 8, y=60, attempts_per_tick=3.0, local_cap=4,
         ))

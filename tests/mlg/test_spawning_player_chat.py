@@ -31,7 +31,7 @@ def _stack(world=None, seed=0):
     world = world if world is not None else _flat_world()
     lights = LightEngine(world)
     for chunk in world.loaded_chunks():
-        lights.light_chunk(chunk)
+        lights.light_chunks([chunk])
     entities = EntityManager(world, np.random.default_rng(seed))
     spawning = SpawnEngine(world, lights, entities, np.random.default_rng(seed))
     return world, lights, entities, spawning
@@ -72,7 +72,7 @@ class TestPlatformSpawning:
                 world.set_block(x, 69, z, Block.OBSIDIAN)
                 world.set_block(x, 73, z, Block.STONE)
         chunk = world.get_chunk(0, 0)
-        lights.light_chunk(chunk)
+        lights.light_chunks([chunk])
         platform = SpawnPlatform(
             4, 4, 11, 11, y=70, attempts_per_tick=2.0, local_cap=5
         )

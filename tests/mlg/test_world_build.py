@@ -1,11 +1,12 @@
 """The batch world build against the per-chunk code it replaced.
 
 ``worldgen_oracle.py`` holds the old ``TerrainGenerator.__call__`` body and
-the old ``LightEngine.light_chunk``, verbatim; everything here pins the
-batch — ``World.ensure_chunks`` → ``TerrainGenerator.generate`` →
-``LightEngine.light_chunks`` — to them on all five terrain fields and on
-load order, and pins today's worlds to golden hashes so that a later
-worldgen change has to say so.
+the old ``LightEngine.light_chunk`` (its 3-D skylight kept in an array of
+the oracle's own, now that a chunk stores a count per column); everything
+here pins the batch — ``World.ensure_chunks`` →
+``TerrainGenerator.generate`` → ``LightEngine.light_chunks`` — to them on
+all five terrain fields and on load order, and pins today's worlds to
+golden hashes so that a later worldgen change has to say so.
 """
 
 import numpy as np
@@ -36,13 +37,15 @@ def _square(lo, hi):
 
 def _oracle_world(seed, coords, loader=None):
     """The old loop: one coordinate at a time through a plain per-chunk
-    generator, each generated chunk lit on its own."""
+    generator, each generated chunk lit on its own.  ``world.sky`` is the
+    oracle's 3-D skylight of the chunks it lit, by coordinates."""
     world = World(generator=oracle.OracleGenerator(seed), loader=loader)
+    world.sky = {}
     nodes = []
     for key in coords:
         chunk, source = world.ensure_chunk_tracked(*key)
         if source == "generated":
-            nodes.append(oracle.light_chunk(chunk))
+            nodes.append(oracle.light_chunk(chunk, world.sky))
     return world, nodes
 
 
@@ -55,13 +58,22 @@ def _batch_world(seed, coords, loader=None):
     return world, nodes
 
 
+def _want(chunk, name, sky=None):
+    """Field ``name`` of an expected chunk: ``skylight`` is the oracle's
+    own array where one lit the chunk (``sky``), else the derived one."""
+    if name == "skylight" and sky is not None:
+        return sky.get((chunk.cx, chunk.cz), 0 * chunk.blocks)
+    return getattr(chunk, name)
+
+
 def _assert_same_world(world, expected):
     assert list(world.loaded_keys()) == list(expected.loaded_keys())
+    sky = getattr(expected, "sky", None)
     for chunk, want in zip(world.loaded_chunks(), expected.loaded_chunks()):
         assert chunk._slot == want._slot
         for name in FIELDS:
             np.testing.assert_array_equal(
-                getattr(chunk, name), getattr(want, name),
+                getattr(chunk, name), _want(want, name, sky),
                 err_msg=f"{name} of chunk ({chunk.cx}, {chunk.cz})",
             )
 
@@ -137,7 +149,7 @@ class TestBatchEqualsOracle:
         lit = world.ensure_chunks(coords)
         LightEngine(world).light_chunks([chunk for chunk, _ in lit])
         for key in coords:
-            oracle.light_chunk(expected.ensure_chunk(*key))
+            oracle.light_chunk(expected.ensure_chunk(*key), expected.sky)
         slots = [chunk._page.base + chunk._slot for chunk, _ in lit]
         assert slots[:4] == [1, 3, 8, 9] and len(world._arena._pages) == 3
         _assert_same_world(world, expected)
@@ -146,12 +158,13 @@ class TestBatchEqualsOracle:
         chunk, expected = Chunk(-4, 9), Chunk(-4, 9)
         TerrainGenerator(1)(chunk)
         oracle.generate_chunk(1, expected)
-        assert LightEngine(World()).light_chunk(chunk) == oracle.light_chunk(
-            expected
-        )
+        sky = {}
+        assert LightEngine(World()).light_chunks([chunk]) == [
+            oracle.light_chunk(expected, sky)
+        ]
         for name in FIELDS:
             np.testing.assert_array_equal(
-                getattr(chunk, name), getattr(expected, name)
+                getattr(chunk, name), _want(expected, name, sky)
             )
 
 
@@ -169,7 +182,8 @@ class TestBlockLight:
             list(world.loaded_chunks()), report
         )
         expected_nodes = [
-            oracle.light_chunk(chunk) for chunk in expected.loaded_chunks()
+            oracle.light_chunk(chunk, expected.sky)
+            for chunk in expected.loaded_chunks()
         ]
         assert nodes == expected_nodes
         assert sorted(nodes)[-3] == CHUNK_SIZE**2 < sorted(nodes)[-2]
@@ -183,9 +197,9 @@ class TestBlockLight:
         world.set_block(4, top, 4, Block.TORCH, log=False)
         lights = LightEngine(world)
         chunk = world.get_chunk(0, 0)
-        assert lights.light_chunk(chunk) > CHUNK_SIZE**2
+        assert lights.light_chunks([chunk])[0] > CHUNK_SIZE**2
         world.set_block(4, top, 4, Block.AIR, log=False)
-        assert lights.light_chunk(chunk) == CHUNK_SIZE**2
+        assert lights.light_chunks([chunk]) == [CHUNK_SIZE**2]
         assert not chunk.blocklight.any()
 
 
@@ -245,7 +259,7 @@ class TestGolden:
         assert world.chunks_generated_this_tick == 289
         # The view was lit by the same call; it matches the old loop.
         expected, _ = _oracle_world(PAPER_SEED, [(0, 0), *_square(-8, 9)])
-        expected.get_chunk(0, 0).skylight[:] = 0  # see the xfail below
+        del expected.sky[0, 0]  # never lit: see the xfail below
         _assert_same_world(world, expected)
 
     def test_prepared_tnt_snapshot(self, tmp_path):

@@ -4,8 +4,11 @@ the batch world build, verbatim: the oracle of ``test_world_build.py``.
 ``generate_chunk`` is the old ``TerrainGenerator.__call__`` body (five
 boolean-mask fills, then a Python loop per tree and per kelp stalk);
 ``light_chunk`` is the old ``LightEngine.light_chunk`` (``logical_or``
-scan for skylight, block-light BFS seeded in every chunk).  Wrapped as
-``OracleGenerator``, a plain per-chunk callable, and driven one
+scan for skylight, block-light BFS seeded in every chunk).  A chunk no
+longer stores sky light per voxel, so the scan's 3-D result goes into a
+dict of the caller's, ``sky[cx, cz]``, and tests compare the derived
+``Chunk.skylight`` with it (a chunk never lit has no entry: dark).  Wrapped
+as ``OracleGenerator``, a plain per-chunk callable, and driven one
 ``ensure_chunk_tracked`` at a time, they are the old world build.  The
 noise functions are shared with the live generator — they were not
 rewritten.  Nothing here is imported by ``src/``.
@@ -106,18 +109,18 @@ def _plant_kelp(seed, chunk, heights):
         chunk.blocks[lx, lz, ground : ground + stalk] = Block.KELP
 
 
-def light_chunk(chunk):
+def light_chunk(chunk, sky):
     """(Re)light a whole chunk; returns the number of nodes computed."""
-    return _compute_skylight(chunk) + _seed_blocklight(chunk)
+    sky[chunk.cx, chunk.cz] = compute_skylight(chunk.blocks)
+    return CHUNK_SIZE * CHUNK_SIZE + _seed_blocklight(chunk)
 
 
-def _compute_skylight(chunk):
+def compute_skylight(blocks):
     """Top-down skylight: full light until the first opaque block."""
-    opaque = OPAQUE_LUT[chunk.blocks]
+    opaque = OPAQUE_LUT[blocks]
     # cumulative "any opaque above" per column, scanning from the top.
-    blocked = np.logical_or.accumulate(opaque[:, :, ::-1], axis=2)
-    chunk.skylight[:, :, ::-1] = ~blocked * np.uint8(MAX_LIGHT)
-    return CHUNK_SIZE * CHUNK_SIZE
+    blocked = np.logical_or.accumulate(opaque[..., ::-1], axis=-1)
+    return (~blocked * np.uint8(MAX_LIGHT))[..., ::-1]
 
 
 def _seed_blocklight(chunk):
