@@ -8,8 +8,7 @@ hammering the endpoint during the observed reps — and asserts the
 contract on the best-of-reps pair (min filters scheduler noise; the
 contract is about the plane's cost, not the machine's jitter).
 
-One ``obs_bench`` record lands in ``benchmarks/out/perf_history.jsonl``
-so the perf-trajectory panel tracks the overhead over time.
+The table lands in ``benchmarks/out/bench_obs_overhead.txt``.
 """
 
 import threading
@@ -17,11 +16,10 @@ import time
 import urllib.error
 import urllib.request
 
-from conftest import OUT_DIR, write_artifact
+from conftest import write_artifact
 
 from repro.campaign import CampaignExecutor, CampaignSpec
 from repro.reporting.text import format_table
-from repro.tracing.perf_baseline import append_history, history_entry
 
 #: Interleaved measurement pairs (off, on, off, on, ...).
 REPS = 3
@@ -137,20 +135,3 @@ def test_obs_overhead_within_budget(benchmark, out_dir, tmp_path):
         f"obs plane overhead {100.0 * overhead:.1f}% exceeds the "
         f"{100.0 * OVERHEAD_BUDGET:.0f}% budget"
     )
-
-    entry = history_entry(
-        kind="obs_bench",
-        status="ok",
-        rows=[
-            {
-                "figure": "benchmarks/bench_obs_overhead.py::paired",
-                "baseline_s": round(best_off, 4),
-                "budget_s": round(best_off * (1.0 + OVERHEAD_BUDGET), 4),
-                "current_s": round(best_on, 4),
-                "status": "ok",
-            }
-        ],
-        machine_factor=1.0,
-        tolerance=OVERHEAD_BUDGET,
-    )
-    append_history(OUT_DIR / "perf_history.jsonl", entry)

@@ -190,9 +190,8 @@ def test_traced_campaign_trace_artifacts(benchmark, out_dir, tmp_path):
     )
 
     # Render the same campaign's HTML report from its sidecars (default
-    # output: section; the trajectory panel reads the committed baseline
-    # and perf history next to this file).
-    dataset = load_dataset(store, bench_dir=OUT_DIR.parent)
+    # output: section).
+    dataset = load_dataset(store)
     written = write_report(dataset, out_dir=REPORT_DIR)
     report_html = written["html"].read_text()
 

@@ -16,10 +16,8 @@ Three artifacts:
   127.0.0.1 sockets) reporting client-measured response times and the
   bytes the server pushed.
 
-All land under ``benchmarks/out/`` and ``wire_bench`` records are
-appended to ``benchmarks/out/perf_history.jsonl`` so the campaign
-report's perf-trajectory panel picks the wire path up alongside the
-figure gates.
+All land under ``benchmarks/out/``.  What the wire path costs a whole
+tick, paired against a parent commit, is hostclock's ``wire_farm``.
 
 The decoder side of the boundary is not timed here but belongs to the
 same contract: a peer's bytes either decode or raise
@@ -36,14 +34,13 @@ import time
 from pathlib import Path
 
 import numpy as np
-from conftest import OUT_DIR, median_interval, write_artifact
+from conftest import median_interval, write_artifact
 
 from repro.campaign.store import JobStore
 from repro.reporting.text import format_table
 from repro.mlg import wirecodec as wc
 from repro.mlg.protocol import PACKET_SIZES, ActionKind, PacketCategory, PlayerAction
 from repro.net import run_clients, serve_cell
-from repro.tracing.perf_baseline import append_history, history_entry
 
 #: Messages per codec rep — large enough that interpreter startup noise
 #: washes out, small enough to keep the bench interactive.
@@ -162,7 +159,6 @@ def test_codec_throughput(benchmark, out_dir):
         " payload by design."
     )
     write_artifact("bench_wire_codec.txt", text)
-    _record_history("codec", {"current_s": round(encode_s + decode_s, 4)})
 
 
 def _load_oracle():
@@ -349,24 +345,3 @@ def test_loopback_rtt(benchmark, out_dir, tmp_path):
     write_artifact("bench_wire_loopback.txt", text)
     assert clients["connected"] == RTT_BOTS
     assert clients["samples"] > 0
-    _record_history("loopback", {"current_s": round(wall_s, 4)})
-
-
-def _record_history(which: str, extra: dict) -> None:
-    rows = [
-        {
-            "figure": f"benchmarks/bench_wire.py::{which}",
-            "baseline_s": None,
-            "budget_s": None,
-            "current_s": extra["current_s"],
-            "status": "ok",
-        }
-    ]
-    entry = history_entry(
-        kind="wire_bench",
-        status="ok",
-        rows=rows,
-        machine_factor=1.0,
-        tolerance=0.0,
-    )
-    append_history(OUT_DIR / "perf_history.jsonl", entry)

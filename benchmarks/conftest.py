@@ -9,7 +9,6 @@ Artifacts (paper-vs-measured tables and series CSVs) are written to
 ``benchmarks/out/``.
 """
 
-import json
 import os
 import statistics
 from pathlib import Path
@@ -50,58 +49,3 @@ def write_artifact(name: str, text: str) -> Path:
     print(f"\n=== {name} ===\n{text}")
     return path
 
-
-# -- per-figure runtime deltas -------------------------------------------------
-#
-# Each session records wall time per benchmark test into
-# ``benchmarks/out/bench_runtimes.json`` and, when a previous run's
-# artifact exists (restored by the CI cache, or simply left over from the
-# last local run), prints a delta table — so entity-kernel speedups (and
-# regressions) are visible straight in PR logs.
-#
-# The *committed* trajectory lives in ``benchmarks/BENCH_fig11.json``:
-# ``check_perf_baseline.py`` gates the recorded runtimes against it
-# (machine-calibrated, >20% per-figure budget) in CI, and
-# ``METERSTICK_UPDATE_BASELINE=1`` rewrites it after an intentional
-# perf change.  See ``repro.tracing.perf_baseline``.
-
-RUNTIMES_PATH = OUT_DIR / "bench_runtimes.json"
-
-_durations: dict[str, float] = {}
-
-
-def pytest_runtest_logreport(report):
-    # Sum every passed phase — setup and teardown included, not just
-    # call — so fixture-heavy benches (warm world cache, session-scoped
-    # campaign fixtures) report their real wall time.
-    if not report.passed:
-        return
-    name = report.nodeid.split("::", 1)[0]
-    _durations[name] = _durations.get(name, 0.0) + report.duration
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _durations:
-        return
-    previous = {}
-    if RUNTIMES_PATH.exists():
-        try:
-            previous = json.loads(RUNTIMES_PATH.read_text())
-        except (OSError, ValueError):
-            previous = {}
-    write = terminalreporter.write_line
-    terminalreporter.section("benchmark runtime delta (fast mode)")
-    if not previous:
-        write("no previous bench_runtimes.json artifact; baseline recorded")
-    for name in sorted(_durations):
-        current = _durations[name]
-        prev = previous.get(name)
-        if prev:
-            delta = 100.0 * (current - prev) / prev
-            write(f"{name:<55} {current:7.2f}s  prev {prev:7.2f}s  {delta:+6.1f}%")
-        else:
-            write(f"{name:<55} {current:7.2f}s  prev     n/a")
-    OUT_DIR.mkdir(parents=True, exist_ok=True)
-    RUNTIMES_PATH.write_text(
-        json.dumps(_durations, indent=2, sort_keys=True) + "\n"
-    )

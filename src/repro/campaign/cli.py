@@ -123,12 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist the spec file's output: section into the campaign "
         "manifest before rendering (job shards are never touched)",
     )
-    report.add_argument(
-        "--bench-dir",
-        default=None,
-        help="benchmarks directory for the perf-trajectory panel "
-        "(default: ./benchmarks when it holds BENCH_fig11.json)",
-    )
 
     trace = sub.add_parser(
         "trace", help="export span traces from a traced campaign"
@@ -559,7 +553,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         # Presentation-only manifest rewrite: the output: section is
         # outside the measurement fingerprint and ignored on resume.
         store.update_manifest_output(spec.output)
-    dataset = load_dataset(store, bench_dir=_bench_dir(args.bench_dir))
+    dataset = load_dataset(store)
     # A spec-file target renders that file's (possibly edited) output:
     # section; a directory target renders what the manifest recorded.
     output_dict = spec.output if target_is_file else dataset.spec.get("output")
@@ -584,16 +578,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     return 0
-
-
-def _bench_dir(requested: str | None) -> Path | None:
-    """The benchmarks directory for the perf-trajectory panel."""
-    if requested is not None:
-        return Path(requested)
-    default = Path("benchmarks")
-    if (default / "BENCH_fig11.json").is_file():
-        return default
-    return None
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:

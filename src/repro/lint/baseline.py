@@ -3,8 +3,8 @@
 ``lint-baseline.json`` at the project root records findings that existed
 when a rule landed and are accepted for now.  ``repro lint --baseline``
 subtracts them, so CI fails only on *new* findings; ``repro lint
---update-baseline`` rewrites the file from the current run (the same
-recipe as the perf baseline: regenerate deliberately, commit the diff).
+--update-baseline`` rewrites the file from the current run: regenerate
+deliberately, commit the diff.
 
 Suppression keys are ``(rule, path, message)`` — line-free, so edits
 above a baselined finding don't resurrect it, and a message change

@@ -43,7 +43,7 @@ __all__ = ["ALL_CHECKERS", "Checker", "RULES"]
 #: Directories (project-root-relative, posix) that constitute the
 #: deterministic simulation/executor/reporting surface MSL001 polices.
 #: ``tracing`` and ``core`` are deliberately out: provenance manifests
-#: and the perf-baseline harness legitimately read the wall clock.
+#: legitimately read the wall clock.
 SIM_PATH_PREFIXES = (
     "src/repro/mlg/",
     "src/repro/workloads/",

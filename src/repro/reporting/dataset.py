@@ -8,10 +8,10 @@ The report engine consumes *only* what a campaign already wrote to disk
   (these exist for in-flight and killed jobs too, which is what lets a
   half-completed campaign render with a "partial" banner);
 - ``telemetry/<job>.anomalies.jsonl`` — slow-tick flight-recorder dumps;
-- ``campaign_trace.json`` — executor phase timings;
-- ``benchmarks/BENCH_fig11.json`` + ``benchmarks/out/perf_history.jsonl``
-  — the committed perf baseline and the appended gate history, for the
-  perf-trajectory panel (optional; the panel is skipped without them).
+- ``campaign_trace.json`` — executor phase timings.
+
+Nothing outside the campaign directory is read: what the shell's working
+directory holds never reaches a report.
 
 Each sidecar line becomes one flat *report row*: the cell's axis fields
 (:data:`repro.reporting.spec.AXIS_FIELDS`) plus every report column of
@@ -23,7 +23,6 @@ directory are byte-identical.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -89,8 +88,6 @@ class CampaignDataset:
     jobs: list[JobView]
     rows: list[dict]
     campaign_trace: dict | None
-    bench_baseline: dict | None
-    bench_history: list[dict]
 
     @property
     def hygiene(self) -> dict | None:
@@ -138,15 +135,9 @@ def _expected_iterations(spec, job_dict: dict) -> int:
         return getattr(spec, "iterations", 1)
 
 
-def load_dataset(
-    store, bench_dir: str | Path | None = None
-) -> CampaignDataset:
+def load_dataset(store) -> CampaignDataset:
     """Read one campaign's artifacts from a
-    :class:`~repro.campaign.store.JobStore`.
-
-    ``bench_dir`` points at the repository's ``benchmarks/`` directory
-    for the perf-trajectory panel; pass ``None`` to skip it.
-    """
+    :class:`~repro.campaign.store.JobStore`."""
     from repro.campaign.spec import CampaignSpec
 
     manifest = store.read_manifest()
@@ -178,26 +169,6 @@ def load_dataset(
         )
         jobs.append(view)
         rows.extend(sidecar_row(job_dict, line) for line in view.lines)
-    bench_baseline = None
-    bench_history: list[dict] = []
-    if bench_dir is not None:
-        bench_dir = Path(bench_dir)
-        baseline_path = bench_dir / "BENCH_fig11.json"
-        if baseline_path.is_file():
-            try:
-                bench_baseline = json.loads(baseline_path.read_text())
-            except json.JSONDecodeError:
-                bench_baseline = None
-        history_path = bench_dir / "out" / "perf_history.jsonl"
-        if history_path.is_file():
-            for raw in history_path.read_text().splitlines():
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    bench_history.append(json.loads(raw))
-                except json.JSONDecodeError:
-                    continue  # torn trailing line
     return CampaignDataset(
         root=Path(store.root),
         name=manifest.get("name", spec_dict.get("name", "campaign")),
@@ -206,6 +177,4 @@ def load_dataset(
         jobs=jobs,
         rows=rows,
         campaign_trace=store.read_campaign_trace(),
-        bench_baseline=bench_baseline,
-        bench_history=bench_history,
     )

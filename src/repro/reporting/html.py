@@ -24,7 +24,6 @@ from repro.reporting.svg import (
     N_SERIES_SLOTS,
     anomaly_strip,
     matrix_plot,
-    trajectory_panel,
     warmup_panel,
 )
 
@@ -169,9 +168,6 @@ svg text {{
 .steady-marker {{
   stroke: var(--status-good); stroke-width: 2; stroke-dasharray: 3 3;
 }}
-.budget-line {{
-  stroke: var(--status-critical); stroke-width: 1.5; stroke-dasharray: 5 3;
-}}
 svg .tick-label {{ font-size: 10px; fill: var(--muted); }}
 svg .axis-label {{ fill: var(--text-secondary); }}
 svg .facet-title {{ fill: var(--text-primary); font-weight: 600; }}
@@ -308,12 +304,8 @@ def _plot_sections(dataset: CampaignDataset, output: OutputSpec) -> str:
             body = matrix_plot(dataset.rows, plot)
         elif plot.kind == "warmup":
             body = warmup_panel(dataset.jobs)
-        elif plot.kind == "anomalies":
+        else:  # anomalies
             body = anomaly_strip(dataset.jobs)
-        else:  # trajectory
-            body = trajectory_panel(
-                dataset.bench_history, dataset.bench_baseline
-            )
         parts.append(
             f"<section><h2>{escape(plot.label())}</h2>{body}</section>"
         )

@@ -23,7 +23,6 @@ which faceted plots, over which axes and metrics::
           facet: workload
         - kind: warmup
         - kind: anomalies
-        - kind: trajectory
 
 ``system:`` declares the measurement-hygiene conditions the campaign
 *requests* from the host (CPU governor, SMT, ASLR, frequency boost, CPU
@@ -81,8 +80,8 @@ METRIC_FIELDS = {
 AGGREGATES = ("mean", "median", "min", "max", "std", "sum", "count")
 
 #: Known plot kinds (``matrix`` is parameterized; the rest are fixed
-#: panels over sidecar-adjacent artifacts).
-PLOT_KINDS = ("matrix", "warmup", "anomalies", "trajectory")
+#: panels over the sidecars).
+PLOT_KINDS = ("matrix", "warmup", "anomalies")
 
 #: ``system:`` request fields and a one-line meaning each.
 SYSTEM_FIELDS = {
@@ -134,7 +133,6 @@ class PlotSpec:
             return {
                 "warmup": "Warmup -> steady state (windowed tick CoV)",
                 "anomalies": "Slow-tick anomalies",
-                "trajectory": "Perf trajectory (benchmark suite)",
             }[self.kind]
         return (
             f"{self.agg} {self.metric} vs {self.x}, one line per "
@@ -209,7 +207,6 @@ def default_output() -> OutputSpec:
             PlotSpec(metric="tick_cov", x="iteration"),
             PlotSpec(kind="warmup"),
             PlotSpec(kind="anomalies"),
-            PlotSpec(kind="trajectory"),
         ],
     )
 

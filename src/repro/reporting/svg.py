@@ -1,14 +1,13 @@
 """Deterministic inline-SVG figures for the campaign report.
 
-Small, dependency-free chart toolkit plus the four report panels:
+Small, dependency-free chart toolkit plus the three report panels:
 
 - faceted matrix plots (``output.plots: kind: matrix``) — one small
   multiple per facet value, one line per series value, shared y scale;
 - the warmup -> steady panel: windowed tick-CoV per job with the PR 2
   change-point marked;
 - the anomaly strip: slow-tick flight-recorder dumps on a per-job tick
-  timeline, autosave-dominated ticks distinguished;
-- the perf-trajectory panel over ``benchmarks/out/perf_history.jsonl``.
+  timeline, autosave-dominated ticks distinguished.
 
 Everything renders to strings with fixed-precision numbers and sorted
 iteration order, so the same inputs always produce the same bytes.
@@ -27,7 +26,6 @@ from repro.reporting.spec import PlotSpec
 __all__ = [
     "anomaly_strip",
     "matrix_plot",
-    "trajectory_panel",
     "warmup_panel",
 ]
 
@@ -431,104 +429,3 @@ def anomaly_strip(jobs) -> str:
     )
     return legend + svg.render() + note
 
-
-def trajectory_panel(history: list[dict], baseline: dict | None) -> str:
-    """The benchmark suite's wall-time trajectory vs the committed budget.
-
-    Every ``check_perf_baseline.py`` run appends one history entry with
-    per-figure budget ratios (machine-calibrated, so cross-machine
-    history is comparable).  The panel draws the worst and the mean
-    per-figure ratio per entry; 1.0 is the committed budget line —
-    points above it were gate failures.
-    """
-    entries = [entry for entry in history if entry.get("figures")]
-    if not entries:
-        return (
-            '<p class="empty">no perf history yet — every '
-            "<code>check_perf_baseline.py</code> run appends to "
-            "<code>benchmarks/out/perf_history.jsonl</code></p>"
-        )
-
-    def ratios(entry: dict) -> list[float]:
-        out = []
-        for figure in entry["figures"].values():
-            ratio = figure.get("ratio")
-            if ratio is not None:
-                out.append(float(ratio))
-        return out
-
-    max_series, mean_series, labels = [], [], []
-    for entry in entries:
-        entry_ratios = ratios(entry)
-        if not entry_ratios:
-            continue
-        max_series.append(max(entry_ratios))
-        mean_series.append(sum(entry_ratios) / len(entry_ratios))
-        labels.append(
-            f"{entry.get('kind', 'gate')} {entry.get('status', '?')} "
-            f"(machine x{entry.get('machine_factor', 1.0):.2f}, "
-            f"{entry.get('captured_at', 'n/a')})"
-        )
-    if not max_series:
-        return '<p class="empty">perf history has no figure ratios</p>'
-    width, height = 660, 200
-    left, top = 52, 16
-    plot_w, plot_h = width - left - 16, height - top - 40
-    hi = max(1.1, max(max_series) * 1.05)
-    scale, lo, hi = _y_scale(0.0, hi)
-    svg = _Svg(width, height, "perf trajectory")
-    for frac in (0.0, 0.5, 1.0):
-        gy = top + plot_h * (1.0 - frac)
-        svg.line(left, gy, left + plot_w, gy, "grid")
-        svg.text(
-            left - 4, gy + 3, _label_num(lo + (hi - lo) * frac),
-            "tick-label", anchor="end",
-        )
-    budget_y = scale(1.0, top, plot_h)
-    svg.line(left, budget_y, left + plot_w, budget_y, "budget-line")
-    svg.text(
-        left + plot_w, budget_y - 4, "committed budget", "tick-label",
-        anchor="end",
-    )
-
-    def tx(index: int) -> float:
-        if len(max_series) == 1:
-            return left + plot_w / 2.0
-        return left + index * plot_w / (len(max_series) - 1)
-
-    for slot, (name, series) in enumerate(
-        (("worst figure", max_series), ("mean figure", mean_series)),
-        start=1,
-    ):
-        points = [
-            (tx(i), scale(value, top, plot_h))
-            for i, value in enumerate(series)
-        ]
-        if len(points) > 1:
-            svg.polyline(points, f"series-line series-{slot}")
-        for i, value in enumerate(series):
-            svg.circle(
-                points[i][0],
-                points[i][1],
-                4,
-                f"series-dot series-{slot}",
-                tooltip=f"{name} x budget = {value:.3f} — {labels[i]}",
-            )
-    svg.text(
-        left + plot_w / 2.0,
-        height - 8,
-        f"{len(max_series)} baseline-gate run(s), oldest to newest",
-        "axis-label",
-        anchor="middle",
-    )
-    meta = ""
-    if baseline is not None:
-        n_figures = len(baseline.get("figures", {}))
-        meta = (
-            f'<p class="note">committed baseline: {n_figures} figure(s), '
-            f"tolerance {baseline.get('tolerance', 0.2):.0%}, "
-            f"recorded {baseline.get('provenance', {}).get('captured_at', 'n/a')}"
-            "</p>"
-        )
-    legend = _series_legend(["worst figure", "mean figure"])
-    return legend + svg.render() + meta

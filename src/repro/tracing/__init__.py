@@ -5,9 +5,10 @@
 - :mod:`repro.tracing.provenance` — environment/config fingerprints for
   campaign manifests and iteration results;
 - :mod:`repro.tracing.chrome` — Chrome trace-event (Perfetto) rendering
-  of campaign traces;
-- :mod:`repro.tracing.perf_baseline` — the committed per-figure
-  wall-time baseline and its machine-calibrated CI gate.
+  of campaign traces.
+
+What the simulator costs the host is measured outside the package, by
+the paired A/B in ``benchmarks/hostclock``.
 """
 
 from repro.tracing.chrome import render_campaign_trace

@@ -7,6 +7,8 @@ import pytest
 
 from repro.campaign import JobStore
 from repro.campaign.cli import main
+from repro.reporting.spec import PLOT_KINDS
+from repro.reporting.svg import anomaly_strip, matrix_plot, warmup_panel
 
 
 SPEC = {
@@ -36,9 +38,16 @@ SPEC = {
             {"kind": "matrix", "metric": "tick_p50_ms", "x": "iteration"},
             {"kind": "warmup"},
             {"kind": "anomalies"},
-            {"kind": "trajectory"},
         ],
     },
+}
+
+
+#: The panel each plot kind draws, from the dataset the report reads.
+PANELS = {
+    "matrix": lambda dataset, plot: matrix_plot(dataset.rows, plot),
+    "warmup": lambda dataset, plot: warmup_panel(dataset.jobs),
+    "anomalies": lambda dataset, plot: anomaly_strip(dataset.jobs),
 }
 
 
@@ -59,6 +68,35 @@ def tree_bytes(root):
         for path in sorted(root.rglob("*"))
         if path.is_file()
     }
+
+
+def old_bench_files(root):
+    """A ``benchmarks/`` tree as the retired wall-time gate left it in a
+    checkout: its committed baseline and its appended history."""
+    bench = root / "benchmarks"
+    (bench / "out").mkdir(parents=True)
+    (bench / "BENCH_fig11.json").write_text(
+        json.dumps(
+            {
+                "calibration_s": 0.01,
+                "tolerance": 0.2,
+                "figures": {"benchmarks/bench_x.py": 1.0},
+                "provenance": {"captured_at": "2026-08-08"},
+            }
+        )
+    )
+    (bench / "out" / "perf_history.jsonl").write_text(
+        json.dumps(
+            {
+                "kind": "gate",
+                "status": "ok",
+                "machine_factor": 1.0,
+                "captured_at": "2026-08-08T00:00:00",
+                "figures": {"benchmarks/bench_x.py": {"ratio": 0.85}},
+            }
+        )
+        + "\n"
+    )
 
 
 class TestReportRendering:
@@ -104,16 +142,34 @@ class TestReportRendering:
         merged = JobStore(out_dir).merge()
         assert grid_header == ",".join(campaign_grid(merged).rows[0])
 
-    def test_double_render_is_byte_identical(self, campaign, tmp_path):
-        out_dir = campaign / "out"
-        assert main(["report", str(out_dir),
-                     "--out", str(tmp_path / "r1")]) == 0
-        assert main(["report", str(out_dir),
-                     "--out", str(tmp_path / "r2")]) == 0
+    @pytest.mark.parametrize(
+        "old_bench_cwd", [False, True], ids=["empty-cwd", "old-bench-cwd"]
+    )
+    def test_double_render_is_byte_identical(
+        self, campaign, tmp_path, monkeypatch, old_bench_cwd
+    ):
+        # Two targets: the manifest's output: section, and a spec file
+        # without one (the default report, every fixed panel).  The first
+        # render runs in an empty directory, the second in one that may
+        # hold a checkout's old benchmarks/ files: the bytes may depend on
+        # the campaign directory alone.
+        spec = dict(SPEC, output_dir=str(campaign / "out"))
+        del spec["output"]
+        default_spec = tmp_path / "default-output.json"
+        default_spec.write_text(json.dumps(spec))
+        for render in ("r1", "r2"):
+            cwd = tmp_path / f"cwd-{render}"
+            cwd.mkdir()
+            if render == "r2" and old_bench_cwd:
+                old_bench_files(cwd)
+            monkeypatch.chdir(cwd)
+            for target in (campaign / "out", default_spec):
+                assert main(["report", str(target), "--out",
+                             str(tmp_path / render / target.stem)]) == 0
         first = tree_bytes(tmp_path / "r1")
         second = tree_bytes(tmp_path / "r2")
         assert first == second
-        assert first  # rendered something
+        assert len(first) == 5  # two reports, two grid CSVs, one pivot CSV
 
     def test_update_output_never_touches_job_shards(
         self, campaign, capsys
@@ -155,6 +211,26 @@ class TestReportRendering:
             ["report", str(campaign / "campaign.json"), "--update-output"]
         ) == 0
 
+    @pytest.mark.parametrize("kind", PLOT_KINDS)
+    def test_every_plot_kind_renders_its_own_panel(
+        self, campaign, tmp_path, kind
+    ):
+        from html import escape
+
+        from repro.reporting.dataset import load_dataset
+        from repro.reporting.html import write_report
+        from repro.reporting.spec import OutputSpec
+
+        dataset = load_dataset(JobStore(campaign / "out"))
+        output = OutputSpec.from_dict({"plots": [{"kind": kind}]})
+        (plot,) = output.plots
+        written = write_report(dataset, output, out_dir=tmp_path)
+        html = written["html"].read_text()
+        body = PANELS[kind](dataset, plot)
+        assert f"<section><h2>{escape(plot.label())}</h2>{body}</section>" in (
+            html
+        )
+
     def test_partial_campaign_renders_with_banner(
         self, campaign, tmp_path, capsys
     ):
@@ -168,49 +244,6 @@ class TestReportRendering:
         html = (partial / "report" / "report.html").read_text()
         assert "PARTIAL" in html
         assert "1 of 2 job(s) complete" in html
-
-    def test_trajectory_panel_reads_bench_history(
-        self, campaign, tmp_path
-    ):
-        bench = tmp_path / "benchmarks"
-        (bench / "out").mkdir(parents=True)
-        (bench / "BENCH_fig11.json").write_text(
-            json.dumps(
-                {
-                    "calibration_s": 0.01,
-                    "tolerance": 0.2,
-                    "figures": {"benchmarks/bench_x.py": 1.0},
-                    "provenance": {"captured_at": "2026-08-08"},
-                }
-            )
-        )
-        (bench / "out" / "perf_history.jsonl").write_text(
-            json.dumps(
-                {
-                    "kind": "gate",
-                    "status": "ok",
-                    "machine_factor": 1.0,
-                    "captured_at": "2026-08-08T00:00:00",
-                    "figures": {
-                        "benchmarks/bench_x.py": {"ratio": 0.85}
-                    },
-                }
-            )
-            + "\n"
-        )
-        assert main(
-            [
-                "report",
-                str(campaign / "out"),
-                "--out",
-                str(tmp_path / "r"),
-                "--bench-dir",
-                str(bench),
-            ]
-        ) == 0
-        html = (tmp_path / "r" / "report.html").read_text()
-        assert "committed budget" in html
-        assert "1 baseline-gate run(s)" in html
 
 
 class TestManifestHygiene:
@@ -262,6 +295,32 @@ class TestOutputValidation:
         with pytest.raises(ValueError, match="unknown metric"):
             CampaignSpec.from_dict(bad)
 
+    def test_retired_plot_kind_rejected(self):
+        from repro.reporting.spec import OutputSpec
+
+        with pytest.raises(ValueError, match="unknown plot kind"):
+            OutputSpec.from_dict({"plots": [{"kind": "trajectory"}]})
+
+    def test_old_manifest_naming_a_retired_plot_kind_fails_closed(
+        self, campaign, tmp_path, capsys
+    ):
+        old = tmp_path / "old"
+        shutil.copytree(campaign / "out", old)
+        manifest_path = old / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["spec"]["output"]["plots"].append({"kind": "trajectory"})
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["report", str(old)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "unknown plot kind 'trajectory'" in err
+        assert "Traceback" not in err
+        # The migration: re-render from a spec whose output: is current.
+        spec_path = tmp_path / "migrated.json"
+        spec_path.write_text(json.dumps(dict(SPEC, output_dir=str(old))))
+        assert main(["report", str(spec_path), "--update-output"]) == 0
+        assert main(["report", str(old)]) == 0
+
     def test_unknown_output_key_rejected(self):
         from repro.reporting.spec import validate_output
 
@@ -289,3 +348,9 @@ class TestOutputValidation:
         assert [p.label() for p in parsed.plots] == [
             p.label() for p in defaults.plots
         ]
+
+    def test_default_report_draws_every_plot_kind(self):
+        from repro.reporting.spec import default_output
+
+        kinds = [plot.kind for plot in default_output().plots]
+        assert set(kinds) == set(PLOT_KINDS) == set(PANELS)

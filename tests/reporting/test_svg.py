@@ -2,12 +2,7 @@
 
 from repro.reporting.dataset import JobView
 from repro.reporting.spec import PlotSpec
-from repro.reporting.svg import (
-    anomaly_strip,
-    matrix_plot,
-    trajectory_panel,
-    warmup_panel,
-)
+from repro.reporting.svg import anomaly_strip, matrix_plot, warmup_panel
 
 
 def make_job(job_id="aaaa1111", windows=None, anomalies=None):
@@ -140,40 +135,3 @@ class TestAnomalyStrip:
     def test_no_anomalies_renders_empty_note(self):
         assert "no slow-tick anomalies" in anomaly_strip([make_job()])
 
-
-class TestTrajectoryPanel:
-    def entry(self, status, ratio):
-        return {
-            "kind": "gate",
-            "status": status,
-            "machine_factor": 1.0,
-            "captured_at": "2026-08-08T00:00:00",
-            "figures": {
-                "benchmarks/bench_x.py": {"ratio": ratio},
-                "benchmarks/bench_y.py": {"ratio": ratio / 2},
-            },
-        }
-
-    def test_history_draws_budget_line_and_series(self):
-        history = [self.entry("ok", 0.8), self.entry("regression", 1.4)]
-        svg = trajectory_panel(history, {"figures": {}, "tolerance": 0.2})
-        assert "budget-line" in svg
-        assert "committed budget" in svg
-        assert "worst figure" in svg and "mean figure" in svg
-        assert "2 baseline-gate run(s)" in svg
-
-    def test_entries_without_ratios_are_skipped(self):
-        update = {
-            "kind": "update",
-            "status": "updated",
-            "figures": {"f": {"ratio": None}},
-        }
-        assert "no perf history" not in trajectory_panel(
-            [update, self.entry("ok", 0.9)], None
-        )
-        assert "perf history has no figure ratios" in trajectory_panel(
-            [update], None
-        )
-
-    def test_empty_history_renders_pointer_note(self):
-        assert "no perf history yet" in trajectory_panel([], None)
