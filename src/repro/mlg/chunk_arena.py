@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _VOXELS = ((CHUNK_SIZE, CHUNK_SIZE, WORLD_HEIGHT), np.uint8)
+_VOXEL_CELLS = prod(_VOXELS[0])
 _COLUMNS = ((CHUNK_SIZE, CHUNK_SIZE), np.int16)
 #: Per-slot shape and dtype of every terrain field.
 _FIELDS = {
@@ -319,14 +320,45 @@ class ChunkArena:
         """Slots of the loaded chunks, in iteration order."""
         return self._index()[0]
 
-    def slots_of(self, cxs: np.ndarray, czs: np.ndarray) -> np.ndarray:
-        """Slot of each chunk coordinate pair, -1 where not loaded."""
-        if not self.handles:
-            return np.full(cxs.shape, -1, dtype=np.int64)
+    def locate(
+        self, cxs: np.ndarray, czs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(slots, loaded)`` of each chunk coordinate pair.  Where it is
+        not loaded its slot is some claimed one (slot 0 in an empty
+        arena): a gather stays in range, and ``loaded`` masks what it
+        read."""
         _, keys, slots = self._index()
         wanted = pack_keys(cxs, czs)
-        at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
-        return np.where(keys[at] == wanted, slots[at], -1)
+        if not keys.size:
+            return np.zeros_like(wanted), np.zeros(wanted.shape, np.bool_)
+        at = keys.searchsorted(wanted)
+        np.minimum(at, keys.size - 1, out=at)
+        return slots[at], keys[at] == wanted
+
+    @staticmethod
+    def voxel_index(slots, lx, lz) -> np.ndarray:
+        """Flat index of voxel ``[slot, lx, lz, 0]`` of every voxel field:
+        add ``y`` and :meth:`take`."""
+        # In place: at a few hundred elements a temporary's allocation
+        # costs as much as the arithmetic.
+        flat = slots * CHUNK_SIZE
+        flat += lx
+        flat *= CHUNK_SIZE
+        flat += lz
+        flat *= WORLD_HEIGHT
+        return flat
+
+    def take(self, field: str, flat: np.ndarray) -> np.ndarray:
+        """Voxel field ``field`` at flat indices from :meth:`voxel_index`
+        (slots must be claimed): one ``take`` per page under them."""
+        if len(self._pages) == 1:
+            return getattr(self._pages[0], field).take(flat)
+        page_of, local = np.divmod(flat, self._page_slots * _VOXEL_CELLS)
+        out = np.empty(flat.shape, _VOXELS[1])
+        for p in np.unique(page_of).tolist():
+            where = page_of == p
+            out[where] = getattr(self._pages[p], field).take(local[where])
+        return out
 
     def _per_page(self, slots: np.ndarray, index: tuple):
         """Split a fancy index by page: ``(page, where, page-local index)``;

@@ -23,6 +23,16 @@ per-mob scalar AI it replaced lives on as the oracle of
 ``tests/mlg/test_mob_ai_parity.py``.  Mob *physics* goes through the same
 kernel as everything else.
 
+The passes work on a few hundred entities, where numpy's Python-level
+wrappers cost more than the C work they call.  So a per-tick pass calls
+ufuncs and array methods (``np.minimum``, ``a.nonzero()``, ``a.max()``),
+never the wrappers over them (``np.clip``, ``np.flatnonzero``, ``np.max``),
+and updates fresh temporaries in place.  Collision cells are counted as
+run lengths of the sorted keys, and the entities that ``remove`` marks
+dead are listed for the reap instead of found by a scan.  Each pass does
+the float operations, and draws the random numbers, of the code it
+replaced, which ``tests/mlg/entity_oracle.py`` keeps.
+
 PaperMC's entity-handler optimization (paper Appendix A) appears here as
 ``merge_items`` (nearby item stacks merge into one entity) and is enabled
 per variant profile.
@@ -71,6 +81,9 @@ WATER_PUSH = 0.014
 WATER_BUOYANCY_VY = -0.02
 
 _ITEM_DESPAWN_TICKS = int(ITEM_DESPAWN_S * TICK_RATE_HZ)
+#: Which ``kind`` codes the physics kernel moves, indexed by code.
+_PHYSICAL = np.zeros(256, np.bool_)
+_PHYSICAL[[KIND_ITEM, KIND_MOB, KIND_TNT]] = True
 
 
 class EntityManager:
@@ -99,6 +112,10 @@ class EntityManager:
         self.spawned_this_tick: list[Entity] = []
         #: Items collected by hoppers/kill zones this tick.
         self.collected_items = 0
+        #: Slots :meth:`remove` marked dead since the last reap.  Not
+        #: ``removed_this_tick``: spawning and workload hooks remove after
+        #: the reap, and ``begin_tick`` clears that list before the next.
+        self._dying: list[int] = []
 
     # -- membership -----------------------------------------------------------
 
@@ -135,6 +152,7 @@ class EntityManager:
         if entity.alive:
             entity.alive = False
             self.removed_this_tick.append(entity)
+            self._dying.append(entity._slot)
 
     def remove_slots(self, slots: np.ndarray) -> None:
         """:meth:`remove` the entities in ``slots``, in the order given."""
@@ -250,14 +268,19 @@ class EntityManager:
         self._reap()
 
     def _reap(self) -> None:
-        store = self.store
-        dead = np.flatnonzero((store.eid != 0) & ~store.alive)
-        for slot in dead.tolist():
-            handle = self._handles[slot]
-            handle._detach()
-            del self._entities[handle.eid]
-            self._handles[slot] = None
-            store.release(slot)
+        """Release the slots of the entities removed since the last reap,
+        in ascending slot order (which fixes the free list's order)."""
+        store, dying = self.store, self._dying
+        if dying:
+            dying.sort()
+            handles = self._handles
+            for slot in dying:
+                handle = handles[slot]
+                handle._detach()
+                del self._entities[handle.eid]
+                handles[slot] = None
+                store.release(slot)
+            dying.clear()
         if store.should_compact():
             old_slots = store.compact()
             handles: list[Entity | None] = [None] * store.capacity
@@ -289,7 +312,7 @@ class EntityManager:
         has_goal = store.has_goal[mobs]
         left = store.path_left[mobs]
         repath = has_goal & (left == 0) & (phase % REPATH_INTERVAL == 0)
-        for i in np.flatnonzero(repath).tolist():
+        for i in repath.nonzero()[0].tolist():
             slot = int(mobs[i])
             mob = self._handles[slot]
             mob.path = self.pathfinder.find_path(
@@ -307,12 +330,12 @@ class EntityManager:
             dist = np.maximum(1e-6, np.float_power(dx * dx + dz * dz, 0.5))
             store.vx[at] = dx / dist * PATH_SPEED
             store.vz[at] = dz / dist * PATH_SPEED
-            arrived = np.flatnonzero(walking)[dist < WAYPOINT_REACH]
+            arrived = walking.nonzero()[0][dist < WAYPOINT_REACH]
             left[arrived] -= 1
             for slot, n in zip(mobs[arrived].tolist(), left[arrived].tolist()):
                 self._aim(slot, n)
             store.path_left[mobs] = left
-        wander = mobs[~walking & ~has_goal & (phase % WANDER_INTERVAL == 0)]
+        wander = mobs[~(walking | has_goal) & (phase % WANDER_INTERVAL == 0)]
         if wander.size:
             angle = self.rng.random(wander.size) * 2 * np.pi
             store.vx[wander] = np.cos(angle) * WANDER_SPEED
@@ -339,11 +362,8 @@ class EntityManager:
         scattered back once.
         """
         store = self.store
-        kind = store.kind
-        phys = np.flatnonzero(
-            store.alive & (kind >= KIND_ITEM) & (kind <= KIND_TNT)
-        )
-        kinds = kind[phys]
+        phys = (store.alive & _PHYSICAL.take(store.kind)).nonzero()[0]
+        kinds = store.kind[phys]
         is_item = kinds == KIND_ITEM
         n_items = int(np.count_nonzero(is_item))
         n_tnt = int(np.count_nonzero(kinds == KIND_TNT))
@@ -356,11 +376,13 @@ class EntityManager:
         # items BEFORE they move — despawn ordering is part of the physics
         # contract, so it happens in exactly one place.
         if n_items or n_tnt:
-            store.age[phys[kinds != KIND_MOB]] += 1
-            item_slots = phys[is_item]
-            expired = item_slots[store.age[item_slots] > _ITEM_DESPAWN_TICKS]
-            if expired.size:
-                self.remove_slots(expired)
+            age = store.age[phys]
+            age += kinds != KIND_MOB
+            store.age[phys] = age
+            expired = age > _ITEM_DESPAWN_TICKS
+            expired &= is_item
+            if expired.any():
+                self.remove_slots(phys[expired])
                 keep = store.alive[phys]
                 phys, kinds, is_item = phys[keep], kinds[keep], is_item[keep]
         if phys.size == 0:
@@ -371,7 +393,7 @@ class EntityManager:
         # Water-stream transport applies at every population, not just
         # below some threshold: farms rely on it as their collection belt.
         if self.fluid_flow is not None and n_items:
-            self._apply_water_push(np.flatnonzero(is_item), x, y, z, vx, vy, vz)
+            self._apply_water_push(is_item.nonzero()[0], x, y, z, vx, vy, vz)
 
         # Integrate: same float-op order as the historical scalar path, so
         # a lone item and one item among thousands trace identical paths.
@@ -389,26 +411,26 @@ class EntityManager:
         # fall (+2 margin) bounds the scan exactly — a deeper solid block
         # would sit strictly below every entity's new_y, and the phantom
         # fallback floor only engages past a 12-block/tick fall.
-        fall = float(np.max(np.floor(y) - np.floor(new_y)))
-        depth = min(12, int(min(max(fall, 0.0), 10.0)) + 2)
+        fall = np.floor(y)
+        fall -= np.floor(new_y)
+        depth = min(12, int(min(max(float(fall.max()), 0.0), 10.0)) + 2)
         ground, loaded = self.world.ground_and_loaded_bulk(
             new_x, y, new_z, max_scan=depth
         )
         grounded = new_y <= ground
-        new_y = np.where(grounded, ground, new_y)
-        vy[grounded] = 0.0
+        np.copyto(new_y, ground, where=grounded)
+        np.copyto(vy, 0.0, where=grounded)
         friction = np.where(grounded, GROUND_FRICTION, 1.0)
         vx *= friction
         vz *= friction
-        store.moved[phys] = (
-            (np.abs(new_x - x) > 1e-3)
-            | (np.abs(new_y - y) > 1e-3)
-            | (np.abs(new_z - z) > 1e-3)
-        )
+        moved = np.abs(new_x - x) > 1e-3
+        moved |= np.abs(new_y - y) > 1e-3
+        moved |= np.abs(new_z - z) > 1e-3
+        store.moved[phys] = moved
         # Entities do not tick in unloaded chunks; keep mobs inside the
         # loaded world instead of letting them wander off the edge.
-        escaped = ~loaded & (kinds == KIND_MOB)
-        if escaped.any():
+        if not loaded.all():
+            escaped = ~loaded & (kinds == KIND_MOB)
             new_x[escaped] = x[escaped]
             new_z[escaped] = z[escaped]
             vx[escaped] = -vx[escaped]
@@ -424,9 +446,9 @@ class EntityManager:
         by = np.floor(y[items]).astype(np.int64)
         bz = np.floor(z[items]).astype(np.int64)
         blocks = self.world.blocks_bulk(bx, by, bz)
-        wet = np.flatnonzero(
-            (blocks == Block.WATER_FLOW) | (blocks == Block.WATER_SOURCE)
-        )
+        wet = blocks == Block.WATER_FLOW
+        wet |= blocks == Block.WATER_SOURCE
+        wet = wet.nonzero()[0]
         if wet.size == 0:
             return
         # One flow lookup per distinct water cell; streams funnel many
@@ -469,22 +491,33 @@ class EntityManager:
         are checked pairwise in a real engine; the *number of checks* is the
         work, so that is what we count.  Crowded cells also get a
         separation impulse so dense swarms spread out physically.
+
+        Occupancies are the run lengths of the sorted keys, so they come
+        in ascending key order, the order the pair total is summed in.
         """
-        if phys.size < 2:
+        n = phys.size
+        if n < 2:
             return
-        store = self.store
-        _, inverse, counts = np.unique(
-            keys, return_inverse=True, return_counts=True
-        )
+        order = keys.argsort()
+        ordered = keys[order]
+        edges = np.empty(n + 1, np.bool_)
+        edges[0] = edges[n] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=edges[1:n])
+        starts = edges.nonzero()[0]
+        counts = starts[1:] - starts[:-1]
         pairs = float((counts * (counts - 1) / 2).sum() * NEIGHBOR_FACTOR)
         if pairs:
             report.add(Op.COLLISION_PAIR, pairs)
-        crowded = counts[inverse] > 2
-        if crowded.any():
+        crowded_cells = counts > 2
+        if crowded_cells.any():
+            # Each entity's cell flag, in sorted order, back in slot order.
+            crowded = np.empty(n, np.bool_)
+            crowded[order] = crowded_cells.repeat(counts)
             crowded_slots = phys[crowded]
             jitter = self.rng.uniform(
                 -0.04, 0.04, size=(crowded_slots.size, 2)
             )
+            store = self.store
             store.vx[crowded_slots] += jitter[:, 0]
             store.vz[crowded_slots] += jitter[:, 1]
 

@@ -20,11 +20,20 @@ __all__ = ["PathFinder", "PathResult"]
 _WATER = (Block.WATER_SOURCE, Block.WATER_FLOW)
 #: ``SOLID_LUT`` as a tuple: scalar lookups without a numpy round trip.
 _SOLID = tuple(SOLID_LUT.tolist())
+#: By block id: can a mob stand on it / does it leave body room.
+_FLOOR = SOLID_LUT.copy()
+_FLOOR[list(_WATER)] = True
+_ROOM = ~SOLID_LUT
 #: A search reads the box from its start toward its goal (at most
 #: ``WINDOW_REACH`` cells a side) plus this margin in one gather; cells
 #: outside it are read one by one, so the sizes affect speed only.
 WINDOW_MARGIN = 2
 WINDOW_REACH = 16
+#: Horizontal steps from a node, in the order its neighbours are pushed.
+_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+#: Per step, the first walkable of: same level, step up, step or fall
+#: down (up to 3); with the extra cost ``0.4 * |dy|`` of the move.
+_CLIMBS = tuple((dy, 0.4 * abs(dy)) for dy in (0, 1, -1, -2, -3))
 
 
 class PathResult:
@@ -75,29 +84,11 @@ class PathFinder:
         # A step reaches y+1 and y-3; a cell needs its floor and headroom.
         y0, y1 = lo[1] - 4, hi[1] + 2
         blocks = self.world.blocks_cuboid(x0, y0, z0, x1, y1, z1)
-        solid = SOLID_LUT[blocks]
-        floor = solid | (blocks == _WATER[0]) | (blocks == _WATER[1])
-        walkable = floor[:, :, :-2] & ~solid[:, :, 1:-1] & ~solid[:, :, 2:]
+        room = _ROOM.take(blocks)
+        walkable = _FLOOR.take(blocks[:, :, :-2])
+        walkable &= room[:, :, 1:-1]
+        walkable &= room[:, :, 2:]
         return walkable.tobytes(), x0, y0 + 1, z0, *walkable.shape
-
-    def _neighbors(self, x: int, y: int, z: int, window):
-        flags, x0, y0, z0, wx, wz, wy = window
-        for dx, dz in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nx, nz = x + dx, z + dz
-            inside = 0 <= nx - x0 < wx and 0 <= nz - z0 < wz
-            column = ((nx - x0) * wz + nz - z0) * wy - y0
-            # Same level, step up, or step/fall down (up to 3).
-            for dy in (0, 1, -1, -2, -3):
-                ny = y + dy
-                if ny < 1:
-                    continue
-                if (
-                    flags[column + ny]
-                    if inside and 0 <= ny - y0 < wy
-                    else self.is_walkable(nx, ny, nz)
-                ):
-                    yield nx, ny, nz
-                    break
 
     @staticmethod
     def _heuristic(a: tuple[int, int, int], b: tuple[int, int, int]) -> float:
@@ -116,41 +107,60 @@ class PathFinder:
         Always records the expansion count (even on failure) — failed
         searches still cost CPU, and in MLGs they are common because the
         terrain changes under the navigator.
+
+        One loop: a node's neighbours are read from the window's bytes
+        (``is_walkable`` outside it) and scored with :meth:`_heuristic`
+        written out, in the same float-op order.
         """
-        if not self.is_walkable(*start):
+        is_walkable = self.is_walkable
+        if not is_walkable(*start):
             if report is not None:
                 report.add(Op.PATHFIND_NODE, 1)
             return PathResult([], 1, False)
-        window = self._window(start, goal)
-        open_heap: list[tuple[float, int, tuple[int, int, int]]] = []
-        heapq.heappush(open_heap, (self._heuristic(start, goal), 0, start))
+        flags, x0, y0, z0, wx, wz, wy = self._window(start, goal)
+        gx, gy, gz = goal
+        open_heap = [(self._heuristic(start, goal), 0, start)]
         came_from: dict[tuple[int, int, int], tuple[int, int, int]] = {}
         g_score = {start: 0.0}
         expanded = 0
         counter = 0
         found = False
         current = start
-        while open_heap and expanded < self.max_expansions:
-            _, _, current = heapq.heappop(open_heap)
+        max_expansions = self.max_expansions
+        heappop, heappush = heapq.heappop, heapq.heappush
+        inf = float("inf")
+        while open_heap and expanded < max_expansions:
+            _, _, current = heappop(open_heap)
             expanded += 1
             if current == goal:
                 found = True
                 break
             cg = g_score[current]
-            for neighbor in self._neighbors(*current, window):
-                tentative = cg + 1.0 + 0.4 * abs(neighbor[1] - current[1])
-                if tentative < g_score.get(neighbor, float("inf")):
-                    g_score[neighbor] = tentative
-                    came_from[neighbor] = current
-                    counter += 1
-                    heapq.heappush(
-                        open_heap,
-                        (
-                            tentative + self._heuristic(neighbor, goal),
-                            counter,
-                            neighbor,
-                        ),
-                    )
+            x, y, z = current
+            for dx, dz in _STEPS:
+                nx, nz = x + dx, z + dz
+                inside = 0 <= nx - x0 < wx and 0 <= nz - z0 < wz
+                column = ((nx - x0) * wz + nz - z0) * wy - y0
+                for dy, climb in _CLIMBS:
+                    ny = y + dy
+                    if ny < 1:
+                        continue
+                    if (
+                        flags[column + ny]
+                        if inside and 0 <= ny - y0 < wy
+                        else is_walkable(nx, ny, nz)
+                    ):
+                        neighbor = (nx, ny, nz)
+                        tentative = cg + 1.0 + climb
+                        if tentative < g_score.get(neighbor, inf):
+                            g_score[neighbor] = tentative
+                            came_from[neighbor] = current
+                            counter += 1
+                            h = abs(nx - gx) + abs(ny - gy) * 0.5 + abs(nz - gz)
+                            heappush(
+                                open_heap, (tentative + h, counter, neighbor)
+                            )
+                        break
         if report is not None:
             report.add(Op.PATHFIND_NODE, expanded)
         if not found:

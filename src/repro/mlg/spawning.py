@@ -210,22 +210,26 @@ class SpawnEngine:
         dx = store.x[mobs] - goal[:, 0]
         dy = store.y[mobs] - goal[:, 1]
         dz = store.z[mobs] - goal[:, 2]
-        near = np.flatnonzero(dx * dx + dy * dy + dz * dz < KILL_RANGE_SQ)
-        near = near[np.lexsort((store.eid[mobs[near]], owner[near]))]
+        near = (dx * dx + dy * dy + dz * dz < KILL_RANGE_SQ).nonzero()[0]
+        if near.size > 1:
+            near = near[np.lexsort((store.eid[mobs[near]], owner[near]))]
         mobs, killer = mobs[near], owner[near]
         # The farm's hopper line absorbs settled drops (keeps the item
         # population bounded, as a real farm's collection system does); an
         # item in reach of several lines goes to the first platform.  This
-        # tick's drops are too young for any of them.
+        # tick's drops are too young for any of them; on a tick when every
+        # item is, there is no catchment to test.
         items = store.alive_slots(KIND_ITEM)
         items = items[store.age[items] > settle.min()]
-        dx = store.x[items] - centre[:, :1]
-        dz = store.z[items] - centre[:, 2:]
-        caught = (store.age[items] > settle[:, None]) & (
-            dx * dx + dz * dz <= HOPPER_RADIUS * HOPPER_RADIUS
-        )
-        taken = np.flatnonzero(caught.any(axis=0))
-        items, taker = items[taken], caught.argmax(axis=0)[taken]
+        taker = items
+        if items.size:
+            dx = store.x[items] - centre[:, :1]
+            dz = store.z[items] - centre[:, 2:]
+            caught = (store.age[items] > settle[:, None]) & (
+                dx * dx + dz * dz <= HOPPER_RADIUS * HOPPER_RADIUS
+            )
+            taken = caught.any(axis=0).nonzero()[0]
+            items, taker = items[taken], caught.argmax(axis=0)[taken]
         for index in sorted({*killer.tolist(), *taker.tolist()}):
             platform = self.platforms[index]
             gx, gy, gz = platform.goal

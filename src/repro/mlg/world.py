@@ -308,10 +308,9 @@ class World:
         return int(chunk._page.heightmap[chunk._slot, x & 15, z & 15])
 
     def _locate(self, xs: Array, zs: Array) -> tuple[Array, Array]:
-        """``(slots, loaded)`` of the chunk over each column; slot 0 stands
-        in where none is loaded, so a gather stays in range."""
-        slots = self._arena.slots_of(xs >> 4, zs >> 4)
-        return np.maximum(slots, 0), slots >= 0
+        """``(slots, loaded)`` of the chunk over each column (see
+        :meth:`ChunkArena.locate`)."""
+        return self._arena.locate(xs >> 4, zs >> 4)
 
     def column_heights_bulk(self, xs: Array, zs: Array) -> Array:
         """Vectorized :meth:`column_height` for integer coordinate arrays.
@@ -323,15 +322,24 @@ class World:
         heights = self._arena.gather("heightmap", slots, xs & 15, zs & 15)
         return np.where(loaded, heights, 0).astype(np.int64)
 
+    def _columns(self, xs: Array, zs: Array) -> tuple[Array, Array]:
+        """``(flat, loaded)``: the :meth:`ChunkArena.voxel_index` of each
+        column's ``y = 0`` voxel (a stand-in column's where no chunk is
+        loaded), and whether its chunk is loaded."""
+        slots, loaded = self._locate(xs, zs)
+        return self._arena.voxel_index(slots, xs & 15, zs & 15), loaded
+
     def _voxels_bulk(self, xs, ys, zs, *fields: str) -> list[Array]:
         """Each of ``fields`` at the same positions (coordinate arrays
         that broadcast against each other), from one chunk lookup."""
         xs, ys, zs = _int64(xs), _int64(ys), _int64(zs)
-        slots, ok = self._locate(xs, zs)
-        ok = ok & (ys >= 0) & (ys < WORLD_HEIGHT)
-        at = (slots, xs & 15, zs & 15, np.clip(ys, 0, WORLD_HEIGHT - 1))
+        flat, ok = self._columns(xs, zs)
+        # A y below 0 reads as a huge unsigned value: one compare checks
+        # both bounds.
+        ok = ok & (ys.view(np.uint64) < WORLD_HEIGHT)
+        flat = np.where(ok, flat + ys, 0)
         return [
-            np.where(ok, self._arena.gather(field, *at), np.uint8(0))
+            np.where(ok, self._arena.take(field, flat), np.uint8(0))
             for field in fields
         ]
 
@@ -393,15 +401,15 @@ class World:
         missing ones first (in packed-key order, which fixes their rank in
         :meth:`loaded_chunks` and so the random-tick pairing)."""
         cxs, czs = xs >> 4, zs >> 4
-        slots = self._arena.slots_of(cxs, czs)
-        missing = np.flatnonzero(slots < 0)
+        slots, loaded = self._arena.locate(cxs, czs)
+        missing = (~loaded).nonzero()[0]
         if missing.size:
             _, first = np.unique(
                 pack_keys(cxs[missing], czs[missing]), return_index=True
             )
             new = missing[first]
             self.ensure_chunks(zip(cxs[new].tolist(), czs[new].tolist()))
-            slots = self._arena.slots_of(cxs, czs)
+            slots = self._arena.locate(cxs, czs)[0]
         return slots
 
     def set_aux_bulk(
@@ -493,7 +501,7 @@ class World:
 
     def chunks_loaded_bulk(self, xs: Array, zs: Array) -> Array:
         """Boolean mask: is the chunk containing each ``(x, z)`` loaded?"""
-        return self._arena.slots_of(_int64(xs) >> 4, _int64(zs) >> 4) >= 0
+        return self._locate(_int64(xs), _int64(zs))[1]
 
     def ground_below_bulk(
         self, xs: Array, ys: Array, zs: Array, max_scan: int = 12
@@ -514,26 +522,26 @@ class World:
         floor beneath them, not the structure above.  Positions with no
         solid block in range fall back to ``max(0, start - max_scan)``.
         """
+        if max_scan < 1:
+            raise ValueError(f"max_scan must be at least 1, got {max_scan}")
         xs = np.floor(np.asarray(xs, dtype=np.float64)).astype(np.int64)
         zs = np.floor(np.asarray(zs, dtype=np.float64)).astype(np.int64)
-        start = np.minimum(
-            np.floor(np.asarray(ys, dtype=np.float64)).astype(np.int64),
-            WORLD_HEIGHT - 1,
-        )
-        scan_y = start[:, None] - np.arange(max_scan)
-        slots, loaded = self._locate(xs, zs)
-        column = (slots[:, None], (xs & 15)[:, None], (zs & 15)[:, None])
-        columns = self._arena.gather(
-            "blocks", *column, np.clip(scan_y, 0, WORLD_HEIGHT - 1)
-        )
-        solid = SOLID_LUT[columns] & (scan_y >= 0) & loaded[:, None]
-        first = solid.argmax(axis=1)
-        ground = np.where(
-            solid.any(axis=1),
-            start - first + 1,
-            np.maximum(0, start - max_scan),
-        ).astype(np.float64)
-        return ground, loaded
+        start = np.floor(np.asarray(ys, dtype=np.float64)).astype(np.int64)
+        np.minimum(start, WORLD_HEIGHT - 1, out=start)
+        # [depth, entity]: each op runs one long inner loop per depth.
+        scan_y = start - np.arange(max_scan)[:, None]
+        flat, loaded = self._columns(xs, zs)
+        cells = np.maximum(scan_y, 0)
+        cells += flat
+        solid = SOLID_LUT.take(self._arena.take("blocks", cells))
+        solid &= scan_y >= 0
+        solid &= loaded
+        ground = start - max_scan
+        np.maximum(ground, 0, out=ground)
+        top = start + 1
+        top -= solid.argmax(axis=0)
+        np.copyto(ground, top, where=solid.any(axis=0))
+        return ground.astype(np.float64), loaded
 
     def is_solid_at(self, x: int, y: int, z: int) -> bool:
         return is_solid(self.get_block(x, y, z))

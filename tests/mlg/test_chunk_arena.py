@@ -316,6 +316,15 @@ class TestBulkEqualsScalar:
         )
         assert world.loaded_chunk_count == 14  # reads load nothing
 
+    @pytest.mark.parametrize("max_scan", [0, -3])
+    def test_ground_scan_without_depth_is_refused_by_name(
+        self, world, max_scan
+    ):
+        xs = np.array([1.5, -7.25])
+        for query in (world.ground_below_bulk, world.ground_and_loaded_bulk):
+            with pytest.raises(ValueError, match="max_scan"):
+                query(xs, xs + 70.0, xs, max_scan=max_scan)
+
     def test_empty_world_and_empty_queries(self, coords):
         xs, ys, zs = coords
         world = World()

@@ -264,6 +264,35 @@ class TestPlayerHandler:
         handler.process_actions([move], WorkReport())
         assert len(conn.loaded_chunks) > before
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="int() truncates toward zero, so at negative fractional "
+        "coordinates a player's chunk, its spawn column and a move's "
+        "collision column are those of x + 1 (ROADMAP, re-golden (b)); "
+        "the fix changes every player workload's simulated digest",
+    )
+    def test_negative_fractional_positions_read_their_floor_cell(self):
+        world = World()
+        for cx in (-1, 0):
+            for cz in (-1, 0):
+                world.ensure_chunk(cx, cz).blocks[:, :, :60] = Block.STONE
+        world.fill(-1, 60, -1, -1, 69, -1, Block.STONE)  # a pillar to 70
+        handler = PlayerHandler(
+            world, LightEngine(world), FluidEngine(world), NetworkQueues(),
+            ChatSystem(NetworkQueues(), async_mode=False),
+        )
+        handler.net.register_client(1, 0, 1000, 1000)
+        conn = handler.connect(1, "alice", 8.0, 8.0, WorkReport(), 1)
+        # Into the pillar, whose column is (-1, -1): rejected.
+        move = PlayerAction(ActionKind.MOVE, 1, (-0.5, 65.0, -0.5))
+        handler.process_actions([move], WorkReport())
+        assert (conn.x, conn.z) == (8.0, 8.0)
+        conn.x = conn.z = -0.5
+        assert conn.chunk_pos == (-1, -1)
+        handler.net.register_client(2, 0, 1000, 1000)
+        spawned = handler.connect(2, "bob", -0.5, -0.5, WorkReport(), 1)
+        assert spawned.y == 70.0
+
     def test_actions_from_unknown_client_ignored(self):
         handler, _, _, _ = self._handler()
         processed = handler.process_actions(
