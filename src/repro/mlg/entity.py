@@ -13,8 +13,9 @@ the same state.  Kinds:
 * ``TNT`` — primed explosives with a fuse (see :mod:`repro.mlg.tnt`);
 * ``PLAYER`` — the server-side avatar of a connected client.
 
-When an entity is reaped its slot is recycled; the handle is *detached*
-onto a frozen copy of its final state, so stale references (a workload
+When an entity is reaped its slot is recycled; the handle is repointed at
+its row of the reap's :class:`~repro.mlg.entity_store.FrozenRows`, one
+copy of every entity reaped together, so stale references (a workload
 hook's captured item, a test's local variable) keep reading the dead
 entity's last values instead of whatever entity reuses the slot.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from math import floor
 
-from repro.mlg.entity_store import FIELDS, KIND_NAME, EntityStore
+from repro.mlg.entity_store import KIND_NAME, EntityStore, FrozenRows
 
 __all__ = ["EntityKind", "Entity"]
 
@@ -42,39 +43,20 @@ class EntityKind:
     PHYSICAL = (ITEM, MOB, TNT)
 
 
-class _DetachedSlot:
-    """Frozen single-slot copy of a reaped entity's final state.
-
-    Mimics the store's array-attribute shape (``store.x[slot]``) with
-    plain one-element lists, so :class:`Entity` properties need no branch.
-    """
-
-    __slots__ = tuple(name for name, _ in FIELDS)
-
-    def __init__(self, store: EntityStore, slot: int) -> None:
-        for name in self.__slots__:
-            setattr(self, name, [getattr(store, name)[slot]])
-        self.alive = [False]
-
-
 class Entity:
-    """Handle over one store slot; positions in blocks, velocities in
-    blocks/tick.  Created only by the entity manager."""
+    """Handle over one store slot (or, once reaped, one row of a frozen
+    copy); positions in blocks, velocities in blocks/tick.  Created only by
+    the entity manager."""
 
     __slots__ = ("_store", "_slot", "eid", "path")
 
     def __init__(self, store: EntityStore, slot: int, eid: int) -> None:
-        self._store = store
+        self._store: EntityStore | FrozenRows = store
         self._slot = slot
         self.eid = eid
         #: The mob's current A* path; its last ``path_left`` cells (a store
         #: column) are still to be walked.
         self.path: list[tuple[int, int, int]] | None = None
-
-    def _detach(self) -> None:
-        """Freeze the handle onto a copy of its slot (called at reap)."""
-        self._store = _DetachedSlot(self._store, self._slot)
-        self._slot = 0
 
     # -- slot-backed state ---------------------------------------------------
 

@@ -29,7 +29,9 @@ ufuncs and array methods (``np.minimum``, ``a.nonzero()``, ``a.max()``),
 never the wrappers over them (``np.clip``, ``np.flatnonzero``, ``np.max``),
 and updates fresh temporaries in place.  Collision cells are counted as
 run lengths of the sorted keys, and the entities that ``remove`` marks
-dead are listed for the reap instead of found by a scan.  Each pass does
+dead are listed for the reap instead of found by a scan; the reap
+releases them together and freezes their handles onto one copy of their
+rows.  Each pass does
 the float operations, and draws the random numbers, of the code it
 replaced, which ``tests/mlg/entity_oracle.py`` keeps.
 
@@ -269,17 +271,18 @@ class EntityManager:
 
     def _reap(self) -> None:
         """Release the slots of the entities removed since the last reap,
-        in ascending slot order (which fixes the free list's order)."""
+        in ascending slot order (which fixes the free list's order), and
+        repoint their handles at one frozen copy of their final state."""
         store, dying = self.store, self._dying
         if dying:
             dying.sort()
-            handles = self._handles
-            for slot in dying:
+            final = store.release_many(np.array(dying))
+            handles, entities = self._handles, self._entities
+            for row, slot in enumerate(dying):
                 handle = handles[slot]
-                handle._detach()
-                del self._entities[handle.eid]
+                handle._store, handle._slot = final, row
+                del entities[handle.eid]
                 handles[slot] = None
-                store.release(slot)
             dying.clear()
         if store.should_compact():
             old_slots = store.compact()

@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "EntityStore",
+    "FrozenRows",
     "KIND_FREE",
     "KIND_ITEM",
     "KIND_MOB",
@@ -72,6 +73,20 @@ FIELDS: tuple[tuple[str, type], ...] = (
 
 #: Smallest capacity the store grows from / compacts down to.
 MIN_CAPACITY = 128
+
+
+class FrozenRows:
+    """A copy of some slots' state taken as they are released, ``alive``
+    all false: one row per slot, with the store's column names, so a
+    reaped handle reads (and writes) ``rows.x[row]`` as a live one does
+    ``store.x[slot]``."""
+
+    __slots__ = tuple(name for name, _ in FIELDS)
+
+    def __init__(self, store: EntityStore, slots: np.ndarray) -> None:
+        for name in self.__slots__:
+            setattr(self, name, getattr(store, name)[slots])
+        self.alive[:] = False
 
 
 class EntityStore:
@@ -133,13 +148,17 @@ class EntityStore:
         self.live_count += 1
         return slot
 
-    def release(self, slot: int) -> None:
-        """Return a slot to the free list (its state becomes undefined)."""
-        self.kind[slot] = KIND_FREE
-        self.alive[slot] = False
-        self.eid[slot] = 0
-        self.live_count -= 1
-        self._free.append(slot)
+    def release_many(self, slots: np.ndarray) -> FrozenRows:
+        """Return ``slots`` (ascending, unique) to the free list in that
+        order (their state becomes undefined); returns their final state,
+        row ``i`` for ``slots[i]``."""
+        final = FrozenRows(self, slots)
+        self.kind[slots] = KIND_FREE
+        self.alive[slots] = False
+        self.eid[slots] = 0
+        self.live_count -= slots.size
+        self._free.extend(slots.tolist())
+        return final
 
     @property
     def free_count(self) -> int:

@@ -7,26 +7,35 @@ push on item entities — the transport mechanism the Farm world's kelp farm
 and item sorter rely on (§3.3.1).  Lava spreads the same way but slower
 (every third fluid tick), with a shorter reach, and without pushing items.
 
-Each due batch is processed as one chunk-grouped numpy pass: bulk-read the
-cells and their neighborhoods from a tick-start snapshot, classify
-support / flow-down / sideways spread as masks, merge the writes (max
-fluid level wins, any fluid write beats a clear — the same outcome a
-cell-by-cell loop over the queue produces regardless of queue order), and
-apply them through :meth:`World.set_blocks_bulk`.  The cell-by-cell loop is
-the oracle of ``tests/mlg/test_terrain_parity.py``, which pins final
-worlds bit-identical and the queue sequence equal.
+Each queue is a FIFO of packed cell keys (:func:`~repro.mlg.world.
+pack_cells`) in which a cell waits at most once: a push appends the first
+occurrence of each key not already queued, in input order, and a pop is a
+slice.  Each due batch is processed as one numpy pass: bulk-read the cells
+and their neighborhoods from a tick-start snapshot, classify support /
+flow-down / sideways spread as masks, lay every cell's candidate writes out
+as one ``[n, 11]`` matrix, merge them (max fluid level wins, any fluid
+write beats a clear — the same outcome a cell-by-cell loop over the queue
+produces regardless of queue order), and apply them through
+:meth:`World.set_blocks_bulk`.  The cell-by-cell loop and the
+``deque`` + ``set`` queue are the oracles of
+``tests/mlg/test_terrain_parity.py``, which pins final worlds bit-identical
+and the queue sequence equal.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from collections.abc import Iterable
 
 import numpy as np
 
 from repro.mlg.blocks import Block
 from repro.mlg.workreport import Op, WorkReport
-from repro.mlg.world import World
+from repro.mlg.world import (
+    World,
+    face_neighbours,
+    in_sorted,
+    pack_cells,
+    run_heads,
+    unpack_cells,
+)
 
 __all__ = ["FluidEngine"]
 
@@ -48,12 +57,54 @@ _OFF_Z = np.array([0, 0, 0, 0, 0, 1, -1], dtype=np.int64)
 #: Column indices into the (n, 7) neighborhood arrays.
 _SELF, _BELOW, _ABOVE = 0, 1, 2
 _SIDES = slice(3, 7)
-#: (dx, dz) for the four side columns, matching _OFF_X/_OFF_Z order.
-_SIDE_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1))
-#: The six face neighbours, in :meth:`World.neighbors6` order.
-_NEAR_X = np.array([1, -1, 0, 0, 0, 0], dtype=np.int64)
-_NEAR_Y = np.array([0, 0, 1, -1, 0, 0], dtype=np.int64)
-_NEAR_Z = np.array([0, 0, 0, 0, 1, -1], dtype=np.int64)
+#: A cell's candidate writes, as columns of the ``[n, 11]`` matrix: clear
+#: itself, flow down, refresh the flow below, then into air / raise for
+#: each side in _OFF_X/_OFF_Z order.  Target offsets and write kind (0 =
+#: clear self, 1 = full block write — the snapshot target was AIR, 2 = aux
+#: raise — it was already this fluid's flow).
+_CAND_DX = np.array([0, 0, 0, 1, 1, -1, -1, 0, 0, 0, 0], dtype=np.int64)
+_CAND_DY = np.array([0, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0], dtype=np.int64)
+_CAND_DZ = np.array([0, 0, 0, 0, 0, 0, 0, 1, 1, -1, -1], dtype=np.int64)
+_CAND_KIND = np.array([0, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2], dtype=np.int64)
+_N_CAND = _CAND_KIND.size
+_NO_KEYS = np.empty(0, np.int64)
+
+
+class _CellQueue:
+    """FIFO of packed cell keys in which a cell waits at most once."""
+
+    __slots__ = ("keys",)
+
+    def __init__(self) -> None:
+        self.keys = _NO_KEYS
+
+    def __len__(self) -> int:
+        return self.keys.size
+
+    def push(self, keys: np.ndarray) -> None:
+        """Append the ``keys`` not already queued, each at its first
+        occurrence, in input order."""
+        if not keys.size:
+            return
+        # A stable sort puts each key's first occurrence at the head of
+        # its run; keep the heads not already queued, in input order.
+        # (np.unique and np.isin do the same in four times the time.)
+        order = keys.argsort(kind="stable")
+        ranked = keys[order]
+        head = run_heads(ranked)
+        if self.keys.size:
+            head &= ~in_sorted(ranked, np.sort(self.keys))
+        first = order[head]
+        first.sort()
+        self.keys = np.concatenate((self.keys, keys[first]))
+
+    def pop(self, n: int) -> np.ndarray:
+        """Remove and return the first ``n`` keys."""
+        head, self.keys = self.keys[:n], self.keys[n:]
+        return head
+
+    def cells(self) -> list[tuple[int, int, int]]:
+        return list(zip(*(axis.tolist() for axis in unpack_cells(self.keys))))
 
 
 class FluidEngine:
@@ -66,28 +117,18 @@ class FluidEngine:
     ) -> None:
         self.world = world
         self.max_updates_per_tick = max_updates_per_tick
-        self._queue: deque[tuple[int, int, int]] = deque()
-        self._queued: set[tuple[int, int, int]] = set()
-        self._lava_queue: deque[tuple[int, int, int]] = deque()
-        self._lava_queued: set[tuple[int, int, int]] = set()
+        self._water = _CellQueue()
+        self._lava = _CellQueue()
 
     def schedule(self, x: int, y: int, z: int) -> None:
-        """Queue a fluid update at a position (idempotent per tick).
+        """Queue a fluid update at a position (idempotent while queued).
 
         Lava cells go to the slow queue; everything else (including cells
         whose type is not yet known) rides the water-rate queue — a stale
         entry is reclassified, uncharged, when it is popped.
         """
-        if self.world.get_block(x, y, z) == Block.LAVA:
-            self._schedule_lava([(x, y, z)])
-        else:
-            self._schedule_water([(x, y, z)])
-
-    def _schedule_water(self, cells: Iterable[tuple[int, int, int]]) -> None:
-        _enqueue(self._queue, self._queued, cells)
-
-    def _schedule_lava(self, cells: Iterable[tuple[int, int, int]]) -> None:
-        _enqueue(self._lava_queue, self._lava_queued, cells)
+        lava = self.world.get_block(x, y, z) == Block.LAVA
+        (self._lava if lava else self._water).push(pack_cells([x], [y], [z]))
 
     def schedule_neighbors(self, x: int, y: int, z: int) -> None:
         """Queue updates for fluid blocks adjacent to a changed block."""
@@ -98,30 +139,34 @@ class FluidEngine:
         block: one read of the ``[n, 6]`` neighborhoods, queued block by
         block with each block's neighbors in :meth:`World.neighbors6`
         order."""
-        nx = np.asarray(xs, dtype=np.int64)[:, None] + _NEAR_X
-        ny = np.asarray(ys, dtype=np.int64)[:, None] + _NEAR_Y
-        nz = np.asarray(zs, dtype=np.int64)[:, None] + _NEAR_Z
-        blocks = self.world.blocks_bulk(nx, ny, nz)
+        near = face_neighbours(xs, ys, zs)
+        blocks = self.world.blocks_bulk(*near)
         water = (blocks == Block.WATER_SOURCE) | (blocks == Block.WATER_FLOW)
-        for fluid, schedule in (
-            (water, self._schedule_water),
-            (blocks == Block.LAVA, self._schedule_lava),
+        for fluid, queue in (
+            (water, self._water),
+            (blocks == Block.LAVA, self._lava),
         ):
-            at = np.nonzero(fluid)
-            schedule(_cells(nx[at], ny[at], nz[at]))
+            queue.push(pack_cells(*(axis[fluid] for axis in near)))
 
     def queued_chunks(self) -> set[tuple[int, int]]:
         """Chunks holding scheduled fluid cells (anchors for eviction)."""
-        chunks: set[tuple[int, int]] = set()
-        for x, _y, z in self._queued:
-            chunks.add((x >> 4, z >> 4))
-        for x, _y, z in self._lava_queued:
-            chunks.add((x >> 4, z >> 4))
-        return chunks
+        x, _y, z = unpack_cells(
+            np.concatenate((self._water.keys, self._lava.keys))
+        )
+        chunks = pack_cells(x >> 4, 0, z >> 4)
+        chunks.sort()
+        cx, _y, cz = unpack_cells(chunks[run_heads(chunks)])
+        return set(zip(cx.tolist(), cz.tolist()))
+
+    def queued_cells(
+        self,
+    ) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+        """The water and lava queues, head first, as ``(x, y, z)``."""
+        return self._water.cells(), self._lava.cells()
 
     @property
     def pending(self) -> int:
-        return len(self._queue) + len(self._lava_queue)
+        return len(self._water) + len(self._lava)
 
     def tick(self, tick_number: int, report: WorkReport) -> int:
         """Process due fluid updates; returns the number of *effective*
@@ -130,37 +175,31 @@ class FluidEngine:
         if tick_number % WATER_TICK_INTERVAL != 0:
             return 0
         budget = self.max_updates_per_tick
-        n_water = min(len(self._queue), budget)
-        water_cells = [self._queue.popleft() for _ in range(n_water)]
-        self._queued.difference_update(water_cells)
-        lava_cells: list[tuple[int, int, int]] = []
+        water = self._water.pop(budget)
+        lava = _NO_KEYS
         if tick_number % LAVA_TICK_INTERVAL == 0:
-            n_lava = min(len(self._lava_queue), budget - n_water)
-            lava_cells = [self._lava_queue.popleft() for _ in range(n_lava)]
-            self._lava_queued.difference_update(lava_cells)
+            lava = self._lava.pop(budget - water.size)
         effective = 0
-        if water_cells:
-            effective += self._update_water_batch(water_cells, report)
-        if lava_cells:
-            effective += self._update_lava_batch(lava_cells, report)
+        if water.size:
+            effective += self._update_water_batch(water, report)
+        if lava.size:
+            effective += self._update_lava_batch(lava, report)
         if effective:
             report.add(Op.FLUID, effective)
         return effective
 
     # -- batched updates ------------------------------------------------------
 
-    def _gather(self, cells: list[tuple[int, int, int]]):
-        """Snapshot the 7-cell neighborhood of every queued position."""
-        x, y, z = np.array(cells, dtype=np.int64).T
+    def _gather(self, keys: np.ndarray):
+        """Snapshot the 7-cell neighborhood of every popped cell."""
+        x, y, z = unpack_cells(keys)
         blocks, auxs = self.world.blocks_and_aux_bulk(
             x[:, None] + _OFF_X, y[:, None] + _OFF_Y, z[:, None] + _OFF_Z
         )
         return x, y, z, blocks, auxs
 
-    def _update_water_batch(
-        self, cells: list[tuple[int, int, int]], report: WorkReport
-    ) -> int:
-        x, y, z, blocks, auxs = self._gather(cells)
+    def _update_water_batch(self, keys: np.ndarray, report: WorkReport) -> int:
+        x, y, z, blocks, auxs = self._gather(keys)
         b0 = blocks[:, _SELF]
         a0 = auxs[:, _SELF].astype(np.int64)
         is_src = b0 == Block.WATER_SOURCE
@@ -196,13 +235,11 @@ class FluidEngine:
             side_raisable=side_b == Block.WATER_FLOW,
             flow_block=Block.WATER_FLOW,
             max_level=MAX_FLOW_LEVEL,
-            schedule=self._schedule_water,
+            queue=self._water,
         )
 
-    def _update_lava_batch(
-        self, cells: list[tuple[int, int, int]], report: WorkReport
-    ) -> int:
-        x, y, z, blocks, auxs = self._gather(cells)
+    def _update_lava_batch(self, keys: np.ndarray, report: WorkReport) -> int:
+        x, y, z, blocks, auxs = self._gather(keys)
         b0 = blocks[:, _SELF]
         a0 = auxs[:, _SELF].astype(np.int64)
         is_lava = b0 == Block.LAVA
@@ -237,7 +274,7 @@ class FluidEngine:
             side_raisable=side_lava & (side_a > 0),
             flow_block=Block.LAVA,
             max_level=MAX_LAVA_FLOW_LEVEL,
-            schedule=self._schedule_lava,
+            queue=self._lava,
         )
 
     def _spread_batch(
@@ -257,7 +294,7 @@ class FluidEngine:
         side_raisable: np.ndarray,
         flow_block: int,
         max_level: int,
-        schedule,
+        queue: _CellQueue,
     ) -> int:
         """Shared spread kernel: classify clear/down/refresh/sideways from
         the snapshot masks, merge the writes, apply, and reschedule."""
@@ -266,46 +303,29 @@ class FluidEngine:
         below_in_bounds = y - 1 >= 0
         down = active & below_in_bounds & below_is_air
         refresh = active & below_in_bounds & ~down & below_refreshable
-        sideways = active & ~down & ~refresh & (level - 1 > 0)
         next_level = level - 1
+        sideways = (active & ~down & ~refresh & (next_level > 0))[:, None]
 
-        # Collect writes: (x, y, z, level, kind).  kind 0 = clear self,
-        # kind 1 = full block write (snapshot target was AIR), kind 2 =
-        # aux raise (snapshot target was already this fluid's flow).
-        wx: list[np.ndarray] = []
-        wy: list[np.ndarray] = []
-        wz: list[np.ndarray] = []
-        wl: list[np.ndarray] = []
-        wk: list[np.ndarray] = []
-
-        def _collect(mask, tx, ty, tz, lvl, kind):
-            idx = np.flatnonzero(mask)
-            if idx.size == 0:
-                return
-            wx.append(tx[idx])
-            wy.append(ty[idx])
-            wz.append(tz[idx])
-            lvl = np.broadcast_to(lvl, mask.shape)
-            wl.append(lvl[idx])
-            wk.append(np.full(idx.size, kind, dtype=np.int64))
-
-        _collect(clear, x, y, z, np.zeros(len(x), dtype=np.int64), 0)
-        _collect(down, x, y - 1, z, np.full(len(x), max_level), 1)
-        _collect(refresh, x, y - 1, z, np.full(len(x), max_level), 2)
-        for col, (dx, dz) in enumerate(_SIDE_OFFSETS):
-            nb = side_b[:, col]
-            na = side_a[:, col]
-            into_air = sideways & (nb == Block.AIR)
-            raise_aux = (
-                sideways & side_raisable[:, col] & (na < next_level)
-            )
-            _collect(into_air, x + dx, y, z + dz, next_level, 1)
-            _collect(raise_aux, x + dx, y, z + dz, next_level, 2)
-
+        wanted = np.empty((x.size, _N_CAND), dtype=np.bool_)
+        wanted[:, 0] = clear
+        wanted[:, 1] = down
+        wanted[:, 2] = refresh
+        wanted[:, 3::2] = sideways & (side_b == Block.AIR)
+        wanted[:, 4::2] = (
+            sideways & side_raisable & (side_a < next_level[:, None])
+        )
+        cell, cand = np.divmod(wanted.ravel().nonzero()[0], _N_CAND)
+        lvl = np.where(
+            cand < 3, np.where(cand == 0, 0, max_level), next_level[cell]
+        )
         self._apply_writes(
-            wx, wy, wz, wl, wk,
+            x[cell] + _CAND_DX[cand],
+            y[cell] + _CAND_DY[cand],
+            z[cell] + _CAND_DZ[cand],
+            lvl,
+            _CAND_KIND[cand],
             flow_block=flow_block,
-            schedule=schedule,
+            queue=queue,
             report=report,
         )
         # Cleared cells wake their fluid neighbors.
@@ -315,32 +335,31 @@ class FluidEngine:
 
     def _apply_writes(
         self,
-        wx: list[np.ndarray],
-        wy: list[np.ndarray],
-        wz: list[np.ndarray],
-        wl: list[np.ndarray],
-        wk: list[np.ndarray],
+        x: np.ndarray,
+        y: np.ndarray,
+        z: np.ndarray,
+        lvl: np.ndarray,
+        kind: np.ndarray,
         flow_block: int,
-        schedule,
+        queue: _CellQueue,
         report: WorkReport,
     ) -> None:
-        """Merge and apply a batch's collected writes.
+        """Merge and apply a batch's candidate writes.
 
         Duplicate targets resolve exactly like the sequential scalar loop:
         the maximum fluid level wins, and any fluid write into a position
         beats that position clearing itself (the neighbor's spread re-fills
         the cell whichever order the queue presented them in).
         """
-        if not wx:
+        if not x.size:
             return
-        x = np.concatenate(wx)
-        y = np.concatenate(wy)
-        z = np.concatenate(wz)
-        lvl = np.concatenate(wl)
-        kind = np.concatenate(wk)
         # Sort by (position, kind, level) so the last entry per position
         # is the winning write: aux raises (kind 2) > block writes (1) >
-        # clears (0); within a kind the highest level wins.
+        # clears (0); within a kind the highest level wins.  The sort
+        # orders set_blocks_bulk's input, and so the change log and the
+        # queue: keep this key bit for bit.  It wraps silently past |x| or
+        # |z| >= 2**23 (cells 2**24 apart share a key), where the queue's
+        # pack_cells refuses the cell instead.
         key = (
             ((x & 0xFFFFFF) << 40) | ((z & 0xFFFFFF) << 16) | (y & 0xFFFF)
         )
@@ -371,7 +390,7 @@ class FluidEngine:
             )
         # Every written target re-checks itself on the next due tick.
         written = kind != 0
-        schedule(_cells(x[written], y[written], z[written]))
+        queue.push(pack_cells(x[written], y[written], z[written]))
 
     # -- item transport -------------------------------------------------------
 
@@ -402,15 +421,3 @@ class FluidEngine:
         scale = 1.4
         return (best[0] * scale, best[1] * scale)
 
-
-def _cells(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray):
-    """Coordinate arrays as ``(x, y, z)`` tuples of Python ints."""
-    return zip(xs.tolist(), ys.tolist(), zs.tolist())
-
-
-def _enqueue(queue: deque, queued: set, cells) -> None:
-    """Append the ``cells`` not already waiting in ``queue``, in order."""
-    for cell in cells:
-        if cell not in queued:
-            queued.add(cell)
-            queue.append(cell)

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.mlg.chunk_arena import pack_keys
 from repro.mlg.constants import TICK_BUDGET_US
 from repro.mlg.protocol import PacketCategory
 from repro.mlg.workreport import Op, WorkReport
+from repro.mlg.world import run_heads
 
 __all__ = ["TickRecord", "GameLoop"]
 
@@ -222,12 +224,12 @@ class GameLoop:
         # also drags along the real protocol's side traffic: per-section
         # light updates, sound/effect events, and chunk-section refreshes.
         if changes:
-            touched_chunks = {
-                (change.x >> 4, change.z >> 4) for change in changes
-            }
+            chunks = pack_keys(changes.x >> 4, changes.z >> 4)
+            chunks.sort()
+            touched_chunks = int(run_heads(chunks).sum())
             if len(changes) > MULTI_BLOCK_THRESHOLD:
                 net.broadcast_counted(
-                    PacketCategory.CHUNK_DATA, len(touched_chunks), report
+                    PacketCategory.CHUNK_DATA, touched_chunks, report
                 )
             else:
                 net.broadcast_counted(
@@ -235,12 +237,10 @@ class GameLoop:
                 )
                 if len(changes) > 8:
                     net.broadcast_counted(
-                        PacketCategory.CHUNK_SECTION,
-                        len(touched_chunks),
-                        report,
+                        PacketCategory.CHUNK_SECTION, touched_chunks, report
                     )
             net.broadcast_counted(
-                PacketCategory.LIGHT_UPDATE, len(touched_chunks), report
+                PacketCategory.LIGHT_UPDATE, touched_chunks, report
             )
             net.broadcast_counted(
                 PacketCategory.SOUND_EFFECT, min(24, len(changes)), report

@@ -18,12 +18,21 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from collections.abc import Iterable
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.mlg.blocks import Block
 from repro.mlg.workreport import Op, WorkReport
-from repro.mlg.world import BlockChange, World
+from repro.mlg.world import (
+    BlockChanges,
+    World,
+    face_neighbours,
+    in_sorted,
+    pack_cells,
+    run_heads,
+    unpack_cells,
+)
 
 __all__ = ["ClockCircuit", "RedstoneEngine", "PISTON_FACINGS", "REDSTONE_TICK_US"]
 
@@ -113,7 +122,8 @@ class RedstoneEngine:
         self._heap: list[tuple[int, int, int, tuple]] = []
         self._seq = 0
         self._clocks: list[ClockCircuit] = []
-        self._observers: set[tuple[int, int, int]] = set()
+        #: Packed (:func:`pack_cells`) observer positions, sorted.
+        self._observers = np.empty(0, np.int64)
         #: Total updates executed in the most recent tick.
         self.last_tick_updates = 0
 
@@ -133,7 +143,9 @@ class RedstoneEngine:
 
     def register_observer(self, x: int, y: int, z: int) -> None:
         """Track an observer block so neighbor changes emit pulses."""
-        self._observers.add((x, y, z))
+        keys = np.append(self._observers, pack_cells(x, y, z))
+        keys.sort()
+        self._observers = keys[run_heads(keys)]
 
     @property
     def clocks(self) -> list[ClockCircuit]:
@@ -146,7 +158,9 @@ class RedstoneEngine:
         """Chunks referenced by live redstone state (eviction anchors):
         clock wire nets and pistons, scheduled event positions, and
         registered observers."""
-        positions: set[tuple[int, int, int]] = set(self._observers)
+        positions: set[tuple[int, int, int]] = set(
+            zip(*(axis.tolist() for axis in unpack_cells(self._observers)))
+        )
         for clock in self._clocks:
             positions.update(clock.sources)
             positions.update(clock.pistons)
@@ -161,26 +175,16 @@ class RedstoneEngine:
 
     # -- change notifications --------------------------------------------------
 
-    def on_block_changes(
-        self, changes: Iterable[BlockChange], now_us: int
-    ) -> None:
-        """Feed the tick's block changes; observers near them emit pulses."""
-        if not self._observers:
+    def on_block_changes(self, changes: BlockChanges, now_us: int) -> None:
+        """Feed the tick's block changes; observers near them emit pulses,
+        change by change and each change's neighbours in
+        :meth:`World.neighbors6` order."""
+        if not self._observers.size or not len(changes):
             return
-        for change in changes:
-            x, y, z = change.x, change.y, change.z
-            for pos in (
-                (x + 1, y, z),
-                (x - 1, y, z),
-                (x, y + 1, z),
-                (x, y - 1, z),
-                (x, y, z + 1),
-                (x, y, z - 1),
-            ):
-                if pos in self._observers:
-                    self._push(
-                        now_us + REDSTONE_TICK_US, "observer_pulse", (pos,)
-                    )
+        near = pack_cells(*face_neighbours(changes.x, changes.y, changes.z))
+        pulsed = near[in_sorted(near, self._observers)]
+        for pos in zip(*(axis.tolist() for axis in unpack_cells(pulsed))):
+            self._push(now_us + REDSTONE_TICK_US, "observer_pulse", (pos,))
 
     # -- execution --------------------------------------------------------------
 

@@ -6,7 +6,11 @@ lives in a :class:`~repro.mlg.chunk_arena.ChunkArena`, one slab per field,
 and :class:`Chunk` objects are handles over its slots, so the bulk queries
 below are single gathers however many chunks they span.  Every block
 mutation is appended to a per-tick change log which the game loop drains to
-drive terrain simulation triggers and client state-update packets.
+drive terrain simulation triggers and client state-update packets.  The log
+is columnar: a bulk write appends its arrays as one segment, a scalar
+:meth:`World.set_block` its :class:`BlockChange` record (a tick's records
+become one segment before the next bulk one), and a drain hands the tick's
+segments back as one :class:`BlockChanges`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,10 @@ from repro.mlg.chunk_arena import (
 )
 from repro.mlg.constants import WORLD_HEIGHT
 
-__all__ = ["BlockChange", "Chunk", "World", "cuboid_cells"]
+__all__ = [
+    "BlockChange", "BlockChanges", "Chunk", "World", "cuboid_cells",
+    "face_neighbours", "in_sorted", "pack_cells", "run_heads", "unpack_cells",
+]
 
 Array = np.ndarray
 _int64 = partial(np.asarray, dtype=np.int64)
@@ -41,6 +48,99 @@ class BlockChange(NamedTuple):
     z: int
     old: int
     new: int
+
+
+class BlockChanges:
+    """Block mutations in log order, one ``int64`` column per
+    :class:`BlockChange` field: what :meth:`World.drain_changes` returns."""
+
+    __slots__ = BlockChange._fields
+
+    def __init__(self, x, y, z, old, new) -> None:
+        self.x, self.y, self.z = _int64(x), _int64(y), _int64(z)
+        self.old, self.new = _int64(old), _int64(new)
+
+    @classmethod
+    def from_records(cls, records: Iterable[BlockChange]) -> BlockChanges:
+        """The columns of ``records``, in their order."""
+        rows = np.array(list(records), dtype=np.int64)
+        return cls(*rows.reshape(-1, len(cls.__slots__)).T)
+
+    def __len__(self) -> int:
+        return self.x.size
+
+    def records(self) -> list[BlockChange]:
+        """One :class:`BlockChange` per row, in log order."""
+        columns = (getattr(self, name).tolist() for name in self.__slots__)
+        return list(map(BlockChange, *columns))
+
+
+#: What a tick without block changes drains.
+_NO_CHANGES = BlockChanges.from_records(())
+
+
+#: Cells :func:`pack_cells` can pack: ``-2**23 <= x, z < 2**23`` and
+#: ``-2**15 <= y < 2**15``, biased to 24 and 16 unsigned bits.
+_XZ_BIAS, _Y_BIAS = 1 << 23, 1 << 15
+
+
+def pack_cells(xs, ys, zs) -> Array:
+    """One ``int64`` key per cell, injective over the packable range;
+    raises ``ValueError`` naming the first cell outside it instead of
+    letting two cells share a key."""
+    xs, ys, zs = _int64(xs), _int64(ys) + _Y_BIAS, _int64(zs) + _XZ_BIAS
+    off = ((xs + _XZ_BIAS) | zs) >> 24 | ys >> 16
+    if off.any():
+        at = np.unravel_index(off.ravel().nonzero()[0][0], off.shape)
+        cell = (int(xs[at]), int(ys[at]) - _Y_BIAS, int(zs[at]) - _XZ_BIAS)
+        raise ValueError(
+            f"cell {cell} is outside the packable range "
+            f"(|x|, |z| < 2**23, |y| < 2**15)"
+        )
+    zs <<= 16
+    zs |= ys
+    zs |= xs << 40
+    return zs
+
+
+def in_sorted(keys: Array, table: Array) -> Array:
+    """Mask: is each of ``keys`` in ``table`` (sorted, not empty)?"""
+    at = table.searchsorted(keys)
+    np.minimum(at, table.size - 1, out=at)
+    return table[at] == keys
+
+
+def run_heads(ranked: Array) -> Array:
+    """Mask of the first of each run of equal values in a sorted array:
+    ``ranked[run_heads(ranked)]`` is ``np.unique(ranked)``, without the
+    import of ``numpy.ma`` that ``np.unique``'s first call costs (15 ms,
+    in every process that makes it)."""
+    head = np.empty(ranked.size, np.bool_)
+    head[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+    return head
+
+
+def unpack_cells(keys: Array) -> tuple[Array, Array, Array]:
+    """``(xs, ys, zs)`` of :func:`pack_cells` keys."""
+    return (
+        keys >> 40,
+        (keys & 0xFFFF) - _Y_BIAS,
+        (keys >> 16 & 0xFFFFFF) - _XZ_BIAS,
+    )
+
+
+#: x, y and z offsets of the six face neighbours, in
+#: :meth:`World.neighbors6` order.
+_FACES = np.array(
+    [[1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 1, -1]]
+)
+
+
+def face_neighbours(xs, ys, zs) -> tuple[Array, ...]:
+    """``[n, 6]`` coordinates of each cell's face neighbours, row by row in
+    :meth:`World.neighbors6` order."""
+    return tuple(_int64(a)[:, None] + d for a, d in zip((xs, ys, zs), _FACES))
 
 
 def cuboid_cells(
@@ -92,7 +192,10 @@ class World:
         self._generator = generator
         self._loader = loader
         self._relight: Callable[[list[Chunk]], object] | None = None
-        self._change_log: list[BlockChange] = []
+        #: The change log: segments, then the scalar writes' records
+        #: since the last segment.
+        self._change_log: list[BlockChanges] = []
+        self._change_records: list[BlockChange] = []
         #: Chunks generated since the last drain (for work accounting).
         self.chunks_generated_this_tick = 0
 
@@ -283,20 +386,38 @@ class World:
             chunk.update_height_at(lx, lz)
         change = BlockChange(x, y, z, old, block_id)
         if log:
-            self._change_log.append(change)
+            self._change_records.append(change)
         return change
 
     # -- change log ---------------------------------------------------------
 
-    def drain_changes(self) -> list[BlockChange]:
+    def _log_changes(self, changes: BlockChanges | None = None) -> None:
+        """Close the pending records into a segment, then append
+        ``changes``: the log stays in write order."""
+        if self._change_records:
+            self._change_log.append(
+                BlockChanges.from_records(self._change_records)
+            )
+            self._change_records = []
+        if changes is not None:
+            self._change_log.append(changes)
+
+    def drain_changes(self) -> BlockChanges:
         """Return and clear this tick's block changes."""
-        changes = self._change_log
-        self._change_log = []
         self.chunks_generated_this_tick = 0
-        return changes
+        if not self._change_log and not self._change_records:
+            return _NO_CHANGES
+        self._log_changes()
+        parts, self._change_log = self._change_log, []
+        if len(parts) == 1:
+            return parts[0]
+        return BlockChanges(*(
+            np.concatenate([getattr(part, name) for part in parts])
+            for name in BlockChange._fields
+        ))
 
     def pending_change_count(self) -> int:
-        return len(self._change_log)
+        return sum(map(len, self._change_log)) + len(self._change_records)
 
     # -- queries used by the engines ----------------------------------------
 
@@ -439,10 +560,10 @@ class World:
         """Vectorized :meth:`set_block`; returns the number of real changes.
 
         One gather reads the old state, one scatter per field writes the
-        new, heightmaps follow, and change-log entries are appended in
-        input order.  No-op writes (same block and aux) are skipped like
-        the scalar path.  Positions must be unique; out-of-bounds y
-        positions are ignored.
+        new, heightmaps follow, and the changes are appended to the log as
+        one segment, in input order.  No-op writes (same block and aux) are
+        skipped like the scalar path.  Positions must be unique;
+        out-of-bounds y positions are ignored.
         """
         xs, ys, zs = _int64(xs), _int64(ys), _int64(zs)
         block_ids = np.asarray(block_ids).astype(np.uint8)
@@ -484,18 +605,15 @@ class World:
             carved = air[y[air] == tops - 1]
             if carved.size:
                 column = slots[carved], lx[carved], lz[carved]
-                cells = arena.gather(
-                    "blocks", *(c[:, None] for c in column),
-                    np.arange(WORLD_HEIGHT),
-                )
+                # Whole columns: one row copy each, no [n, 128] index.
+                cells = arena.gather("blocks", *column)
                 arena.scatter(
                     "heightmap", *column,
                     values=column_tops(cells != Block.AIR),
                 )
         if log:
-            columns = (xs[sel], ys[sel], zs[sel], old, new)
-            self._change_log.extend(
-                map(BlockChange, *(column.tolist() for column in columns))
+            self._log_changes(
+                BlockChanges(xs[sel], ys[sel], zs[sel], old, new)
             )
         return int(sel.size)
 

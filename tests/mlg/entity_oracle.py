@@ -3,7 +3,9 @@ for numpy's per-call floor, verbatim: the oracle of
 ``test_entity_tick_parity.py``.
 
 ``tick_kernel``, ``apply_water_push``, ``count_collisions``, ``reap`` and
-``steer_mobs`` are ``EntityManager`` methods, ``ground_and_loaded_bulk``
+``steer_mobs`` are ``EntityManager`` methods (``reap`` releases slot by
+slot through ``release``, once ``EntityStore.release``, and detaches each
+handle onto its own ``DetachedSlot``), ``ground_and_loaded_bulk``
 is a ``World`` method, ``platform_kills`` a ``SpawnEngine`` method, and
 ``OraclePathFinder`` is A* with its neighbour generator and heuristic
 calls.  (The scalar AI these batched passes replaced is
@@ -31,7 +33,13 @@ from repro.mlg.entity_manager import (
     WATER_PUSH,
     WAYPOINT_REACH,
 )
-from repro.mlg.entity_store import KIND_ITEM, KIND_MOB, KIND_TNT
+from repro.mlg.entity_store import (
+    FIELDS,
+    KIND_FREE,
+    KIND_ITEM,
+    KIND_MOB,
+    KIND_TNT,
+)
 from repro.mlg.pathfinding import (
     _WATER,
     WINDOW_MARGIN,
@@ -95,15 +103,39 @@ def steer_mobs(self, report) -> None:
         store.vz[wander] = np.sin(angle) * WANDER_SPEED
 
 
+class DetachedSlot:
+    """Frozen single-slot copy of a reaped entity's final state.
+
+    Mimics the store's array-attribute shape (``store.x[slot]``) with
+    plain one-element lists, so :class:`Entity` properties need no branch.
+    """
+
+    __slots__ = tuple(name for name, _ in FIELDS)
+
+    def __init__(self, store, slot: int) -> None:
+        for name in self.__slots__:
+            setattr(self, name, [getattr(store, name)[slot]])
+        self.alive = [False]
+
+
+def release(store, slot: int) -> None:
+    """``EntityStore.release``: return one slot to the free list."""
+    store.kind[slot] = KIND_FREE
+    store.alive[slot] = False
+    store.eid[slot] = 0
+    store.live_count -= 1
+    store._free.append(slot)
+
+
 def reap(self) -> None:
     store = self.store
     dead = np.flatnonzero((store.eid != 0) & ~store.alive)
     for slot in dead.tolist():
         handle = self._handles[slot]
-        handle._detach()
+        handle._store, handle._slot = DetachedSlot(store, slot), 0
         del self._entities[handle.eid]
         self._handles[slot] = None
-        store.release(slot)
+        release(store, slot)
     if store.should_compact():
         old_slots = store.compact()
         handles = [None] * store.capacity

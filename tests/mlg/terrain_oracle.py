@@ -5,10 +5,17 @@ batched twins, verbatim: the oracles of ``test_terrain_parity.py`` and
 ``ScalarFluidEngine`` is the old ``FluidEngine(batched=False)``: it pops
 the due cells and updates them one at a time against the live world, each
 scheduling what it wrote as it goes and waking a cleared cell's neighbors
-with six ``get_block`` calls.  ``growth_tick_scalar`` is the old
+with six ``get_block`` calls.  ``DequeCellQueue`` is the fluid queue as a
+``deque`` of ``(x, y, z)`` tuples and a ``set`` of the queued ones, behind
+the packed queue's interface.  ``on_block_changes`` is the observer scan
+as a loop over change records.  ``growth_tick_scalar`` is the old
 ``GrowthEngine.tick_scalar``: every drawn position of every chunk read and
 dispatched in a Python loop.  Nothing here is imported by ``src/``.
 """
+
+from collections import deque
+
+import numpy as np
 
 from repro.mlg.blocks import Block
 from repro.mlg.constants import RANDOM_TICK_SPEED
@@ -19,11 +26,53 @@ from repro.mlg.fluids import (
     WATER_TICK_INTERVAL,
     FluidEngine,
 )
+from repro.mlg.redstone import REDSTONE_TICK_US
 from repro.mlg.workreport import Op, WorkReport
+from repro.mlg.world import pack_cells, unpack_cells
+
+
+class DequeCellQueue:
+    """A fluid queue as a ``deque`` and a ``set`` of ``(x, y, z)``, taking
+    and returning packed keys like the engine's own queue."""
+
+    def __init__(self) -> None:
+        self.queue: deque[tuple[int, int, int]] = deque()
+        self.queued: set[tuple[int, int, int]] = set()
+
+    def __len__(self) -> int:
+        return len(self.queue)
+
+    def push(self, keys) -> None:
+        for cell in zip(*(axis.tolist() for axis in unpack_cells(keys))):
+            if cell not in self.queued:
+                self.queued.add(cell)
+                self.queue.append(cell)
+
+    def pop(self, n: int):
+        cells = [self.queue.popleft() for _ in range(min(n, len(self.queue)))]
+        self.queued.difference_update(cells)
+        return pack_cells(*np.array(cells, dtype=np.int64).reshape(-1, 3).T)
+
+    def cells(self) -> list[tuple[int, int, int]]:
+        return list(self.queue)
 
 
 class ScalarFluidEngine(FluidEngine):
     """:class:`FluidEngine` with the per-cell code paths it used to have."""
+
+    def __init__(self, world, max_updates_per_tick: int = 4096) -> None:
+        super().__init__(world, max_updates_per_tick)
+        self._queue: deque[tuple[int, int, int]] = deque()
+        self._queued: set[tuple[int, int, int]] = set()
+        self._lava_queue: deque[tuple[int, int, int]] = deque()
+        self._lava_queued: set[tuple[int, int, int]] = set()
+
+    @property
+    def pending(self) -> int:
+        return len(self._queue) + len(self._lava_queue)
+
+    def queued_cells(self):
+        return list(self._queue), list(self._lava_queue)
 
     def schedule(self, x: int, y: int, z: int) -> None:
         """Queue a fluid update at a position (idempotent per tick).
@@ -213,6 +262,28 @@ class ScalarFluidEngine(FluidEngine):
             if n_aux == 0 or n_aux > my_level:
                 return True
         return False
+
+
+def on_block_changes(self, changes, now_us: int) -> None:
+    """``RedstoneEngine.on_block_changes`` as a loop over the changes'
+    records and a set of the observers; ``self`` is the engine."""
+    observers = set(
+        zip(*(axis.tolist() for axis in unpack_cells(self._observers)))
+    )
+    if not observers:
+        return
+    for change in changes.records():
+        x, y, z = change.x, change.y, change.z
+        for pos in (
+            (x + 1, y, z),
+            (x - 1, y, z),
+            (x, y + 1, z),
+            (x, y - 1, z),
+            (x, y, z + 1),
+            (x, y, z - 1),
+        ):
+            if pos in observers:
+                self._push(now_us + REDSTONE_TICK_US, "observer_pulse", (pos,))
 
 
 def growth_tick_scalar(self, report: WorkReport) -> int:

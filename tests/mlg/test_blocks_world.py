@@ -1,5 +1,7 @@
 """Tests for the block registry and the chunked voxel world."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +9,14 @@ from hypothesis import strategies as st
 
 from repro.mlg.blocks import BLOCK_SPECS, Block, is_opaque, is_solid, spec
 from repro.mlg.constants import CHUNK_SIZE, WORLD_HEIGHT
-from repro.mlg.world import BlockChange, Chunk, World
+from repro.mlg.world import (
+    BlockChange,
+    BlockChanges,
+    Chunk,
+    World,
+    pack_cells,
+    unpack_cells,
+)
 
 
 class TestBlockRegistry:
@@ -111,12 +120,64 @@ class TestWorld:
         world = World()
         world.set_block(1, 60, 1, Block.STONE)
         world.set_block(1, 60, 1, Block.AIR)
-        changes = world.drain_changes()
+        changes = world.drain_changes().records()
         assert changes == [
             BlockChange(1, 60, 1, Block.AIR, Block.STONE),
             BlockChange(1, 60, 1, Block.STONE, Block.AIR),
         ]
-        assert world.drain_changes() == []
+        assert world.drain_changes().records() == []
+
+    def test_change_log_columns_keep_write_order(self):
+        """Scalar writes, a logged fill and a bulk write, interleaved: the
+        drained columns hold the records the per-cell writes return, in
+        write order."""
+        rng = np.random.default_rng(3)
+        xs = rng.integers(-20, 20, 300)
+        zs = rng.integers(-20, 20, 300)
+        _, first = np.unique(xs * 1000 + zs, return_index=True)
+        xs, zs = xs[np.sort(first)], zs[np.sort(first)]
+        ys = np.full(xs.size, 61)
+        ids = rng.choice([Block.AIR, Block.STONE, Block.SAND], xs.size)
+
+        def writes(world, bulk):
+            """Every write, and what the per-cell version of it returns."""
+            out = [world.set_block(1, 60, 1, Block.STONE)]
+            out.append(world.set_block(-2, 60, 1, Block.DIRT))
+            if bulk:
+                world.fill(-1, 58, 0, 2, 61, 17, Block.SAND, log=True)
+            else:
+                for x in range(-1, 3):
+                    for z in range(0, 18):
+                        for y in range(58, 62):
+                            out.append(world.set_block(x, y, z, Block.SAND))
+            out.append(world.set_block(1, 60, 1, Block.AIR))
+            out.append(world.set_block(5, 70, 5, Block.GLASS, log=False))
+            out.pop()  # not logged
+            if bulk:
+                world.set_blocks_bulk(xs, ys, zs, ids)
+            else:
+                for x, y, z, block in zip(
+                    xs.tolist(), ys.tolist(), zs.tolist(), ids.tolist()
+                ):
+                    out.append(world.set_block(x, y, z, block))
+            out.append(world.set_block(-2, 60, 1, Block.DIRT))  # a no-op
+            out.append(world.set_block(-2, 61, 1, Block.DIRT))
+            return [change for change in out if change is not None]
+
+        world = World()
+        writes(world, bulk=True)
+        expected = writes(World(), bulk=False)
+        assert world.pending_change_count() == len(expected) > 400
+        changes = world.drain_changes()
+        assert isinstance(changes, BlockChanges)
+        assert len(changes) == len(expected)
+        assert changes.records() == expected
+        for name in BlockChange._fields:
+            assert getattr(changes, name).dtype == np.int64, name
+        assert BlockChanges.from_records(expected).records() == expected
+        empty = world.drain_changes()
+        assert len(empty) == 0 and not empty and empty.records() == []
+        assert world.pending_change_count() == 0
 
     def test_noop_set_is_not_logged(self):
         world = World()
@@ -185,6 +246,33 @@ class TestWorld:
         one = world.nbytes
         world.ensure_chunk(1, 0)
         assert world.nbytes == 2 * one
+
+
+class TestCellKeys:
+    def test_packing_is_injective_over_its_range(self):
+        xz = [-(2**23), -(2**23) + 1, -17, -1, 0, 1, 16, 2**23 - 2, 2**23 - 1]
+        ys = [-(2**15), -1, 0, 1, WORLD_HEIGHT, 2**15 - 1]
+        x, y, z = (a.ravel() for a in np.meshgrid(xz, ys, xz, indexing="ij"))
+        keys = pack_cells(x, y, z)
+        assert np.unique(keys).size == keys.size
+        for axis, back in zip((x, y, z), unpack_cells(keys)):
+            np.testing.assert_array_equal(axis, back)
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            (2**23, 60, 0),
+            (-(2**23) - 1, 60, 0),
+            (0, 60, 2**23),
+            (3, 2**15, -4),
+            (3, -(2**15) - 1, -4),
+        ],
+    )
+    def test_a_cell_outside_it_is_refused_by_name(self, cell):
+        # Past the range, x = 2**23 would share -2**23's key.
+        x, y, z = np.array([(5, 60, 5), cell, (6, 60, 6)]).T
+        with pytest.raises(ValueError, match=re.escape(str(cell))):
+            pack_cells(x, y, z)
 
 
 @given(

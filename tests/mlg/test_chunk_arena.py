@@ -249,7 +249,10 @@ class TestGrowthParity:
             == growth_b.rng.bit_generator.state
         )
         assert report_a.counts == report_b.counts
-        assert world_a.drain_changes() == world_b.drain_changes()
+        assert (
+            world_a.drain_changes().records()
+            == world_b.drain_changes().records()
+        )
 
 
 def _ground_below_scalar(world, x, y, z, max_scan=12):
@@ -360,7 +363,11 @@ class TestBulkEqualsScalar:
             if change is not None
         ]
         assert changed == len(expected) > 100
-        assert world.drain_changes() == expected == scalar.drain_changes()
+        assert (
+            world.drain_changes().records()
+            == expected
+            == scalar.drain_changes().records()
+        )
         # Chunks a bulk write has to create appear in packed-key order
         # (cx, then cz as unsigned); the scalar loop created them in input
         # order, so compare contents by key and the creation order apart.

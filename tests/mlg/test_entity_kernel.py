@@ -8,13 +8,14 @@ must work at any scale, and the store's free list / compaction must keep
 handles valid.
 """
 
+import entity_oracle
 import numpy as np
 import pytest
 
 from repro.mlg.blocks import Block
 from repro.mlg.entity import EntityKind
 from repro.mlg.entity_manager import _ITEM_DESPAWN_TICKS, EntityManager
-from repro.mlg.entity_store import MIN_CAPACITY
+from repro.mlg.entity_store import FIELDS, MIN_CAPACITY, FrozenRows
 from repro.mlg.fluids import FluidEngine
 from repro.mlg.workreport import Op, WorkReport
 from repro.mlg.world import World
@@ -361,11 +362,95 @@ class TestStoreInvariants:
         self._reap(mgr)
         assert (newcomer.vx, newcomer.vz) == before, "walked a stale path"
 
-    def test_detached_slot_freezes_every_store_field(self):
-        from repro.mlg.entity import _DetachedSlot
-        from repro.mlg.entity_store import FIELDS
+    def test_reap_copy_freezes_every_store_field(self):
+        mgr, _ = _manager()
+        mobs = [
+            mgr.spawn(EntityKind.MOB, 3.5 + i, 60.0, 3.5) for i in range(6)
+        ]
+        for i, mob in enumerate(mobs):
+            mob.goal, mob.owner, mob.fuse_ticks = (9, 60, i), i, 7 * i
+        store = mgr.store
+        final = {
+            mob.eid: {
+                name: getattr(store, name)[mob._slot].copy()
+                for name, _ in FIELDS
+            }
+            for mob in mobs
+        }
+        dying = [mobs[4], mobs[1], mobs[3]]
+        for mob in dying:
+            mgr.remove(mob)
+        mgr._reap()
+        copy = dying[0]._store
+        assert isinstance(copy, FrozenRows) and copy is not store
+        assert FrozenRows.__slots__ == tuple(name for name, _ in FIELDS)
+        assert sorted(mob._slot for mob in dying) == [0, 1, 2]
+        for mob in dying:
+            assert mob._store is copy
+            for name, _ in FIELDS:
+                value = getattr(copy, name)[mob._slot]
+                expected = False if name == "alive" else final[mob.eid][name]
+                assert value == expected, (mob.eid, name)
+        assert not copy.alive.any()
 
-        assert _DetachedSlot.__slots__ == tuple(name for name, _ in FIELDS)
+    def test_write_through_a_stale_handle_stays_off_the_store(self):
+        mgr, _ = _manager()
+        victim = mgr.spawn(EntityKind.ITEM, 3.0, 61.0, 3.0)
+        slot = victim._slot
+        mgr.remove(victim)
+        self._reap(mgr)
+        newcomer = mgr.spawn(EntityKind.ITEM, 9.0, 70.0, 9.0)
+        assert newcomer._slot == slot
+        before = {name: getattr(mgr.store, name).copy() for name, _ in FIELDS}
+        victim.x, victim.vy, victim.alive = 99.0, 5.0, True
+        victim.goal, victim.stack_count = (1, 2, 3), 40
+        assert (victim.x, victim.vy, victim.goal) == (99.0, 5.0, (1, 2, 3))
+        for name, _ in FIELDS:
+            np.testing.assert_array_equal(
+                getattr(mgr.store, name), before[name], err_msg=name
+            )
+        assert newcomer.x == 9.0 and newcomer.stack_count == 1
+
+    @pytest.mark.parametrize("n, keep", [(40, 30), (MIN_CAPACITY * 8, 8)])
+    def test_batch_reap_is_the_per_slot_release(self, n, keep, monkeypatch):
+        """The free list, the store and (past the compaction threshold)
+        the slot remap equal releasing slot by slot in ascending order."""
+
+        def run(reap):
+            with monkeypatch.context() as patch:
+                patch.setattr(EntityManager, "_reap", reap)
+                mgr, _ = _manager(_flat_world(span=(0, 8)))
+                items = [
+                    mgr.spawn(
+                        EntityKind.ITEM, 1.0 + i % 100, 61.0, 1.0 + i // 100
+                    )
+                    for i in range(n)
+                ]
+                order = np.random.default_rng(4).permutation(n)
+                for i in order[keep:].tolist():
+                    mgr.remove(items[i])
+                mgr._reap()
+                store = mgr.store
+                return {
+                    "capacity": store.capacity,
+                    "live": store.live_count,
+                    "free": list(store._free),
+                    "slots": [item._slot for item in items if item.alive],
+                    "frozen": [(e.eid, e.x, e.alive) for e in items],
+                    "handles": [
+                        None if h is None else h.eid for h in mgr._handles
+                    ],
+                    **{
+                        name: getattr(store, name).tobytes()
+                        for name, _ in FIELDS
+                    },
+                }
+
+        batch, oracle = run(EntityManager._reap), run(entity_oracle.reap)
+        for key in oracle:
+            assert batch[key] == oracle[key], key
+        # The large case grew to n slots and compacted back.
+        assert batch["capacity"] == MIN_CAPACITY
 
     def test_entities_of_skips_dead_unreaped_handles(self):
         mgr, _ = _manager()

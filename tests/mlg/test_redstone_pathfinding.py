@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from terrain_oracle import on_block_changes
 
 from repro.mlg.blocks import Block
 from repro.mlg.pathfinding import PathFinder
@@ -12,7 +13,7 @@ from repro.mlg.redstone import (
     RedstoneEngine,
 )
 from repro.mlg.workreport import Op, WorkReport
-from repro.mlg.world import World
+from repro.mlg.world import BlockChange, BlockChanges, World
 
 
 def _flat_world(ground_y=60):
@@ -234,10 +235,11 @@ class TestWirePropagation:
         engine = RedstoneEngine(world)
         engine.register_observer(5, 61, 5)
         report = WorkReport()
-        from repro.mlg.world import BlockChange
-
         engine.on_block_changes(
-            [BlockChange(5, 60, 5, Block.AIR, Block.STONE)], now_us=0
+            BlockChanges.from_records(
+                [BlockChange(5, 60, 5, Block.AIR, Block.STONE)]
+            ),
+            now_us=0,
         )
         assert engine.pending_events() == 1
         engine.tick(REDSTONE_TICK_US, report)
@@ -246,12 +248,47 @@ class TestWirePropagation:
     def test_no_observers_means_no_overhead(self):
         world = _flat_world()
         engine = RedstoneEngine(world)
-        from repro.mlg.world import BlockChange
-
         engine.on_block_changes(
-            [BlockChange(5, 60, 5, Block.AIR, Block.STONE)] * 100, now_us=0
+            BlockChanges.from_records(
+                [BlockChange(5, 60, 5, Block.AIR, Block.STONE)] * 100
+            ),
+            now_us=0,
         )
         assert engine.pending_events() == 0
+
+    def test_observer_pulses_equal_the_per_change_loop(self, monkeypatch):
+        """Pulses queue change by change, each change's neighbours in
+        ``neighbors6`` order: the heaps hold the same (due, seq, payload)."""
+        rng = np.random.default_rng(9)
+        observers = [(5, 61, 5), (6, 61, 5), (-3, 0, 7), (5, 62, 5), (0, 1, -16)]
+        near = [
+            (x + dx, y + dy, z + dz)
+            for x, y, z in observers
+            for dx, dy, dz in ((1, 0, 0), (0, -1, 0), (0, 0, -1), (0, 1, 0))
+        ]
+        far = rng.integers(-30, 30, size=(40, 3)).tolist()
+        cells = [tuple(near[i]) for i in rng.integers(0, len(near), 60)]
+        cells += [tuple(c) for c in far]
+        rng.shuffle(cells)
+        changes = BlockChanges.from_records(
+            BlockChange(x, y, z, Block.AIR, Block.STONE) for x, y, z in cells
+        )
+        heaps = []
+        for scan in (RedstoneEngine.on_block_changes, on_block_changes):
+            with monkeypatch.context() as patch:
+                patch.setattr(RedstoneEngine, "on_block_changes", scan)
+                engine = RedstoneEngine(_flat_world())
+                engine.add_clock(ClockCircuit(period_us=300_000))
+                for pos in observers + observers[:2]:
+                    engine.register_observer(*pos)
+                engine.on_block_changes(changes, now_us=1_000)
+                engine.on_block_changes(changes, now_us=51_000)
+                heaps.append([
+                    (due, seq, payload)
+                    for due, seq, _, (_, payload) in engine._heap
+                ])
+        assert heaps[0] == heaps[1]
+        assert len(heaps[0]) > 100
 
 
 class TestPathfinding:

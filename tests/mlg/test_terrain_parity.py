@@ -9,7 +9,11 @@ simulation-model change.
 
 import numpy as np
 import pytest
-from terrain_oracle import ScalarFluidEngine, growth_tick_scalar
+from terrain_oracle import (
+    DequeCellQueue,
+    ScalarFluidEngine,
+    growth_tick_scalar,
+)
 
 from repro.mlg.blocks import Block
 from repro.mlg.constants import CHUNK_SIZE, WORLD_HEIGHT
@@ -20,7 +24,7 @@ from repro.mlg.fluids import (
 )
 from repro.mlg.growth import GrowthEngine
 from repro.mlg.workreport import Op, WorkReport
-from repro.mlg.world import World
+from repro.mlg.world import World, pack_cells
 
 
 def _flat_world(ground_y=40, size=3):
@@ -93,11 +97,24 @@ def _scenario_mixed(world: World, fluids: FluidEngine):
     _scenario_lava_pond(world, fluids)
 
 
+def _scenario_origin_spill(world: World, fluids: FluidEngine):
+    """Water and lava spreading across x = 0 and z = 0, where the queue's
+    keys and the write merge's sort keys order cells differently."""
+    world.fill(-16, 38, -16, -1, 39, 47, Block.STONE)
+    world.fill(0, 38, -16, 47, 39, -1, Block.STONE)
+    for pos in ((0, 41, 0), (-1, 41, 3), (2, 41, -1)):
+        world.set_block(*pos, Block.WATER_SOURCE)
+        fluids.schedule(*pos)
+    world.set_block(-5, 41, -5, Block.LAVA)
+    fluids.schedule(-5, 41, -5)
+
+
 FLUID_SCENARIOS = {
     "dam_break": _scenario_dam_break,
     "drain": _scenario_drain,
     "lava_pond": _scenario_lava_pond,
     "mixed": _scenario_mixed,
+    "origin_spill": _scenario_origin_spill,
 }
 
 
@@ -130,17 +147,22 @@ class TestFluidParity:
 
 
 class _ScalarWake(FluidEngine):
-    """The batched engine, waking a cleared cell's neighbors as it used to:
-    cell by cell, six ``get_block`` calls each."""
+    """The batched engine with the ``deque`` + ``set`` queue, waking a
+    cleared cell's neighbors as it used to: cell by cell, six
+    ``get_block`` calls each."""
+
+    def __init__(self, world, max_updates_per_tick=4096):
+        super().__init__(world, max_updates_per_tick)
+        self._water, self._lava = DequeCellQueue(), DequeCellQueue()
 
     def schedule_neighbors_bulk(self, xs, ys, zs):
         for x, y, z in zip(xs, ys, zs):
             for cell in self.world.neighbors6(int(x), int(y), int(z)):
                 block = self.world.get_block(*cell)
                 if block in (Block.WATER_SOURCE, Block.WATER_FLOW):
-                    self._schedule_water([cell])
+                    self._water.push(pack_cells(*np.array([cell]).T))
                 elif block == Block.LAVA:
-                    self._schedule_lava([cell])
+                    self._lava.push(pack_cells(*np.array([cell]).T))
 
 
 class TestFluidQueueSequence:
@@ -160,7 +182,7 @@ class TestFluidQueueSequence:
             queues, report = [], WorkReport()
             for tick in range(0, 1500, WATER_TICK_INTERVAL):
                 fluids.tick(tick, report)
-                queues.append((list(fluids._queue), list(fluids._lava_queue)))
+                queues.append(fluids.queued_cells())
             runs.append((world, queues, report.counts))
         (world_a, queues_a, counts_a), (world_b, queues_b, counts_b) = runs
         assert queues_a == queues_b
@@ -180,14 +202,21 @@ class TestFluidQueueSequence:
             world.fill(11, 41, 9, 11, 43, 13, Block.AIR, log=True)
             world.fill(9, 42, 11, 13, 42, 11, Block.AIR, log=True)
             world.fill(9, 43, 9, 13, 43, 13, Block.AIR, log=True)
-            xs, ys, zs = zip(*((c.x, c.y, c.z) for c in world.drain_changes()))
-            fluids.schedule_neighbors_bulk(xs, ys, zs)
-            return list(fluids._queue), list(fluids._lava_queue)
+            changes = world.drain_changes()
+            fluids.schedule_neighbors_bulk(changes.x, changes.y, changes.z)
+            return fluids.queued_cells()
 
         water, lava = woken(FluidEngine)
         assert (water, lava) == woken(ScalarFluidEngine)
         assert len(water) > 50 and len(lava) > 5
         assert len(set(water)) == len(water)
+
+    def test_an_unpackable_cell_is_refused_not_aliased(self):
+        fluids = FluidEngine(_flat_world())
+        fluids.schedule(-(2**23), 41, 5)
+        with pytest.raises(ValueError, match=r"\(8388608, 41, 5\)"):
+            fluids.schedule(2**23, 41, 5)
+        assert fluids.queued_cells() == ([(-(2**23), 41, 5)], [])
 
 
 class TestGrowthParity:
@@ -263,7 +292,10 @@ class TestSetBlocksBulk:
         # The change log carries the same entries (order may differ
         # between the scalar input order and chunk grouping — it doesn't:
         # bulk appends in input order too).
-        assert world_a.drain_changes() == world_b.drain_changes()
+        assert (
+            world_a.drain_changes().records()
+            == world_b.drain_changes().records()
+        )
 
     def test_carving_several_cells_of_a_column_in_one_call(self):
         """Column tops are rescanned once per write batch: a batch that
@@ -338,7 +370,10 @@ class TestFillVectorized:
             count_b = world_b.fill(*args, Block.TNT, log=log)
             assert count_a == count_b
             _assert_worlds_identical(world_a, world_b)
-            assert world_a.drain_changes() == world_b.drain_changes()
+            assert (
+                world_a.drain_changes().records()
+                == world_b.drain_changes().records()
+            )
 
     def test_air_fill_lowers_heightmap(self):
         world = _flat_world(size=1, ground_y=40)

@@ -80,7 +80,7 @@ class _Rig:
             self.entities.begin_tick()
             self.returned.append(self.tnt.tick(self.report))
             self.entities.tick(self.report)
-            self.changes.extend(self.world.drain_changes())
+            self.changes.extend(self.world.drain_changes().records())
 
     def state(self):
         store = self.entities.store
@@ -90,7 +90,7 @@ class _Rig:
             "heightmaps": [
                 c.heightmap.tobytes() for c in self.world.loaded_chunks()
             ],
-            "changes": self.changes + self.world.drain_changes(),
+            "changes": self.changes + self.world.drain_changes().records(),
             "rng": self.tnt.rng.bit_generator.state,
             "entity_rng": self.entities.rng.bit_generator.state,
             "capacity": store.capacity,
@@ -252,7 +252,7 @@ class TestDetonateEqualsSequential:
             rig.returned.append(
                 rig.tnt.prime_region(*cuboid, fuse_spread=(3, 40))
             )
-            rig.changes.extend(rig.world.drain_changes())
+            rig.changes.extend(rig.world.drain_changes().records())
             rig.peak = 0
             while rig.entities.count(EntityKind.TNT) > idle:
                 rig.run()
