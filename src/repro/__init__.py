@@ -8,7 +8,7 @@ Subpackages:
 * :mod:`repro.cloud` — machine/variability models for AWS, Azure, DAS-5;
 * :mod:`repro.emulation` — Yardstick-style player emulation;
 * :mod:`repro.workloads` — Control, TNT, Farm, Lag, Players;
-* :mod:`repro.core` — the Meterstick harness (config, controller, runner);
+* :mod:`repro.core` — the Meterstick harness (config, runner, retrieval);
 * :mod:`repro.campaign` — matrix campaigns: parallel, resumable, with a
   ``python -m repro`` CLI;
 * :mod:`repro.analysis` — figure/table reproduction helpers.

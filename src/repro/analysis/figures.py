@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cloud.providers import get_environment
+from repro.core.collectors import TickDistribution
 from repro.core.experiment import run_iteration
 from repro.core.results import ExperimentResult, IterationResult
 from repro.metrics import (
@@ -265,18 +266,12 @@ def fig11_tick_distribution(
         for server in SERVERS:
             cell = run_cell(workload, server, "aws-t3.large", duration_s, seed)
             shares = cell.tick_distribution
-            active = {
-                bucket: share
-                for bucket, share in shares.items()
-                if not bucket.startswith("Wait")
-            }
-            total_active = sum(active.values()) or 1.0
+            active = TickDistribution(shares).non_wait_shares()
             result.row(
                 workload=workload,
                 server=server,
                 shares=shares,
-                entity_share_of_non_wait=active.get("Entities", 0.0)
-                / total_active,
+                entity_share_of_non_wait=active.get("Entities", 0.0),
             )
     return result
 

@@ -1,4 +1,4 @@
-"""Deployment-environment models: machines, variability, networks.
+"""Environment models (where a server runs): machines, variability, networks.
 
 Public API::
 

@@ -1,4 +1,4 @@
-"""Deployment environments (§5.1.2): AWS t3, Azure D2v3, and DAS-5.
+"""Evaluation environments (§5.1.2): AWS t3, Azure D2v3, and DAS-5.
 
 Each :class:`Environment` bundles a node type (machine spec) with an
 intra-deployment network model.  Parameters encode the qualitative traits

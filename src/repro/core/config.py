@@ -1,9 +1,11 @@
 """Meterstick configuration (Fig. 5 component 1, Table 4).
 
-All of Table 4's parameters are represented; deployment-oriented ones
-(IPs, SSL keys, ports, JMX endpoints) configure the simulated control
-plane, and experiment-oriented ones (servers, world, bots, duration,
-iterations, scale) configure the runs themselves.
+Table 4's experiment-oriented parameters (servers, world, bots,
+duration, iterations, scale) configure the runs.  Its deployment-oriented
+ones (IPs, SSL keys, ports, JMX endpoints, CPU affinity) have no field:
+servers and bots run in the harness's own processes, so there is no node
+to address or log into.  A field that no running code reads is deleted,
+and a tier-1 test enforces that.
 
 A run knob is declared once, as a dataclass field built with
 :func:`knob`: its default, its doc comment, and in the field metadata
@@ -26,7 +28,6 @@ from repro.workloads import WORKLOADS
 
 __all__ = [
     "AT_LEAST_ONE",
-    "DEFAULT_JMX_PORT_RANGE",
     "MeterstickConfig",
     "NON_NEGATIVE",
     "PORT",
@@ -36,8 +37,6 @@ __all__ = [
     "knob",
     "stable_crc",
 ]
-
-DEFAULT_JMX_PORT_RANGE = (25585, 25635)
 
 
 def stable_crc(*parts: object) -> int:
@@ -189,22 +188,11 @@ class MeterstickConfig(RunKnobs):
     ``environment``.
     """
 
-    # -- deployment (Table 4: IPs, SSL Keys, Ports, JMX, File Locations) --
-    ips: list[str] = field(default_factory=lambda: ["10.0.0.1", "10.0.0.2"])
-    ssl_keys: list[str] = field(default_factory=list)
-    control_port: int = 25555
-    game_port: int = 25565
-    jmx_urls: list[str] = field(default_factory=list)
-    jmx_port_range: tuple[int, int] = DEFAULT_JMX_PORT_RANGE
-    resume: bool = knob(False, fingerprint=False)
-
     # -- systems under test ------------------------------------------------
     servers: list[str] = field(
         default_factory=lambda: ["vanilla", "forge", "papermc"]
     )
     environment: str = "das5-2core"
-    ram_gb: float = knob(4.0, check=POSITIVE, overridable=True)
-    affinity_mask: int = 0xFFFFFFFF
 
     # -- workload (a campaign's matrix axes; not overridable per cell) -----
     world: str = "control"
@@ -240,23 +228,15 @@ class MeterstickConfig(RunKnobs):
                 f"unknown behavior {self.behavior!r}; known: {known}"
             )
         self.check_knobs()
-        lo, hi = self.jmx_port_range
-        if lo > hi:
-            raise ValueError("jmx_port_range must be (low, high)")
 
     # -- serialization -------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["jmx_port_range"] = list(self.jmx_port_range)
-        return data
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "MeterstickConfig":
-        payload = dict(data)
-        if "jmx_port_range" in payload:
-            payload["jmx_port_range"] = tuple(payload["jmx_port_range"])
-        return cls(**payload)
+        return cls(**data)
 
     def iteration_seed(self, server: str, iteration: int) -> int:
         """Deterministic per-(server, iteration) seed.

@@ -40,7 +40,7 @@ from repro.tracing.tracer import NULL_TRACER, NullTracer, Tracer
 
 __all__ = ["MLGServer"]
 
-#: Autosave interval (simulated seconds) — feeds the disk-I/O metric.
+#: Default autosave interval (simulated seconds) — feeds the disk-I/O metric.
 AUTOSAVE_INTERVAL_S = 45.0
 
 #: Every Nth autosave is a full flush (the save-all tick spike) when
@@ -152,6 +152,7 @@ class MLGServer:
         self._next_client_id = 1
         self._had_clients = False
         self._pending_join_work: WorkReport | None = None
+        self._autosave_interval_us = s_to_us(autosave_interval_s)
         self._last_autosave_us = 0
         #: Cumulative bytes "written to disk" by the legacy (no-store)
         #: autosave model; real region IO is accounted by the lifecycle.
@@ -283,7 +284,7 @@ class MLGServer:
         if self.lifecycle is not None and self.lifecycle.store is not None:
             return
         now = self.clock.now_us
-        if now - self._last_autosave_us >= s_to_us(AUTOSAVE_INTERVAL_S):
+        if now - self._last_autosave_us >= self._autosave_interval_us:
             new = set(self.world.dirty_keys())
             if self.lifecycle is None:
                 for key in new:

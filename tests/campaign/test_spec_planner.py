@@ -78,6 +78,8 @@ class TestSpec:
             small_spec(overrides=[{"where": {"nope": 1}, "set": {}}])
         with pytest.raises(ValueError):
             small_spec(overrides=[{"where": {}, "set": {"ips": []}}])
+        with pytest.raises(ValueError, match="ram_gb"):
+            small_spec(overrides=[{"where": {}, "set": {"ram_gb": 8}}])
 
     def test_cell_identity_fields_not_overridable(self):
         """Axis fields and seed define job ids; patching them would desync

@@ -1,17 +1,8 @@
-"""Tests for the configuration (Table 4) and controller protocol (Table 1)."""
+"""Tests for the configuration (Table 4)."""
 
 import pytest
 
-from repro.core import (
-    ControlClient,
-    ControlError,
-    ControlServer,
-    Deployment,
-    Message,
-    MessageType,
-    MeterstickConfig,
-    Transport,
-)
+from repro.core import MeterstickConfig
 
 
 class TestConfig:
@@ -22,14 +13,13 @@ class TestConfig:
         assert config.duration_s == 60.0
         assert config.iterations == 1
         assert config.scale == 1.0
-        assert config.ram_gb == 4.0
 
     def test_table4_parameters_exist(self):
+        # Table 4's experiment parameters; its deployment ones (IPs, keys,
+        # ports, JMX) have no counterpart in an in-process harness.
         config = MeterstickConfig()
         for attribute in (
-            "ips", "ssl_keys", "servers", "world", "output_dir", "resume",
-            "control_port", "game_port", "jmx_urls", "jmx_port_range",
-            "ram_gb", "affinity_mask", "number_of_bots", "behavior",
+            "servers", "world", "output_dir", "number_of_bots", "behavior",
             "duration_s", "iterations", "scale",
         ):
             assert hasattr(config, attribute), attribute
@@ -55,8 +45,6 @@ class TestConfig:
             MeterstickConfig(number_of_bots=-1)
         with pytest.raises(ValueError):
             MeterstickConfig(scale=-1.0)
-        with pytest.raises(ValueError):
-            MeterstickConfig(jmx_port_range=(100, 50))
 
     def test_round_trip_serialization(self):
         config = MeterstickConfig(world="tnt", iterations=3, seed=42)
@@ -70,135 +58,3 @@ class TestConfig:
         c = config.iteration_seed("forge", 0)
         assert len({a, b, c}) == 3
         assert config.iteration_seed("vanilla", 0) == a
-
-
-class TestMessages:
-    def test_all_table1_messages_exist(self):
-        expected = {
-            "set_server", "set_jmx", "iter", "initialize", "log_start",
-            "log_stop", "stop_server", "connect", "convert", "ok",
-            "keep_alive", "err", "exit",
-        }
-        assert set(MessageType.ALL) == expected
-
-    def test_encode_decode_roundtrip(self):
-        message = Message(MessageType.SET_SERVER, "papermc")
-        assert message.encode() == "set_server:papermc"
-        decoded = Message.decode("set_server:papermc")
-        assert decoded.type == MessageType.SET_SERVER
-        assert decoded.payload == "papermc"
-
-    def test_payloadless_encoding(self):
-        assert Message(MessageType.INITIALIZE).encode() == "initialize"
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ValueError):
-            Message("reboot")
-
-
-class TestControlPlane:
-    def _pair(self, role="M", name="m-node"):
-        client = ControlClient(name, role, Transport())
-        server = ControlServer()
-        server.register(client)
-        return server, client
-
-    def test_command_ack_roundtrip(self):
-        server, client = self._pair()
-        reply = server.command("m-node", MessageType.SET_SERVER, "forge")
-        assert reply == ""
-        assert client.state["server"] == "forge"
-
-    def test_wrong_destination_errors(self):
-        server, client = self._pair(role="Y", name="y-node")
-        with pytest.raises(ControlError, match="not valid for role"):
-            server.command("y-node", MessageType.INITIALIZE)
-
-    def test_handler_exception_becomes_err(self):
-        server, client = self._pair()
-
-        def broken(payload):
-            raise RuntimeError("disk full")
-
-        client.on(MessageType.INITIALIZE, broken)
-        with pytest.raises(ControlError, match="disk full"):
-            server.command("m-node", MessageType.INITIALIZE)
-
-    def test_missing_handler_errors(self):
-        server, client = self._pair()
-        with pytest.raises(ControlError, match="no handler"):
-            server.command("m-node", MessageType.LOG_START)
-
-    def test_exit_marks_worker(self):
-        server, client = self._pair()
-        server.command("m-node", MessageType.EXIT)
-        assert client.exited
-
-    def test_keep_alive_is_silent(self):
-        server, client = self._pair()
-        server.keep_alive_all()
-        assert not client.transport.to_controller  # no ok for keepalive
-
-    def test_invalid_role_rejected(self):
-        with pytest.raises(ValueError):
-            ControlClient("x", "Z", Transport())
-
-    def test_full_iteration_sequence(self):
-        server = ControlServer()
-        mlg = ControlClient("m-node", "M", Transport())
-        bots = ControlClient("y-node", "Y", Transport())
-        server.register(mlg)
-        server.register(bots)
-        calls = []
-        for worker, message in (
-            (mlg, MessageType.INITIALIZE),
-            (mlg, MessageType.LOG_START),
-            (mlg, MessageType.LOG_STOP),
-            (mlg, MessageType.STOP_SERVER),
-            (bots, MessageType.CONNECT),
-            (bots, MessageType.CONVERT),
-        ):
-            worker.on(
-                message,
-                lambda payload, m=message, w=worker.name: calls.append((w, m)),
-            )
-        server.run_iteration_sequence(
-            "papermc", 2, "m-node", ["y-node"], jmx_url="jmx://host:25585"
-        )
-        assert mlg.state == {
-            "server": "papermc", "jmx": "jmx://host:25585", "iteration": "2"
-        }
-        assert bots.state["iteration"] == "2"
-        assert ("y-node", MessageType.CONNECT) in calls
-        assert calls.index(("m-node", MessageType.LOG_START)) < calls.index(
-            ("y-node", MessageType.CONNECT)
-        )
-        assert calls[-1] == ("y-node", MessageType.CONVERT)
-        server.shutdown()
-        assert mlg.exited and bots.exited
-
-
-class TestDeployment:
-    def test_deploys_one_mlg_node_and_workers(self):
-        config = MeterstickConfig(ips=["10.0.0.1", "10.0.0.2", "10.0.0.3"])
-        deployment = Deployment(config)
-        controller = deployment.deploy()
-        assert deployment.mlg_node.role == "M"
-        assert len(deployment.emulation_nodes) == 2
-        assert len(controller.workers) == 3
-
-    def test_software_bundles(self):
-        config = MeterstickConfig(ips=["10.0.0.1", "10.0.0.2"])
-        deployment = Deployment(config)
-        deployment.deploy()
-        assert "metric-externalizer" in deployment.mlg_node.installed
-        assert "player-emulation" in deployment.emulation_nodes[0].installed
-
-    def test_requires_two_ips(self):
-        with pytest.raises(ValueError, match="at least two IPs"):
-            Deployment(MeterstickConfig(ips=["10.0.0.1"]))
-
-    def test_access_before_deploy_raises(self):
-        deployment = Deployment(MeterstickConfig())
-        with pytest.raises(RuntimeError):
-            _ = deployment.mlg_node

@@ -1,15 +1,5 @@
 """Failure-injection tests: the harness under adverse conditions."""
 
-import numpy as np
-import pytest
-
-from repro.core import (
-    ControlClient,
-    ControlError,
-    ControlServer,
-    MessageType,
-    Transport,
-)
 from repro.core.experiment import run_iteration
 from repro.core.results import ExperimentResult, IterationResult
 from repro.mlg.blocks import Block
@@ -73,36 +63,6 @@ class TestClientChurn:
         # run_for starts the loop again, but the crash flag stays visible.
         assert server.crash_reason == "test crash"
         assert isinstance(records, list)
-
-
-class TestControllerFaults:
-    def test_error_mid_sequence_propagates(self):
-        controller = ControlServer()
-        mlg = ControlClient("m", "M", Transport())
-        controller.register(mlg)
-
-        def fail(payload):
-            raise RuntimeError("jvm oom")
-
-        mlg.on(MessageType.INITIALIZE, fail)
-        with pytest.raises(ControlError, match="jvm oom"):
-            controller.run_iteration_sequence("vanilla", 0, "m", [])
-
-    def test_unacknowledged_worker_detected(self):
-        controller = ControlServer()
-        client = ControlClient("m", "M", Transport())
-        controller.register(client)
-        # Sabotage: swallow the queue so no ack is produced.
-        client.transport.to_worker.clear()
-
-        class DeadTransport(Transport):
-            pass
-
-        client.transport = DeadTransport()
-        with pytest.raises(ControlError):
-            # process_one sees no message -> no reply queued.
-            controller.command("m", MessageType.KEEP_ALIVE)
-            controller.command("m", MessageType.INITIALIZE)
 
 
 class TestResultRobustness:

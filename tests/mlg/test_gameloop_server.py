@@ -33,7 +33,7 @@ class FixedMachine:
         return max(1, int(work_us * self.slowdown))
 
 
-def _server(variant="vanilla", machine=None, flat=True, seed=0):
+def _server(variant="vanilla", machine=None, flat=True, seed=0, **kwargs):
     if flat:
         world = World()
         for cx in range(-1, 3):
@@ -44,7 +44,7 @@ def _server(variant="vanilla", machine=None, flat=True, seed=0):
     else:
         world = World(generator=TerrainGenerator(seed=1))
     return MLGServer(
-        variant, machine or FixedMachine(), world=world, seed=seed
+        variant, machine or FixedMachine(), world=world, seed=seed, **kwargs
     )
 
 
@@ -200,6 +200,20 @@ class TestServerIntrospection:
         server.world.set_block(1, 61, 1, Block.STONE)
         server.run_for(46.0)  # past the 45 s autosave interval
         assert server.disk_bytes_written > 0
+
+    @pytest.mark.parametrize("max_loaded_chunks", [None, 500])
+    def test_autosave_keeps_the_configured_interval(self, max_loaded_chunks):
+        # Without a world_dir the synthetic model charges on the interval
+        # the server was built with, not on the 45 s default — with no
+        # lifecycle and with a storeless (eviction-only) one.
+        server = _server(
+            autosave_interval_s=5.0, max_loaded_chunks=max_loaded_chunks
+        )
+        server.world.set_block(1, 61, 1, Block.STONE)
+        server.run_for(4.9)
+        assert server.disk_bytes_written == 0
+        server.run_for(0.2)
+        assert server.disk_bytes_written == 4096
 
     def test_variant_resolution_by_string(self):
         server = _server("minecraft")

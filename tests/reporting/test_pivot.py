@@ -100,21 +100,3 @@ class TestBuildPivot:
         html = build_pivot(data, PivotSpec(value="isr")).to_html()
         assert "&lt;x&gt;" in html
         assert '<td class="num">1.000</td>' in html
-
-
-class TestVisualizationFold:
-    def test_core_exports_the_reporting_renderers(self):
-        # One code path: the names ``repro.core`` exports are
-        # reporting.text's own objects, so ASCII output is bit-identical
-        # by construction.
-        import repro.core as core
-        import repro.reporting.text as text
-
-        for name in (
-            "ascii_boxplot",
-            "ascii_timeseries",
-            "format_table",
-            "write_csv_series",
-            "write_csv_rows",
-        ):
-            assert getattr(core, name) is getattr(text, name), name

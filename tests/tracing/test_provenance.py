@@ -55,14 +55,13 @@ class TestFingerprint:
 
     def test_measurement_config_strips_location_and_worker_fields(self):
         config = MeterstickConfig(
-            duration_s=3.0, output_dir="somewhere/else", resume=True
+            duration_s=3.0, output_dir="somewhere/else", world_dir="w"
         ).to_dict()
         stripped = measurement_config(config)
         for field in (
             "output_dir",
             "world_dir",
             "world_cache_dir",
-            "resume",
         ):
             assert field not in stripped
         assert stripped["duration_s"] == 3.0
@@ -70,7 +69,7 @@ class TestFingerprint:
     def test_fingerprint_ignores_storage_location(self):
         base = MeterstickConfig(duration_s=3.0).to_dict()
         moved = MeterstickConfig(
-            duration_s=3.0, output_dir="elsewhere", resume=True
+            duration_s=3.0, output_dir="elsewhere", world_dir="w"
         ).to_dict()
         assert (
             provenance_fingerprint(measurement_config(base))["fingerprint"]

@@ -5,6 +5,7 @@ and everything said about it — default, check, overridable, fingerprint
 that compared hand-kept copies), and pin the input the measurement
 fingerprint is fed to what the parent commit fed it."""
 
+import ast
 import dataclasses
 import json
 from pathlib import Path
@@ -16,6 +17,7 @@ from repro.core.config import MeterstickConfig, RunKnobs
 from repro.tracing.provenance import measurement_config
 
 ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "repro"
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_measurement_config.json").read_text()
 )
@@ -23,7 +25,7 @@ GOLDEN = json.loads(
 #: The fields that locate storage, size the worker pool or shape
 #: presentation; every other field is part of the fingerprint.
 EXCLUDED = {
-    "output_dir", "world_dir", "world_cache_dir", "jobs", "resume", "output",
+    "output_dir", "world_dir", "world_cache_dir", "jobs", "output",
 }
 
 
@@ -77,7 +79,7 @@ class TestKnobDeclarations:
     def test_overridable_fields_are_config_fields_outside_cell_identity(self):
         assert _OVERRIDABLE_FIELDS == {
             "duration_s", "iterations", "warm_machines",
-            "inter_iteration_gap_s", "ram_gb", "retain_raw",
+            "inter_iteration_gap_s", "retain_raw",
             "autosave_interval_s", "autosave_flush_every",
             "max_loaded_chunks", "trace", "trace_sample_every",
             "slow_tick_factor", "transport", "wire_port",
@@ -91,6 +93,25 @@ class TestKnobDeclarations:
             "behavior", "seed",
         }
         assert _OVERRIDABLE_FIELDS & identity == set()
+
+    def test_every_config_field_is_read_by_running_code(self):
+        # A field only its declaration, its validation or the spec's
+        # forward mentions configures nothing: delete it instead.  The
+        # read must be off a ``config`` or ``spec`` object, so that a
+        # same-named attribute of another class (a hosting plan's
+        # ``ram_gb``) does not count.
+        declaring = {SRC / "core" / "config.py", SRC / "campaign" / "spec.py"}
+        read = {
+            node.attr
+            for path in SRC.rglob("*.py")
+            if path not in declaring
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and ast.unparse(node.value).rsplit(".", 1)[-1]
+            in ("config", "spec")
+        }
+        assert field_names(MeterstickConfig) - read == set()
 
     def test_every_check_is_a_predicate_with_its_wording(self):
         for cls in (MeterstickConfig, CampaignSpec):
