@@ -16,7 +16,7 @@ Usage (also via the ``repro`` console script)::
     python -m repro clients --port 25570 -n 25
     python -m repro world prepare worlds/control --workload control
     python -m repro world inspect worlds/control
-    python -m repro lint src --baseline
+    python -m repro lint src
 
 ``run``/``resume`` take a campaign spec file (YAML or JSON);
 ``status``/``export``/``trace`` take either a spec file or a campaign
@@ -25,11 +25,12 @@ the region-file world directories used for warm boots and persistence
 runs.  ``trace export`` renders a traced campaign (spec ``trace: true``)
 as Chrome trace-event JSON, loadable in Perfetto or ``chrome://tracing``.
 ``lint`` runs the static invariant checkers (:mod:`repro.lint`) that
-guard the determinism and accounting conventions the bit-identity
-claims rest on.  ``serve``/``clients`` split one cell across real TCP
-sockets: ``serve`` runs a cell's server chain behind the asyncio wire
-front end (writing the standard manifest/sidecar/shard artifacts), and
-``clients`` ramps emulated players against it from a separate process.
+guard the determinism, RNG-threading and transport conventions the
+bit-identity claims rest on.  ``serve``/``clients`` split one cell
+across real TCP sockets: ``serve`` runs a cell's server chain behind the
+asyncio wire front end (writing the standard manifest/sidecar/shard
+artifacts), and ``clients`` ramps emulated players against it from a
+separate process.
 """
 
 from __future__ import annotations

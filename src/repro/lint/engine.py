@@ -1,11 +1,11 @@
 """The lint engine: one AST walk per file, checkers subscribe by node type.
 
 Flow: collect files → parse → per-file visit pass (every checker sees
-the nodes it subscribed to, in one walk) → pragma suppression →
-pragma-hygiene findings → stable sort.  Every finding belongs to the
-file it was found in; nothing is imported or executed and no file is
-read for another's sake.  Output is byte-deterministic: no timestamps,
-no absolute paths, no dict-order dependence.
+the nodes it subscribed to, in one walk) → stable sort.  A file that
+does not parse is an error, not a finding.  Every finding belongs to
+the file it was found in; nothing is imported or executed and no file
+is read for another's sake.  Output is byte-deterministic: no
+timestamps, no absolute paths, no dict-order dependence.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ import ast
 from pathlib import Path, PurePosixPath
 
 from repro.lint.findings import Finding, sort_findings
-from repro.lint.pragmas import PRAGMA_RULE, Pragma, scan_pragmas
 from repro.lint.rules import ALL_CHECKERS, ORDER_SAFE_SINKS, Checker
 
-__all__ = ["FileContext", "LintEngine", "lint_paths"]
+__all__ = ["FileContext", "lint_paths"]
 
 
 class FileContext:
@@ -140,137 +139,58 @@ class FileContext:
         return False
 
 
-class LintEngine:
-    """Run the checker suite over a set of paths."""
+def _collect_files(root: Path, paths: list[Path]) -> list[Path]:
+    files: set[Path] = set()
+    for path in paths:
+        path = path if path.is_absolute() else root / path
+        if path.is_dir():
+            files.update(
+                p for p in path.rglob("*.py") if "__pycache__" not in p.parts
+            )
+        elif path.is_file():
+            files.add(path)
+        else:
+            raise FileNotFoundError(f"no such file or directory: {path}")
+    return sorted(files)
 
-    def __init__(self, root: Path, checkers=ALL_CHECKERS) -> None:
-        self.root = root.resolve()
-        self.checker_classes = checkers
 
-    # -- file collection ----------------------------------------------------
-
-    def collect_files(self, paths: list[Path]) -> list[Path]:
-        files: set[Path] = set()
-        for path in paths:
-            path = path if path.is_absolute() else self.root / path
-            if path.is_dir():
-                files.update(
-                    p
-                    for p in path.rglob("*.py")
-                    if "__pycache__" not in p.parts
-                )
-            elif path.is_file():
-                files.add(path)
-            else:
-                raise FileNotFoundError(f"no such file or directory: {path}")
-        return sorted(files)
-
-    def rel_path(self, path: Path) -> str:
-        try:
-            relative = path.resolve().relative_to(self.root)
-        except ValueError:
-            relative = path
-        return str(PurePosixPath(relative))
-
-    # -- the run ------------------------------------------------------------
-
-    def run(self, paths: list[Path]) -> list[Finding]:
-        files = self.collect_files(paths)
-        checkers: list[Checker] = [cls() for cls in self.checker_classes]
-        dispatch: dict[type, list[Checker]] = {}
-        for checker in checkers:
-            for node_type in checker.interests:
-                dispatch.setdefault(node_type, []).append(checker)
-
-        per_file: list[tuple[str, list[Finding], dict[int, Pragma]]] = []
-        for path in files:
-            rel = self.rel_path(path)
-            source = path.read_text()
-            pragmas = scan_pragmas(source)
-            try:
-                tree = ast.parse(source, filename=rel)
-            except SyntaxError as exc:
-                per_file.append(
-                    (
-                        rel,
-                        [
-                            Finding(
-                                rule=PRAGMA_RULE,
-                                severity="error",
-                                path=rel,
-                                line=exc.lineno or 1,
-                                col=(exc.offset or 0) + 1,
-                                message=f"syntax error: {exc.msg}",
-                            )
-                        ],
-                        pragmas,
-                    )
-                )
-                continue
-            ctx = FileContext(rel, tree)
-            applicable = {
-                id(checker): checker.applies_to(rel) for checker in checkers
-            }
-            for node in ast.walk(tree):
-                for checker in dispatch.get(type(node), ()):
-                    if applicable[id(checker)]:
-                        checker.visit(node, ctx)
-            per_file.append((rel, ctx.findings, pragmas))
-
-        return self._apply_pragmas(per_file)
-
-    def _apply_pragmas(
-        self,
-        per_file: list[tuple[str, list[Finding], dict[int, Pragma]]],
-    ) -> list[Finding]:
-        """Suppress pragma'd findings, then report pragma hygiene."""
-        kept: list[Finding] = []
-        for rel, found, pragmas in per_file:
-            for finding in found:
-                pragma = pragmas.get(finding.line)
-                if pragma is not None and pragma.allows(finding.rule):
-                    pragma.used.add(finding.rule)
-                    continue
-                kept.append(finding)
-            for line in sorted(pragmas):
-                pragma = pragmas[line]
-                if not pragma.justification:
-                    kept.append(
-                        Finding(
-                            rule=PRAGMA_RULE,
-                            severity="warning",
-                            path=rel,
-                            line=pragma.line,
-                            col=pragma.col,
-                            message=(
-                                "pragma without a justification — say *why* "
-                                "this line is allowed to break "
-                                f"{', '.join(pragma.rules)}"
-                            ),
-                        )
-                    )
-                unused = [r for r in pragma.rules if r not in pragma.used]
-                if unused:
-                    kept.append(
-                        Finding(
-                            rule=PRAGMA_RULE,
-                            severity="warning",
-                            path=rel,
-                            line=pragma.line,
-                            col=pragma.col,
-                            message=(
-                                f"unused pragma: {', '.join(unused)} never "
-                                "fired on this line — remove the allowance"
-                            ),
-                        )
-                    )
-        return sort_findings(kept)
+def _rel_path(root: Path, path: Path) -> str:
+    try:
+        relative = path.resolve().relative_to(root)
+    except ValueError:
+        relative = path
+    return str(PurePosixPath(relative))
 
 
 def lint_paths(
     paths: list[str | Path], root: str | Path | None = None
 ) -> list[Finding]:
-    """Convenience wrapper: lint ``paths`` under ``root`` (default cwd)."""
-    root_path = Path(root) if root is not None else Path.cwd()
-    engine = LintEngine(root_path)
-    return engine.run([Path(p) for p in paths])
+    """Lint ``paths`` (files or directories) under ``root`` (default cwd).
+
+    Paths are reported relative to ``root`` and the rules are scoped by
+    them.  Raises :class:`FileNotFoundError` for a missing path and
+    :class:`ValueError` naming ``path:line`` for a file that does not
+    parse.
+    """
+    root_path = (Path(root) if root is not None else Path.cwd()).resolve()
+    checkers: list[Checker] = [cls() for cls in ALL_CHECKERS]
+    findings: list[Finding] = []
+    for path in _collect_files(root_path, [Path(p) for p in paths]):
+        rel = _rel_path(root_path, path)
+        try:
+            tree = ast.parse(path.read_text(), filename=rel)
+        except SyntaxError as exc:
+            raise ValueError(
+                f"{rel}:{exc.lineno or 1}: syntax error: {exc.msg}"
+            ) from None
+        dispatch: dict[type, list[Checker]] = {}
+        for checker in checkers:
+            if checker.applies_to(rel):
+                for node_type in checker.interests:
+                    dispatch.setdefault(node_type, []).append(checker)
+        ctx = FileContext(rel, tree)
+        for node in ast.walk(tree):
+            for checker in dispatch.get(type(node), ()):
+                checker.visit(node, ctx)
+        findings.extend(ctx.findings)
+    return sort_findings(findings)

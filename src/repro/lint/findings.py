@@ -1,31 +1,16 @@
 """Lint findings: the one value type every checker produces.
 
-A finding pins a rule violation to ``path:line:col`` with a severity and
-a human message.  Output is byte-deterministic by construction: findings
-are stable-sorted, renders carry no timestamps, and the JSON schema is
-round-trippable (:func:`render_json` / :func:`findings_from_json`), so
-the reporting layer can later embed lint status in HTML reports.
+A finding pins a rule violation to ``path:line:col`` with a human
+message; every rule is an error.  Output is byte-deterministic by
+construction: findings are stable-sorted and the render carries no
+timestamps.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
-__all__ = [
-    "SEVERITIES",
-    "Finding",
-    "findings_from_json",
-    "render_json",
-    "render_text",
-    "sort_findings",
-]
-
-#: JSON output schema identifier (bump on incompatible changes).
-JSON_SCHEMA = "repro-lint-findings/v1"
-
-#: Recognized severities, most severe first.
-SEVERITIES = ("error", "warning")
+__all__ = ["Finding", "render_text", "sort_findings"]
 
 
 @dataclass(frozen=True)
@@ -33,34 +18,16 @@ class Finding:
     """One rule violation at one source location."""
 
     rule: str
-    severity: str
     path: str
     line: int
     col: int
     message: str
 
-    def __post_init__(self) -> None:
-        if self.severity not in SEVERITIES:
-            raise ValueError(
-                f"severity must be one of {SEVERITIES}: {self.severity!r}"
-            )
-
     def sort_key(self) -> tuple[str, int, int, str, str]:
         return (self.path, self.line, self.col, self.rule, self.message)
 
-    def suppression_key(self) -> tuple[str, str, str]:
-        """Identity used by the committed baseline.
-
-        Deliberately line/col-free: unrelated edits above a baselined
-        finding must not resurrect it.
-        """
-        return (self.rule, self.path, self.message)
-
     def to_text(self) -> str:
-        return (
-            f"{self.path}:{self.line}:{self.col}: {self.rule} "
-            f"[{self.severity}] {self.message}"
-        )
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
 
 def sort_findings(findings: list[Finding]) -> list[Finding]:
@@ -69,36 +36,7 @@ def sort_findings(findings: list[Finding]) -> list[Finding]:
 
 
 def render_text(findings: list[Finding]) -> str:
-    """The ``--format text`` render: one line per finding + a summary."""
+    """One line per finding, then the count."""
     lines = [finding.to_text() for finding in sort_findings(findings)]
-    n_errors = sum(1 for f in findings if f.severity == "error")
-    n_warnings = len(findings) - n_errors
-    lines.append(
-        f"{len(findings)} finding(s): {n_errors} error(s), "
-        f"{n_warnings} warning(s)"
-    )
+    lines.append(f"{len(findings)} finding(s)")
     return "\n".join(lines) + "\n"
-
-
-def render_json(findings: list[Finding]) -> str:
-    """The ``--format json`` render (schema documented in the README)."""
-    document = {
-        "schema": JSON_SCHEMA,
-        "count": len(findings),
-        "errors": sum(1 for f in findings if f.severity == "error"),
-        "warnings": sum(1 for f in findings if f.severity == "warning"),
-        "findings": [asdict(f) for f in sort_findings(findings)],
-    }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
-def findings_from_json(text: str) -> list[Finding]:
-    """Parse a :func:`render_json` document back into findings."""
-    document = json.loads(text)
-    schema = document.get("schema")
-    if schema != JSON_SCHEMA:
-        raise ValueError(
-            f"unsupported lint findings schema {schema!r}; "
-            f"expected {JSON_SCHEMA!r}"
-        )
-    return [Finding(**raw) for raw in document["findings"]]

@@ -9,13 +9,13 @@ sidecars the executor streams per iteration).
 
 Layers (bottom up):
 
-- :mod:`repro.telemetry.accumulators` — Welford moments, P² quantile,
-  mergeable quantile sketch, ring-buffer tails, and the per-metric
-  composite :class:`MetricAccumulator`.
+- :mod:`repro.telemetry.accumulators` — Welford moments, mergeable
+  quantile sketch, ring-buffer tails, and the per-metric composite
+  :class:`MetricAccumulator`.
 - :mod:`repro.telemetry.windowed` — :class:`WindowedSeries`: per-window
   CoV and the warmup→steady-state change point.
 - :mod:`repro.telemetry.bus` — :class:`TelemetryBus`: named metric
-  streams plus synchronous pub/sub.
+  streams, each with an optional windowed view.
 - :mod:`repro.telemetry.tap` — :class:`ServerTelemetry`: the per-server
   tick tap (streaming ISR, Fig. 11 bucket totals, overload fraction).
 
@@ -25,7 +25,6 @@ once; its docstring carries the metric → paper figure/table map.
 
 from repro.telemetry.accumulators import (
     MetricAccumulator,
-    P2Quantile,
     QuantileSketch,
     RingBuffer,
     WelfordAccumulator,
@@ -36,7 +35,6 @@ from repro.telemetry.windowed import WindowedSeries, WindowSummary
 
 __all__ = [
     "MetricAccumulator",
-    "P2Quantile",
     "QuantileSketch",
     "RingBuffer",
     "ServerTelemetry",

@@ -11,13 +11,10 @@ The building blocks:
     Exact streaming moments (count/mean/variance) via Welford's update,
     mergeable with Chan's parallel formula.  Merging is order-insensitive
     and agrees with single-stream accumulation to float rounding.
-``P2Quantile``
-    The classic P² estimator (Jain & Chlamtac 1985): one quantile from
-    five markers, no samples stored.
 ``QuantileSketch``
-    A mergeable streaming histogram (Ben-Haim & Tom-Toub style) in the
-    same constant-memory family as P²; answers *any* quantile, so one
-    sketch serves p25/p50/p75/p95/p99 at once.
+    A mergeable constant-memory streaming histogram (Ben-Haim &
+    Tom-Tov style); answers *any* quantile, so one sketch serves
+    p25/p50/p75/p95/p99 at once.
 ``RingBuffer``
     Fixed-capacity recent-tail store for live timeseries views.
 ``MetricAccumulator``
@@ -29,14 +26,13 @@ The building blocks:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left
 from functools import reduce
 from itertools import repeat
 from operator import add, itemgetter, sub
 
 __all__ = [
     "MetricAccumulator",
-    "P2Quantile",
     "QuantileSketch",
     "RingBuffer",
     "WelfordAccumulator",
@@ -112,91 +108,6 @@ class WelfordAccumulator:
         acc.mean = float(data["mean"])
         acc.m2 = float(data["m2"])
         return acc
-
-
-class P2Quantile:
-    """One streaming quantile via the P² algorithm — five markers, no data.
-
-    Until five observations arrive the exact order statistic is returned;
-    after that the markers move by piecewise-parabolic interpolation.
-    """
-
-    __slots__ = ("q", "_heights", "_positions", "_desired", "_increments")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q!r}")
-        self.q = q
-        self._heights: list[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    @property
-    def count(self) -> int:
-        if len(self._heights) < 5:
-            return len(self._heights)
-        return int(self._positions[4])
-
-    def update(self, value: float) -> None:
-        heights = self._heights
-        if len(heights) < 5:
-            insort(heights, value)
-            return
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = bisect_right(heights, value) - 1
-        positions = self._positions
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # Adjust the three interior markers.
-        for i in (1, 2, 3):
-            d = self._desired[i] - positions[i]
-            if (d >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
-                d <= -1.0 and positions[i - 1] - positions[i] < -1.0
-            ):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step)
-            * (h[i + 1] - h[i])
-            / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step)
-            * (h[i] - h[i - 1])
-            / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    def value(self) -> float:
-        """Current estimate (exact until five observations)."""
-        heights = self._heights
-        if not heights:
-            raise ValueError("no observations yet")
-        if len(heights) < 5:
-            rank = self.q * (len(heights) - 1)
-            lo = int(rank)
-            hi = min(lo + 1, len(heights) - 1)
-            return heights[lo] + (rank - lo) * (heights[hi] - heights[lo])
-        return heights[2]
 
 
 class QuantileSketch:

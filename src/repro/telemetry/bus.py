@@ -1,37 +1,29 @@
 """The push-based metric bus: named streams of bounded-memory telemetry.
 
 Producers ``publish(name, value)``; the bus routes each observation into
-that metric's :class:`~repro.telemetry.accumulators.MetricAccumulator`,
-into an optional :class:`~repro.telemetry.windowed.WindowedSeries`
-(attached with :meth:`TelemetryBus.watch`), and to any subscribers.
-Everything is synchronous and deterministic — the bus adds no threads
-and no wall-clock reads, so runs stay bit-identical however telemetry is
-consumed.
+that metric's :class:`~repro.telemetry.accumulators.MetricAccumulator`
+and into an optional :class:`~repro.telemetry.windowed.WindowedSeries`
+(attached with :meth:`TelemetryBus.watch`).  Everything is synchronous
+and deterministic — the bus adds no threads and no wall-clock reads, so
+runs stay bit-identical however telemetry is consumed.
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable
 
 from repro.telemetry.accumulators import MetricAccumulator
 from repro.telemetry.windowed import WindowedSeries
 
 __all__ = ["TelemetryBus"]
 
-#: Subscriber signature: (metric_name, value) -> None.
-Subscriber = Callable[[str, float], None]
-
 
 class TelemetryBus:
-    """Registry of streaming metrics plus a synchronous pub/sub fan-out."""
+    """Registry of streaming metrics and their windowed views."""
 
     def __init__(self, tail_size: int = 256, max_bins: int = 64) -> None:
         self.tail_size = tail_size
         self.max_bins = max_bins
         self._metrics: dict[str, MetricAccumulator] = {}
         self._windows: dict[str, WindowedSeries] = {}
-        self._counters: dict[str, float] = {}
-        self._subscribers: list[tuple[str | None, Subscriber]] = []
 
     # -- registration -------------------------------------------------------
 
@@ -68,10 +60,6 @@ class TelemetryBus:
             self.metric(name)
         return series
 
-    def subscribe(self, fn: Subscriber, name: str | None = None) -> None:
-        """Call ``fn(name, value)`` on every publish (or only ``name``'s)."""
-        self._subscribers.append((name, fn))
-
     # -- publishing ---------------------------------------------------------
 
     def publish(self, name: str, value: float) -> None:
@@ -79,36 +67,9 @@ class TelemetryBus:
         series = self._windows.get(name)
         if series is not None:
             series.update(value)
-        for only, fn in self._subscribers:
-            if only is None or only == name:
-                fn(name, value)
-
-    def count(self, name: str, amount: float = 1.0) -> None:
-        """Bump a plain counter (no distribution tracking)."""
-        self._counters[name] = self._counters.get(name, 0.0) + amount
 
     # -- reading ------------------------------------------------------------
 
     @property
     def metric_names(self) -> list[str]:
         return sorted(self._metrics)
-
-    def counter(self, name: str) -> float:
-        return self._counters.get(name, 0.0)
-
-    def window(self, name: str) -> WindowedSeries | None:
-        return self._windows.get(name)
-
-    def snapshot(self, include_tails: bool = False) -> dict:
-        """One JSON-able dict of every metric, window, and counter."""
-        return {
-            "metrics": {
-                name: acc.snapshot(include_tail=include_tails)
-                for name, acc in sorted(self._metrics.items())
-            },
-            "windows": {
-                name: series.snapshot()
-                for name, series in sorted(self._windows.items())
-            },
-            "counters": dict(sorted(self._counters.items())),
-        }

@@ -1,10 +1,9 @@
 """True-negative twin of transport_bad: the allowed boundary imports,
-a non-mlg import, a relative import, and one pragma'd reach-in."""
+a non-mlg import, and a relative import."""
 
 import numpy as np
 
 from repro.mlg import protocol
-from repro.mlg.server import MLGServer  # lint: allow[MSL007] type-only reference for a docs example
 from repro.mlg.transport import ServerSession, as_transport
 
 from .behavior import make_behavior

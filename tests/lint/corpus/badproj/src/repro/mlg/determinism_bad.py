@@ -22,4 +22,5 @@ def hazards(world_dir):
     for cell in {(0, 0), (1, 1)}:
         print(cell)
     order = [name for name in set(names)]
-    return started, stamp, roll, jitter, names, regions, order
+    walked = [n for _, _, ns in os.walk(world_dir) for n in ns]
+    return started, stamp, roll, jitter, names, regions, order, walked

@@ -1,15 +1,14 @@
-"""True-negative twin of determinism_bad: every hazard made safe, one
-via pragma, the rest via order-insensitive sinks."""
+"""True-negative twin of determinism_bad: every hazard made safe via an
+order-insensitive sink or a seeded generator."""
 
 import os
-import time
+import random
 from pathlib import Path
 
 from repro.mlg.world import World  # mlg files import each other freely
 
 
 def safe(world_dir):
-    started = time.time()  # lint: allow[MSL001] operator-log wall stamp, never enters simulation
     names = sorted(os.listdir(world_dir))
     for path in sorted(Path(world_dir).iterdir()):
         print(path)
@@ -19,4 +18,9 @@ def safe(world_dir):
     for cell in sorted({(0, 0), (1, 1)}):
         print(cell)
     count = len(os.listdir(world_dir))
-    return started, names, stems, count
+    walked = sorted(n for _, _, ns in os.walk(world_dir) for n in ns)
+    return names, stems, count, walked
+
+
+def seeded_stdlib(seed):
+    return random.Random(seed)

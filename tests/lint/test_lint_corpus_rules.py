@@ -1,15 +1,18 @@
 """Corpus tests: each rule fires on its known-bad fixture and stays
-quiet on the pragma'd/allowlisted twin.
+quiet on the safe twin.
 
 The fixture under ``corpus/`` is a mini project tree that mirrors the
 real ``src/repro/...`` layout, so path scoping (MSL001, MSL007) resolves
 exactly as it does on the real tree — the engine just gets a different
-``root``.
+``root``.  ``corpus/<tree>.findings.txt`` pins each tree's full finding
+list.
 """
 
 from pathlib import Path
 
-from repro.lint import lint_paths
+import pytest
+
+from repro.lint import lint_paths, render_text
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -39,19 +42,22 @@ class TestMSL001Determinism:
         assert "os.listdir()" in messages
         assert ".iterdir()" in messages
         assert "glob.glob()" in messages
+        assert "os.walk()" in messages
         assert "iteration over a set expression" in messages
         assert "comprehension over a set expression" in messages
-        assert len(found) == 9
+        assert len(found) == 10
 
-    def test_quiet_on_sorted_sinks_and_pragma(self):
+    def test_quiet_on_sorted_sinks_and_seeded_stdlib_rng(self):
         findings = lint_project("badproj")
         assert findings_in(findings, "determinism_ok.py") == []
 
     def test_does_not_police_non_simulation_paths(self):
         # rng_bad.py lives under core/ — MSL001 is scoped out there even
-        # though it calls numpy.random.seed (MSL006's business).
+        # though it calls numpy.random.seed (MSL006's business), and a
+        # provenance wall-clock stamp under core/ is no finding at all.
         findings = lint_project("badproj")
         assert findings_in(findings, "rng_bad.py", "MSL001") == []
+        assert findings_in(findings, "stamp_ok.py") == []
 
 
 class TestMSL006RngDiscipline:
@@ -80,7 +86,7 @@ class TestMSL007TransportLayering:
         assert "'repro.mlg.world'" in messages
         assert len(found) == 4  # import, from-mlg, and 2 from-submodule
 
-    def test_quiet_on_boundary_imports_and_pragma(self):
+    def test_quiet_on_boundary_imports(self):
         findings = lint_project("badproj")
         assert findings_in(findings, "transport_ok.py") == []
 
@@ -89,3 +95,11 @@ class TestMSL007TransportLayering:
         # only src/repro/emulation/.
         findings = lint_project("badproj")
         assert findings_in(findings, "determinism_ok.py", "MSL007") == []
+
+
+@pytest.mark.parametrize("tree", ["badproj"])
+def test_full_finding_list_is_pinned(tree):
+    # Rule, path, line, col and message of every finding: a dropped,
+    # moved or reworded finding fails here.
+    expected = (CORPUS / f"{tree}.findings.txt").read_text()
+    assert render_text(lint_project(tree)) == expected

@@ -1,8 +1,8 @@
 """Accuracy and merge-property tests for the streaming accumulators.
 
-The quantile sketch and P² estimator are checked against
-``numpy.percentile`` on uniform, lognormal, and bimodal inputs with
-tolerance bands scaled to each distribution's p1–p99 range; Welford
+The quantile sketch is checked against ``numpy.percentile`` on
+uniform, lognormal, and bimodal inputs with tolerance bands scaled to
+each distribution's p1–p99 range; Welford
 merging is property-tested to be order-insensitive and to agree with
 single-stream accumulation.
 """
@@ -14,7 +14,6 @@ import pytest
 
 from repro.telemetry import (
     MetricAccumulator,
-    P2Quantile,
     QuantileSketch,
     RingBuffer,
     WelfordAccumulator,
@@ -90,32 +89,6 @@ class TestQuantileSketchAccuracy:
         for q in (0.25, 0.5, 0.95):
             assert clone.quantile(q) == sketch.quantile(q)
         assert clone.count == sketch.count
-
-
-class TestP2Quantile:
-    @pytest.mark.parametrize("dist", ["uniform", "lognormal", "bimodal"])
-    @pytest.mark.parametrize("q", [0.5, 0.95])
-    def test_accuracy(self, dist, q):
-        data = _distributions()[dist]
-        p2 = P2Quantile(q)
-        for value in data:
-            p2.update(value)
-        true = float(np.percentile(data, q * 100))
-        spread = float(np.percentile(data, 99) - np.percentile(data, 1))
-        tol = 0.5 * spread if (dist == "bimodal" and q == 0.5) else 0.03 * spread
-        assert abs(p2.value() - true) <= tol
-
-    def test_small_samples_are_exact(self):
-        p2 = P2Quantile(0.5)
-        for value in (5.0, 1.0, 3.0):
-            p2.update(value)
-        assert p2.value() == 3.0
-
-    def test_invalid_quantile_rejected(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.5)
 
 
 class TestWelfordMergeProperties:
