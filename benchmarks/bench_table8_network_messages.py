@@ -58,7 +58,7 @@ def test_table8_network_messages(benchmark, out_dir):
     # PaperMC's Farm share drops below vanilla's (item merging + batched
     # entity sends).  The paper measures a much larger gap (47.5% vs
     # 91.7%); our simulator reproduces the direction, not the magnitude —
-    # recorded as a known deviation in EXPERIMENTS.md.
+    # listed under README's *Known deviations*.
     papermc_farm = cells[("farm", "papermc")]
     vanilla_farm = cells[("farm", "vanilla")]
     assert papermc_farm["message_share_pct"] < vanilla_farm[
@@ -82,8 +82,8 @@ def test_table8_network_messages(benchmark, out_dir):
 
     # PaperMC sends a smaller entity byte share on the steady workloads
     # (under TNT its faster ticks advance the chain further, which evens
-    # the byte comparison out — a simulator artifact noted in
-    # EXPERIMENTS.md).
+    # the byte comparison out — a simulator artifact listed under
+    # README's *Known deviations*).
     for workload in ("control", "farm"):
         assert (
             cells[(workload, "papermc")]["byte_share_pct"]

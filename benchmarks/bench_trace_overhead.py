@@ -2,7 +2,7 @@
 
 Two artifacts:
 
-* what full-rate tracing (``trace_sample_every=1``) adds to a tick over
+* what tracing (every tick traced) adds to a tick over
   the default ``trace=False`` path: an absolute host cost in µs per tick
   from paired, interleaved same-seed blocks, reported with its interval
   and an untraced-vs-untraced noise floor, and held to a budget (the
@@ -43,7 +43,7 @@ REPORT_DIR = OUT_DIR / "report"
 #: Ticks per timed block, and paired blocks per measurement.
 BLOCK_TICKS = 25
 BLOCKS = 30
-#: Host time full-rate tracing may add to a tick.  An absolute bound: the
+#: Host time tracing may add to a tick.  An absolute bound: the
 #: tracer's work per tick is fixed (≈40 µs when this was set), so bounding
 #: it as a share of the tick would tighten every time the simulation gets
 #: cheaper.  The run fails only if the whole interval lies above it.
@@ -63,7 +63,6 @@ def _server(trace: bool, seed: int = 17):
         clock=SimClock(),
         seed=seed,
         trace=trace,
-        trace_sample_every=1,
     )
     swarm = BotSwarm(server, env.network, np.random.default_rng(seed ^ 0x5EED))
     workload.install(server, swarm)
@@ -107,7 +106,7 @@ def _paired_cost(trace_b: bool) -> tuple[list[float], object, object]:
 
 
 def test_trace_overhead(benchmark, out_dir):
-    """Full-rate tracing costs a bounded, absolute amount of host time per
+    """Tracing costs a bounded, absolute amount of host time per
     tick and leaves the measurement itself untouched."""
 
     def measure():
@@ -130,22 +129,22 @@ def test_trace_overhead(benchmark, out_dir):
         ["off - off (noise floor), median", f"{null_median:+.1f} us/tick"],
         ["  95% interval", f"[{null_low:+.1f}, {null_high:+.1f}] us/tick"],
         ["budget", f"{TRACE_BUDGET_US_PER_TICK:.0f} us/tick"],
-        ["ticks sampled", f"{trace_snapshot['ticks_sampled']}"],
+        ["ticks traced", f"{trace_snapshot['ticks_seen']}"],
         ["phase accumulators", f"{len(trace_snapshot['phases'])}"],
         ["tick records bit-identical", f"{identical}"],
     ]
     text = format_table(["metric", "value"], rows)
     text += (
-        "\n\nexpected: tens of microseconds per tick at full sampling,"
+        "\n\nexpected: tens of microseconds per tick with every tick traced,"
         " with the noise-floor interval straddling zero; identical tick"
         " records — the tracer observes simulated cost, it never prices"
         " its own bookkeeping."
     )
     write_artifact("trace_overhead.txt", text)
     assert identical, "tracing perturbed the measurement"
-    assert trace_snapshot["ticks_sampled"] > 0
+    assert trace_snapshot["ticks_seen"] > 0
     assert low <= TRACE_BUDGET_US_PER_TICK, (
-        f"full-rate tracing costs [{low:.1f}, {high:.1f}] us/tick,"
+        f"tracing costs [{low:.1f}, {high:.1f}] us/tick,"
         f" budget {TRACE_BUDGET_US_PER_TICK:.0f}"
     )
 

@@ -1,9 +1,9 @@
-"""Streaming telemetry demo: long runs in O(1) memory, live statistics.
+"""Streaming telemetry demo: live statistics beside the series they summarize.
 
-Runs one iteration with ``retain_raw=False`` — no per-tick lists are
-kept anywhere — and prints the streaming statistics that replace them:
-exact moments and ISR, sketched quantiles, per-window CoV, and the
-warmup→steady-state boundary.
+Runs one iteration and prints what the streaming tap folded tick by tick
+— exact moments and ISR, sketched quantiles, per-window CoV, and the
+warmup→steady-state boundary — next to the same statistics computed
+from the raw tick series the iteration also keeps.
 
 Usage::
 
@@ -22,30 +22,32 @@ def main() -> None:
     duration_s = float(sys.argv[4]) if len(sys.argv) > 4 else 120.0
 
     result = run_iteration(
-        workload,
-        server,
-        environment,
-        duration_s=duration_s,
-        seed=42,
-        retain_raw=False,
+        workload, server, environment, duration_s=duration_s, seed=42
     )
-    assert result.tick_durations_ms == []  # nothing retained...
     tick = result.telemetry["tick"]
     snap = tick["tick_ms"]
     windows = tick["windows"]
+    raw = result.tick_stats()
 
     print(f"{workload}/{server} on {environment}, {duration_s:.0f}s:")
-    print(f"  ticks observed   {tick['ticks']}")
-    print(f"  isr (streaming)  {tick['isr']:.4f}")
+    print(f"  {'':16} {'streaming':>10} {'raw series':>10}")
+    rows = [
+        ("ticks", tick["ticks"], len(result.tick_durations_ms)),
+        ("isr", tick["isr"], result.isr),
+        ("mean ms", snap["mean"], raw["mean"]),
+        ("std ms", snap["std"], raw["std"]),
+        ("p50 ms", snap["p50"], raw["median"]),
+        ("p95 ms", snap["p95"], raw["p95"]),
+        ("max ms", snap["max"], raw["max"]),
+    ]
+    for label, streamed, exact in rows:
+        print(f"  {label:16} {streamed:>10.4g} {exact:>10.4g}")
+    over = sum(t > 50.0 for t in result.tick_durations_ms)
     print(
-        "  tick_ms          "
-        f"mean={snap['mean']:.2f} std={snap['std']:.2f} cov={snap['cov']:.3f}"
+        f"  {'>50ms ticks %':16} {100 * snap['frac_over_budget']:>10.4g} "
+        f"{100 * over / len(result.tick_durations_ms):>10.4g}"
     )
-    print(
-        "  quantiles        "
-        f"p50={snap['p50']:.1f} p95={snap['p95']:.1f} p99={snap['p99']:.1f}"
-    )
-    print(f"  >50ms ticks      {100 * snap['frac_over_budget']:.1f}%")
+    print("  (quantiles stream from a sketch; the rest is exact)")
     if windows["steady"]:
         print(
             f"  steady state     after {windows['warmup_samples']} ticks "

@@ -2,7 +2,8 @@
 
 Values are read from the paper's text and figures (approximate where only a
 plot is given).  The benchmark harness prints these beside the measured
-values; EXPERIMENTS.md records both.  We reproduce *shapes* (orderings,
+values; README's *Known deviations* (under *Simulation fidelity*) lists
+where they part.  We reproduce *shapes* (orderings,
 rough factors, crossovers), not absolute JVM-on-EC2 milliseconds.
 """
 

@@ -2,7 +2,8 @@
 
 Each ``fig*``/``table*`` function runs the experiments behind one figure or
 table of the paper's evaluation and returns a plain-data summary that the
-benchmark harness renders and EXPERIMENTS.md records.  Durations and
+benchmark harness renders (README's *Known deviations*, under
+*Simulation fidelity*, lists where they miss the paper).  Durations and
 iteration counts are parameters so the checked-in benchmarks can run
 reduced-scale versions (`METERSTICK_FULL=1` restores paper scale).
 """

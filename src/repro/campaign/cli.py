@@ -406,56 +406,18 @@ def _watch_status(
     interval_s: float,
     max_refreshes: int | None = None,
 ) -> int:
-    """``status --watch``: redraw until interrupted.
+    """``status --watch``: redraw one-shot ``status`` until interrupted.
 
-    One :class:`~repro.campaign.store.SidecarFollower` lives across
-    refreshes, remembering a byte offset per sidecar file — each poll
-    reads only the lines appended since the previous one (O(new lines)),
-    where one-shot ``status`` re-tails every sidecar per invocation.
-    ``max_refreshes`` bounds the loop for tests.
+    Each refresh is ``store.status()``, which tail-reads every sidecar in
+    O(jobs).  ``max_refreshes`` bounds the loop for tests.
     """
     import time
 
-    from repro.campaign.store import SidecarFollower
-
-    follower = SidecarFollower(store)
     refreshes = 0
     try:
         while True:
-            follower.poll()
-            jobs = sorted(store.manifest_jobs(), key=lambda j: j.index)
-            done = store.completed_ids()
-            entries = []
-            for job in jobs:
-                latest = follower.latest.get(job.job_id)
-                is_done = job.job_id in done
-                entries.append(
-                    {
-                        "job_id": job.job_id,
-                        "cell": job.cell.key(),
-                        "state": (
-                            "done"
-                            if is_done
-                            else ("running" if latest else "pending")
-                        ),
-                        "iterations_done": (
-                            int(latest.get("iteration", -1)) + 1
-                            if latest
-                            else 0
-                        ),
-                        "telemetry": latest,
-                    }
-                )
-            status = {
-                "total": len(jobs),
-                "completed": len(done & {job.job_id for job in jobs}),
-                "running": sum(
-                    1 for entry in entries if entry["state"] == "running"
-                ),
-                "jobs": entries,
-            }
             print(
-                "\x1b[2J\x1b[H" + _status_frame(spec, store, status),
+                "\x1b[2J\x1b[H" + _status_frame(spec, store, store.status()),
                 flush=True,
             )
             refreshes += 1

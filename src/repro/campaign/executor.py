@@ -99,20 +99,16 @@ def open_campaign(
         for job_id in sorted(completed):
             try:
                 store.load_job(job_id)
-            except (ValueError, TypeError, KeyError):
+            except ValueError:
                 completed.discard(job_id)
                 print(f"resume: shard of job {job_id} does not parse; "
                       "it is pending again", flush=True)
         manifest = store.read_manifest()
         if manifest is not None:
-            recorded = manifest["spec"]
-            try:
-                # Normalize older manifests: fields added to the spec
-                # since (e.g. retain_raw) pick up their defaults
-                # instead of reading as spurious changes.
-                recorded = CampaignSpec.from_dict(recorded).to_dict()
-            except (TypeError, ValueError):
-                pass
+            # Normalize older manifests: fields added to the spec since
+            # pick up their defaults instead of reading as spurious
+            # changes, and a field since removed is refused by name.
+            recorded = CampaignSpec.from_dict(manifest["spec"]).to_dict()
             _ensure_spec_unchanged(recorded, spec.to_dict(), store.root)
     # The manifest carries the campaign's provenance fingerprint —
     # the only timestamped one: shards and sidecars must stay

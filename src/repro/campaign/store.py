@@ -167,11 +167,16 @@ class JobStore:
         return path
 
     def load_job(self, job_id: str) -> list[IterationResult] | None:
+        """The job's iterations, ``None`` without a shard; a shard that
+        does not parse into them raises ``ValueError`` naming its path."""
         path = self.shard_path(job_id)
         if not path.exists():
             return None
-        payload = json.loads(path.read_text())
-        return list(map(IterationResult.from_dict, payload["iterations"]))
+        try:
+            payload = json.loads(path.read_text())
+            return list(map(IterationResult.from_dict, payload["iterations"]))
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
+            raise ValueError(f"{path}: damaged job shard: {exc!r}") from None
 
     def completed_ids(self) -> set[str]:
         """Every job with a shard file, whole or not (``status`` polls)."""

@@ -11,9 +11,8 @@ Both collectors now ride the streaming telemetry layer
 (:mod:`repro.telemetry`): the externalizer's Fig. 11 distribution comes
 from bucket totals the game loop folds once per tick (instead of
 re-walking every ``TickRecord`` per call), and the system collector keeps
-per-metric accumulators so its summary needs O(1) memory.  The raw
-``samples`` list is only retained when the server runs with
-``retain_raw=True`` (the default, and what the figure pipeline uses).
+per-metric accumulators for its summary and sidecar snapshot, beside
+the raw ``samples`` list the figure pipeline reads.
 """
 
 from __future__ import annotations
@@ -114,24 +113,18 @@ class SystemMetricsCollector:
     """Samples system metrics at 2 Hz of simulated time.
 
     Summaries come from streaming accumulators; the raw ``samples`` list
-    is kept only when ``retain_raw`` is on (defaulting to the server's
-    own ``retain_raw`` flag), so long runs do not grow collector memory.
+    keeps every sample.
     """
 
-    def __init__(self, server: MLGServer, retain_raw: bool | None = None) -> None:
+    def __init__(self, server: MLGServer) -> None:
         self.server = server
-        self.retain_raw = (
-            server.retain_raw if retain_raw is None else retain_raw
-        )
         self.samples: list[SystemSample] = []
         self._next_sample_us = server.clock.now_us
         self._last_cpu_used = 0.0
         self._last_wall = 0.0
         self._gc_phase = 0.0
-        self._count = 0
         self._cpu = MetricAccumulator("cpu_utilization", tail_size=128)
         self._memory = MetricAccumulator("memory_bytes", tail_size=128)
-        self._last_sample: SystemSample | None = None
 
     def maybe_sample(self) -> int:
         """Take all due samples; returns how many were taken.
@@ -191,19 +184,16 @@ class SystemMetricsCollector:
             )
 
     def _observe(self, sample: SystemSample) -> None:
-        self._count += 1
         self._cpu.update(sample.cpu_utilization)
         self._memory.update(sample.memory_bytes)
-        self._last_sample = sample
-        if self.retain_raw:
-            self.samples.append(sample)
+        self.samples.append(sample)
 
     # -- summaries ---------------------------------------------------------------
 
     def summary(self) -> dict[str, float]:
-        if self._count == 0:
+        if not self.samples:
             return {}
-        last = self._last_sample
+        last = self.samples[-1]
         return {
             "cpu_mean": self._cpu.mean,
             "cpu_max": self._cpu.maximum,
@@ -213,13 +203,13 @@ class SystemMetricsCollector:
             "disk_write_bytes": float(last.disk_write_bytes),
             "net_sent_bytes": float(last.net_sent_bytes),
             "net_recv_bytes": float(last.net_recv_bytes),
-            "samples": float(self._count),
+            "samples": float(len(self.samples)),
         }
 
     def snapshot(self, include_tails: bool = False) -> dict:
         """Streaming per-metric snapshot (for telemetry sidecars)."""
         return {
-            "samples": self._count,
+            "samples": len(self.samples),
             "cpu_utilization": self._cpu.snapshot(include_tail=include_tails),
             "memory_bytes": self._memory.snapshot(include_tail=include_tails),
         }

@@ -114,9 +114,6 @@ class RunKnobs:
     )
     #: TCP port the wire front end binds (0 = OS-assigned ephemeral).
     wire_port: int = knob(0, check=PORT, overridable=True)
-    #: Pack per-tick entity moves into batched wire frames instead of one
-    #: padded packet per modeled move.
-    wire_batch_flush: bool = knob(True, overridable=True)
 
     # -- world persistence & chunk streaming -------------------------------
     #: Live world directory (region files; autosave writes, reloads read).
@@ -143,9 +140,6 @@ class RunKnobs:
     #: default; untraced runs are bit-identical with the pre-tracing
     #: simulation (the tracer hooks are no-ops).
     trace: bool = knob(False, overridable=True)
-    #: Capture span trees on every Nth tick (1 = all).  The flight
-    #: recorder watches every tick regardless of sampling.
-    trace_sample_every: int = knob(1, check=AT_LEAST_ONE, overridable=True)
     #: A tick is an anomaly when its wall duration exceeds this multiple
     #: of the 50 ms budget.
     slow_tick_factor: float = knob(3.0, check=POSITIVE, overridable=True)
@@ -168,10 +162,6 @@ class RunKnobs:
     inter_iteration_gap_s: float = knob(20.0, overridable=True)
     #: Start cloud machines with drained burst credits (warm VMs).
     warm_machines: bool = knob(False, overridable=True)
-    #: Keep raw per-tick/per-sample lists (the figure pipeline needs
-    #: them).  ``False`` runs with O(1) telemetry memory per metric —
-    #: summaries and sidecar telemetry are streamed either way.
-    retain_raw: bool = knob(True, overridable=True)
 
     def check_knobs(self) -> None:
         """Raise ``ValueError`` on the first field failing its check."""

@@ -95,8 +95,8 @@ class SwarmDrive:
             system.maybe_sample()
             if server.crashed:
                 break
-        # Bots streamed every probe through the tap as it completed; the
-        # raw per-bot lists exist only when the server retained them.
+        # Bots streamed every probe through the tap as it completed and
+        # kept it in their raw per-bot lists.
         return fleet.response_times_ms(), {}
 
 
@@ -132,14 +132,12 @@ def _iterate(
         world=world,
         clock=clock,
         seed=seed,
-        retain_raw=config.retain_raw,
         world_dir=world_dir,
         world_cache_dir=config.world_cache_dir,
         autosave_interval_s=config.autosave_interval_s,
         autosave_flush_every=config.autosave_flush_every,
         max_loaded_chunks=config.max_loaded_chunks,
         trace=config.trace,
-        trace_sample_every=config.trace_sample_every,
         slow_tick_factor=config.slow_tick_factor,
     )
     fleet = drive.fleet(server, env.network, seed)
@@ -192,9 +190,7 @@ def _iterate(
         iteration=iteration,
         seed=seed,
         duration_s=config.duration_s,
-        tick_durations_ms=(
-            externalizer.tick_durations_ms() if config.retain_raw else []
-        ),
+        tick_durations_ms=externalizer.tick_durations_ms(),
         response_times_ms=response_times,
         tick_distribution=externalizer.tick_distribution().shares,
         packet_counts=dict(stats.counts),
@@ -237,8 +233,8 @@ def run_iteration(
     iterations; fresh ones are created when omitted.  ``world_dir`` is
     this iteration's live world directory — an existing one is booted
     from, which is how a saved world is reloaded.  ``knobs`` are
-    :class:`MeterstickConfig` fields by name (``retain_raw``,
-    ``world_cache_dir``, ``max_loaded_chunks``, ``trace``, ...), with the
+    :class:`MeterstickConfig` fields by name (``world_cache_dir``,
+    ``max_loaded_chunks``, ``trace``, ...), with the
     config's defaults and checks.
     """
     config = MeterstickConfig(

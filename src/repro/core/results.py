@@ -17,43 +17,13 @@ from repro.mlg.constants import TICK_BUDGET_MS
 __all__ = ["IterationResult", "ExperimentResult"]
 
 
-def _stats_from_snapshot(snap: dict) -> dict[str, float]:
-    """Summary-stats dict from a streaming metric snapshot.
-
-    Mirrors the key names of :func:`repro.metrics.stats.summarize` where
-    the streaming state can supply them (quantiles come from the sketch,
-    so they are estimates rather than exact order statistics).
-    """
-    stats = {
-        "count": float(snap.get("count", 0)),
-        "mean": snap.get("mean", 0.0),
-        "std": snap.get("std", 0.0),
-        "min": snap.get("min", 0.0),
-        "p25": snap.get("p25", 0.0),
-        "median": snap.get("p50", 0.0),
-        "p75": snap.get("p75", 0.0),
-        "p95": snap.get("p95", 0.0),
-        "p99": snap.get("p99", 0.0),
-        "max": snap.get("max", 0.0),
-    }
-    for key, value in snap.items():
-        if key.startswith("frac_over_"):
-            stats[key.replace("frac_over_", "frac_")] = value
-    mean = stats["mean"]
-    stats["max_over_mean"] = (
-        stats["max"] / mean if mean > 0 else float("inf")
-    )
-    return stats
-
-
 @dataclass
 class IterationResult:
     """All measurements from one (server, iteration) run.
 
-    ``tick_durations_ms``/``response_times_ms`` hold the raw series when
-    the run retained them (``retain_raw=True``, the default); with
-    ``retain_raw=False`` they are empty and every derived statistic falls
-    back to the streaming ``telemetry`` snapshot instead.
+    ``tick_durations_ms``/``response_times_ms`` hold the raw series every
+    derived statistic is computed from; ``telemetry`` holds the streaming
+    snapshot of the same run.
     """
 
     server: str
@@ -90,29 +60,15 @@ class IterationResult:
 
     @property
     def isr(self) -> float:
-        """Instability Ratio of this iteration's tick trace (Equation 1).
-
-        Computed from the raw trace when retained; otherwise the exact
-        streaming ISR folded tick by tick during the run.
-        """
-        if self.tick_durations_ms:
-            return instability_ratio(self.tick_durations_ms, TICK_BUDGET_MS)
-        return float(self.telemetry.get("tick", {}).get("isr", 0.0))
+        """Instability Ratio of this iteration's tick trace (Equation 1)."""
+        return instability_ratio(self.tick_durations_ms, TICK_BUDGET_MS)
 
     def tick_stats(self) -> dict[str, float]:
-        if self.tick_durations_ms:
-            return summarize(self.tick_durations_ms)
-        snap = self.telemetry.get("tick", {}).get("tick_ms")
-        if not snap:
-            return summarize(self.tick_durations_ms)  # raises, as before
-        return _stats_from_snapshot(snap)
+        return summarize(self.tick_durations_ms)
 
     def response_stats(self) -> dict[str, float] | None:
         if self.response_times_ms:
             return summarize(self.response_times_ms)
-        snap = self.telemetry.get("response_ms")
-        if snap and snap.get("count"):
-            return _stats_from_snapshot(snap)
         return None
 
     def to_dict(self) -> dict:

@@ -125,14 +125,12 @@ def retrieve(result: ExperimentResult, output_dir: str | Path) -> Path:
     subdir = _series_subdir(result)
     for it in result.iterations:
         series_dir = output_dir / subdir(it)
-        # retain_raw=False runs carry no raw series; their summaries come
-        # from the telemetry snapshot and land in summary.csv only.
-        if it.tick_durations_ms:
-            write_csv_series(
-                series_dir / f"iter{it.iteration}_ticks.csv",
-                "tick_duration_ms",
-                it.tick_durations_ms,
-            )
+        write_csv_series(
+            series_dir / f"iter{it.iteration}_ticks.csv",
+            "tick_duration_ms",
+            it.tick_durations_ms,
+        )
+        # A run whose bots completed no probe has no response series.
         if it.response_times_ms:
             write_csv_series(
                 series_dir / f"iter{it.iteration}_responses.csv",

@@ -69,8 +69,7 @@ class EmulatedPlayer:
         #: probe_id -> send timestamp (µs).
         self._pending_probes: dict[int, int] = {}
         #: Completed probe response times, in milliseconds.  Every sample
-        #: also streams through the session's measurement plane; this raw
-        #: list is only kept when raw series are retained.
+        #: also streams through the session's measurement plane.
         self.response_times_ms: list[float] = []
         # Real clients chat during the join sequence; the first probe goes
         # out immediately, so it samples the connect-time chunk-loading
@@ -103,8 +102,7 @@ class EmulatedPlayer:
             if sent_at is not None:
                 response_ms = (delivery.delivered_at_us - sent_at) / 1000.0
                 self.session.record_response_ms(response_ms)
-                if self.session.retain_raw:
-                    self.response_times_ms.append(response_ms)
+                self.response_times_ms.append(response_ms)
 
     def _maybe_move(self, now_us: int) -> None:
         target = self.behavior.next_move(self.x, self.z, self.rng)

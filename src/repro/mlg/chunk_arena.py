@@ -355,7 +355,7 @@ class ChunkArena:
             return getattr(self._pages[0], field).take(flat)
         page_of, local = np.divmod(flat, self._page_slots * _VOXEL_CELLS)
         out = np.empty(flat.shape, _VOXELS[1])
-        for p in np.unique(page_of).tolist():
+        for p in np.flatnonzero(np.bincount(page_of.ravel())).tolist():
             where = page_of == p
             out[where] = getattr(self._pages[p], field).take(local[where])
         return out
@@ -368,7 +368,7 @@ class ChunkArena:
             return
         slots, *index = np.broadcast_arrays(slots, *index)
         page_of, local = np.divmod(slots, self._page_slots)
-        for p in np.unique(page_of).tolist():
+        for p in np.flatnonzero(np.bincount(page_of.ravel())).tolist():
             where = page_of == p
             at = (local[where], *(i[where] for i in index))
             yield self._pages[p], where, at

@@ -65,8 +65,7 @@ class GameLoop:
         self.server = server
         self.tick_index = 0
         self.records: list[TickRecord] = []
-        #: Most recent tick's record — always available (feedback-driven
-        #: workloads read it), even when ``retain_raw`` drops the list.
+        #: Most recent tick's record (feedback-driven workloads read it).
         self.last_record: TickRecord | None = None
         self._last_time_update_us = 0
 
@@ -78,8 +77,8 @@ class GameLoop:
         clock = server.clock
         tracer = server.tracer
         start_us = clock.now_us
-        # The tracer supplies the report: a segment-stacked one on
-        # sampled ticks (spans own segments), a plain one otherwise.
+        # The tracer supplies the report: a segment-stacked one when
+        # tracing (spans own segments), a plain one otherwise.
         report = tracer.begin_tick(self.tick_index, start_us)
         with tracer.span("begin"):
             report.add(Op.TICK_FIXED)
@@ -195,12 +194,11 @@ class GameLoop:
             entities=server.entities.count(),
         )
         # The tick tap folds the record into streaming telemetry; the raw
-        # list is only kept for the figure pipeline (retain_raw).
+        # list feeds the figure pipeline.
         tracer.end_tick(record, report)
         server.telemetry.observe_tick(record)
         self.last_record = record
-        if server.retain_raw:
-            self.records.append(record)
+        self.records.append(record)
         self.tick_index += 1
         return record
 

@@ -61,15 +61,12 @@ class MLGServer:
         world: World | None = None,
         clock: SimClock | None = None,
         seed: int = 0,
-        retain_raw: bool = True,
-        telemetry_window: int = 100,
         world_dir: str | None = None,
         world_cache_dir: str | None = None,
         autosave_interval_s: float = AUTOSAVE_INTERVAL_S,
         autosave_flush_every: int = DEFAULT_FLUSH_EVERY,
         max_loaded_chunks: int | None = None,
         trace: bool = False,
-        trace_sample_every: int = 1,
         slow_tick_factor: float = 3.0,
     ) -> None:
         self.variant = (
@@ -79,13 +76,8 @@ class MLGServer:
         self.clock = clock if clock is not None else SimClock()
         self.rng = np.random.default_rng(seed)
         self.world = world if world is not None else World()
-        #: Keep the raw per-tick record list (the figure pipeline needs
-        #: it); ``False`` runs with O(1) telemetry memory per metric.
-        self.retain_raw = retain_raw
         #: Streaming per-tick telemetry; the game loop is its producer.
-        self.telemetry = ServerTelemetry(
-            TICK_BUDGET_US, window_size=telemetry_window
-        )
+        self.telemetry = ServerTelemetry(TICK_BUDGET_US)
         #: Tick-phase span tracing + slow-tick flight recorder.  Off by
         #: default: the null tracer does no bookkeeping at all, keeping
         #: untraced runs bit-identical with the pre-tracing simulation.
@@ -94,7 +86,6 @@ class MLGServer:
             self.tracer = Tracer(
                 self.variant.cost_table,
                 budget_us=TICK_BUDGET_US,
-                sample_every=trace_sample_every,
                 slow_tick_factor=slow_tick_factor,
             )
 
@@ -344,23 +335,11 @@ class MLGServer:
 
     @property
     def tick_records(self) -> list[TickRecord]:
-        """Raw per-tick records (empty when ``retain_raw`` is off)."""
+        """Raw per-tick records."""
         return self.loop.records
 
     def tick_durations_ms(self) -> list[float]:
-        """Raw tick-duration series for the figure pipeline.
-
-        Raises on a ``retain_raw=False`` server rather than silently
-        returning a truncated series: summary statistics should come
-        from ``self.telemetry`` (streaming, exact counts/moments/
-        exceedance) and the recent tail from its ring buffer.
-        """
-        if not self.retain_raw:
-            raise ValueError(
-                "raw tick durations were not retained (retain_raw=False); "
-                "use server.telemetry for streaming statistics or "
-                "server.telemetry.tick_ms.tail for the recent tail"
-            )
+        """Raw tick-duration series for the figure pipeline."""
         return [r.duration_ms for r in self.loop.records]
 
     def memory_bytes(self) -> int:

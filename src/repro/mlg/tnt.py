@@ -26,7 +26,7 @@ from repro.mlg.constants import WORLD_HEIGHT
 from repro.mlg.entity import Entity, EntityKind
 from repro.mlg.entity_manager import EntityManager
 from repro.mlg.workreport import Op, WorkReport
-from repro.mlg.world import World
+from repro.mlg.world import World, run_heads
 
 __all__ = ["TNTSystem", "DEFAULT_FUSE_TICKS", "RAYS_PER_EXPLOSION"]
 
@@ -216,7 +216,7 @@ class TNTSystem:
         drop_at, fuse_at = drop_at.tolist(), fuse_at.tolist()
         cells = list(zip(xs.tolist(), ys.tolist(), zs.tolist()))
         spawn = self.entities.spawn
-        for row in np.unique(rows).tolist():
+        for row in rows[run_heads(rows)].tolist():
             born = 0  # drops first, capped; then the chain fuses
             for i in drop_at[drop_ends[row] : drop_ends[row + 1]]:
                 if born == MAX_DROPS_PER_EXPLOSION:

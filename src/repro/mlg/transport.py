@@ -97,11 +97,6 @@ class ServerSession:
         """Report one completed probe round-trip to the measurement plane."""
         raise NotImplementedError
 
-    @property
-    def retain_raw(self) -> bool:
-        """Whether the measurement plane wants raw per-probe samples kept."""
-        raise NotImplementedError
-
 
 class InProcessTransport:
     """Direct-call transport: sessions talk to an ``MLGServer`` object."""
@@ -178,10 +173,6 @@ class InProcessSession(ServerSession):
 
     def record_response_ms(self, response_ms: float) -> None:
         self._server.telemetry.observe_response(response_ms)
-
-    @property
-    def retain_raw(self) -> bool:
-        return self._server.retain_raw
 
 
 def as_transport(server_or_transport) -> InProcessTransport:

@@ -13,7 +13,7 @@ to the ``PACKET_SIZES`` / ``PlayerAction._SIZES`` model, so bytes on the
 wire reconcile with the modeled bytes the simulation accounts.  The
 documented tolerance: a frame may exceed its model size only when its
 varint fields outgrow the padding budget (huge timestamps/ids), and
-batched entity moves (`wire_batch_flush`) deliberately undercut the
+batched entity moves (``ENTITY_BATCH``) deliberately undercut the
 per-packet model — that saving is the point of batching.  The
 relationship is pinned by ``tests/mlg/test_wirecodec.py``.
 
@@ -730,8 +730,7 @@ def encode_entity_batch(moves) -> bytes:
     tuples or an ``(n, 4)`` integer array.  Entity ids are delta-encoded
     in the order given; positions are the schema's quantized deltas.
     The frame costs well under the ``n * PACKET_SIZES[entity_move]`` the
-    per-packet model charges — the documented saving behind
-    ``wire_batch_flush``.
+    per-packet model charges — the documented saving behind batching.
     """
     out = bytearray()
     append_entity_batch(out, moves)

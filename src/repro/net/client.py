@@ -133,10 +133,6 @@ class TcpSession(ServerSession):
     def record_response_ms(self, response_ms: float) -> None:
         self._conn.send(wc.encode_response_sample(response_ms))
 
-    @property
-    def retain_raw(self) -> bool:
-        return True
-
 
 class _Connection:
     """One socket + decoder + bot, driven by the fleet's event loop."""

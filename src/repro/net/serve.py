@@ -66,7 +66,6 @@ class _WireDrive:
         self.job = job
         self.host = host
         self.port = config.wire_port if port is None else port
-        self.batch_flush = config.wire_batch_flush
         self.realtime = realtime
         self.on_listen = on_listen
         #: The server the metrics endpoint scrapes, and its iteration.
@@ -86,7 +85,6 @@ class _WireDrive:
             server,
             host=self.host,
             port=self.port,
-            batch_flush=self.batch_flush,
             realtime=self.realtime,
             on_tick=system.maybe_sample,
         )

@@ -9,9 +9,8 @@ traffic as real frames:
 
 - materialized deliveries (chat echoes) become ``DELIVERY`` frames;
 - the tick's *counted* packets (``PacketStats`` delta) become ``STATE``
-  frames padded to the Table 8 model sizes — or one batched
-  ``ENTITY_BATCH`` frame per client for entity moves when
-  ``wire_batch_flush`` is on;
+  frames padded to the Table 8 model sizes, except entity moves, which
+  become one batched ``ENTITY_BATCH`` frame per client;
 - every flush ends with a ``TICK`` clock-sync frame.
 
 Nobody reads what a counted packet says — its bytes are the point — so
@@ -170,14 +169,12 @@ class WireServer:
         server,
         host: str = "127.0.0.1",
         port: int = 0,
-        batch_flush: bool = True,
         realtime: bool = True,
         on_tick=None,
     ) -> None:
         self.server = server
         self.host = host
         self.port = port
-        self.batch_flush = batch_flush
         self.realtime = realtime
         #: Called after every ``server.tick()`` (the slot the serve loop
         #: uses for ``SystemMetricsCollector.maybe_sample``).
@@ -302,8 +299,7 @@ class WireServer:
                 self.server.submit_action(msg.action, msg.sent_at_us)
         elif isinstance(msg, wc.WireResponseSample):
             self.server.telemetry.observe_response(msg.response_ms)
-            if self.server.retain_raw:
-                self.response_samples.append(msg.response_ms)
+            self.response_samples.append(msg.response_ms)
         elif isinstance(msg, wc.WireBye):
             self.server.net.disconnect(client_id, msg.reason)
 
@@ -347,9 +343,7 @@ class WireServer:
             if remaining <= 0:
                 continue
             per, extra = divmod(remaining, n_clients)
-            batched = (
-                category == PacketCategory.ENTITY_MOVE and self.batch_flush
-            )
+            batched = category == PacketCategory.ENTITY_MOVE
             for index, (_, buf) in enumerate(targets):
                 count = per + (1 if index < extra else 0)
                 if not count:

@@ -321,8 +321,8 @@ class MetricAccumulator:
 
     ``mean`` is computed from a plain running sum, so for any sequence of
     updates it is bit-identical to ``sum(values) / len(values)`` — the
-    invariant that keeps ``retain_raw=True`` summaries byte-for-byte
-    stable while the raw lists exist.  (Summaries that numpy computes
+    invariant that keeps the streamed summaries byte-for-byte stable
+    beside the raw lists.  (Summaries that numpy computes
     from raw arrays use pairwise summation and may differ from the
     streaming value in the last ULP; the guarantee is against the naive
     sequential sum, which is what the collectors' summaries use.)

@@ -137,7 +137,7 @@ _OPTIONAL_SECTIONS = ("wire", "trace")
 CATALOG = (
     Metric(("crashed",), column="crashed", header="crashed", derive=bool),
     # The line's own ``isr`` is the iteration's, computed from the raw
-    # tick trace when one was retained; the tap's streaming value — the
+    # tick trace; the tap's streaming value — the
     # only one a mid-run scrape has — agrees with it to rounding, not to
     # the bit, so the report column and the endpoint gauge stay apart.
     Metric(("isr",), column="isr", header="instability ratio (Eq. 1)"),

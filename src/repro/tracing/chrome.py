@@ -51,7 +51,7 @@ CLIENT_TIDS = {"wait": 1, "dispatch": 2, "step": 3, "drain": 4}
 
 
 def tick_events(dump: dict, pid: int, tid_of) -> list[dict]:
-    """Render one sampled tick's compact span dump as complete events.
+    """Render one traced tick's compact span dump as complete events.
 
     ``dump`` is one entry of a trace snapshot's ``ticks`` list.  Spans
     arrive in pre-order with depths; a cursor stack tiles each span into
@@ -221,7 +221,7 @@ def render_campaign_trace(store, provenance: dict | None = None) -> dict:
                     "args": {
                         "iteration": it.iteration,
                         "seed": it.seed,
-                        "ticks_sampled": trace.get("ticks_sampled"),
+                        "ticks_seen": trace.get("ticks_seen"),
                         "slow_ticks": trace.get("slow_ticks"),
                     },
                 }

@@ -11,7 +11,7 @@ driven by the game loop::
     tracer.end_tick(record, report)
 
 A span does not time wall clocks — the simulation's cost model *is* its
-clock.  On a sampled tick the game loop runs against a
+clock.  On a traced tick the game loop runs against a
 :class:`TracedWorkReport`, whose ``counts`` dict always aliases the
 innermost open span's *segment*: entering a span pushes a fresh segment,
 so the engines' ``add``/``merge`` calls run the **unmodified base-class
@@ -31,8 +31,8 @@ disabled path (:class:`NullTracer`) performs no bookkeeping at all, so
 ``trace=False`` runs stay bit-identical with the untraced simulation;
 when enabled, recording an op costs exactly what it costs untraced, span
 entry/exit is O(distinct ops inside the span), and memory stays constant
-for arbitrarily long runs: ``trace_sample_every`` captures every Nth
-tick and a **preallocated ring buffer** bounds retained dumps.
+for arbitrarily long runs: a **bounded ring** keeps the most recent
+tick dumps.
 
 On top of the spans:
 
@@ -42,8 +42,7 @@ On top of the spans:
 - a slow-tick **flight recorder**: any tick whose wall duration exceeds
   ``slow_tick_factor ×`` the tick budget is dumped — span tree plus the
   top-k most expensive operations of its report — into a bounded anomaly
-  deque, spark/watchdog style (slow ticks are caught even between
-  sampled ticks; the span tree is attached when the tick was sampled).
+  deque, spark/watchdog style.
 """
 
 from __future__ import annotations
@@ -158,7 +157,7 @@ class NullTracer:
     def end_tick(self, record, report) -> None:
         pass
 
-    def snapshot(self, max_ticks: int | None = None) -> dict:
+    def snapshot(self) -> dict:
         return {"enabled": False}
 
 
@@ -181,7 +180,7 @@ class Span:
     """
 
     # No ``__init__``: ``Tracer.span`` fills the slots itself, which spares
-    # every span of every sampled tick a Python-level constructor frame.
+    # every span of every traced tick a Python-level constructor frame.
     # Enter and exit reach nothing but the span and its report: between
     # two spans an engine has run, so whatever they touch comes from cold
     # memory, and that, not the bytecode, is what a span costs.  ``args``
@@ -256,88 +255,62 @@ class Tracer:
 
     ``cost_table`` is the variant's op→µs pricing (``end_tick`` prices the
     tick's span deltas with it); ``budget_us`` the 50 ms tick budget the slow-tick
-    threshold multiplies.  ``sample_every=N`` captures spans on every
-    Nth tick (1 = all); the flight recorder watches *every* tick
-    regardless.  ``retain_ticks`` bounds the span ring,
-    ``max_anomalies`` the anomaly deque, and ``export_ticks`` how many
-    recent sampled ticks :meth:`snapshot` serializes.
+    threshold multiplies.  Every tick is traced and watched.
     """
 
     enabled = True
 
-    #: Sampled ticks whose phase costs wait, one list per phase, before
+    #: Traced ticks whose phase costs wait, one list per phase, before
     #: they go into ``phases`` as one batch each: same bits as one
     #: accumulator call per phase per tick, a third of the time.
     FOLD_EVERY = 32
+    #: Tick dumps the ring keeps, and how many :meth:`snapshot` exports.
+    RETAIN_TICKS = 256
+    EXPORT_TICKS = 128
+    #: Slow-tick dumps kept, and the most expensive ops each one lists.
+    MAX_ANOMALIES = 64
+    TOP_OPS = 8
 
     def __init__(
         self,
         cost_table,
         *,
         budget_us: int,
-        sample_every: int = 1,
         slow_tick_factor: float = 3.0,
-        retain_ticks: int = 256,
-        max_anomalies: int = 64,
-        top_ops: int = 8,
-        export_ticks: int = 128,
     ) -> None:
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1: {sample_every!r}")
         if slow_tick_factor <= 0:
             raise ValueError(
                 f"slow_tick_factor must be positive: {slow_tick_factor!r}"
             )
-        if retain_ticks < 1:
-            raise ValueError(f"retain_ticks must be >= 1: {retain_ticks!r}")
         if budget_us <= 0:
             raise ValueError(f"budget_us must be positive: {budget_us!r}")
         self.cost_table = cost_table
         self.budget_us = budget_us
-        self.sample_every = sample_every
         self.slow_tick_factor = slow_tick_factor
-        self.retain_ticks = retain_ticks
-        self.top_ops = top_ops
-        self.export_ticks = export_ticks
-        #: Preallocated ring of per-tick span dumps (sampled ticks only).
-        self._ring: list[dict | None] = [None] * retain_ticks
-        self._ring_next = 0
-        self._ring_count = 0
+        #: Ring of the most recent per-tick span dumps, oldest first.
+        self._ring: deque = deque(maxlen=self.RETAIN_TICKS)
         self._phases: dict[str, MetricAccumulator] = {}
         self._unfolded: defaultdict[str, list[float]] = defaultdict(list)
         #: Bounded slow-tick flight-recorder dumps, oldest dropped first.
-        self.anomalies: deque = deque(maxlen=max_anomalies)
+        self.anomalies: deque = deque(maxlen=self.MAX_ANOMALIES)
         self.ticks_seen = 0
-        self.ticks_sampled = 0
         self.slow_ticks = 0
-        # Per-tick capture state.
-        self._report = None
-        self._active = False
-        self._tick_index = 0
-        self._start_us = 0
+        #: The open tick's report; ``None`` between ticks, when spans
+        #: (a chunk load during ``install``, say) trace nothing.
+        self._report: TracedWorkReport | None = None
 
     # -- per-tick driver (called by the game loop) --------------------------
 
     def begin_tick(self, tick_index: int, start_us: int) -> WorkReport:
-        """Arm the tracer for one tick and hand the game loop its report.
-
-        Sampled ticks get a :class:`TracedWorkReport` (spans need its
-        segment stack); unsampled ticks get a plain
-        :class:`WorkReport` — both tally identically.
-        """
+        """Arm the tracer for one tick and hand the game loop its report,
+        a :class:`TracedWorkReport` (spans need its segment stack)."""
         self.ticks_seen += 1
-        self._active = tick_index % self.sample_every == 0
-        if not self._active:
-            return WorkReport()
-        report = TracedWorkReport()
-        self._report = report
-        self._tick_index = tick_index
-        self._start_us = start_us
-        return report
+        self._report = TracedWorkReport()
+        return self._report
 
     def span(self, name: str):
         """A context manager tracing one named section of the tick."""
-        if not self._active:
+        if self._report is None:
             return _NULL_SPAN
         span = Span()
         span._report = self._report
@@ -350,38 +323,31 @@ class Tracer:
 
     def end_tick(self, record, report) -> None:
         """Close the tick: fold accumulators, ring the dump, watch slowness."""
-        dump = None
-        if self._active:
-            self.ticks_sampled += 1
-            spans = report.spans
-            price = self.cost_table.get
-            unfolded = self._unfolded
-            for span in spans:
-                if span.ops:
-                    cost = 0.0
-                    for op, n in span.ops.items():
-                        cost += n * price(op, 0.0)
-                    span.cost_us = cost
-                if span.depth == 1:
-                    unfolded[span.name].append(span.cost_us)
-            dump = {
-                "tick": record.index,
-                "start_us": record.start_us,
-                "duration_us": record.duration_us,
-                "work_us": record.work_us,
-                "spans": spans,
-            }
-            if self.ticks_sampled % self.FOLD_EVERY == 0:
-                self._fold()
-            self._ring[self._ring_next] = dump
-            self._ring_next = (self._ring_next + 1) % self.retain_ticks
-            if self._ring_count < self.retain_ticks:
-                self._ring_count += 1
-            self._report = None
-            self._active = False
+        spans = report.spans
+        price = self.cost_table.get
+        unfolded = self._unfolded
+        for span in spans:
+            if span.ops:
+                cost = 0.0
+                for op, n in span.ops.items():
+                    cost += n * price(op, 0.0)
+                span.cost_us = cost
+            if span.depth == 1:
+                unfolded[span.name].append(span.cost_us)
+        dump = {
+            "tick": record.index,
+            "start_us": record.start_us,
+            "duration_us": record.duration_us,
+            "work_us": record.work_us,
+            "spans": spans,
+        }
+        if self.ticks_seen % self.FOLD_EVERY == 0:
+            self._fold()
+        self._ring.append(dump)
+        self._report = None
         if record.duration_us > self.slow_tick_factor * self.budget_us:
             self.slow_ticks += 1
-            self.anomalies.append(self._anomaly(record, report, dump))
+            self.anomalies.append(self._anomaly(record, report, spans))
 
     @property
     def phases(self) -> dict[str, MetricAccumulator]:
@@ -402,11 +368,11 @@ class Tracer:
 
     # -- flight recorder -----------------------------------------------------
 
-    def _anomaly(self, record, report, dump: dict | None) -> dict:
-        """One slow-tick dump: vitals, top-k op costs, span tree if sampled."""
+    def _anomaly(self, record, report, spans) -> dict:
+        """One slow-tick dump: vitals, top-k op costs, span tree."""
         costs = report.cost_us(self.cost_table)
         top = sorted(costs.items(), key=lambda kv: (-kv[1], kv[0]))
-        top = top[: self.top_ops]
+        top = top[: self.TOP_OPS]
         return {
             "tick": record.index,
             "start_us": record.start_us,
@@ -418,48 +384,35 @@ class Tracer:
             "entities": record.entities,
             "breakdown_us": dict(record.breakdown_us),
             "top_ops": [[op, report.get(op), us] for op, us in top],
-            "spans": (
-                [compact_span(span) for span in dump["spans"]]
-                if dump is not None
-                else None
-            ),
+            "spans": [compact_span(span) for span in spans],
         }
 
     # -- introspection / export ----------------------------------------------
 
     @property
     def last_dump(self) -> dict | None:
-        """The most recent sampled tick's dump (spans as objects)."""
-        if self._ring_count == 0:
-            return None
-        return self._ring[(self._ring_next - 1) % self.retain_ticks]
+        """The most recent tick's dump (spans as objects)."""
+        return self._ring[-1] if self._ring else None
 
     def recent_ticks(self, max_ticks: int | None = None) -> list[dict]:
-        """Retained sampled-tick dumps, oldest first."""
-        count = self._ring_count
-        if max_ticks is not None:
-            count = min(count, max_ticks)
-        start = self._ring_next - count
-        return [
-            self._ring[i % self.retain_ticks]
-            for i in range(start, self._ring_next)
-        ]
+        """Retained tick dumps, oldest first."""
+        dumps = list(self._ring)
+        if max_ticks is None:
+            return dumps
+        return dumps[max(0, len(dumps) - max_ticks):]
 
-    def snapshot(self, max_ticks: int | None = None) -> dict:
+    def snapshot(self) -> dict:
         """JSON-able trace state: knobs, phase stats, anomalies, span dumps.
 
         This is what :func:`repro.core.experiment.run_iteration` files
         under ``telemetry["trace"]`` — and therefore what the campaign
         sidecars stream and ``repro trace export`` renders.
         """
-        limit = self.export_ticks if max_ticks is None else max_ticks
         return {
             "enabled": True,
-            "sample_every": self.sample_every,
             "slow_tick_factor": self.slow_tick_factor,
             "budget_us": self.budget_us,
             "ticks_seen": self.ticks_seen,
-            "ticks_sampled": self.ticks_sampled,
             "slow_ticks": self.slow_ticks,
             "phases": {
                 name: acc.snapshot(include_tail=False)
@@ -474,6 +427,6 @@ class Tracer:
                     "work_us": dump["work_us"],
                     "spans": [compact_span(span) for span in dump["spans"]],
                 }
-                for dump in self.recent_ticks(limit)
+                for dump in self.recent_ticks(self.EXPORT_TICKS)
             ],
         }

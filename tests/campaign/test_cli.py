@@ -133,3 +133,86 @@ class TestCli:
         assert main(["run", str(spec_file), "--quiet"]) == 0
         assert main(["export", str(tmp_path / "out"), "--boxplot"]) == 0
         assert "Tick durations per server" in capsys.readouterr().out
+
+
+@pytest.fixture()
+def finished_control(tmp_path):
+    """A finished one-iteration ``control`` campaign's output directory."""
+    spec = {
+        "name": "cli-control",
+        "servers": ["vanilla"],
+        "workloads": ["control"],
+        "environments": ["das5-2core"],
+        "iterations": 1,
+        "duration_s": 1.5,
+        "seed": 3,
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "control.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", str(path), "--quiet"]) == 0
+    return tmp_path / "out"
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda intact: intact[:100],
+        lambda intact: b'{"iterations": [{}]}',
+        lambda intact: b"{}",
+    ],
+    ids=["truncated", "empty-iteration", "no-iterations"],
+)
+def test_export_of_a_damaged_shard_names_it(finished_control, capsys, damage):
+    store = JobStore(finished_control)
+    (job_id,) = store.completed_ids()
+    shard = store.shard_path(job_id)
+    shard.write_bytes(damage(shard.read_bytes()))
+    with pytest.raises(ValueError, match=str(shard)):
+        store.load_job(job_id)
+    capsys.readouterr()
+    assert main(["export", str(finished_control)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("error:") == 1
+    assert str(shard) in err
+
+
+@pytest.mark.parametrize(
+    "field", ["retain_raw", "trace_sample_every", "wire_batch_flush"]
+)
+class TestRemovedKnobs:
+    """A spec or manifest naming a knob that no longer exists is refused
+    with the field's name, never run with it silently dropped."""
+
+    def test_spec_naming_it_is_refused(self, spec_file, capsys, field):
+        spec = json.loads(spec_file.read_text())
+        spec[field] = 1
+        spec_file.write_text(json.dumps(spec))
+        assert main(["run", str(spec_file), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: unknown campaign spec fields ['{field}']" in err
+
+    def test_manifest_naming_it_is_refused(
+        self, finished_control, capsys, field
+    ):
+        store = JobStore(finished_control)
+        manifest = json.loads(store.manifest_path.read_text())
+        manifest["spec"][field] = 1
+        store.manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        for verb in ("resume", "status"):
+            assert main([verb, str(finished_control)]) == 2
+            err = capsys.readouterr().err
+            assert f"error: unknown campaign spec fields ['{field}']" in err
+
+
+def test_each_watch_refresh_is_the_one_shot_status_frame(
+    finished_control, capsys
+):
+    from repro.campaign.cli import _load_spec, _watch_status
+
+    spec = _load_spec(str(finished_control))
+    _watch_status(spec, JobStore(spec.output_dir), 0.0, max_refreshes=1)
+    watched = capsys.readouterr().out
+    assert main(["status", str(finished_control)]) == 0
+    assert watched == "\x1b[2J\x1b[H" + capsys.readouterr().out

@@ -204,6 +204,32 @@ class TestExecutor:
         CampaignExecutor(spec, jobs=1).run(resume=True)
         assert "does not parse" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "damage",
+        [b'{"iterations": [{}]}', b"{}", b"[]", b'{"iterations": [5]}'],
+        ids=["empty-iteration", "no-iterations", "a-list", "a-number"],
+    )
+    def test_resume_reruns_a_shard_that_parses_to_no_result(
+        self, tmp_path, capsys, damage
+    ):
+        spec = tiny_spec(
+            tmp_path, servers=["vanilla"], environments=["das5-2core"],
+            iterations=1,
+        )
+        merged = CampaignExecutor(spec, jobs=1).run()
+        store = JobStore(spec.output_dir)
+        (job_id,) = store.completed_ids()
+        path = store.shard_path(job_id)
+        intact = path.read_bytes()
+        path.write_bytes(damage)
+        capsys.readouterr()
+        resumed = CampaignExecutor(spec, jobs=1).run(resume=True)
+        assert f"resume: shard of job {job_id} does not parse" in (
+            capsys.readouterr().out
+        )
+        assert path.read_bytes() == intact
+        assert resumed == merged
+
     def test_worker_killed_before_the_rename_leaves_no_shard(self, tmp_path):
         spec = tiny_spec(tmp_path, servers=["vanilla"], iterations=1)
         job = JobPlanner(spec).plan()[0]

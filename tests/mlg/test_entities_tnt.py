@@ -1,7 +1,14 @@
 """Tests for the entity manager and the TNT/explosion system."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.mlg.blocks import Block
 from repro.mlg.entity import Entity, EntityKind
@@ -276,3 +283,23 @@ class TestTNT:
         assert not mgr.entities_of(EntityKind.TNT)
         assert world.count_blocks(Block.TNT) == 0
         assert tnt.explosions_total == 6 * 6 * 3
+
+
+def test_tnt_iteration_leaves_numpy_ma_unimported():
+    # ``np.unique`` without ``return_index`` imports ``numpy.ma`` on its
+    # first call (15 ms and 1.2 MiB per process); the tick avoids it.
+    # A fresh interpreter, because any earlier test may have imported it.
+    script = (
+        "import sys\n"
+        "from repro.core import run_iteration\n"
+        "run_iteration('tnt', 'vanilla', 'das5-2core', duration_s=45,"
+        " seed=1, scale=0.5)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"

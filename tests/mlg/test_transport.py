@@ -275,7 +275,7 @@ class TestIterationDeterminism:
         )
         default = run_iteration(**kwargs).to_dict()
         explicit = run_iteration(
-            **kwargs, transport="inproc", wire_port=0, wire_batch_flush=True
+            **kwargs, transport="inproc", wire_port=0
         ).to_dict()
         assert default == explicit
 

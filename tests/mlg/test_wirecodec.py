@@ -190,7 +190,7 @@ class TestEntityBatch:
             msg, end = wc.decode_frame(frame)
             assert end == len(frame)
             assert msg == wc.WireEntityBatch(moves)
-            # The saving that motivates wire_batch_flush: one batch frame
+            # The saving that motivates batching: one batch frame
             # costs well under n per-packet model frames.
             modeled = n * PACKET_SIZES[PacketCategory.ENTITY_MOVE]
             assert len(frame) < modeled or n == 1

@@ -11,10 +11,10 @@ delivery takes from its category, and the closing ``TICK``.
 
 The counted packets come out of the server's run table (a prefix of one
 encoded string per category), so the comparison is repeated on a cold
-table, on a warm one, over ticks whose counts grow and shrink, past the
-table's bound and without batching — and a steady-state tick is shown,
-by counting, to encode no frame on the server and to build no message
-for a ``STATE`` or ``ENTITY_BATCH`` frame on the client.
+table, on a warm one, over ticks whose counts grow and shrink, and past
+the table's bound — and a steady-state tick is shown, by counting, to
+encode no frame on the server and to build no message for a ``STATE``
+or ``ENTITY_BATCH`` frame on the client.
 """
 
 import asyncio
@@ -98,7 +98,7 @@ class StubWriter:
         pass
 
 
-def idle_wire_server(n_clients: int, batch_flush: bool) -> WireServer:
+def idle_wire_server(n_clients: int) -> WireServer:
     """A ``WireServer`` over a stub simulation with ``n_clients``
     connected and nothing counted yet."""
     net = NetworkQueues()
@@ -109,7 +109,7 @@ def idle_wire_server(n_clients: int, batch_flush: bool) -> WireServer:
         clock=SimpleNamespace(now_us=NOW_US),
         telemetry=SimpleNamespace(bus=TelemetryBus()),
     )
-    wire = WireServer(server, batch_flush=batch_flush)
+    wire = WireServer(server)
     wire._tick_index = TICK_INDEX
     wire._writers = {
         client_id: StubWriter() for client_id in range(1, n_clients + 1)
@@ -123,11 +123,11 @@ def count_tick(wire: WireServer, counts: dict) -> None:
         wire.server.net.stats.record(category, count)
 
 
-def stub_wire_server(n_clients: int, batch_flush: bool):
+def stub_wire_server(n_clients: int):
     """A ``WireServer`` over a stub simulation that has just finished a
     tick: ``n_clients`` connected, counts recorded, chat echoes queued.
     Returns it with the deliveries queued per client id."""
-    wire = idle_wire_server(n_clients, batch_flush)
+    wire = idle_wire_server(n_clients)
     net = wire.server.net
     report = WorkReport()
     # Materialized chat echoes, which the flush sends as DELIVERY frames
@@ -150,9 +150,7 @@ def stub_wire_server(n_clients: int, batch_flush: bool):
     return wire, deliveries
 
 
-def expected_buffers(
-    n_clients: int, batch_flush: bool, deliveries=None, counts=TICK_COUNTS
-) -> dict:
+def expected_buffers(n_clients: int, deliveries=None, counts=TICK_COUNTS) -> dict:
     """The flush composed frame by frame with the oracle encoders."""
     buffers = {cid: bytearray() for cid in range(1, n_clients + 1)}
     remaining = dict(counts)
@@ -168,7 +166,7 @@ def expected_buffers(
             count = per + (1 if index < extra else 0)
             if count <= 0:
                 continue
-            if category == PacketCategory.ENTITY_MOVE and batch_flush:
+            if category == PacketCategory.ENTITY_MOVE:
                 buf += oracle.encode_entity_batch(
                     tuple(SYNTH[category](i) for i in range(count))
                 )
@@ -180,13 +178,12 @@ def expected_buffers(
     return buffers
 
 
-@pytest.mark.parametrize("batch_flush", (True, False))
 @pytest.mark.parametrize("n_clients", (1, 2, 3))
 class TestFlushBytes:
-    def test_every_buffer_matches_the_oracle(self, n_clients, batch_flush):
-        wire, deliveries = stub_wire_server(n_clients, batch_flush)
+    def test_every_buffer_matches_the_oracle(self, n_clients):
+        wire, deliveries = stub_wire_server(n_clients)
         targets = wire._build_flush()
-        expected = expected_buffers(n_clients, batch_flush, deliveries)
+        expected = expected_buffers(n_clients, deliveries)
         assert [cid for cid, _ in targets] == sorted(expected)
         for client_id, buf in targets:
             assert bytes(buf) == bytes(expected[client_id]), client_id
@@ -194,12 +191,10 @@ class TestFlushBytes:
         for _, buf in wire._build_flush():
             assert bytes(buf) == oracle.encode_tick(NOW_US, TICK_INDEX)
 
-    def test_published_bytes_out_is_what_was_written(
-        self, n_clients, batch_flush
-    ):
-        wire, deliveries = stub_wire_server(n_clients, batch_flush)
+    def test_published_bytes_out_is_what_was_written(self, n_clients):
+        wire, deliveries = stub_wire_server(n_clients)
         asyncio.run(wire._flush())
-        expected = expected_buffers(n_clients, batch_flush, deliveries)
+        expected = expected_buffers(n_clients, deliveries)
         written = {cid: w.written for cid, w in wire._writers.items()}
         assert written == expected
         bytes_out = wire.server.telemetry.bus.metric(WIRE_BYTES_OUT)
@@ -207,22 +202,39 @@ class TestFlushBytes:
 
 
 @pytest.mark.parametrize("n_clients", (1, 2, 3))
-def test_unbatched_flush_reconciles_with_the_table8_model(n_clients):
-    # Without batching every counted packet and every delivery is one
-    # frame of exactly its modeled size; only the clock sync is extra.
-    wire, _ = stub_wire_server(n_clients, batch_flush=False)
+def test_flush_reconciles_with_the_table8_model_but_for_the_batches(
+    n_clients,
+):
+    # Every delivery and every counted packet but an entity move is one
+    # frame of exactly its modeled size; the moves are one batch frame
+    # per client, and the clock sync is extra.
+    wire, _ = stub_wire_server(n_clients)
     stats = wire.server.net.stats
     assert stats.total_bytes == sum(
         count * PACKET_SIZES[category]
         for category, count in TICK_COUNTS.items()
     )
+    moves = TICK_COUNTS[PacketCategory.ENTITY_MOVE]
+    per, extra = divmod(moves, n_clients)
+    move = SYNTH[PacketCategory.ENTITY_MOVE]
+    batches = sum(
+        len(oracle.encode_entity_batch(
+            tuple(move(i) for i in range(per + (index < extra)))
+        ))
+        for index in range(n_clients)
+    )
     written = sum(len(buf) for _, buf in wire._build_flush())
     tick = len(oracle.encode_tick(NOW_US, TICK_INDEX))
-    assert written == stats.total_bytes + n_clients * tick
+    assert written == (
+        stats.total_bytes
+        - moves * PACKET_SIZES[PacketCategory.ENTITY_MOVE]
+        + batches
+        + n_clients * tick
+    )
 
 
 def test_disconnected_clients_get_nothing_and_no_share():
-    wire, _ = stub_wire_server(3, batch_flush=True)
+    wire, _ = stub_wire_server(3)
     wire.server.net.disconnect(2, "client quit")
     targets = dict(wire._build_flush())
     assert sorted(targets) == [1, 3]
@@ -265,15 +277,12 @@ TICK_SEQUENCE = (
 )
 
 
-@pytest.mark.parametrize("batch_flush", (True, False))
 @pytest.mark.parametrize("n_clients", (1, 2, 3))
-def test_ticks_that_grow_shrink_and_outrun_the_run_table(
-    n_clients, batch_flush
-):
-    wire = idle_wire_server(n_clients, batch_flush)
+def test_ticks_that_grow_shrink_and_outrun_the_run_table(n_clients):
+    wire = idle_wire_server(n_clients)
     for tick, counts in enumerate(TICK_SEQUENCE):
         count_tick(wire, counts)
-        expected = expected_buffers(n_clients, batch_flush, counts=counts)
+        expected = expected_buffers(n_clients, counts=counts)
         for client_id, buf in wire._build_flush():
             assert bytes(buf) == bytes(expected[client_id]), (tick, client_id)
     # What the table kept is bounded by a constant and one frame.
@@ -285,7 +294,6 @@ def test_ticks_that_grow_shrink_and_outrun_the_run_table(
 
 @given(
     n_clients=st.integers(1, 5),
-    batch_flush=st.booleans(),
     bound=st.sampled_from((48, 700, wire_server._RUN_TABLE_BYTES)),
     ticks=st.lists(
         st.dictionaries(
@@ -298,16 +306,16 @@ def test_ticks_that_grow_shrink_and_outrun_the_run_table(
 )
 @settings(max_examples=60, deadline=None)
 def test_random_deltas_match_the_oracle_and_the_bytes_out_metric(
-    n_clients, batch_flush, bound, ticks
+    n_clients, bound, ticks
 ):
-    wire = idle_wire_server(n_clients, batch_flush)
+    wire = idle_wire_server(n_clients)
     written = 0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(wire_server, "_RUN_TABLE_BYTES", bound)
         for counts in ticks:
             count_tick(wire, counts)
             asyncio.run(wire._flush())
-            expected = expected_buffers(n_clients, batch_flush, counts=counts)
+            expected = expected_buffers(n_clients, counts=counts)
             for client_id, writer in wire._writers.items():
                 assert writer.written == expected[client_id]
                 written += len(writer.written)
@@ -319,7 +327,7 @@ def test_random_deltas_match_the_oracle_and_the_bytes_out_metric(
 def test_steady_state_tick_encodes_no_frame_and_builds_no_state_message(
     monkeypatch,
 ):
-    wire = idle_wire_server(2, batch_flush=True)
+    wire = idle_wire_server(2)
     count_tick(wire, TICK_COUNTS)
     wire._build_flush()  # the table is warm from here on
 
@@ -349,7 +357,7 @@ def test_steady_state_tick_encodes_no_frame_and_builds_no_state_message(
     counts = scaled(0.9)
     count_tick(wire, counts)
     targets = wire._build_flush()
-    expected = expected_buffers(2, True, counts=counts)
+    expected = expected_buffers(2, counts=counts)
     assert calls == {"append_state": 0, "append_entity_batch": 0}
     for client_id, buf in targets:
         assert bytes(buf) == bytes(expected[client_id])

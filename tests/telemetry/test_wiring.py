@@ -42,7 +42,7 @@ class FixedMachine:
         return duration
 
 
-def _flat_server(retain_raw: bool = True, machine=None) -> MLGServer:
+def _flat_server(machine=None) -> MLGServer:
     world = World()
     chunk = world.ensure_chunk(0, 0)
     chunk.blocks[:, :, :60] = Block.STONE
@@ -52,7 +52,6 @@ def _flat_server(retain_raw: bool = True, machine=None) -> MLGServer:
         machine if machine is not None else FixedMachine(),
         world=world,
         seed=0,
-        retain_raw=retain_raw,
     )
 
 
@@ -88,13 +87,11 @@ class TestServerTickTap:
                 walked[bucket] = walked.get(bucket, 0.0) + us
         assert server.telemetry.bucket_totals_us == walked
 
-    def test_retain_raw_false_is_o1_memory(self):
-        short = _flat_server(retain_raw=False)
+    def test_tap_state_is_bounded(self):
+        short = _flat_server()
         short.run_for(2.0)
-        long = _flat_server(retain_raw=False)
+        long = _flat_server()
         long.run_for(20.0)  # 10x the ticks
-        for server in (short, long):
-            assert server.tick_records == []
         assert long.telemetry.ticks >= 10 * short.telemetry.ticks - 1
         # bounded state: the tail ring and the sketch never grow past caps
         assert len(long.telemetry.tick_ms.tail) <= 256
@@ -102,17 +99,8 @@ class TestServerTickTap:
         # but the streaming stats still see every tick
         assert long.telemetry.tick_ms.count == long.telemetry.ticks
 
-    def test_retain_raw_false_raw_series_raises(self):
-        server = _flat_server(retain_raw=False)
-        server.run_for(1.0)
-        with pytest.raises(ValueError, match="retain_raw"):
-            server.tick_durations_ms()
-        # the streaming surfaces keep working
-        assert server.telemetry.tick_ms.count == server.telemetry.ticks
-        assert len(server.telemetry.tick_ms.tail) > 0
-
-    def test_retain_raw_false_still_reports_distribution(self):
-        server = _flat_server(retain_raw=False)
+    def test_distribution_shares_sum_to_one(self):
+        server = _flat_server()
         server.run_for(2.0)
         shares = MetricExternalizer(server).tick_distribution().shares
         assert sum(shares.values()) == pytest.approx(1.0, abs=0.01)
@@ -153,35 +141,26 @@ class TestSystemCollectorBacklog:
         assert summary["memory_mean_mb"] == sum(mem) / len(mem) / 1e6
         assert summary["samples"] == len(collector.samples)
 
-    def test_retain_raw_false_keeps_no_samples(self):
-        server = _flat_server(retain_raw=False)
-        collector = SystemMetricsCollector(server)
-        server.start()
-        while server.clock.now_us < 3_000_000:
-            server.tick()
-            collector.maybe_sample()
-        assert collector.samples == []
-        assert collector.summary()["samples"] > 0
-        snap = collector.snapshot()
-        assert snap["cpu_utilization"]["count"] == snap["samples"]
-
 
 class TestIterationTelemetry:
     # "lag" exercises the feedback-driven workload, which reads the
-    # last tick record and must behave identically without the list.
+    # last tick record as the tap folds it.
     @pytest.mark.parametrize("workload", ["control", "lag"])
-    def test_retain_raw_modes_agree(self, workload):
-        kwargs = dict(duration_s=4.0, seed=3)
-        raw = run_iteration(workload, "vanilla", "das5-2core", **kwargs)
-        lean = run_iteration(
-            workload, "vanilla", "das5-2core", retain_raw=False, **kwargs
+    def test_streaming_snapshot_agrees_with_raw_series(self, workload):
+        result = run_iteration(
+            workload, "vanilla", "das5-2core", duration_s=4.0, seed=3
         )
-        assert lean.tick_durations_ms == []
-        assert lean.response_times_ms == []
-        assert lean.telemetry == raw.telemetry
-        assert lean.system_summary == raw.system_summary
-        assert lean.tick_distribution == raw.tick_distribution
-        assert lean.isr == pytest.approx(raw.isr, rel=1e-9)
+        raw = result.tick_durations_ms
+        tick = result.telemetry["tick"]
+        assert tick["ticks"] == tick["tick_ms"]["count"] == len(raw)
+        assert tick["tick_ms"]["mean"] == sum(raw) / len(raw)  # bit-identical
+        assert tick["isr"] == pytest.approx(result.isr, rel=1e-9)
+        responses = result.response_times_ms
+        assert result.telemetry["response_ms"]["count"] == len(responses)
+        if responses:
+            assert result.telemetry["response_ms"]["mean"] == (
+                sum(responses) / len(responses)
+            )
 
     def test_telemetry_snapshot_contents(self):
         result = run_iteration(
@@ -195,22 +174,6 @@ class TestIterationTelemetry:
         assert result.telemetry["response_ms"]["count"] == len(
             result.response_times_ms
         )
-
-    def test_stats_fall_back_to_telemetry(self):
-        result = run_iteration(
-            "control",
-            "vanilla",
-            "das5-2core",
-            duration_s=4.0,
-            seed=2,
-            retain_raw=False,
-        )
-        stats = result.tick_stats()
-        assert stats["count"] == result.telemetry["tick"]["ticks"]
-        assert stats["median"] == result.telemetry["tick"]["tick_ms"]["p50"]
-        response = result.response_stats()
-        assert response is not None and response["count"] > 0
-        assert result.isr > 0.0
 
     def test_json_round_trip_keeps_telemetry(self, tmp_path):
         from repro.core import ExperimentResult

@@ -62,7 +62,7 @@ class TestProvenanceRegistry:
         # config, a matrix axis on the spec.
         shared = field_names(MeterstickConfig) & field_names(CampaignSpec)
         assert shared - {"servers"} == field_names(RunKnobs)
-        assert len(field_names(RunKnobs)) == 20
+        assert len(field_names(RunKnobs)) == 17
         for name in field_names(RunKnobs):
             assert (
                 MeterstickConfig.__dataclass_fields__[name]
@@ -79,11 +79,11 @@ class TestKnobDeclarations:
     def test_overridable_fields_are_config_fields_outside_cell_identity(self):
         assert _OVERRIDABLE_FIELDS == {
             "duration_s", "iterations", "warm_machines",
-            "inter_iteration_gap_s", "retain_raw",
+            "inter_iteration_gap_s",
             "autosave_interval_s", "autosave_flush_every",
-            "max_loaded_chunks", "trace", "trace_sample_every",
+            "max_loaded_chunks", "trace",
             "slow_tick_factor", "transport", "wire_port",
-            "wire_batch_flush", "obs", "obs_port", "obs_scrape_grace",
+            "obs", "obs_port", "obs_scrape_grace",
         }
         assert _OVERRIDABLE_FIELDS <= field_names(MeterstickConfig)
         # What a cell *is* — its matrix-axis values and the seed — may
@@ -129,7 +129,7 @@ class TestKnobDeclarations:
             ("wire_port", 70000), ("obs_port", -1),
             ("obs_scrape_grace", -0.1), ("autosave_interval_s", 0.0),
             ("autosave_flush_every", -1), ("max_loaded_chunks", 0),
-            ("trace_sample_every", 0), ("slow_tick_factor", 0.0),
+            ("slow_tick_factor", 0.0),
         ],
     )
     def test_shared_checks_guard_both_classes(self, cls, knob, bad):
@@ -141,12 +141,12 @@ class TestKnobDeclarations:
         # config (world_dir becomes the cell's own subtree).
         changed = dict(
             duration_s=7.0, iterations=2, output_dir="out", transport="tcp",
-            wire_port=1234, wire_batch_flush=False, world_dir="worlds",
+            wire_port=1234, world_dir="worlds",
             autosave_interval_s=3.0, autosave_flush_every=2,
-            max_loaded_chunks=99, trace=True, trace_sample_every=5,
+            max_loaded_chunks=99, trace=True,
             slow_tick_factor=2.0, obs=True, obs_port=4321,
             obs_scrape_grace=1.5, seed=11, inter_iteration_gap_s=4.0,
-            warm_machines=True, retain_raw=False,
+            warm_machines=True,
         )
         assert set(changed) == field_names(RunKnobs)
         spec = CampaignSpec(**changed)

@@ -1,9 +1,9 @@
-"""Tracer correctness: exact reconciliation, sampling, bit-identity and
+"""Tracer correctness: exact reconciliation, retention, bit-identity and
 the flight recorder.
 
 The load-bearing invariants:
 
-* merging a sampled tick's top-level span deltas and re-pricing them
+* merging a traced tick's top-level span deltas and re-pricing them
   through :class:`WorkReport` reproduces the tick's ``breakdown_us`` —
   and, with the post-pricing ``flush`` span excluded, its ``work_us`` —
   **bit for bit** (integer op counts subtract exactly as floats);
@@ -14,6 +14,8 @@ What full-rate tracing costs the host is a wall-clock measurement, so it
 lives with the other benchmarks (``benchmarks/bench_trace_overhead.py``,
 an absolute cost in µs per tick with its interval), not here.
 """
+
+from collections import deque
 
 import numpy as np
 import pytest
@@ -157,42 +159,40 @@ class TestReconciliation:
         assert report.segments == [report.counts]
 
 
-class TestSampling:
-    def test_sample_every_n_captures_every_nth_tick(self):
-        server, swarm = _traced_server(trace=True, trace_sample_every=4)
+class TestRetention:
+    def test_every_tick_is_traced(self):
+        server, swarm = _traced_server(trace=True)
+        tracer = server.tracer
+        with tracer.span("between ticks") as span:
+            assert span is None  # no tick open, nothing to trace into
         for _ in range(40):
             server.loop.run_tick()
             swarm.step()
-        tracer = server.tracer
         assert tracer.ticks_seen == 40
-        assert tracer.ticks_sampled == 10
-        assert [d["tick"] % 4 for d in tracer.recent_ticks()] == [0] * 10
-        # Accumulators fold sampled ticks only.
+        assert [d["tick"] for d in tracer.recent_ticks()] == list(range(40))
         assert all(
-            acc["count"] == 10
+            acc["count"] == 40
             for acc in tracer.snapshot()["phases"].values()
         )
 
-    def test_unsampled_ticks_use_plain_reports_and_null_spans(self):
-        tracer = Tracer({}, budget_us=TICK_BUDGET_US, sample_every=2)
-        sampled = tracer.begin_tick(0, 0)
-        assert isinstance(sampled, TracedWorkReport)
-        with tracer.span("phase") as span:
-            assert span is not None
-        unsampled = tracer.begin_tick(1, 0)
-        assert type(unsampled) is WorkReport
-        with tracer.span("phase") as span:
-            assert span is None
-
     def test_ring_buffer_bounds_retention(self):
         server, swarm = _traced_server(trace=True)
-        server.tracer.retain_ticks = 8
-        server.tracer._ring = [None] * 8
+        server.tracer._ring = deque(maxlen=8)
         for _ in range(20):
             server.loop.run_tick()
             swarm.step()
         dumps = server.tracer.recent_ticks()
         assert [d["tick"] for d in dumps] == list(range(12, 20))
+
+    def test_snapshot_exports_the_most_recent_ticks(self):
+        server, swarm = _traced_server(trace=True)
+        server.tracer.EXPORT_TICKS = 5
+        for _ in range(12):
+            server.loop.run_tick()
+            swarm.step()
+        exported = server.tracer.snapshot()["ticks"]
+        assert [dump["tick"] for dump in exported] == list(range(7, 12))
+        assert len(server.tracer.recent_ticks()) == 12
 
     def test_null_tracer_is_inert(self):
         report = NULL_TRACER.begin_tick(0, 0)
@@ -226,23 +226,10 @@ class TestFlightRecorder:
         assert tracer.slow_ticks == 30
         anomaly = tracer.anomalies[-1]
         assert anomaly["factor"] > 0.001
-        assert anomaly["spans"], "sampled tick must attach its span tree"
+        assert anomaly["spans"], "a slow tick must attach its span tree"
         costs = [us for _, _, us in anomaly["top_ops"]]
         assert costs == sorted(costs, reverse=True)
-        assert len(costs) <= tracer.top_ops
-
-    def test_recorder_watches_unsampled_ticks_without_span_tree(self):
-        server, swarm = _traced_server(
-            trace=True, trace_sample_every=1000, slow_tick_factor=0.001
-        )
-        server.loop.run_tick()  # tick 0: sampled
-        swarm.step()
-        server.loop.run_tick()  # tick 1: unsampled, still watched
-        swarm.step()
-        sampled, unsampled = list(server.tracer.anomalies)
-        assert sampled["spans"]
-        assert unsampled["spans"] is None
-        assert unsampled["top_ops"]
+        assert len(costs) <= tracer.TOP_OPS
 
     def test_anomaly_deque_is_bounded(self):
         server, swarm = _traced_server(trace=True, slow_tick_factor=0.001)
