@@ -12,6 +12,7 @@ code drives in-process and wire-backed fleets.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import partial
 
 import numpy as np
 
@@ -40,8 +41,10 @@ class BotSwarm:
         self.network = network
         self.rng = rng
         self.bots: list[EmulatedPlayer] = []
-        #: (connect_at_us, factory) for staggered joins.
-        self._pending: list[tuple[int, Callable[[], EmulatedPlayer]]] = []
+        #: (connect_at_us, join) for staggered joins: ``join(session, rng)``
+        #: builds the player.  The swarm passes its own transport and rng
+        #: in at connect time, so nothing waiting here refers back to it.
+        self._pending: list[tuple[int, Callable[..., EmulatedPlayer]]] = []
 
     # -- construction --------------------------------------------------------------
 
@@ -57,26 +60,22 @@ class BotSwarm:
     ) -> None:
         """Schedule one bot; delay 0 connects immediately."""
         up, down = self.network.latency_pair(self.rng)
-
-        def factory() -> EmulatedPlayer:
-            return EmulatedPlayer(
-                name,
-                self.transport.session(),
-                self.rng,
-                behavior=behavior,
-                spawn_x=spawn_x,
-                spawn_z=spawn_z,
-                latency_up_us=up,
-                latency_down_us=down,
-                probe_interval_s=probe_interval_s,
-                view_distance=view_distance,
-            )
-
+        join = partial(
+            EmulatedPlayer,
+            name,
+            behavior=behavior,
+            spawn_x=spawn_x,
+            spawn_z=spawn_z,
+            latency_up_us=up,
+            latency_down_us=down,
+            probe_interval_s=probe_interval_s,
+            view_distance=view_distance,
+        )
         if connect_delay_s <= 0.0:
-            self.bots.append(factory())
+            self.bots.append(join(self.transport.session(), self.rng))
         else:
             connect_at = self.transport.now_us() + int(connect_delay_s * 1e6)
-            self._pending.append((connect_at, factory))
+            self._pending.append((connect_at, join))
             self._pending.sort(key=lambda entry: entry[0])
 
     def add_player_workload(
@@ -123,8 +122,8 @@ class BotSwarm:
         """Connect due bots, then step everyone (call after a server tick)."""
         now = self.transport.now_us()
         while self._pending and self._pending[0][0] <= now:
-            _, factory = self._pending.pop(0)
-            self.bots.append(factory())
+            _, join = self._pending.pop(0)
+            self.bots.append(join(self.transport.session(), self.rng))
         for bot in self.bots:
             bot.step(now)
 

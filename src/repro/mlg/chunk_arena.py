@@ -294,9 +294,13 @@ class ChunkArena:
             return None
         page, slot = chunk._page, chunk._slot
         chunk._page, chunk._slot = _Page(1), 0
-        _copy_slot(page, slot, chunk._page, 0)
         for name in _FIELDS:
-            getattr(page, name)[slot] = 0
+            field = getattr(page, name)
+            # A row never written reads the shared zero page; copying or
+            # zeroing it would fault its pages in for nothing.
+            if field[slot].any():
+                getattr(chunk._page, name)[0] = field[slot]
+                field[slot] = 0
         heapq.heappush(self._free, page.base + slot)
         self._cache = None
         return chunk

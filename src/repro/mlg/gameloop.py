@@ -11,8 +11,10 @@ next one immediately — the server is then *overloaded* (§2.1).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
+from repro.lifetimes import OwnerGone
 from repro.mlg.chunk_arena import pack_keys
 from repro.mlg.constants import TICK_BUDGET_US
 from repro.mlg.protocol import PacketCategory
@@ -59,15 +61,27 @@ class TickRecord:
 
 
 class GameLoop:
-    """Drives one :class:`repro.mlg.server.MLGServer` tick by tick."""
+    """Drives one :class:`repro.mlg.server.MLGServer` tick by tick.
+
+    The server owns its loop, so the loop holds the server weakly: a
+    finished server is freed by reference counting, loop and all.
+    """
 
     def __init__(self, server) -> None:
-        self.server = server
+        self._server = weakref.ref(server)
         self.tick_index = 0
         self.records: list[TickRecord] = []
         #: Most recent tick's record (feedback-driven workloads read it).
         self.last_record: TickRecord | None = None
         self._last_time_update_us = 0
+
+    @property
+    def server(self):
+        """The server this loop drives; :class:`OwnerGone` once freed."""
+        server = self._server()
+        if server is None:
+            raise OwnerGone("the game loop's server was freed")
+        return server
 
     # -- the tick ------------------------------------------------------------------
 

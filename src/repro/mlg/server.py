@@ -12,6 +12,7 @@ from collections.abc import Callable
 
 import numpy as np
 
+from repro.lifetimes import weak_method
 from repro.mlg.chat import ChatSystem
 from repro.mlg.constants import (
     DEFAULT_VIEW_DISTANCE,
@@ -132,7 +133,8 @@ class MLGServer:
                 full_flush_every=autosave_flush_every,
                 max_loaded_chunks=max_loaded_chunks,
                 relight=self.lights.light_chunks,
-                pinned=self.simulation_anchor_chunks,
+                # Weak: the server owns the lifecycle, not the reverse.
+                pinned=weak_method(self.simulation_anchor_chunks),
                 tracer=self.tracer,
             )
 

@@ -56,7 +56,7 @@ _DEFAULT_AREA = (0.0, 0.0, 32.0, 32.0)
 
 
 class TcpSession(ServerSession):
-    """A :class:`ServerSession` bound to one TCP connection.
+    """A :class:`ServerSession` bound to one TCP connection's writer.
 
     The fleet performs the HELLO/WELCOME handshake asynchronously before
     the bot exists; :meth:`connect` then just replays the negotiated
@@ -65,10 +65,12 @@ class TcpSession(ServerSession):
     The server clock is known from the last ``TICK``/``WELCOME`` frame;
     ground height is the client-side approximation (spawn terrain), the
     one piece of world knowledge a real client gets from chunk data.
+    The session holds the writer, not the connection that owns its bot,
+    so connection, bot and session form no reference cycle.
     """
 
-    def __init__(self, connection: "_Connection", welcome: wc.WireWelcome):
-        self._conn = connection
+    def __init__(self, writer: asyncio.StreamWriter, welcome: wc.WireWelcome):
+        self._writer: asyncio.StreamWriter | None = writer
         self._welcome = welcome
         self._deliveries: list[Delivery] = []
         self._now_us = welcome.now_us
@@ -91,7 +93,13 @@ class TcpSession(ServerSession):
         self._now_us = now_us
 
     def mark_closed(self) -> None:
+        """The socket is closing: frames sent from now on are dropped."""
         self._open = False
+        self._writer = None
+
+    def _send(self, frame: bytes) -> None:
+        if self._writer is not None:
+            self._writer.write(frame)
 
     # -- ServerSession -------------------------------------------------------
 
@@ -109,7 +117,7 @@ class TcpSession(ServerSession):
 
     def disconnect(self, reason: str = "client quit") -> None:
         if self._open:
-            self._conn.send(wc.encode_bye(reason))
+            self._send(wc.encode_bye(reason))
             self._open = False
 
     @property
@@ -117,7 +125,7 @@ class TcpSession(ServerSession):
         return self._open
 
     def submit(self, action, sent_at_us: int) -> None:
-        self._conn.send(wc.encode_action(action, sent_at_us))
+        self._send(wc.encode_action(action, sent_at_us))
 
     def poll_deliveries(self) -> list[Delivery]:
         drained = self._deliveries
@@ -131,7 +139,7 @@ class TcpSession(ServerSession):
         return self._now_us
 
     def record_response_ms(self, response_ms: float) -> None:
-        self._conn.send(wc.encode_response_sample(response_ms))
+        self._send(wc.encode_response_sample(response_ms))
 
 
 class _Connection:
@@ -172,10 +180,6 @@ class _Connection:
         #: Stamped with the server's tick index and simulated ``now_us``
         #: so the spans align with the server's trace timeline.
         self.spans: list[dict] | None = [] if trace else None
-
-    def send(self, frame: bytes) -> None:
-        if self._writer is not None:
-            self._writer.write(frame)
 
     @property
     def response_times_ms(self) -> list[float]:
@@ -238,7 +242,7 @@ class _Connection:
                         welcome = msg
                     else:
                         backlog.append(msg)
-            session = TcpSession(self, welcome)
+            session = TcpSession(writer, welcome)
             # The bot's constructor "connects" (replaying the welcome)
             # and fires its join-time probe straight onto the wire.
             self.bot = EmulatedPlayer(

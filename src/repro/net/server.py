@@ -43,6 +43,7 @@ import time
 
 import numpy as np
 
+from repro.lifetimes import weak_method
 from repro.mlg import wirecodec as wc
 from repro.mlg.constants import CLIENT_TIMEOUT_US, TICK_BUDGET_US
 from repro.mlg.protocol import PacketCategory
@@ -193,8 +194,10 @@ class WireServer:
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
+        # The listening server keeps its connection callback, so it gets
+        # a weak one: this object and its asyncio server form no cycle.
         self._asyncio_server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
+            weak_method(self._handle_client), self.host, self.port
         )
         # Port 0 asks the OS for an ephemeral port; record what it chose.
         self.port = self._asyncio_server.sockets[0].getsockname()[1]

@@ -42,6 +42,7 @@ from itertools import chain
 
 import numpy as np
 
+from repro.lifetimes import weak_method
 from repro.mlg.workreport import Op, WorkReport
 from repro.mlg.world import Chunk, World
 from repro.persistence.store import RegionStore
@@ -101,6 +102,8 @@ class ChunkLifecycle:
         #: Extra chunks to exclude from eviction (active simulation
         #: anchors: fluid queues, redstone nets, entity positions).
         self.pinned = pinned
+        #: Relights what one ``ensure_chunks`` call loaded.
+        self.relight = relight
         #: Span tracer (the owning server's); lifecycle spans nest under
         #: the game loop's "lifecycle" phase span.
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -130,7 +133,12 @@ class ChunkLifecycle:
         self.autosaves = 0
         self.full_flushes = 0
         self.peak_loaded_chunks = 0
-        world.set_loader(self._load, relight)
+        # The world calls back into the lifecycle that holds it, so it
+        # gets weak hooks: the pair is freed by refcount, not as a cycle.
+        world.set_loader(
+            weak_method(self._load),
+            None if relight is None else weak_method(self._relight),
+        )
 
     # -- introspection -------------------------------------------------------
 
@@ -209,6 +217,9 @@ class ChunkLifecycle:
         self._on_disk.add((cx, cz))
         self.chunks_loaded += 1
         return chunk
+
+    def _relight(self, chunks: list[Chunk]) -> None:
+        self.relight(chunks)
 
     # -- autosave ------------------------------------------------------------
 
@@ -375,12 +386,17 @@ class ChunkLifecycle:
         ):
             self._pinned_cache = self.pinned()
             self._pinned_refresh_tick = tick_index
+        keys = list(self.world.loaded_keys())
+        last_seen = self._last_seen(keys)
+        if min(last_seen) == tick_index:
+            # Every loaded chunk was stamped this tick (no stamp is
+            # later): all are in view, so nothing can go.
+            return
         pinned = self._pinned_cache
         regenerable = self.world.has_generator
         candidates: list[tuple[int, tuple[int, int]]] = []
         dirty = set(self.world.dirty_keys())
-        keys = list(self.world.loaded_keys())
-        for key, last in zip(keys, self._last_seen(keys)):
+        for key, last in zip(keys, last_seen):
             # Stamped this tick: in view.
             if last == tick_index or key in pinned or key in dirty:
                 continue

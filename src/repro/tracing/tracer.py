@@ -207,6 +207,9 @@ class Span:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         report = self._report
+        # The report keeps its closed spans; a closed span forgets the
+        # report, so a traced tick leaves no reference cycle behind.
+        self._report = None
         segments = report.segments
         seg = segments.pop()
         report.counts = outer = segments[-1]

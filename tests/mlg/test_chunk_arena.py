@@ -2,6 +2,7 @@
 every bulk query over the slabs equals its scalar twin."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -44,6 +45,20 @@ def _generated(seed, keys):
     return world
 
 
+def _smaps_rss_kb(address: int) -> int:
+    """``Rss:`` of the mapping holding ``address`` (``/proc/self/smaps``)."""
+    inside = False
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            head = line.split(None, 1)[0]
+            if "-" in head and not head.endswith(":"):
+                start, end = (int(bound, 16) for bound in head.split("-"))
+                inside = start <= address < end
+            elif inside and head == "Rss:":
+                return int(line.split()[1])
+    raise LookupError(f"no mapping holds {address:#x}")
+
+
 def _small_pages(monkeypatch):
     """Worlds created from here on get four slots per page, so a handful
     of chunks spans several pages; earlier worlds keep their page size."""
@@ -75,6 +90,34 @@ class TestSlots:
         assert old.dirty
         old.blocks[0, 0, 0] = Block.TNT  # a detached handle writes nowhere
         assert world.count_blocks(Block.TNT) == 0
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/smaps"), reason="reads Linux smaps"
+    )
+    def test_releasing_leaves_fields_never_written_untouched(self):
+        # Each field of a page is its own anonymous mapping, resident only
+        # where written.  Releasing a chunk whose aux and blocklight were
+        # never written must not fault those mappings in by zeroing them.
+        arena = ChunkArena()
+        page = arena._pages[0]
+        for cx in range(100):
+            arena.create(cx, 0).blocks[:, :, :64] = Block.STONE
+
+        def rss_kb():
+            return {
+                name: _smaps_rss_kb(getattr(page, name).ctypes.data)
+                for name in ("aux", "blocklight")
+            }
+
+        before = rss_kb()
+        for cx in range(100):
+            released = arena.release(cx, 0)
+        after = rss_kb()
+        # 100 zeroed slots would be 6 400 kB of each field.
+        for name in before:
+            assert after[name] - before[name] < 256, name
+        assert (released.blocks[:, :, :64] == Block.STONE).all()
+        assert not page.blocks[:100].any()
 
     def test_released_slots_are_reused_lowest_first(self):
         world = World()

@@ -36,6 +36,7 @@ def scrape(url: str, deadline_s: float = 20.0) -> str:
             with urllib.request.urlopen(url, timeout=5) as response:
                 return response.read().decode("utf-8")
         except urllib.error.HTTPError as err:
+            err.close()  # it holds the response's socket
             if err.code != 503 or time.monotonic() > deadline:
                 raise
             time.sleep(0.05)

@@ -53,6 +53,7 @@ class TestRoutes:
         server, _ = endpoint
         with pytest.raises(urllib.error.HTTPError) as err:
             get(f"http://{server.host}:{server.port}/nope")
+        err.value.close()  # an HTTPError holds the response's socket
         assert err.value.code == 404
 
 
@@ -65,6 +66,7 @@ class TestFallback:
         try:
             with pytest.raises(urllib.error.HTTPError) as err:
                 get(server.url)
+            err.value.close()
             assert err.value.code == 503
         finally:
             server.stop(grace_s=0)

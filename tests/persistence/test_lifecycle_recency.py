@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from lifecycle_oracle import OracleLifecycle
 
+from repro.core import run_iteration
 from repro.mlg.workreport import WorkReport
 from repro.mlg.world import World
 from repro.persistence.lifecycle import ChunkLifecycle
@@ -133,3 +134,57 @@ def test_eviction_resets_recency():
     lifecycle.tick(4, WorkReport(), [((0, 0), 0), ((20, 20), 0)])
     assert not world.has_chunk(9, 9)
     assert lifecycle._last_seen([(9, 9), (20, 20), (8, 8)]) == [-1, 4, 3]
+
+
+def test_a_tick_with_every_chunk_in_view_skips_the_walk():
+    world = World(generator=lambda chunk: None)
+    refreshes = []
+    lifecycle = ChunkLifecycle(
+        world, max_loaded_chunks=4, pinned=lambda: refreshes.append(1) or set()
+    )
+    walks = []
+    dirty_keys = world.dirty_keys
+    world.dirty_keys = lambda: walks.append(1) or dirty_keys()
+    world.ensure_chunks((cx, cz) for cx in range(3) for cz in range(3))
+    lifecycle.tick(0, WorkReport(), [((1, 1), 1)])
+    # Over the cap, but all nine chunks are in view: no walk, and the
+    # pinned set still refreshes on its own schedule.
+    assert world.loaded_chunk_count == 9 and lifecycle.chunks_evicted == 0
+    assert walks == [] and refreshes == [1]
+    world.ensure_chunks([(9, 9)])
+    lifecycle.tick(1, WorkReport(), [((1, 1), 1)])
+    assert walks == [1] and not world.has_chunk(9, 9)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_an_evicting_cell_evicts_what_the_oracle_did(monkeypatch, seed):
+    """An ``exploration`` cell over its cap: most over-cap ticks have every
+    chunk in view, and returning early on them changes nothing."""
+    runs = []
+    for cls in (ChunkLifecycle, OracleLifecycle):
+        monkeypatch.setattr("repro.mlg.server.ChunkLifecycle", cls)
+        evicted = []
+        unload = World.unload_chunk
+
+        def recording_unload(self, cx, cz, evicted=evicted, unload=unload):
+            evicted.append((cx, cz))
+            return unload(self, cx, cz)
+
+        monkeypatch.setattr(World, "unload_chunk", recording_unload)
+        it = run_iteration(
+            "exploration", "vanilla", "aws-t3.large", 5.0, seed=seed,
+            max_loaded_chunks=120,
+        )
+        monkeypatch.undo()
+        runs.append(
+            (
+                evicted,
+                it.telemetry["world"],
+                it.tick_durations_ms,
+                it.response_times_ms,
+                it.packet_counts,
+            )
+        )
+    (evicted, world, *rest), expected = runs
+    assert evicted and world["chunks_evicted"] == len(evicted)
+    assert (evicted, world, *rest) == expected
