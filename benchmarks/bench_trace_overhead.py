@@ -130,7 +130,7 @@ def test_trace_overhead(benchmark, out_dir):
         ["  95% interval", f"[{null_low:+.1f}, {null_high:+.1f}] us/tick"],
         ["budget", f"{TRACE_BUDGET_US_PER_TICK:.0f} us/tick"],
         ["ticks traced", f"{trace_snapshot['ticks_seen']}"],
-        ["phase accumulators", f"{len(trace_snapshot['phases'])}"],
+        ["phases traced", f"{len(trace_snapshot['phases'])}"],
         ["tick records bit-identical", f"{identical}"],
     ]
     text = format_table(["metric", "value"], rows)

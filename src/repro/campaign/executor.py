@@ -127,33 +127,17 @@ def open_campaign(
     return completed, provenance
 
 
-def _strip_tails(snapshot) -> object:
-    """Deep-copy a telemetry snapshot without its ring-buffer tails.
-
-    Sidecar lines are read repeatedly by ``status`` while a campaign
-    runs; dropping the recent-tail arrays keeps them to a few hundred
-    bytes per iteration without losing any summary statistic.
-    """
-    if isinstance(snapshot, dict):
-        return {
-            key: _strip_tails(value)
-            for key, value in snapshot.items()
-            if key != "tail"
-        }
-    return snapshot
-
-
-def _sidecar_telemetry(telemetry: dict) -> object:
-    """Sidecar-sized telemetry: tails stripped, trace bulk summarized.
+def _sidecar_telemetry(telemetry: dict) -> dict:
+    """Sidecar-sized telemetry: the trace bulk summarized.
 
     A traced iteration's span-dump ring ("ticks") and anomaly list can
     run to tens of kilobytes; ``status`` tail-reads sidecars on every
     poll, so the sidecar keeps only the trace's summary state (knobs,
-    per-phase accumulators, counters).  The full dumps stay in the job
+    per-phase statistics, counters).  The full dumps stay in the job
     shard, and anomalies additionally stream to their own JSONL.
     """
-    slim = _strip_tails(telemetry)
-    trace = slim.get("trace") if isinstance(slim, dict) else None
+    slim = dict(telemetry)
+    trace = slim.get("trace")
     if isinstance(trace, dict):
         trace = dict(trace)
         trace["anomaly_count"] = len(trace.pop("anomalies", None) or [])
@@ -175,7 +159,6 @@ def telemetry_line(job: Job, it: IterationResult) -> str:
             "iteration": it.iteration,
             "seed": it.seed,
             "crashed": it.crashed,
-            "isr": it.isr,
             "fingerprint": it.provenance.get("fingerprint"),
             "telemetry": _sidecar_telemetry(it.telemetry),
         },

@@ -7,12 +7,11 @@ Metrics Collector** samples OS-level metrics twice per second of simulated
 time: CPU, memory (with a JVM-ish GC sawtooth), threads, disk I/O, and
 network I/O.
 
-Both collectors now ride the streaming telemetry layer
-(:mod:`repro.telemetry`): the externalizer's Fig. 11 distribution comes
-from bucket totals the game loop folds once per tick (instead of
-re-walking every ``TickRecord`` per call), and the system collector keeps
-per-metric accumulators for its summary and sidecar snapshot, beside
-the raw ``samples`` list the figure pipeline reads.
+The externalizer's Fig. 11 distribution comes from bucket totals the
+telemetry tap (:mod:`repro.telemetry.tap`) sums once per tick, instead of
+re-walking every ``TickRecord`` per call; the system collector keeps
+every sample, and its summary and sidecar snapshot are computed from
+them when read (:mod:`repro.telemetry.summary`).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.mlg.server import MLGServer
-from repro.telemetry.accumulators import MetricAccumulator
+from repro.telemetry.summary import summarize
 
 __all__ = [
     "MetricExternalizer",
@@ -112,8 +111,8 @@ class SystemSample:
 class SystemMetricsCollector:
     """Samples system metrics at 2 Hz of simulated time.
 
-    Summaries come from streaming accumulators; the raw ``samples`` list
-    keeps every sample.
+    The raw ``samples`` list keeps every sample; summaries are computed
+    from it when read.
     """
 
     def __init__(self, server: MLGServer) -> None:
@@ -123,8 +122,6 @@ class SystemMetricsCollector:
         self._last_cpu_used = 0.0
         self._last_wall = 0.0
         self._gc_phase = 0.0
-        self._cpu = MetricAccumulator("cpu_utilization", tail_size=128)
-        self._memory = MetricAccumulator("memory_bytes", tail_size=128)
 
     def maybe_sample(self) -> int:
         """Take all due samples; returns how many were taken.
@@ -170,7 +167,7 @@ class SystemMetricsCollector:
             # JVM heap sawtooth: allocation climbs, young-GC drops it back.
             self._gc_phase = (self._gc_phase + 0.13) % 1.0
             heap_jitter = 0 if evicting else int(120e6 * self._gc_phase)
-            self._observe(
+            self.samples.append(
                 SystemSample(
                     t_us=t_us,
                     cpu_utilization=utilization,
@@ -183,22 +180,22 @@ class SystemMetricsCollector:
                 )
             )
 
-    def _observe(self, sample: SystemSample) -> None:
-        self._cpu.update(sample.cpu_utilization)
-        self._memory.update(sample.memory_bytes)
-        self.samples.append(sample)
-
     # -- summaries ---------------------------------------------------------------
+
+    def _series(self, field: str) -> list[float]:
+        return [float(getattr(s, field)) for s in self.samples]
 
     def summary(self) -> dict[str, float]:
         if not self.samples:
             return {}
         last = self.samples[-1]
+        cpu = summarize(self._series("cpu_utilization"))
+        memory = summarize(self._series("memory_bytes"))
         return {
-            "cpu_mean": self._cpu.mean,
-            "cpu_max": self._cpu.maximum,
-            "memory_mean_mb": self._memory.mean / 1e6,
-            "memory_max_mb": self._memory.maximum / 1e6,
+            "cpu_mean": cpu["mean"],
+            "cpu_max": cpu["max"],
+            "memory_mean_mb": memory["mean"] / 1e6,
+            "memory_max_mb": memory["max"] / 1e6,
             "threads": float(last.threads),
             "disk_write_bytes": float(last.disk_write_bytes),
             "net_sent_bytes": float(last.net_sent_bytes),
@@ -206,10 +203,10 @@ class SystemMetricsCollector:
             "samples": float(len(self.samples)),
         }
 
-    def snapshot(self, include_tails: bool = False) -> dict:
-        """Streaming per-metric snapshot (for telemetry sidecars)."""
+    def snapshot(self) -> dict:
+        """Per-metric summaries of every sample (for telemetry sidecars)."""
         return {
             "samples": len(self.samples),
-            "cpu_utilization": self._cpu.snapshot(include_tail=include_tails),
-            "memory_bytes": self._memory.snapshot(include_tail=include_tails),
+            "cpu_utilization": summarize(self._series("cpu_utilization")),
+            "memory_bytes": summarize(self._series("memory_bytes")),
         }

@@ -167,11 +167,9 @@ def _iterate(
     stats = server.net.stats
     n_share, b_share = stats.entity_share()
     telemetry = {
-        "tick": server.telemetry.snapshot(include_tails=True),
+        "tick": server.telemetry.snapshot(),
         "system": system.snapshot(),
-        "response_ms": server.telemetry.response_ms.snapshot(
-            include_tail=False
-        ),
+        "response_ms": server.telemetry.response_snapshot(),
         **drive_telemetry,
     }
     if server.lifecycle is not None:

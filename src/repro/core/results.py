@@ -22,8 +22,9 @@ class IterationResult:
     """All measurements from one (server, iteration) run.
 
     ``tick_durations_ms``/``response_times_ms`` hold the raw series every
-    derived statistic is computed from; ``telemetry`` holds the streaming
-    snapshot of the same run.
+    derived statistic is computed from; ``telemetry`` holds the summaries
+    of the run's series (:mod:`repro.telemetry.summary`), computed from
+    them at iteration end.
     """
 
     server: str
@@ -48,9 +49,10 @@ class IterationResult:
     scale: float = 1.0
     n_bots: int = 0
     behavior: str = ""
-    #: Streaming telemetry snapshot: ``tick`` (ServerTelemetry), ``system``
-    #: (SystemMetricsCollector), ``response_ms`` (MetricAccumulator).
-    #: Empty for results recorded before the telemetry subsystem.
+    #: Telemetry summaries: ``tick`` and ``response_ms``
+    #: (ServerTelemetry), ``system`` (SystemMetricsCollector), and
+    #: ``wire`` / ``trace`` / ``world`` where the cell has them.  Empty
+    #: for results recorded before the telemetry subsystem.
     telemetry: dict = field(default_factory=dict)
     #: Run-provenance fingerprint (environment + resolved measurement
     #: config + sha256 digest), stamped by the runner.  Deliberately

@@ -207,8 +207,8 @@ class GameLoop:
             clients=server.net.connected_count,
             entities=server.entities.count(),
         )
-        # The tick tap folds the record into streaming telemetry; the raw
-        # list feeds the figure pipeline.
+        # The tick tap keeps the duration series and the Fig. 11 sums; the
+        # raw record list feeds the figure pipeline.
         tracer.end_tick(record, report)
         server.telemetry.observe_tick(record)
         self.last_record = record

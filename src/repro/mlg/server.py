@@ -77,7 +77,7 @@ class MLGServer:
         self.clock = clock if clock is not None else SimClock()
         self.rng = np.random.default_rng(seed)
         self.world = world if world is not None else World()
-        #: Streaming per-tick telemetry; the game loop is its producer.
+        #: Per-tick telemetry series; the game loop is its producer.
         self.telemetry = ServerTelemetry(TICK_BUDGET_US)
         #: Tick-phase span tracing + slow-tick flight recorder.  Off by
         #: default: the null tracer does no bookkeeping at all, keeping
@@ -360,5 +360,8 @@ class MLGServer:
 
     @property
     def overloaded_fraction(self) -> float:
-        """Fraction of >50 ms ticks, from the streaming tick counters."""
-        return self.telemetry.overloaded_fraction
+        """Fraction of >50 ms ticks."""
+        records = self.loop.records
+        if not records:
+            return 0.0
+        return sum(r.overloaded for r in records) / len(records)

@@ -101,12 +101,12 @@ class _WireDrive:
             await wire.run(duration_s)
         finally:
             await wire.close()
-        return list(wire.response_samples), {
+        return list(server.telemetry.response_ms), {
             "wire": wire_metrics_snapshot(server)
         }
 
     def obs_snapshot(self):
-        """One scrape of the currently-running iteration's accumulators.
+        """One scrape of the currently-running iteration's series.
 
         Builds the same sidecar-shaped telemetry mapping the executor's
         sidecars carry, from the *live* tap/wire/tracer state — so a
@@ -121,10 +121,8 @@ class _WireDrive:
         if server is None:
             raise RuntimeError("no iteration has started yet")
         telemetry = {
-            "tick": server.telemetry.snapshot(include_tails=False),
-            "response_ms": server.telemetry.response_ms.snapshot(
-                include_tail=False
-            ),
+            "tick": server.telemetry.snapshot(),
+            "response_ms": server.telemetry.response_snapshot(),
             "wire": wire_metrics_snapshot(server),
         }
         if server.tracer.enabled:

@@ -55,6 +55,7 @@ from repro.telemetry.catalog import (
     WIRE_FLUSH_US,
     WIRE_STREAMS,
 )
+from repro.telemetry.summary import summarize, total
 
 __all__ = ["WireServer", "wire_metrics_snapshot"]
 
@@ -151,14 +152,11 @@ class _RunTable:
 
 
 def wire_metrics_snapshot(server) -> dict:
-    """Sidecar-shaped snapshots of the wire metrics (totals included)."""
+    """Sidecar-shaped summaries of the wire metrics (totals included)."""
     out: dict = {}
-    bus = server.telemetry.bus
     for name in WIRE_STREAMS:
-        acc = bus.metric(name)
-        snap = acc.snapshot(include_tail=False)
-        snap["total"] = acc.total
-        out[name] = snap
+        values = np.array(server.telemetry.bus.stream(name)[:])
+        out[name] = {**summarize(values), "total": total(values)}
     return out
 
 
@@ -180,9 +178,6 @@ class WireServer:
         #: Called after every ``server.tick()`` (the slot the serve loop
         #: uses for ``SystemMetricsCollector.maybe_sample``).
         self.on_tick = on_tick
-        #: Raw response samples streamed back by clients (client-side
-        #: measurement, folded into ``telemetry.response_ms`` on arrival).
-        self.response_samples: list[float] = []
         self._asyncio_server: asyncio.base_events.Server | None = None
         self._writers: dict[int, asyncio.StreamWriter] = {}
         self._reader_tasks: set[asyncio.Task] = set()
@@ -301,8 +296,8 @@ class WireServer:
             if msg.action.client_id == client_id:
                 self.server.submit_action(msg.action, msg.sent_at_us)
         elif isinstance(msg, wc.WireResponseSample):
+            # Client-side measurement, streamed back as it completes.
             self.server.telemetry.observe_response(msg.response_ms)
-            self.response_samples.append(msg.response_ms)
         elif isinstance(msg, wc.WireBye):
             self.server.net.disconnect(client_id, msg.reason)
 

@@ -8,10 +8,10 @@ One :class:`ObsHttpServer` serves two routes from a daemon thread:
 
 The server never touches the simulation: a scrape calls the snapshot
 function the owner provided, renders, and responds.  The snapshot
-function reads live accumulators from another thread — a read racing a
-fold can, very rarely, catch a quantile sketch mid-compaction, so a
-failed build answers with the previous successful body (HTTP 200) or
-503 when none exists yet.  Scrapes therefore never crash a run and a
+function summarizes live series from another thread — a read racing
+the tick can, very rarely, meet a dict the tick is growing, so a failed
+build answers with the previous successful body (HTTP 200) or 503 when
+none exists yet.  Scrapes therefore never crash a run and a
 run never waits on a scraper.
 """
 

@@ -1,9 +1,9 @@
 """The obs snapshot: one scrape's worth of catalogued metrics, rendered.
 
 Meterstick's thesis is that variability must be observed *while it
-happens*; the endpoint therefore re-exports the same streaming state the
-sidecars already carry — the :class:`~repro.telemetry.tap.ServerTelemetry`
-tap, the tracer's per-phase accumulators, and the wire metrics — rather
+happens*; the endpoint therefore re-exports the same summaries the
+sidecars already carry — of the :class:`~repro.telemetry.tap.ServerTelemetry`
+tap's series, the tracer's per-phase costs, and the wire metrics — rather
 than keeping a second set of counters.  What may be exported, under
 which name, type and help text, is the exposition side of the metric
 catalog (:data:`repro.telemetry.catalog.EXPOSITION`):
@@ -71,7 +71,7 @@ def telemetry_obs_snapshot(
     ``telemetry`` is the exact shape the campaign sidecars carry
     (``{"tick": tap snapshot, "response_ms": ..., "wire": ...,
     "trace": ...}``) — the serve loop builds the same mapping live from
-    its accumulators, so the endpoint and the sidecars can never
+    its series, so the endpoint and the sidecars can never
     disagree on what a metric means.
     """
     snap = ObsSnapshot(meta)

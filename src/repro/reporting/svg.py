@@ -4,8 +4,8 @@ Small, dependency-free chart toolkit plus the three report panels:
 
 - faceted matrix plots (``output.plots: kind: matrix``) — one small
   multiple per facet value, one line per series value, shared y scale;
-- the warmup -> steady panel: windowed tick-CoV per job with the PR 2
-  change-point marked;
+- the warmup -> steady panel: windowed tick-CoV per job with the
+  warmup -> steady change point marked;
 - the anomaly strip: slow-tick flight-recorder dumps on a per-job tick
   timeline, autosave-dominated ticks distinguished.
 

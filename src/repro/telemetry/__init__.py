@@ -1,45 +1,19 @@
-"""Streaming telemetry: bounded-memory online statistics for long runs.
+"""Run telemetry: raw series kept as the run goes, summarized when read.
 
-The measurement loop used to materialize every tick record and system
-sample into unbounded lists and re-walk them for each summary; this
-package replaces that with push-based, mergeable accumulators so runs
-can last as long as the hardware allows and campaigns are observable
-*while* they run (``python -m repro status`` reads the JSONL telemetry
-sidecars the executor streams per iteration).
+Every statistic a sidecar line, report column or live scrape carries is
+an exact function of one series the run kept.
 
-Layers (bottom up):
-
-- :mod:`repro.telemetry.accumulators` — Welford moments, mergeable
-  quantile sketch, ring-buffer tails, and the per-metric composite
-  :class:`MetricAccumulator`.
-- :mod:`repro.telemetry.windowed` — :class:`WindowedSeries`: per-window
-  CoV and the warmup→steady-state change point.
-- :mod:`repro.telemetry.bus` — :class:`TelemetryBus`: named metric
-  streams, each with an optional windowed view.
+- :mod:`repro.telemetry.bus` — :class:`TelemetryBus`: named raw series.
 - :mod:`repro.telemetry.tap` — :class:`ServerTelemetry`: the per-server
-  tick tap (streaming ISR, Fig. 11 bucket totals, overload fraction).
-
-Beside them: :mod:`repro.telemetry.catalog` — every metric declared
-once; its docstring carries the metric → paper figure/table map.
+  tick tap (tick and response series, Fig. 11 totals).
+- :mod:`repro.telemetry.summary` — :func:`summarize` and :func:`windows`
+  (the warmup→steady change point).
+- :mod:`repro.telemetry.catalog` — every metric declared once, with the
+  metric → paper figure/table map.
 """
 
-from repro.telemetry.accumulators import (
-    MetricAccumulator,
-    QuantileSketch,
-    RingBuffer,
-    WelfordAccumulator,
-)
 from repro.telemetry.bus import TelemetryBus
+from repro.telemetry.summary import summarize, windows
 from repro.telemetry.tap import ServerTelemetry
-from repro.telemetry.windowed import WindowedSeries, WindowSummary
 
-__all__ = [
-    "MetricAccumulator",
-    "QuantileSketch",
-    "RingBuffer",
-    "ServerTelemetry",
-    "TelemetryBus",
-    "WelfordAccumulator",
-    "WindowSummary",
-    "WindowedSeries",
-]
+__all__ = ["ServerTelemetry", "TelemetryBus", "summarize", "windows"]

@@ -19,10 +19,10 @@ line and the names in the scrape body with what is declared here.
 Metric → paper mapping (see also the README's Telemetry section):
 
 ======================  =============================================
-Streamed metric         Paper figure / table
+Metric                  Paper figure / table
 ======================  =============================================
-``tick_ms`` quantiles   Fig. 9 tick-time series (tail buffer) and the
-                        Fig. 10/12 box plots (p25/p50/p75/p95)
+``tick_ms`` quantiles   Fig. 10/12 box plots (p25/p50/p75/p95), exact
+                        over the tick series (Fig. 9's time series)
 ``tick_ms`` CoV,        Fig. 8 / Table 6 variability columns
 windowed CoV
 ``isr``                 Fig. 6/8, Table 6 (Equation 1)
@@ -76,7 +76,7 @@ class Metric:
     #: Keys from the sidecar line down to the value; ``None`` for the
     #: counts the campaign parent keeps itself.
     path: tuple[str, ...] | None
-    #: Bus stream whose accumulator snapshot holds the value.
+    #: Bus stream whose summary holds the value.
     stream: str | None = None
     #: Report-row key, and the table-header label that makes the column
     #: a legal pivot / plot metric (``top_bucket`` is a name, so it has
@@ -136,15 +136,11 @@ _OPTIONAL_SECTIONS = ("wire", "trace")
 #: report calls it, what the endpoint calls it, how a campaign combines it.
 CATALOG = (
     Metric(("crashed",), column="crashed", header="crashed", derive=bool),
-    # The line's own ``isr`` is the iteration's, computed from the raw
-    # tick trace; the tap's streaming value — the
-    # only one a mid-run scrape has — agrees with it to rounding, not to
-    # the bit, so the report column and the endpoint gauge stay apart.
-    Metric(("isr",), column="isr", header="instability ratio (Eq. 1)"),
     Metric(
         (*_TICK, "isr"),
+        column="isr", header="instability ratio (Eq. 1)",
         name="repro_isr", kind="gauge",
-        help="streaming Instability Ratio (Eq. 1)",
+        help="Instability Ratio (Eq. 1)",
         combine="mean", weight="ticks",
     ),
     Metric(
@@ -155,8 +151,8 @@ CATALOG = (
         combine="sum",
     ),
     # A campaign's quantiles and CoV are the sample-weighted mean of its
-    # iterations' (the snapshots do not merge at full fidelity); its mean
-    # so weighted and its maximum are exact.
+    # iterations' (a pooled quantile is not a function of the summaries);
+    # its mean so weighted and its maximum are exact.
     Metric(
         (*_TICK_MS, "mean"), TICK_MS,
         column="tick_mean_ms", header="mean tick (ms)",

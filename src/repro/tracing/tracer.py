@@ -30,15 +30,15 @@ Runtime Environments" (PAPERS.md): tracing is **off by default** and the
 disabled path (:class:`NullTracer`) performs no bookkeeping at all, so
 ``trace=False`` runs stay bit-identical with the untraced simulation;
 when enabled, recording an op costs exactly what it costs untraced, span
-entry/exit is O(distinct ops inside the span), and memory stays constant
-for arbitrarily long runs: a **bounded ring** keeps the most recent
-tick dumps.
+entry/exit is O(distinct ops inside the span), and a **bounded ring**
+keeps only the most recent tick dumps; what grows with the run is one
+float per phase per tick, like the tick series itself.
 
 On top of the spans:
 
-- per-phase streaming :class:`~repro.telemetry.accumulators.MetricAccumulator`s
-  (one per top-level span name) that campaigns publish into the JSONL
-  telemetry sidecars;
+- each top-level span name's per-tick cost series, summarized
+  (:func:`repro.telemetry.summary.summarize`) into the phase statistics
+  that campaigns publish in the JSONL telemetry sidecars;
 - a slow-tick **flight recorder**: any tick whose wall duration exceeds
   ``slow_tick_factor ×`` the tick budget is dumped — span tree plus the
   top-k most expensive operations of its report — into a bounded anomaly
@@ -50,7 +50,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 
 from repro.mlg.workreport import WorkReport
-from repro.telemetry.accumulators import MetricAccumulator
+from repro.telemetry.summary import summarize
 
 __all__ = [
     "NULL_TRACER",
@@ -263,10 +263,6 @@ class Tracer:
 
     enabled = True
 
-    #: Traced ticks whose phase costs wait, one list per phase, before
-    #: they go into ``phases`` as one batch each: same bits as one
-    #: accumulator call per phase per tick, a third of the time.
-    FOLD_EVERY = 32
     #: Tick dumps the ring keeps, and how many :meth:`snapshot` exports.
     RETAIN_TICKS = 256
     EXPORT_TICKS = 128
@@ -292,8 +288,8 @@ class Tracer:
         self.slow_tick_factor = slow_tick_factor
         #: Ring of the most recent per-tick span dumps, oldest first.
         self._ring: deque = deque(maxlen=self.RETAIN_TICKS)
-        self._phases: dict[str, MetricAccumulator] = {}
-        self._unfolded: defaultdict[str, list[float]] = defaultdict(list)
+        #: Simulated µs per traced tick, one list per top-level span name.
+        self.phases: defaultdict[str, list[float]] = defaultdict(list)
         #: Bounded slow-tick flight-recorder dumps, oldest dropped first.
         self.anomalies: deque = deque(maxlen=self.MAX_ANOMALIES)
         self.ticks_seen = 0
@@ -325,10 +321,10 @@ class Tracer:
         return span
 
     def end_tick(self, record, report) -> None:
-        """Close the tick: fold accumulators, ring the dump, watch slowness."""
+        """Close the tick: price its spans, ring the dump, watch slowness."""
         spans = report.spans
         price = self.cost_table.get
-        unfolded = self._unfolded
+        phases = self.phases
         for span in spans:
             if span.ops:
                 cost = 0.0
@@ -336,7 +332,7 @@ class Tracer:
                     cost += n * price(op, 0.0)
                 span.cost_us = cost
             if span.depth == 1:
-                unfolded[span.name].append(span.cost_us)
+                phases[span.name].append(span.cost_us)
         dump = {
             "tick": record.index,
             "start_us": record.start_us,
@@ -344,30 +340,11 @@ class Tracer:
             "work_us": record.work_us,
             "spans": spans,
         }
-        if self.ticks_seen % self.FOLD_EVERY == 0:
-            self._fold()
         self._ring.append(dump)
         self._report = None
         if record.duration_us > self.slow_tick_factor * self.budget_us:
             self.slow_ticks += 1
             self.anomalies.append(self._anomaly(record, report, spans))
-
-    @property
-    def phases(self) -> dict[str, MetricAccumulator]:
-        """Per-phase streaming accumulators, one per top-level span name."""
-        self._fold()
-        return self._phases
-
-    def _fold(self) -> None:
-        phases = self._phases
-        for name, costs in self._unfolded.items():
-            if not costs:
-                continue
-            acc = phases.get(name)
-            if acc is None:
-                acc = phases[name] = MetricAccumulator(name, tail_size=0)
-            acc.update_many(costs)
-            costs.clear()
 
     # -- flight recorder -----------------------------------------------------
 
@@ -418,8 +395,8 @@ class Tracer:
             "ticks_seen": self.ticks_seen,
             "slow_ticks": self.slow_ticks,
             "phases": {
-                name: acc.snapshot(include_tail=False)
-                for name, acc in sorted(self.phases.items())
+                name: summarize(costs)
+                for name, costs in sorted(self.phases.items())
             },
             "anomalies": list(self.anomalies),
             "ticks": [

@@ -155,7 +155,7 @@ class TestServerLevelDeterminism:
             server.entities.spawn(EntityKind.ITEM, x, 66.0, z)
         server.run_for(3.0)
         return (
-            server.telemetry.isr,
+            server.telemetry.snapshot()["isr"],
             tuple(server.tick_durations_ms()),
             tuple(sorted(server.telemetry.bucket_totals_us.items())),
         )

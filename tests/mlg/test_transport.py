@@ -164,9 +164,8 @@ class TestSessionParity:
         ticks_b = drive(server_b, clock_b, bots_new(server_b))
 
         assert ticks_a == ticks_b
-        assert server_a.telemetry.snapshot(
-            include_tails=True
-        ) == server_b.telemetry.snapshot(include_tails=True)
+        assert server_a.telemetry.snapshot() == server_b.telemetry.snapshot()
+        assert server_a.telemetry.response_ms == server_b.telemetry.response_ms
         assert server_a.net.stats.counts == server_b.net.stats.counts
         assert server_a.net.stats.bytes_ == server_b.net.stats.bytes_
 
@@ -241,7 +240,8 @@ class TestTransportApi:
             results.append(
                 (
                     swarm.response_times_ms(),
-                    server.telemetry.snapshot(include_tails=True),
+                    server.telemetry.tick_ms,
+                    server.telemetry.snapshot(),
                 )
             )
         assert results[0] == results[1]

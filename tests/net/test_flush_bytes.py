@@ -197,8 +197,10 @@ class TestFlushBytes:
         expected = expected_buffers(n_clients, deliveries)
         written = {cid: w.written for cid, w in wire._writers.items()}
         assert written == expected
-        bytes_out = wire.server.telemetry.bus.metric(WIRE_BYTES_OUT)
-        assert bytes_out.total == sum(len(buf) for buf in written.values())
+        bytes_out = wire.server.telemetry.bus.series[WIRE_BYTES_OUT]
+        assert bytes_out.tolist() == [
+            sum(len(buf) for buf in written.values())
+        ]
 
 
 @pytest.mark.parametrize("n_clients", (1, 2, 3))
@@ -320,8 +322,8 @@ def test_random_deltas_match_the_oracle_and_the_bytes_out_metric(
                 assert writer.written == expected[client_id]
                 written += len(writer.written)
                 writer.written.clear()
-    bytes_out = wire.server.telemetry.bus.metric(WIRE_BYTES_OUT)
-    assert bytes_out.total == written
+    bytes_out = wire.server.telemetry.bus.series[WIRE_BYTES_OUT]
+    assert sum(bytes_out) == written
 
 
 def test_steady_state_tick_encodes_no_frame_and_builds_no_state_message(

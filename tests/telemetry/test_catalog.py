@@ -11,7 +11,10 @@ nothing produces and an export nothing catalogues each fail here.
 before the catalog existed (one traced ``transport: tcp`` cell, one plain
 in-process cell) with what that commit's hand-written readers made of
 them: the report row, both scrape bodies, the ``status`` frame, and the
-message ``validate_output`` gives an unknown metric.  The catalog's
+message ``validate_output`` gives an unknown metric.  Since then the
+lines have lost their top-level ``isr`` (the one ISR sits under
+``telemetry.tick``), and the in-process line was re-captured once its
+quantiles became exact percentiles of its series.  The catalog's
 readers must still give every one of those bytes, in that order; a
 column or an exposition name added since shows up between them and is
 not pinned.
@@ -19,7 +22,6 @@ not pinned.
 
 import ast
 import json
-import threading
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,6 @@ import pytest
 from repro.campaign import CampaignSpec, JobPlanner, JobStore
 from repro.campaign.cli import _status_frame
 from repro.core import run_iteration
-from repro.net import run_clients, serve_cell
 from repro.obs import (
     CampaignObsAggregate,
     render_json,
@@ -36,8 +37,6 @@ from repro.obs import (
 )
 from repro.reporting.dataset import sidecar_row
 from repro.reporting.spec import METRIC_FIELDS, validate_output
-from repro.telemetry import bus as bus_module
-from repro.telemetry import tap
 from repro.telemetry.catalog import (
     CATALOG,
     EXPOSITION,
@@ -46,63 +45,6 @@ from repro.telemetry.catalog import (
 )
 
 PINS = json.loads((Path(__file__).parent / "sidecar_pins.json").read_text())
-
-N_CLIENTS = 2
-
-
-@pytest.fixture(scope="module")
-def buses():
-    """Every ``TelemetryBus`` a server creates while the module runs."""
-    created = []
-
-    class RecordingBus(bus_module.TelemetryBus):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            created.append(self)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tap, "TelemetryBus", RecordingBus)
-        yield created
-
-
-@pytest.fixture(scope="module")
-def wire_cell(buses, tmp_path_factory):
-    """One traced farm cell served over loopback: its sidecar line and
-    its server's bus."""
-    before = len(buses)
-    root = tmp_path_factory.mktemp("catalog-wire")
-    spec_path = root / "wire.json"
-    spec_path.write_text(
-        json.dumps(
-            dict(PINS["cells"]["wire"]["spec"], output_dir=str(root / "out"))
-        )
-    )
-    listening = threading.Event()
-    box = {}
-
-    def on_listen(port):
-        box["port"] = port
-        listening.set()
-
-    def serve():
-        try:
-            box["serve"] = serve_cell(spec_path, cell=0, on_listen=on_listen)
-        except BaseException as exc:  # surface into the test thread
-            box["error"] = exc
-            listening.set()
-
-    thread = threading.Thread(target=serve)
-    thread.start()
-    assert listening.wait(30), "serve_cell never bound its socket"
-    if "error" not in box:
-        run_clients("127.0.0.1", box["port"], N_CLIENTS, stagger_s=0.05, seed=7)
-    thread.join(60)
-    assert not thread.is_alive(), "serve_cell did not finish"
-    if "error" in box:
-        raise box["error"]
-    (line,) = JobStore(root / "out").read_job_telemetry(box["serve"]["job_id"])
-    (bus,) = buses[before:]
-    return {"line": line, "bus": bus}
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +62,7 @@ def published(bus) -> list[str]:
     """The streams that received a sample (``wire_metrics_snapshot`` and
     the tap register theirs up front, so being on the bus proves
     nothing)."""
-    return [name for name in bus.metric_names if bus.metric(name).count]
+    return [name for name in bus.metric_names if bus.series[name]]
 
 
 def reaches(line: dict, path: tuple) -> bool:
@@ -135,10 +77,10 @@ def reaches(line: dict, path: tuple) -> bool:
 
 
 class TestStreamsOnTheBus:
-    def test_inproc_cell_publishes_exactly_the_tap_streams(self, buses):
-        before = len(buses)
+    def test_inproc_cell_publishes_exactly_the_tap_streams(self, created):
+        before = len(created["bus"])
         run_iteration("farm", "vanilla", "das5", duration_s=1.0, seed=3)
-        (bus,) = buses[before:]
+        (bus,) = created["bus"][before:]
         assert published(bus) == bus.metric_names == sorted(TAP_STREAMS)
 
     def test_wire_cell_adds_exactly_the_wire_streams(self, wire_cell):

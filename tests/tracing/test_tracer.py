@@ -26,7 +26,7 @@ from repro.mlg.constants import TICK_BUDGET_US
 from repro.mlg.server import MLGServer
 from repro.mlg.workreport import WorkReport
 from repro.simtime import SimClock
-from repro.telemetry import MetricAccumulator
+from repro.telemetry import summarize
 from repro.tracing.tracer import (
     NULL_TRACER,
     Tracer,
@@ -81,7 +81,7 @@ class TestReconciliation:
             )
             assert pre_flush.total_cost_us(table) == record.work_us
 
-    def test_phase_accumulator_totals_match_span_costs(self):
+    def test_phase_totals_match_span_costs(self):
         server, swarm = _traced_server(trace=True)
         totals: dict[str, float] = {}
         for _ in range(60):
@@ -98,26 +98,23 @@ class TestReconciliation:
             assert acc["count"] == 60
             assert acc["mean"] * acc["count"] == pytest.approx(totals[name])
 
-    def test_phases_folded_in_batches_match_one_update_per_tick(self):
-        # Phase costs wait up to FOLD_EVERY ticks before they reach the
-        # accumulators; reading ``phases`` mid-batch flushes them, and the
-        # state is bit-identical with one ``update`` per phase per tick.
+    def test_phases_are_each_ticks_top_level_span_costs(self):
+        # One cost per phase per traced tick, in tick order, and the
+        # snapshot summarizes exactly those series.
         server, swarm = _traced_server(trace=True)
         tracer = server.tracer
-        expected: dict[str, MetricAccumulator] = {}
-        for tick in range(2 * tracer.FOLD_EVERY + 5):
+        expected: dict[str, list[float]] = {}
+        for _ in range(37):
             server.loop.run_tick()
             swarm.step()
             for span in tracer.last_dump["spans"]:
                 if span.depth == 1:
-                    expected.setdefault(
-                        span.name, MetricAccumulator(span.name, tail_size=0)
-                    ).update(span.cost_us)
-            if tick == 3:  # a read before the first full batch
-                assert all(acc.count == 4 for acc in tracer.phases.values())
+                    expected.setdefault(span.name, []).append(span.cost_us)
+        assert tracer.phases == expected
         assert list(tracer.phases) == list(expected)
-        for name, acc in tracer.phases.items():
-            assert repr(acc.to_dict()) == repr(expected[name].to_dict())
+        assert tracer.snapshot()["phases"] == {
+            name: summarize(costs) for name, costs in sorted(expected.items())
+        }
 
     def test_traced_report_tallies_like_plain_report(self):
         plain, traced = WorkReport(), TracedWorkReport()
