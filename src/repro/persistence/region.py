@@ -16,14 +16,17 @@ flat file::
     |   payloads, concatenated    |
     +-----------------------------+
 
-Chunk payloads are the raw bytes of the three persisted arrays — blocks
-(uint8), aux (uint8), heightmap (little-endian int16) — so a load is at
-most three ``np.frombuffer`` copies into the chunk's arrays, wherever those
-live: a private page, or a slot the caller claimed from a world's arena.
-An all-zero ``aux`` section (most chunks') is not copied: the chunk was
-handed over all-air, and zeros written onto a slot's untouched pages would
-only make them resident.  Light is derived state, absent from the payload;
-the caller relights what it loaded, exactly as after generation.
+Chunk payloads are the raw bytes of the persisted arrays — blocks
+(uint8), then aux (uint8) only when it is not all zero, then the heightmap
+(little-endian int16) — and a payload's length says which form it is.  A
+load is two or three ``np.frombuffer`` copies into the chunk's arrays,
+wherever those live: a private page, or an arena slot the caller claimed,
+which arrives all zero — a payload without ``aux`` writes nothing onto
+those pages.  Files written when every payload held ``aux`` still load; a
+checkout from before the short form reports a short payload as a named
+corrupt entry and never zero-fills it.  Light is derived state, absent
+from the payload; the caller relights what it loaded, exactly as after
+generation.
 
 Crash safety is two-layered: whole files are written via temp-file +
 ``os.replace`` (a killed save leaves either the old region or the new one,
@@ -67,12 +70,10 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sBBH")
 _ENTRY = struct.Struct("<BBHIII")
 
-#: Raw (uncompressed) payload size of one serialized chunk.
+#: Raw (uncompressed) payload size of a chunk whose ``aux`` is stored.
 _BLOCK_BYTES = CHUNK_SIZE * CHUNK_SIZE * WORLD_HEIGHT
 _HEIGHTMAP_BYTES = CHUNK_SIZE * CHUNK_SIZE * 2
 RAW_CHUNK_BYTES = 2 * _BLOCK_BYTES + _HEIGHTMAP_BYTES
-#: What most payloads' ``aux`` section is (one slice compare, ≈ 2 µs).
-_ZERO_AUX = bytes(_BLOCK_BYTES)
 
 #: zlib level: 6 is the stock speed/ratio trade-off real servers ship.
 _ZLIB_LEVEL = 6
@@ -104,14 +105,17 @@ def region_filename(rx: int, rz: int) -> str:
 
 
 def serialize_chunk(chunk: Chunk) -> bytes:
-    """Raw persisted bytes of one chunk: blocks + aux + heightmap.
+    """Raw persisted bytes of one chunk: blocks, aux, heightmap.
 
-    Light arrays are deliberately absent: they are derived state,
-    recomputed on load the same way they are computed after generation.
+    The ``aux`` section is left out when it is all zero (most chunks'),
+    which makes the payload ``_BLOCK_BYTES`` shorter.  Light arrays are
+    deliberately absent: they are derived state, recomputed on load the
+    same way they are computed after generation.
     """
+    aux = chunk.aux.tobytes() if chunk.aux.any() else b""
     return (
         chunk.blocks.tobytes()
-        + chunk.aux.tobytes()
+        + aux
         + chunk.heightmap.astype("<i2", copy=False).tobytes()
     )
 
@@ -121,26 +125,30 @@ def deserialize_chunk(
 ) -> Chunk:
     """Rebuild a chunk from its persisted bytes (bit-identical arrays).
 
-    The bytes are decoded straight into the chunk ``create(cx, cz)``
-    returns — all-air and free-standing by default, a fresh arena slot
-    when the caller is a world — and ``create`` is not called for a
-    payload of the wrong length.
+    A payload of ``RAW_CHUNK_BYTES`` holds ``aux``; one ``_BLOCK_BYTES``
+    shorter does not, and leaves the chunk's all zero.  The bytes are
+    decoded straight into the chunk ``create(cx, cz)`` returns — all-air
+    and free-standing by default, a fresh arena slot when the caller is a
+    world — and ``create`` is not called for a payload of another length.
     """
-    if len(raw) != RAW_CHUNK_BYTES:
+    short = RAW_CHUNK_BYTES - _BLOCK_BYTES
+    if len(raw) not in (RAW_CHUNK_BYTES, short):
         raise ValueError(
-            f"chunk payload is {len(raw)} bytes, expected {RAW_CHUNK_BYTES}"
+            f"chunk payload is {len(raw)} bytes, expected "
+            f"{RAW_CHUNK_BYTES} or {short}"
         )
     shape = (CHUNK_SIZE, CHUNK_SIZE, WORLD_HEIGHT)
     chunk = create(cx, cz)
     chunk.blocks[:] = np.frombuffer(
         raw, dtype=np.uint8, count=_BLOCK_BYTES, offset=0
     ).reshape(shape)
-    if raw[_BLOCK_BYTES : 2 * _BLOCK_BYTES] != _ZERO_AUX:
+    if len(raw) == RAW_CHUNK_BYTES:
         chunk.aux[:] = np.frombuffer(
             raw, dtype=np.uint8, count=_BLOCK_BYTES, offset=_BLOCK_BYTES
         ).reshape(shape)
     chunk.heightmap[:] = np.frombuffer(
-        raw, dtype="<i2", count=CHUNK_SIZE * CHUNK_SIZE, offset=2 * _BLOCK_BYTES
+        raw, dtype="<i2", count=CHUNK_SIZE * CHUNK_SIZE,
+        offset=len(raw) - _HEIGHTMAP_BYTES,
     ).reshape((CHUNK_SIZE, CHUNK_SIZE))
     return chunk
 

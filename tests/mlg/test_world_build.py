@@ -265,7 +265,7 @@ class TestGolden:
     def test_prepared_tnt_snapshot(self, tmp_path):
         report = prepare_world(tmp_path, "tnt")
         assert (report.world_hash, report.chunks) == ("601afe0e", 441)
-        assert report.bytes_written == 188238
+        assert report.bytes_written == 163937
 
 
 @pytest.mark.xfail(

@@ -1,5 +1,7 @@
 """Region-file format and store: round trips, atomicity, crash safety."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,26 @@ from repro.mlg.constants import CHUNK_SIZE, WORLD_HEIGHT
 from repro.mlg.world import Chunk, World
 from repro.mlg.worldgen import TerrainGenerator
 from repro.persistence.region import (
+    RAW_CHUNK_BYTES,
     RegionCorruptError,
     chunk_to_region,
+    compress_payload,
     deserialize_chunk,
     read_region,
     serialize_chunk,
+    write_region,
 )
 from repro.persistence.store import RegionStore, world_hash
+from repro.persistence.warmup import (
+    WORLD_MANIFEST,
+    ensure_world_cache,
+    read_world_manifest,
+)
+
+#: Bytes in a payload's blocks section, and in its ``aux`` section.
+VOXEL_BYTES = CHUNK_SIZE * CHUNK_SIZE * WORLD_HEIGHT
+#: Length of a payload without its ``aux`` section.
+SHORT_CHUNK_BYTES = RAW_CHUNK_BYTES - VOXEL_BYTES
 
 
 def _random_chunk(cx: int, cz: int, seed: int) -> Chunk:
@@ -25,6 +40,19 @@ def _random_chunk(cx: int, cz: int, seed: int) -> Chunk:
     chunk.aux[:] = rng.integers(0, 256, size=shape, dtype=np.uint8)
     chunk.recompute_heightmap()
     return chunk
+
+
+def _zero_aux_chunk(cx: int, cz: int, seed: int) -> Chunk:
+    chunk = _random_chunk(cx, cz, seed)
+    chunk.aux[:] = 0
+    return chunk
+
+
+def _long_form(raw: bytes) -> bytes:
+    """The payload as every region file written before the short form
+    holds it: ``aux`` present, all zero."""
+    assert len(raw) == SHORT_CHUNK_BYTES
+    return raw[:VOXEL_BYTES] + bytes(VOXEL_BYTES) + raw[VOXEL_BYTES:]
 
 
 def _assert_chunks_equal(a: Chunk, b: Chunk) -> None:
@@ -40,9 +68,49 @@ class TestSerialization:
         restored = deserialize_chunk(3, -7, serialize_chunk(chunk))
         _assert_chunks_equal(chunk, restored)
 
-    def test_rejects_wrong_payload_size(self):
-        with pytest.raises(ValueError, match="bytes"):
-            deserialize_chunk(0, 0, b"\x00" * 10)
+    def test_zero_aux_payload_is_short_and_round_trips(self):
+        """Free-standing, and into an arena slot whose previous occupant
+        wrote ``aux`` all over: the release that freed it zeroed it."""
+        chunk = _zero_aux_chunk(3, -7, seed=1)
+        raw = serialize_chunk(chunk)
+        assert len(raw) == RAW_CHUNK_BYTES - 32768
+        _assert_chunks_equal(chunk, deserialize_chunk(3, -7, raw))
+        world = World()
+        previous = world.adopt_chunk(_random_chunk(0, 0, seed=3))
+        assert previous.aux.any()
+        slot = previous._page.base + previous._slot
+        world.unload_chunk(0, 0)
+        world.set_loader(
+            lambda cx, cz, create: deserialize_chunk(cx, cz, raw, create)
+        )
+        restored = world.ensure_chunk(3, -7)
+        assert restored._page.base + restored._slot == slot
+        _assert_chunks_equal(chunk, restored)
+
+    def test_long_form_zero_aux_payload_loads_bit_identically(self, tmp_path):
+        chunk = _zero_aux_chunk(1, 2, seed=4)
+        raw = _long_form(serialize_chunk(chunk))
+        assert len(raw) == RAW_CHUNK_BYTES
+        _assert_chunks_equal(chunk, deserialize_chunk(1, 2, raw))
+        store = RegionStore(tmp_path)
+        write_region(
+            store.region_path(0, 0), 0, 0, {(1, 2): compress_payload(raw)}
+        )
+        _assert_chunks_equal(chunk, store.load_chunk(1, 2))
+        assert not store.corrupt
+
+    @pytest.mark.parametrize(
+        "length",
+        [0, 10, SHORT_CHUNK_BYTES - 1, SHORT_CHUNK_BYTES + 1,
+         RAW_CHUNK_BYTES - 1, RAW_CHUNK_BYTES + 1],
+    )
+    def test_rejects_wrong_payload_size(self, length):
+        with pytest.raises(ValueError) as raised:
+            deserialize_chunk(0, 0, b"\x00" * length)
+        message = str(raised.value)
+        assert f"{length} bytes" in message
+        assert str(RAW_CHUNK_BYTES) in message
+        assert str(SHORT_CHUNK_BYTES) in message
 
     def test_region_coords_floor_at_negatives(self):
         assert chunk_to_region(0, 0) == (0, 0)
@@ -155,3 +223,32 @@ class TestWorldHash:
         change = world.set_block(0, 100, 0, Block.STONE, log=False)
         assert change is not None  # y=100 is above this terrain: a real write
         assert world_hash(world) != digest
+
+
+class TestLongFormCache:
+    def test_ensure_keeps_a_cache_of_long_form_payloads(self, tmp_path):
+        """A world cache restored from before the short form is kept as
+        it is, not re-prepared, and loads the world it recorded."""
+        path = ensure_world_cache(tmp_path, "control", 1.0, 3, radius=1)
+        store = RegionStore(path)
+        regions = sorted(store.region_dir.glob("r.*.msr"))
+        for region in regions:
+            rx, rz = (int(part) for part in region.name.split(".")[1:3])
+            payloads, corrupt = read_region(region, rx, rz)
+            assert not corrupt
+            write_region(region, rx, rz, {
+                key: compress_payload(_long_form(zlib.decompress(comp)))
+                for key, comp in payloads.items()
+            })
+        before = {region: region.read_bytes() for region in regions}
+        stamp = (path / WORLD_MANIFEST).stat().st_mtime_ns
+        again = ensure_world_cache(tmp_path, "control", 1.0, 3, radius=1)
+        assert again == path
+        assert (path / WORLD_MANIFEST).stat().st_mtime_ns == stamp
+        assert {region: region.read_bytes() for region in regions} == before
+        cache = RegionStore(path)
+        world = World(loader=cache.load_chunk)
+        world.ensure_chunks(sorted(cache.chunk_positions()))
+        assert world.loaded_chunk_count == 9 and not cache.corrupt
+        manifest = read_world_manifest(path)
+        assert f"{world_hash(world):08x}" == manifest["world_hash"]
