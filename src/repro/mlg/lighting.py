@@ -8,9 +8,13 @@ cost model can charge for it.
 
 Skylight is stored as what decides it: ``skylit[lx, lz]``, the number of
 cells above a column's highest opaque block, so lighting a chunk writes 256
-counts and a query is one compare.  Block light is a voxel slab that almost
-no chunk uses; the arena's per-slot ``glows`` flag, kept here, says which
-do, and only those slabs are ever read or written.
+counts and a query is one compare.  Lighting requires the heightmap to be
+no lower than the highest non-air block (every writer keeps it exact):
+where the block under it is opaque, it is the cut-off, and only columns
+with a see-through top (water, leaves, glass, kelp, torch) are scanned.
+Block light is a voxel slab that almost no chunk uses; the arena's
+per-slot ``glows`` flag, kept here, says which do, and only those slabs
+are ever read or written.
 """
 
 from __future__ import annotations
@@ -44,18 +48,16 @@ class LightEngine:
     ) -> list[int]:
         """(Re)light whole chunks (on generation/load); returns the nodes
         computed for each.  A column's skylight is decided by its highest
-        opaque block, so a strip's is one ``[n, 16, 16]`` store; block light
+        opaque block, so a strip's is one ``[n, 16, 16]`` store, taken
+        from the heightmap (see the module docstring) where the top block
+        is opaque and scanned for where it is see-through; block light
         BFS-propagates from emitters, in the chunks that hold one."""
         nodes = []
         for strip in strips(chunks):
             blocks = strip.read("blocks")
-            # bytes.translate: the uint8 table lookup that does not widen
-            # 1 MiB of block ids into 8 MiB of indices first.
+            cut = _sky_cutoffs(blocks, strip.read("heightmap"))
+            strip.write("skylit", WORLD_HEIGHT - cut)
             raw = blocks.tobytes()
-            opaque = np.frombuffer(
-                raw.translate(_OPAQUE_BYTES), np.bool_
-            ).reshape(blocks.shape)
-            strip.write("skylit", WORLD_HEIGHT - column_tops(opaque))
             # Block light is seeded where there is light to spread, or some
             # left over from an emitter since removed (``glows``); everywhere
             # else it is, and stays, zero.
@@ -114,8 +116,9 @@ class LightEngine:
         chunk = self.world.get_chunk(x >> 4, z >> 4)
         if chunk is None:
             return 0
-        opaque = OPAQUE_LUT[chunk.blocks[x & 15, z & 15]]
-        chunk.skylit[x & 15, z & 15] = WORLD_HEIGHT - column_tops(opaque)
+        lx, lz = x & 15, z & 15
+        cut = _sky_cutoffs(chunk.blocks[lx, lz], chunk.heightmap[lx, lz])
+        chunk.skylit[lx, lz] = WORLD_HEIGHT - cut
         if report is not None:
             report.add(Op.LIGHTING, WORLD_HEIGHT)
         return WORLD_HEIGHT
@@ -161,6 +164,27 @@ class LightEngine:
         if WORLD_HEIGHT - y <= page.skylit[slot, lx, lz]:
             return MAX_LIGHT
         return int(page.blocklight[slot, lx, lz, y]) if page.glows[slot] else 0
+
+
+def _sky_cutoffs(blocks: np.ndarray, heightmap: np.ndarray) -> np.ndarray:
+    """Highest opaque block + 1 of each column of ``blocks[..., y]``: the
+    ``heightmap`` where it is 0 or the block under it is opaque, else a
+    scan of the column (a see-through top, or air under a stale-high
+    heightmap)."""
+    heightmap = np.asarray(heightmap)
+    # Height 0 reads y = -1, wrapped to the top, and is not used.
+    top = np.take_along_axis(blocks, heightmap[..., None] - 1, axis=-1)
+    cut = heightmap.astype(np.int16)
+    scan = ~OPAQUE_LUT[top[..., 0]] & (heightmap > 0)
+    if scan.any():
+        # bytes.translate: the uint8 table lookup that does not widen
+        # block ids into 8x the bytes of indices first.
+        columns = blocks[scan]
+        opaque = np.frombuffer(
+            columns.tobytes().translate(_OPAQUE_BYTES), np.bool_
+        ).reshape(columns.shape)
+        cut[scan] = column_tops(opaque)
+    return cut
 
 
 _OPAQUE_BYTES = OPAQUE_LUT.tobytes().ljust(256, b"\0")

@@ -57,7 +57,9 @@ def value_noise_2d(
     """Bilinear value noise in [0, 1) sampled at world coordinates.
 
     ``xs``/``zs`` are broadcastable coordinate arrays; ``scale`` is the
-    lattice spacing in blocks (larger = smoother terrain).
+    lattice spacing in blocks (larger = smoother terrain).  Each lattice
+    point of the samples' bounding box is hashed once, so the cost grows
+    with the box's area: meant for compact blocks of columns.
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
@@ -67,10 +69,16 @@ def value_noise_2d(
     z0 = np.floor(fz).astype(np.int64)
     tx = _smoothstep(fx - x0)
     tz = _smoothstep(fz - z0)
-    v00 = _hash_lattice(x0, z0, seed)
-    v10 = _hash_lattice(x0 + 1, z0, seed)
-    v01 = _hash_lattice(x0, z0 + 1, seed)
-    v11 = _hash_lattice(x0 + 1, z0 + 1, seed)
+    if x0.size == 0 or z0.size == 0:
+        return np.zeros(np.broadcast_shapes(x0.shape, z0.shape))
+    lattice_z = np.arange(z0.min(), z0.max() + 2)
+    grid = _hash_lattice(
+        np.arange(x0.min(), x0.max() + 2)[:, None], lattice_z, seed
+    ).ravel()
+    # Each sample's cell as a flat offset into the row-major grid.
+    cell = (x0 - x0.min()) * lattice_z.size + (z0 - z0.min())
+    v00, v10 = grid[cell], grid[cell + lattice_z.size]
+    v01, v11 = grid[cell + 1], grid[cell + lattice_z.size + 1]
     top = v00 + (v10 - v00) * tx
     bottom = v01 + (v11 - v01) * tx
     return top + (bottom - top) * tz

@@ -28,11 +28,13 @@ PALETTE = np.array(
 def _random_world(seed, n_chunks=5):
     """Chunks of random columns — mostly air, a few blocks of ``PALETTE``
     each — with the edge columns planted in every chunk: all air, opaque
-    only at ``y = 0``, only at ``y = 127``, at both, see-through only."""
+    only at ``y = 0``, only at ``y = 127``, at both, see-through only.
+    The blocks are written directly, so each heightmap is rebuilt after."""
     rng = np.random.default_rng(seed)
     world = World()
     for cx in range(n_chunks):
-        blocks = world.ensure_chunk(cx, -cx).blocks
+        chunk = world.ensure_chunk(cx, -cx)
+        blocks = chunk.blocks
         density = rng.random((CHUNK_SIZE, CHUNK_SIZE, 1)) ** 3 * 0.2
         filled = rng.random(blocks.shape) < density
         blocks[filled] = rng.choice(PALETTE, int(filled.sum()))
@@ -40,6 +42,7 @@ def _random_world(seed, n_chunks=5):
         blocks[0, 1, 0] = blocks[0, 2, 127] = Block.STONE
         blocks[0, 3, 0] = blocks[0, 3, 127] = Block.STONE
         blocks[0, 4, 40:90] = Block.GLASS
+        chunk.recompute_heightmap()
     return world, rng
 
 
@@ -97,6 +100,67 @@ def test_relight_column_after_set_block_is_a_full_relight(seed):
     lights.light_chunks(list(world.loaded_chunks()))
     for chunk, skylit in zip(world.loaded_chunks(), before):
         np.testing.assert_array_equal(chunk.skylit, skylit)
+
+
+SEE_THROUGH = (
+    Block.WATER_SOURCE, Block.LEAVES, Block.GLASS, Block.KELP, Block.TORCH,
+)
+
+
+def _see_through_tops():
+    """One chunk on stone ground to ``y = 60`` whose row ``lx = 0`` is
+    topped by every see-through block, alone and stacked, over the ground
+    or over nothing; row 1 is all air; row 2 has a stale-high heightmap
+    (air at ``heightmap - 1``), over ground and over air; the rest is bare
+    ground.  Returns the world and the chunk."""
+    world = World()
+    chunk = world.ensure_chunk(0, 0)
+    blocks = chunk.blocks
+    blocks[:, :, :60] = Block.STONE
+    for lz, block in enumerate(SEE_THROUGH):
+        blocks[0, lz, 60:60 + lz + 1] = block
+    blocks[0, 5, 60:70] = Block.WATER_SOURCE
+    blocks[0, 5, 70:72] = Block.KELP
+    blocks[0, 5, 72] = Block.GLASS
+    blocks[0, 6, :] = Block.LEAVES  # see-through to the world floor
+    blocks[0, 7, :60] = Block.AIR
+    blocks[0, 7, 100] = Block.GLASS  # floating over an empty column
+    blocks[0, 8, 127] = Block.TORCH  # at the top of the world
+    blocks[1] = Block.AIR
+    chunk.recompute_heightmap()
+    chunk.heightmap[2, :4] = (61, 90, WORLD_HEIGHT, 75)
+    blocks[2, 3] = Block.AIR
+    return world, chunk
+
+
+def test_see_through_tops_all_air_and_stale_high_light_exactly():
+    world, chunk = _see_through_tops()
+    twin = Chunk(0, 0)
+    twin.blocks[:] = chunk.blocks
+    sky = {}
+    assert LightEngine(world).light_chunks([chunk]) == [
+        oracle.light_chunk(twin, sky)
+    ]
+    np.testing.assert_array_equal(chunk.skylight, sky[0, 0])
+    np.testing.assert_array_equal(chunk.blocklight, twin.blocklight)
+    ground, all_lit = WORLD_HEIGHT - 60, WORLD_HEIGHT
+    assert chunk.skylit[0, :9].tolist() == [ground] * 6 + [
+        all_lit, all_lit, ground,
+    ]
+    assert (chunk.skylit[1] == all_lit).all()
+    assert chunk.skylit[2, :4].tolist() == [ground] * 3 + [all_lit]
+
+
+def test_relight_column_reads_see_through_and_stale_high_tops():
+    world, chunk = _see_through_tops()
+    lights = LightEngine(world)
+    for lx in range(3):
+        for lz in range(CHUNK_SIZE):
+            chunk.skylit[lx, lz] = 7
+            assert lights.relight_column(lx, lz) == WORLD_HEIGHT
+    np.testing.assert_array_equal(
+        chunk.skylight[:3], oracle.compute_skylight(chunk.blocks)[:3]
+    )
 
 
 def test_a_never_lit_slot_reads_dark_and_a_free_chunk_too():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import worldgen_oracle as oracle
 
 from repro.mlg.blocks import Block
 from repro.mlg.constants import CHUNK_SIZE, SEA_LEVEL, WORLD_HEIGHT
@@ -38,6 +39,38 @@ class TestValueNoise:
     def test_scale_validation(self):
         with pytest.raises(ValueError):
             value_noise_2d(np.arange(4), np.arange(4), seed=1, scale=0.0)
+
+    @pytest.mark.parametrize("scale", [8.0, 16.0, 24.0, 96.0, 192.0])
+    def test_bit_identical_to_the_per_column_oracle(self, scale):
+        """The lattice grid gives what hashing four corners per sample
+        gave, to the bit, in value, shape and type."""
+        rng = np.random.default_rng(int(scale))
+        corner = rng.integers(-40, 40, (6, 2, 1, 1)) * CHUNK_SIZE
+        local = np.arange(CHUNK_SIZE)
+        cases = [
+            # A strip's lattice: [n, 16, 1] x [n, 1, 16].
+            (corner[:, 0] + local[:, None], corner[:, 1] + local),
+            # 1-D, negative and fractional; a diagonal; one axis fixed.
+            (rng.uniform(-500, 500, 300), rng.uniform(-500, 500, 300)),
+            (np.arange(-70, 50), np.arange(-70, 50)),
+            (np.arange(-3.5, 3.5, 0.25), np.full(28, -0.75)),
+            # 0-d scalars, alone and against an array.
+            (np.float64(-17.3), np.float64(4.9)),
+            (-1, 0),
+            (np.int64(5), np.arange(-20, 20)),
+            # Empty, alone and broadcast against a row.
+            (np.array([]), np.array([])),
+            (np.zeros((0, 1)), np.arange(16)[None, :]),
+            (np.array([]), 3.0),
+        ]
+        for seed in (PAPER_SEED, 7):
+            for xs, zs in cases:
+                got = value_noise_2d(xs, zs, seed, scale)
+                want = oracle.value_noise_2d(xs, zs, seed, scale)
+                assert type(got) is type(want)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).dtype == np.float64
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestTerrainGenerator:

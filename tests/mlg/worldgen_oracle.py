@@ -9,9 +9,11 @@ longer stores sky light per voxel, so the scan's 3-D result goes into a
 dict of the caller's, ``sky[cx, cz]``, and tests compare the derived
 ``Chunk.skylight`` with it (a chunk never lit has no entry: dark).  Wrapped
 as ``OracleGenerator``, a plain per-chunk callable, and driven one
-``ensure_chunk_tracked`` at a time, they are the old world build.  The
-noise functions are shared with the live generator — they were not
-rewritten.  Nothing here is imported by ``src/``.
+``ensure_chunk_tracked`` at a time, they are the old world build.
+``value_noise_2d`` is the old per-column noise (four lattice hashes per
+sample) and ``height_at`` the old height formula over it; only the
+lattice hash and ``_smoothstep`` are shared with the live generator —
+they were not rewritten.  Nothing here is imported by ``src/``.
 """
 
 from collections import deque
@@ -20,11 +22,45 @@ import numpy as np
 
 from repro.mlg.blocks import LIGHT_EMISSION_LUT, OPAQUE_LUT, Block
 from repro.mlg.constants import CHUNK_SIZE, MAX_LIGHT, SEA_LEVEL, WORLD_HEIGHT
-from repro.mlg.worldgen import TerrainGenerator, _hash_lattice
+from repro.mlg.worldgen import _hash_lattice, _smoothstep
 
 _NEIGHBORS = (
     (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
 )
+
+
+def value_noise_2d(
+    xs: np.ndarray, zs: np.ndarray, seed: int, scale: float
+) -> np.ndarray:
+    """Bilinear value noise in [0, 1) sampled at world coordinates.
+
+    ``xs``/``zs`` are broadcastable coordinate arrays; ``scale`` is the
+    lattice spacing in blocks (larger = smoother terrain).
+    """
+    if scale <= 0:
+        raise ValueError(f"scale must be positive, got {scale!r}")
+    fx = np.asarray(xs, dtype=np.float64) / scale
+    fz = np.asarray(zs, dtype=np.float64) / scale
+    x0 = np.floor(fx).astype(np.int64)
+    z0 = np.floor(fz).astype(np.int64)
+    tx = _smoothstep(fx - x0)
+    tz = _smoothstep(fz - z0)
+    v00 = _hash_lattice(x0, z0, seed)
+    v10 = _hash_lattice(x0 + 1, z0, seed)
+    v01 = _hash_lattice(x0, z0 + 1, seed)
+    v11 = _hash_lattice(x0 + 1, z0 + 1, seed)
+    top = v00 + (v10 - v00) * tx
+    bottom = v01 + (v11 - v01) * tx
+    return top + (bottom - top) * tz
+
+
+def height_at(seed, xs, zs):
+    """Terrain height (top of the ground column) at world coordinates."""
+    base = value_noise_2d(xs, zs, seed, scale=96.0)
+    detail = value_noise_2d(xs, zs, seed ^ 0x51AB3, scale=24.0)
+    ridges = value_noise_2d(xs, zs, seed ^ 0xFACE5, scale=192.0)
+    height = 46.0 + 24.0 * base + 7.0 * detail + 16.0 * ridges
+    return np.clip(height, 8.0, WORLD_HEIGHT - 20.0).astype(np.int32)
 
 
 def generate_chunk(seed, chunk):
@@ -34,7 +70,7 @@ def generate_chunk(seed, chunk):
     lx, lz = np.meshgrid(
         np.arange(CHUNK_SIZE), np.arange(CHUNK_SIZE), indexing="ij"
     )
-    heights = TerrainGenerator(seed).height_at(x0 + lx, z0 + lz)
+    heights = height_at(seed, x0 + lx, z0 + lz)
 
     ys = np.arange(WORLD_HEIGHT)[None, None, :]
     h3 = heights[:, :, None]

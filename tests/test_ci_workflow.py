@@ -3,13 +3,15 @@
 The job's shell steps run here as CI runs them (``bash -e``), with a
 stub ``python3`` first on ``PATH`` that logs each call, so the A/B's
 order, arguments and exit status are checked without running a
-benchmark.
+benchmark.  The digest step's inline script runs under the real
+interpreter, over stub records.
 """
 
 import json
 import os
 import re
 import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -50,14 +52,18 @@ def step_env(entry, runner_temp):
     }
 
 
-def run_step(entry, cwd, tmp, **extra_env):
-    """Run one ``run:`` step in ``cwd`` under the stub; return the
-    completed process and the parsed stub calls."""
+def run_step(entry, cwd, tmp, stub=True, **extra_env):
+    """Run one ``run:`` step in ``cwd`` under the stub (or, with ``stub``
+    false, this interpreter as ``python3``); return the completed process
+    and the parsed stub calls."""
     bin_dir = tmp / "bin"
     bin_dir.mkdir(exist_ok=True)
-    stub = bin_dir / "python3"
-    stub.write_text(STUB)
-    stub.chmod(0o755)
+    python3 = bin_dir / "python3"
+    if stub:
+        python3.write_text(STUB)
+        python3.chmod(0o755)
+    else:
+        python3.symlink_to(sys.executable)
     log = tmp / "calls.log"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env.update(
@@ -207,6 +213,36 @@ class TestHostclockAbJob:
         table = (ab_out / "compare.txt").read_text()
         assert table.startswith("stub output: ")
         assert table in proc.stdout
+
+    def test_digest_step_prints_each_pair_and_never_fails(
+        self, ab_job, tmp_path
+    ):
+        entry = step(ab_job, "Print base and change digests")
+        assert entry["if"] == "always()" and entry["continue-on-error"]
+        ab_out = tmp_path / "runner" / "hostclock-ab"
+        digests = {
+            # (workload, seed, trace, digest_repeats): base, change
+            ("floor_control", 1, 0, True): ("aa11", "aa11"),
+            ("entities_farm", 2, 0, True): ("bb22", "cc33"),
+            ("entities_farm", 2, 1, True): ("dd44", "dd44"),  # traced
+            ("wire_farm", 1, 0, False): ("ee55", "ff66"),
+        }
+        for (workload, seed, trace, repeats), pair in digests.items():
+            for side, digest in zip(("base", "change"), pair):
+                (ab_out / side).mkdir(parents=True, exist_ok=True)
+                (ab_out / side / f"{workload}-{seed}-{trace}.json").write_text(
+                    json.dumps({
+                        "benchmark": "hostclock", "workload": workload,
+                        "seed": seed, "trace": trace, "digest": digest,
+                        "digest_repeats": repeats,
+                    })
+                )
+        proc, _ = run_step(entry, tmp_path, tmp_path, stub=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "entities_farm seed=2 base=bb22 change=cc33 differ",
+            "floor_control seed=1 base=aa11 change=aa11 match",
+        ]
 
     def test_records_and_table_are_uploaded_even_on_failure(
         self, ab_job, tmp_path

@@ -6,8 +6,10 @@ import pytest
 from repro.cloud import get_environment
 from repro.emulation import BotSwarm
 from repro.mlg.blocks import Block
+from repro.mlg.chunk_arena import column_tops
 from repro.mlg.entity import EntityKind
 from repro.mlg.server import MLGServer
+from repro.persistence.warmup import prepare_world
 from repro.workloads import (
     WORKLOADS,
     ControlWorkload,
@@ -31,9 +33,11 @@ class FixedMachine:
         return max(1, int(work_us))
 
 
-def _setup(workload, seed=0):
+def _setup(workload, seed=0, **server_kwargs):
     world = workload.create_world(seed)
-    server = MLGServer("vanilla", FixedMachine(), world=world, seed=seed)
+    server = MLGServer(
+        "vanilla", FixedMachine(), world=world, seed=seed, **server_kwargs
+    )
     env = get_environment("das5-2core")
     swarm = BotSwarm(server, env.network, np.random.default_rng(seed))
     workload.install(server, swarm)
@@ -251,3 +255,34 @@ class TestPlayers:
         server, swarm = _setup(workload)
         _run(server, swarm, 3.0)
         assert server.net.connected_count == 6
+
+
+class TestHeightmapPrecondition:
+    """Lighting reads a column's skylight cut-off off its heightmap, so
+    every writer a workload uses must leave the heightmap exact."""
+
+    @staticmethod
+    def _assert_exact(world):
+        chunks = list(world.loaded_chunks())
+        assert chunks
+        for chunk in chunks:
+            np.testing.assert_array_equal(
+                chunk.heightmap,
+                column_tops(chunk.blocks != Block.AIR),
+                err_msg=f"chunk ({chunk.cx}, {chunk.cz})",
+            )
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_after_install_and_one_second(self, name):
+        server, swarm = _setup(get_workload(name))
+        _run(server, swarm, 1.0)
+        self._assert_exact(server.world)
+
+    def test_with_chunks_loaded_from_the_world_cache(self, tmp_path):
+        prepare_world(tmp_path, "tnt", radius=2)
+        server, swarm = _setup(
+            TNTWorkload(), world_cache_dir=str(tmp_path)
+        )
+        assert server.lifecycle.chunks_loaded > 0
+        _run(server, swarm, 1.0)
+        self._assert_exact(server.world)
