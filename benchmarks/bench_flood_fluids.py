@@ -9,7 +9,7 @@ layer row of the hostclock benchmark's ``terrain_writes`` workload.
 from conftest import DURATION_S, write_artifact
 
 from repro.analysis.figures import run_cell
-from repro.core.collectors import TickDistribution
+from repro.core.collectors import non_wait_shares
 from repro.reporting.text import format_table
 
 
@@ -21,7 +21,7 @@ def test_flood_fluids_dominate(benchmark, out_dir):
         iterations=1,
     )
     shares = cell.tick_distribution
-    active = TickDistribution(shares).non_wait_shares()
+    active = non_wait_shares(shares)
     rows = [
         [bucket, f"{100 * share:.1f}%"]
         for bucket, share in sorted(active.items(), key=lambda kv: -kv[1])

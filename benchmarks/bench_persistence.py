@@ -18,7 +18,7 @@ import numpy as np
 
 from conftest import DURATION_S, OUT_DIR, write_artifact
 
-from repro.core.collectors import TickDistribution
+from repro.core.collectors import non_wait_shares
 from repro.core.experiment import run_iteration
 from repro.reporting.text import format_table
 from repro.mlg.world import World
@@ -100,7 +100,7 @@ def test_autosave_spike_tick_distribution(benchmark, out_dir, tmp_path):
         iterations=1,
     )
     shares = result.tick_distribution
-    active = TickDistribution(shares).non_wait_shares()
+    active = non_wait_shares(shares)
     world = result.telemetry["world"]
     durs = np.asarray(result.tick_durations_ms)
     rows = [

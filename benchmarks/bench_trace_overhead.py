@@ -70,22 +70,25 @@ def _server(trace: bool, seed: int = 17):
     return server, swarm
 
 
-def _block_us_per_tick(server, swarm) -> float:
+def _block_us_per_tick(server, swarm, records) -> float:
+    """Time one block of ticks, appending each tick's record to
+    ``records`` (the server keeps none past the next tick)."""
     start = time.perf_counter()
     for _ in range(BLOCK_TICKS):
-        server.loop.run_tick()
+        records.append(server.loop.run_tick())
         swarm.step()
     return (time.perf_counter() - start) * 1e6 / BLOCK_TICKS
 
 
-def _paired_cost(trace_b: bool) -> tuple[list[float], object, object]:
-    """Per-block cost of side B over side A (untraced), µs per tick.
+def _paired_cost(trace_b: bool):
+    """Per-block cost of side B over side A (untraced), µs per tick, and
+    each side's server and tick records.
 
     Same seed and bit-identity make block *i* the same simulated work on
     both sides; the sides alternate within each pair of blocks, so drift
     in the host's speed taxes both evenly.
     """
-    a, b = _server(False), _server(trace_b)
+    a, b = (*_server(False), []), (*_server(trace_b), [])
     for side in (a, b):  # warm code paths and caches before timing
         _block_us_per_tick(*side)
     diffs = []
@@ -102,7 +105,7 @@ def _paired_cost(trace_b: bool) -> tuple[list[float], object, object]:
             diffs.append(cost_b - cost_a)
     finally:
         gc.enable()
-    return diffs, a[0], b[0]
+    return diffs, a, b
 
 
 def test_trace_overhead(benchmark, out_dir):
@@ -114,12 +117,12 @@ def test_trace_overhead(benchmark, out_dir):
         # the traced-minus-untraced interval has to clear to mean anything.
         return _paired_cost(trace_b=False)[0], _paired_cost(trace_b=True)
 
-    control, (cost, base, traced) = benchmark.pedantic(
-        measure, rounds=1, iterations=1
+    control, (cost, (_, _, base_records), (traced, _, traced_records)) = (
+        benchmark.pedantic(measure, rounds=1, iterations=1)
     )
     median, low, high = median_interval(cost)
     null_median, null_low, null_high = median_interval(control)
-    identical = base.loop.records == traced.loop.records
+    identical = base_records == traced_records
     trace_snapshot = traced.tracer.snapshot()
 
     rows = [

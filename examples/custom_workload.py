@@ -94,7 +94,7 @@ def main() -> None:
                 break
         from repro.metrics import instability_ratio, summarize
 
-        ticks = [r.duration_ms for r in server.tick_records]
+        ticks = server.telemetry.tick_ms.tolist()
         stats = summarize(ticks)
         rows.append(
             [

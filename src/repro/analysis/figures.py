@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cloud.providers import get_environment
-from repro.core.collectors import TickDistribution
+from repro.core.collectors import non_wait_shares
 from repro.core.experiment import run_iteration
 from repro.core.results import ExperimentResult, IterationResult
 from repro.metrics import (
@@ -267,7 +267,7 @@ def fig11_tick_distribution(
         for server in SERVERS:
             cell = run_cell(workload, server, "aws-t3.large", duration_s, seed)
             shares = cell.tick_distribution
-            active = TickDistribution(shares).non_wait_shares()
+            active = non_wait_shares(shares)
             result.row(
                 workload=workload,
                 server=server,

@@ -78,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     status.add_argument(
         "--watch",
         action="store_true",
-        help="poll and redraw until interrupted; holds per-sidecar byte "
-        "offsets so each refresh reads only new telemetry lines",
+        help="poll and redraw until interrupted; each refresh re-reads "
+        "the tail of every job's telemetry sidecar",
     )
     status.add_argument(
         "--interval-s",

@@ -259,16 +259,12 @@ class _ObsPlane:
 
     def __init__(self, spec, store, n_jobs: int, provenance: dict | None):
         from repro.obs import CampaignObsAggregate, ObsHttpServer
+        from repro.obs.aggregate import campaign_meta
 
-        meta: dict = {"campaign": spec.name}
-        hygiene = (provenance or {}).get("hygiene")
-        if hygiene:
-            meta["hygiene"] = {
-                "status": hygiene.get("status"),
-                "warn_count": hygiene.get("warn_count", 0),
-            }
         self._follower = SidecarFollower(store)
-        self._aggregate = CampaignObsAggregate(n_jobs=n_jobs, meta=meta)
+        self._aggregate = CampaignObsAggregate(
+            n_jobs=n_jobs, meta=campaign_meta(spec.name, provenance)
+        )
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._follow, name="obs-follower", daemon=True

@@ -6,10 +6,10 @@ Public API::
 """
 
 from repro.core.collectors import (
-    MetricExternalizer,
     SystemMetricsCollector,
     SystemSample,
-    TickDistribution,
+    non_wait_shares,
+    tick_distribution,
 )
 from repro.core.config import MeterstickConfig, stable_crc
 from repro.core.experiment import (
@@ -25,13 +25,13 @@ __all__ = [
     "ExperimentRunner",
     "IterationResult",
     "MeterstickConfig",
-    "MetricExternalizer",
     "SystemMetricsCollector",
     "SystemSample",
-    "TickDistribution",
+    "non_wait_shares",
     "retrieve",
     "run_iteration",
     "run_server_chain",
     "stable_crc",
     "summary_rows",
+    "tick_distribution",
 ]

@@ -1,17 +1,14 @@
 """Metric collection (Fig. 5 components 7 and 8, Table 5).
 
-The **Metric Externalizer** reads application-level metrics through the
-server's introspection surface (the stand-in for JMX): tick durations and
-the tick-time distribution across workload operations.  The **System
-Metrics Collector** samples OS-level metrics twice per second of simulated
-time: CPU, memory (with a JVM-ish GC sawtooth), threads, disk I/O, and
-network I/O.
-
-The externalizer's Fig. 11 distribution comes from bucket totals the
-telemetry tap (:mod:`repro.telemetry.tap`) sums once per tick, instead of
-re-walking every ``TickRecord`` per call; the system collector keeps
-every sample, and its summary and sidecar snapshot are computed from
-them when read (:mod:`repro.telemetry.summary`).
+The **Metric Externalizer** (component 7) is the server's telemetry tap
+(:mod:`repro.telemetry.tap`): it keeps the raw tick-duration and
+response-time series and the running Fig. 11 bucket, wait and wall
+totals, and :func:`tick_distribution` turns those totals into the
+run's tick-time shares.  The **System Metrics Collector** samples
+OS-level metrics twice per second of simulated time: CPU, memory (with
+a JVM-ish GC sawtooth), threads, disk I/O, and network I/O.  It keeps
+every sample; its summary and sidecar snapshot are computed from them
+when read (:mod:`repro.telemetry.summary`).
 """
 
 from __future__ import annotations
@@ -22,10 +19,10 @@ from repro.mlg.server import MLGServer
 from repro.telemetry.summary import summarize
 
 __all__ = [
-    "MetricExternalizer",
     "SystemMetricsCollector",
     "SystemSample",
-    "TickDistribution",
+    "non_wait_shares",
+    "tick_distribution",
 ]
 
 #: System sampling interval: "queries the operating system twice per
@@ -33,65 +30,46 @@ __all__ = [
 SAMPLE_INTERVAL_US = 500_000
 
 
-@dataclass(frozen=True)
-class TickDistribution:
-    """Share of total tick time per Figure 11 bucket, including waits."""
+def tick_distribution(telemetry) -> dict[str, float]:
+    """Share of total tick time per Figure 11 bucket, including waits.
 
-    shares: dict[str, float]
+    Work buckets come from priced operation counts; ``Wait After`` is
+    measured idle time after fast ticks, and ``Wait Before`` is the
+    input-poll segment at the head of the tick (a fixed slice of the
+    tick overhead, as in the paper's instrumentation).  ``telemetry`` is
+    the server's tap, which folds the totals once per tick, so this is
+    O(buckets) however long the run is.
+    """
+    totals = dict(telemetry.bucket_totals_us)
+    wait_after = telemetry.wait_after_us
+    wall = telemetry.wall_us
+    if wall <= 0:
+        return {}
+    # The work breakdown is in simulated CPU µs; rescale it onto the
+    # measured (noisy) durations so shares sum to 1 with the waits.
+    work_total = sum(totals.values())
+    duration_total = wall - wait_after
+    scale = duration_total / work_total if work_total > 0 else 0.0
+    shares = {bucket: us * scale / wall for bucket, us in totals.items()}
+    # Carve the input-poll slice out of "Other".
+    wait_before = min(shares.get("Other", 0.0), 0.1 * duration_total / wall)
+    shares["Other"] = shares.get("Other", 0.0) - wait_before
+    shares["Wait Before"] = wait_before
+    shares["Wait After"] = wait_after / wall
+    return shares
 
-    def non_wait_shares(self) -> dict[str, float]:
-        """Re-normalized shares with the wait buckets removed."""
-        active = {
-            bucket: share
-            for bucket, share in self.shares.items()
-            if not bucket.startswith("Wait")
-        }
-        total = sum(active.values())
-        if total <= 0:
-            return {bucket: 0.0 for bucket in active}
-        return {bucket: share / total for bucket, share in active.items()}
 
-
-class MetricExternalizer:
-    """Application-level metrics read from the running server."""
-
-    def __init__(self, server: MLGServer) -> None:
-        self.server = server
-
-    def tick_durations_ms(self) -> list[float]:
-        return self.server.tick_durations_ms()
-
-    def tick_distribution(self) -> TickDistribution:
-        """Aggregate tick-time shares across the whole run.
-
-        Work buckets come from priced operation counts; ``Wait After`` is
-        measured idle time after fast ticks, and ``Wait Before`` is the
-        input-poll segment at the head of the tick (a fixed slice of the
-        tick overhead, as in the paper's instrumentation).
-
-        The totals are folded once per tick by the server's telemetry
-        tap, so this is O(buckets) per call however long the run is.
-        """
-        telemetry = self.server.telemetry
-        totals = dict(telemetry.bucket_totals_us)
-        wait_after = telemetry.wait_after_us
-        wall = telemetry.wall_us
-        if wall <= 0:
-            return TickDistribution({})
-        # The work breakdown is in simulated CPU µs; rescale it onto the
-        # measured (noisy) durations so shares sum to 1 with the waits.
-        work_total = sum(totals.values())
-        duration_total = wall - wait_after
-        scale = duration_total / work_total if work_total > 0 else 0.0
-        shares = {
-            bucket: us * scale / wall for bucket, us in totals.items()
-        }
-        # Carve the input-poll slice out of "Other".
-        wait_before = min(shares.get("Other", 0.0), 0.1 * duration_total / wall)
-        shares["Other"] = shares.get("Other", 0.0) - wait_before
-        shares["Wait Before"] = wait_before
-        shares["Wait After"] = wait_after / wall
-        return TickDistribution(shares)
+def non_wait_shares(shares: dict[str, float]) -> dict[str, float]:
+    """``shares`` re-normalized with the wait buckets removed."""
+    active = {
+        bucket: share
+        for bucket, share in shares.items()
+        if not bucket.startswith("Wait")
+    }
+    total = sum(active.values())
+    if total <= 0:
+        return {bucket: 0.0 for bucket in active}
+    return {bucket: share / total for bucket, share in active.items()}
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.cloud.providers import get_environment
-from repro.core.collectors import MetricExternalizer, SystemMetricsCollector
+from repro.core.collectors import SystemMetricsCollector, tick_distribution
 from repro.core.config import MeterstickConfig
 from repro.core.results import ExperimentResult, IterationResult
 from repro.emulation.swarm import BotSwarm
@@ -71,8 +71,9 @@ class SwarmDrive:
     A drive is the transport-specific part of an iteration.  It names the
     ``transport`` it carries, builds the ``fleet`` that
     ``workload.install`` populates, and ``run``s the started server for
-    the iteration's duration, returning the client-observed response
-    times and any telemetry sections only this transport has.
+    the iteration's duration, returning the telemetry sections only this
+    transport has.  The tick and response series are not the drive's to
+    return: both transports stream them into the server's tap.
     """
 
     transport = "inproc"
@@ -86,7 +87,7 @@ class SwarmDrive:
         fleet: BotSwarm,
         system: SystemMetricsCollector,
         duration_s: float,
-    ) -> tuple[list[float], dict]:
+    ) -> dict:
         clock = server.clock
         deadline = clock.now_us + s_to_us(duration_s)
         while clock.now_us < deadline and server.running:
@@ -95,9 +96,7 @@ class SwarmDrive:
             system.maybe_sample()
             if server.crashed:
                 break
-        # Bots streamed every probe through the tap as it completed and
-        # kept it in their raw per-bot lists.
-        return fleet.response_times_ms(), {}
+        return {}
 
 
 def _iterate(
@@ -153,23 +152,23 @@ def _iterate(
 
         initial_world_hash = f"{world_hash(world):08x}"
 
-    externalizer = MetricExternalizer(server)
     system = SystemMetricsCollector(server)
 
     server.start()
     try:
-        response_times, drive_telemetry = drive.run(
+        drive_telemetry = drive.run(
             server, fleet, system, config.duration_s
         )
     finally:
         server.running = False
 
+    tap = server.telemetry
     stats = server.net.stats
     n_share, b_share = stats.entity_share()
     telemetry = {
-        "tick": server.telemetry.snapshot(),
+        "tick": tap.snapshot(),
         "system": system.snapshot(),
-        "response_ms": server.telemetry.response_snapshot(),
+        "response_ms": tap.response_snapshot(),
         **drive_telemetry,
     }
     if server.lifecycle is not None:
@@ -188,9 +187,11 @@ def _iterate(
         iteration=iteration,
         seed=seed,
         duration_s=config.duration_s,
-        tick_durations_ms=externalizer.tick_durations_ms(),
-        response_times_ms=response_times,
-        tick_distribution=externalizer.tick_distribution().shares,
+        # The tap's series, as recorded: ticks in order, responses in
+        # arrival order, on either transport.
+        tick_durations_ms=tap.tick_ms.tolist(),
+        response_times_ms=tap.response_ms.tolist(),
+        tick_distribution=tick_distribution(tap),
         packet_counts=dict(stats.counts),
         packet_bytes=dict(stats.bytes_),
         entity_message_share=n_share,

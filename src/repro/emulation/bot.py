@@ -66,11 +66,9 @@ class EmulatedPlayer:
         self.y = info.y
         self._next_probe_us = self.session.now_us()
         self._next_probe_id = 1
-        #: probe_id -> send timestamp (µs).
+        #: probe_id -> send timestamp (µs).  Completed probes' response
+        #: times stream through the session's measurement plane.
         self._pending_probes: dict[int, int] = {}
-        #: Completed probe response times, in milliseconds.  Every sample
-        #: also streams through the session's measurement plane.
-        self.response_times_ms: list[float] = []
         # Real clients chat during the join sequence; the first probe goes
         # out immediately, so it samples the connect-time chunk-loading
         # spike — the source of the paper's §5.2 outliers ("directly after
@@ -102,7 +100,6 @@ class EmulatedPlayer:
             if sent_at is not None:
                 response_ms = (delivery.delivered_at_us - sent_at) / 1000.0
                 self.session.record_response_ms(response_ms)
-                self.response_times_ms.append(response_ms)
 
     def _maybe_move(self, now_us: int) -> None:
         target = self.behavior.next_move(self.x, self.z, self.rng)

@@ -1,8 +1,9 @@
 """Bot swarm: manages a group of emulated players against one server.
 
 Plays the role of Meterstick's player-emulation workers (Fig. 5): connects
-``n`` bots (optionally staggered, the way real players trickle in), steps
-them after every server tick, and aggregates their response-time samples.
+``n`` bots (optionally staggered, the way real players trickle in) and
+steps them after every server tick.  Their response-time samples stream
+into the server's telemetry tap through each bot's session.
 
 The swarm holds a *transport*, never a server: every bot it creates gets
 its own :class:`~repro.mlg.transport.ServerSession`, so the same swarm
@@ -128,12 +129,6 @@ class BotSwarm:
             bot.step(now)
 
     # -- results ------------------------------------------------------------------------
-
-    def response_times_ms(self) -> list[float]:
-        samples: list[float] = []
-        for bot in self.bots:
-            samples.extend(bot.response_times_ms)
-        return samples
 
     @property
     def connected_count(self) -> int:

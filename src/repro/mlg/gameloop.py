@@ -70,7 +70,6 @@ class GameLoop:
     def __init__(self, server) -> None:
         self._server = weakref.ref(server)
         self.tick_index = 0
-        self.records: list[TickRecord] = []
         #: Most recent tick's record (feedback-driven workloads read it).
         self.last_record: TickRecord | None = None
         self._last_time_update_us = 0
@@ -208,11 +207,10 @@ class GameLoop:
             entities=server.entities.count(),
         )
         # The tick tap keeps the duration series and the Fig. 11 sums; the
-        # raw record list feeds the figure pipeline.
+        # record itself lives only until the next tick replaces it.
         tracer.end_tick(record, report)
         server.telemetry.observe_tick(record)
         self.last_record = record
-        self.records.append(record)
         self.tick_index += 1
         return record
 

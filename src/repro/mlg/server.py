@@ -335,15 +335,6 @@ class MLGServer:
             for dz in (-1, 0, 1)
         }
 
-    @property
-    def tick_records(self) -> list[TickRecord]:
-        """Raw per-tick records."""
-        return self.loop.records
-
-    def tick_durations_ms(self) -> list[float]:
-        """Raw tick-duration series for the figure pipeline."""
-        return [r.duration_ms for r in self.loop.records]
-
     def memory_bytes(self) -> int:
         """Approximate process memory: base JVM + world + entities."""
         base = 600 * 1024 * 1024
@@ -357,11 +348,3 @@ class MLGServer:
     @property
     def thread_count(self) -> int:
         return self.variant.thread_count
-
-    @property
-    def overloaded_fraction(self) -> float:
-        """Fraction of >50 ms ticks."""
-        records = self.loop.records
-        if not records:
-            return 0.0
-        return sum(r.overloaded for r in records) / len(records)

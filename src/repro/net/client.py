@@ -76,6 +76,8 @@ class TcpSession(ServerSession):
         self._now_us = welcome.now_us
         self._ground = max(int(welcome.y) - 1, 1)
         self._open = True
+        #: Every response sample this session sent, for the fleet summary.
+        self.response_times_ms: list[float] = []
 
     # -- fleet-side feeding --------------------------------------------------
 
@@ -139,6 +141,7 @@ class TcpSession(ServerSession):
         return self._now_us
 
     def record_response_ms(self, response_ms: float) -> None:
+        self.response_times_ms.append(response_ms)
         self._send(wc.encode_response_sample(response_ms))
 
 
@@ -183,7 +186,9 @@ class _Connection:
 
     @property
     def response_times_ms(self) -> list[float]:
-        return self.bot.response_times_ms if self.bot is not None else []
+        if self.bot is None:
+            return []
+        return self.bot.session.response_times_ms
 
     def _on_deadline(self) -> None:
         """The connection's one timer: close the socket — the pending

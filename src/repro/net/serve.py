@@ -101,9 +101,7 @@ class _WireDrive:
             await wire.run(duration_s)
         finally:
             await wire.close()
-        return list(server.telemetry.response_ms), {
-            "wire": wire_metrics_snapshot(server)
-        }
+        return {"wire": wire_metrics_snapshot(server)}
 
     def obs_snapshot(self):
         """One scrape of the currently-running iteration's series.

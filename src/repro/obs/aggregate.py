@@ -28,7 +28,20 @@ import threading
 from repro.obs.registry import ObsSnapshot
 from repro.telemetry.catalog import lookup, scraped
 
-__all__ = ["CampaignObsAggregate"]
+__all__ = ["CampaignObsAggregate", "campaign_meta"]
+
+
+def campaign_meta(name: str, provenance: dict | None) -> dict:
+    """The ``meta`` a campaign's obs snapshots carry: its name, plus the
+    hygiene status and warn count its manifest provenance recorded."""
+    meta: dict = {"campaign": name}
+    hygiene = (provenance or {}).get("hygiene")
+    if hygiene:
+        meta["hygiene"] = {
+            "status": hygiene.get("status"),
+            "warn_count": hygiene.get("warn_count", 0),
+        }
+    return meta
 
 
 class CampaignObsAggregate:

@@ -150,7 +150,7 @@ class _DirPoller:
 
     def __init__(self, target: str) -> None:
         from repro.campaign.store import JobStore, SidecarFollower
-        from repro.obs.aggregate import CampaignObsAggregate
+        from repro.obs.aggregate import CampaignObsAggregate, campaign_meta
 
         self.store = JobStore(target)
         manifest = self.store.read_manifest()
@@ -159,16 +159,12 @@ class _DirPoller:
                 f"no campaign manifest in {target!r} — "
                 "point repro top at an output_dir or an endpoint URL"
             )
-        meta = {"campaign": manifest.get("name", "")}
-        hygiene = (manifest.get("provenance") or {}).get("hygiene")
-        if hygiene:
-            meta["hygiene"] = {
-                "status": hygiene.get("status"),
-                "warn_count": hygiene.get("warn_count", 0),
-            }
         self.follower = SidecarFollower(self.store)
         self.aggregate = CampaignObsAggregate(
-            n_jobs=len(manifest.get("jobs") or []), meta=meta
+            n_jobs=len(manifest.get("jobs") or []),
+            meta=campaign_meta(
+                manifest.get("name", ""), manifest.get("provenance")
+            ),
         )
 
     def __call__(self) -> dict:

@@ -9,11 +9,12 @@ from repro.core import (
     ExperimentResult,
     ExperimentRunner,
     MeterstickConfig,
-    MetricExternalizer,
     SystemMetricsCollector,
+    non_wait_shares,
     retrieve,
     run_iteration,
     summary_rows,
+    tick_distribution,
 )
 from repro.core.collectors import SAMPLE_INTERVAL_US
 from repro.mlg.blocks import Block
@@ -45,16 +46,15 @@ def _flat_server():
 
 
 class TestCollectors:
-    def test_externalizer_reads_tick_durations(self):
+    def test_tap_keeps_tick_durations(self):
         server = _flat_server()
         server.run_for(1.0)
-        externalizer = MetricExternalizer(server)
-        assert len(externalizer.tick_durations_ms()) == 20
+        assert len(server.telemetry.tick_ms) == 20
 
     def test_tick_distribution_shares_sum_to_one(self):
         server = _flat_server()
         server.run_for(2.0)
-        shares = MetricExternalizer(server).tick_distribution().shares
+        shares = tick_distribution(server.telemetry)
         assert sum(shares.values()) == pytest.approx(1.0, abs=0.01)
         assert "Wait After" in shares
         assert "Wait Before" in shares
@@ -62,14 +62,13 @@ class TestCollectors:
     def test_idle_server_mostly_waits(self):
         server = _flat_server()
         server.run_for(2.0)
-        shares = MetricExternalizer(server).tick_distribution().shares
+        shares = tick_distribution(server.telemetry)
         assert shares["Wait After"] > 0.8
 
     def test_non_wait_shares_renormalize(self):
         server = _flat_server()
         server.run_for(2.0)
-        dist = MetricExternalizer(server).tick_distribution()
-        active = dist.non_wait_shares()
+        active = non_wait_shares(tick_distribution(server.telemetry))
         assert sum(active.values()) == pytest.approx(1.0, abs=1e-6)
         assert all(not k.startswith("Wait") for k in active)
 
@@ -224,7 +223,7 @@ class StubWireDrive:
 
     def run(self, server, fleet, system, duration_s):
         server.run_for(duration_s)
-        return [], {"wire": {"stub": True}}
+        return {"wire": {"stub": True}}
 
 
 class TestOneIterationBody:

@@ -156,7 +156,7 @@ class TestServerLevelDeterminism:
         server.run_for(3.0)
         return (
             server.telemetry.snapshot()["isr"],
-            tuple(server.tick_durations_ms()),
+            tuple(server.telemetry.tick_ms),
             tuple(sorted(server.telemetry.bucket_totals_us.items())),
         )
 

@@ -1,5 +1,7 @@
 """Tests for the game loop and the MLG server facade."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -69,12 +71,23 @@ class TestTickMechanics:
         records = [server.tick() for _ in range(5)]
         assert [r.index for r in records] == [0, 1, 2, 3, 4]
 
-    def test_records_accumulate(self):
-        server = _server()
-        server.tick()
-        server.tick()
-        assert len(server.tick_records) == 2
-        assert server.tick_durations_ms()
+    # A factor far below any real tick makes every traced tick a
+    # flight-recorder dump, which must copy the record, not keep it.
+    @pytest.mark.parametrize(
+        "knobs", [{}, {"trace": True, "slow_tick_factor": 0.001}],
+        ids=["untraced", "traced"],
+    )
+    def test_no_tick_record_outlives_the_next_tick(self, knobs):
+        server = _server(**knobs)
+        server.connect_client("p", 8.0, 8.0, 1000, 1000, view_distance=4)
+        first = weakref.ref(server.tick())
+        assert first() is server.loop.last_record
+        for _ in range(3):
+            server.tick()
+        assert first() is None
+        assert len(server.telemetry.tick_ms) == 4
+        if knobs:
+            assert server.tracer.anomalies  # the dumps were taken
 
     def test_breakdown_buckets_present(self):
         server = _server()
@@ -193,7 +206,7 @@ class TestServerIntrospection:
         server = _server(machine=FixedMachine(slowdown=200.0))
         server.connect_client("p", 8.0, 8.0, 1000, 1000, 4)
         server.tick()
-        assert server.overloaded_fraction > 0
+        assert server.telemetry.snapshot()["overloaded_fraction"] > 0
 
     def test_autosave_writes_dirty_chunks(self):
         server = _server()

@@ -247,16 +247,17 @@ def _run_farm(seed: int, oracle: bool, monkeypatch, duration_s: float = 30.0):
                 platform._mobs = []
         server.start()
         collected = []
+        records = []
         deadline = clock.now_us + s_to_us(duration_s)
         while clock.now_us < deadline and server.running:
-            server.tick()
+            records.append(server.tick())
             swarm.step()
             collected.append(server.entities.collected_items)
     stats = server.net.stats
     return {
         "ticks": [
             (r.duration_us, r.work_us, r.breakdown_us, r.entities)
-            for r in server.loop.records
+            for r in records
         ],
         "packets": (dict(stats.counts), dict(stats.bytes_)),
         "kills_total": server.spawning.kills_total,

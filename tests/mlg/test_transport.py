@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.cloud.providers import get_environment
-from repro.core.collectors import MetricExternalizer
 from repro.core.experiment import run_iteration
 from repro.emulation.behavior import BoundedRandomWalk
 from repro.emulation.bot import EmulatedPlayer
@@ -116,7 +115,6 @@ def build_server(seed=5):
 
 
 def drive(server, clock, bots, duration_s=3.0):
-    externalizer = MetricExternalizer(server)
     server.start()
     deadline = clock.now_us + s_to_us(duration_s)
     while clock.now_us < deadline and server.running:
@@ -124,7 +122,7 @@ def drive(server, clock, bots, duration_s=3.0):
         for bot in bots:
             bot.step(clock.now_us)
     server.running = False
-    return externalizer.tick_durations_ms()
+    return server.telemetry.tick_ms.tolist()
 
 
 class TestSessionParity:
@@ -187,7 +185,7 @@ class TestSessionParity:
         )
         drive(server_b, clock_b, [new])
 
-        assert old.response_times_ms == new.response_times_ms
+        assert old.response_times_ms == server_b.telemetry.response_ms.tolist()
         assert old.response_times_ms  # the run actually sampled probes
 
 
@@ -239,7 +237,7 @@ class TestTransportApi:
             server.running = False
             results.append(
                 (
-                    swarm.response_times_ms(),
+                    server.telemetry.response_ms,
                     server.telemetry.tick_ms,
                     server.telemetry.snapshot(),
                 )

@@ -28,9 +28,8 @@ class TestAutosave:
     def test_interval_save_charges_autosave_bucket(self, tmp_path):
         server = _server(tmp_path, autosave_interval_s=2.0)
         server.world.set_block(8, 80, 8, Block.STONE, log=False)
-        server.run_for(5.0)
         saves = [
-            r.breakdown_us.get("Autosave", 0.0) for r in server.tick_records
+            r.breakdown_us.get("Autosave", 0.0) for r in server.run_for(5.0)
         ]
         assert sum(saves) > 0
         assert server.lifecycle.autosaves >= 2
@@ -50,9 +49,8 @@ class TestAutosave:
         server.lifecycle.store.save_chunks = lambda chunks: writes.append(
             len(chunks)
         ) or original(chunks)
-        server.run_for(3.0)
         per_tick = [
-            r.breakdown_us.get("Autosave", 0.0) for r in server.tick_records
+            r.breakdown_us.get("Autosave", 0.0) for r in server.run_for(3.0)
         ]
         cost = server.variant.cost_of(Op.CHUNK_SAVE)
         cap = ChunkLifecycle.SAVE_CHUNKS_PER_TICK * cost
@@ -71,9 +69,8 @@ class TestAutosave:
         )
         # A 100-chunk dirty backlog, flushed in one tick (flush_every=1).
         server.world.fill(0, 60, 0, 159, 60, 159, Block.STONE)
-        server.run_for(2.0)
         per_tick = [
-            r.breakdown_us.get("Autosave", 0.0) for r in server.tick_records
+            r.breakdown_us.get("Autosave", 0.0) for r in server.run_for(2.0)
         ]
         cost = server.variant.cost_of(Op.CHUNK_SAVE)
         cap = ChunkLifecycle.SAVE_CHUNKS_PER_TICK * cost

@@ -84,13 +84,20 @@ def test_campaign_sidecar_quantiles_are_exact(created, tmp_path):
     CampaignExecutor(spec).run()
     tracers = created["tracer"][before["tracer"]:]
     systems = created["system"][before["system"]:]
+    buses = created["bus"][before["bus"]:]
     store = JobStore(tmp_path)
     (job_id,) = store.completed_ids()
     lines = store.read_job_telemetry(job_id)
     iterations = store.load_job(job_id)
     assert len(lines) == len(iterations) == len(tracers) == len(systems) == 2
-    for line, it, tracer, system in zip(lines, iterations, tracers, systems):
+    assert len(buses) == 2
+    for line, it, tracer, system, bus in zip(
+        lines, iterations, tracers, systems, buses
+    ):
         assert it.response_times_ms
+        # The shard carries the tap's series in arrival order, as the
+        # wire path does.
+        assert it.response_times_ms == bus.series["response_ms"].tolist()
         assert_run_exact(
             line["telemetry"],
             it.tick_durations_ms,

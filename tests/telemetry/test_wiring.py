@@ -12,8 +12,8 @@ from repro.campaign.store import JobStore
 from repro.core import IterationResult, run_iteration
 from repro.core.collectors import (
     SAMPLE_INTERVAL_US,
-    MetricExternalizer,
     SystemMetricsCollector,
+    tick_distribution,
 )
 from repro.metrics import instability_ratio
 from repro.mlg.blocks import Block
@@ -65,8 +65,8 @@ def naive_mean(values):
 class TestServerTickTap:
     def test_snapshot_is_a_function_of_the_raw_series(self):
         server = _flat_server()
-        server.run_for(5.0)
-        raw = server.tick_durations_ms()
+        records = server.run_for(5.0)
+        raw = [r.duration_ms for r in records]
         tap = server.telemetry
         assert tap.tick_ms.tolist() == raw
         tick = tap.snapshot()
@@ -76,21 +76,22 @@ class TestServerTickTap:
         assert tick["tick_ms"]["max"] == max(raw)
         over = sum(1 for d in raw if d > TICK_BUDGET_MS) / len(raw)
         assert tick["tick_ms"]["frac_over_budget"] == over
-        assert tick["overloaded_fraction"] == server.overloaded_fraction == (
-            sum(1 for r in server.tick_records if r.overloaded) / len(raw)
+        assert tick["overloaded_fraction"] == (
+            sum(1 for r in records if r.overloaded) / len(raw)
         )
 
     def test_isr_is_the_trace_isr(self):
         server = _flat_server()
-        server.run_for(5.0)
-        raw_isr = instability_ratio(server.tick_durations_ms(), TICK_BUDGET_MS)
+        records = server.run_for(5.0)
+        raw_isr = instability_ratio(
+            [r.duration_ms for r in records], TICK_BUDGET_MS
+        )
         assert server.telemetry.snapshot()["isr"] == raw_isr
 
     def test_breakdown_totals_match_records(self):
         server = _flat_server()
-        server.run_for(3.0)
         walked: dict[str, float] = {}
-        for record in server.tick_records:
+        for record in server.run_for(3.0):
             for bucket, us in record.breakdown_us.items():
                 walked[bucket] = walked.get(bucket, 0.0) + us
         assert server.telemetry.bucket_totals_us == walked
@@ -98,7 +99,7 @@ class TestServerTickTap:
     def test_distribution_shares_sum_to_one(self):
         server = _flat_server()
         server.run_for(2.0)
-        shares = MetricExternalizer(server).tick_distribution().shares
+        shares = tick_distribution(server.telemetry)
         assert sum(shares.values()) == pytest.approx(1.0, abs=0.01)
         assert "Wait After" in shares
 

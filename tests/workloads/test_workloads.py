@@ -178,7 +178,7 @@ class TestLag:
         workload = LagWorkload()
         server, swarm = _setup(workload)
         _run(server, swarm, 3.0)
-        durations = [r.duration_us for r in server.tick_records]
+        durations = server.telemetry.tick_ms.tolist()
         pulses = durations[2::2]
         rests = durations[3::2]
         assert min(pulses) > 10 * max(rests), "every-other-tick load expected"
