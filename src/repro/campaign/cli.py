@@ -679,7 +679,7 @@ def _cmd_world(args: argparse.Namespace) -> int:
             f"Prepared {report.workload!r} (scale {report.scale:g}, seed "
             f"{report.seed}) into {report.path}: {report.chunks} chunk(s), "
             f"{report.bytes_written / 1024:.1f} KiB, "
-            f"hash {report.world_hash}"
+            f"hash {report.world_hash}, key {report.key}"
         )
         return 0
     if args.world_command == "inspect":
@@ -689,8 +689,9 @@ def _cmd_world(args: argparse.Namespace) -> int:
             f"  {info['chunks']} chunk(s) in {info['regions']} region "
             f"file(s), {info['total_bytes'] / 1024:.1f} KiB on disk"
         )
-        print(f"  content hash: {info['world_hash']}")
         manifest = info["manifest"]
+        key_note = f" (manifest key {manifest.get('key')})" if manifest else ""
+        print(f"  content hash: {info['world_hash']}{key_note}")
         hash_mismatch = False
         if manifest:
             hash_mismatch = manifest.get("world_hash") != info["world_hash"]

@@ -348,8 +348,9 @@ class CampaignExecutor:
             print(f"obs endpoint {obs.url}", flush=True)
         try:
             warm_start = time.perf_counter()
+            snapshots = []
             if self.spec.warm_world_cache:
-                self._ensure_world_caches(plan)
+                snapshots = self._ensure_world_caches(plan)
             warm_boot_s = time.perf_counter() - warm_start
             pending = [job for job in plan if job.job_id not in completed]
             n_total = len(plan)
@@ -387,6 +388,7 @@ class CampaignExecutor:
                             time.perf_counter() - externalize_start
                         ),
                     },
+                    "world_cache": snapshots,
                     "jobs": {
                         job_id: job_phases[job_id]
                         for job_id in sorted(job_phases)
@@ -398,20 +400,40 @@ class CampaignExecutor:
             if obs is not None:
                 obs.stop()
 
-    def _ensure_world_caches(self, plan: list[Job]) -> None:
-        """Pre-generate each (workload, scale) world once, before any
-        worker starts: all iterations of all servers then warm-boot from
-        the same on-disk snapshot (``cell_config`` points their
-        ``world_cache_dir`` at these directories).  Idempotent — an
-        existing snapshot with a matching manifest is kept, so resumes
-        and restored CI caches skip the generation cost."""
-        from repro.persistence.warmup import ensure_world_cache
+    def _ensure_world_caches(self, plan: list[Job]) -> list[dict]:
+        """Pre-generate each distinct starting world (one per
+        :func:`world_cache_key`) once, before any worker starts;
+        ``cell_config`` points every cell's ``world_cache_dir`` at its
+        snapshot.  A snapshot that :func:`snapshot_is_current` for a
+        workload is kept: resumes, restored CI caches and workloads that
+        share it skip the generation cost.  Returns one entry per
+        snapshot: key, workloads served, whether prepared, seconds."""
+        from repro.persistence.warmup import (
+            prepare_world,
+            snapshot_is_current,
+            world_cache_key,
+        )
 
         cache_root = Path(self.spec.output_dir) / "world-cache"
+        seed = self.spec.seed
+        snapshots: dict[str, dict] = {}
         for workload, scale in sorted(
             {(job.workload, job.scale) for job in plan}
         ):
-            ensure_world_cache(cache_root, workload, scale, self.spec.seed)
+            start = time.perf_counter()
+            key = world_cache_key(workload, scale, seed)
+            entry = snapshots.setdefault(
+                key,
+                {"key": key, "workloads": [], "prepared": False, "s": 0.0},
+            )
+            out_dir = cache_root / key
+            if not snapshot_is_current(out_dir, workload, scale, seed):
+                prepare_world(out_dir, workload, scale, seed)
+                entry["prepared"] = True
+            if workload not in entry["workloads"]:
+                entry["workloads"].append(workload)
+            entry["s"] += time.perf_counter() - start
+        return list(snapshots.values())
 
     def _run_parallel(self, payloads: list[dict]):
         """Fan pending jobs out over a process pool, yielding completions.

@@ -100,10 +100,11 @@ class CampaignSpec(RunKnobs):
     bot_counts: list[int] = field(default_factory=lambda: [25])
     behaviors: list[str] = field(default_factory=lambda: ["bounded-random"])
 
-    #: Pre-generate each (workload, scale) world once under
-    #: ``<output_dir>/world-cache/`` and warm-boot every iteration from
-    #: it: faster campaigns, bit-identical initial worlds.  Pins each
-    #: cell's terrain seed to the campaign ``seed``.
+    #: Pre-generate each distinct starting world once under
+    #: ``<output_dir>/world-cache/`` (named by ``world_cache_key``) and
+    #: warm-boot every iteration from it: faster campaigns, bit-identical
+    #: initial worlds.  Pins each cell's terrain seed to the campaign
+    #: ``seed``.
     warm_world_cache: bool = False
 
     #: Default worker-process count for the executor (CLI ``--jobs`` wins).

@@ -7,6 +7,8 @@ Layout, under the campaign's ``output_dir``::
                                 campaign's provenance fingerprint
       campaign_trace.json       executor phase timings (plan/warm-boot/
                                 iterate/externalize, per job and total)
+                                and one entry per warm world-cache
+                                snapshot (key, workloads, prepared, s)
       jobs/<job_id>.json        one shard per *completed* job
       telemetry/<job_id>.jsonl  streaming sidecar: one line per finished
                                 iteration, written while the job runs

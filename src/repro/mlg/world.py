@@ -290,6 +290,11 @@ class World:
         return self._arena.adopt(chunk)
 
     @property
+    def generator(self) -> Callable[[Chunk], None] | None:
+        """What populates newly created chunks (``None``: they stay air)."""
+        return self._generator
+
+    @property
     def has_generator(self) -> bool:
         """Whether missing chunks can be (re)generated deterministically."""
         return self._generator is not None

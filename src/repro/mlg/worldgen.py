@@ -155,6 +155,12 @@ class TerrainGenerator:
     def __init__(self, seed: int = PAPER_SEED) -> None:
         self.seed = seed
 
+    @property
+    def key(self) -> str:
+        """Identity of the terrain this generator produces (class and
+        seed): generators with equal keys fill a chunk with equal bytes."""
+        return f"{type(self).__name__.lower()}-seed{self.seed}"
+
     def height_at(self, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
         """Terrain height (top of the ground column) at world coordinates."""
         base = value_noise_2d(xs, zs, self.seed, scale=96.0)

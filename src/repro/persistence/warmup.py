@@ -7,7 +7,9 @@ A campaign with ``warm_world_cache`` enabled then boots every iteration of
 every server from the same on-disk seed: the connect burst becomes cheap
 ``CHUNK_LOAD`` work instead of expensive ``CHUNK_GEN`` work, campaigns run
 faster, and every run starts from a bit-identical world (the round-trip is
-lossless, verified by ``world.json``'s recorded hash).
+lossless, verified by ``world.json``'s recorded hash).  A snapshot is named
+after the terrain it holds (:func:`world_cache_key`), so workloads that
+start from the same bare generated world share one.
 
 This module sits one layer above the rest of the package (it imports the
 workload registry); import it as ``repro.persistence.warmup``, not through
@@ -35,6 +37,7 @@ __all__ = [
     "ensure_world_cache",
     "inspect_world",
     "prepare_world",
+    "snapshot_is_current",
     "world_cache_key",
 ]
 
@@ -45,9 +48,27 @@ WORLD_MANIFEST = "world.json"
 DEFAULT_PREPARE_RADIUS = DEFAULT_VIEW_DISTANCE + 2
 
 
-def world_cache_key(workload: str, scale: float, seed: int) -> str:
-    """Directory name of one (workload, scale, seed) warm-cache entry."""
+def _snapshot_key(world, workload: str, scale: float, seed: int) -> str:
+    generator_key = getattr(world.generator, "key", None)
+    if world.loaded_chunk_count == 0 and generator_key is not None:
+        return generator_key
     return f"{workload.lower()}-s{scale:g}-seed{seed}"
+
+
+def world_cache_key(workload: str, scale: float, seed: int) -> str:
+    """Directory name of the warm-cache snapshot ``workload`` at ``scale``
+    boots from for ``seed``.
+
+    Derived from the world ``create_world(seed)`` returns, never declared
+    per workload: a world with no resident chunk is exactly its
+    generator's output, so it is named after the generator's identity and
+    every such workload, at every scale, shares it; a world the workload
+    wrote terrain into is named after the workload, scale and seed.
+    """
+    from repro.workloads import get_workload
+
+    world = get_workload(workload, scale=scale).create_world(seed)
+    return _snapshot_key(world, workload, scale, seed)
 
 
 @dataclass(frozen=True)
@@ -55,6 +76,7 @@ class PrepareReport:
     """What one ``prepare_world`` run produced."""
 
     path: str
+    key: str
     workload: str
     scale: float
     seed: int
@@ -95,6 +117,7 @@ def prepare_world(
         raise ValueError(f"radius must be >= 0: {radius!r}")
     workload = get_workload(workload_name, scale=scale)
     world = workload.create_world(seed)
+    key = _snapshot_key(world, workload_name, scale, seed)
     span = range(-radius, radius + 1)
     world.ensure_chunks((cx, cz) for cx in span for cz in span)
     out_dir = Path(out_dir)
@@ -105,6 +128,7 @@ def prepare_world(
     bytes_written = store.save_chunks(list(world.loaded_chunks()))
     report = PrepareReport(
         path=str(out_dir),
+        key=key,
         workload=workload_name.lower(),
         scale=float(scale),
         seed=int(seed),
@@ -130,9 +154,7 @@ def read_world_manifest(root: str | Path) -> dict | None:
         return None
 
 
-def _probe_chunk_matches(
-    out_dir: Path, workload: str, scale: float, seed: int
-) -> bool:
+def _probe_chunk_matches(out_dir: Path, world) -> bool:
     """Canary check: sampled stored chunks must equal today's build.
 
     Parameters matching is not enough — a snapshot restored from an old
@@ -145,7 +167,6 @@ def _probe_chunk_matches(
     chunk builds.
     """
     from repro.persistence.region import serialize_chunk
-    from repro.workloads import get_workload
 
     store = RegionStore(out_dir)
     positions = store.chunk_positions()
@@ -154,7 +175,6 @@ def _probe_chunk_matches(
     sample = {min(positions), max(positions)} | (
         {(0, 0), (1, 1), (2, 2), (3, 3)} & positions
     )
-    world = get_workload(workload, scale=scale).create_world(seed)
     for cx, cz in sorted(sample):
         stored = store.load_chunk(cx, cz)
         if stored is None:
@@ -165,6 +185,32 @@ def _probe_chunk_matches(
     return True
 
 
+def snapshot_is_current(
+    out_dir: str | Path,
+    workload: str,
+    scale: float,
+    seed: int,
+    radius: int = DEFAULT_PREPARE_RADIUS,
+) -> bool:
+    """Whether ``out_dir`` holds the snapshot ``workload`` boots from.
+
+    Matching means the recorded manifest's key, seed and radius equal the
+    request *and* probe chunks of ``workload``'s own fresh build equal the
+    stored bytes — a stale, foreign, or generator-drifted directory does
+    not match, and every workload sharing a snapshot checks the bytes it
+    boots from.
+    """
+    from repro.workloads import get_workload
+
+    manifest = read_world_manifest(out_dir)
+    if manifest is None:
+        return False
+    world = get_workload(workload, scale=scale).create_world(seed)
+    recorded = [manifest.get(name) for name in ("key", "seed", "radius")]
+    expected = [_snapshot_key(world, workload, scale, seed), seed, radius]
+    return recorded == expected and _probe_chunk_matches(Path(out_dir), world)
+
+
 def ensure_world_cache(
     cache_root: str | Path,
     workload: str,
@@ -172,30 +218,12 @@ def ensure_world_cache(
     seed: int,
     radius: int = DEFAULT_PREPARE_RADIUS,
 ) -> Path:
-    """Prepare ``<cache_root>/<key>`` unless a matching snapshot exists.
-
-    Matching means the recorded manifest's parameters equal the request
-    *and* a probe chunk regenerates to the stored bytes — a stale,
-    foreign, or generator-drifted directory is re-prepared, so a
-    restored CI cache from another commit can never poison a campaign.
-    """
+    """Prepare ``<cache_root>/<key>`` unless :func:`snapshot_is_current`,
+    so a restored CI cache from another commit can never poison a
+    campaign, and a workload that shares another's snapshot reuses it."""
     out_dir = Path(cache_root) / world_cache_key(workload, scale, seed)
-    manifest = read_world_manifest(out_dir)
-    if (
-        manifest is not None
-        and all(
-            manifest.get(key) == value
-            for key, value in (
-                ("workload", workload.lower()),
-                ("scale", float(scale)),
-                ("seed", int(seed)),
-                ("radius", int(radius)),
-            )
-        )
-        and _probe_chunk_matches(out_dir, workload, scale, seed)
-    ):
-        return out_dir
-    prepare_world(out_dir, workload, scale=scale, seed=seed, radius=radius)
+    if not snapshot_is_current(out_dir, workload, scale, seed, radius):
+        prepare_world(out_dir, workload, scale=scale, seed=seed, radius=radius)
     return out_dir
 
 

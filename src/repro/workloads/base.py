@@ -40,7 +40,9 @@ class Workload:
     # -- lifecycle ---------------------------------------------------------------
 
     def create_world(self, seed: int) -> World:
-        """Build the starting world (called once per iteration)."""
+        """Build the starting world (called once per iteration).  Terrain
+        written here gives the workload its own warm-cache snapshot (see
+        ``repro.persistence.warmup.world_cache_key``)."""
         raise NotImplementedError
 
     def install(self, server: MLGServer, swarm: BotSwarm) -> None:

@@ -1,6 +1,7 @@
 """Campaign warm world-cache: prepare, warm boot, bit-identity, CLI."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -8,13 +9,22 @@ import pytest
 from repro.campaign.cli import main
 from repro.campaign.executor import CampaignExecutor
 from repro.campaign.spec import CampaignSpec
-from repro.core.experiment import run_iteration
+from repro.core.experiment import run_iteration, run_server_chain
+from repro.mlg.blocks import Block
+from repro.mlg.world import World
+from repro.mlg.worldgen import PAPER_SEED, TerrainGenerator
+from repro.persistence.store import RegionStore
 from repro.persistence.warmup import (
     WORLD_MANIFEST,
     ensure_world_cache,
     prepare_world,
     world_cache_key,
 )
+from repro.workloads import WORKLOADS, Workload
+
+#: The registered workloads whose ``create_world`` returns bare generated
+#: terrain, and so boot from one shared snapshot.
+BARE_TERRAIN = ("control", "exploration", "farm", "lag", "players")
 
 
 class TestPrepareWorld:
@@ -71,6 +81,53 @@ class TestPrepareWorld:
         ensure_world_cache(tmp_path, "control", 1.0, 3, radius=2)
         rebuilt = json.loads((path / WORLD_MANIFEST).read_text())
         assert rebuilt["seed"] == 3
+
+
+class TestCacheKeyIsDerived:
+    """The snapshot a workload boots from is named after the terrain its
+    ``create_world`` returns, never after a per-workload declaration."""
+
+    def test_registered_workloads_group_by_starting_world(self):
+        groups: dict[str, set] = {}
+        for name in WORKLOADS:
+            for scale in (1.0, 2.0):
+                groups.setdefault(world_cache_key(name, scale, 2), set()).add(
+                    (name, scale)
+                )
+        shared = world_cache_key("control", 1.0, 2)
+        assert groups.pop(shared) == {
+            (name, scale) for name in BARE_TERRAIN for scale in (1.0, 2.0)
+        }
+        # Workloads that write terrain in ``create_world`` keep a key per
+        # workload and scale.
+        assert groups == {
+            f"{name}-s{scale:g}-seed2": {(name, scale)}
+            for name in ("tnt", "flood")
+            for scale in (1.0, 2.0)
+        }
+
+    def test_shared_key_is_the_generators_identity(self):
+        assert (
+            world_cache_key("players", 1.0, 2)
+            == TerrainGenerator(seed=2 ^ PAPER_SEED).key
+        )
+        assert world_cache_key("players", 1.0, 2) != world_cache_key(
+            "players", 1.0, 3
+        )
+
+    def test_a_single_written_block_gets_its_own_key(self, monkeypatch):
+        class OneBlock(Workload):
+            name = "one-block"
+
+            def create_world(self, seed: int) -> World:
+                world = World(generator=TerrainGenerator(seed ^ PAPER_SEED))
+                world.set_block(0, 120, 0, Block.STONE, log=False)
+                return world
+
+        monkeypatch.setitem(WORKLOADS, OneBlock.name, OneBlock)
+        key = world_cache_key(OneBlock.name, 1.0, 2)
+        assert key == "one-block-s1-seed2"
+        assert key != world_cache_key("control", 1.0, 2)
 
 
 class TestWarmBoot:
@@ -141,7 +198,7 @@ class TestWarmCampaign:
             world_dir=str(tmp_path / "cold"),
         )
         assert hashes == {cold.telemetry["world"]["initial_hash"]}
-        # One cache entry per (workload, scale), named for its key.
+        # One cache entry per starting world, named for its key.
         cache_root = Path(spec.output_dir) / "world-cache"
         assert [p.name for p in cache_root.iterdir()] == [
             world_cache_key("exploration", 1.0, spec.seed)
@@ -188,6 +245,86 @@ class TestWarmCampaign:
         assert rerun.tick_durations_ms == clean.tick_durations_ms
 
 
+class TestSharedSnapshot:
+    """Cells whose workloads share a key boot from one snapshot, and each
+    still boots bit-identical to its own cold world."""
+
+    WORKLOADS = ["control", "players", "exploration"]
+
+    @pytest.fixture()
+    def campaign(self, tmp_path):
+        spec = CampaignSpec(
+            name="shared",
+            servers=["vanilla"],
+            workloads=self.WORKLOADS,
+            environments=["das5-2core"],
+            iterations=1,
+            duration_s=3.0,
+            seed=7,
+            output_dir=str(tmp_path / "out"),
+            warm_world_cache=True,
+        )
+        return spec, CampaignExecutor(spec).run()
+
+    def test_one_snapshot_serves_every_cell(self, campaign, tmp_path):
+        """Each cell's warm boot equals a cold boot of the same cell: the
+        cell's own chain (same iteration seed, so the players' bots spawn
+        where they did) over an empty cache, so every chunk generates."""
+        spec, result = campaign
+        cache_root = Path(spec.output_dir) / "world-cache"
+        key = world_cache_key("control", 1.0, spec.seed)
+        assert [p.name for p in cache_root.iterdir()] == [key]
+        warm = {it.workload: it.telemetry["world"] for it in result.iterations}
+        assert sorted(warm) == sorted(self.WORKLOADS)
+        for cell in spec.cells():
+            config = replace(
+                spec.cell_config(cell),
+                world_cache_dir=str(tmp_path / "empty-cache"),
+            )
+            [cold] = run_server_chain(config, "vanilla")
+            cold_world = cold.telemetry["world"]
+            assert cold_world["chunks_loaded_from_disk"] == 0
+            assert warm[cell.workload]["chunks_loaded_from_disk"] > 0
+            assert (
+                warm[cell.workload]["initial_hash"]
+                == cold_world["initial_hash"]
+            )
+
+    def test_trace_says_where_warm_boot_time_went(self, campaign):
+        spec, _ = campaign
+        trace = json.loads(
+            (Path(spec.output_dir) / "campaign_trace.json").read_text()
+        )
+        assert "warm_boot_s" in trace["phases"]
+        [entry] = trace["world_cache"]
+        assert entry["key"] == world_cache_key("control", 1.0, spec.seed)
+        assert entry["workloads"] == sorted(self.WORKLOADS)
+        assert entry["prepared"] is True
+        assert 0.0 < entry["s"] <= trace["phases"]["warm_boot_s"]
+
+    def test_sharing_workloads_and_scales_reuse_the_snapshot(self, tmp_path):
+        path = ensure_world_cache(tmp_path, "control", 1.0, 3, radius=2)
+        stamp = (path / WORLD_MANIFEST).stat().st_mtime_ns
+        for workload, scale in (("players", 1.0), ("control", 2.0)):
+            again = ensure_world_cache(tmp_path, workload, scale, 3, radius=2)
+            assert again == path
+        assert (path / WORLD_MANIFEST).stat().st_mtime_ns == stamp
+        manifest = json.loads((path / WORLD_MANIFEST).read_text())
+        assert manifest["key"] == path.name
+
+    def test_second_workload_catches_a_tampered_probe_chunk(self, tmp_path):
+        path = ensure_world_cache(tmp_path, "control", 1.0, 3, radius=2)
+        store = RegionStore(path)
+        probe = max(store.chunk_positions())
+        chunk = store.load_chunk(*probe)
+        chunk.blocks[0, 0, 100] = Block.TNT
+        store.save_chunks([chunk])
+        again = ensure_world_cache(tmp_path, "players", 1.0, 3, radius=2)
+        assert again == path
+        rebuilt = RegionStore(path).load_chunk(*probe)
+        assert rebuilt.blocks[0, 0, 100] != Block.TNT
+
+
 class TestWorldCli:
     def test_prepare_then_inspect(self, tmp_path, capsys):
         out = tmp_path / "cli-world"
@@ -207,10 +344,19 @@ class TestWorldCli:
             )
             == 0
         )
-        assert "25 chunk(s)" in capsys.readouterr().out
+        key = world_cache_key("control", 1.0, 5)
+        text = capsys.readouterr().out
+        assert "25 chunk(s)" in text
+        assert f"key {key}" in text
+        manifest = json.loads((out / WORLD_MANIFEST).read_text())
+        assert manifest["key"] == key
         assert main(["world", "inspect", str(out)]) == 0
         text = capsys.readouterr().out
         assert "25 chunk(s)" in text
+        assert (
+            f"content hash: {manifest['world_hash']} (manifest key {key})"
+            in text
+        )
         assert "recorded hash matches" in text
 
     def test_inspect_flags_damage(self, tmp_path, capsys):
