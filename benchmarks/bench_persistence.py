@@ -137,7 +137,7 @@ def test_autosave_spike_tick_distribution(benchmark, out_dir, tmp_path):
 
 
 def test_warm_boot_vs_cold_generation(benchmark, out_dir, tmp_path):
-    cache = ensure_world_cache(WORLD_CACHE_ROOT, "control", 1.0, 11)
+    cache, _ = ensure_world_cache(WORLD_CACHE_ROOT, "control", 1.0, 11)
 
     def boots():
         cold = run_iteration(

@@ -373,7 +373,7 @@ _STATUS_HEADERS = (
 def _status_frame(spec: CampaignSpec, store: JobStore, status: dict) -> str:
     """The rendered ``status`` output for one per-job entry map."""
     iterations_by_id = {
-        job.job_id: spec.cell_config(job.cell).iterations
+        job.job_id: spec.cell_iterations(job.cell)
         for job in store.manifest_jobs()
     }
     rows = [

@@ -404,32 +404,26 @@ class CampaignExecutor:
         """Pre-generate each distinct starting world (one per
         :func:`world_cache_key`) once, before any worker starts;
         ``cell_config`` points every cell's ``world_cache_dir`` at its
-        snapshot.  A snapshot that :func:`snapshot_is_current` for a
-        workload is kept: resumes, restored CI caches and workloads that
-        share it skip the generation cost.  Returns one entry per
-        snapshot: key, workloads served, whether prepared, seconds."""
-        from repro.persistence.warmup import (
-            prepare_world,
-            snapshot_is_current,
-            world_cache_key,
-        )
+        snapshot.  Idempotent — a matching snapshot is kept, so resumes,
+        restored CI caches and workloads that share it skip the
+        generation cost.  Returns one entry per snapshot: key, workloads
+        served, whether prepared, seconds."""
+        from repro.persistence.warmup import ensure_world_cache
 
         cache_root = Path(self.spec.output_dir) / "world-cache"
-        seed = self.spec.seed
         snapshots: dict[str, dict] = {}
         for workload, scale in sorted(
             {(job.workload, job.scale) for job in plan}
         ):
             start = time.perf_counter()
-            key = world_cache_key(workload, scale, seed)
-            entry = snapshots.setdefault(
-                key,
-                {"key": key, "workloads": [], "prepared": False, "s": 0.0},
+            path, prepared = ensure_world_cache(
+                cache_root, workload, scale, self.spec.seed
             )
-            out_dir = cache_root / key
-            if not snapshot_is_current(out_dir, workload, scale, seed):
-                prepare_world(out_dir, workload, scale, seed)
-                entry["prepared"] = True
+            entry = snapshots.setdefault(
+                path.name,
+                {"key": path.name, "workloads": [], "prepared": False, "s": 0},
+            )
+            entry["prepared"] |= prepared
             if workload not in entry["workloads"]:
                 entry["workloads"].append(workload)
             entry["s"] += time.perf_counter() - start

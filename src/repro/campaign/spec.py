@@ -247,13 +247,25 @@ class CampaignSpec(RunKnobs):
             world_dir=world_dir,
             world_cache_dir=world_cache_dir,
         )
+        kwargs.update(self._overrides_for(cell))
+        return MeterstickConfig(**kwargs)
+
+    def cell_iterations(self, cell: CampaignCell) -> int:
+        """``cell_config(cell).iterations``, without naming the cell's
+        warm-cache snapshot (which builds its starting world)."""
+        return self._overrides_for(cell).get("iterations", self.iterations)
+
+    def _overrides_for(self, cell: CampaignCell) -> dict:
+        """The fields every matching ``overrides`` entry sets; later
+        entries win."""
+        fields: dict = {}
         for override in self.overrides:
             where = override.get("where", {})
             if all(
                 getattr(cell, attr) == value for attr, value in where.items()
             ):
-                kwargs.update(override.get("set", {}))
-        return MeterstickConfig(**kwargs)
+                fields.update(override.get("set", {}))
+        return fields
 
     # -- serialization ------------------------------------------------------
 

@@ -294,11 +294,6 @@ class World:
         """What populates newly created chunks (``None``: they stay air)."""
         return self._generator
 
-    @property
-    def has_generator(self) -> bool:
-        """Whether missing chunks can be (re)generated deterministically."""
-        return self._generator is not None
-
     def unload_chunk(self, cx: int, cz: int) -> Chunk | None:
         """Drop a chunk from memory (the eviction half of streaming).
 

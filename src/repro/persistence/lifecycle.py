@@ -393,7 +393,7 @@ class ChunkLifecycle:
             # later): all are in view, so nothing can go.
             return
         pinned = self._pinned_cache
-        regenerable = self.world.has_generator
+        regenerable = self.world.generator is not None
         candidates: list[tuple[int, tuple[int, int]]] = []
         dirty = set(self.world.dirty_keys())
         for key, last in zip(keys, last_seen):

@@ -19,6 +19,7 @@ free.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -37,7 +38,6 @@ __all__ = [
     "ensure_world_cache",
     "inspect_world",
     "prepare_world",
-    "snapshot_is_current",
     "world_cache_key",
 ]
 
@@ -55,6 +55,7 @@ def _snapshot_key(world, workload: str, scale: float, seed: int) -> str:
     return f"{workload.lower()}-s{scale:g}-seed{seed}"
 
 
+@functools.lru_cache(maxsize=None)
 def world_cache_key(workload: str, scale: float, seed: int) -> str:
     """Directory name of the warm-cache snapshot ``workload`` at ``scale``
     boots from for ``seed``.
@@ -64,6 +65,8 @@ def world_cache_key(workload: str, scale: float, seed: int) -> str:
     generator's output, so it is named after the generator's identity and
     every such workload, at every scale, shares it; a world the workload
     wrote terrain into is named after the workload, scale and seed.
+    Cached: it builds that world, and every cell, status render and
+    dataset load asks for it.
     """
     from repro.workloads import get_workload
 
@@ -154,7 +157,9 @@ def read_world_manifest(root: str | Path) -> dict | None:
         return None
 
 
-def _probe_chunk_matches(out_dir: Path, world) -> bool:
+def _probe_chunk_matches(
+    out_dir: Path, workload: str, scale: float, seed: int
+) -> bool:
     """Canary check: sampled stored chunks must equal today's build.
 
     Parameters matching is not enough — a snapshot restored from an old
@@ -167,6 +172,7 @@ def _probe_chunk_matches(out_dir: Path, world) -> bool:
     chunk builds.
     """
     from repro.persistence.region import serialize_chunk
+    from repro.workloads import get_workload
 
     store = RegionStore(out_dir)
     positions = store.chunk_positions()
@@ -175,6 +181,7 @@ def _probe_chunk_matches(out_dir: Path, world) -> bool:
     sample = {min(positions), max(positions)} | (
         {(0, 0), (1, 1), (2, 2), (3, 3)} & positions
     )
+    world = get_workload(workload, scale=scale).create_world(seed)
     for cx, cz in sorted(sample):
         stored = store.load_chunk(cx, cz)
         if stored is None:
@@ -185,46 +192,33 @@ def _probe_chunk_matches(out_dir: Path, world) -> bool:
     return True
 
 
-def snapshot_is_current(
-    out_dir: str | Path,
-    workload: str,
-    scale: float,
-    seed: int,
-    radius: int = DEFAULT_PREPARE_RADIUS,
-) -> bool:
-    """Whether ``out_dir`` holds the snapshot ``workload`` boots from.
-
-    Matching means the recorded manifest's key, seed and radius equal the
-    request *and* probe chunks of ``workload``'s own fresh build equal the
-    stored bytes — a stale, foreign, or generator-drifted directory does
-    not match, and every workload sharing a snapshot checks the bytes it
-    boots from.
-    """
-    from repro.workloads import get_workload
-
-    manifest = read_world_manifest(out_dir)
-    if manifest is None:
-        return False
-    world = get_workload(workload, scale=scale).create_world(seed)
-    recorded = [manifest.get(name) for name in ("key", "seed", "radius")]
-    expected = [_snapshot_key(world, workload, scale, seed), seed, radius]
-    return recorded == expected and _probe_chunk_matches(Path(out_dir), world)
-
-
 def ensure_world_cache(
     cache_root: str | Path,
     workload: str,
     scale: float,
     seed: int,
     radius: int = DEFAULT_PREPARE_RADIUS,
-) -> Path:
-    """Prepare ``<cache_root>/<key>`` unless :func:`snapshot_is_current`,
-    so a restored CI cache from another commit can never poison a
-    campaign, and a workload that shares another's snapshot reuses it."""
-    out_dir = Path(cache_root) / world_cache_key(workload, scale, seed)
-    if not snapshot_is_current(out_dir, workload, scale, seed, radius):
-        prepare_world(out_dir, workload, scale=scale, seed=seed, radius=radius)
-    return out_dir
+) -> tuple[Path, bool]:
+    """Prepare ``<cache_root>/<key>`` unless a matching snapshot exists;
+    return its path and whether it was prepared.
+
+    Matching means the recorded manifest's key, seed and radius equal the
+    request *and* probe chunks of ``workload``'s own fresh build equal the
+    stored bytes — a stale, foreign, or generator-drifted directory is
+    re-prepared, so a restored CI cache from another commit can never
+    poison a campaign, every workload sharing a snapshot checks the bytes
+    it boots from, and none re-prepares another's.
+    """
+    key = world_cache_key(workload, scale, seed)
+    out_dir = Path(cache_root) / key
+    manifest = read_world_manifest(out_dir) or {}
+    recorded = [manifest.get(name) for name in ("key", "seed", "radius")]
+    if recorded == [key, seed, radius] and _probe_chunk_matches(
+        out_dir, workload, scale, seed
+    ):
+        return out_dir, False
+    prepare_world(out_dir, workload, scale=scale, seed=seed, radius=radius)
+    return out_dir, True
 
 
 def inspect_world(root: str | Path) -> dict:

@@ -130,7 +130,7 @@ def _expected_iterations(spec, job_dict: dict) -> int:
     try:
         from repro.campaign.planner import Job
 
-        return spec.cell_config(Job.from_dict(job_dict).cell).iterations
+        return spec.cell_iterations(Job.from_dict(job_dict).cell)
     except Exception:
         return getattr(spec, "iterations", 1)
 

@@ -73,6 +73,21 @@ class TestSpec:
                 assert config.duration_s == 2.0
                 assert config.warm_machines is False
 
+    def test_cell_iterations_follows_overrides(self):
+        spec = small_spec(
+            warm_world_cache=True,
+            overrides=[
+                {"where": {"workload": "players"}, "set": {"iterations": 5}},
+                {"where": {"server": "vanilla"}, "set": {"iterations": 3}},
+            ],
+        )
+        counts = set()
+        for cell in spec.cells():
+            iterations = spec.cell_iterations(cell)
+            assert iterations == spec.cell_config(cell).iterations
+            counts.add(iterations)
+        assert counts == {2, 3, 5}
+
     def test_bad_override_keys_rejected(self):
         with pytest.raises(ValueError):
             small_spec(overrides=[{"where": {"nope": 1}, "set": {}}])

@@ -49,10 +49,13 @@ class TestPrepareWorld:
         assert len(RegionStore(tmp_path / "w").chunk_positions()) == 9
 
     def test_ensure_is_idempotent(self, tmp_path):
-        first = ensure_world_cache(tmp_path, "control", 1.0, 3, radius=2)
+        first, prepared = ensure_world_cache(
+            tmp_path, "control", 1.0, 3, radius=2
+        )
+        assert prepared
         stamp = (first / WORLD_MANIFEST).stat().st_mtime_ns
         again = ensure_world_cache(tmp_path, "control", 1.0, 3, radius=2)
-        assert again == first
+        assert again == (first, False)
         assert (first / WORLD_MANIFEST).stat().st_mtime_ns == stamp
 
     def test_ensure_reprepares_on_stale_content(self, tmp_path):
@@ -63,22 +66,24 @@ class TestPrepareWorld:
         from repro.mlg.blocks import Block
         from repro.persistence.store import RegionStore
 
-        path = ensure_world_cache(tmp_path, "control", 1.0, 3, radius=2)
+        path, _ = ensure_world_cache(tmp_path, "control", 1.0, 3, radius=2)
         store = RegionStore(path)
         probe = min(store.chunk_positions())
         chunk = store.load_chunk(*probe)
         chunk.blocks[0, 0, 100] = Block.TNT  # simulate drifted terrain
         store.save_chunks([chunk])
-        ensure_world_cache(tmp_path, "control", 1.0, 3, radius=2)
+        again = ensure_world_cache(tmp_path, "control", 1.0, 3, radius=2)
+        assert again == (path, True)
         rebuilt = RegionStore(path).load_chunk(*probe)
         assert rebuilt.blocks[0, 0, 100] != Block.TNT
 
     def test_ensure_reprepares_on_parameter_mismatch(self, tmp_path):
-        path = ensure_world_cache(tmp_path, "control", 1.0, 3, radius=2)
+        path, _ = ensure_world_cache(tmp_path, "control", 1.0, 3, radius=2)
         manifest = json.loads((path / WORLD_MANIFEST).read_text())
         manifest["seed"] = 999  # pretend it was built from another seed
         (path / WORLD_MANIFEST).write_text(json.dumps(manifest))
-        ensure_world_cache(tmp_path, "control", 1.0, 3, radius=2)
+        again = ensure_world_cache(tmp_path, "control", 1.0, 3, radius=2)
+        assert again == (path, True)
         rebuilt = json.loads((path / WORLD_MANIFEST).read_text())
         assert rebuilt["seed"] == 3
 
@@ -132,7 +137,7 @@ class TestCacheKeyIsDerived:
 
 class TestWarmBoot:
     def test_warm_boot_matches_cold_world_and_is_cheaper(self, tmp_path):
-        cache = ensure_world_cache(tmp_path, "control", 1.0, 11, radius=10)
+        cache, _ = ensure_world_cache(tmp_path, "control", 1.0, 11, radius=10)
         cold = run_iteration(
             "control",
             "vanilla",
@@ -303,24 +308,24 @@ class TestSharedSnapshot:
         assert 0.0 < entry["s"] <= trace["phases"]["warm_boot_s"]
 
     def test_sharing_workloads_and_scales_reuse_the_snapshot(self, tmp_path):
-        path = ensure_world_cache(tmp_path, "control", 1.0, 3, radius=2)
+        path, _ = ensure_world_cache(tmp_path, "control", 1.0, 3, radius=2)
         stamp = (path / WORLD_MANIFEST).stat().st_mtime_ns
         for workload, scale in (("players", 1.0), ("control", 2.0)):
             again = ensure_world_cache(tmp_path, workload, scale, 3, radius=2)
-            assert again == path
+            assert again == (path, False)
         assert (path / WORLD_MANIFEST).stat().st_mtime_ns == stamp
         manifest = json.loads((path / WORLD_MANIFEST).read_text())
         assert manifest["key"] == path.name
 
     def test_second_workload_catches_a_tampered_probe_chunk(self, tmp_path):
-        path = ensure_world_cache(tmp_path, "control", 1.0, 3, radius=2)
+        path, _ = ensure_world_cache(tmp_path, "control", 1.0, 3, radius=2)
         store = RegionStore(path)
         probe = max(store.chunk_positions())
         chunk = store.load_chunk(*probe)
         chunk.blocks[0, 0, 100] = Block.TNT
         store.save_chunks([chunk])
         again = ensure_world_cache(tmp_path, "players", 1.0, 3, radius=2)
-        assert again == path
+        assert again == (path, True)
         rebuilt = RegionStore(path).load_chunk(*probe)
         assert rebuilt.blocks[0, 0, 100] != Block.TNT
 

@@ -66,7 +66,9 @@ def test_run_iteration_frees_its_world(built, workload):
 
 
 def test_a_persisted_evicting_cell_frees_its_world(built, tmp_path):
-    cache = ensure_world_cache(tmp_path / "cache", "exploration", 1.0, 3, radius=4)
+    cache, _ = ensure_world_cache(
+        tmp_path / "cache", "exploration", 1.0, 3, radius=4
+    )
     built.clear()  # the world the cache was made from is not this cell's
     result = run_iteration(
         "exploration",

@@ -55,7 +55,7 @@ class OracleLifecycle(ChunkLifecycle):
             self._pinned_cache = self.pinned()
             self._pinned_refresh_tick = tick_index
         pinned = self._pinned_cache
-        regenerable = self.world.has_generator
+        regenerable = self.world.generator is not None
         candidates = []
         dirty = set(self.world.dirty_keys())
         for key in self.world.loaded_keys():

@@ -229,7 +229,7 @@ class TestLongFormCache:
     def test_ensure_keeps_a_cache_of_long_form_payloads(self, tmp_path):
         """A world cache restored from before the short form is kept as
         it is, not re-prepared, and loads the world it recorded."""
-        path = ensure_world_cache(tmp_path, "control", 1.0, 3, radius=1)
+        path, _ = ensure_world_cache(tmp_path, "control", 1.0, 3, radius=1)
         store = RegionStore(path)
         regions = sorted(store.region_dir.glob("r.*.msr"))
         for region in regions:
@@ -243,7 +243,7 @@ class TestLongFormCache:
         before = {region: region.read_bytes() for region in regions}
         stamp = (path / WORLD_MANIFEST).stat().st_mtime_ns
         again = ensure_world_cache(tmp_path, "control", 1.0, 3, radius=1)
-        assert again == path
+        assert again == (path, False)
         assert (path / WORLD_MANIFEST).stat().st_mtime_ns == stamp
         assert {region: region.read_bytes() for region in regions} == before
         cache = RegionStore(path)
