@@ -11,13 +11,19 @@ Table 3: Entity Farms (gnembon), Stone Farms (Shulkercraft), Kelp Farms
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.mlg.blocks import Block
+from repro.mlg.chunk_arena import pack_keys
+from repro.mlg.constants import WORLD_HEIGHT
 from repro.mlg.redstone import ClockCircuit
 from repro.mlg.server import MLGServer
 from repro.mlg.spawning import SpawnPlatform
 from repro.mlg.entity import EntityKind
 from repro.mlg.workreport import Op, WorkReport
+from repro.mlg.world import World
 
 __all__ = [
     "build_entity_farm",
@@ -56,15 +62,54 @@ def _absorb_items(
     return absorbed
 
 
-def _platform(server: MLGServer, x0: int, y: int, z0: int, size: int,
-              block: int = Block.OBSIDIAN) -> None:
-    """A solid platform with a light-blocking roof three blocks up."""
-    for x in range(x0, x0 + size):
-        for z in range(z0, z0 + size):
-            server.world.set_block(x, y - 1, z, block, log=False)
-            server.world.set_block(x, y + 3, z, Block.STONE, log=False)
-            for dy in range(0, 3):
-                server.world.set_block(x, y + dy, z, Block.AIR, log=False)
+class Blocks(NamedTuple):
+    """A construct's blocks as the columns of one bulk write, in the order
+    a cell-by-cell build writes them (which decides the order its chunks
+    load in, and so their random-tick pairing)."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    zs: np.ndarray
+    ids: np.ndarray
+    auxs: np.ndarray
+
+    @classmethod
+    def stamp(cls, xs, zs, y: int, pattern) -> Blocks:
+        """``pattern``, rows of ``(dx, dy, dz, block, aux)``, stamped at
+        each anchor ``(x, y, z)``, anchor by anchor."""
+        xs, zs = np.broadcast_arrays(xs, zs)
+        anchors = np.zeros((xs.size, 1, 5), np.int64)
+        anchors[:, 0, 0], anchors[:, 0, 1], anchors[:, 0, 2] = xs, y, zs
+        cells = anchors + np.array(pattern, dtype=np.int64)
+        return cls(*cells.reshape(-1, 5).T)
+
+    @classmethod
+    def concat(cls, parts) -> Blocks:
+        return cls(*map(np.concatenate, zip(*parts)))
+
+    def chunks(self) -> list[tuple[int, int]]:
+        """The chunks under the in-bounds cells, in first-touch order."""
+        keep = (self.ys >= 0) & (self.ys < WORLD_HEIGHT)
+        cxs, czs = self.xs[keep] >> 4, self.zs[keep] >> 4
+        first = np.sort(np.unique(pack_keys(cxs, czs), return_index=True)[1])
+        return list(zip(cxs[first].tolist(), czs[first].tolist()))
+
+    def write(self, world: World) -> None:
+        """Load the chunks in first-touch order (a bulk write alone takes
+        key order), then write the (unique) cells at once, unlogged."""
+        world.ensure_chunks(self.chunks())
+        world.set_blocks_bulk(*self, log=False)
+
+
+def entity_farm_blocks(x0: int, z0: int, y: int = 80,
+                       size: int = 8) -> Blocks:
+    """A solid obsidian platform, three layers of air over it, and a
+    light-blocking stone roof: columns x-major."""
+    span = np.arange(size)
+    return Blocks.stamp(x0 + np.repeat(span, size), z0 + np.tile(span, size),
+                        y, [(0, -1, 0, Block.OBSIDIAN, 0),
+                            (0, 3, 0, Block.STONE, 0),
+                            *((0, dy, 0, Block.AIR, 0) for dy in range(3))])
 
 
 def build_entity_farm(server: MLGServer, x0: int, z0: int,
@@ -77,7 +122,7 @@ def build_entity_farm(server: MLGServer, x0: int, z0: int,
     pathfinding via the goal.
     """
     size = 8
-    _platform(server, x0, y, z0, size)
+    entity_farm_blocks(x0, z0, y, size).write(server.world)
     goal = (x0 + size - 1, y, z0 + size - 1)
     platform = SpawnPlatform(
         x0=x0,
@@ -111,13 +156,11 @@ def build_stone_farm(server: MLGServer, x0: int, z0: int,
     if y is None:
         y = world.column_height(x0, z0) + 1
     width = 6
-    # The generator bed and its piston row.
-    for i in range(width):
-        world.set_block(x0 + i, y - 1, z0, Block.STONE, log=False)
-        world.set_block(x0 + i, y, z0, Block.COBBLESTONE, log=False)
-        world.set_block(x0 + i, y, z0 + 1, Block.PISTON, log=False)
-        world.set_aux(x0 + i, y, z0 + 1, 4)  # face +z
-        world.set_block(x0 + i, y, z0 - 1, Block.REDSTONE_WIRE, log=False)
+    # The generator bed, its piston row (facing +z) and the wire.
+    Blocks.stamp(x0 + np.arange(width), z0, y, [
+        (0, -1, 0, Block.STONE, 0), (0, 0, 0, Block.COBBLESTONE, 0),
+        (0, 0, 1, Block.PISTON, 4), (0, 0, -1, Block.REDSTONE_WIRE, 0),
+    ]).write(world)
     clock = ClockCircuit(
         period_ticks=FARM_CLOCK_TICKS,
         phase_ticks=int(server.rng.integers(0, FARM_CLOCK_TICKS)),
@@ -156,6 +199,28 @@ def build_stone_farm(server: MLGServer, x0: int, z0: int,
     return clock
 
 
+KELP_CUT_DY = 5  #: stalks are cut this high above a kelp farm's floor
+
+
+def kelp_farm_blocks(x0: int, z0: int, y_base: int = 40,
+                     width: int = 4) -> Blocks:
+    """Water columns over stone with kelp at the bottom and an observer
+    just above the cut height, then the collection channel of flowing
+    water pushing toward the sorter side."""
+    span = 2 * np.arange(width)
+    observer = KELP_CUT_DY + 1
+    columns = Blocks.stamp(
+        x0 + np.repeat(span, width), z0 + np.tile(span, width), y_base,
+        [(0, -1, 0, Block.STONE, 0), (0, 0, 0, Block.KELP, 0),
+         *((0, dy, 0, Block.WATER_SOURCE, 0) for dy in range(1, 8)
+           if dy != observer), (0, observer, 0, Block.OBSERVER, 0)])
+    run = np.arange(width * 2 + 2)
+    channel = Blocks.stamp(x0 - 1 + run, z0 - 2, y_base, [
+        (0, -1, 0, Block.STONE, 0), (0, 0, 0, Block.WATER_FLOW, 0)])
+    channel.auxs[1::2] = np.maximum(1, 7 - run // 2)
+    return Blocks.concat((columns, channel))
+
+
 def build_kelp_farm(server: MLGServer, x0: int, z0: int,
                     y_base: int = 40) -> list[tuple[int, int]]:
     """A Mumbo-Jumbo-style kelp farm: water columns, observers, flow channel.
@@ -164,28 +229,14 @@ def build_kelp_farm(server: MLGServer, x0: int, z0: int,
     stalk reaches the cutoff height an observer fires, the stalk is cut,
     and the items ride flowing water toward the collection end.
     """
-    world = server.world
-    columns: list[tuple[int, int]] = []
     width = 4
-    cut_y = y_base + 5
-    for i in range(width):
-        for j in range(width):
-            x, z = x0 + i * 2, z0 + j * 2
-            # Water column enclosed in glass with kelp at the bottom.
-            world.set_block(x, y_base - 1, z, Block.STONE, log=False)
-            for dy in range(0, 8):
-                world.set_block(x, y_base + dy, z, Block.WATER_SOURCE,
-                                log=False)
-            world.set_block(x, y_base, z, Block.KELP, log=False)
-            world.set_block(x, cut_y + 1, z, Block.OBSERVER, log=False)
-            server.redstone.register_observer(x, cut_y + 1, z)
-            columns.append((x, z))
-    # The collection channel: flowing water pushing toward the sorter side.
-    for i in range(width * 2 + 2):
-        world.set_block(x0 - 1 + i, y_base - 1, z0 - 2, Block.STONE,
-                        log=False)
-        world.set_block(x0 - 1 + i, y_base, z0 - 2, Block.WATER_FLOW,
-                        aux=max(1, 7 - i // 2), log=False)
+    cut_y = y_base + KELP_CUT_DY
+    blocks = kelp_farm_blocks(x0, z0, y_base, width)
+    blocks.write(server.world)
+    top = blocks.ids == Block.OBSERVER
+    columns = list(zip(blocks.xs[top].tolist(), blocks.zs[top].tolist()))
+    for x, z in columns:
+        server.redstone.register_observer(x, cut_y + 1, z)
 
     def cut_kelp(server_: MLGServer, tick_index: int, report: WorkReport,
                  _columns=tuple(columns), _cut=cut_y,
@@ -219,9 +270,9 @@ def build_item_sorter(server: MLGServer, x0: int, z0: int,
     world = server.world
     if y is None:
         y = world.column_height(x0, z0) + 1
-    for i in range(8):
-        world.set_block(x0 + i, y - 1, z0, Block.HOPPER, log=False)
-        world.set_block(x0 + i, y - 2, z0, Block.CHEST, log=False)
+    Blocks.stamp(x0 + np.arange(8), z0, y, [
+        (0, -1, 0, Block.HOPPER, 0), (0, -2, 0, Block.CHEST, 0),
+    ]).write(world)
 
     def absorb(server_: MLGServer, tick_index: int, report: WorkReport,
                _x=x0 + 4.0, _z=z0 + 0.5, _y=float(y), _r=radius) -> None:

@@ -23,11 +23,14 @@ from repro.mlg.world import World, cuboid_cells
 from repro.mlg.worldgen import PAPER_SEED, TerrainGenerator
 from repro.workloads.base import Workload
 from repro.workloads.constructs import (
+    Blocks,
     build_entity_farm,
     build_item_sorter,
     build_kelp_farm,
     build_lag_machine,
     build_stone_farm,
+    entity_farm_blocks,
+    kelp_farm_blocks,
 )
 
 __all__ = [
@@ -138,18 +141,22 @@ class FarmWorkload(Workload):
             sum(counts.values()), radius=56, center=(8, 8)
         )
         cursor = iter(positions)
-        for _ in range(counts["entity_farm"]):
-            x, z = next(cursor)
-            build_entity_farm(server, x, z)
-        for _ in range(counts["stone_farm"]):
-            x, z = next(cursor)
-            build_stone_farm(server, x, z)
-        for _ in range(counts["kelp_farm"]):
-            x, z = next(cursor)
-            build_kelp_farm(server, x, z)
-        for _ in range(counts["item_sorter"]):
-            x, z = next(cursor)
-            build_item_sorter(server, x, z)
+        # A group with a footprint loads its chunks in one pass, in the
+        # order its builds first touch them.  Stone farms and the sorter
+        # read a column height first, so nothing loads theirs early.
+        for kind, build, footprint in (
+            ("entity_farm", build_entity_farm, entity_farm_blocks),
+            ("stone_farm", build_stone_farm, None),
+            ("kelp_farm", build_kelp_farm, kelp_farm_blocks),
+            ("item_sorter", build_item_sorter, None),
+        ):
+            sites = [next(cursor) for _ in range(counts[kind])]
+            if footprint is not None:
+                server.world.ensure_chunks(Blocks.concat(
+                    footprint(x, z) for x, z in sites
+                ).chunks())
+            for x, z in sites:
+                build(server, x, z)
         swarm.add_observer()
 
     @staticmethod
