@@ -147,7 +147,9 @@ def cuboid_cells(
     x0: int, y0: int, z0: int, x1: int, y1: int, z1: int
 ) -> tuple[Array, Array, Array]:
     """``(xs, ys, zs)`` of every cell of an inclusive cuboid, ordered by x,
-    then z, then y (the scalar loops' change-log order)."""
+    then z, then y (the scalar loops' change-log order, and a logged
+    :meth:`World.fill`'s): the cells a cuboid write wakes, or writes as a
+    bulk write."""
     xs, zs, ys = np.meshgrid(
         np.arange(x0, x1 + 1),
         np.arange(z0, z1 + 1),
@@ -688,24 +690,76 @@ class World:
     ) -> int:
         """Fill an inclusive cuboid; returns the number of blocks written.
 
-        Bulk construction helper used by the workload world builders.  One
-        ``set_blocks_bulk`` over the cuboid's coordinates (about 100 bytes
-        of index temporaries per cell, where slice writes needed none), so
-        it is sized for what the builders fill — at most 3,584 cells a
-        call — not for clearing a region.
+        Bulk construction helper used by the workload world builders, and
+        :meth:`set_blocks_bulk` over :func:`cuboid_cells` in effect: every
+        chunk under the cuboid is made resident, x then z (the order they
+        load in is the order random ticks will visit them); y is clipped
+        to the world; a cell changes when its block differs or its aux is
+        non-zero, and each changed cell takes ``block_id`` with aux 0,
+        dirties its chunk, raises its column's heightmap or, when it was
+        the column top and is carved to AIR, has the column rescanned.
+        With ``log`` the changes are logged as one segment in x, z, y
+        order.  The work is one ``blocks`` and one ``aux`` slice per chunk,
+        so no per-cell index array is built (a logged fill keeps two bytes
+        a cell for the log).
         """
         if x1 < x0 or y1 < y0 or z1 < z0:
             raise ValueError("fill cuboid corners must be ordered")
         ylo, yhi = max(y0, 0), min(y1, WORLD_HEIGHT - 1)
         if ylo > yhi:
             return 0
-        # Every chunk under the cuboid, x then z: the order they load in
-        # is the order random ticks will visit them.
-        self.ensure_chunks(
+        ensured = self.ensure_chunks(
             (cx, cz)
             for cx in range(x0 >> 4, (x1 >> 4) + 1)
             for cz in range(z0 >> 4, (z1 >> 4) + 1)
         )
-        xs, ys, zs = cuboid_cells(x0, ylo, z0, x1, yhi, z1)
-        ids = np.full(xs.size, block_id, dtype=np.uint8)
-        return self.set_blocks_bulk(xs, ys, zs, ids, log=log)
+        block, span = np.uint8(block_id), slice(ylo, yhi + 1)
+        if log:
+            shape = (x1 - x0 + 1, z1 - z0 + 1, yhi - ylo + 1)
+            logged, olds = np.zeros(shape, np.bool_), np.empty(shape, np.uint8)
+        count = 0
+        for chunk, _ in ensured:
+            page, slot = chunk._page, chunk._slot
+            bx, bz = chunk.cx << 4, chunk.cz << 4
+            # The cuboid's x and z range inside this chunk, end exclusive.
+            xa, xb = max(x0, bx), min(x1, bx + 15) + 1
+            za, zb = max(z0, bz), min(z1, bz + 15) + 1
+            at = slot, slice(xa - bx, xb - bx), slice(za - bz, zb - bz)
+            columns = page.blocks[at]
+            cells = columns[..., span]
+            auxs = page.aux[at][..., span]
+            changed = cells != block
+            changed |= auxs != 0
+            n = int(np.count_nonzero(changed))
+            if not n:
+                continue
+            count += n
+            if log:
+                at_log = slice(xa - x0, xb - x0), slice(za - z0, zb - z0)
+                logged[at_log], olds[at_log] = changed, cells
+            cells[...] = block
+            auxs[...] = 0
+            page.dirty[slot] = True
+            heights = page.heightmap[at]
+            if block != Block.AIR:
+                # Each column's highest changed cell, + 1 (0: unchanged).
+                tops = span.stop - changed[..., ::-1].argmax(axis=-1)
+                tops[~changed.any(axis=-1)] = 0
+                np.maximum(heights, tops, out=heights, casting="unsafe")
+            else:
+                # Carving air can lower a column top: rescan the columns
+                # whose recorded top was a changed cell.
+                below = heights.astype(np.int64) - 1 - ylo
+                inside = below.view(np.uint64) < changed.shape[-1]
+                carved = inside & np.take_along_axis(
+                    changed, np.where(inside, below, 0)[..., None], axis=-1
+                )[..., 0]
+                if carved.any():
+                    heights[carved] = column_tops(columns[carved] != Block.AIR)
+        if log and count:
+            xs, zs, ys = logged.nonzero()
+            self._log_changes(BlockChanges(
+                xs + x0, ys + ylo, zs + z0, olds[logged],
+                np.full(count, block),
+            ))
+        return count

@@ -14,6 +14,8 @@ Exploration       Chunk IO churn (persistence extension)     scout squads spiral
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from repro.emulation.behavior import SpiralMarch
 from repro.emulation.swarm import BotSwarm
 from repro.mlg.blocks import Block
@@ -259,11 +261,14 @@ class FloodWorkload(Workload):
         res_lo = x0 + (length - self.RESERVOIR_LEN) // 2
         res_hi = res_lo + self.RESERVOIR_LEN - 1
         gate_lo, gate_hi = res_lo - 1, res_hi + 1
-        # Terraced floor with a one-block water bed on every step.
-        for x in range(x0, x1 + 1):
-            floor_y = self._floor_y(x, gate_lo, gate_hi)
-            world.fill(x, 4, z0, x, floor_y, z1, Block.STONE)
-            world.fill(x, floor_y + 1, z0, x, floor_y + 1, z1,
+        # Terraced floor with a one-block water bed on every step: one
+        # cuboid per run of x with the same floor height.
+        for floor_y, run in groupby(
+            range(x0, x1 + 1), lambda x: self._floor_y(x, gate_lo, gate_hi)
+        ):
+            xs = list(run)
+            world.fill(xs[0], 4, z0, xs[-1], floor_y, z1, Block.STONE)
+            world.fill(xs[0], floor_y + 1, z0, xs[-1], floor_y + 1, z1,
                        Block.WATER_SOURCE)
         # Rim walls confine the flood; their kelp cap keeps the wall top
         # from being a spawnable surface.

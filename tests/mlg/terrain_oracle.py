@@ -10,7 +10,9 @@ with six ``get_block`` calls.  ``DequeCellQueue`` is the fluid queue as a
 the packed queue's interface.  ``on_block_changes`` is the observer scan
 as a loop over change records.  ``growth_tick_scalar`` is the old
 ``GrowthEngine.tick_scalar``: every drawn position of every chunk read and
-dispatched in a Python loop.  Nothing here is imported by ``src/``.
+dispatched in a Python loop.  ``fill_per_cell`` is the old body of
+``World.fill``: one ``set_blocks_bulk`` over the cuboid's cell coordinates.
+Nothing here is imported by ``src/``.
 """
 
 from collections import deque
@@ -18,7 +20,7 @@ from collections import deque
 import numpy as np
 
 from repro.mlg.blocks import Block
-from repro.mlg.constants import RANDOM_TICK_SPEED
+from repro.mlg.constants import RANDOM_TICK_SPEED, WORLD_HEIGHT
 from repro.mlg.fluids import (
     LAVA_TICK_INTERVAL,
     MAX_FLOW_LEVEL,
@@ -28,7 +30,7 @@ from repro.mlg.fluids import (
 )
 from repro.mlg.redstone import REDSTONE_TICK_US
 from repro.mlg.workreport import Op, WorkReport
-from repro.mlg.world import pack_cells, unpack_cells
+from repro.mlg.world import cuboid_cells, pack_cells, unpack_cells
 
 
 class DequeCellQueue:
@@ -309,3 +311,26 @@ def growth_tick_scalar(self, report: WorkReport) -> int:
                 self._grow_sapling(chunk, lx, lz, y, report)
     report.add(Op.GROWTH, applied)
     return applied
+
+
+def fill_per_cell(
+    world, x0: int, y0: int, z0: int, x1: int, y1: int, z1: int,
+    block_id: int, log: bool = False,
+) -> int:
+    """``World.fill`` as one ``set_blocks_bulk`` over the cuboid's cells;
+    ``world`` is the world written."""
+    if x1 < x0 or y1 < y0 or z1 < z0:
+        raise ValueError("fill cuboid corners must be ordered")
+    ylo, yhi = max(y0, 0), min(y1, WORLD_HEIGHT - 1)
+    if ylo > yhi:
+        return 0
+    # Every chunk under the cuboid, x then z: the order they load in
+    # is the order random ticks will visit them.
+    world.ensure_chunks(
+        (cx, cz)
+        for cx in range(x0 >> 4, (x1 >> 4) + 1)
+        for cz in range(z0 >> 4, (z1 >> 4) + 1)
+    )
+    xs, ys, zs = cuboid_cells(x0, ylo, z0, x1, yhi, z1)
+    ids = np.full(xs.size, block_id, dtype=np.uint8)
+    return world.set_blocks_bulk(xs, ys, zs, ids, log=log)

@@ -12,6 +12,7 @@ import pytest
 from terrain_oracle import (
     DequeCellQueue,
     ScalarFluidEngine,
+    fill_per_cell,
     growth_tick_scalar,
 )
 
@@ -24,7 +25,9 @@ from repro.mlg.fluids import (
 )
 from repro.mlg.growth import GrowthEngine
 from repro.mlg.workreport import Op, WorkReport
-from repro.mlg.world import World, pack_cells
+from repro.mlg.world import BlockChange, World, pack_cells
+from repro.mlg.worldgen import TerrainGenerator
+from repro.persistence.store import world_hash
 
 
 def _flat_world(ground_y=40, size=3):
@@ -350,30 +353,96 @@ class TestSetBlocksBulk:
         assert world.get_aux(3, 41, 3) == 6
 
 
-class TestFillVectorized:
-    def test_matches_scalar_reference(self):
-        def scalar_fill(world, x0, y0, z0, x1, y1, z1, block_id, log):
-            count = 0
-            for x in range(x0, x1 + 1):
-                for z in range(z0, z1 + 1):
-                    for y in range(y0, y1 + 1):
-                        if world.set_block(x, y, z, block_id,
-                                           log=log) is not None:
-                            count += 1
-            return count
+def _scalar_fill(world, x0, y0, z0, x1, y1, z1, block_id, log=False):
+    """A fill as ``set_block`` calls, x then z then y."""
+    count = 0
+    for x in range(x0, x1 + 1):
+        for z in range(z0, z1 + 1):
+            for y in range(y0, y1 + 1):
+                if world.set_block(x, y, z, block_id, log=log) is not None:
+                    count += 1
+    return count
 
-        for log in (False, True):
-            world_a = _flat_world(size=2)
-            world_b = _flat_world(size=2)
-            args = (6, 38, 6, 21, 44, 19)
-            count_a = scalar_fill(world_a, *args, Block.TNT, log)
-            count_b = world_b.fill(*args, Block.TNT, log=log)
-            assert count_a == count_b
-            _assert_worlds_identical(world_a, world_b)
-            assert (
-                world_a.drain_changes().records()
-                == world_b.drain_changes().records()
+
+def _fills_crossing_negative(world, fill):
+    """Nine chunks across negative x and z, eight of them new."""
+    return [fill(world, -21, 50, -18, 2, 58, 3, Block.TNT)]
+
+
+def _fills_clipped_y(world, fill):
+    return [
+        fill(world, -3, -9, 2, 9, 4, 9, Block.STONE),
+        fill(world, 2, 119, -6, 18, 140, 6, Block.GLASS),
+    ]
+
+
+def _fills_air_carves_tops(world, fill):
+    """Terrain tops at 62-75 carved to 58, then below that, then a carve
+    under the surface that must leave the heightmap alone."""
+    return [
+        fill(world, -6, 58, -6, 20, 90, 9, Block.AIR),
+        fill(world, 4, 40, -3, 12, 59, 4, Block.AIR),
+        fill(world, 30, 40, 30, 40, 50, 40, Block.AIR),
+    ]
+
+
+def _fills_nonzero_aux(world, fill):
+    """Cells that already hold the fill's block (or air) but a non-zero
+    aux change, and lose the aux."""
+    for x, z in ((1, 1), (5, 17), (-3, 4)):
+        world.set_block(x, 70, z, Block.SAND, aux=5, log=False)
+        world.set_aux(x, 90, z, 3)
+    return [
+        fill(world, -4, 70, 0, 6, 71, 18, Block.SAND),
+        fill(world, -4, 90, 0, 6, 90, 18, Block.AIR),
+    ]
+
+
+def _fills_noop_refill(world, fill):
+    """A refill of what is there changes nothing and dirties nothing."""
+    first = fill(world, -5, 80, -5, 20, 83, 6, Block.OBSIDIAN)
+    for chunk in world.loaded_chunks():
+        chunk.dirty = False
+    return [first, fill(world, -5, 80, -5, 20, 83, 6, Block.OBSIDIAN)]
+
+
+class TestFillVectorized:
+    @pytest.mark.parametrize("log", [False, True])
+    @pytest.mark.parametrize("scenario", [
+        _fills_crossing_negative, _fills_clipped_y, _fills_air_carves_tops,
+        _fills_nonzero_aux, _fills_noop_refill,
+    ], ids=lambda f: f.__name__.removeprefix("_fills_"))
+    def test_matches_scalar_reference(self, scenario, log):
+        """``World.fill`` against its per-cell body and against the scalar
+        writes, on generated terrain."""
+        runs = []
+        for fill in (World.fill, fill_per_cell, _scalar_fill):
+            world = World(generator=TerrainGenerator(seed=7))
+            world.ensure_chunk(0, 0)
+            counts = scenario(
+                world, lambda w, *args: fill(w, *args, log=log)
             )
+            runs.append((counts, world))
+        (counts, world), *references = runs
+        assert sum(counts) > 0 and counts[0] > 0
+        changes = world.drain_changes()
+        assert (len(changes) == sum(counts)) == log
+        for ref_counts, ref in references:
+            assert counts == ref_counts
+            assert world_hash(world) == world_hash(ref)
+            assert list(world.loaded_keys()) == list(ref.loaded_keys())
+            for key in ref.loaded_keys():
+                np.testing.assert_array_equal(
+                    world.get_chunk(*key).heightmap,
+                    ref.get_chunk(*key).heightmap, err_msg=str(key),
+                )
+            assert world.dirty_keys() == ref.dirty_keys()
+            ref_changes = ref.drain_changes()
+            for name in BlockChange._fields:
+                np.testing.assert_array_equal(
+                    getattr(changes, name), getattr(ref_changes, name),
+                    err_msg=name, strict=True,
+                )
 
     def test_air_fill_lowers_heightmap(self):
         world = _flat_world(size=1, ground_y=40)
@@ -385,6 +454,13 @@ class TestFillVectorized:
                 for y in range(30, 46):
                     world_scalar.set_block(x, y, z, Block.AIR)
         _assert_worlds_identical(world, world_scalar)
+
+    def test_fill_outside_the_world_is_a_no_op(self):
+        world = World(generator=TerrainGenerator(seed=7))
+        assert world.fill(-20, -9, -20, 20, -1, 20, Block.STONE, log=True) == 0
+        assert world.fill(-20, WORLD_HEIGHT, -20, 20, 300, 20, Block.AIR) == 0
+        assert world.loaded_chunk_count == 0
+        assert world.pending_change_count() == 0
 
     def test_out_of_bounds_y_is_clamped(self):
         world = World()
