@@ -92,7 +92,8 @@ def main() -> None:
             swarm.step()
             if server.crashed:
                 break
-        from repro.metrics import instability_ratio, summarize
+        from repro.metrics import instability_ratio
+        from repro.telemetry import summarize
 
         ticks = server.telemetry.tick_ms.tolist()
         stats = summarize(ticks)

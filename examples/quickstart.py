@@ -15,6 +15,7 @@ import sys
 from repro.core import run_iteration
 from repro.reporting.text import ascii_timeseries
 from repro.metrics import NOTICEABLE_MS, UNPLAYABLE_MS
+from repro.mlg.constants import TICK_BUDGET_MS
 
 
 def main() -> None:
@@ -29,20 +30,21 @@ def main() -> None:
 
     tick = result.tick_stats()
     print(f"\nTick durations [ms]:")
-    print(f"  mean {tick['mean']:.1f}   median {tick['median']:.1f}   "
+    print(f"  mean {tick['mean']:.1f}   median {tick['p50']:.1f}   "
           f"p95 {tick['p95']:.1f}   max {tick['max']:.0f}")
     print(f"  Instability Ratio (ISR): {result.isr:.4f}")
-    print(f"  overloaded (> 50 ms): {100 * sum(1 for t in result.tick_durations_ms if t > 50) / len(result.tick_durations_ms):.1f}% of ticks")
+    print(f"  overloaded (> {TICK_BUDGET_MS:.0f} ms): "
+          f"{100 * tick['frac_over_budget']:.1f}% of ticks")
 
     response = result.response_stats()
     if response:
         print(f"\nResponse times [ms] (chat probe):")
-        print(f"  median {response['median']:.1f}   p95 {response['p95']:.1f}"
+        print(f"  median {response['p50']:.1f}   p95 {response['p95']:.1f}"
               f"   max {response['max']:.0f}")
         print(f"  > noticeable ({NOTICEABLE_MS:.0f} ms): "
-              f"{100 * response['frac_noticeable']:.1f}%"
+              f"{100 * response['frac_over_noticeable']:.1f}%"
               f"   > unplayable ({UNPLAYABLE_MS:.0f} ms): "
-              f"{100 * response['frac_unplayable']:.1f}%")
+              f"{100 * response['frac_over_unplayable']:.1f}%")
 
     if result.crashed:
         print(f"\nSERVER CRASHED: {result.crash_reason}")

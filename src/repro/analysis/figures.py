@@ -12,28 +12,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.cloud.providers import get_environment
 from repro.core.collectors import non_wait_shares
 from repro.core.experiment import run_iteration
-from repro.core.results import ExperimentResult, IterationResult
+from repro.core.results import IterationResult
 from repro.metrics import (
-    box_stats,
     instability_ratio,
     isr_closed_form,
     clustered_outlier_trace,
     periodic_outlier_trace,
     spread_outlier_trace,
-    summarize,
 )
 from repro.mlg.constants import TICK_BUDGET_MS
 from repro.simtime import SimClock
+from repro.telemetry.summary import summarize
 
 __all__ = [
     "FigureResult",
+    "GRID_COLUMNS",
     "campaign_grid",
-    "sidecar_grid",
     "run_cell",
     "fig1_response_time",
     "fig6_isr_model",
@@ -100,15 +97,15 @@ def fig1_response_time(duration_s: float = 60.0, seed: int = 7) -> FigureResult:
     result = FigureResult("fig1")
     for workload in ("control", "farm"):
         cell = run_cell(workload, "vanilla", "aws-t3.large", duration_s, seed)
-        stats = summarize(cell.response_times_ms)
+        stats = cell.response_stats()
         result.row(
             workload=workload,
-            median_ms=stats["median"],
+            median_ms=stats["p50"],
             p95_ms=stats["p95"],
             max_ms=stats["max"],
             mean_ms=stats["mean"],
-            frac_noticeable=stats["frac_noticeable"],
-            frac_unplayable=stats["frac_unplayable"],
+            frac_noticeable=stats["frac_over_noticeable"],
+            frac_unplayable=stats["frac_over_unplayable"],
         )
     return result
 
@@ -153,19 +150,18 @@ def fig7_response_times(
     for workload in ("control", "farm", "tnt"):
         for server in ("vanilla", "forge"):
             cell = run_cell(workload, server, "aws-t3.large", duration_s, seed)
-            stats = summarize(cell.response_times_ms)
+            stats = cell.response_stats()
             result.row(
                 workload=workload,
                 server=server,
                 mean_ms=stats["mean"],
-                median_ms=stats["median"],
-                p5_ms=stats["p5"],
+                median_ms=stats["p50"],
                 p95_ms=stats["p95"],
                 max_ms=stats["max"],
                 iqr_ms=stats["p75"] - stats["p25"],
-                max_over_mean=stats["max_over_mean"],
-                frac_noticeable=stats["frac_noticeable"],
-                frac_unplayable=stats["frac_unplayable"],
+                max_over_mean=stats["max"] / stats["mean"],
+                frac_noticeable=stats["frac_over_noticeable"],
+                frac_unplayable=stats["frac_over_unplayable"],
             )
     return result
 
@@ -181,14 +177,15 @@ def fig8_isr_grid(duration_s: float = 60.0, seed: int = 7) -> FigureResult:
         for workload in workloads:
             for server in SERVERS:
                 cell = run_cell(workload, server, environment, duration_s, seed)
+                stats = cell.tick_stats()
                 result.row(
                     environment=environment,
                     workload=workload,
                     server=server,
                     isr=cell.isr,
                     crashed=cell.crashed,
-                    tick_mean_ms=float(np.mean(cell.tick_durations_ms)),
-                    tick_max_ms=float(np.max(cell.tick_durations_ms)),
+                    tick_mean_ms=stats["mean"],
+                    tick_max_ms=stats["max"],
                 )
     return result
 
@@ -204,16 +201,14 @@ def fig9_tick_timeseries(
         for server in SERVERS:
             cell = run_cell(workload, server, "aws-t3.large", duration_s, seed)
             durations = cell.tick_durations_ms
-            steady = durations[120:] or durations
+            stats = cell.tick_stats()
             result.row(
                 workload=workload,
                 server=server,
                 series=durations,
-                overloaded_fraction=float(
-                    np.mean(np.asarray(durations) > TICK_BUDGET_MS)
-                ),
-                peak_ms=float(np.max(durations)),
-                steady_peak_ms=float(np.max(steady)),
+                overloaded_fraction=stats["frac_over_budget"],
+                peak_ms=stats["max"],
+                steady_peak_ms=max(durations[120:] or durations),
             )
     return result
 
@@ -239,19 +234,17 @@ def fig10_cloud_variability(
         )
         campaign = ExperimentRunner(config).run()
         for server in SERVERS:
-            isrs = campaign.isr_values(server)
-            ticks = campaign.pooled_tick_durations(server)
-            isr_stats = box_stats(isrs)
-            tick_stats = box_stats(ticks)
+            isrs = summarize(campaign.isr_values(server))
+            ticks = summarize(campaign.pooled_tick_durations(server))
             result.row(
                 environment=environment,
                 server=server,
-                isr_median=isr_stats.median,
-                isr_iqr=isr_stats.iqr,
-                isr_min=isr_stats.minimum,
-                isr_max=isr_stats.maximum,
-                tick_median_ms=tick_stats.median,
-                tick_iqr_ms=tick_stats.iqr,
+                isr_median=isrs["p50"],
+                isr_iqr=isrs["p75"] - isrs["p25"],
+                isr_min=isrs["min"],
+                isr_max=isrs["max"],
+                tick_median_ms=ticks["p50"],
+                tick_iqr_ms=ticks["p75"] - ticks["p25"],
             )
     return result
 
@@ -289,12 +282,12 @@ def fig12_node_sizes(duration_s: float = 60.0, seed: int = 7) -> FigureResult:
     ):
         for server in SERVERS:
             cell = run_cell("tnt", server, environment, duration_s, seed)
-            stats = summarize(cell.tick_durations_ms)
+            stats = cell.tick_stats()
             result.row(
                 node=label,
                 server=server,
                 tick_mean_ms=stats["mean"],
-                tick_median_ms=stats["median"],
+                tick_median_ms=stats["p50"],
                 tick_p75_ms=stats["p75"],
                 isr=cell.isr,
             )
@@ -304,100 +297,38 @@ def fig12_node_sizes(duration_s: float = 60.0, seed: int = 7) -> FigureResult:
 # -- Campaign results: the Fig.-8-style ISR grid from measured data --------------
 
 
-def _grid_row(
-    grid: FigureResult,
-    *,
-    environment,
-    workload,
-    server,
-    scale,
-    n_bots,
-    behavior,
-    iteration,
-    isr,
-    crashed,
-    tick_mean_ms,
-    tick_p95_ms,
-    tick_max_ms,
-    throttled_ticks,
-) -> dict:
-    """One Fig.-8-style grid row — the single place its columns and
-    their order are defined, shared by the shard-backed and the
-    sidecar-backed grid so both CSVs line up column for column."""
-    return grid.row(
-        environment=environment,
-        workload=workload,
-        server=server,
-        scale=scale,
-        n_bots=n_bots,
-        behavior=behavior,
-        iteration=iteration,
-        isr=isr,
-        crashed=crashed,
-        tick_mean_ms=tick_mean_ms,
-        tick_p95_ms=tick_p95_ms,
-        tick_max_ms=tick_max_ms,
-        throttled_ticks=throttled_ticks,
-    )
+#: The campaign grid's columns, in CSV order.
+GRID_COLUMNS = (
+    "environment",
+    "workload",
+    "server",
+    "scale",
+    "n_bots",
+    "behavior",
+    "iteration",
+    "isr",
+    "crashed",
+    "tick_mean_ms",
+    "tick_p95_ms",
+    "tick_max_ms",
+    "throttled_ticks",
+)
 
 
-def campaign_grid(result: ExperimentResult) -> FigureResult:
-    """Fig. 8's (environment × workload × server) ISR grid, computed from
-    an already-measured :class:`ExperimentResult` instead of fresh runs.
+def campaign_grid(rows: list[dict]) -> FigureResult:
+    """Fig. 8's (environment × workload × server) ISR grid over report
+    rows, one per measured iteration, instead of fresh runs.
 
-    This is how campaign exports route through the figure pipeline: a
-    campaign's merged result carries every cell the grid needs, so
-    re-simulating (what the ``fig*`` drivers do) would only burn time.
-    """
-    grid = FigureResult("campaign")
-    for it in result.iterations:
-        stats = it.tick_stats()
-        _grid_row(
-            grid,
-            environment=it.environment,
-            workload=it.workload,
-            server=it.server,
-            scale=it.scale,
-            n_bots=it.n_bots,
-            behavior=it.behavior,
-            iteration=it.iteration,
-            isr=it.isr,
-            crashed=it.crashed,
-            tick_mean_ms=stats["mean"],
-            tick_p95_ms=stats["p95"],
-            tick_max_ms=stats["max"],
-            throttled_ticks=it.throttled_ticks,
-        )
-    return grid
-
-
-def sidecar_grid(rows: list[dict]) -> FigureResult:
-    """:func:`campaign_grid`'s column set, computed from flattened
-    telemetry-sidecar report rows instead of merged shards.
-
-    This is how ``repro report`` writes its grid CSV without ever
-    loading a shard: sidecars carry every summary statistic the grid
-    needs except ``throttled_ticks`` (a shard-only counter), which
-    renders empty.
+    ``repro report`` passes the rows it read from the telemetry
+    sidecars (:func:`repro.reporting.dataset.sidecar_row`); ``repro
+    export`` passes the same rows read from the merged shards
+    (:func:`repro.reporting.dataset.iteration_row`), which add the
+    shard-only ``throttled_ticks`` — so the two CSVs agree value for
+    value, and a sidecar row's ``throttled_ticks`` renders empty.
     """
     grid = FigureResult("campaign")
     for row in rows:
-        _grid_row(
-            grid,
-            environment=row.get("environment"),
-            workload=row.get("workload"),
-            server=row.get("server"),
-            scale=row.get("scale"),
-            n_bots=row.get("n_bots"),
-            behavior=row.get("behavior"),
-            iteration=row.get("iteration"),
-            isr=row.get("isr"),
-            crashed=row.get("crashed"),
-            tick_mean_ms=row.get("tick_mean_ms"),
-            tick_p95_ms=row.get("tick_p95_ms"),
-            tick_max_ms=row.get("tick_max_ms"),
-            throttled_ticks=None,
-        )
+        grid.row(**{column: row.get(column) for column in GRID_COLUMNS})
     return grid
 
 

@@ -40,8 +40,9 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.figures import campaign_grid
+from repro.analysis.figures import GRID_COLUMNS, campaign_grid
 from repro.core.retrieval import retrieve, summary_rows
+from repro.reporting.dataset import iteration_row
 from repro.reporting.text import ascii_boxplot, format_table, write_csv_rows
 from repro.telemetry.catalog import COLUMNS, lookup, read_columns, top_bucket
 from repro.campaign.executor import CampaignExecutor
@@ -477,13 +478,12 @@ def _cmd_export(args: argparse.Namespace) -> int:
         line = _provenance_line(manifest)
         if line:
             print(line)
-    grid = campaign_grid(result)
+    grid = campaign_grid([iteration_row(it) for it in result.iterations])
     if grid.rows:
-        headers = list(grid.rows[0])
         write_csv_rows(
             out / "campaign_grid.csv",
-            headers,
-            [[row[h] for h in headers] for row in grid.rows],
+            GRID_COLUMNS,
+            [row.values() for row in grid.rows],
         )
     if status["pending"]:
         print(

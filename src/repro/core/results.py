@@ -11,8 +11,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.metrics import instability_ratio, summarize
-from repro.mlg.constants import TICK_BUDGET_MS
+from repro.metrics import instability_ratio
+from repro.mlg.constants import NOTICEABLE_MS, TICK_BUDGET_MS, UNPLAYABLE_MS
+from repro.telemetry.summary import summarize
 
 __all__ = ["IterationResult", "ExperimentResult"]
 
@@ -66,11 +67,19 @@ class IterationResult:
         return instability_ratio(self.tick_durations_ms, TICK_BUDGET_MS)
 
     def tick_stats(self) -> dict[str, float]:
-        return summarize(self.tick_durations_ms)
+        """The tick series' summary, with its share over the budget —
+        the tap's ``telemetry["tick"]["tick_ms"]``."""
+        return summarize(self.tick_durations_ms, {"budget": TICK_BUDGET_MS})
 
     def response_stats(self) -> dict[str, float] | None:
+        """The response series' summary, with its shares over the QoS
+        cutoffs — the tap's ``telemetry["response_ms"]`` (``None`` for
+        a run without responses)."""
         if self.response_times_ms:
-            return summarize(self.response_times_ms)
+            return summarize(
+                self.response_times_ms,
+                {"noticeable": NOTICEABLE_MS, "unplayable": UNPLAYABLE_MS},
+            )
         return None
 
     def to_dict(self) -> dict:

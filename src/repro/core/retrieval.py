@@ -83,7 +83,7 @@ def summary_rows(result: ExperimentResult) -> list[list[object]]:
                 it.iteration,
                 round(it.isr, 6),
                 round(tick["mean"], 3),
-                round(tick["median"], 3),
+                round(tick["p50"], 3),
                 round(tick["p95"], 3),
                 round(tick["max"], 3),
                 round(tick["p75"] - tick["p25"], 3),

@@ -2,7 +2,7 @@
 
 Public API::
 
-    from repro.metrics import instability_ratio, box_stats, isr_closed_form
+    from repro.metrics import instability_ratio, isr_closed_form
 """
 
 from repro.metrics.allan import (
@@ -29,38 +29,25 @@ from repro.metrics.model import (
     periodic_outlier_trace,
     spread_outlier_trace,
 )
-from repro.metrics.stats import (
-    NOTICEABLE_MS,
-    UNPLAYABLE_MS,
-    BoxStats,
-    box_stats,
-    iqr,
-    percentile,
-    summarize,
-)
+from repro.mlg.constants import NOTICEABLE_MS, UNPLAYABLE_MS
 
 __all__ = [
     "NOTICEABLE_MS",
     "UNPLAYABLE_MS",
-    "BoxStats",
     "allan_deviation",
     "allan_variance",
     "allan_variance_profile",
-    "box_stats",
     "clustered_outlier_trace",
     "cycle_to_cycle_jitter",
     "expected_ticks",
     "instability_ratio",
-    "iqr",
     "isr_closed_form",
     "isr_components",
     "max_cycle_jitter",
     "mean_cycle_jitter",
     "moving_average_jitter",
-    "percentile",
     "periodic_outlier_trace",
     "rfc3550_jitter",
     "spread_outlier_trace",
-    "summarize",
     "tick_periods",
 ]

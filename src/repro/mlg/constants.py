@@ -10,6 +10,10 @@ TICK_RATE_HZ = 20
 TICK_BUDGET_US = 50_000
 #: Tick budget in milliseconds, the unit used in figures.
 TICK_BUDGET_MS = 50.0
+#: Response-time QoS thresholds (ms; §3.5.1, refs [38, 46]): above the
+#: first players notice delay, above the second the game is unplayable.
+NOTICEABLE_MS = 60.0
+UNPLAYABLE_MS = 118.0
 
 #: Horizontal chunk edge length in blocks.
 CHUNK_SIZE = 16

@@ -37,6 +37,7 @@ from repro.mlg import wirecodec as wc
 from repro.mlg.constants import CLIENT_TIMEOUT_US
 from repro.mlg.transport import Delivery, ServerSession, SessionInfo
 from repro.simtime import us_to_s
+from repro.telemetry.summary import summarize
 
 __all__ = ["TcpSession", "run_clients"]
 
@@ -413,10 +414,10 @@ def run_clients(
         "samples": len(samples),
     }
     if samples:
-        arr = np.asarray(samples)
-        summary["response_p50_ms"] = float(np.percentile(arr, 50))
-        summary["response_p99_ms"] = float(np.percentile(arr, 99))
-        summary["response_max_ms"] = float(arr.max())
+        stats = summarize(samples)
+        summary["response_p50_ms"] = stats["p50"]
+        summary["response_p99_ms"] = stats["p99"]
+        summary["response_max_ms"] = stats["max"]
     if trace_out is not None:
         path = Path(trace_out)
         path.parent.mkdir(parents=True, exist_ok=True)

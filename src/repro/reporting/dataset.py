@@ -29,7 +29,13 @@ from pathlib import Path
 from repro.reporting.spec import AXIS_FIELDS
 from repro.telemetry.catalog import read_columns
 
-__all__ = ["CampaignDataset", "JobView", "load_dataset", "sidecar_row"]
+__all__ = [
+    "CampaignDataset",
+    "JobView",
+    "iteration_row",
+    "load_dataset",
+    "sidecar_row",
+]
 
 
 def sidecar_row(job_dict: dict, line: dict) -> dict:
@@ -41,6 +47,23 @@ def sidecar_row(job_dict: dict, line: dict) -> dict:
     row["seed"] = line.get("seed")
     row["job_id"] = job_dict.get("job_id")
     row.update(read_columns(line))
+    return row
+
+
+def iteration_row(it) -> dict:
+    """One merged shard iteration as a report row: :func:`sidecar_row`
+    over the fields its sidecar line carries, plus the shard-only
+    ``throttled_ticks``."""
+    row = sidecar_row(
+        {axis: getattr(it, axis) for axis in AXIS_FIELDS},
+        {
+            "iteration": it.iteration,
+            "seed": it.seed,
+            "crashed": it.crashed,
+            "telemetry": it.telemetry,
+        },
+    )
+    row["throttled_ticks"] = it.throttled_ticks
     return row
 
 

@@ -392,8 +392,7 @@ def write_report(
 
     ``out_dir`` defaults to ``<campaign>/report``.  Writes the HTML
     document, one CSV per pivot that asked for one, and (unless
-    disabled) the full per-iteration grid CSV with the same columns the
-    figure pipeline's campaign grid uses.
+    disabled) the figure pipeline's per-iteration campaign grid as CSV.
     """
     if output is None:
         output = OutputSpec.from_dict(dataset.spec.get("output"))
@@ -411,18 +410,14 @@ def write_report(
         table.write_csv(csv_path)
         written[pivot_spec.csv] = csv_path
     if output.grid_csv:
-        from repro.analysis.figures import sidecar_grid
+        from repro.analysis.figures import GRID_COLUMNS, campaign_grid
         from repro.reporting.text import write_csv_rows
 
-        grid = sidecar_grid(dataset.rows)
-        headers = list(grid.rows[0]) if grid.rows else []
+        grid = campaign_grid(dataset.rows)
         write_csv_rows(
             out_dir / output.grid_csv,
-            headers,
-            [
-                ["" if row[h] is None else row[h] for h in headers]
-                for row in grid.rows
-            ],
+            GRID_COLUMNS,
+            [row.values() for row in grid.rows],
         )
         written[output.grid_csv] = out_dir / output.grid_csv
     return written

@@ -18,34 +18,30 @@ from collections.abc import Iterable, Sequence
 
 from repro.reporting.spec import PivotSpec
 from repro.reporting.text import format_table, write_csv_rows
+from repro.telemetry.summary import summarize, total
 
 __all__ = ["PivotTable", "aggregate", "build_pivot"]
 
 
+#: Each aggregate's key in a :func:`~repro.telemetry.summary.summarize`
+#: summary (``sum`` is :func:`~repro.telemetry.summary.total`).
+_SUMMARY_KEYS = {
+    "mean": "mean",
+    "median": "p50",
+    "min": "min",
+    "max": "max",
+    "std": "std",
+    "count": "count",
+}
+
+
 def aggregate(agg: str, values: Sequence[float]) -> float:
     """Apply one named aggregate to a non-empty value list."""
-    if agg == "count":
-        return float(len(values))
     if agg == "sum":
-        return float(sum(values))
-    if agg == "min":
-        return float(min(values))
-    if agg == "max":
-        return float(max(values))
-    if agg == "mean":
-        return float(sum(values) / len(values))
-    if agg == "median":
-        ordered = sorted(values)
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
-            return float(ordered[mid])
-        return float((ordered[mid - 1] + ordered[mid]) / 2.0)
-    if agg == "std":
-        mean = sum(values) / len(values)
-        return float(
-            math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
-        )
-    raise ValueError(f"unknown aggregate {agg!r}")
+        return total(values)
+    if agg not in _SUMMARY_KEYS:
+        raise ValueError(f"unknown aggregate {agg!r}")
+    return float(summarize(values)[_SUMMARY_KEYS[agg]])
 
 
 def _coerce(value) -> float | None:

@@ -11,7 +11,7 @@ import csv
 from collections.abc import Sequence
 from pathlib import Path
 
-from repro.metrics import box_stats
+from repro.telemetry.summary import summarize
 
 __all__ = [
     "ascii_boxplot",
@@ -29,35 +29,45 @@ def ascii_boxplot(
     hi: float | None = None,
     unit: str = "ms",
 ) -> str:
-    """Render horizontal box plots (p5 — p25 [median] p75 — p95).
+    """Render horizontal box plots: the box spans p25 … p75 around the
+    median, the whiskers reach the Tukey fences (1.5 IQR beyond the
+    quartiles) clamped to the observed min / max, as in the paper's
+    figures.
 
-    One line per series: ``label |----[==|==]----| (median unit)``.
+    One line per series: ``label ----===|===---- (median unit)``; the
+    default scale spans the whiskers.
     """
     if not labeled_series:
         return "(no data)"
-    stats = [(label, box_stats(values)) for label, values in labeled_series]
-    lo = lo if lo is not None else min(s.minimum for _, s in stats)
-    hi = hi if hi is not None else max(s.p95 * 1.05 for _, s in stats)
+    boxes = []
+    for label, values in labeled_series:
+        s = summarize(values)
+        fence = 1.5 * (s["p75"] - s["p25"])
+        low = max(s["min"], s["p25"] - fence)
+        high = min(s["max"], s["p75"] + fence)
+        boxes.append((label, s, (low, high)))
+    lo = lo if lo is not None else min(w[0] for _, _, w in boxes)
+    hi = hi if hi is not None else max(w[1] * 1.05 for _, _, w in boxes)
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    label_width = max(len(label) for label, _ in stats)
+    label_width = max(len(label) for label, _, _ in boxes)
 
     def col(value: float) -> int:
         clamped = min(max(value, lo), hi)
         return int((clamped - lo) / span * (width - 1))
 
     lines = []
-    for label, s in stats:
+    for label, s, (low, high) in boxes:
         row = [" "] * width
-        for x in range(col(s.p5), col(s.p95) + 1):
+        for x in range(col(low), col(high) + 1):
             row[x] = "-"
-        for x in range(col(s.p25), col(s.p75) + 1):
+        for x in range(col(s["p25"]), col(s["p75"]) + 1):
             row[x] = "="
-        row[col(s.median)] = "|"
+        row[col(s["p50"])] = "|"
         lines.append(
             f"{label:<{label_width}} {''.join(row)} "
-            f"(med {s.median:.1f} {unit}, p95 {s.p95:.1f})"
+            f"(med {s['p50']:.1f} {unit}, p95 {s['p95']:.1f})"
         )
     lines.append(
         f"{'':<{label_width}} scale: {lo:.1f} .. {hi:.1f} {unit}"

@@ -1,6 +1,9 @@
 """A run's statistics, computed from its raw series when they are read.
 
-Every run keeps its series, so a summary is an exact function of one:
+:func:`summarize` is the only code that turns a series into statistics:
+the tap, sidecars, shards, figures, exports, reports and the live
+endpoint all read its keys.  Every run keeps its series, so a summary is
+an exact function of one:
 
 - ``mean`` is the naive left-to-right running sum over the count — the
   bits of ``total += value`` per value (``np.add.accumulate`` adds one at
@@ -8,8 +11,8 @@ Every run keeps its series, so a summary is an exact function of one:
 - ``std`` is the population standard deviation, taken about the first
   value so that a constant series reads exactly 0.0; ``cov`` is
   ``std / |mean|`` (0.0 for a ~zero mean);
-- ``p25`` … ``p99`` equal ``np.percentile(..., method="linear")`` bit for
-  bit;
+- ``p25`` … ``p99`` equal ``numpy.percentile(..., method="linear")``
+  bit for bit;
 - ``frac_over_<label>`` is the share of values strictly above a cutoff.
 
 :func:`windows` finds the warmup→steady change point in one pass over
@@ -37,10 +40,10 @@ def total(values) -> float:
 
 
 def percentiles(arr: np.ndarray) -> list[float]:
-    """``np.percentile(arr, QUANTILES, method="linear")`` term for term
-    (virtual index ``(n - 1) * q / 100``, floor and next, numpy's lerp):
-    ``np.percentile`` calls ``np.unique``, which imports ``numpy.ma`` (15 ms
-    and 1.2 MiB per process) on first use."""
+    """``numpy.percentile(arr, QUANTILES, method="linear")`` term for
+    term (virtual index ``(n - 1) * q / 100``, floor and next, numpy's
+    lerp): ``numpy.percentile`` calls ``np.unique``, which imports
+    ``numpy.ma`` (15 ms and 1.2 MiB per process) on first use."""
     n = arr.size
     points = []
     for q in QUANTILES:

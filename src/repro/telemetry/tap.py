@@ -10,8 +10,8 @@ wall totals and the live-entity population.  :meth:`snapshot` summarizes
 the series when it is read; its ISR is
 :func:`repro.metrics.isr.instability_ratio` of the tick series, as
 :attr:`repro.core.results.IterationResult.isr` is.  The tap is
-duck-typed against the record so the telemetry package does not depend
-on :mod:`repro.mlg`.
+duck-typed against the record: of :mod:`repro.mlg` it reads only the
+QoS cutoffs in :mod:`repro.mlg.constants`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.metrics.isr import instability_ratio
-from repro.metrics.stats import NOTICEABLE_MS, UNPLAYABLE_MS
+from repro.mlg.constants import NOTICEABLE_MS, UNPLAYABLE_MS
 from repro.telemetry.bus import TelemetryBus
 from repro.telemetry.catalog import RESPONSE_MS, TICK_MS
 from repro.telemetry.summary import summarize, windows

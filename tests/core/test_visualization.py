@@ -34,6 +34,21 @@ class TestAsciiBoxplot:
         row = out.splitlines()[0]
         assert "=" in row and "|" in row and "-" in row
 
+    def test_whisker_stops_at_tukey_fence(self):
+        # p25 = p75 = 10 in both series, so both fences sit at 10: neither
+        # the 10 000 ms outlier nor b's p95 of 60 ms draws a whisker, and
+        # nothing is drawn right of column 10.
+        out = ascii_boxplot(
+            [("a", [10.0] * 50 + [10_000.0]), ("b", [10.0] * 45 + [60.0] * 6)],
+            width=101,
+            lo=0.0,
+            hi=100.0,
+        )
+        for line in out.splitlines()[:2]:
+            bar = line[2 : 2 + 101]
+            assert bar[10] == "|"
+            assert bar[11:].strip() == ""
+
 
 class TestAsciiTimeseries:
     def test_peak_reported(self):

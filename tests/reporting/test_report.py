@@ -1,5 +1,6 @@
 """End-to-end ``repro report``: rendered from sidecars, byte-stable."""
 
+import csv
 import json
 import shutil
 
@@ -132,15 +133,33 @@ class TestReportRendering:
             'class="banner banner-warn"' in html
         )
         assert "PARTIAL" not in html
-        # Pivot CSV and the grid CSV share the figure pipeline's columns.
         assert (report_dir / "p99.csv").read_text().startswith("server,")
-        grid_header = (
-            (report_dir / "report_grid.csv").read_text().splitlines()[0]
-        )
-        from repro.analysis.figures import campaign_grid
 
-        merged = JobStore(out_dir).merge()
-        assert grid_header == ",".join(campaign_grid(merged).rows[0])
+    def test_export_and_report_grids_agree_value_for_value(
+        self, campaign, tmp_path, capsys
+    ):
+        # The shard-backed export and the sidecar-backed report print
+        # the same string in every shared grid column; only the
+        # shard-only throttled_ticks is empty on the report side.
+        out_dir = campaign / "out"
+        assert main(["report", str(out_dir), "--out",
+                     str(tmp_path / "report")]) == 0
+        assert main(["export", str(out_dir), "--out",
+                     str(tmp_path / "export")]) == 0
+        with (tmp_path / "export" / "campaign_grid.csv").open() as handle:
+            exported = list(csv.DictReader(handle))
+        with (tmp_path / "report" / "report_grid.csv").open() as handle:
+            reported = list(csv.DictReader(handle))
+        assert len(exported) == len(reported) == 4
+        for shard_row, sidecar_row in zip(exported, reported):
+            assert list(shard_row) == list(sidecar_row)
+            assert sidecar_row.pop("throttled_ticks") == ""
+            assert shard_row.pop("throttled_ticks") != ""
+            assert shard_row == sidecar_row
+        # A shard's statistics are the tap's summaries, dict for dict.
+        for it in JobStore(out_dir).merge().iterations:
+            assert it.tick_stats() == it.telemetry["tick"]["tick_ms"]
+            assert it.response_stats() == it.telemetry["response_ms"]
 
     @pytest.mark.parametrize(
         "old_bench_cwd", [False, True], ids=["empty-cwd", "old-bench-cwd"]
