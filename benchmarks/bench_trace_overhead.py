@@ -13,7 +13,7 @@ Two artifacts:
   and collated flight-recorder anomalies under ``benchmarks/out/trace/``
   (uploaded from CI as the ``benchmark-trace`` artifact, so every PR
   ships a Perfetto-loadable trace of the current tick loop), plus the
-  same campaign's self-contained HTML report rendered from its sidecars
+  same campaign's self-contained HTML report rendered from its records
   into ``benchmarks/out/report/`` (the ``benchmark-report`` artifact).
 """
 
@@ -191,7 +191,7 @@ def test_traced_campaign_trace_artifacts(benchmark, out_dir, tmp_path):
         "\n".join(anomalies) + "\n" if anomalies else ""
     )
 
-    # Render the same campaign's HTML report from its sidecars (default
+    # Render the same campaign's HTML report from its records (default
     # output: section).
     dataset = load_dataset(store)
     written = write_report(dataset, out_dir=REPORT_DIR)

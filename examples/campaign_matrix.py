@@ -4,7 +4,7 @@
 Expands the matrix into 8 independent jobs, runs them across worker
 processes, and exports the merged results — the paper's "many runs"
 methodology in one script.  Re-running after an interruption resumes
-from the on-disk shards instead of starting over.
+from the on-disk job records instead of starting over.
 
 Usage::
 

@@ -29,8 +29,6 @@ from repro.telemetry.summary import summarize
 
 __all__ = [
     "FigureResult",
-    "GRID_COLUMNS",
-    "campaign_grid",
     "run_cell",
     "fig1_response_time",
     "fig6_isr_model",
@@ -292,44 +290,6 @@ def fig12_node_sizes(duration_s: float = 60.0, seed: int = 7) -> FigureResult:
                 isr=cell.isr,
             )
     return result
-
-
-# -- Campaign results: the Fig.-8-style ISR grid from measured data --------------
-
-
-#: The campaign grid's columns, in CSV order.
-GRID_COLUMNS = (
-    "environment",
-    "workload",
-    "server",
-    "scale",
-    "n_bots",
-    "behavior",
-    "iteration",
-    "isr",
-    "crashed",
-    "tick_mean_ms",
-    "tick_p95_ms",
-    "tick_max_ms",
-    "throttled_ticks",
-)
-
-
-def campaign_grid(rows: list[dict]) -> FigureResult:
-    """Fig. 8's (environment × workload × server) ISR grid over report
-    rows, one per measured iteration, instead of fresh runs.
-
-    ``repro report`` passes the rows it read from the telemetry
-    sidecars (:func:`repro.reporting.dataset.sidecar_row`); ``repro
-    export`` passes the same rows read from the merged shards
-    (:func:`repro.reporting.dataset.iteration_row`), which add the
-    shard-only ``throttled_ticks`` — so the two CSVs agree value for
-    value, and a sidecar row's ``throttled_ticks`` renders empty.
-    """
-    grid = FigureResult("campaign")
-    for row in rows:
-        grid.row(**{column: row.get(column) for column in GRID_COLUMNS})
-    return grid
 
 
 # -- Table 8 / MF4: entity share of network traffic ------------------------------

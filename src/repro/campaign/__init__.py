@@ -9,7 +9,7 @@ campaign engine (ROADMAP: scale + speed + scenario diversity):
   independent server-chain jobs with stable CRC32 ids;
 * :class:`CampaignExecutor` — multiprocessing fan-out with a serial
   fallback, bit-identical to sequential execution;
-* :class:`JobStore` — resumable on-disk shards + manifest under the
+* :class:`JobStore` — resumable on-disk job records + manifest under the
   campaign's ``output_dir``;
 * :mod:`repro.campaign.cli` — the ``python -m repro`` command line.
 """

@@ -28,9 +28,9 @@ as Chrome trace-event JSON, loadable in Perfetto or ``chrome://tracing``.
 guard the determinism, RNG-threading and transport conventions the
 bit-identity claims rest on.  ``serve``/``clients`` split one cell
 across real TCP sockets: ``serve`` runs a cell's server chain behind the
-asyncio wire front end (writing the standard manifest/sidecar/shard
-artifacts), and ``clients`` ramps emulated players against it from a
-separate process.
+asyncio wire front end (writing the standard manifest and job record),
+and ``clients`` ramps emulated players against it from a separate
+process.
 """
 
 from __future__ import annotations
@@ -40,10 +40,8 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.figures import GRID_COLUMNS, campaign_grid
-from repro.core.retrieval import retrieve, summary_rows
-from repro.reporting.dataset import iteration_row
-from repro.reporting.text import ascii_boxplot, format_table, write_csv_rows
+from repro.core.retrieval import retrieve
+from repro.reporting.text import ascii_boxplot, format_table
 from repro.telemetry.catalog import COLUMNS, lookup, read_columns, top_bucket
 from repro.campaign.executor import CampaignExecutor
 from repro.campaign.planner import Job
@@ -80,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--watch",
         action="store_true",
         help="poll and redraw until interrupted; each refresh re-reads "
-        "the tail of every job's telemetry sidecar",
+        "the tail of every job's record",
     )
     status.add_argument(
         "--interval-s",
@@ -109,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser(
         "report",
         help="render the self-contained HTML report from the on-disk "
-        "telemetry sidecars (no re-simulation)",
+        "job records (no re-simulation)",
     )
     report.add_argument(
         "target", help="campaign spec file or campaign output directory"
@@ -123,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--update-output",
         action="store_true",
         help="persist the spec file's output: section into the campaign "
-        "manifest before rendering (job shards are never touched)",
+        "manifest before rendering (job records are never touched)",
     )
 
     trace = sub.add_parser(
@@ -146,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="serve one campaign cell over TCP (players connect with "
-        "'repro clients'); writes the standard manifest/sidecars/shard",
+        "'repro clients'); writes the standard manifest and job record",
     )
     serve.add_argument("spec", help="campaign spec file (.yaml/.yml/.json)")
     serve.add_argument(
@@ -334,7 +332,7 @@ def _telemetry_columns(entry: dict, iterations: int) -> list[str]:
     """Live columns for one job: iterations, p50/p99/CoV, warmup state,
     and the dominant Fig. 11 bucket as ``name share%``.
 
-    Read from the latest line of the job's streamed JSONL sidecar, at
+    Read from the latest iteration line of the job's streamed record, at
     the places the metric catalog names, so they update while the job is
     still running (``status`` on a live campaign).
     """
@@ -409,7 +407,7 @@ def _watch_status(
 ) -> int:
     """``status --watch``: redraw one-shot ``status`` until interrupted.
 
-    Each refresh is ``store.status()``, which tail-reads every sidecar in
+    Each refresh is ``store.status()``, which tail-reads every record in
     O(jobs).  ``max_refreshes`` bounds the loop for tests.
     """
     import time
@@ -478,13 +476,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
         line = _provenance_line(manifest)
         if line:
             print(line)
-    grid = campaign_grid([iteration_row(it) for it in result.iterations])
-    if grid.rows:
-        write_csv_rows(
-            out / "campaign_grid.csv",
-            GRID_COLUMNS,
-            [row.values() for row in grid.rows],
-        )
     if status["pending"]:
         print(
             f"warning: exported {status['completed']}/{status['total']} "
@@ -571,7 +562,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         f"{other['traced_iterations']} traced iteration(s) across "
         f"{other['traced_jobs']}/{other['jobs']} job(s) to {out}"
     )
-    # Collate the per-job flight-recorder sidecars next to the trace.
+    # Collate the per-job flight-recorder dumps next to the trace.
     anomalies: list[dict] = []
     for job in sorted(store.manifest_jobs(), key=lambda j: j.index):
         anomalies.extend(store.read_job_anomalies(job.job_id))
@@ -627,7 +618,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     print(
         f"Served cell {summary['cell']} ({summary['job_id']}): "
-        f"{summary['iterations']} iteration(s) → {summary['shard']}"
+        f"{summary['iterations']} iteration(s) → {summary['record']}"
     )
     return 1 if summary["crashed"] else 0
 

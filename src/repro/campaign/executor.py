@@ -5,11 +5,12 @@ clock, and every RNG seed derive only from the spec — so jobs can run in
 any order, in any process, and produce bit-identical results.  The
 executor exploits that: with ``jobs=1`` it runs chains inline; with
 ``jobs=N`` it fans them out over a ``multiprocessing`` pool.  Either way
-the process that ran a job writes its shard into the
-:class:`~repro.campaign.store.JobStore` — once, atomically — and hands
-the parent only its path: a result crosses the process boundary as a
-file, not as a pickle to rebuild and serialise again.  A shard per
-finished job is what makes a killed campaign resumable.
+the process that runs a job streams its record into the
+:class:`~repro.campaign.store.JobStore` — one line per iteration, then a
+commit line — and hands the parent only its path: a result crosses the
+process boundary as a file, not as a pickle to rebuild and serialise
+again.  A committed record per finished job is what makes a killed
+campaign resumable.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from repro.tracing.provenance import (
 
 __all__ = [
     "CampaignExecutor",
-    "anomaly_lines",
     "execute_job",
     "open_campaign",
     "run_job_chain",
@@ -64,7 +64,7 @@ def _ensure_spec_unchanged(recorded: dict, current: dict, root) -> None:
     if changed:
         raise ValueError(
             f"campaign spec changed since {root} was started "
-            f"(fields: {', '.join(changed)}); completed shards were "
+            f"(fields: {', '.join(changed)}); completed records were "
             "measured under the old spec — rerun into a fresh output_dir"
         )
 
@@ -75,43 +75,47 @@ def open_campaign(
     """Claim ``store`` for ``spec``: check what it already holds, then
     stamp the manifest.  Returns (completed job ids, manifest provenance).
 
-    With ``resume`` the store may hold shards of this same spec (checked
-    against the recorded manifest; one that no longer parses is not
-    completed); without it a non-empty store is an error.  Shards of a
-    different spec are always refused — never silently clobber or
+    With ``resume`` the store may hold records of this same spec (checked
+    against the recorded manifest; a committed one that no longer parses
+    is not completed); without it a non-empty store is an error.  Records
+    of a different spec are always refused — never silently clobber or
     silently reuse another campaign's measurements.
     """
-    completed = store.completed_ids()
-    stale = completed - {job.job_id for job in plan}
-    if completed and not resume:
+    manifest = store.read_manifest()
+    records = store.record_ids()
+    stale = records - {job.job_id for job in plan}
+    if records and not resume:
         raise FileExistsError(
-            f"{store.root} already holds {len(completed)} completed "
-            "job(s); resume the campaign or choose a fresh output_dir"
+            f"{store.root} already holds {len(records)} job record(s); "
+            "resume the campaign or choose a fresh output_dir"
         )
     if stale:
         raise ValueError(
-            f"{store.root} holds {len(stale)} shard(s) from a "
+            f"{store.root} holds {len(stale)} record(s) from a "
             "different campaign spec; choose a fresh output_dir"
         )
-    if resume:
-        # A shard truncated or scribbled on from outside is a job that
+    completed: set[str] = set()
+    if resume and manifest is not None:
+        # Normalize older manifests: fields added to the spec since
+        # pick up their defaults instead of reading as spurious
+        # changes, and a field since removed is refused by name.
+        recorded = CampaignSpec.from_dict(manifest["spec"]).to_dict()
+        _ensure_spec_unchanged(recorded, spec.to_dict(), store.root)
+        completed = store.completed_ids()
+        # A committed record scribbled on from outside is a job that
         # never finished: run it again, do not trip over it in merge.
+        # A throwaway store parses them, so the parse is not held (and
+        # inherited by every forked worker) while the jobs run.
+        check = JobStore(store.root)
         for job_id in sorted(completed):
             try:
-                store.load_job(job_id)
+                check.load_job(job_id)
             except ValueError:
                 completed.discard(job_id)
-                print(f"resume: shard of job {job_id} does not parse; "
+                print(f"resume: record of job {job_id} does not parse; "
                       "it is pending again", flush=True)
-        manifest = store.read_manifest()
-        if manifest is not None:
-            # Normalize older manifests: fields added to the spec since
-            # pick up their defaults instead of reading as spurious
-            # changes, and a field since removed is refused by name.
-            recorded = CampaignSpec.from_dict(manifest["spec"]).to_dict()
-            _ensure_spec_unchanged(recorded, spec.to_dict(), store.root)
     # The manifest carries the campaign's provenance fingerprint —
-    # the only timestamped one: shards and sidecars must stay
+    # the only timestamped one: job records must stay
     # byte-identical across re-runs, the manifest need not.  The
     # measurement-hygiene snapshot (host conditions vs the spec's
     # ``system:`` requests) rides along *outside* the digest: probes
@@ -127,87 +131,36 @@ def open_campaign(
     return completed, provenance
 
 
-def _sidecar_telemetry(telemetry: dict) -> dict:
-    """Sidecar-sized telemetry: the trace bulk summarized.
-
-    A traced iteration's span-dump ring ("ticks") and anomaly list can
-    run to tens of kilobytes; ``status`` tail-reads sidecars on every
-    poll, so the sidecar keeps only the trace's summary state (knobs,
-    per-phase statistics, counters).  The full dumps stay in the job
-    shard, and anomalies additionally stream to their own JSONL.
-    """
-    slim = dict(telemetry)
-    trace = slim.get("trace")
-    if isinstance(trace, dict):
-        trace = dict(trace)
-        trace["anomaly_count"] = len(trace.pop("anomalies", None) or [])
-        trace.pop("ticks", None)
-        slim["trace"] = trace
-    return slim
-
-
 def telemetry_line(job: Job, it: IterationResult) -> str:
-    """One JSONL sidecar line for a finished iteration.
+    """One record line for a finished iteration: the job's identity and
+    the whole :meth:`~repro.core.results.IterationResult.to_dict`.
 
     ``sort_keys`` keeps the byte stream deterministic, so serial and
-    parallel campaign runs produce bit-identical telemetry shards.
+    parallel campaign runs produce bit-identical records.
     """
     return json.dumps(
-        {
-            "job_id": job.job_id,
-            "cell": job.cell.key(),
-            "iteration": it.iteration,
-            "seed": it.seed,
-            "crashed": it.crashed,
-            "fingerprint": it.provenance.get("fingerprint"),
-            "telemetry": _sidecar_telemetry(it.telemetry),
-        },
+        {"job_id": job.job_id, "cell": job.cell.key(), **it.to_dict()},
         sort_keys=True,
     )
 
 
-def anomaly_lines(job: Job, it: IterationResult) -> list[str]:
-    """Flight-recorder JSONL lines for one finished iteration."""
-    anomalies = ((it.telemetry or {}).get("trace") or {}).get("anomalies")
-    return [
-        json.dumps(
-            {
-                "job_id": job.job_id,
-                "cell": job.cell.key(),
-                "iteration": it.iteration,
-                **anomaly,
-            },
-            sort_keys=True,
-        )
-        for anomaly in anomalies or []
-    ]
-
-
 def run_job_chain(
-    job: Job, config, telemetry_dir, drive=None
+    job: Job, config, store: JobStore, drive=None
 ) -> list[IterationResult]:
-    """Run ``job``'s server chain, streaming its sidecars as it goes.
+    """Run ``job``'s server chain, streaming its record as it goes.
 
-    One JSONL line per finished iteration goes
-    to ``<telemetry_dir>/<job_id>.jsonl`` (truncating any sidecar left by
-    a previous attempt), which is what makes in-flight jobs observable
-    via ``python -m repro status``.  Traced iterations additionally
-    stream their slow-tick flight-recorder dumps into
-    ``<telemetry_dir>/<job_id>.anomalies.jsonl``.
+    One line per finished iteration goes to the job's record file
+    (truncating any record left by a previous attempt), flushed, which
+    is what makes in-flight jobs observable via ``python -m repro
+    status``.  The caller commits the record once the chain returns.
     """
-    path = Path(telemetry_dir) / f"{job.job_id}.jsonl"
+    path = store.telemetry_path(job.job_id)
     path.parent.mkdir(parents=True, exist_ok=True)
-    anomalies_path = Path(telemetry_dir) / f"{job.job_id}.anomalies.jsonl"
-    anomalies_path.unlink(missing_ok=True)
-    with path.open("w") as sidecar:
+    with path.open("w") as record:
 
         def stream(it: IterationResult) -> None:
-            sidecar.write(telemetry_line(job, it) + "\n")
-            sidecar.flush()
-            lines = anomaly_lines(job, it)
-            if lines:
-                with anomalies_path.open("a") as recorder:
-                    recorder.write("\n".join(lines) + "\n")
+            record.write(telemetry_line(job, it) + "\n")
+            record.flush()
 
         return run_server_chain(
             config, job.server, on_iteration=stream, drive=drive
@@ -215,15 +168,16 @@ def run_job_chain(
 
 
 def execute_job(payload: dict) -> tuple[dict, str, dict]:
-    """Run one job's server chain and write its shard; the unit shipped
-    to worker processes.
+    """Run one job's server chain, streaming and committing its record;
+    the unit shipped to worker processes.
 
     Takes and returns plain picklable values, so the same function serves
     the serial path and ``multiprocessing``: in, the spec, the job and
-    the ``store`` root (sidecars stream under it while the chain runs,
-    the shard lands in it when the chain is done); out, the job, the path
-    of the shard this process wrote, and the job's phase timings (wall
-    seconds for plan → iterate → externalize) for the campaign trace.
+    the ``store`` root (the record streams under it while the chain
+    runs, and is committed when the chain is done); out, the job, the
+    path of the record this process wrote, and the job's phase timings
+    (wall seconds for plan → iterate → externalize) for the campaign
+    trace.
     """
     plan_start = time.perf_counter()
     spec = CampaignSpec.from_dict(payload["spec"])
@@ -232,29 +186,29 @@ def execute_job(payload: dict) -> tuple[dict, str, dict]:
     config = JobPlanner(spec).job_config(job)
     phases = {"plan_s": time.perf_counter() - plan_start}
     iterate_start = time.perf_counter()
-    iterations = run_job_chain(job, config, store.telemetry_dir)
+    iterations = run_job_chain(job, config, store)
     phases["iterate_s"] = time.perf_counter() - iterate_start
     externalize_start = time.perf_counter()
-    shard = store.save_job_payload(job, [it.to_dict() for it in iterations])
+    record = store.save_job_payload(job, len(iterations))
     phases["externalize_s"] = time.perf_counter() - externalize_start
-    return payload["job"], str(shard), phases
+    return payload["job"], str(record), phases
 
 
 class _ObsPlane:
-    """The campaign's live metrics endpoint, fed by the sidecar streams.
+    """The campaign's live metrics endpoint, fed by the job records.
 
-    Workers already push one bounded delta per finished iteration — the
-    sidecar JSONL line they stream for ``repro status`` — so the parent
-    needs no second channel: a follower thread tails every sidecar
-    (per-file byte offsets, O(new lines) per sweep), folds each line
-    into one :class:`~repro.obs.aggregate.CampaignObsAggregate`, and a
-    single HTTP endpoint serves the whole campaign.  The same path
-    covers the serial and ``multiprocessing`` executors, because both
-    stream the same sidecars.
+    Workers already push one line per finished iteration — the record
+    line they stream for ``repro status`` — so the parent needs no second
+    channel: a follower thread tails every record (per-file byte
+    offsets, O(new lines) per sweep), folds each iteration line into one
+    :class:`~repro.obs.aggregate.CampaignObsAggregate`, and a single HTTP
+    endpoint serves the whole campaign.  The same path covers the serial
+    and ``multiprocessing`` executors, because both stream the same
+    records.
     """
 
-    #: Seconds between sidecar sweeps — latency of the dashboard, not of
-    #: the measurement (sidecars land regardless).
+    #: Seconds between record sweeps — latency of the dashboard, not of
+    #: the measurement (records land regardless).
     _POLL_S = 0.5
 
     def __init__(self, spec, store, n_jobs: int, provenance: dict | None):
@@ -324,7 +278,7 @@ class CampaignExecutor:
     def run(self, resume: bool = False) -> ExperimentResult:
         """Execute the campaign and return the merged result.
 
-        With ``resume=True``, jobs that already have a shard on disk are
+        With ``resume=True``, jobs that already have a committed record are
         skipped; without it, a non-empty store is an error (never silently
         clobber or silently reuse a previous campaign's measurements).
         """
@@ -369,7 +323,7 @@ class CampaignExecutor:
                 results = map(execute_job, payloads)
             iterate_start = time.perf_counter()
             job_phases: dict[str, dict] = {}
-            for job_dict, _shard, phases in results:
+            for job_dict, _record, phases in results:
                 job = Job.from_dict(job_dict)
                 job_phases[job.job_id] = phases
                 n_done += 1
@@ -432,8 +386,8 @@ class CampaignExecutor:
     def _run_parallel(self, payloads: list[dict]):
         """Fan pending jobs out over a process pool, yielding completions.
 
-        A worker has written its job's shard by the time
-        ``imap_unordered`` streams its small result back, so shards land
+        A worker has committed its job's record by the time
+        ``imap_unordered`` streams its small result back, so records land
         (and resume-progress accrues) job by job rather than all at once;
         merge order is restored from the plan afterwards.
         """

@@ -116,7 +116,7 @@ class CampaignSpec(RunKnobs):
     #: ``output:`` report declaration (pivots, plots, html/csv names);
     #: empty mapping -> the default report.  Editable after a campaign
     #: ran — ``repro report --update-output`` re-renders without
-    #: touching job shards, so it stays outside the fingerprint.  See
+    #: touching job records, so it stays outside the fingerprint.  See
     #: :mod:`repro.reporting.spec`.
     output: dict = field(default_factory=dict, metadata={"fingerprint": False})
     #: ``system:`` measurement-hygiene requests (governor, SMT, ASLR,

@@ -1,4 +1,4 @@
-"""Resumable on-disk job store (one JSON shard per completed job).
+"""Resumable on-disk job store: one streamed record file per job.
 
 Layout, under the campaign's ``output_dir``::
 
@@ -9,26 +9,24 @@ Layout, under the campaign's ``output_dir``::
                                 iterate/externalize, per job and total)
                                 and one entry per warm world-cache
                                 snapshot (key, workloads, prepared, s)
-      jobs/<job_id>.json        one shard per *completed* job
-      telemetry/<job_id>.jsonl  streaming sidecar: one line per finished
-                                iteration, written while the job runs
-      telemetry/<job_id>.anomalies.jsonl
-                                slow-tick flight-recorder dumps (traced
-                                runs only; one line per anomalous tick)
+      telemetry/<job_id>.jsonl  the job's record: one line per finished
+                                iteration, then one commit line
 
-Each shard is written once, by the process that ran the job (a pool
-worker, or the parent when the campaign runs inline), atomically (temp
-file + ``os.replace``): a campaign killed mid-run leaves either a complete
-shard or none — never a torn one.  ``resume`` is then "skip every job
-whose shard parses".  Shards are one unindented line (the C encoder
-writes them; older indented ones load the same); the manifest and the
-campaign trace, which people read, stay indented.
+An iteration line is ``{"job_id", "cell", **IterationResult.to_dict()}``
+with sorted keys — the raw series, the telemetry summaries and, on
+traced cells, the span dumps and slow-tick anomalies.  It is the only
+copy of the iteration: ``merge``/``export``, ``resume``, ``status``,
+``report``, ``trace export`` and the obs follower all read it.
 
-Telemetry sidecars are different on purpose: they are *streamed* (append
-+ flush per iteration) so ``python -m repro status`` can show live
-p50/p99/CoV and steady-state progress for in-flight jobs.  A torn final
-line (the process died mid-write) is simply skipped on read, and a job
-that re-runs after a crash truncates its own sidecar first.
+The process that runs a job (a pool worker, or the parent when the
+campaign runs inline) streams the record — append + flush per iteration,
+after truncating whatever a previous attempt left — and appends the
+commit line ``{"committed_iterations": n, "job_id": ...}`` once the chain
+is done.  A job is complete exactly when its record ends with an intact
+commit line for the number of iterations the spec plans; a campaign
+killed mid-run leaves a record without one (perhaps with a torn last
+line, which every reader skips), and ``resume`` runs that job again.
+The manifest and the campaign trace, which people read, stay indented.
 """
 
 from __future__ import annotations
@@ -40,28 +38,32 @@ from pathlib import Path
 from repro.core.results import ExperimentResult, IterationResult
 from repro.campaign.planner import Job
 from repro.campaign.spec import CampaignSpec
+from repro.tracing.chrome import CLIENT_SPAN_SUFFIX
 
 __all__ = ["JobStore", "SidecarFollower"]
 
 MANIFEST_NAME = "manifest.json"
-SHARD_DIR = "jobs"
 TELEMETRY_DIR = "telemetry"
 REPORT_DIR = "report"
 
+#: The key only a record's commit line carries.
+COMMIT_KEY = "committed_iterations"
 
-def _read_jsonl(path: Path) -> list[dict]:
-    """The intact lines of a streamed sidecar, oldest first."""
-    if not path.exists():
-        return []
+
+def _parse_lines(raws: list[bytes]) -> list[dict]:
+    """The JSON objects among ``raws``, in order; blank, torn and
+    corrupt lines are skipped."""
     lines: list[dict] = []
-    for raw in path.read_text().splitlines():
+    for raw in raws:
         raw = raw.strip()
         if not raw:
             continue
         try:
-            lines.append(json.loads(raw))
-        except json.JSONDecodeError:
-            continue  # torn write from a killed worker
+            line = json.loads(raw)
+        except ValueError:
+            continue  # torn write from a killed worker, or not JSON
+        if isinstance(line, dict):
+            lines.append(line)
     return lines
 
 
@@ -70,28 +72,23 @@ class JobStore:
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
+        #: job_id -> (file identity, iteration lines, committed count).
+        #: A record is parsed once while its file is unchanged, so
+        #: ``merge``, ``load_job`` and the report share one copy of its
+        #: lines — a traced record's span dumps sit in memory once.
+        self._records: dict[str, tuple] = {}
 
     @property
     def manifest_path(self) -> Path:
         return self.root / MANIFEST_NAME
 
     @property
-    def shard_dir(self) -> Path:
-        return self.root / SHARD_DIR
-
-    def shard_path(self, job_id: str) -> Path:
-        return self.shard_dir / f"{job_id}.json"
-
-    @property
     def telemetry_dir(self) -> Path:
         return self.root / TELEMETRY_DIR
 
     def telemetry_path(self, job_id: str) -> Path:
+        """The job's record file."""
         return self.telemetry_dir / f"{job_id}.jsonl"
-
-    def anomaly_path(self, job_id: str) -> Path:
-        """Slow-tick flight-recorder sidecar for one job."""
-        return self.telemetry_dir / f"{job_id}.anomalies.jsonl"
 
     @property
     def campaign_trace_path(self) -> Path:
@@ -122,6 +119,15 @@ class JobStore:
         return self.manifest_path
 
     def read_manifest(self) -> dict | None:
+        """The manifest, ``None`` without one.  A directory in the older
+        layout — one job shard per job under ``jobs/`` — is refused by
+        name: its sidecars are not records, so nothing could read it."""
+        if any((self.root / "jobs").glob("*.json")):
+            raise ValueError(
+                f"{self.root} holds job shards (jobs/*.json) from the "
+                "layout before per-iteration job records; re-run the "
+                "campaign into a fresh output_dir"
+            )
         if not self.manifest_path.exists():
             return None
         return json.loads(self.manifest_path.read_text())
@@ -143,7 +149,7 @@ class JobStore:
         ``output`` is presentation-layer (outside the measurement
         fingerprint and ignored by resume), so ``repro report
         --update-output`` may persist an edited report declaration
-        without invalidating jobs, shards, or provenance — the rewrite
+        without invalidating jobs, records, or provenance — the rewrite
         is atomic and touches nothing else in the manifest.
         """
         manifest = self._manifest()
@@ -154,83 +160,144 @@ class JobStore:
     def manifest_jobs(self) -> list[Job]:
         return [Job.from_dict(raw) for raw in self._manifest()["jobs"]]
 
-    # -- shards -------------------------------------------------------------
+    def expected_iterations(self) -> dict[str, int]:
+        """Job id -> the iterations the manifest's spec plans for it."""
+        spec = self.manifest_spec()
+        return {
+            job.job_id: spec.cell_iterations(job.cell)
+            for job in self.manifest_jobs()
+        }
 
-    def save_job(self, job: Job, iterations: list[IterationResult]) -> Path:
-        return self.save_job_payload(job, [it.to_dict() for it in iterations])
+    # -- records ------------------------------------------------------------
 
-    def save_job_payload(self, job: Job, iterations: list[dict]) -> Path:
-        """The shard writer: ``iterations`` as ``to_dict`` gave them."""
-        self.shard_dir.mkdir(parents=True, exist_ok=True)
-        path = self.shard_path(job.job_id)
-        self._write_atomic(
-            path, {"job": job.to_dict(), "iterations": iterations}, indent=None
-        )
+    def record_ids(self) -> set[str]:
+        """Every job with a record file, committed or not (client span
+        streams share the directory and are not records)."""
+        if not self.telemetry_dir.is_dir():
+            return set()
+        return {
+            path.name[: -len(".jsonl")]
+            for path in self.telemetry_dir.glob("*.jsonl")
+            if not path.name.endswith(CLIENT_SPAN_SUFFIX)
+        }
+
+    def save_job_payload(self, job: Job, n_iterations: int) -> Path:
+        """Commit ``job``'s record: append the line that says its
+        ``n_iterations`` streamed lines are the whole job."""
+        path = self.telemetry_path(job.job_id)
+        with path.open("a") as record:
+            record.write(
+                json.dumps(
+                    {COMMIT_KEY: n_iterations, "job_id": job.job_id},
+                    sort_keys=True,
+                )
+                + "\n"
+            )
         return path
 
     def load_job(self, job_id: str) -> list[IterationResult] | None:
-        """The job's iterations, ``None`` without a shard; a shard that
-        does not parse into them raises ``ValueError`` naming its path."""
-        path = self.shard_path(job_id)
-        if not path.exists():
+        """The committed job's iterations; ``None`` while its record ends
+        without an intact commit line (never run, running, or killed).  A
+        committed record whose lines do not parse into the committed
+        iterations raises ``ValueError`` naming its path."""
+        lines, committed = self.read_record(job_id)
+        if committed is None:
             return None
         try:
-            payload = json.loads(path.read_text())
-            return list(map(IterationResult.from_dict, payload["iterations"]))
-        except (ValueError, TypeError, KeyError, AttributeError) as exc:
-            raise ValueError(f"{path}: damaged job shard: {exc!r}") from None
+            iterations = list(map(IterationResult.from_dict, lines))
+            if [it.iteration for it in iterations] != list(range(committed)):
+                raise ValueError(
+                    f"{len(iterations)} intact iteration line(s) under a "
+                    f"commit of {committed!r}"
+                )
+        except (ValueError, TypeError) as exc:
+            path = self.telemetry_path(job_id)
+            raise ValueError(f"{path}: damaged job record: {exc}") from None
+        return iterations
 
     def completed_ids(self) -> set[str]:
-        """Every job with a shard file, whole or not (``status`` polls)."""
-        if not self.shard_dir.is_dir():
+        """Jobs whose record ends with an intact commit line for the
+        number of iterations the manifest plans for them."""
+        if self.read_manifest() is None:
             return set()
-        return {path.stem for path in self.shard_dir.glob("*.json")}
+        return {
+            job_id
+            for job_id, expected in self.expected_iterations().items()
+            if self._committed(job_id) == expected
+        }
 
-    # -- telemetry sidecars -------------------------------------------------
-
-    def read_job_telemetry(self, job_id: str) -> list[dict]:
-        """Per-iteration telemetry lines streamed by a (possibly still
-        running) job, oldest first.  A torn trailing line is skipped."""
-        return _read_jsonl(self.telemetry_path(job_id))
-
-    #: How many trailing sidecar bytes ``status`` reads per job — enough
-    #: for several iteration lines.
-    _TAIL_BYTES = 65536
-
-    def tail_job_telemetry(self, job_id: str) -> tuple[int, dict | None]:
-        """``(iterations_done, latest_line)`` for one job's sidecar.
-
-        Reads only the file's tail and parses only the most recent
-        intact line — ``status`` polls every job's sidecar on every
-        invocation, so the cost must stay O(jobs), not O(file bytes).
-        The iteration count comes from the latest line's own
-        ``iteration`` field (lines stream in order), not from counting
-        lines.
-        """
+    def read_record(self, job_id: str) -> tuple[list[dict], int | None]:
+        """A (possibly still running) job's record: its iteration lines,
+        oldest first — one per finished iteration, torn and corrupt lines
+        skipped — and the count its commit line holds (``None`` unless
+        the record ends with an intact one)."""
         path = self.telemetry_path(job_id)
         try:
-            with path.open("rb") as sidecar:
-                sidecar.seek(0, os.SEEK_END)
-                size = sidecar.tell()
-                sidecar.seek(max(0, size - self._TAIL_BYTES))
-                block = sidecar.read().decode(errors="replace")
+            stat = path.stat()
+            identity = (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+            cached = self._records.get(job_id)
+            if cached is None or cached[0] != identity:
+                raws = path.read_bytes().split(b"\n")
+                lines = list(filter(_has_telemetry, _parse_lines(raws[:-1])))
+                cached = (identity, lines, _commit_of(raws))
+                self._records[job_id] = cached
         except FileNotFoundError:
-            return 0, None
-        complete, sep, _torn = block.rpartition("\n")
-        if not sep:
-            return 0, None
-        lines = [line for line in complete.splitlines() if line.strip()]
-        for raw in reversed(lines):
-            try:
-                latest = json.loads(raw)
-            except json.JSONDecodeError:
-                continue  # torn or corrupt line from a killed worker
-            return int(latest.get("iteration", len(lines) - 1)) + 1, latest
-        return 0, None
+            return [], None
+        return list(cached[1]), cached[2]
+
+    def read_job_telemetry(self, job_id: str) -> list[dict]:
+        """The iteration lines of a job's record (see :meth:`read_record`)."""
+        return self.read_record(job_id)[0]
+
+    #: ``status`` reads each record's tail: this window for the commit
+    #: line, and a window growing from ``_TAIL_BYTES`` until it holds one
+    #: intact iteration line (a traced line runs to ~83 KB).  Either way
+    #: the cost is O(jobs), not O(file bytes).
+    _COMMIT_BYTES = 4096
+    _TAIL_BYTES = 65536
+
+    def _committed(self, job_id: str) -> int | None:
+        """The count the record's commit line holds, read from its tail."""
+        try:
+            with self.telemetry_path(job_id).open("rb") as record:
+                size = record.seek(0, os.SEEK_END)
+                record.seek(max(0, size - self._COMMIT_BYTES))
+                return _commit_of(record.read().split(b"\n"))
+        except FileNotFoundError:
+            return None
+
+    def _latest(self, job_id: str) -> dict | None:
+        """The record's latest intact iteration line, read from a tail
+        window that quadruples until it holds one or reaches the file's
+        start."""
+        window = self._TAIL_BYTES
+        try:
+            with self.telemetry_path(job_id).open("rb") as record:
+                size = record.seek(0, os.SEEK_END)
+                while True:
+                    start = max(0, size - window)
+                    record.seek(start)
+                    # The last segment is torn or empty; unless the window
+                    # starts the file, the first may be a line's back half.
+                    segments = record.read().split(b"\n")[1 if start else 0:-1]
+                    for raw in reversed(segments):
+                        for line in _parse_lines([raw]):
+                            if _has_telemetry(line):
+                                return line
+                    if start == 0:
+                        return None
+                    window *= 4
+        except FileNotFoundError:
+            return None
 
     def read_job_anomalies(self, job_id: str) -> list[dict]:
-        """Flight-recorder dumps streamed by one job, oldest first."""
-        return _read_jsonl(self.anomaly_path(job_id))
+        """The slow-tick flight-recorder dumps in one job's record,
+        oldest first (see :func:`line_anomalies`)."""
+        return [
+            anomaly
+            for line in self.read_job_telemetry(job_id)
+            for anomaly in line_anomalies(line)
+        ]
 
     # -- campaign trace -----------------------------------------------------
 
@@ -248,12 +315,13 @@ class JobStore:
     # -- aggregation --------------------------------------------------------
 
     def merge(self, jobs: list[Job] | None = None) -> ExperimentResult:
-        """Merge completed shards into one :class:`ExperimentResult`.
+        """Merge committed records into one :class:`ExperimentResult`.
 
         Iterations are concatenated in planned job order (then iteration
         order within each job), so the merged result — and everything
         derived from it, ``summary.csv`` included — is identical no matter
-        how many workers ran the campaign or in which order shards landed.
+        how many workers ran the campaign or in which order records were
+        committed.
         """
         manifest = self.read_manifest()
         if jobs is None:
@@ -270,17 +338,16 @@ class JobStore:
     def status(self) -> dict:
         """Per-job completion map plus aggregate counts and live telemetry.
 
-        A job with streamed telemetry but no shard yet is *running* (or
-        was killed mid-chain); its entry carries the latest iteration's
-        telemetry line so live campaigns are observable before any job
+        A job whose record holds iteration lines but no commit line is
+        *running* (or was killed mid-chain); its entry carries the latest
+        iteration line so live campaigns are observable before any job
         completes.
         """
-        jobs = self.manifest_jobs()
-        done = self.completed_ids()
+        expected = self.expected_iterations()
         entries = []
-        for job in sorted(jobs, key=lambda j: j.index):
-            n_iterations, latest = self.tail_job_telemetry(job.job_id)
-            is_done = job.job_id in done
+        for job in sorted(self.manifest_jobs(), key=lambda j: j.index):
+            latest = self._latest(job.job_id)
+            is_done = self._committed(job.job_id) == expected[job.job_id]
             entries.append(
                 {
                     "job_id": job.job_id,
@@ -291,14 +358,19 @@ class JobStore:
                         if is_done
                         else ("running" if latest else "pending")
                     ),
-                    "iterations_done": n_iterations,
+                    # Lines stream in order: the latest line's own
+                    # ``iteration`` field counts them.
+                    "iterations_done": (
+                        int(latest.get("iteration", 0)) + 1 if latest else 0
+                    ),
                     "telemetry": latest,
                 }
             )
+        completed = sum(1 for entry in entries if entry["done"])
         return {
-            "total": len(jobs),
-            "completed": sum(1 for job in jobs if job.job_id in done),
-            "pending": sum(1 for job in jobs if job.job_id not in done),
+            "total": len(entries),
+            "completed": completed,
+            "pending": len(entries) - completed,
             "running": sum(
                 1 for entry in entries if entry["state"] == "running"
             ),
@@ -308,60 +380,74 @@ class JobStore:
     # -- internals ----------------------------------------------------------
 
     @staticmethod
-    def _write_atomic(
-        path: Path, payload: dict, indent: int | None = 2
-    ) -> None:
+    def _write_atomic(path: Path, payload: dict) -> None:
         tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=indent))
+        tmp.write_text(json.dumps(payload, indent=2))
         os.replace(tmp, path)
 
 
+def _has_telemetry(line: dict) -> bool:
+    return "telemetry" in line
+
+
+def _commit_of(raws: list[bytes]) -> int | None:
+    """The count a record's commit line holds, ``None`` unless ``raws``
+    (the record, or its tail, split at newlines) end with an intact one:
+    the commit line, then the newline that ends the file."""
+    last = [] if raws[-1] else _parse_lines(raws[-2:-1])
+    return last[0].get(COMMIT_KEY) if last else None
+
+
+def line_anomalies(line: dict) -> list[dict]:
+    """The slow-tick flight-recorder dumps in one iteration line, each
+    tagged with its job, cell and iteration."""
+    trace = (line.get("telemetry") or {}).get("trace") or {}
+    return [
+        {
+            "job_id": line.get("job_id"),
+            "cell": line.get("cell"),
+            "iteration": line.get("iteration"),
+            **anomaly,
+        }
+        for anomaly in trace.get("anomalies") or ()
+    ]
+
+
 class SidecarFollower:
-    """Incrementally follow every job's telemetry sidecar in a store.
+    """Incrementally follow every job's record in a store.
 
     Each :meth:`poll` reads only the bytes appended since the previous
-    poll (one remembered offset per sidecar file), so a live dashboard or
+    poll (one remembered offset per record file), so a live dashboard or
     watch loop pays O(new lines) per tick instead of re-reading whole
     files the way one-shot ``status`` does.  A torn trailing line (the
     writer is mid-``write``) stays buffered until its newline arrives; a
-    sidecar that *shrank* (a crashed job re-running truncates its own
-    file) resets that file's offset and replays it from the top.
+    record that *shrank* (a crashed job re-running truncates its own
+    file) resets that file's offset and replays it from the top.  Commit
+    lines are not iterations and are not returned.
     """
 
     def __init__(self, store: JobStore) -> None:
         self.store = store
-        #: sidecar path -> (byte offset consumed, buffered partial line).
+        #: record path -> (byte offset consumed, buffered partial line).
         self._state: dict[Path, tuple[int, bytes]] = {}
-        #: job_id -> the most recent parsed line seen for that job.
+        #: job_id -> the most recent iteration line seen for that job.
         self.latest: dict[str, dict] = {}
 
-    def _paths(self) -> list[tuple[str, Path]]:
-        telemetry_dir = self.store.telemetry_dir
-        if not telemetry_dir.is_dir():
-            return []
-        return sorted(
-            (path.stem, path)
-            for path in telemetry_dir.glob("*.jsonl")
-            if not path.name.endswith(
-                (".anomalies.jsonl", ".clientspans.jsonl")
-            )
-        )
-
     def poll(self) -> list[dict]:
-        """Parsed sidecar lines appended since the last poll, in
+        """Iteration lines appended since the last poll, in
         (job_id, stream) order."""
         lines: list[dict] = []
-        for job_id, path in self._paths():
+        for job_id in sorted(self.store.record_ids()):
+            path = self.store.telemetry_path(job_id)
             offset, partial = self._state.get(path, (0, b""))
             try:
-                with path.open("rb") as sidecar:
-                    sidecar.seek(0, os.SEEK_END)
-                    size = sidecar.tell()
+                with path.open("rb") as record:
+                    size = record.seek(0, os.SEEK_END)
                     if size < offset:
                         # Truncated by a re-running job: replay from 0.
                         offset, partial = 0, b""
-                    sidecar.seek(offset)
-                    block = sidecar.read()
+                    record.seek(offset)
+                    block = record.read()
             except FileNotFoundError:
                 continue
             offset += len(block)
@@ -372,14 +458,8 @@ class SidecarFollower:
             self._state[path] = (offset, partial)
             if not sep:
                 continue
-            for raw in complete.split(b"\n"):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    line = json.loads(raw)
-                except json.JSONDecodeError:
-                    continue  # corrupt line from a killed worker
-                lines.append(line)
-                self.latest[line.get("job_id", job_id)] = line
+            for line in _parse_lines(complete.split(b"\n")):
+                if _has_telemetry(line):
+                    lines.append(line)
+                    self.latest[line.get("job_id", job_id)] = line
         return lines

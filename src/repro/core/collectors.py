@@ -7,7 +7,7 @@ totals, and :func:`tick_distribution` turns those totals into the
 run's tick-time shares.  The **System Metrics Collector** samples
 OS-level metrics twice per second of simulated time: CPU, memory (with
 a JVM-ish GC sawtooth), threads, disk I/O, and network I/O.  It keeps
-every sample; its summary and sidecar snapshot are computed from them
+every sample; its summary and record snapshot are computed from them
 when read (:mod:`repro.telemetry.summary`).
 """
 
@@ -182,7 +182,7 @@ class SystemMetricsCollector:
         }
 
     def snapshot(self) -> dict:
-        """Per-metric summaries of every sample (for telemetry sidecars)."""
+        """Per-metric summaries of every sample (for the job records)."""
         return {
             "samples": len(self.samples),
             "cpu_utilization": summarize(self._series("cpu_utilization")),

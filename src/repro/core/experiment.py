@@ -55,7 +55,7 @@ def require_transport(
 ) -> None:
     """Refuse to drive ``config`` over a transport it does not declare.
 
-    The ``transport`` knob is part of every shard's fingerprint, so a
+    The ``transport`` knob is part of every record's fingerprint, so a
     cell must be measured the way it says it was.
     """
     if config.transport != transport:
@@ -289,7 +289,7 @@ def run_server_chain(
         machine.drain_credits()
     clock = SimClock()
     # One provenance fingerprint per chain, attached to every iteration.
-    # Deliberately timestamp-free and stripped of storage paths: shards
+    # Deliberately timestamp-free and stripped of storage paths: records
     # must stay byte-identical across serial/parallel runs and across
     # output directories (only the measurement conditions are stamped).
     provenance = provenance_fingerprint(

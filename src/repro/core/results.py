@@ -91,8 +91,10 @@ class IterationResult:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "IterationResult":
-        """Inverse of :meth:`to_dict` (``isr`` is derived, not a field)."""
-        return cls(**{k: v for k, v in raw.items() if k != "isr"})
+        """Inverse of :meth:`to_dict`: the fields, and nothing else a
+        line carries beside them (``isr`` is derived; a job record adds
+        ``job_id`` and ``cell``)."""
+        return cls(**{k: raw[k] for k in cls.__dataclass_fields__ if k in raw})
 
 
 @dataclass

@@ -10,7 +10,7 @@ Meterstick technical report calls out as part of benchmark variability.
 - :mod:`repro.net.server` — ``WireServer``: accept loop, per-client
   reader/writer plumbing feeding ``NetworkQueues``, per-tick flushes.
 - :mod:`repro.net.serve` — ``repro serve``: run one campaign cell behind
-  a TCP front end, writing standard manifest/sidecar/shard artifacts.
+  a TCP front end, writing the standard manifest and job record.
 - :mod:`repro.net.client` — ``repro clients``: ramp N emulated players
   over real sockets, streaming response telemetry back to the server.
 """

@@ -7,7 +7,7 @@ runs — they just hold a :class:`TcpSession` (a
 :class:`~repro.mlg.transport.ServerSession` over a socket) instead of an
 in-process one.  Each completed chat-probe response streams back to the
 server as a ``RESPONSE_SAMPLE`` frame, so the serve side owns the full
-measurement record and writes the standard iteration sidecars.
+measurement record and writes the standard job record.
 
 Clients keep the simulation's keepalive contract on their own wall
 clock: a connection that goes ``CLIENT_TIMEOUT_US`` without any traffic

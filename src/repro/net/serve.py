@@ -4,14 +4,15 @@ The serve side owns the full measurement record: it plans the campaign
 exactly like the executor (same job ids, same manifest, same provenance
 fingerprints), picks one cell, and runs its server chain through the
 same driver (:func:`~repro.core.experiment.run_server_chain`, with the
-executor's sidecar streaming) — only the *drive* differs: a
+executor's record streaming) — only the *drive* differs: a
 :class:`~repro.net.server.WireServer` paced on an event loop instead of
 an in-process swarm.  Players arrive over real sockets (``repro
-clients``); manifest, per-iteration telemetry sidecars and the completed
-job shard land in the same layout, so ``repro report`` and ``repro
-status`` work on wire-served campaigns unchanged.  The sidecars
-additionally carry the ``wire_*`` metrics (bytes in/out, flush wall
-time, connects) that only exist when real sockets are involved.
+clients``); the manifest and the job's record (one line per iteration,
+then the commit line) land in the same layout, so ``repro report``,
+``repro status`` and ``repro export`` work on wire-served campaigns
+unchanged.  The record's lines additionally carry the ``wire_*`` metrics
+(bytes in/out, flush wall time, connects) that only exist when real
+sockets are involved.
 """
 
 from __future__ import annotations
@@ -106,9 +107,9 @@ class _WireDrive:
     def obs_snapshot(self):
         """One scrape of the currently-running iteration's series.
 
-        Builds the same sidecar-shaped telemetry mapping the executor's
-        sidecars carry, from the *live* tap/wire/tracer state — so a
-        mid-run scrape and the iteration's final sidecar line can never
+        Builds the same telemetry mapping the job record's lines carry,
+        from the *live* tap/wire/tracer state — so a mid-run scrape and
+        the iteration's final record line can never
         disagree on what a metric means.  Raises until the first
         iteration has started its server; the endpoint answers 503 (or
         the last good body) for those scrapes.
@@ -168,9 +169,9 @@ def serve_cell(
     config = planner.job_config(job)
     require_transport(config, "tcp", f"cell {job.cell.key()}")
     store = JobStore(spec.output_dir)
-    if store.shard_path(job.job_id).exists():
+    if job.job_id in store.completed_ids():
         raise FileExistsError(
-            f"{store.shard_path(job.job_id)} already holds this cell's "
+            f"{store.telemetry_path(job.job_id)} already holds this cell's "
             "measurements; choose a fresh output_dir"
         )
     # Opened like a resumed campaign: other cells of the same spec may
@@ -192,15 +193,15 @@ def serve_cell(
         if on_obs is not None:
             on_obs(obs.url)
     try:
-        iterations = run_job_chain(job, config, store.telemetry_dir, drive)
+        iterations = run_job_chain(job, config, store, drive)
     finally:
         if obs is not None:
             obs.stop()
-    store.save_job(job, iterations)
+    record = store.save_job_payload(job, len(iterations))
     return {
         "job_id": job.job_id,
         "cell": job.cell.key(),
         "iterations": len(iterations),
         "crashed": any(it.crashed for it in iterations),
-        "shard": str(store.shard_path(job.job_id)),
+        "record": str(record),
     }

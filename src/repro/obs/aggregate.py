@@ -1,24 +1,24 @@
 """Campaign-wide obs aggregation: fold worker deltas into one snapshot.
 
-The campaign executor's workers push one bounded delta per finished
-iteration — the very sidecar-line dict they just streamed to disk —
-through a multiprocessing queue.  The parent folds them here and serves
-a single endpoint for the whole campaign.
+The campaign executor's workers stream one line per finished iteration
+into their job records; an in-parent follower tails the records and
+folds each iteration line here, and the parent serves a single endpoint
+for the whole campaign.
 
 How a metric's iterations combine is its catalog entry's ``combine``
 rule (:mod:`repro.telemetry.catalog`):
 
 - **Counters sum exactly** (ticks, response samples, wire bytes,
   connects, per-phase microseconds, slow ticks, anomaly dumps) — a
-  scrape's counter is monotone and never exceeds the final sidecar sum.
+  scrape's counter is monotone and never exceeds the final record sum.
 - **Maxima merge exactly** (``tick_ms`` max, ``entities_peak``);
   ``entities_last`` is the latest fold's.
 - **Quantiles, CoV, ISR and the overloaded fraction average**, weighted
   by the sample count of their own section (tick quantiles by ticks,
   response quantiles by response samples, the flush p99 by flushes): the
-  sidecar snapshots are not mergeable at full fidelity, so these
+  per-iteration summaries are not mergeable at full fidelity, so these
   campaign-level gauges are an approximation, clearly scoped to the
-  dashboard (reports keep using the exact sidecar values).
+  dashboard (reports keep using the exact per-iteration values).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def campaign_meta(name: str, provenance: dict | None) -> dict:
 
 
 class CampaignObsAggregate:
-    """Thread-safe fold of per-iteration sidecar lines."""
+    """Thread-safe fold of per-iteration record lines."""
 
     def __init__(self, n_jobs: int, meta: dict | None = None) -> None:
         self.n_jobs = n_jobs
@@ -65,7 +65,7 @@ class CampaignObsAggregate:
         self._weights: dict[str, float] = {}
 
     def fold(self, line: dict) -> None:
-        """Fold one sidecar-line dict (one finished iteration)."""
+        """Fold one record line (one finished iteration)."""
         with self._lock:
             job_id = line.get("job_id")
             if job_id:

@@ -2,7 +2,7 @@
 
 Meterstick's thesis is that variability must be observed *while it
 happens*; the endpoint therefore re-exports the same summaries the
-sidecars already carry — of the :class:`~repro.telemetry.tap.ServerTelemetry`
+job records already carry — of the :class:`~repro.telemetry.tap.ServerTelemetry`
 tap's series, the tracer's per-phase costs, and the wire metrics — rather
 than keeping a second set of counters.  What may be exported, under
 which name, type and help text, is the exposition side of the metric
@@ -66,12 +66,12 @@ class ObsSnapshot:
 def telemetry_obs_snapshot(
     telemetry: dict, meta: dict | None = None
 ) -> ObsSnapshot:
-    """Build a snapshot from one sidecar-shaped telemetry mapping.
+    """Build a snapshot from one record-shaped telemetry mapping.
 
-    ``telemetry`` is the exact shape the campaign sidecars carry
+    ``telemetry`` is the exact shape the campaign's record lines carry
     (``{"tick": tap snapshot, "response_ms": ..., "wire": ...,
     "trace": ...}``) — the serve loop builds the same mapping live from
-    its series, so the endpoint and the sidecars can never
+    its series, so the endpoint and the records can never
     disagree on what a metric means.
     """
     snap = ObsSnapshot(meta)

@@ -5,7 +5,7 @@ Two targets, one renderer:
 - an **endpoint URL** (``http://host:port/metrics`` or ``/metrics.json``)
   — polls the JSON snapshot of a running ``repro serve`` loop or a
   campaign executor's aggregate endpoint;
-- a **campaign output directory** — follows the telemetry sidecars
+- a **campaign output directory** — follows the job records
   incrementally (per-file byte offsets, O(new lines) per poll) and folds
   them through the same :class:`~repro.obs.aggregate.CampaignObsAggregate`
   the executor serves, so the numbers agree with a scrape of the same
@@ -146,7 +146,7 @@ def render_top(doc: dict, source: str = "") -> str:
 
 
 class _DirPoller:
-    """Poll a campaign output directory through the sidecar follower."""
+    """Poll a campaign output directory through the record follower."""
 
     def __init__(self, target: str) -> None:
         from repro.campaign.store import JobStore, SidecarFollower

@@ -1,7 +1,7 @@
 """Declarative campaign reporting.
 
 The report engine consumes only on-disk campaign artifacts (manifest,
-telemetry sidecars, campaign trace, perf history) and renders pivot
+job records, campaign trace, perf history) and renders pivot
 tables, inline-SVG figures, and one self-contained HTML report, driven
 by the spec's ``output:`` section; :mod:`repro.reporting.hygiene`
 supplies the ``system:`` measurement-hygiene probes.

@@ -4,21 +4,23 @@ The report engine consumes *only* what a campaign already wrote to disk
 — it never re-simulates anything:
 
 - ``manifest.json`` — spec, planned jobs, provenance (+ hygiene);
-- ``telemetry/<job>.jsonl`` — one streamed line per finished iteration
-  (these exist for in-flight and killed jobs too, which is what lets a
-  half-completed campaign render with a "partial" banner);
-- ``telemetry/<job>.anomalies.jsonl`` — slow-tick flight-recorder dumps;
+- ``telemetry/<job>.jsonl`` — the job's record: one streamed line per
+  finished iteration, then a commit line once the job is done (records
+  of in-flight and killed jobs have no commit line, which is what lets a
+  half-completed campaign render with a "partial" banner).  Traced
+  lines carry the slow-tick flight-recorder dumps;
 - ``campaign_trace.json`` — executor phase timings.
 
 Nothing outside the campaign directory is read: what the shell's working
 directory holds never reaches a report.
 
-Each sidecar line becomes one flat *report row*: the cell's axis fields
+Each iteration line becomes one flat *report row*: the cell's axis fields
 (:data:`repro.reporting.spec.AXIS_FIELDS`) plus every report column of
 the metric catalog (:mod:`repro.telemetry.catalog`, which says where in
-the line each one sits).  Rows are ordered by
+the line each one sits) and ``throttled_ticks``.  Rows are ordered by
 planned job index then iteration, so two renders of the same campaign
-directory are byte-identical.
+directory are byte-identical.  A row holds scalars only: the span dumps
+a traced line carries never reach the dataset.
 """
 
 from __future__ import annotations
@@ -32,49 +34,35 @@ from repro.telemetry.catalog import read_columns
 __all__ = [
     "CampaignDataset",
     "JobView",
-    "iteration_row",
     "load_dataset",
     "sidecar_row",
 ]
 
 
 def sidecar_row(job_dict: dict, line: dict) -> dict:
-    """Flatten one telemetry sidecar line into a report row: the cell's
-    axes and identity, then every catalog column (wire and trace columns
-    stay ``None`` on lines without those sections)."""
+    """Flatten one iteration line into a report row: the cell's axes and
+    identity, then every catalog column (wire and trace columns stay
+    ``None`` on lines without those sections), then ``throttled_ticks``
+    (``None`` on a telemetry-only line)."""
     row = {axis: job_dict.get(axis) for axis in AXIS_FIELDS}
     row["iteration"] = line.get("iteration", 0)
     row["seed"] = line.get("seed")
     row["job_id"] = job_dict.get("job_id")
     row.update(read_columns(line))
-    return row
-
-
-def iteration_row(it) -> dict:
-    """One merged shard iteration as a report row: :func:`sidecar_row`
-    over the fields its sidecar line carries, plus the shard-only
-    ``throttled_ticks``."""
-    row = sidecar_row(
-        {axis: getattr(it, axis) for axis in AXIS_FIELDS},
-        {
-            "iteration": it.iteration,
-            "seed": it.seed,
-            "crashed": it.crashed,
-            "telemetry": it.telemetry,
-        },
-    )
-    row["throttled_ticks"] = it.throttled_ticks
+    row["throttled_ticks"] = line.get("throttled_ticks")
     return row
 
 
 @dataclass
 class JobView:
-    """One planned job plus everything its sidecars streamed."""
+    """One planned job plus what the report draws from its record."""
 
     job: dict
     done: bool
     expected_iterations: int
-    lines: list[dict] = field(default_factory=list)
+    iterations_done: int = 0
+    #: The most recent iteration's warmup/steady window snapshot.
+    latest_windows: dict = field(default_factory=dict)
     anomalies: list[dict] = field(default_factory=list)
 
     @property
@@ -86,18 +74,6 @@ class JobView:
         parts = [self.job.get(axis) for axis in AXIS_FIELDS[:-1]]
         return " ".join(f"{part:g}" if isinstance(part, float) else str(part)
                         for part in parts)
-
-    @property
-    def iterations_done(self) -> int:
-        return len(self.lines)
-
-    @property
-    def latest_windows(self) -> dict:
-        """The most recent iteration's warmup/steady window snapshot."""
-        if not self.lines:
-            return {}
-        telemetry = self.lines[-1].get("telemetry") or {}
-        return (telemetry.get("tick") or {}).get("windows") or {}
 
 
 @dataclass
@@ -148,50 +124,40 @@ class CampaignDataset:
         ]
 
 
-def _expected_iterations(spec, job_dict: dict) -> int:
-    """Per-cell iteration count (``iterations`` is overridable)."""
-    try:
-        from repro.campaign.planner import Job
-
-        return spec.cell_iterations(Job.from_dict(job_dict).cell)
-    except Exception:
-        return getattr(spec, "iterations", 1)
-
-
 def load_dataset(store) -> CampaignDataset:
     """Read one campaign's artifacts from a
     :class:`~repro.campaign.store.JobStore`."""
-    from repro.campaign.spec import CampaignSpec
+    from repro.campaign.store import line_anomalies
 
     manifest = store.read_manifest()
     if manifest is None:
         raise FileNotFoundError(
             f"no campaign manifest at {store.manifest_path}"
         )
-    spec_dict = manifest.get("spec") or {}
-    try:
-        spec = CampaignSpec.from_dict(spec_dict)
-    except (TypeError, ValueError):
-        spec = None
-    completed = store.completed_ids()
+    expected = store.expected_iterations()
     jobs: list[JobView] = []
     rows: list[dict] = []
-    for job_dict in sorted(
-        manifest.get("jobs", ()), key=lambda job: job["index"]
-    ):
-        view = JobView(
-            job=job_dict,
-            done=job_dict["job_id"] in completed,
-            expected_iterations=(
-                _expected_iterations(spec, job_dict)
-                if spec is not None
-                else int(spec_dict.get("iterations", 1))
-            ),
-            lines=store.read_job_telemetry(job_dict["job_id"]),
-            anomalies=store.read_job_anomalies(job_dict["job_id"]),
+    for job_dict in sorted(manifest["jobs"], key=lambda job: job["index"]):
+        job_id = job_dict["job_id"]
+        lines, committed = store.read_record(job_id)
+        rows.extend(sidecar_row(job_dict, line) for line in lines)
+        latest = lines[-1]["telemetry"] if lines else {}
+        jobs.append(
+            JobView(
+                job=job_dict,
+                done=committed == expected[job_id],
+                expected_iterations=expected[job_id],
+                iterations_done=len(lines),
+                latest_windows=(latest.get("tick") or {}).get("windows")
+                or {},
+                anomalies=[
+                    anomaly
+                    for line in lines
+                    for anomaly in line_anomalies(line)
+                ],
+            )
         )
-        jobs.append(view)
-        rows.extend(sidecar_row(job_dict, line) for line in view.lines)
+    spec_dict = manifest["spec"]
     return CampaignDataset(
         root=Path(store.root),
         name=manifest.get("name", spec_dict.get("name", "campaign")),

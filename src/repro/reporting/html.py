@@ -29,6 +29,24 @@ from repro.reporting.svg import (
 
 __all__ = ["escape", "render_report", "write_report"]
 
+#: The per-iteration grid CSV's columns (Fig. 8's environment × workload
+#: × server ISR grid, from measured iterations), in CSV order.
+GRID_COLUMNS = (
+    "environment",
+    "workload",
+    "server",
+    "scale",
+    "n_bots",
+    "behavior",
+    "iteration",
+    "isr",
+    "crashed",
+    "tick_mean_ms",
+    "tick_p95_ms",
+    "tick_max_ms",
+    "throttled_ticks",
+)
+
 
 def escape(text: object) -> str:
     """Minimal HTML escaping for text and attribute values."""
@@ -370,7 +388,7 @@ def render_report(dataset: CampaignDataset, output: OutputSpec) -> str:
         f"<style>\n{_style()}</style>\n</head>\n<body>\n<main>\n"
         f"<header><h1>{escape(dataset.name)}</h1>"
         '<p class="subtitle">Meterstick campaign report — rendered from '
-        "the on-disk telemetry sidecars, no re-simulation</p></header>\n"
+        "the on-disk job records, no re-simulation</p></header>\n"
         + _provenance_section(dataset)
         + _hygiene_banner(dataset)
         + _partial_banner(dataset)
@@ -410,14 +428,13 @@ def write_report(
         table.write_csv(csv_path)
         written[pivot_spec.csv] = csv_path
     if output.grid_csv:
-        from repro.analysis.figures import GRID_COLUMNS, campaign_grid
         from repro.reporting.text import write_csv_rows
 
-        grid = campaign_grid(dataset.rows)
         write_csv_rows(
             out_dir / output.grid_csv,
             GRID_COLUMNS,
-            [row.values() for row in grid.rows],
+            [[row.get(column) for column in GRID_COLUMNS]
+             for row in dataset.rows],
         )
         written[output.grid_csv] = out_dir / output.grid_csv
     return written

@@ -55,7 +55,7 @@ __all__ = [
     "validate_system",
 ]
 
-#: Cell-identity fields every report row carries (sidecar ``cell`` key
+#: Cell-identity fields every report row carries (record ``cell`` key
 #: order, then iteration identity).
 AXIS_FIELDS = (
     "server",
@@ -67,7 +67,7 @@ AXIS_FIELDS = (
     "iteration",
 )
 
-#: Metrics derivable from a telemetry sidecar line alone (no shards, no
+#: Metrics derivable from a job record's iteration line alone (no
 #: re-simulation): the catalog's report columns that carry a header.
 #: Values are short human labels for table headers.
 METRIC_FIELDS = {
@@ -80,7 +80,7 @@ METRIC_FIELDS = {
 AGGREGATES = ("mean", "median", "min", "max", "std", "sum", "count")
 
 #: Known plot kinds (``matrix`` is parameterized; the rest are fixed
-#: panels over the sidecars).
+#: panels over the records).
 PLOT_KINDS = ("matrix", "warmup", "anomalies")
 
 #: ``system:`` request fields and a one-line meaning each.

@@ -282,7 +282,7 @@ def warmup_panel(jobs) -> str:
     """
     views = [view for view in jobs if view.latest_windows.get("recent_covs")]
     if not views:
-        return '<p class="empty">no windowed telemetry in the sidecars</p>'
+        return '<p class="empty">no windowed telemetry in the records</p>'
     dropped = max(0, len(views) - MAX_JOB_STRIPS)
     views = views[:MAX_JOB_STRIPS]
     covs_all = [

@@ -1,6 +1,6 @@
 """Run telemetry: raw series kept as the run goes, summarized when read.
 
-Every statistic a sidecar line, report column or live scrape carries is
+Every statistic a record line, report column or live scrape carries is
 an exact function of one series the run kept.
 
 - :mod:`repro.telemetry.bus` — :class:`TelemetryBus`: named raw series.

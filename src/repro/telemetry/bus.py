@@ -31,7 +31,8 @@ class TelemetryBus:
         self.stream(name).append(value)
 
     def watch(self, name: str, **_) -> array:
-        # Shim: only benchmarks/hostclock calls it; goes with ROADMAP item 6.
+        # Shim: only benchmarks/hostclock calls it; goes with ROADMAP
+        # item 12(e).
         return self.stream(name)
 
     @property

@@ -1,9 +1,9 @@
 """The metric catalog: every measured quantity, declared once.
 
-A run's numbers travel one path — bus stream → sidecar line → report
+A run's numbers travel one path — bus stream → record line → report
 column and live endpoint — and each stop used to keep its own list of
 them.  Here a metric is one :class:`Metric` entry that says where the
-value sits in a sidecar line and what each reader calls it; the readers
+value sits in a record line and what each reader calls it; the readers
 (:func:`repro.reporting.dataset.sidecar_row`, ``METRIC_FIELDS``,
 :func:`repro.obs.registry.telemetry_obs_snapshot`, the Prometheus
 renderer, :class:`repro.obs.aggregate.CampaignObsAggregate`, ``repro
@@ -13,7 +13,7 @@ imports nothing from the rest of the package, so every layer may read it.
 
 Nothing checks ``TelemetryBus.publish`` against the catalog at run time
 (it runs per tick); ``tests/telemetry/test_catalog.py`` runs one cell per
-transport and compares the streams on the bus, the keys of the sidecar
+transport and compares the streams on the bus, the keys of the record
 line and the names in the scrape body with what is declared here.
 
 Metric → paper mapping (see also the README's Telemetry section):
@@ -73,7 +73,7 @@ WIRE_CONNECTS = "wire_connects"
 class Metric:
     """One measured quantity and the name each reader knows it by."""
 
-    #: Keys from the sidecar line down to the value; ``None`` for the
+    #: Keys from the record line down to the value; ``None`` for the
     #: counts the campaign parent keeps itself.
     path: tuple[str, ...] | None
     #: Bus stream whose summary holds the value.
@@ -126,7 +126,7 @@ _RESPONSE = ("telemetry", RESPONSE_MS)
 _WIRE = ("telemetry", "wire")
 _TRACE = ("telemetry", "trace")
 
-#: Sections a sidecar line may lack (inproc cells have no ``wire``,
+#: Sections a record line may lack (inproc cells have no ``wire``,
 #: untraced ones no ``trace``): their metrics are scraped only from
 #: lines that carry the section, and carry it switched on.
 _OPTIONAL_SECTIONS = ("wire", "trace")
@@ -337,7 +337,7 @@ WIRE_STREAMS = _streams(wire=True)
 
 
 def lookup(line: dict, path: tuple[str, ...]):
-    """The value at ``path`` in a sidecar line, ``None`` where the line
+    """The value at ``path`` in a record line, ``None`` where the line
     does not reach that far."""
     node = line
     for key in path:
@@ -348,7 +348,7 @@ def lookup(line: dict, path: tuple[str, ...]):
 
 
 def read_columns(line: dict) -> dict:
-    """Every report column of one sidecar line, in row order."""
+    """Every report column of one record line, in row order."""
     row = {}
     for column, metric in COLUMNS.items():
         value = lookup(line, metric.path)
@@ -357,7 +357,7 @@ def read_columns(line: dict) -> dict:
 
 
 def scraped(line: dict) -> Iterator[tuple[Metric, object]]:
-    """The exposition metrics one sidecar line carries, each with its
+    """The exposition metrics one record line carries, each with its
     raw value (``None`` where the line lacks it)."""
     telemetry = line.get("telemetry") or {}
     for metric in EXPOSITION.values():

@@ -1,7 +1,7 @@
 """A run's statistics, computed from its raw series when they are read.
 
 :func:`summarize` is the only code that turns a series into statistics:
-the tap, sidecars, shards, figures, exports, reports and the live
+the tap, job records, figures, exports, reports and the live
 endpoint all read its keys.  Every run keeps its series, so a summary is
 an exact function of one:
 

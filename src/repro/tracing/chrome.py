@@ -1,9 +1,10 @@
 """Chrome trace-event rendering for campaign traces.
 
 ``repro trace export`` turns the span dumps each traced iteration filed
-under ``telemetry["trace"]`` into the Chrome trace-event JSON format, so
-a campaign opens directly in Perfetto (https://ui.perfetto.dev) or
-``chrome://tracing``:
+under ``telemetry["trace"]`` — read from the iteration lines of the job
+records (``telemetry/<job>.jsonl``) — into the Chrome trace-event JSON
+format, so a campaign opens directly in Perfetto
+(https://ui.perfetto.dev) or ``chrome://tracing``:
 
 - one **process** per campaign job (named after its matrix cell),
 - one **track** (thread) per subsystem span name — redstone, fluids,
@@ -43,7 +44,7 @@ __all__ = [
 #: Reserved thread id for the per-job iteration/anomaly track.
 JOB_TID = 0
 
-#: Client sidecar suffix ``repro trace export`` merges as client pids.
+#: Client span streams ``repro trace export`` merges as client pids.
 CLIENT_SPAN_SUFFIX = ".clientspans.jsonl"
 
 #: Client-process track layout: phase name -> thread id.
@@ -97,7 +98,7 @@ def read_client_spans(store) -> dict[str, list[dict]]:
 
     A stream is one ``repro clients --trace-out`` run
     (``<name>.clientspans.jsonl``); torn or corrupt lines are skipped
-    exactly like the server sidecars' are.
+    exactly like the job records' are.
     """
     telemetry_dir = store.telemetry_dir
     if not telemetry_dir.is_dir():
@@ -171,21 +172,20 @@ def _metadata(pid: int, tid: int | None, name: str) -> dict:
 
 
 def render_campaign_trace(store, provenance: dict | None = None) -> dict:
-    """Render every completed, traced job in ``store`` to trace JSON.
+    """Render every traced iteration in ``store`` to trace JSON.
 
-    ``store`` is a :class:`~repro.campaign.store.JobStore`; jobs without
-    a shard (still running) or without trace telemetry (``trace=False``)
-    are skipped.  Returns the full trace document — ``traceEvents`` plus
-    ``otherData`` carrying the campaign provenance and coverage counts.
+    ``store`` is a :class:`~repro.campaign.store.JobStore`; every
+    iteration line its records hold is rendered, so a running job shows
+    the iterations it has finished, and iterations without trace
+    telemetry (``trace=False``) are skipped.  Returns the full trace
+    document — ``traceEvents`` plus ``otherData`` carrying the campaign
+    provenance and coverage counts.
     """
     events: list[dict] = []
     jobs = sorted(store.manifest_jobs(), key=lambda job: job.index)
     traced_jobs = 0
     traced_iterations = 0
     for pid, job in enumerate(jobs, start=1):
-        iterations = store.load_job(job.job_id)
-        if not iterations:
-            continue
         tids: dict[str, int] = {}
 
         def tid_of(name: str, _tids=tids) -> int:
@@ -195,8 +195,8 @@ def render_campaign_trace(store, provenance: dict | None = None) -> dict:
 
         job_start: float | None = None
         job_end: float | None = None
-        for it in iterations:
-            trace = (it.telemetry or {}).get("trace") or {}
+        for line in store.read_job_telemetry(job.job_id):
+            trace = line["telemetry"].get("trace") or {}
             ticks = trace.get("ticks") or []
             if not trace.get("enabled") or not ticks:
                 continue
@@ -211,7 +211,7 @@ def render_campaign_trace(store, provenance: dict | None = None) -> dict:
             job_end = it_end if job_end is None else max(job_end, it_end)
             events.append(
                 {
-                    "name": f"iteration {it.iteration}",
+                    "name": f"iteration {line['iteration']}",
                     "cat": "iteration",
                     "ph": "X",
                     "ts": it_start,
@@ -219,8 +219,8 @@ def render_campaign_trace(store, provenance: dict | None = None) -> dict:
                     "pid": pid,
                     "tid": JOB_TID,
                     "args": {
-                        "iteration": it.iteration,
-                        "seed": it.seed,
+                        "iteration": line["iteration"],
+                        "seed": line["seed"],
                         "ticks_seen": trace.get("ticks_seen"),
                         "slow_ticks": trace.get("slow_ticks"),
                     },

@@ -48,7 +48,7 @@ def measurement_config(config: dict) -> dict:
     Those are the fields that locate storage, size the worker pool, or
     shape presentation — they do not affect what gets measured (two runs
     into different output dirs must fingerprint the same, or the
-    serial/parallel byte-identity of shards would break; editing a report
+    serial/parallel byte-identity of records would break; editing a report
     layout and re-rendering must not invalidate a recorded fingerprint).
     The decision is part of each field's declaration
     (:func:`repro.core.config.knob`), and fingerprinted is its default.

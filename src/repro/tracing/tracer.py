@@ -38,7 +38,7 @@ On top of the spans:
 
 - each top-level span name's per-tick cost series, summarized
   (:func:`repro.telemetry.summary.summarize`) into the phase statistics
-  that campaigns publish in the JSONL telemetry sidecars;
+  that campaigns publish in the JSONL job records;
 - a slow-tick **flight recorder**: any tick whose wall duration exceeds
   ``slow_tick_factor ×`` the tick budget is dumped — span tree plus the
   top-k most expensive operations of its report — into a bounded anomaly
@@ -385,8 +385,8 @@ class Tracer:
         """JSON-able trace state: knobs, phase stats, anomalies, span dumps.
 
         This is what :func:`repro.core.experiment.run_iteration` files
-        under ``telemetry["trace"]`` — and therefore what the campaign
-        sidecars stream and ``repro trace export`` renders.
+        under ``telemetry["trace"]`` — and therefore what the job records
+        stream and ``repro trace export`` renders.
         """
         return {
             "enabled": True,
@@ -398,6 +398,7 @@ class Tracer:
                 name: summarize(costs)
                 for name, costs in sorted(self.phases.items())
             },
+            "anomaly_count": len(self.anomalies),
             "anomalies": list(self.anomalies),
             "ticks": [
                 {

@@ -33,7 +33,9 @@ class TestCli:
         assert main(["run", str(spec_file), "--quiet"]) == 0
         out_dir = tmp_path / "out"
         assert (out_dir / "manifest.json").exists()
-        assert len(list((out_dir / "jobs").glob("*.json"))) == 2
+        # One record per job, and nothing else per job on disk.
+        assert len(list((out_dir / "telemetry").glob("*.jsonl"))) == 2
+        assert not (out_dir / "jobs").exists()
 
         assert main(["status", str(out_dir)]) == 0
         status_out = capsys.readouterr().out
@@ -45,9 +47,8 @@ class TestCli:
         assert summary.count("\n") == 3  # header + 2 iterations
         assert "behavior" in summary.splitlines()[0]
         assert (export_dir / "results.json").exists()
-        grid = (export_dir / "campaign_grid.csv").read_text()
-        assert "isr" in grid.splitlines()[0]
-        assert "n_bots" in grid.splitlines()[0]
+        # The per-iteration grid is the report's (report_grid.csv).
+        assert not (export_dir / "campaign_grid.csv").exists()
         # Cells sharing a server must not clobber each other's series:
         # the varying axis (workload) becomes a subdirectory.
         assert (export_dir / "vanilla" / "control"
@@ -63,8 +64,8 @@ class TestCli:
         assert "resume" in capsys.readouterr().err
 
         store = JobStore(tmp_path / "out")
-        shard = sorted(store.shard_dir.iterdir())[0]
-        shard.unlink()
+        record = store.telemetry_path(sorted(store.completed_ids())[0])
+        record.unlink()
         assert main(["resume", str(spec_file), "--quiet"]) == 0
         assert len(store.completed_ids()) == 2
 
@@ -157,24 +158,42 @@ def finished_control(tmp_path):
 @pytest.mark.parametrize(
     "damage",
     [
-        lambda intact: intact[:100],
-        lambda intact: b'{"iterations": [{}]}',
-        lambda intact: b"{}",
+        lambda lines: [lines[0][:100] + b"\n", lines[-1]],
+        lambda lines: [b"{}\n", lines[-1]],
+        lambda lines: [lines[-1]],
     ],
-    ids=["truncated", "empty-iteration", "no-iterations"],
+    ids=["torn-iteration", "empty-iteration", "no-iterations"],
 )
-def test_export_of_a_damaged_shard_names_it(finished_control, capsys, damage):
+def test_export_of_a_damaged_record_names_it(finished_control, capsys, damage):
+    """A committed record whose iteration lines do not add up is damaged:
+    loading it names the file, and ``export`` says so in one line."""
     store = JobStore(finished_control)
     (job_id,) = store.completed_ids()
-    shard = store.shard_path(job_id)
-    shard.write_bytes(damage(shard.read_bytes()))
-    with pytest.raises(ValueError, match=str(shard)):
+    record = store.telemetry_path(job_id)
+    lines = record.read_bytes().splitlines(keepends=True)
+    record.write_bytes(b"".join(damage(lines)))
+    with pytest.raises(ValueError, match=str(record)):
         store.load_job(job_id)
     capsys.readouterr()
     assert main(["export", str(finished_control)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("error:") == 1
-    assert str(shard) in err
+    assert str(record) in err
+
+
+@pytest.mark.parametrize("verb", ["export", "resume"])
+def test_a_shard_layout_directory_is_refused_by_name(
+    finished_control, capsys, verb
+):
+    """A directory written before job records (one ``jobs/*.json`` shard
+    per job) is refused with one named error, not a traceback."""
+    (finished_control / "jobs").mkdir()
+    (finished_control / "jobs" / "deadbeef.json").write_text("{}")
+    capsys.readouterr()
+    assert main([verb, str(finished_control)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert "holds job shards (jobs/*.json)" in err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Incremental sidecar following: offsets, torn lines, truncation."""
+"""Incremental record following: offsets, torn lines, truncation."""
 
 import json
 
@@ -12,13 +12,16 @@ def make_store(tmp_path) -> JobStore:
 
 
 def append(store, name: str, payload: bytes) -> None:
-    with (store.telemetry_dir / name).open("ab") as sidecar:
-        sidecar.write(payload)
+    with (store.telemetry_dir / name).open("ab") as record:
+        record.write(payload)
 
 
 def line(job_id: str, iteration: int) -> bytes:
     return (
-        json.dumps({"job_id": job_id, "iteration": iteration}).encode() + b"\n"
+        json.dumps(
+            {"job_id": job_id, "iteration": iteration, "telemetry": {}}
+        ).encode()
+        + b"\n"
     )
 
 
@@ -48,7 +51,7 @@ class TestFollower:
         follower = SidecarFollower(store)
         append(store, "job-a.jsonl", line("job-a", 0) + line("job-a", 1))
         assert len(follower.poll()) == 2
-        # A re-running job truncates its own sidecar and starts over.
+        # A re-running job truncates its own record and starts over.
         (store.telemetry_dir / "job-a.jsonl").write_bytes(line("job-a", 0))
         assert [entry["iteration"] for entry in follower.poll()] == [0]
 
@@ -58,11 +61,17 @@ class TestFollower:
         append(store, "job-a.jsonl", b"{not json\n" + line("job-a", 3))
         assert [entry["iteration"] for entry in follower.poll()] == [3]
 
-    def test_anomaly_and_clientspan_sidecars_ignored(self, tmp_path):
+    def test_commit_lines_and_clientspan_streams_ignored(self, tmp_path):
         store = make_store(tmp_path)
         follower = SidecarFollower(store)
-        append(store, "job-a.anomalies.jsonl", line("job-a", 0))
-        append(store, "fleet.clientspans.jsonl", b'{"client": 0, "tick": 1}\n')
+        append(
+            store,
+            "job-a.jsonl",
+            line("job-a", 0)
+            + b'{"committed_iterations": 1, "job_id": "job-a"}\n',
+        )
+        append(store, "fleet.clientspans.jsonl", line("fleet", 0))
+        assert [entry["job_id"] for entry in follower.poll()] == ["job-a"]
         assert follower.poll() == []
 
     def test_streams_interleave_in_sorted_order(self, tmp_path):

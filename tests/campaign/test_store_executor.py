@@ -16,7 +16,6 @@ from repro.campaign import (
 from repro.campaign import executor as executor_module
 from repro.campaign import store as store_module
 from repro.core.experiment import run_iteration, run_server_chain
-from repro.reporting.dataset import load_dataset
 
 
 def tiny_spec(tmp_path, **kwargs) -> CampaignSpec:
@@ -34,48 +33,86 @@ def tiny_spec(tmp_path, **kwargs) -> CampaignSpec:
     return CampaignSpec(**base)
 
 
+def write_record(store, job, iterations):
+    """Stream ``iterations`` into ``job``'s record and commit it, the way
+    the executor does."""
+    store.telemetry_dir.mkdir(parents=True, exist_ok=True)
+    store.telemetry_path(job.job_id).write_text(
+        "".join(
+            executor_module.telemetry_line(job, it) + "\n" for it in iterations
+        )
+    )
+    return store.save_job_payload(job, len(iterations))
+
+
 class TestStore:
-    def test_shard_round_trip(self, tmp_path):
+    def test_record_round_trip(self, tmp_path):
+        spec = tiny_spec(tmp_path, servers=["vanilla"])
+        planner = JobPlanner(spec)
+        job = planner.plan()[0]
+        store = JobStore(spec.output_dir)
+        store.write_manifest(spec, planner.plan())
+        iterations = executor_module.run_job_chain(
+            job, planner.job_config(job), store
+        )
+        assert store.load_job(job.job_id) is None  # streamed, not committed
+        assert store.completed_ids() == set()
+        store.save_job_payload(job, len(iterations))
+        assert store.load_job(job.job_id) == iterations
+        assert store.completed_ids() == {job.job_id}
+        lines = store.read_job_telemetry(job.job_id)
+        assert [line["iteration"] for line in lines] == [0, 1]
+        assert all(line["job_id"] == job.job_id for line in lines)
+
+    def test_one_record_per_job_and_nothing_else(self, tmp_path):
         spec = tiny_spec(tmp_path)
-        job = JobPlanner(spec).plan()[0]
-        iterations = run_server_chain(
-            JobPlanner(spec).job_config(job), job.server
+        CampaignExecutor(spec, jobs=2).run()
+        store = JobStore(spec.output_dir)
+        plan = store.manifest_jobs()
+        # No shard directory, no anomaly stream, no atomic-write leftover.
+        assert sorted(
+            str(path.relative_to(store.root))
+            for path in store.root.rglob("*")
+            if path.is_file()
+        ) == sorted(
+            ["campaign_trace.json", "manifest.json"]
+            + [f"telemetry/{job.job_id}.jsonl" for job in plan]
+        )
+        for job in plan:
+            record = store.telemetry_path(job.job_id).read_bytes()
+            *iteration_lines, commit = record.splitlines()
+            assert len(iteration_lines) == spec.iterations
+            assert json.loads(commit) == {
+                "committed_iterations": spec.iterations,
+                "job_id": job.job_id,
+            }
+            assert record.endswith(b"\n")
+
+    def test_tail_window_grows_past_a_long_line(self, tmp_path):
+        """A traced line outgrows the first tail window; ``status`` still
+        finds the latest intact line behind a torn tail."""
+        spec = tiny_spec(
+            tmp_path, servers=["vanilla"], environments=["das5-2core"],
+            iterations=1,
         )
         store = JobStore(spec.output_dir)
-        store.save_job(job, iterations)
-        loaded = store.load_job(job.job_id)
-        assert loaded == iterations
-        assert store.completed_ids() == {job.job_id}
-
-    def test_no_torn_shards(self, tmp_path):
-        spec = tiny_spec(tmp_path)
-        store = JobStore(spec.output_dir)
-        job = JobPlanner(spec).plan()[0]
-        store.save_job(job, [])
-        # The atomic-write temp file must not linger as a phantom shard.
-        assert list(store.shard_dir.glob("*.tmp")) == []
-
-    def test_parent_format_shard_still_loads(self, tmp_path):
-        """Shards written before they lost their indentation (by the
-        parent process, ``indent=2``) read exactly as they did."""
-        spec = tiny_spec(tmp_path, servers=["vanilla"])
-        merged = CampaignExecutor(spec, jobs=1).run()
-        store = JobStore(spec.output_dir)
-        for job in store.manifest_jobs():
-            path = store.shard_path(job.job_id)
-            unindented = path.read_text()
-            assert "\n" not in unindented
-            path.write_text(json.dumps(json.loads(unindented), indent=2))
-            assert path.read_text() != unindented
-        plan = store.manifest_jobs()
-        assert store.load_job(plan[0].job_id) == merged.iterations[:2]
-        assert store.merge() == merged
-        dataset = load_dataset(store)
-        assert dataset.completed_jobs == dataset.total_jobs == len(plan)
-        # Resume accepts them as done: nothing is re-run.
-        resumed = CampaignExecutor(spec, jobs=1).run(resume=True)
-        assert resumed == merged
-        assert "\n" in store.shard_path(plan[0].job_id).read_text()
+        plan = JobPlanner(spec).plan()
+        store.write_manifest(spec, plan)
+        job = plan[0]
+        long_line = {
+            "iteration": 0,
+            "job_id": job.job_id,
+            "telemetry": {"trace": {"ticks": ["x" * 200_000]}},
+        }
+        raw = json.dumps(long_line).encode()
+        assert len(raw) > 3 * store._TAIL_BYTES
+        store.telemetry_dir.mkdir(parents=True)
+        store.telemetry_path(job.job_id).write_bytes(
+            raw + b'\n{"iteration": 1, "telemetry": {"tr'
+        )
+        (entry,) = store.status()["jobs"]
+        assert (entry["state"], entry["iterations_done"]) == ("running", 1)
+        assert entry["telemetry"] == long_line
 
     def test_to_dict_is_the_asdict_form(self, tmp_path):
         """Shallow ``to_dict`` serialises to what the deep copy did, for
@@ -101,10 +138,11 @@ class TestStore:
         plan = planner.plan()
         store = JobStore(spec.output_dir)
         store.write_manifest(spec, plan)
-        # Save shards in reverse order; merge must restore plan order.
+        # Commit records in reverse order; merge must restore plan order.
         for job in reversed(plan):
-            store.save_job(
-                job, run_server_chain(planner.job_config(job), job.server)
+            write_record(
+                store, job,
+                run_server_chain(planner.job_config(job), job.server),
             )
         merged = store.merge()
         cells = [
@@ -127,18 +165,17 @@ class TestExecutor:
         parallel = CampaignExecutor(spec_b, jobs=2).run()
         assert len(serial.iterations) == 2 * 2 * 2
         assert serial.iterations == parallel.iterations
-        # Byte-identical shards on disk, too: the one a pool worker
-        # wrote, the one the parent wrote inline, and the one ``save_job``
-        # writes from the loaded results.
+        # Byte-identical records on disk, too: the one a pool worker
+        # wrote, the one the parent wrote inline, and the one written
+        # again from the loaded results.
         rewritten = JobStore(tmp_path / "rewritten")
         for job in JobPlanner(spec_a).plan():
-            shard = JobStore(spec_a.output_dir).shard_path(job.job_id)
-            twin = JobStore(spec_b.output_dir).shard_path(job.job_id)
-            assert shard.read_bytes() == twin.read_bytes()
+            record = JobStore(spec_a.output_dir).telemetry_path(job.job_id)
+            twin = JobStore(spec_b.output_dir).telemetry_path(job.job_id)
+            assert record.read_bytes() == twin.read_bytes()
             iterations = JobStore(spec_b.output_dir).load_job(job.job_id)
-            again = rewritten.save_job(job, iterations)
-            assert again.read_bytes() == shard.read_bytes()
-        assert list((tmp_path / "parallel" / "jobs").glob("*.tmp")) == []
+            again = write_record(rewritten, job, iterations)
+            assert again.read_bytes() == record.read_bytes()
 
     def test_matches_sequential_experiment_runner(self, tmp_path):
         """A one-cell campaign reproduces ExperimentRunner bit for bit."""
@@ -152,17 +189,17 @@ class TestExecutor:
         ).run()
         assert campaign.iterations == runner_result.iterations
 
-    def test_resume_skips_completed_shards(self, tmp_path, monkeypatch):
+    def test_resume_skips_completed_records(self, tmp_path, monkeypatch):
         spec = tiny_spec(tmp_path)
         plan = JobPlanner(spec).plan()
         executor = CampaignExecutor(spec, jobs=1)
         executor.run()
         store = JobStore(spec.output_dir)
         assert store.completed_ids() == {job.job_id for job in plan}
-        # Drop two shards to simulate a kill, then count re-executions.
+        # Drop two records to simulate a kill, then count re-executions.
         killed = [plan[1], plan[3]]
         for job in killed:
-            store.shard_path(job.job_id).unlink()
+            store.telemetry_path(job.job_id).unlink()
         executed = []
         real_execute = executor_module.execute_job
 
@@ -177,39 +214,73 @@ class TestExecutor:
         assert sorted(executed) == sorted(job.job_id for job in killed)
         assert len(resumed.iterations) == len(plan) * spec.iterations
 
-    def test_resume_reruns_a_shard_that_no_longer_parses(
+    def test_a_record_cut_mid_line_is_running_partial_and_rerun(
         self, tmp_path, capsys
     ):
+        """Completion is one fact: a record cut inside its second line
+        has no commit line, so ``status`` calls the job running, the
+        report is partial, and ``resume`` runs it again — to the bytes a
+        clean run wrote."""
+        from repro.campaign.cli import main
+
+        spec = tiny_spec(tmp_path)
+        CampaignExecutor(spec, jobs=1).run()
+        store = JobStore(spec.output_dir)
+        victim = JobPlanner(spec).plan()[2]
+        path = store.telemetry_path(victim.job_id)
+        intact = path.read_bytes()
+        first_line_end = intact.index(b"\n") + 1
+        path.write_bytes(intact[: first_line_end + 100])
+
+        by_id = {entry["job_id"]: entry for entry in store.status()["jobs"]}
+        assert by_id[victim.job_id]["state"] == "running"
+        assert by_id[victim.job_id]["iterations_done"] == 1
+        assert victim.job_id not in store.completed_ids()
+        capsys.readouterr()
+        assert main(["status", spec.output_dir]) == 0
+        assert "3/4 jobs complete, 1 running" in capsys.readouterr().out
+
+        assert main(["report", spec.output_dir]) == 0
+        assert "PARTIAL" in (store.report_dir / "report.html").read_text()
+        assert "partial campaign" in capsys.readouterr().err
+
+        executed = []
+        real_execute = executor_module.execute_job
+
+        def counting_execute(payload):
+            executed.append(payload["job"]["job_id"])
+            return real_execute(payload)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(executor_module, "execute_job", counting_execute)
+            CampaignExecutor(spec, jobs=1).run(resume=True)
+        assert executed == [victim.job_id]
+        assert path.read_bytes() == intact
+
+    def test_resume_reruns_a_cut_record(self, tmp_path, capsys):
         spec = tiny_spec(tmp_path)
         plan = JobPlanner(spec).plan()
         merged = CampaignExecutor(spec, jobs=1).run()
         store = JobStore(spec.output_dir)
         victim = plan[2]
-        path = store.shard_path(victim.job_id)
+        path = store.telemetry_path(victim.job_id)
         intact = path.read_bytes()
-        capsys.readouterr()
         for cut in (0, 1, len(intact) // 2, len(intact) - 1):
             path.write_bytes(intact[:cut])
-            assert victim.job_id in store.completed_ids()  # a file is there
+            assert victim.job_id not in store.completed_ids()
+            assert store.load_job(victim.job_id) is None
             resumed = CampaignExecutor(spec, jobs=1).run(resume=True)
-            said = [
-                line
-                for line in capsys.readouterr().out.splitlines()
-                if "does not parse" in line
-            ]
-            assert len(said) == 1 and victim.job_id in said[0]
             assert path.read_bytes() == intact
             assert resumed == merged
-        # With every shard whole again, resume has nothing to say or do.
-        CampaignExecutor(spec, jobs=1).run(resume=True)
+        # A cut record is a job still pending, not a damaged one.
         assert "does not parse" not in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "damage",
-        [b'{"iterations": [{}]}', b"{}", b"[]", b'{"iterations": [5]}'],
-        ids=["empty-iteration", "no-iterations", "a-list", "a-number"],
+        [[b"{}\n"], [b"[]\n"], [b"5\n"], []],
+        ids=["empty-iteration", "a-list", "a-number", "no-iterations"],
     )
-    def test_resume_reruns_a_shard_that_parses_to_no_result(
+    def test_resume_reruns_a_committed_record_that_parses_to_no_result(
         self, tmp_path, capsys, damage
     ):
         spec = tiny_spec(
@@ -219,57 +290,61 @@ class TestExecutor:
         merged = CampaignExecutor(spec, jobs=1).run()
         store = JobStore(spec.output_dir)
         (job_id,) = store.completed_ids()
-        path = store.shard_path(job_id)
+        path = store.telemetry_path(job_id)
         intact = path.read_bytes()
-        path.write_bytes(damage)
+        commit = intact.splitlines(keepends=True)[-1]
+        path.write_bytes(b"".join(damage) + commit)
+        assert store.completed_ids() == {job_id}  # it ends committed
         capsys.readouterr()
         resumed = CampaignExecutor(spec, jobs=1).run(resume=True)
-        assert f"resume: shard of job {job_id} does not parse" in (
+        assert f"resume: record of job {job_id} does not parse" in (
             capsys.readouterr().out
         )
         assert path.read_bytes() == intact
         assert resumed == merged
 
-    def test_worker_killed_before_the_rename_leaves_no_shard(self, tmp_path):
+    def test_worker_killed_before_the_commit_leaves_a_pending_job(
+        self, tmp_path
+    ):
         spec = tiny_spec(tmp_path, servers=["vanilla"], iterations=1)
-        job = JobPlanner(spec).plan()[0]
+        plan = JobPlanner(spec).plan()
+        job = plan[0]
         store = JobStore(spec.output_dir)
+        store.write_manifest(spec, plan)
         payload = {
             "spec": spec.to_dict(),
             "job": job.to_dict(),
             "store": str(store.root),
         }
 
-        def die_at_the_rename():
-            store_module.os.replace = lambda src, dst: os._exit(17)
+        def die_at_the_commit():
+            store_module.JobStore.save_job_payload = (
+                lambda self, job, n: os._exit(17)
+            )
             executor_module.execute_job(payload)
 
         worker = multiprocessing.get_context("fork").Process(
-            target=die_at_the_rename
+            target=die_at_the_commit
         )
         worker.start()
         worker.join(60)
         assert worker.exitcode == 17
-        # The chain ran (its sidecar is there) and the shard was being
-        # written, but nothing ``completed_ids`` would count exists.
-        assert store.telemetry_path(job.job_id).exists()
-        assert [p.name for p in store.shard_dir.iterdir()] == [
-            f"{job.job_id}.json.tmp"
-        ]
+        # The chain ran (its iteration line is there) but the record was
+        # never committed: the job is not complete.
+        assert len(store.read_job_telemetry(job.job_id)) == 1
         assert store.completed_ids() == set()
         assert store.load_job(job.job_id) is None
-        # The next attempt replaces the leftover and finishes the job.
-        _, shard, phases = executor_module.execute_job(payload)
-        assert shard == str(store.shard_path(job.job_id))
+        # The next attempt truncates the leftover and finishes the job.
+        _, record, phases = executor_module.execute_job(payload)
+        assert record == str(store.telemetry_path(job.job_id))
         assert set(phases) == {"plan_s", "iterate_s", "externalize_s"}
-        assert [p.name for p in store.shard_dir.iterdir()] == [
-            f"{job.job_id}.json"
-        ]
+        assert store.completed_ids() == {job.job_id}
+        assert len(store.load_job(job.job_id)) == 1
 
     def test_resume_refuses_edited_spec(self, tmp_path):
         spec = tiny_spec(tmp_path)
         CampaignExecutor(spec, jobs=1).run()
-        JobStore(spec.output_dir).shard_path(
+        JobStore(spec.output_dir).telemetry_path(
             JobPlanner(spec).plan()[0].job_id
         ).unlink()
         edited = tiny_spec(tmp_path, duration_s=3.0)
@@ -285,12 +360,13 @@ class TestExecutor:
         with pytest.raises(FileExistsError):
             CampaignExecutor(spec, jobs=1).run()
 
-    def test_foreign_shards_rejected(self, tmp_path):
+    def test_foreign_records_rejected(self, tmp_path):
         spec = tiny_spec(tmp_path)
         store = JobStore(spec.output_dir)
-        store.shard_dir.mkdir(parents=True)
-        (store.shard_dir / "deadbeef.json").write_text(
-            json.dumps({"job": {}, "iterations": []})
+        store.telemetry_dir.mkdir(parents=True)
+        (store.telemetry_dir / "deadbeef.jsonl").write_text(
+            json.dumps({"committed_iterations": 0, "job_id": "deadbeef"})
+            + "\n"
         )
         with pytest.raises(ValueError, match="different campaign"):
             CampaignExecutor(spec, jobs=1).run(resume=True)

@@ -50,11 +50,11 @@ class TestObsPurity:
     def test_obs_off_is_bit_identical(self, tmp_path):
         CampaignExecutor(tiny_spec(tmp_path / "a")).run()
         CampaignExecutor(tiny_spec(tmp_path / "b")).run()
-        shards_a = sorted((tmp_path / "a" / "jobs").iterdir())
-        shards_b = sorted((tmp_path / "b" / "jobs").iterdir())
-        assert [s.name for s in shards_a] == [s.name for s in shards_b]
-        for shard, twin in zip(shards_a, shards_b):
-            assert shard.read_bytes() == twin.read_bytes()
+        records_a = sorted((tmp_path / "a" / "telemetry").iterdir())
+        records_b = sorted((tmp_path / "b" / "telemetry").iterdir())
+        assert [r.name for r in records_a] == [r.name for r in records_b]
+        for record, twin in zip(records_a, records_b):
+            assert record.read_bytes() == twin.read_bytes()
 
     def test_scraped_run_measures_identically(self, tmp_path):
         off = CampaignExecutor(tiny_spec(tmp_path / "off"))
@@ -75,13 +75,17 @@ class TestObsPurity:
         on.run()
         assert scrapes and "repro_jobs_total 1" in scrapes[0]
 
-        off_shards = sorted((tmp_path / "off" / "jobs").iterdir())
-        on_shards = sorted((tmp_path / "on" / "jobs").iterdir())
-        assert [s.name for s in off_shards] == [s.name for s in on_shards]
-        for shard, twin in zip(off_shards, on_shards):
-            assert scrub(json.loads(shard.read_text())) == scrub(
-                json.loads(twin.read_text())
-            )
+        off_records = sorted((tmp_path / "off" / "telemetry").iterdir())
+        on_records = sorted((tmp_path / "on" / "telemetry").iterdir())
+        assert [r.name for r in off_records] == [r.name for r in on_records]
+        for record, twin in zip(off_records, on_records):
+            assert [
+                scrub(json.loads(line))
+                for line in record.read_text().splitlines()
+            ] == [
+                scrub(json.loads(line))
+                for line in twin.read_text().splitlines()
+            ]
         # The fingerprints DIFFER by design: obs knobs are
         # measurement-classified, so an observed campaign never silently
         # poses as an unobserved one.

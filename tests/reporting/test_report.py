@@ -1,4 +1,4 @@
-"""End-to-end ``repro report``: rendered from sidecars, byte-stable."""
+"""End-to-end ``repro report``: rendered from job records, byte-stable."""
 
 import csv
 import json
@@ -101,25 +101,20 @@ def old_bench_files(root):
 
 
 class TestReportRendering:
-    def test_report_renders_from_sidecars_alone(
+    def test_report_renders_from_manifest_and_records_alone(
         self, campaign, tmp_path, capsys
     ):
-        out_dir = campaign / "out"
-        # Shards gone: the report must not need them (sidecars only).
-        stash = tmp_path / "shards"
-        shutil.copytree(out_dir / "jobs", stash)
-        shutil.rmtree(out_dir / "jobs")
-        try:
-            assert main(["report", str(out_dir),
-                         "--out", str(tmp_path / "r")]) == 0
-        finally:
-            shutil.copytree(stash, out_dir / "jobs")
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        shutil.copy(campaign / "out" / "manifest.json", bare)
+        shutil.copytree(campaign / "out" / "telemetry", bare / "telemetry")
+        assert main(["report", str(bare), "--out", str(tmp_path / "r")]) == 0
         html = (tmp_path / "r" / "report.html").read_text()
         assert "report-tiny" in html
         assert "median p99 tick (ms)" in html
         assert "<svg" in html
-        # Sidecar-less shards make every job "incomplete": partial banner.
-        assert "PARTIAL" in html
+        # Every record is committed: the campaign is whole.
+        assert "PARTIAL" not in html
 
     def test_report_outputs_and_hygiene_banner(self, campaign, capsys):
         out_dir = campaign / "out"
@@ -135,29 +130,27 @@ class TestReportRendering:
         assert "PARTIAL" not in html
         assert (report_dir / "p99.csv").read_text().startswith("server,")
 
-    def test_export_and_report_grids_agree_value_for_value(
+    def test_report_grid_is_the_merged_iterations(
         self, campaign, tmp_path, capsys
     ):
-        # The shard-backed export and the sidecar-backed report print
-        # the same string in every shared grid column; only the
-        # shard-only throttled_ticks is empty on the report side.
+        # One record feeds export and report: the report's grid prints
+        # what the merged iterations hold, throttled_ticks included.
         out_dir = campaign / "out"
         assert main(["report", str(out_dir), "--out",
                      str(tmp_path / "report")]) == 0
-        assert main(["export", str(out_dir), "--out",
-                     str(tmp_path / "export")]) == 0
-        with (tmp_path / "export" / "campaign_grid.csv").open() as handle:
-            exported = list(csv.DictReader(handle))
         with (tmp_path / "report" / "report_grid.csv").open() as handle:
             reported = list(csv.DictReader(handle))
-        assert len(exported) == len(reported) == 4
-        for shard_row, sidecar_row in zip(exported, reported):
-            assert list(shard_row) == list(sidecar_row)
-            assert sidecar_row.pop("throttled_ticks") == ""
-            assert shard_row.pop("throttled_ticks") != ""
-            assert shard_row == sidecar_row
-        # A shard's statistics are the tap's summaries, dict for dict.
-        for it in JobStore(out_dir).merge().iterations:
+        merged = JobStore(out_dir).merge().iterations
+        assert len(reported) == len(merged) == 4
+        for row, it in zip(reported, merged):
+            assert (row["server"], row["iteration"]) == (
+                it.server, str(it.iteration)
+            )
+            assert row["throttled_ticks"] == str(it.throttled_ticks)
+            assert row["isr"] == str(it.isr)
+            assert row["tick_max_ms"] == str(it.tick_stats()["max"])
+        # A record's statistics are the tap's summaries, dict for dict.
+        for it in merged:
             assert it.tick_stats() == it.telemetry["tick"]["tick_ms"]
             assert it.response_stats() == it.telemetry["response_ms"]
 
@@ -190,14 +183,14 @@ class TestReportRendering:
         assert first == second
         assert len(first) == 5  # two reports, two grid CSVs, one pivot CSV
 
-    def test_update_output_never_touches_job_shards(
+    def test_update_output_never_touches_job_records(
         self, campaign, capsys
     ):
         out_dir = campaign / "out"
         before = {
             path: (path.stat().st_mtime_ns, path.read_bytes())
             for path in sorted(out_dir.rglob("*"))
-            if path.is_file() and path.parts[-2] in ("jobs", "telemetry")
+            if path.is_file() and path.parts[-2] == "telemetry"
         }
         edited = dict(SPEC, output_dir=str(out_dir))
         edited["output"] = {
@@ -212,7 +205,7 @@ class TestReportRendering:
         after = {
             path: (path.stat().st_mtime_ns, path.read_bytes())
             for path in sorted(out_dir.rglob("*"))
-            if path.is_file() and path.parts[-2] in ("jobs", "telemetry")
+            if path.is_file() and path.parts[-2] == "telemetry"
         }
         assert before == after
         # The manifest persisted the new output: section...
@@ -255,7 +248,7 @@ class TestReportRendering:
     ):
         partial = tmp_path / "partial"
         shutil.copytree(campaign / "out", partial)
-        victim = sorted((partial / "jobs").glob("*.json"))[0]
+        victim = sorted((partial / "telemetry").glob("*.jsonl"))[0]
         victim.unlink()
         assert main(["report", str(partial)]) == 0
         captured = capsys.readouterr()

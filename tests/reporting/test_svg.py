@@ -6,10 +6,6 @@ from repro.reporting.svg import anomaly_strip, matrix_plot, warmup_panel
 
 
 def make_job(job_id="aaaa1111", windows=None, anomalies=None):
-    line = {
-        "iteration": 0,
-        "telemetry": {"tick": {"windows": windows or {}}},
-    }
     return JobView(
         job={
             "job_id": job_id,
@@ -23,7 +19,8 @@ def make_job(job_id="aaaa1111", windows=None, anomalies=None):
         },
         done=True,
         expected_iterations=1,
-        lines=[line] if windows is not None else [],
+        iterations_done=1 if windows is not None else 0,
+        latest_windows=windows or {},
         anomalies=anomalies or [],
     )
 

@@ -48,9 +48,9 @@ def created():
 
 @pytest.fixture(scope="package")
 def wire_cell(created, tmp_path_factory):
-    """The pinned traced ``farm`` cell served over loopback: its sidecar
-    line, its shard's iteration, and the bus, tracer and system collector
-    its server built."""
+    """The pinned traced ``farm`` cell served over loopback: its record
+    line, the iteration loaded from that record, and the bus, tracer and
+    system collector its server built."""
     before = {kind: len(objects) for kind, objects in created.items()}
     root = tmp_path_factory.mktemp("catalog-wire")
     spec_path = root / "wire.json"

@@ -66,7 +66,7 @@ def test_farm_snapshot_quantiles_are_exact(created):
     )
 
 
-def test_campaign_sidecar_quantiles_are_exact(created, tmp_path):
+def test_campaign_record_quantiles_are_exact(created, tmp_path):
     spec = CampaignSpec.from_dict(
         {
             "name": "exact",
@@ -88,24 +88,20 @@ def test_campaign_sidecar_quantiles_are_exact(created, tmp_path):
     store = JobStore(tmp_path)
     (job_id,) = store.completed_ids()
     lines = store.read_job_telemetry(job_id)
-    iterations = store.load_job(job_id)
-    assert len(lines) == len(iterations) == len(tracers) == len(systems) == 2
-    assert len(buses) == 2
-    for line, it, tracer, system, bus in zip(
-        lines, iterations, tracers, systems, buses
-    ):
-        assert it.response_times_ms
-        # The shard carries the tap's series in arrival order, as the
+    assert len(lines) == len(tracers) == len(systems) == len(buses) == 2
+    for line, tracer, system, bus in zip(lines, tracers, systems, buses):
+        assert line["response_times_ms"]
+        # The record carries the tap's series in arrival order, as the
         # wire path does.
-        assert it.response_times_ms == bus.series["response_ms"].tolist()
+        assert line["response_times_ms"] == bus.series["response_ms"].tolist()
         assert_run_exact(
             line["telemetry"],
-            it.tick_durations_ms,
-            it.response_times_ms,
+            line["tick_durations_ms"],
+            line["response_times_ms"],
             tracer,
             system,
         )
-        assert line["telemetry"]["tick"]["isr"] == it.isr
+        assert line["telemetry"]["tick"]["isr"] == line["isr"]
 
 
 def test_wire_sidecar_quantiles_are_exact(wire_cell):

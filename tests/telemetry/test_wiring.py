@@ -230,8 +230,8 @@ def _spec(tmp_path, name, jobs=1):
     )
 
 
-class TestCampaignTelemetryShards:
-    def test_sidecar_written_per_iteration(self, tmp_path):
+class TestCampaignTelemetryRecords:
+    def test_record_line_per_iteration(self, tmp_path):
         spec = _spec(tmp_path, "run")
         CampaignExecutor(spec).run()
         store = JobStore(spec.output_dir)
@@ -242,11 +242,16 @@ class TestCampaignTelemetryShards:
         assert first["job_id"] == job_id
         tick = first["telemetry"]["tick"]["tick_ms"]
         assert tick["p50"] > 0.0 and tick["count"] > 0
-        assert "tail" not in tick  # sidecars carry summaries, not series
-        assert "isr" not in first  # one ISR, under telemetry.tick
+        assert "tail" not in tick  # telemetry carries summaries
         assert "steady" in first["telemetry"]["tick"]["windows"]
+        # The line is the whole result: its series, and the ISR derived
+        # from them, which is the tap's.
+        assert len(first["tick_durations_ms"]) == tick["count"]
+        assert first["isr"] == first["telemetry"]["tick"]["isr"]
+        (iteration, _) = store.load_job(job_id)
+        assert IterationResult.from_dict(first) == iteration
 
-    def test_serial_parallel_shards_bit_identical(self, tmp_path):
+    def test_serial_parallel_records_bit_identical(self, tmp_path):
         serial = _spec(tmp_path, "serial", jobs=1)
         parallel = _spec(tmp_path, "parallel", jobs=2)
         # Two cells so the parallel pool actually fans out.
@@ -279,24 +284,24 @@ class TestCampaignTelemetryShards:
         CampaignExecutor(spec).run()
         store = JobStore(spec.output_dir)
         job_id = next(iter(store.completed_ids()))
-        # Simulate a killed campaign: telemetry streamed, shard not yet
-        # written, plus a torn trailing line from the dying worker.
-        store.shard_path(job_id).unlink()
-        with store.telemetry_path(job_id).open("a") as sidecar:
-            sidecar.write('{"iteration": 2, "tor')
+        # Simulate a killed campaign: iterations streamed, the commit
+        # line not yet written, plus a torn trailing line from the dying
+        # worker.
+        record = store.telemetry_path(job_id)
+        *iteration_lines, _commit = record.read_bytes().splitlines(True)
+        record.write_bytes(b"".join(iteration_lines) + b'{"iteration": 2, "tor')
         status = store.status()
         entry = status["jobs"][0]
         assert entry["state"] == "running"
         assert entry["iterations_done"] == 2  # torn line skipped
         assert status["running"] == 1
 
-    def test_resume_rewrites_sidecar(self, tmp_path):
+    def test_resume_rewrites_record(self, tmp_path):
         spec = _spec(tmp_path, "resume")
         CampaignExecutor(spec).run()
         store = JobStore(spec.output_dir)
         job_id = next(iter(store.completed_ids()))
         original = store.telemetry_path(job_id).read_bytes()
-        store.shard_path(job_id).unlink()
         store.telemetry_path(job_id).write_text("garbage\n")
         CampaignExecutor(spec).run(resume=True)
         assert store.telemetry_path(job_id).read_bytes() == original

@@ -111,13 +111,12 @@ class TestWiring:
         prov = manifest["provenance"]
         assert prov["captured_at"]
         assert prov["fingerprint"]
-        # Sidecar lines quote the iteration fingerprint for cheap
-        # cross-run comparison before any shard is opened.
+        # Record lines carry the iteration fingerprint.
         lines = store.read_job_telemetry(store.manifest_jobs()[0].job_id)
-        assert all(line["fingerprint"] for line in lines)
+        assert all(line["provenance"]["fingerprint"] for line in lines)
 
-    def test_shards_stay_byte_identical_across_reruns(self, tmp_path):
-        shards = []
+    def test_records_stay_byte_identical_across_reruns(self, tmp_path):
+        records = []
         for run in ("a", "b"):
             spec = CampaignSpec(
                 name="prov",
@@ -130,11 +129,11 @@ class TestWiring:
             store = JobStore(spec.output_dir)
             CampaignExecutor(spec, store=store).run()
             job_id = store.manifest_jobs()[0].job_id
-            raw = store.shard_path(job_id).read_bytes()
+            raw = store.telemetry_path(job_id).read_bytes()
             # Output dirs differ between the two runs, so byte-identity
             # holds precisely because provenance strips location fields.
-            assert json.loads(raw)["iterations"][0]["provenance"][
+            assert json.loads(raw.splitlines()[0])["provenance"][
                 "fingerprint"
             ]
-            shards.append(raw)
-        assert shards[0] == shards[1]
+            records.append(raw)
+        assert records[0] == records[1]
