@@ -19,6 +19,16 @@ one synthetic sequence, and a flush copies them out of a table of
 encoded runs (:class:`_RunTable`) instead of encoding them again: a
 steady-state tick encodes its deliveries and its ``TICK``, nothing else.
 
+A client's flush is a stream, not a buffer: it is cut at frame ends
+into pieces of at most ``_PIECE_BYTES`` (a single larger frame is a
+piece of its own), the frames past the run table are encoded as their
+piece is due, and each piece is written and drained before the next is
+composed.  A joining client's view — one 13 KB ``chunk_data`` frame per
+chunk — therefore costs the server one piece plus the transport's
+high-water mark at a time, not the whole view, however many clients
+join in one tick.  A steady-state tick is one piece per client, and a
+drain that finds the transport unpaused does not yield.
+
 Keepalive/timeout semantics are the simulation's own: the sim counts
 keepalives and ages clients out after ``CLIENT_TIMEOUT_US``; this layer
 just closes the socket of any endpoint the sim disconnected, and clients
@@ -31,15 +41,17 @@ a server sends — is disconnected alone with a ``protocol error`` reason.
 Wire measurements published to the server's telemetry bus, under the
 stream names the metric catalog declares
 (:mod:`repro.telemetry.catalog`): ``wire_bytes_in``/``wire_bytes_out``
-per tick, ``wire_flush_us`` (wall time spent encoding + writing a
-flush), and ``wire_connects`` (one sample per accepted connection — the
-connect-storm counter).
+per tick, ``wire_flush_us`` (wall time spent composing, writing and
+draining a flush), and ``wire_connects`` (one sample per accepted
+connection — the connect-storm counter).
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from bisect import bisect_right
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -71,10 +83,15 @@ _SERVER_READS = (
     wc.MSG_HELLO, wc.MSG_ACTION, wc.MSG_RESPONSE_SAMPLE, wc.MSG_BYE,
 )
 
-#: Encoded bytes the run table keeps per category.  It bounds what a
-#: flush can hold twice: a connect burst's 324 ``chunk_data`` frames of
-#: 13 KB each are appended one by one past it.
+#: Encoded bytes the run table keeps per category.  The frames of a
+#: larger count — a joining client's 289 ``chunk_data`` frames of 13 KB
+#: each — are encoded one by one past it, as their piece is due.
 _RUN_TABLE_BYTES = 1 << 16
+
+#: Bytes of one piece of a client's flush, the unit the server writes
+#: and then drains.  With the transport's own 64 KiB high-water mark it
+#: bounds what the server holds per client, whatever the view size.
+_PIECE_BYTES = 1 << 16
 
 
 #: Deterministic schema-valid payload of the ``index``-th counted packet
@@ -114,7 +131,7 @@ class _RunTable:
     per category: ``run``, grown frame by frame the first time a count
     reaches that far, with ``ends[k]`` the length of its first ``k``
     frames.  A run stops growing at ``_RUN_TABLE_BYTES``; the frames of
-    a larger count are encoded behind it as they always were.
+    a larger count are encoded behind it, one by one.
 
     The batched ``ENTITY_MOVE`` rows ``(i, 1, 0, -1)`` are four one-byte
     varints each (an id delta of 0 or 1, then 1, 0, -1), so the fields
@@ -128,27 +145,39 @@ class _RunTable:
         }
         self._batch_fields = b""
 
-    def append_states(self, out: bytearray, category: str, count: int) -> None:
-        """Append the ``STATE`` frames of ``count`` counted packets."""
+    def states(self, category: str, count: int) -> Iterator[bytes]:
+        """The ``STATE`` frames of ``count`` counted packets, in groups
+        of whole frames no larger than ``_PIECE_BYTES`` but for a single
+        frame.  A group is a copy, not a view of the run: a view still
+        alive anywhere would stop the run from growing."""
         run, ends = self._runs[category]
         synth = _SYNTH_PAYLOAD[category]
         while len(ends) <= count and len(run) < _RUN_TABLE_BYTES:
             wc.append_state(run, category, synth(len(ends) - 1))
             ends.append(len(run))
         held = min(count, len(ends) - 1)
-        out += memoryview(run)[: ends[held]]
+        start = 0
+        while start < held:
+            fit = bisect_right(ends, ends[start] + _PIECE_BYTES, hi=held + 1)
+            stop = max(start + 1, fit - 1)
+            yield run[ends[start] : ends[stop]]
+            start = stop
         for i in range(held, count):
-            wc.append_state(out, category, synth(i))
+            frame = bytearray()
+            wc.append_state(frame, category, synth(i))
+            yield frame
 
-    def append_batch(self, out: bytearray, count: int) -> None:
-        """Append the ``ENTITY_BATCH`` frame of ``count`` counted moves."""
+    def batch(self, count: int) -> bytearray:
+        """The ``ENTITY_BATCH`` frame of ``count`` counted moves."""
+        out = bytearray()
         size = 4 * count
         if size > _RUN_TABLE_BYTES:
             wc.append_entity_batch(out, _synth_batch(count))
-            return
+            return out
         if size > len(self._batch_fields):
             self._batch_fields = wc.encode_batch_fields(_synth_batch(count))
         wc.append_batch_frame(out, count, self._batch_fields[:size])
+        return out
 
 
 def wire_metrics_snapshot(server) -> dict:
@@ -303,8 +332,9 @@ class WireServer:
 
     # -- the tick flush ------------------------------------------------------
 
-    def _build_flush(self) -> list[tuple[int, bytearray]]:
-        """Encode this tick's outbound traffic, one buffer per client."""
+    def _build_flush(self) -> list[tuple[int, Iterator[bytearray]]]:
+        """Share out this tick's outbound traffic: per client, the pieces
+        of its flush, composed as they are taken."""
         net = self.server.net
         counts = net.stats.counts
         delta: dict[str, int] = {}
@@ -313,26 +343,20 @@ class WireServer:
             if moved:
                 delta[category] = moved
         self._prev_counts = dict(counts)
-        targets: list[tuple[int, bytearray]] = []
+        targets: list[tuple[int, list, list]] = []
         for client_id in sorted(self._writers):
             endpoint = net.client(client_id)
             if endpoint is None or endpoint.disconnected:
                 continue
-            buf = bytearray()
-            targets.append((client_id, buf))
             # 1. Materialized deliveries (chat echoes) — shared drain path.
-            for delivery in endpoint.drain_deliveries():
-                wc.append_delivery(
-                    buf,
-                    delivery.category,
-                    delivery.payload,
-                    delivery.delivered_at_us,
-                )
+            deliveries = endpoint.drain_deliveries()
+            for delivery in deliveries:
                 delta[delivery.category] = (
                     delta.get(delivery.category, 0) - 1
                 )
+            targets.append((client_id, deliveries, []))
         if not targets:
-            return targets
+            return []
         # 2. Counted state packets: distribute the tick's PacketStats
         # delta across connected clients (it was recorded per client).
         n_clients = len(targets)
@@ -341,37 +365,63 @@ class WireServer:
             if remaining <= 0:
                 continue
             per, extra = divmod(remaining, n_clients)
-            batched = category == PacketCategory.ENTITY_MOVE
-            for index, (_, buf) in enumerate(targets):
+            for index, (_, _, shares) in enumerate(targets):
                 count = per + (1 if index < extra else 0)
-                if not count:
-                    continue
-                if batched:
-                    self._runs.append_batch(buf, count)
-                else:
-                    self._runs.append_states(buf, category, count)
+                if count:
+                    shares.append((category, count))
         # 3. Clock sync.
         tick = wc.encode_tick(self.server.clock.now_us, self._tick_index)
-        for _, buf in targets:
-            buf += tick
-        return targets
+        return [
+            (client_id, self._pieces(deliveries, shares, tick))
+            for client_id, deliveries, shares in targets
+        ]
+
+    def _pieces(self, deliveries, shares, tick: bytes) -> Iterator[bytearray]:
+        """One client's flush, cut at frame ends into pieces of at most
+        ``_PIECE_BYTES`` (a larger frame is a piece of its own).  Each
+        piece is a new buffer, never touched once it is yielded."""
+        piece = bytearray()
+        for frames in self._frames(deliveries, shares, tick):
+            if piece and len(piece) + len(frames) > _PIECE_BYTES:
+                yield piece
+                piece = bytearray()
+            piece += frames
+        yield piece
+
+    def _frames(self, deliveries, shares, tick: bytes) -> Iterator[bytes]:
+        """One client's frames in flush order, in groups of whole frames
+        no larger than ``_PIECE_BYTES`` but for a single frame."""
+        for delivery in deliveries:
+            frame = bytearray()
+            wc.append_delivery(
+                frame,
+                delivery.category,
+                delivery.payload,
+                delivery.delivered_at_us,
+            )
+            yield frame
+        for category, count in shares:
+            if category == PacketCategory.ENTITY_MOVE:
+                yield self._runs.batch(count)
+            else:
+                yield from self._runs.states(category, count)
+        yield tick
 
     async def _flush(self) -> None:
         flush_start = time.perf_counter()
         bytes_out = 0
-        written = []
-        for client_id, buf in self._build_flush():
-            writer = self._writers.get(client_id)
-            if writer is None:
-                continue
-            writer.write(buf)
-            bytes_out += len(buf)
-            written.append(writer)
-        for writer in written:
-            try:
-                await writer.drain()
-            except OSError:
-                pass  # a dead socket; that client's reader task ends on it
+        for client_id, pieces in self._build_flush():
+            for piece in pieces:
+                # A drain may yield: test again that the client is there.
+                writer = self._writers.get(client_id)
+                if writer is None:
+                    break
+                writer.write(piece)
+                bytes_out += len(piece)
+                try:
+                    await writer.drain()
+                except OSError:
+                    break  # a dead socket; its reader task ends on it
         flush_us = (time.perf_counter() - flush_start) * 1e6
         bus = self.server.telemetry.bus
         bus.publish(WIRE_BYTES_OUT, float(bytes_out))

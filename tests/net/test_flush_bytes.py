@@ -1,13 +1,14 @@
 """Flush byte identity: what ``WireServer`` writes for a tick.
 
-``_build_flush`` encodes in place through the codec's layout tables and
-array kernels.  This drives it on a stub server with a fixed
-``PacketStats`` delta — all 14 categories, plus queued chat deliveries —
-and compares every client's buffer with the same traffic composed frame
-by frame by the scalar encoders the codec used to have
-(``tests/mlg/wire_oracle.py``).  That pins the bytes, the ``divmod``
-distribution of counted packets over clients, the debit a materialized
-delivery takes from its category, and the closing ``TICK``.
+``_build_flush`` encodes through the codec's layout tables and array
+kernels, and hands each client its flush as a stream of pieces.  This
+drives it on a stub server with a fixed ``PacketStats`` delta — all 14
+categories, plus queued chat deliveries — and compares every client's
+joined pieces with the same traffic composed frame by frame by the
+scalar encoders the codec used to have (``tests/mlg/wire_oracle.py``).
+That pins the bytes, the ``divmod`` distribution of counted packets over
+clients, the debit a materialized delivery takes from its category, and
+the closing ``TICK``.
 
 The counted packets come out of the server's run table (a prefix of one
 encoded string per category), so the comparison is repeated on a cold
@@ -15,6 +16,11 @@ table, on a warm one, over ticks whose counts grow and shrink, and past
 the table's bound — and a steady-state tick is shown, by counting, to
 encode no frame on the server and to build no message for a ``STATE``
 or ``ENTITY_BATCH`` frame on the client.
+
+A connect burst — two full views of 13 KB ``chunk_data`` frames and an
+entity batch past the table — shows the stream's bound: no piece is
+larger than ``_PIECE_BYTES`` unless it is one larger frame, and the
+writer never holds more than a window and one frame between two drains.
 """
 
 import asyncio
@@ -86,16 +92,51 @@ SYNTH = {
 
 
 class StubWriter:
-    """The two ``StreamWriter`` calls a flush makes."""
+    """The two ``StreamWriter`` calls a flush makes, with the pieces
+    written and the most bytes held between two drains."""
 
     def __init__(self) -> None:
         self.written = bytearray()
+        self.pieces: list[bytes] = []
+        self.held = 0
+        self.most_held = 0
 
     def write(self, data) -> None:
         self.written += data
+        self.pieces.append(bytes(data))
+        self.held += len(data)
+        self.most_held = max(self.most_held, self.held)
 
     async def drain(self) -> None:
-        pass
+        self.held = 0
+
+
+def flushed(wire: WireServer) -> list[tuple[int, bytes]]:
+    """``_build_flush``'s targets, each client's pieces joined."""
+    return [
+        (client_id, b"".join(pieces))
+        for client_id, pieces in wire._build_flush()
+    ]
+
+
+def frame_sizes(data: bytes) -> list[int]:
+    """The length of each whole frame in ``data``, prefix included."""
+    sizes = []
+    offset = 0
+    while offset < len(data):
+        body_len, body_at = wc.decode_varint(data, offset)
+        sizes.append(body_at + body_len - offset)
+        offset = body_at + body_len
+    assert offset == len(data), "a piece ends inside a frame"
+    return sizes
+
+
+def assert_pieces_bounded(pieces, window: int) -> None:
+    """Every piece is whole frames, at most ``window`` bytes unless it
+    is a single larger frame."""
+    for piece in pieces:
+        sizes = frame_sizes(piece)
+        assert len(piece) <= window or sizes == [len(piece)], sizes
 
 
 def idle_wire_server(n_clients: int) -> WireServer:
@@ -182,13 +223,13 @@ def expected_buffers(n_clients: int, deliveries=None, counts=TICK_COUNTS) -> dic
 class TestFlushBytes:
     def test_every_buffer_matches_the_oracle(self, n_clients):
         wire, deliveries = stub_wire_server(n_clients)
-        targets = wire._build_flush()
+        targets = flushed(wire)
         expected = expected_buffers(n_clients, deliveries)
         assert [cid for cid, _ in targets] == sorted(expected)
         for client_id, buf in targets:
             assert bytes(buf) == bytes(expected[client_id]), client_id
         # The delta was consumed: a second flush carries the tick alone.
-        for _, buf in wire._build_flush():
+        for _, buf in flushed(wire):
             assert bytes(buf) == oracle.encode_tick(NOW_US, TICK_INDEX)
 
     def test_published_bytes_out_is_what_was_written(self, n_clients):
@@ -225,7 +266,7 @@ def test_flush_reconciles_with_the_table8_model_but_for_the_batches(
         ))
         for index in range(n_clients)
     )
-    written = sum(len(buf) for _, buf in wire._build_flush())
+    written = sum(len(buf) for _, buf in flushed(wire))
     tick = len(oracle.encode_tick(NOW_US, TICK_INDEX))
     assert written == (
         stats.total_bytes
@@ -238,14 +279,14 @@ def test_flush_reconciles_with_the_table8_model_but_for_the_batches(
 def test_disconnected_clients_get_nothing_and_no_share():
     wire, _ = stub_wire_server(3)
     wire.server.net.disconnect(2, "client quit")
-    targets = dict(wire._build_flush())
+    targets = dict(flushed(wire))
     assert sorted(targets) == [1, 3]
     # The counted packets are split over the two clients still connected.
     moves = TICK_COUNTS[PacketCategory.ENTITY_MOVE]
     batch = oracle.encode_entity_batch(
         tuple((i, 1, 0, -1) for i in range(moves - moves // 2))
     )
-    assert batch in bytes(targets[1])
+    assert batch in targets[1]
 
 
 def scaled(factor: float, plus: int = 0) -> dict:
@@ -285,8 +326,8 @@ def test_ticks_that_grow_shrink_and_outrun_the_run_table(n_clients):
     for tick, counts in enumerate(TICK_SEQUENCE):
         count_tick(wire, counts)
         expected = expected_buffers(n_clients, counts=counts)
-        for client_id, buf in wire._build_flush():
-            assert bytes(buf) == bytes(expected[client_id]), (tick, client_id)
+        for client_id, buf in flushed(wire):
+            assert buf == bytes(expected[client_id]), (tick, client_id)
     # What the table kept is bounded by a constant and one frame.
     for category, (run, ends) in wire._runs._runs.items():
         assert len(run) < wire_server._RUN_TABLE_BYTES + PACKET_SIZES[category]
@@ -294,9 +335,51 @@ def test_ticks_that_grow_shrink_and_outrun_the_run_table(n_clients):
     assert len(wire._runs._batch_fields) <= wire_server._RUN_TABLE_BYTES
 
 
+@pytest.mark.parametrize("n_clients", (1, 2, 3))
+def test_a_connect_burst_streams_through_a_bounded_window(
+    n_clients, monkeypatch
+):
+    wire = idle_wire_server(n_clients)
+    count_tick(wire, BURST)
+    window = wire_server._PIECE_BYTES
+    expected = expected_buffers(n_clients, counts=BURST)
+    # Frames past the run table are encoded as their piece is due: the
+    # first piece of a client's stream costs a window's worth of them.
+    encoded = []
+    append_state = wc.append_state
+
+    def counting(out, category, payload):
+        encoded.append(category)
+        append_state(out, category, payload)
+
+    monkeypatch.setattr(wc, "append_state", counting)
+    client_id, pieces = wire._build_flush()[0]
+    first = next(pieces)
+    assert encoded.count(PacketCategory.CHUNK_DATA) < 2 * window // (
+        PACKET_SIZES[PacketCategory.CHUNK_DATA]
+    )
+    assert first + b"".join(pieces) == expected[client_id]
+    # The same burst through _flush: the bytes, the bound on every piece
+    # and on what the writer holds between two drains, and bytes out.
+    wire = idle_wire_server(n_clients)
+    count_tick(wire, BURST)
+    asyncio.run(wire._flush())
+    for client_id, writer in wire._writers.items():
+        assert writer.written == expected[client_id]
+        assert len(writer.written) > 10 * window
+        assert_pieces_bounded(writer.pieces, window)
+        largest = max(frame_sizes(bytes(writer.written)))
+        assert writer.most_held <= window + largest
+    bytes_out = wire.server.telemetry.bus.series[WIRE_BYTES_OUT]
+    assert bytes_out.tolist() == [
+        sum(len(writer.written) for writer in wire._writers.values())
+    ]
+
+
 @given(
     n_clients=st.integers(1, 5),
     bound=st.sampled_from((48, 700, wire_server._RUN_TABLE_BYTES)),
+    window=st.sampled_from((1, 60, 900, wire_server._PIECE_BYTES)),
     ticks=st.lists(
         st.dictionaries(
             st.sampled_from(PacketCategory.ALL), st.integers(0, 60),
@@ -308,20 +391,23 @@ def test_ticks_that_grow_shrink_and_outrun_the_run_table(n_clients):
 )
 @settings(max_examples=60, deadline=None)
 def test_random_deltas_match_the_oracle_and_the_bytes_out_metric(
-    n_clients, bound, ticks
+    n_clients, bound, window, ticks
 ):
     wire = idle_wire_server(n_clients)
     written = 0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(wire_server, "_RUN_TABLE_BYTES", bound)
+        patch.setattr(wire_server, "_PIECE_BYTES", window)
         for counts in ticks:
             count_tick(wire, counts)
             asyncio.run(wire._flush())
             expected = expected_buffers(n_clients, counts=counts)
             for client_id, writer in wire._writers.items():
                 assert writer.written == expected[client_id]
+                assert_pieces_bounded(writer.pieces, window)
                 written += len(writer.written)
                 writer.written.clear()
+                writer.pieces.clear()
     bytes_out = wire.server.telemetry.bus.series[WIRE_BYTES_OUT]
     assert sum(bytes_out) == written
 
@@ -331,7 +417,7 @@ def test_steady_state_tick_encodes_no_frame_and_builds_no_state_message(
 ):
     wire = idle_wire_server(2)
     count_tick(wire, TICK_COUNTS)
-    wire._build_flush()  # the table is warm from here on
+    flushed(wire)  # the table is warm from here on
 
     calls = {"append_state": 0, "append_entity_batch": 0}
 
@@ -358,9 +444,14 @@ def test_steady_state_tick_encodes_no_frame_and_builds_no_state_message(
 
     counts = scaled(0.9)
     count_tick(wire, counts)
-    targets = wire._build_flush()
+    targets = [
+        (client_id, list(pieces)) for client_id, pieces in wire._build_flush()
+    ]
     expected = expected_buffers(2, counts=counts)
     assert calls == {"append_state": 0, "append_entity_batch": 0}
+    # A steady-state tick is one piece, one write and one drain, a client.
+    assert [len(pieces) for _, pieces in targets] == [1, 1]
+    targets = [(client_id, pieces[0]) for client_id, pieces in targets]
     for client_id, buf in targets:
         assert bytes(buf) == bytes(expected[client_id])
         # The client's decoder walks the STATE and ENTITY_BATCH frames

@@ -3,21 +3,63 @@ sockets, producing the standard campaign artifacts.
 
 One short tcp cell is served on an ephemeral loopback port while a
 3-bot client fleet runs against it from another thread.  The on-disk
-results must be the normal campaign layout — manifest, streamed
-telemetry sidecar, completed job shard — with real (nonzero) ``wire_*``
-measurements and client-measured response times folded in.
+results must be the normal campaign layout — the manifest and the job's
+record, one streamed line per iteration and then its commit line — with
+real (nonzero) ``wire_*`` measurements and client-measured response
+times folded in.  A second cell takes a connect storm: a dozen clients
+joining at once, each sent its whole view, through the server's bounded
+flush window.
 """
 
+import asyncio
 import json
 import threading
 
 import pytest
 
 from repro.campaign.store import JobStore
+from repro.mlg import wirecodec as wc
 from repro.net import run_clients, serve_cell
+from repro.net import server as wire_server
 from repro.reporting.dataset import sidecar_row
 
 N_BOTS = 3
+
+#: The name of the thread :func:`serve_and_join` serves in.
+SERVE_THREAD = "serve-cell"
+
+
+def serve_and_join(spec_path, n_bots: int, stagger_s: float) -> dict:
+    """Serve cell 0 of ``spec_path`` in a thread while ``n_bots`` wire
+    clients join it from this one; returns the serve and client
+    summaries."""
+    listening = threading.Event()
+    box = {}
+
+    def on_listen(port):
+        box["port"] = port
+        listening.set()
+
+    def serve():
+        try:
+            box["serve"] = serve_cell(spec_path, cell=0, on_listen=on_listen)
+        except BaseException as exc:  # surface into the test thread
+            box["error"] = exc
+            listening.set()
+
+    thread = threading.Thread(target=serve, name=SERVE_THREAD)
+    thread.start()
+    assert listening.wait(30), "serve_cell never bound its socket"
+    if "error" in box:
+        raise box["error"]
+    box["clients"] = run_clients(
+        "127.0.0.1", box["port"], n_bots, stagger_s=stagger_s, seed=7
+    )
+    thread.join(60)
+    assert not thread.is_alive(), "serve_cell did not finish"
+    if "error" in box:
+        raise box["error"]
+    return box
 
 
 @pytest.fixture(scope="module")
@@ -42,32 +84,7 @@ def loopback_run(tmp_path_factory):
             }
         )
     )
-    listening = threading.Event()
-    box = {}
-
-    def on_listen(port):
-        box["port"] = port
-        listening.set()
-
-    def serve():
-        try:
-            box["serve"] = serve_cell(spec_path, cell=0, on_listen=on_listen)
-        except BaseException as exc:  # surface into the test thread
-            box["error"] = exc
-            listening.set()
-
-    thread = threading.Thread(target=serve)
-    thread.start()
-    assert listening.wait(30), "serve_cell never bound its socket"
-    if "error" in box:
-        raise box["error"]
-    box["clients"] = run_clients(
-        "127.0.0.1", box["port"], N_BOTS, stagger_s=0.05, seed=7
-    )
-    thread.join(60)
-    assert not thread.is_alive(), "serve_cell did not finish"
-    if "error" in box:
-        raise box["error"]
+    box = serve_and_join(spec_path, N_BOTS, stagger_s=0.05)
     box["store"] = JobStore(out_dir)
     return box
 
@@ -80,7 +97,7 @@ class TestLoopbackCampaign:
         assert clients["samples"] >= 1
         assert clients["response_p50_ms"] > 0
 
-    def test_serve_summary_and_shard(self, loopback_run):
+    def test_serve_summary_and_record(self, loopback_run):
         summary = loopback_run["serve"]
         assert summary["iterations"] == 1
         assert not summary["crashed"]
@@ -104,7 +121,7 @@ class TestLoopbackCampaign:
         assert manifest["provenance"]["fingerprint"]
         assert "hygiene" in manifest["provenance"]
 
-    def test_sidecar_has_real_wire_metrics(self, loopback_run):
+    def test_record_has_real_wire_metrics(self, loopback_run):
         store = loopback_run["store"]
         job_id = loopback_run["serve"]["job_id"]
         lines = store.read_job_telemetry(job_id)
@@ -125,14 +142,14 @@ class TestLoopbackCampaign:
         assert row["wire_bytes_in"] > 0
         assert row["wire_connects"] == N_BOTS
         assert row["wire_flush_p99_us"] > 0
-        # Inproc sidecars have no wire section: columns stay None.
+        # An inproc record line has no wire section: columns stay None.
         inproc_line = json.loads(json.dumps(line))
         del inproc_line["telemetry"]["wire"]
         inproc_row = sidecar_row(job_dict, inproc_line)
         assert inproc_row["wire_bytes_out"] is None
         assert inproc_row["wire_connects"] is None
 
-    def test_shard_refuses_silent_clobber(self, loopback_run):
+    def test_record_refuses_silent_clobber(self, loopback_run):
         spec_path = loopback_run["store"].root.parent / "wire.yaml"
         with pytest.raises(FileExistsError):
             serve_cell(spec_path, cell=0)
@@ -169,10 +186,57 @@ class TestServeRefusals:
 
     def test_foreign_store_keeps_its_manifest(self, loopback_run, tmp_path):
         # A cell of a *different* spec served into a used output_dir must
-        # not replace the manifest under the shards already there.
+        # not replace the manifest under the records already there.
         store = loopback_run["store"]
         before = store.manifest_path.read_bytes()
         spec_path = _write_spec(tmp_path / "other.json", store.root, seed=8)
         with pytest.raises(ValueError, match="different campaign spec"):
             serve_cell(spec_path)
         assert store.manifest_path.read_bytes() == before
+
+
+def test_connect_storm_writes_no_buffer_above_the_window(
+    tmp_path, monkeypatch
+):
+    # Twelve clients join in the same instant, and each is owed its whole
+    # view: hundreds of 13 KB chunk frames, megabytes a client.  The
+    # server writes them in pieces of at most the window, or one frame.
+    n_bots = 12
+    window = wire_server._PIECE_BYTES
+    oversized = []
+    served = []
+    write = asyncio.StreamWriter.write
+
+    def spy(self, data):
+        if threading.current_thread().name == SERVE_THREAD:
+            served.append(len(data))
+            if len(data) > window:
+                body_len, body_at = wc.decode_varint(data, 0)
+                if body_at + body_len != len(data):
+                    oversized.append(len(data))
+        write(self, data)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", spy)
+    out_dir = tmp_path / "out"
+    spec_path = _write_spec(
+        tmp_path / "storm.json",
+        out_dir,
+        name="wire-storm",
+        workloads=["players"],
+        bot_counts=[n_bots],
+        seed=7,
+    )
+    box = serve_and_join(spec_path, n_bots, stagger_s=0)
+    assert box["clients"]["connected"] == n_bots
+    store = JobStore(out_dir)
+    job_id = box["serve"]["job_id"]
+    (iteration,) = store.load_job(job_id)
+    assert not iteration.crashed
+    (line,) = store.read_job_telemetry(job_id)
+    wire = line["telemetry"]["wire"]
+    assert wire["wire_connects"]["count"] == n_bots
+    # The views went out, each larger than the window ...
+    assert wire["wire_bytes_out"]["total"] > n_bots * window
+    assert sum(served) > wire["wire_bytes_out"]["total"]
+    # ... and no write carried more than a window, but a single frame.
+    assert oversized == []

@@ -3,6 +3,7 @@ one traced cell served over loopback."""
 
 import json
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -21,13 +22,15 @@ PINS = json.loads((Path(__file__).parent / "sidecar_pins.json").read_text())
 N_CLIENTS = 2
 
 
-@pytest.fixture(scope="package")
-def created():
-    """Every telemetry bus, tracer and system collector a run builds while
-    the package's tests run, in creation order, by kind."""
+@contextmanager
+def recording():
+    """Every telemetry bus, tracer and system collector a run builds
+    inside the block, in creation order, by kind.  The patches end with
+    the block, so a server built after it is neither recorded nor kept
+    alive by the lists."""
     made = {"bus": [], "tracer": [], "system": []}
 
-    def recording(cls, kind):
+    def recording_class(cls, kind):
         class Recording(cls):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
@@ -36,22 +39,40 @@ def created():
         return Recording
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tap, "TelemetryBus", recording(TelemetryBus, "bus"))
-        patch.setattr(server_module, "Tracer", recording(Tracer, "tracer"))
+        patch.setattr(
+            tap, "TelemetryBus", recording_class(TelemetryBus, "bus")
+        )
+        patch.setattr(
+            server_module, "Tracer", recording_class(Tracer, "tracer")
+        )
         patch.setattr(
             experiment,
             "SystemMetricsCollector",
-            recording(SystemMetricsCollector, "system"),
+            recording_class(SystemMetricsCollector, "system"),
         )
         yield made
 
 
+@pytest.fixture
+def created():
+    """What :func:`recording` records while the test runs."""
+    with recording() as made:
+        yield made
+
+
 @pytest.fixture(scope="package")
-def wire_cell(created, tmp_path_factory):
+def wire_cell(tmp_path_factory):
     """The pinned traced ``farm`` cell served over loopback: its record
     line, the iteration loaded from that record, and the bus, tracer and
     system collector its server built."""
-    before = {kind: len(objects) for kind, objects in created.items()}
+    with recording() as made:
+        cell = _serve_wire_cell(tmp_path_factory)
+    for kind, objects in made.items():
+        (cell[kind],) = objects
+    return cell
+
+
+def _serve_wire_cell(tmp_path_factory) -> dict:
     root = tmp_path_factory.mktemp("catalog-wire")
     spec_path = root / "wire.json"
     spec_path.write_text(
@@ -86,7 +107,4 @@ def wire_cell(created, tmp_path_factory):
     job_id = box["serve"]["job_id"]
     (line,) = store.read_job_telemetry(job_id)
     (iteration,) = store.load_job(job_id)
-    cell = {"line": line, "iteration": iteration}
-    for kind, objects in created.items():
-        (cell[kind],) = objects[before[kind]:]
-    return cell
+    return {"line": line, "iteration": iteration}
