@@ -1,69 +1,23 @@
-"""Figure 12 / MF5: recommended hardware is insufficient.
+"""Figure 12 / MF5: TNT tick time and ISR on AWS t3.large (L), t3.xlarge
+(XL), and t3.2xlarge (2XL)."""
 
-Tick-time distribution and ISR for the TNT workload on AWS t3.large (L),
-t3.xlarge (XL), and t3.2xlarge (2XL).  Paper shapes: L is badly overloaded;
-XL improves but vanilla/forge means stay above the 50 ms budget; 2XL brings
-the mean below budget; PaperMC's mean stays lowest at every size while its
-ISR grows as the node shrinks.
-"""
+from conftest import DURATION_S, assert_findings
 
-from conftest import DURATION_S, write_artifact
-
-from repro.analysis import PAPER, fig12_node_sizes
-from repro.analysis.hosting import most_common_recommendation
+from repro.analysis import fig12_node_sizes
 from repro.reporting.text import format_table
 
 
 def test_fig12_mf5_node_sizes(benchmark, out_dir):
     result = benchmark.pedantic(
-        fig12_node_sizes,
-        kwargs={"duration_s": max(DURATION_S, 60.0)},
-        rounds=1,
-        iterations=1,
+        fig12_node_sizes, kwargs={"duration_s": max(DURATION_S, 60.0)}
     )
-    rows = [
+    table = format_table(
+        ["node", "server", "tick mean", "median", "p75", "ISR"],
         [
-            r["node"],
-            r["server"],
-            f"{r['tick_mean_ms']:.1f}",
-            f"{r['tick_median_ms']:.1f}",
-            f"{r['tick_p75_ms']:.1f}",
-            f"{r['isr']:.4f}",
-        ]
-        for r in result.rows
-    ]
-    text = format_table(
-        ["node", "server", "tick mean", "median", "p75", "ISR"], rows
+            [r["node"], r["server"], f"{r['tick_mean_ms']:.1f}",
+             f"{r['tick_median_ms']:.1f}", f"{r['tick_p75_ms']:.1f}",
+             f"{r['isr']:.4f}"]
+            for r in result.rows
+        ],
     )
-    ram, vcpus = most_common_recommendation()
-    text += (
-        f"\n\nTable 7 context: most common hosting recommendation is "
-        f"{vcpus} vCPU / {ram:.0f} GB — the L node.  Paper: L insufficient,"
-        f" XL better but vanilla/forge mean > 50 ms, 2XL needed; PaperMC"
-        f" mean lowest at every size, ISR 0.025 (2XL) -> 0.08 (L)."
-    )
-    write_artifact("fig12_mf5_node_sizes.txt", text)
-
-    cells = {(r["node"], r["server"]): r for r in result.rows}
-
-    # Bigger nodes monotonically improve vanilla/forge mean tick time.
-    for server in ("vanilla", "forge"):
-        l = cells[("L", server)]["tick_mean_ms"]
-        xl = cells[("XL", server)]["tick_mean_ms"]
-        xxl = cells[("2XL", server)]["tick_mean_ms"]
-        assert l > xl > xxl, (server, l, xl, xxl)
-        # L is far above budget; the gap L -> 2XL is large (paper ~3x,
-        # ours >= 1.5x).
-        assert l > 1.6 * 50.0, (server, l)
-        assert l > 1.5 * xxl, (server, l, xxl)
-
-    # PaperMC has the lowest mean at every size...
-    for node in ("L", "XL", "2XL"):
-        assert cells[(node, "papermc")]["tick_mean_ms"] == min(
-            cells[(node, s)]["tick_mean_ms"]
-            for s in ("vanilla", "forge", "papermc")
-        ), node
-    # ...and its ISR grows as the node shrinks.
-    assert (
-        cells[("L", "papermc")]["isr"] > cells[("2XL", "papermc")]["isr"]
-    )
+    assert_findings(result, "fig12_mf5_node_sizes.txt", table)

@@ -6,7 +6,10 @@ runtime sane; set ``METERSTICK_FULL=1`` for paper-scale runs (60 s
 iterations, 50 iterations for Figure 10).
 
 Artifacts (paper-vs-measured tables and series CSVs) are written to
-``benchmarks/out/``.
+``benchmarks/out/``.  Each figure and table bench runs its driver, renders
+its table plus the verdict section of its findings
+(``repro.analysis.findings``), and asserts every finding gated at this
+scale through :func:`assert_findings`.
 """
 
 import os
@@ -16,6 +19,7 @@ from pathlib import Path
 import pytest
 
 FULL = os.environ.get("METERSTICK_FULL", "0") == "1"
+SCALE = "full" if FULL else "fast"
 
 #: Per-iteration duration in simulated seconds.
 DURATION_S = 60.0 if FULL else 40.0
@@ -49,3 +53,16 @@ def write_artifact(name: str, text: str) -> Path:
     print(f"\n=== {name} ===\n{text}")
     return path
 
+
+def assert_findings(result, name: str, table: str) -> None:
+    """Write ``table`` and the verdict section of ``result``'s findings to
+    the artifact ``name``; then assert every finding gated at this scale."""
+    # Imported here: the hostclock self-test loads this file without
+    # ``src/`` on its path.
+    from repro.analysis.findings import evaluate, render
+
+    verdicts = evaluate(result.figure, result.rows)
+    write_artifact(name, f"{table}\n\n{render(verdicts, SCALE)}\n")
+    failed = [(f.id, measured) for f, measured, holds in verdicts
+              if SCALE in f.gate and not holds]
+    assert not failed, failed

@@ -1,19 +1,9 @@
-"""Analysis: figure/table reproduction drivers and paper expectations."""
+"""Analysis: figure/table reproduction drivers, the paper's numbers, and the
+findings that compare the two (:mod:`repro.analysis.findings`)."""
 
+from repro.analysis import figures
 from repro.analysis.expectations import PAPER
-from repro.analysis.figures import (
-    FigureResult,
-    fig1_response_time,
-    fig6_isr_model,
-    fig7_response_times,
-    fig8_isr_grid,
-    fig9_tick_timeseries,
-    fig10_cloud_variability,
-    fig11_tick_distribution,
-    fig12_node_sizes,
-    run_cell,
-    table8_network_shares,
-)
+from repro.analysis.figures import *  # noqa: F403 (the drivers)
 from repro.analysis.hosting import (
     HOSTING_PLANS,
     HostingPlan,
@@ -21,19 +11,9 @@ from repro.analysis.hosting import (
 )
 
 __all__ = [
-    "FigureResult",
     "HOSTING_PLANS",
     "HostingPlan",
     "PAPER",
-    "fig1_response_time",
-    "fig6_isr_model",
-    "fig7_response_times",
-    "fig8_isr_grid",
-    "fig9_tick_timeseries",
-    "fig10_cloud_variability",
-    "fig11_tick_distribution",
-    "fig12_node_sizes",
     "most_common_recommendation",
-    "run_cell",
-    "table8_network_shares",
+    *figures.__all__,
 ]

@@ -12,20 +12,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.analysis.hosting import HOSTING_PLANS, most_common_recommendation
 from repro.cloud.providers import get_environment
 from repro.core.collectors import non_wait_shares
 from repro.core.experiment import run_iteration
 from repro.core.results import IterationResult
 from repro.metrics import (
+    allan_variance,
     instability_ratio,
     isr_closed_form,
     clustered_outlier_trace,
     periodic_outlier_trace,
+    rfc3550_jitter,
     spread_outlier_trace,
 )
 from repro.mlg.constants import TICK_BUDGET_MS
 from repro.simtime import SimClock
 from repro.telemetry.summary import summarize
+from repro.workloads import get_workload
 
 __all__ = [
     "FigureResult",
@@ -38,6 +44,9 @@ __all__ = [
     "fig10_cloud_variability",
     "fig11_tick_distribution",
     "fig12_node_sizes",
+    "table2_worlds",
+    "table6_metric_comparison",
+    "table7_hosting",
     "table8_network_shares",
 ]
 
@@ -47,7 +56,9 @@ SERVERS = ("vanilla", "forge", "papermc")
 
 @dataclass
 class FigureResult:
-    """A reproduced figure: identifier, data rows, free-form notes."""
+    """A reproduced figure: the name of the driver that ran it, its plain
+    data rows (what :mod:`repro.analysis.findings` checks), free-form
+    notes."""
 
     figure: str
     rows: list[dict] = field(default_factory=list)
@@ -92,7 +103,7 @@ def run_cell(
 
 
 def fig1_response_time(duration_s: float = 60.0, seed: int = 7) -> FigureResult:
-    result = FigureResult("fig1")
+    result = FigureResult("fig1_response_time")
     for workload in ("control", "farm"):
         cell = run_cell(workload, "vanilla", "aws-t3.large", duration_s, seed)
         stats = cell.response_stats()
@@ -112,7 +123,7 @@ def fig1_response_time(duration_s: float = 60.0, seed: int = 7) -> FigureResult:
 
 
 def fig6_isr_model() -> FigureResult:
-    result = FigureResult("fig6")
+    result = FigureResult("fig6_isr_model")
     lams = list(range(1, 101))
     for s in (2, 10, 20):
         closed = [isr_closed_form(s, lam) for lam in lams]
@@ -141,7 +152,7 @@ def fig6_isr_model() -> FigureResult:
 def fig7_response_times(
     duration_s: float = 60.0, seed: int = 7
 ) -> FigureResult:
-    result = FigureResult("fig7")
+    result = FigureResult("fig7_response_times")
     result.notes.append(
         "PaperMC omitted (async chat thread), as in the paper"
     )
@@ -168,7 +179,7 @@ def fig7_response_times(
 
 
 def fig8_isr_grid(duration_s: float = 60.0, seed: int = 7) -> FigureResult:
-    result = FigureResult("fig8")
+    result = FigureResult("fig8_isr_grid")
     environments = ("das5-16core", "das5-2core", "aws-t3.large")
     workloads = ("control", "farm", "tnt", "lag", "players")
     for environment in environments:
@@ -194,7 +205,7 @@ def fig8_isr_grid(duration_s: float = 60.0, seed: int = 7) -> FigureResult:
 def fig9_tick_timeseries(
     duration_s: float = 60.0, seed: int = 7
 ) -> FigureResult:
-    result = FigureResult("fig9")
+    result = FigureResult("fig9_tick_timeseries")
     for workload in ("control", "farm", "tnt", "players"):
         for server in SERVERS:
             cell = run_cell(workload, server, "aws-t3.large", duration_s, seed)
@@ -220,7 +231,7 @@ def fig10_cloud_variability(
     from repro.core.config import MeterstickConfig
     from repro.core.experiment import ExperimentRunner
 
-    result = FigureResult("fig10")
+    result = FigureResult("fig10_cloud_variability")
     for environment in ("das5-2core", "azure-d2v3", "aws-t3.large"):
         config = MeterstickConfig(
             world="players",
@@ -253,7 +264,7 @@ def fig10_cloud_variability(
 def fig11_tick_distribution(
     duration_s: float = 60.0, seed: int = 7
 ) -> FigureResult:
-    result = FigureResult("fig11")
+    result = FigureResult("fig11_tick_distribution")
     for workload in ("control", "farm", "tnt"):
         for server in SERVERS:
             cell = run_cell(workload, server, "aws-t3.large", duration_s, seed)
@@ -272,7 +283,7 @@ def fig11_tick_distribution(
 
 
 def fig12_node_sizes(duration_s: float = 60.0, seed: int = 7) -> FigureResult:
-    result = FigureResult("fig12")
+    result = FigureResult("fig12_node_sizes")
     for environment, label in (
         ("aws-t3.large", "L"),
         ("aws-t3.xlarge", "XL"),
@@ -292,13 +303,65 @@ def fig12_node_sizes(duration_s: float = 60.0, seed: int = 7) -> FigureResult:
     return result
 
 
+# -- Table 2: workload worlds -------------------------------------------------
+
+
+def table2_worlds(seed: int = 7) -> FigureResult:
+    """Build each workload world and measure its loaded footprint."""
+    result = FigureResult("table2_worlds")
+    for name in ("control", "tnt", "farm", "lag"):
+        workload = get_workload(name)
+        world = workload.create_world(seed=seed)
+        # Touch the observer's spawn area so sizes are comparable.
+        for cx in range(-2, 3):
+            for cz in range(-2, 3):
+                world.ensure_chunk(cx, cz)
+        result.row(
+            workload=workload.display_name,
+            size_mb=workload.world_size_mb(world),
+            description=workload.description,
+        )
+    return result
+
+
+# -- Table 6: variability metrics on order-dependent traces -------------------
+
+
+def table6_metric_comparison() -> FigureResult:
+    """Each metric over two traces of one distribution, outliers clustered
+    and spread."""
+    result = FigureResult("table6_metric_comparison")
+    traces = {
+        "clustered": clustered_outlier_trace(1000, 5, 20.0),
+        "spread": spread_outlier_trace(1000, 5, 20.0),
+    }
+    for metric, fn in (
+        ("std", lambda t: float(np.std(t))),
+        ("allan", lambda t: allan_variance(list(t))),
+        ("jitter", lambda t: rfc3550_jitter(list(t))),
+        ("isr", lambda t: instability_ratio(t, TICK_BUDGET_MS)),
+    ):
+        result.row(metric=metric, **{k: fn(t) for k, t in traces.items()})
+    return result
+
+
+# -- Table 7: hosting recommendations -----------------------------------------
+
+
+def table7_hosting() -> FigureResult:
+    result = FigureResult("table7_hosting")
+    ram_gb, vcpus = most_common_recommendation()
+    result.row(plans=len(HOSTING_PLANS), ram_gb=ram_gb, vcpus=vcpus)
+    return result
+
+
 # -- Table 8 / MF4: entity share of network traffic ------------------------------
 
 
 def table8_network_shares(
     duration_s: float = 60.0, seed: int = 7
 ) -> FigureResult:
-    result = FigureResult("table8")
+    result = FigureResult("table8_network_shares")
     for server in SERVERS:
         for workload in ("control", "farm", "tnt"):
             cell = run_cell(workload, server, "aws-t3.large", duration_s, seed)

@@ -118,15 +118,6 @@ class ExperimentResult:
             out.extend(it.tick_durations_ms)
         return out
 
-    def pooled_response_times(
-        self, server: str | None = None
-    ) -> list[float]:
-        pool = self.iterations if server is None else self.for_server(server)
-        out: list[float] = []
-        for it in pool:
-            out.extend(it.response_times_ms)
-        return out
-
     def any_crashed(self, server: str | None = None) -> bool:
         pool = self.iterations if server is None else self.for_server(server)
         return any(it.crashed for it in pool)

@@ -1,7 +1,6 @@
-"""Tests for the analysis package: hosting data, expectations, drivers."""
+"""Tests for the analysis package: hosting data, findings, drivers."""
 
-import pytest
-
+from repro import analysis
 from repro.analysis import (
     HOSTING_PLANS,
     PAPER,
@@ -9,6 +8,7 @@ from repro.analysis import (
     most_common_recommendation,
     run_cell,
 )
+from repro.analysis.findings import FINDINGS
 
 
 class TestHosting:
@@ -25,15 +25,36 @@ class TestHosting:
         assert aws.ram_gb == 1.0
 
 
-class TestExpectations:
-    def test_every_figure_key_present(self):
-        for key in ("fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-                    "fig12", "table7", "table8", "table2"):
-            assert key in PAPER
+class TestFindingsRegistry:
+    """The declarations alone, with no simulation."""
 
-    def test_table8_covers_grid(self):
-        assert len(PAPER["table8"]) >= 9
-        assert PAPER["table8"][("farm", "papermc")] == (47.5, 1.2)
+    def test_ids_are_unique(self):
+        ids = [f.id for f in FINDINGS]
+        assert len(ids) == len(set(ids))
+
+    def test_each_figure_is_an_exported_driver(self):
+        for f in FINDINGS:
+            assert f.figure in analysis.__all__, f.id
+            assert callable(getattr(analysis, f.figure)), f.id
+
+    def test_each_paper_key_resolves(self):
+        for f in FINDINGS:
+            assert set(f.paper) <= PAPER.keys(), f.id
+
+    def test_every_paper_key_is_named(self):
+        assert PAPER.keys() == {k for f in FINDINGS for k in f.paper}
+
+    def test_each_relaxation_names_a_differently_gated_finding(self):
+        by_id = {f.id: f for f in FINDINGS}
+        relaxed = [f for f in FINDINGS if f.relaxes is not None]
+        assert relaxed
+        for f in relaxed:
+            assert f.relaxes in by_id, f.id
+            assert by_id[f.relaxes].gate != f.gate, f.id
+
+    def test_gates_name_known_scales(self):
+        for f in FINDINGS:
+            assert set(f.gate) <= {"fast", "full"}, f.id
 
 
 class TestFigureDrivers:

@@ -271,7 +271,7 @@ class TestGolden:
 @pytest.mark.xfail(
     strict=True,
     reason="chunks generated before the first view load are never lit "
-    "(ROADMAP, Known leftovers); fixing it changes every simulated digest",
+    "(ROADMAP item 6(a)); fixing it changes every simulated digest",
 )
 def test_spawn_chunk_is_lit_after_connect():
     world, _, _ = _connected()

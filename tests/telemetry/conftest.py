@@ -3,6 +3,7 @@ one traced cell served over loopback."""
 
 import json
 import threading
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -63,12 +64,27 @@ def created():
 @pytest.fixture(scope="package")
 def wire_cell(tmp_path_factory):
     """The pinned traced ``farm`` cell served over loopback: its record
-    line, the iteration loaded from that record, and the bus, tracer and
-    system collector its server built."""
+    line, the iteration loaded from that record, the bus and tracer its
+    server built, its system collector's sampled CPU and memory series,
+    and a weak reference to the served server.
+
+    The fixture lives for the whole session (this directory is not a
+    package), so it keeps no object that reaches the server: the collector
+    would hold the farm server and its world through ``collector.server``,
+    and the ``made`` lists, which each recording class's ``__init__``
+    closes over, would hold the collector."""
     with recording() as made:
         cell = _serve_wire_cell(tmp_path_factory)
-    for kind, objects in made.items():
-        (cell[kind],) = objects
+    ((cell["bus"],), (cell["tracer"],), (system,)) = (
+        made[kind] for kind in ("bus", "tracer", "system")
+    )
+    cell["system"] = {
+        field: [float(getattr(sample, field)) for sample in system.samples]
+        for field in ("cpu_utilization", "memory_bytes")
+    }
+    cell["server"] = weakref.ref(system.server)
+    for objects in made.values():
+        objects.clear()
     return cell
 
 

@@ -9,6 +9,8 @@ A streaming sketch read ``farm``'s 40 s tick p99 (vanilla,
 ``aws-t3.large``, seed 1) as 100.34 ms against an exact 92.05.
 """
 
+import gc
+
 import numpy as np
 
 from repro.campaign import CampaignExecutor, CampaignSpec, JobStore
@@ -29,18 +31,21 @@ def assert_exact(summary: dict, series) -> None:
     assert got == expected.tolist()
 
 
-def system_series(collector, field: str) -> list[float]:
-    return [float(getattr(sample, field)) for sample in collector.samples]
+def system_series(collector) -> dict[str, list[float]]:
+    """A system collector's sampled CPU and memory series, by field."""
+    return {
+        field: [float(getattr(sample, field)) for sample in collector.samples]
+        for field in ("cpu_utilization", "memory_bytes")
+    }
 
 
 def assert_run_exact(telemetry: dict, ticks, responses, tracer, system):
-    """Every quantile of one iteration's telemetry mapping."""
+    """Every quantile of one iteration's telemetry mapping; ``system`` is
+    :func:`system_series` of the run's collector."""
     assert_exact(telemetry["tick"]["tick_ms"], ticks)
     assert_exact(telemetry["response_ms"], responses)
-    for field in ("cpu_utilization", "memory_bytes"):
-        assert_exact(
-            telemetry["system"][field], system_series(system, field)
-        )
+    for field, series in system.items():
+        assert_exact(telemetry["system"][field], series)
     phases = telemetry["trace"]["phases"]
     assert list(phases) == sorted(tracer.phases)
     for name, costs in tracer.phases.items():
@@ -62,7 +67,7 @@ def test_farm_snapshot_quantiles_are_exact(created):
         result.tick_durations_ms,
         result.response_times_ms,
         tracer,
-        system,
+        system_series(system),
     )
 
 
@@ -99,7 +104,7 @@ def test_campaign_record_quantiles_are_exact(created, tmp_path):
             line["tick_durations_ms"],
             line["response_times_ms"],
             tracer,
-            system,
+            system_series(system),
         )
         assert line["telemetry"]["tick"]["isr"] == line["isr"]
 
@@ -119,3 +124,10 @@ def test_wire_sidecar_quantiles_are_exact(wire_cell):
     assert_exact(telemetry["wire"][WIRE_FLUSH_US], flush_us)
     responses = wire_cell["bus"].series["response_ms"]
     assert it.response_times_ms == responses.tolist()
+
+
+def test_wire_cell_keeps_no_server_alive(wire_cell):
+    # The package-scoped fixture outlives every later test of the session;
+    # what it keeps must not reach the farm server and its world.
+    gc.collect()
+    assert wire_cell["server"]() is None
