@@ -29,7 +29,6 @@ same contract: a peer's bytes either decode or raise
 import gc
 import importlib.util
 import json
-import threading
 import time
 from pathlib import Path
 
@@ -40,7 +39,7 @@ from repro.campaign.store import JobStore
 from repro.reporting.text import format_table
 from repro.mlg import wirecodec as wc
 from repro.mlg.protocol import PACKET_SIZES, ActionKind, PacketCategory, PlayerAction
-from repro.net import run_clients, serve_cell
+from repro.net import run_clients, serve_and_join
 
 #: Messages per codec rep — large enough that interpreter startup noise
 #: washes out, small enough to keep the bench interactive.
@@ -295,33 +294,19 @@ def test_loopback_rtt(benchmark, out_dir, tmp_path):
     )
 
     def loopback():
-        listening = threading.Event()
-        box = {}
-
-        def on_listen(port):
-            box["port"] = port
-            listening.set()
-
-        thread = threading.Thread(
-            target=lambda: box.update(
-                serve=serve_cell(spec_path, cell=0, on_listen=on_listen)
-            )
+        return serve_and_join(
+            spec_path,
+            lambda port: run_clients(
+                "127.0.0.1", port, RTT_BOTS, stagger_s=0.05, seed=11
+            ),
+            cell=0,
         )
-        thread.start()
-        assert listening.wait(30)
-        box["clients"] = run_clients(
-            "127.0.0.1", box["port"], RTT_BOTS, stagger_s=0.05, seed=11
-        )
-        thread.join(60)
-        assert not thread.is_alive()
-        return box
 
     t0 = time.perf_counter()
-    box = benchmark.pedantic(loopback, rounds=1, iterations=1)
+    served, clients = benchmark.pedantic(loopback, rounds=1, iterations=1)
     wall_s = time.perf_counter() - t0
-    clients = box["clients"]
     store = JobStore(out)
-    line = store.read_job_telemetry(box["serve"]["job_id"])[0]
+    line = store.read_job_telemetry(served["job_id"])[0]
     wire = line["telemetry"]["wire"]
 
     rows = [

@@ -637,7 +637,8 @@ def _cmd_clients(args: argparse.Namespace) -> int:
         trace_out=args.trace_out,
     )
     print(json.dumps(summary, indent=2, sort_keys=True))
-    return 0 if summary["connected"] == args.n else 1
+    whole = summary["connected"] == args.n and not summary["protocol_errors"]
+    return 0 if whole else 1
 
 
 def _cmd_top(args: argparse.Namespace) -> int:

@@ -60,10 +60,6 @@ class ClientEndpoint:
         self._deliveries = []
         return drained
 
-    @property
-    def pending_deliveries(self) -> int:
-        return len(self._deliveries)
-
 
 class NetworkQueues:
     """In/out buffering between clients and the game loop."""
@@ -136,10 +132,6 @@ class NetworkQueues:
         ]
         due.sort(key=lambda entry: entry[0])
         return [action for _, action in due]
-
-    @property
-    def inbound_pending(self) -> int:
-        return len(self._inbound)
 
     # -- outbound -------------------------------------------------------------------
 

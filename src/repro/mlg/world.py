@@ -366,6 +366,8 @@ class World:
     ) -> BlockChange | None:
         """Write a block; returns the change (or None when it is a no-op).
 
+        ``aux`` is stored only when it differs from the cell's, so a write
+        that leaves a zero ``aux`` zero does not touch its page.
         ``log=False`` suppresses the change log — used by bulk world
         construction before an experiment starts, so that building a workload
         world does not masquerade as runtime terrain work.
@@ -376,10 +378,12 @@ class World:
         page, slot = chunk._page, chunk._slot
         lx, lz = x & 15, z & 15
         old = int(page.blocks[slot, lx, lz, y])
-        if old == block_id and int(page.aux[slot, lx, lz, y]) == aux:
+        old_aux = int(page.aux[slot, lx, lz, y])
+        if old == block_id and old_aux == aux:
             return None
         page.blocks[slot, lx, lz, y] = block_id
-        page.aux[slot, lx, lz, y] = aux & 0xFF
+        if old_aux != aux & 0xFF:
+            page.aux[slot, lx, lz, y] = aux & 0xFF
         page.dirty[slot] = True
         height = int(page.heightmap[slot, lx, lz])
         if block_id != Block.AIR and y >= height:
@@ -564,8 +568,10 @@ class World:
         One gather reads the old state, one scatter per field writes the
         new, heightmaps follow, and the changes are appended to the log as
         one segment, in input order.  No-op writes (same block and aux) are
-        skipped like the scalar path.  Positions must be unique;
-        out-of-bounds y positions are ignored.
+        skipped like the scalar path, and ``aux`` is scattered only to the
+        changed cells whose ``aux`` differs: carving air over terrain (an
+        explosion) leaves the lazily zeroed ``aux`` pages untouched.
+        Positions must be unique; out-of-bounds y positions are ignored.
         """
         xs, ys, zs = _int64(xs), _int64(ys), _int64(zs)
         block_ids = np.asarray(block_ids).astype(np.uint8)
@@ -580,17 +586,19 @@ class World:
         slots = self._slots_for_write(xs[sel], zs[sel])
         at = (slots, xs[sel] & 15, zs[sel] & 15, ys[sel])
         old = arena.gather("blocks", *at)
-        mask = (old != block_ids[sel]) | (
-            arena.gather("aux", *at) != auxs[sel]
-        )
+        new_aux = arena.gather("aux", *at) != auxs[sel]
+        mask = (old != block_ids[sel]) | new_aux
         if not mask.any():
             return 0
         # Everything below is in input order, restricted to real changes.
-        sel, old = sel[mask], old[mask]
+        sel, old, new_aux = sel[mask], old[mask], new_aux[mask]
         slots, lx, lz, y = at = tuple(a[mask] for a in at)
         new = block_ids[sel]
         arena.scatter("blocks", *at, values=new)
-        arena.scatter("aux", *at, values=auxs[sel])
+        if new_aux.any():
+            arena.scatter(
+                "aux", *(a[new_aux] for a in at), values=auxs[sel[new_aux]]
+            )
         arena.scatter("dirty", slots, values=np.ones(sel.size, np.bool_))
         solid = new != Block.AIR
         if solid.any():
@@ -695,9 +703,11 @@ class World:
         chunk under the cuboid is made resident, x then z (the order they
         load in is the order random ticks will visit them); y is clipped
         to the world; a cell changes when its block differs or its aux is
-        non-zero, and each changed cell takes ``block_id`` with aux 0,
-        dirties its chunk, raises its column's heightmap or, when it was
-        the column top and is carved to AIR, has the column rescanned.
+        non-zero, and each changed cell takes ``block_id`` with aux 0 (only
+        the non-zero ``aux`` cells are written, so a fill over zero ``aux``
+        leaves its pages untouched), dirties its chunk, raises its column's
+        heightmap or, when it was the column top and is carved to AIR, has
+        the column rescanned.
         With ``log`` the changes are logged as one segment in x, z, y
         order.  The work is one ``blocks`` and one ``aux`` slice per chunk,
         so no per-cell index array is built (a logged fill keeps two bytes
@@ -728,8 +738,9 @@ class World:
             columns = page.blocks[at]
             cells = columns[..., span]
             auxs = page.aux[at][..., span]
+            stale = auxs != 0
             changed = cells != block
-            changed |= auxs != 0
+            changed |= stale
             n = int(np.count_nonzero(changed))
             if not n:
                 continue
@@ -738,7 +749,8 @@ class World:
                 at_log = slice(xa - x0, xb - x0), slice(za - z0, zb - z0)
                 logged[at_log], olds[at_log] = changed, cells
             cells[...] = block
-            auxs[...] = 0
+            if stale.any():
+                auxs[stale] = 0
             page.dirty[slot] = True
             heights = page.heightmap[at]
             if block != Block.AIR:

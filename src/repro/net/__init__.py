@@ -10,13 +10,14 @@ Meterstick technical report calls out as part of benchmark variability.
 - :mod:`repro.net.server` — ``WireServer``: accept loop, per-client
   reader/writer plumbing feeding ``NetworkQueues``, per-tick flushes.
 - :mod:`repro.net.serve` — ``repro serve``: run one campaign cell behind
-  a TCP front end, writing the standard manifest and job record.
+  a TCP front end, writing the standard manifest and job record;
+  ``serve_and_join`` serves one in a thread while a fleet joins it.
 - :mod:`repro.net.client` — ``repro clients``: ramp N emulated players
   over real sockets, streaming response telemetry back to the server.
 """
 
 from repro.net.client import run_clients
-from repro.net.serve import serve_cell
+from repro.net.serve import serve_and_join, serve_cell
 from repro.net.server import WireServer
 
-__all__ = ["WireServer", "run_clients", "serve_cell"]
+__all__ = ["WireServer", "run_clients", "serve_and_join", "serve_cell"]

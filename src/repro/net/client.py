@@ -171,6 +171,8 @@ class _Connection:
         self.latency_us = latency_us
         self.view_distance = view_distance
         self.connected = False
+        #: Why the decoder dropped the server's stream, if it did.
+        self.protocol_error: str | None = None
         self.ticks_seen = 0
         self.bot: EmulatedPlayer | None = None
         self._writer: asyncio.StreamWriter | None = None
@@ -291,8 +293,11 @@ class _Connection:
                     else:
                         await writer.drain()
                 prev_done = time.monotonic()
-        except (ConnectionError, asyncio.CancelledError, wc.ProtocolError):
-            pass  # a server that stops making sense is a server gone
+        except wc.ProtocolError as exc:
+            # A server that stops making sense is a server gone, named.
+            self.protocol_error = str(exc)
+        except (ConnectionError, asyncio.CancelledError):
+            pass  # the server hung up, or the fleet was cancelled
         finally:
             if self._timer is not None:
                 self._timer.cancel()
@@ -363,7 +368,10 @@ def run_clients(
     Bots connect with ``stagger_s`` of wall time between joins (the way
     real players trickle in — and the connect-storm knob: 0 connects
     everyone at once).  They run until the server closes the iteration,
-    they time out, or ``duration_s`` wall seconds elapse.  Modeled
+    they time out, or ``duration_s`` wall seconds elapse.  A bot whose
+    server sent bytes the decoder refuses is listed, with the error, in
+    ``protocol_errors``; it still counts as ``connected`` if the welcome
+    came first.  Modeled
     latencies default to 0 on the wire: the real socket provides the
     delay the in-process network model simulates.
 
@@ -408,6 +416,11 @@ def run_clients(
     summary = {
         "clients": n,
         "connected": sum(1 for conn in connections if conn.connected),
+        "protocol_errors": [
+            f"{conn.name}: {conn.protocol_error}"
+            for conn in connections
+            if conn.protocol_error is not None
+        ],
         "ticks_seen": max(
             (conn.ticks_seen for conn in connections), default=0
         ),

@@ -18,6 +18,7 @@ sockets are involved.
 from __future__ import annotations
 
 import asyncio
+import threading
 from pathlib import Path
 
 from repro.campaign.executor import open_campaign, run_job_chain
@@ -27,7 +28,14 @@ from repro.campaign.store import JobStore
 from repro.core.experiment import require_transport
 from repro.net.server import WireServer, wire_metrics_snapshot
 
-__all__ = ["serve_cell"]
+__all__ = ["SERVE_THREAD", "serve_and_join", "serve_cell"]
+
+#: The name of the thread :func:`serve_and_join` serves in.
+SERVE_THREAD = "serve-cell"
+
+#: Wall seconds :func:`serve_and_join` waits for the socket, and then for
+#: the serve thread to finish once the fleet is done.
+_JOIN_TIMEOUT_S = 60.0
 
 
 class _ExternalFleet:
@@ -205,3 +213,54 @@ def serve_cell(
         "crashed": any(it.crashed for it in iterations),
         "record": str(record),
     }
+
+
+def serve_and_join(
+    spec_path: str | Path, fleet, **options
+) -> tuple[dict, object]:
+    """Serve a cell of ``spec_path`` in a thread while ``fleet(port)``
+    runs against it from this one; returns the serve summary and what
+    ``fleet`` returned.
+
+    The serve thread is named :data:`SERVE_THREAD`; ``options`` go to
+    :func:`serve_cell`.  ``fleet`` starts once the first iteration's
+    socket is bound.  An error the serve thread raises is raised here,
+    and a serve that does not bind, or does not finish, within
+    ``_JOIN_TIMEOUT_S`` of wall time is a :class:`TimeoutError`.
+    """
+    listening = threading.Event()
+    box = {}
+
+    def on_listen(port):
+        box["port"] = port
+        listening.set()
+
+    def serve():
+        try:
+            box["serve"] = serve_cell(
+                spec_path, on_listen=on_listen, **options
+            )
+        except BaseException as exc:  # raised again in the caller's thread
+            box["error"] = exc
+        finally:
+            listening.set()
+
+    thread = threading.Thread(target=serve, name=SERVE_THREAD, daemon=True)
+    thread.start()
+    if not listening.wait(_JOIN_TIMEOUT_S):
+        raise TimeoutError(
+            f"serve_cell bound no socket in {_JOIN_TIMEOUT_S} s"
+        )
+    result = None
+    try:
+        if "port" in box:
+            result = fleet(box["port"])
+    finally:
+        thread.join(_JOIN_TIMEOUT_S)
+    if "error" in box:
+        raise box["error"]
+    if thread.is_alive():
+        raise TimeoutError(
+            f"serve_cell did not finish in {_JOIN_TIMEOUT_S} s"
+        )
+    return box["serve"], result

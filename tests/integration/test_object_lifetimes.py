@@ -11,7 +11,6 @@ gen-2 collection, which is what this guards against.
 
 import gc
 import json
-import threading
 import weakref
 
 import pytest
@@ -24,7 +23,7 @@ from repro.lifetimes import OwnerGone
 from repro.mlg.gameloop import GameLoop
 from repro.mlg.server import MLGServer
 from repro.mlg.world import World
-from repro.net import run_clients, serve_cell
+from repro.net import run_clients, serve_and_join
 from repro.persistence.lifecycle import ChunkLifecycle
 from repro.persistence.store import RegionStore
 from repro.persistence.warmup import ensure_world_cache
@@ -133,26 +132,12 @@ def test_a_served_cell_frees_its_world(built, tmp_path):
             }
         )
     )
-    listening = threading.Event()
-    box = {}
-
-    def on_listen(port):
-        box["port"] = port
-        listening.set()
-
-    def serve():
-        try:
-            # Paced, so the clients join before the 20 ticks are over.
-            box["serve"] = serve_cell(spec_path, on_listen=on_listen)
-        finally:
-            listening.set()
-
-    thread = threading.Thread(target=serve)
-    thread.start()
-    assert listening.wait(30) and "port" in box
-    clients = run_clients("127.0.0.1", box["port"], 2, stagger_s=0, seed=3)
-    thread.join(60)
-    assert not thread.is_alive() and box["serve"]["iterations"] == 1
+    # Paced, so the clients join before the 20 ticks are over.
+    served, clients = serve_and_join(
+        spec_path,
+        lambda port: run_clients("127.0.0.1", port, 2, stagger_s=0, seed=3),
+    )
+    assert served["iterations"] == 1
     assert clients["connected"] == 2
     assert len(built) == 2 and alive(built) == []
 

@@ -432,6 +432,75 @@ class TestBulkEqualsScalar:
         assert world.dirty_count() == scalar.dirty_count()
 
 
+def _terrain_world(lock_aux: bool, seeded_aux: bool = False):
+    """Nine generated chunks around the origin; with ``lock_aux`` every
+    later write to the ``aux`` slab raises.  ``seeded_aux`` first leaves
+    aux 5 in one cell of the fill cuboid below."""
+    world = _generated(5, [(cx, cz) for cx in (-1, 0, 1) for cz in (-1, 0, 1)])
+    if seeded_aux:
+        world.set_aux(2, 60, 2, 5)
+    world._arena._pages[0].aux.flags.writeable = not lock_aux
+    return world
+
+
+def _crater():
+    """A sphere of radius 5 across four chunks, through the surface."""
+    xs, ys, zs = np.mgrid[-5:6, 55:66, -5:6].reshape(3, -1)
+    inside = (xs**2 + (ys - 60) ** 2 + zs**2) <= 25
+    return xs[inside], ys[inside], zs[inside]
+
+
+class TestAuxStaysUntouched:
+    """A write that leaves a cell's ``aux`` zero does not store it: with
+    the ``aux`` slab read-only, the terrain writers still run as the game
+    calls them, and they leave what an unlocked world does."""
+
+    @staticmethod
+    def _writes(world):
+        xs, ys, zs = _crater()
+        # An explosion: blocks become air, each cell keeping its aux.
+        world.set_blocks_bulk(
+            xs, ys, zs, np.zeros(xs.size, np.uint8),
+            auxs=world.aux_bulk(xs, ys, zs),
+        )
+        # A bulk write with the default aux (zeros).
+        world.set_blocks_bulk(
+            xs + 12, ys, zs, np.full(xs.size, Block.GLASS, np.uint8)
+        )
+        world.fill(-3, 58, -3, 4, 62, 4, Block.GLASS, log=True)
+        world.set_block(9, 63, -9, Block.DIRT)
+        world.set_block(9, 63, -9, Block.AIR)
+
+    def test_writes_leaving_aux_zero_never_store_it(self):
+        locked, twin = _terrain_world(True), _terrain_world(False)
+        self._writes(locked)
+        self._writes(twin)
+        changes = locked.drain_changes().records()
+        assert changes == twin.drain_changes().records()
+        assert len(changes) > 1300
+        _assert_same_state(_state(locked), _state(twin))
+        assert locked.dirty_count() == twin.dirty_count()
+        assert not twin._arena._pages[0].aux.any()
+
+    def test_a_nonzero_aux_is_still_written(self):
+        xs, ys, zs = _crater()
+        world = _terrain_world(True)
+        with pytest.raises(ValueError, match="read-only"):
+            world.set_blocks_bulk(
+                xs, ys, zs, np.zeros(xs.size, np.uint8),
+                auxs=np.ones(xs.size, np.uint8),
+            )
+        with pytest.raises(ValueError, match="read-only"):
+            world.set_block(9, 63, -9, Block.DIRT, aux=3)
+        # A fill clears a non-zero aux under it.
+        world = _terrain_world(True, seeded_aux=True)
+        with pytest.raises(ValueError, match="read-only"):
+            world.fill(-3, 58, -3, 4, 62, 4, Block.GLASS)
+        twin = _terrain_world(False, seeded_aux=True)
+        twin.fill(-3, 58, -3, 4, 62, 4, Block.GLASS)
+        assert twin.get_aux(2, 60, 2) == 0
+
+
 class TestRegionBytes:
     def test_arena_world_writes_the_same_region_file_as_loose_chunks(
         self, tmp_path

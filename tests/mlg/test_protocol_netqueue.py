@@ -72,7 +72,8 @@ class TestNetworkQueues:
         assert arrival == 15_000
         assert net.drain_inbound(14_999) == []
         assert net.drain_inbound(15_000) == [action]
-        assert net.inbound_pending == 0
+        # Drained once: no later tick sees it again.
+        assert net.drain_inbound(1 << 62) == []
 
     def test_inbound_sorted_by_arrival(self):
         net = NetworkQueues()

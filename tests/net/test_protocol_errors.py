@@ -5,18 +5,23 @@ does not write itself.  ``FrameDecoder`` must answer anything with
 messages or a ``ProtocolError`` while holding a bounded buffer, and
 ``WireServer`` must drop the one client that sent it — through the
 simulation's own ``net.disconnect``, with a reason — while the tick loop
-and every other client go on.
+and every other client go on.  The client end drops a server that sends
+it such bytes, and the fleet's summary names the error.
 """
 
 import asyncio
+import json
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.campaign.cli import main as cli_main
 from repro.cloud.providers import get_environment
 from repro.mlg import wirecodec as wc
 from repro.mlg.server import MLGServer
+from repro.net import run_clients
 from repro.net import server as wire_server
 from repro.net.client import _CLIENT_READS
 from repro.net.server import WireServer
@@ -431,3 +436,69 @@ def test_silent_peer_is_dropped_at_the_handshake_deadline(monkeypatch):
     assert len(good_ticks) >= 10
     assert good_ticks == list(range(good_ticks[0], good_ticks[-1] + 1))
     assert not server.crashed
+
+
+class _UnknownFrameServer:
+    """A stub server on its own thread and event loop: it welcomes each
+    client and, once the bot has spoken, sends a frame of a type no end
+    knows, then holds the socket open until the client hangs up."""
+
+    BAD_FRAME = bytes([1, 99])  # length 1, type byte 99
+
+    def __init__(self) -> None:
+        self.port = None
+        self._ready = threading.Event()
+        self._thread = threading.Thread(
+            target=asyncio.run, args=(self._serve(),)
+        )
+
+    async def _handle(self, reader, writer) -> None:
+        await reader.read(65536)  # the HELLO
+        writer.write(wc.encode_welcome(1, 8.0, 65.0, 8.0, 0))
+        await writer.drain()
+        await reader.read(65536)  # the bot's join probe: it is connected
+        writer.write(self.BAD_FRAME)
+        await writer.drain()
+        await reader.read()  # until the client closes
+        writer.close()
+
+    async def _serve(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._stop = asyncio.Event()
+        server = await asyncio.start_server(self._handle, "127.0.0.1", 0)
+        self.port = server.sockets[0].getsockname()[1]
+        self._ready.set()
+        async with server:
+            await self._stop.wait()
+
+    def __enter__(self):
+        self._thread.start()
+        assert self._ready.wait(10), "the stub server never bound"
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._loop.call_soon_threadsafe(self._stop.set)
+        self._thread.join(10)
+
+
+class TestClientNamesProtocolErrors:
+    def test_fleet_summary_lists_the_error_and_keeps_connected(self):
+        with _UnknownFrameServer() as stub:
+            summary = run_clients("127.0.0.1", stub.port, 2, stagger_s=0)
+        assert summary["connected"] == 2
+        errors = summary["protocol_errors"]
+        assert len(errors) == 2
+        for name, error in zip(("wire-bot-0", "wire-bot-1"), sorted(errors)):
+            assert error.startswith(f"{name}: ")
+            assert "unknown wire message type 99" in error
+
+    def test_repro_clients_exits_1_on_a_protocol_error(self, capsys):
+        with _UnknownFrameServer() as stub:
+            code = cli_main(
+                ["clients", "--port", str(stub.port), "-n", "1",
+                 "--stagger-s", "0"]
+            )
+        assert code == 1
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["connected"] == 1
+        assert len(summary["protocol_errors"]) == 1

@@ -19,47 +19,12 @@ import pytest
 
 from repro.campaign.store import JobStore
 from repro.mlg import wirecodec as wc
-from repro.net import run_clients, serve_cell
+from repro.net import run_clients, serve_and_join, serve_cell
 from repro.net import server as wire_server
+from repro.net.serve import SERVE_THREAD
 from repro.reporting.dataset import sidecar_row
 
 N_BOTS = 3
-
-#: The name of the thread :func:`serve_and_join` serves in.
-SERVE_THREAD = "serve-cell"
-
-
-def serve_and_join(spec_path, n_bots: int, stagger_s: float) -> dict:
-    """Serve cell 0 of ``spec_path`` in a thread while ``n_bots`` wire
-    clients join it from this one; returns the serve and client
-    summaries."""
-    listening = threading.Event()
-    box = {}
-
-    def on_listen(port):
-        box["port"] = port
-        listening.set()
-
-    def serve():
-        try:
-            box["serve"] = serve_cell(spec_path, cell=0, on_listen=on_listen)
-        except BaseException as exc:  # surface into the test thread
-            box["error"] = exc
-            listening.set()
-
-    thread = threading.Thread(target=serve, name=SERVE_THREAD)
-    thread.start()
-    assert listening.wait(30), "serve_cell never bound its socket"
-    if "error" in box:
-        raise box["error"]
-    box["clients"] = run_clients(
-        "127.0.0.1", box["port"], n_bots, stagger_s=stagger_s, seed=7
-    )
-    thread.join(60)
-    assert not thread.is_alive(), "serve_cell did not finish"
-    if "error" in box:
-        raise box["error"]
-    return box
 
 
 @pytest.fixture(scope="module")
@@ -84,9 +49,13 @@ def loopback_run(tmp_path_factory):
             }
         )
     )
-    box = serve_and_join(spec_path, N_BOTS, stagger_s=0.05)
-    box["store"] = JobStore(out_dir)
-    return box
+    served, clients = serve_and_join(
+        spec_path,
+        lambda port: run_clients(
+            "127.0.0.1", port, N_BOTS, stagger_s=0.05, seed=7
+        ),
+    )
+    return {"serve": served, "clients": clients, "store": JobStore(out_dir)}
 
 
 class TestLoopbackCampaign:
@@ -194,6 +163,15 @@ class TestServeRefusals:
             serve_cell(spec_path)
         assert store.manifest_path.read_bytes() == before
 
+    def test_serve_and_join_raises_the_serve_threads_error(self, tmp_path):
+        spec_path = _write_spec(
+            tmp_path / "inproc.json", tmp_path / "out", transport="inproc"
+        )
+        fleets = []
+        with pytest.raises(ValueError, match="`repro run`"):
+            serve_and_join(spec_path, fleets.append)
+        assert fleets == []  # nothing bound, so no fleet ran
+
 
 def test_connect_storm_writes_no_buffer_above_the_window(
     tmp_path, monkeypatch
@@ -226,10 +204,15 @@ def test_connect_storm_writes_no_buffer_above_the_window(
         bot_counts=[n_bots],
         seed=7,
     )
-    box = serve_and_join(spec_path, n_bots, stagger_s=0)
-    assert box["clients"]["connected"] == n_bots
+    summary, clients = serve_and_join(
+        spec_path,
+        lambda port: run_clients(
+            "127.0.0.1", port, n_bots, stagger_s=0, seed=7
+        ),
+    )
+    assert clients["connected"] == n_bots
     store = JobStore(out_dir)
-    job_id = box["serve"]["job_id"]
+    job_id = summary["job_id"]
     (iteration,) = store.load_job(job_id)
     assert not iteration.crashed
     (line,) = store.read_job_telemetry(job_id)

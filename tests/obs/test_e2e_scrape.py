@@ -17,7 +17,7 @@ import urllib.request
 import pytest
 
 from repro.campaign.store import JobStore
-from repro.net import run_clients, serve_cell
+from repro.net import run_clients, serve_and_join
 
 N_BOTS = 2
 
@@ -84,55 +84,33 @@ def scraped_run(tmp_path_factory):
             }
         )
     )
-    listening = threading.Event()
     box = {}
-
-    def on_listen(port):
-        box["port"] = port
-        listening.set()
-
-    def on_obs(url):
-        box["obs_url"] = url
-
-    def serve():
-        try:
-            box["serve"] = serve_cell(
-                spec_path, cell=0, on_listen=on_listen, on_obs=on_obs
-            )
-        except BaseException as exc:
-            box["error"] = exc
-            listening.set()
-
-    thread = threading.Thread(target=serve)
-    thread.start()
-    assert listening.wait(30), "serve_cell never bound its socket"
-    if "error" in box:
-        raise box["error"]
-    assert "obs_url" in box, "obs: true spec must fire on_obs before listen"
-
     trace_out = out_dir / "telemetry" / "fleet.clientspans.jsonl"
 
-    def clients():
-        box["clients"] = run_clients(
-            "127.0.0.1",
-            box["port"],
-            N_BOTS,
-            stagger_s=0.05,
-            seed=5,
-            trace_out=trace_out,
-        )
+    def fleet(port):
+        assert "obs_url" in box, "obs: true must fire on_obs before listen"
 
-    fleet = threading.Thread(target=clients)
-    fleet.start()
-    box["scrape_1"] = scrape(box["obs_url"])
-    time.sleep(0.4)
-    box["scrape_2"] = scrape(box["obs_url"])
-    box["scrape_json"] = scrape(box["obs_url"] + ".json")
-    fleet.join(60)
-    thread.join(60)
-    assert not thread.is_alive(), "serve_cell did not finish"
-    if "error" in box:
-        raise box["error"]
+        def clients():
+            box["clients"] = run_clients(
+                "127.0.0.1",
+                port,
+                N_BOTS,
+                stagger_s=0.05,
+                seed=5,
+                trace_out=trace_out,
+            )
+
+        clients_thread = threading.Thread(target=clients)
+        clients_thread.start()
+        box["scrape_1"] = scrape(box["obs_url"])
+        time.sleep(0.4)
+        box["scrape_2"] = scrape(box["obs_url"])
+        box["scrape_json"] = scrape(box["obs_url"] + ".json")
+        clients_thread.join(60)
+
+    box["serve"], _ = serve_and_join(
+        spec_path, fleet, cell=0, on_obs=lambda url: box.update(obs_url=url)
+    )
     box["store"] = JobStore(out_dir)
     return box
 

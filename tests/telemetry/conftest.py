@@ -2,7 +2,6 @@
 one traced cell served over loopback."""
 
 import json
-import threading
 import weakref
 from contextlib import contextmanager
 from pathlib import Path
@@ -13,7 +12,7 @@ from repro.campaign import JobStore
 from repro.core import experiment
 from repro.core.collectors import SystemMetricsCollector
 from repro.mlg import server as server_module
-from repro.net import run_clients, serve_cell
+from repro.net import run_clients, serve_and_join
 from repro.telemetry import tap
 from repro.telemetry.bus import TelemetryBus
 from repro.tracing.tracer import Tracer
@@ -96,31 +95,14 @@ def _serve_wire_cell(tmp_path_factory) -> dict:
             dict(PINS["cells"]["wire"]["spec"], output_dir=str(root / "out"))
         )
     )
-    listening = threading.Event()
-    box = {}
-
-    def on_listen(port):
-        box["port"] = port
-        listening.set()
-
-    def serve():
-        try:
-            box["serve"] = serve_cell(spec_path, cell=0, on_listen=on_listen)
-        except BaseException as exc:  # surface into the test thread
-            box["error"] = exc
-            listening.set()
-
-    thread = threading.Thread(target=serve)
-    thread.start()
-    assert listening.wait(30), "serve_cell never bound its socket"
-    if "error" not in box:
-        run_clients("127.0.0.1", box["port"], N_CLIENTS, stagger_s=0.05, seed=7)
-    thread.join(60)
-    assert not thread.is_alive(), "serve_cell did not finish"
-    if "error" in box:
-        raise box["error"]
+    served, _ = serve_and_join(
+        spec_path,
+        lambda port: run_clients(
+            "127.0.0.1", port, N_CLIENTS, stagger_s=0.05, seed=7
+        ),
+    )
     store = JobStore(root / "out")
-    job_id = box["serve"]["job_id"]
+    job_id = served["job_id"]
     (line,) = store.read_job_telemetry(job_id)
     (iteration,) = store.load_job(job_id)
     return {"line": line, "iteration": iteration}
