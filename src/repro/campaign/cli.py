@@ -5,7 +5,6 @@ Usage (also via the ``repro`` console script)::
     python -m repro run campaign.yaml --jobs 4
     python -m repro resume campaign.yaml --jobs 4
     python -m repro status meterstick-out/
-    python -m repro status meterstick-out/ --watch
     python -m repro top meterstick-out/
     python -m repro top http://127.0.0.1:9178/metrics
     python -m repro export meterstick-out/ --out analysis/
@@ -22,8 +21,12 @@ Usage (also via the ``repro`` console script)::
 ``status``/``export``/``trace`` take either a spec file or a campaign
 output directory (one containing a ``manifest.json``); ``world`` manages
 the region-file world directories used for warm boots and persistence
-runs.  ``trace export`` renders a traced campaign (spec ``trace: true``)
-as Chrome trace-event JSON, loadable in Perfetto or ``chrome://tracing``.
+runs.  ``status`` prints the per-job table once; ``top`` is the one live
+view, redrawing one block per cell — each cell's statistics computed
+from its records' series, as the report computes them — from a campaign
+directory or an obs endpoint.  ``trace export`` renders a traced
+campaign (spec ``trace: true``) as Chrome trace-event JSON, loadable in
+Perfetto or ``chrome://tracing``.
 ``lint`` runs the static invariant checkers (:mod:`repro.lint`) that
 guard the determinism, RNG-threading and transport conventions the
 bit-identity claims rest on.  ``serve``/``clients`` split one cell
@@ -70,21 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_run_options(resume)
 
-    status = sub.add_parser("status", help="show per-job completion")
+    status = sub.add_parser(
+        "status",
+        help="show per-job completion once ('repro top <dir>' follows it)",
+    )
     status.add_argument(
         "target", help="campaign spec file or campaign output directory"
-    )
-    status.add_argument(
-        "--watch",
-        action="store_true",
-        help="poll and redraw until interrupted; each refresh re-reads "
-        "the tail of every job's record",
-    )
-    status.add_argument(
-        "--interval-s",
-        type=float,
-        default=2.0,
-        help="seconds between --watch refreshes (default: 2)",
     )
 
     export = sub.add_parser(
@@ -399,39 +393,9 @@ def _status_frame(spec: CampaignSpec, store: JobStore, status: dict) -> str:
     return "\n".join(lines)
 
 
-def _watch_status(
-    spec: CampaignSpec,
-    store: JobStore,
-    interval_s: float,
-    max_refreshes: int | None = None,
-) -> int:
-    """``status --watch``: redraw one-shot ``status`` until interrupted.
-
-    Each refresh is ``store.status()``, which tail-reads every record in
-    O(jobs).  ``max_refreshes`` bounds the loop for tests.
-    """
-    import time
-
-    refreshes = 0
-    try:
-        while True:
-            print(
-                "\x1b[2J\x1b[H" + _status_frame(spec, store, store.status()),
-                flush=True,
-            )
-            refreshes += 1
-            if max_refreshes is not None and refreshes >= max_refreshes:
-                return 0
-            time.sleep(interval_s)
-    except KeyboardInterrupt:
-        return 0
-
-
 def _cmd_status(args: argparse.Namespace) -> int:
     spec = _load_spec(args.target)
     store = JobStore(spec.output_dir)
-    if args.watch:
-        return _watch_status(spec, store, args.interval_s)
     print(_status_frame(spec, store, store.status()))
     return 0
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import threading
 import time
 from collections.abc import Callable
 from pathlib import Path
@@ -26,7 +25,7 @@ from repro.core.experiment import require_transport, run_server_chain
 from repro.core.results import ExperimentResult, IterationResult
 from repro.campaign.planner import Job, JobPlanner
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import JobStore, SidecarFollower
+from repro.campaign.store import JobStore
 from repro.tracing.provenance import (
     measurement_config,
     provenance_fingerprint,
@@ -194,67 +193,6 @@ def execute_job(payload: dict) -> tuple[dict, str, dict]:
     return payload["job"], str(record), phases
 
 
-class _ObsPlane:
-    """The campaign's live metrics endpoint, fed by the job records.
-
-    Workers already push one line per finished iteration — the record
-    line they stream for ``repro status`` — so the parent needs no second
-    channel: a follower thread tails every record (per-file byte
-    offsets, O(new lines) per sweep), folds each iteration line into one
-    :class:`~repro.obs.aggregate.CampaignObsAggregate`, and a single HTTP
-    endpoint serves the whole campaign.  The same path covers the serial
-    and ``multiprocessing`` executors, because both stream the same
-    records.
-    """
-
-    #: Seconds between record sweeps — latency of the dashboard, not of
-    #: the measurement (records land regardless).
-    _POLL_S = 0.5
-
-    def __init__(self, spec, store, n_jobs: int, provenance: dict | None):
-        from repro.obs import CampaignObsAggregate, ObsHttpServer
-        from repro.obs.aggregate import campaign_meta
-
-        self._follower = SidecarFollower(store)
-        self._aggregate = CampaignObsAggregate(
-            n_jobs=n_jobs, meta=campaign_meta(spec.name, provenance)
-        )
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._follow, name="obs-follower", daemon=True
-        )
-        self._endpoint = ObsHttpServer(
-            self._aggregate.snapshot,
-            port=spec.obs_port,
-            scrape_grace_s=spec.obs_scrape_grace,
-        )
-
-    @property
-    def url(self) -> str:
-        return self._endpoint.url
-
-    def _drain(self) -> None:
-        for line in self._follower.poll():
-            self._aggregate.fold(line)
-
-    def _follow(self) -> None:
-        while not self._stop.wait(self._POLL_S):
-            self._drain()
-
-    def start(self) -> "_ObsPlane":
-        self._endpoint.start()
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5)
-        # Final sweep: fold whatever landed after the last poll so a
-        # grace-period scrape sees the completed campaign.
-        self._drain()
-        self._endpoint.stop()
-
-
 class CampaignExecutor:
     """Plans, runs, and persists one campaign."""
 
@@ -295,9 +233,7 @@ class CampaignExecutor:
         )
         obs = None
         if self.spec.obs:
-            obs = _ObsPlane(
-                self.spec, self.store, n_jobs=len(plan), provenance=provenance
-            ).start()
+            obs = self._start_obs(provenance)
             self.obs_url = obs.url
             print(f"obs endpoint {obs.url}", flush=True)
         try:
@@ -353,6 +289,22 @@ class CampaignExecutor:
         finally:
             if obs is not None:
                 obs.stop()
+
+    def _start_obs(self, provenance: dict):
+        """Serve the campaign's live endpoint: each scrape is a
+        :func:`~repro.obs.aggregate.campaign_snapshot` of the records as
+        they stand, read through the endpoint's own store (whose parse
+        cache the merge never shares)."""
+        from repro.obs import ObsHttpServer, campaign_snapshot
+        from repro.obs.aggregate import campaign_meta
+
+        store = JobStore(self.store.root)
+        meta = campaign_meta(self.spec.name, provenance)
+        return ObsHttpServer(
+            lambda: campaign_snapshot(store, meta),
+            port=self.spec.obs_port,
+            scrape_grace_s=self.spec.obs_scrape_grace,
+        ).start()
 
     def _ensure_world_caches(self, plan: list[Job]) -> list[dict]:
         """Pre-generate each distinct starting world (one per

@@ -16,7 +16,7 @@ An iteration line is ``{"job_id", "cell", **IterationResult.to_dict()}``
 with sorted keys — the raw series, the telemetry summaries and, on
 traced cells, the span dumps and slow-tick anomalies.  It is the only
 copy of the iteration: ``merge``/``export``, ``resume``, ``status``,
-``report``, ``trace export`` and the obs follower all read it.
+``report``, ``trace export`` and the live obs view all read it.
 
 The process that runs a job (a pool worker, or the parent when the
 campaign runs inline) streams the record — append + flush per iteration,
@@ -40,7 +40,7 @@ from repro.campaign.planner import Job
 from repro.campaign.spec import CampaignSpec
 from repro.tracing.chrome import CLIENT_SPAN_SUFFIX
 
-__all__ = ["JobStore", "SidecarFollower"]
+__all__ = ["JobStore"]
 
 MANIFEST_NAME = "manifest.json"
 TELEMETRY_DIR = "telemetry"
@@ -411,55 +411,3 @@ def line_anomalies(line: dict) -> list[dict]:
         }
         for anomaly in trace.get("anomalies") or ()
     ]
-
-
-class SidecarFollower:
-    """Incrementally follow every job's record in a store.
-
-    Each :meth:`poll` reads only the bytes appended since the previous
-    poll (one remembered offset per record file), so a live dashboard or
-    watch loop pays O(new lines) per tick instead of re-reading whole
-    files the way one-shot ``status`` does.  A torn trailing line (the
-    writer is mid-``write``) stays buffered until its newline arrives; a
-    record that *shrank* (a crashed job re-running truncates its own
-    file) resets that file's offset and replays it from the top.  Commit
-    lines are not iterations and are not returned.
-    """
-
-    def __init__(self, store: JobStore) -> None:
-        self.store = store
-        #: record path -> (byte offset consumed, buffered partial line).
-        self._state: dict[Path, tuple[int, bytes]] = {}
-        #: job_id -> the most recent iteration line seen for that job.
-        self.latest: dict[str, dict] = {}
-
-    def poll(self) -> list[dict]:
-        """Iteration lines appended since the last poll, in
-        (job_id, stream) order."""
-        lines: list[dict] = []
-        for job_id in sorted(self.store.record_ids()):
-            path = self.store.telemetry_path(job_id)
-            offset, partial = self._state.get(path, (0, b""))
-            try:
-                with path.open("rb") as record:
-                    size = record.seek(0, os.SEEK_END)
-                    if size < offset:
-                        # Truncated by a re-running job: replay from 0.
-                        offset, partial = 0, b""
-                    record.seek(offset)
-                    block = record.read()
-            except FileNotFoundError:
-                continue
-            offset += len(block)
-            block = partial + block
-            # No newline yet: rpartition leaves the whole block in the
-            # third slot — it stays buffered as the partial line.
-            complete, sep, partial = block.rpartition(b"\n")
-            self._state[path] = (offset, partial)
-            if not sep:
-                continue
-            for line in _parse_lines(complete.split(b"\n")):
-                if _has_telemetry(line):
-                    lines.append(line)
-                    self.latest[line.get("job_id", job_id)] = line
-        return lines

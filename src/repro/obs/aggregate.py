@@ -1,34 +1,42 @@
-"""Campaign-wide obs aggregation: fold worker deltas into one snapshot.
+"""Campaign obs snapshot: per-cell statistics, read from the job records.
 
-The campaign executor's workers stream one line per finished iteration
-into their job records; an in-parent follower tails the records and
-folds each iteration line here, and the parent serves a single endpoint
-for the whole campaign.
+The paper reports variability per (workload, server, environment) cell,
+and so does a campaign's live view.  :func:`campaign_snapshot` reads
+every job's record as it stands (``JobStore.read_record``, which
+re-parses a record only when its file changed) and builds, per cell, the
+record-shaped telemetry mapping a single-cell snapshot exports, labelled
+``cell="…"``:
 
-How a metric's iterations combine is its catalog entry's ``combine``
-rule (:mod:`repro.telemetry.catalog`):
+- the tick and response gauges are :func:`summarize` over the cell's
+  concatenated series — the report's statistics, bit for bit;
+- ``isr`` is the median of the cell's per-iteration ISRs (Fig. 10 plots
+  their spread);
+- counters and the Fig. 11 phase totals are sums over the lines present,
+  ``entities_peak`` is their maximum and ``entities_last`` the latest
+  line's;
+- a line keeps its wire flush series only as a summary, so the cell's
+  flush p99 is the largest per-iteration p99.
 
-- **Counters sum exactly** (ticks, response samples, wire bytes,
-  connects, per-phase microseconds, slow ticks, anomaly dumps) — a
-  scrape's counter is monotone and never exceeds the final record sum.
-- **Maxima merge exactly** (``tick_ms`` max, ``entities_peak``);
-  ``entities_last`` is the latest fold's.
-- **Quantiles, CoV, ISR and the overloaded fraction average**, weighted
-  by the sample count of their own section (tick quantiles by ticks,
-  response quantiles by response samples, the flush p99 by flushes): the
-  per-iteration summaries are not mergeable at full fidelity, so these
-  campaign-level gauges are an approximation, clearly scoped to the
-  dashboard (reports keep using the exact per-iteration values).
+Values are what the records hold at scrape time.  A counter falls only
+when ``resume`` restarts a job, whose re-run truncates its record; a
+scraper reads that as a counter reset.
 """
 
 from __future__ import annotations
 
-import threading
+from itertools import chain
 
+from repro.mlg.constants import NOTICEABLE_MS, TICK_BUDGET_MS, UNPLAYABLE_MS
 from repro.obs.registry import ObsSnapshot
-from repro.telemetry.catalog import lookup, scraped
+from repro.telemetry.catalog import (
+    WIRE_BYTES_IN,
+    WIRE_BYTES_OUT,
+    WIRE_CONNECTS,
+    WIRE_FLUSH_US,
+)
+from repro.telemetry.summary import summarize
 
-__all__ = ["CampaignObsAggregate", "campaign_meta"]
+__all__ = ["campaign_meta", "campaign_snapshot"]
 
 
 def campaign_meta(name: str, provenance: dict | None) -> dict:
@@ -44,71 +52,81 @@ def campaign_meta(name: str, provenance: dict | None) -> dict:
     return meta
 
 
-class CampaignObsAggregate:
-    """Thread-safe fold of per-iteration record lines."""
+def _sections(lines: list[dict], name: str) -> list[dict]:
+    """The ``name`` section of each line that carries it switched on."""
+    found = (line["telemetry"].get(name) for line in lines)
+    return [sec for sec in found if sec and sec.get("enabled", True)]
 
-    def __init__(self, n_jobs: int, meta: dict | None = None) -> None:
-        self.n_jobs = n_jobs
-        self.meta = dict(meta or {})
-        self._lock = threading.Lock()
-        self._jobs_observed: set[str] = set()
-        self._iterations = 0
-        #: Exposition name -> combined value so far (a ``mean``'s weighted
-        #: total; label -> sum for a family).  Starts at the zero of every
-        #: metric an empty line would carry; wire and trace names appear
-        #: once a line with the section has been folded.
-        self._combined: dict = {
-            metric.name: {} if metric.label_key else 0.0
-            for metric, _ in scraped({})
+
+def _series(lines: list[dict], key: str) -> list[float]:
+    return list(chain.from_iterable(line[key] for line in lines))
+
+
+def _cell_telemetry(lines: list[dict]) -> dict:
+    """One cell's iteration lines, oldest first, as one record-shaped
+    telemetry mapping (the sections a scrape reads)."""
+    ticks = [line["telemetry"]["tick"] for line in lines]
+    tick_ms = summarize(
+        _series(lines, "tick_durations_ms"), {"budget": TICK_BUDGET_MS}
+    )
+    breakdown: dict[str, float] = {}
+    for tick in ticks:
+        for bucket, us in tick["breakdown_us"].items():
+            breakdown[bucket] = breakdown.get(bucket, 0.0) + us
+    telemetry = {
+        "tick": {
+            "ticks": tick_ms["count"],
+            "isr": summarize([tick["isr"] for tick in ticks])["p50"],
+            "overloaded_fraction": tick_ms["frac_over_budget"],
+            "tick_ms": tick_ms,
+            "entities_last": ticks[-1]["entities_last"],
+            "entities_peak": max(tick["entities_peak"] for tick in ticks),
+            "breakdown_us": breakdown,
+        },
+        "response_ms": summarize(
+            _series(lines, "response_times_ms"),
+            {"noticeable": NOTICEABLE_MS, "unplayable": UNPLAYABLE_MS},
+        ),
+    }
+    wires = _sections(lines, "wire")
+    if wires:
+        telemetry["wire"] = {
+            stream: {key: sum(wire[stream][key] for wire in wires)}
+            for stream, key in (
+                (WIRE_BYTES_IN, "total"),
+                (WIRE_BYTES_OUT, "total"),
+                (WIRE_CONNECTS, "count"),
+            )
         }
-        #: Exposition name -> summed weight, for ``mean`` metrics.
-        self._weights: dict[str, float] = {}
+        telemetry["wire"][WIRE_FLUSH_US] = {
+            "p99": max(wire[WIRE_FLUSH_US]["p99"] for wire in wires)
+        }
+    traces = _sections(lines, "trace")
+    if traces:
+        telemetry["trace"] = {
+            key: sum(trace[key] for trace in traces)
+            for key in ("slow_ticks", "anomaly_count")
+        }
+    return telemetry
 
-    def fold(self, line: dict) -> None:
-        """Fold one record line (one finished iteration)."""
-        with self._lock:
-            job_id = line.get("job_id")
-            if job_id:
-                self._jobs_observed.add(job_id)
-            self._iterations += 1
-            for metric, value in scraped(line):
-                name = metric.name
-                if metric.label_key:
-                    family = self._combined.setdefault(name, {})
-                    for label, sample in (value or {}).items():
-                        family[label] = family.get(label, 0.0) + sample
-                    continue
-                value = float(value or 0.0)
-                so_far = self._combined.get(name, 0.0)
-                if metric.combine == "sum":
-                    self._combined[name] = so_far + value
-                elif metric.combine == "max":
-                    self._combined[name] = max(so_far, value)
-                elif metric.combine == "last":
-                    self._combined[name] = value
-                else:  # mean, weighted by a count beside the value
-                    weight = float(
-                        lookup(line, (*metric.path[:-1], metric.weight)) or 0
-                    )
-                    self._combined[name] = so_far + weight * value
-                    self._weights[name] = (
-                        self._weights.get(name, 0.0) + weight
-                    )
 
-    def snapshot(self) -> ObsSnapshot:
-        """One campaign-wide snapshot of everything folded so far."""
-        snap = ObsSnapshot(self.meta)
-        with self._lock:
-            for name, value in self._combined.items():
-                if isinstance(value, dict):
-                    for label, sample in value.items():
-                        snap.export(name, sample, label=label)
-                elif name in self._weights:
-                    weight = self._weights[name]
-                    snap.export(name, value / weight if weight else 0.0)
-                else:
-                    snap.export(name, value)
-            snap.export("repro_jobs_total", self.n_jobs)
-            snap.export("repro_jobs_observed", len(self._jobs_observed))
-            snap.export("repro_iterations_total", self._iterations)
-        return snap
+def campaign_snapshot(store, meta: dict | None = None) -> ObsSnapshot:
+    """One snapshot of ``store``'s campaign as its records hold it now:
+    each cell's metrics under its ``cell`` label, and the unlabelled job
+    and iteration counts."""
+    jobs = store.manifest_jobs()
+    cells: dict[str, list[dict]] = {}
+    observed = iterations = 0
+    for job in jobs:
+        lines, _ = store.read_record(job.job_id)
+        observed += bool(lines)
+        iterations += len(lines)
+        for line in lines:
+            cells.setdefault(line["cell"], []).append(line)
+    snap = ObsSnapshot(meta)
+    for cell, lines in cells.items():
+        snap.export_telemetry(_cell_telemetry(lines), cell=cell)
+    snap.export("repro_jobs_total", len(jobs))
+    snap.export("repro_jobs_observed", observed)
+    snap.export("repro_iterations_total", iterations)
+    return snap

@@ -11,6 +11,10 @@ catalog (:data:`repro.telemetry.catalog.EXPOSITION`):
 ``ObsSnapshot.export`` refuses a name it does not list, so the
 endpoint's surface cannot drift from the table documenting it.
 
+A campaign's snapshot labels every metric read from record lines with
+the ``cell`` it summarizes; a single-cell snapshot (``repro serve``)
+carries no such label.
+
 Scrape-diffability contract: rendered output is stable-sorted by metric
 name (label values sorted within a family) and carries **no wall-clock
 timestamps** — two scrapes of an idle server are byte-identical, and any
@@ -40,27 +44,62 @@ class ObsSnapshot:
 
     def __init__(self, meta: dict | None = None) -> None:
         self.meta = dict(meta or {})
-        #: name -> float, or name -> {label value -> float} for families.
+        #: name -> float, or a mapping nested one level per label key
+        #: (``cell`` first, then the catalog's) down to the floats.
         self.values: dict = {}
+        #: name -> its label keys, fixed by its first sample.
+        self.label_keys: dict[str, tuple[str, ...]] = {}
 
-    def export(self, name: str, value, label: str | None = None) -> None:
+    def export(
+        self,
+        name: str,
+        value,
+        label: str | None = None,
+        cell: str | None = None,
+    ) -> None:
         """Record one sample; ``name`` must be a catalogued exposition
-        name."""
+        name.  ``cell`` labels a metric read from record lines with the
+        campaign cell it summarizes."""
         if name not in EXPOSITION:
             raise ValueError(
                 f"metric {name!r} is not in the metric catalog"
             )
-        label_key = EXPOSITION[name].label_key
-        if label is None:
-            if label_key:
+        metric = EXPOSITION[name]
+        if (label is None) == bool(metric.label_key):
+            if label is None:
                 raise ValueError(
-                    f"metric {name!r} needs a {label_key!r} label"
+                    f"metric {name!r} needs a {metric.label_key!r} label"
                 )
-            self.values[name] = float(value)
-        else:
-            if not label_key:
-                raise ValueError(f"metric {name!r} takes no label")
-            self.values.setdefault(name, {})[label] = float(value)
+            raise ValueError(f"metric {name!r} takes no label")
+        if cell is not None and metric.path is None:
+            raise ValueError(f"metric {name!r} takes no cell label")
+        pairs = [
+            (key, label_value)
+            for key, label_value in (("cell", cell), (metric.label_key, label))
+            if label_value is not None
+        ]
+        keys = tuple(key for key, _ in pairs)
+        if self.label_keys.setdefault(name, keys) != keys:
+            raise ValueError(f"metric {name!r} mixes label sets")
+        node, key = self.values, name
+        for _, label_value in pairs:
+            node, key = node.setdefault(key, {}), label_value
+        node[key] = float(value)
+
+    def export_telemetry(
+        self, telemetry: dict, cell: str | None = None
+    ) -> None:
+        """Export every catalogued metric of one record-shaped telemetry
+        mapping (see :func:`telemetry_obs_snapshot`), each under
+        ``cell`` when one is given."""
+        for metric, value in scraped({"telemetry": telemetry}):
+            if metric.label_key:
+                for label, sample in sorted((value or {}).items()):
+                    self.export(metric.name, sample, label=label, cell=cell)
+            else:
+                self.export(
+                    metric.name, 0 if value is None else value, cell=cell
+                )
 
 
 def telemetry_obs_snapshot(
@@ -75,12 +114,7 @@ def telemetry_obs_snapshot(
     disagree on what a metric means.
     """
     snap = ObsSnapshot(meta)
-    for metric, value in scraped({"telemetry": telemetry}):
-        if metric.label_key:
-            for label, sample in sorted((value or {}).items()):
-                snap.export(metric.name, sample, label=label)
-        else:
-            snap.export(metric.name, 0 if value is None else value)
+    snap.export_telemetry(telemetry)
     return snap
 
 
@@ -97,6 +131,16 @@ def _escape_label(value: str) -> str:
     )
 
 
+def _samples(value, keys: tuple[str, ...]):
+    """``(label pairs, float)`` for each leaf of a nested sample."""
+    if not keys:
+        yield (), value
+        return
+    for label_value in sorted(value):
+        for pairs, leaf in _samples(value[label_value], keys[1:]):
+            yield ((keys[0], label_value), *pairs), leaf
+
+
 def render_prometheus(snap: ObsSnapshot) -> str:
     """The Prometheus text exposition body: stable-sorted, timestamp-free."""
     lines: list[str] = []
@@ -104,15 +148,13 @@ def render_prometheus(snap: ObsSnapshot) -> str:
         metric = EXPOSITION[name]
         lines.append(f"# HELP {name} {metric.help}")
         lines.append(f"# TYPE {name} {metric.kind}")
-        value = snap.values[name]
-        if isinstance(value, dict):
-            for label_value in sorted(value):
-                lines.append(
-                    f'{name}{{{metric.label_key}="{_escape_label(label_value)}"}} '
-                    f"{_format_value(value[label_value])}"
-                )
-        else:
-            lines.append(f"{name} {_format_value(value)}")
+        keys = snap.label_keys.get(name, ())
+        for pairs, value in _samples(snap.values[name], keys):
+            labels = ",".join(
+                f'{key}="{_escape_label(label)}"' for key, label in pairs
+            )
+            braced = f"{{{labels}}}" if labels else ""
+            lines.append(f"{name}{braced} {_format_value(value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -3,17 +3,18 @@
 Two targets, one renderer:
 
 - an **endpoint URL** (``http://host:port/metrics`` or ``/metrics.json``)
-  — polls the JSON snapshot of a running ``repro serve`` loop or a
-  campaign executor's aggregate endpoint;
-- a **campaign output directory** — follows the job records
-  incrementally (per-file byte offsets, O(new lines) per poll) and folds
-  them through the same :class:`~repro.obs.aggregate.CampaignObsAggregate`
-  the executor serves, so the numbers agree with a scrape of the same
-  campaign.
+  — polls the JSON snapshot of a running ``repro serve`` loop or of a
+  campaign's ``repro run`` endpoint;
+- a **campaign output directory** — builds the same
+  :func:`~repro.obs.aggregate.campaign_snapshot` the campaign endpoint
+  serves, from the job records as they stand at each poll, so the
+  numbers agree with a scrape of the same campaign.
 
-No curses: each frame is one block of text behind an ANSI
-clear-and-home, so it works in any terminal, over ssh, and in CI logs
-(``--once`` skips the escape codes entirely).
+A campaign frame holds one block per cell, then the jobs line; a
+single-cell frame (``repro serve``) holds the one block.  No curses:
+each frame is one block of text behind an ANSI clear-and-home, so it
+works in any terminal, over ssh, and in CI logs (``--once`` skips the
+escape codes entirely).
 """
 
 from __future__ import annotations
@@ -49,21 +50,21 @@ def fetch_snapshot(url: str, timeout_s: float = 5.0) -> dict:
         return json.loads(response.read().decode("utf-8"))
 
 
-def _sample(doc: dict, name: str):
-    """What the document holds for a catalogued exposition name.  A name
+def _sample(metrics: dict, name: str):
+    """What ``metrics`` holds for a catalogued exposition name.  A name
     the catalog does not list is a bug here, not a zero on the screen:
     a rename there fails the first frame."""
     if name not in EXPOSITION:
         raise KeyError(f"repro top reads uncatalogued metric {name!r}")
-    return (doc.get("metrics") or {}).get(name)
+    return metrics.get(name)
 
 
-def _metric(doc: dict, name: str) -> float:
-    return float(_sample(doc, name) or 0.0)
+def _metric(metrics: dict, name: str) -> float:
+    return float(_sample(metrics, name) or 0.0)
 
 
-def _family(doc: dict, name: str) -> dict:
-    value = _sample(doc, name) or {}
+def _family(metrics: dict, name: str) -> dict:
+    value = _sample(metrics, name) or {}
     return value if isinstance(value, dict) else {}
 
 
@@ -78,9 +79,56 @@ def _hygiene_banner(meta: dict) -> str | None:
     return f"HYGIENE: {status.upper()} ({warns} warning(s))"
 
 
+def _cell_block(metrics: dict) -> list[str]:
+    """The lines one cell's metrics render to; a millisecond statistic
+    shows every digit its float holds."""
+    lines = [
+        f"ticks {_metric(metrics, 'repro_ticks_total'):,.0f}   "
+        f"p50 {_metric(metrics, 'repro_tick_ms_p50')!r}ms   "
+        f"p99 {_metric(metrics, 'repro_tick_ms_p99')!r}ms   "
+        f"CoV {_metric(metrics, 'repro_tick_cov'):.3f}",
+        f"ISR {_metric(metrics, 'repro_isr'):.4f}   "
+        f"overloaded "
+        f"{100.0 * _metric(metrics, 'repro_overloaded_fraction'):.1f}%"
+        f"   entities {_metric(metrics, 'repro_entities'):,.0f}"
+        f" (peak {_metric(metrics, 'repro_entities_peak'):,.0f})",
+    ]
+    phases = _family(metrics, "repro_phase_us_total")
+    total_us = sum(phases.values())
+    if total_us > 0:
+        lines.append("")
+        lines.append("top buckets (simulated µs):")
+        ranked = sorted(phases.items(), key=lambda kv: (-kv[1], kv[0]))
+        for name, us in ranked[:_TOP_BUCKETS]:
+            share = 100.0 * us / total_us
+            bar = "#" * max(1, int(share / 4))
+            lines.append(f"  {name:<14} {share:5.1f}%  {bar}")
+    lines.append("")
+    lines.append(
+        f"responses {_metric(metrics, 'repro_response_samples_total'):,.0f}   "
+        f"p50 {_metric(metrics, 'repro_response_ms_p50')!r}ms   "
+        f"p99 {_metric(metrics, 'repro_response_ms_p99')!r}ms"
+    )
+    if "repro_wire_bytes_out_total" in metrics:
+        lines.append(
+            f"wire in {_metric(metrics, 'repro_wire_bytes_in_total'):,.0f}B  "
+            f"out {_metric(metrics, 'repro_wire_bytes_out_total'):,.0f}B  "
+            f"connects {_metric(metrics, 'repro_wire_connects_total'):,.0f}  "
+            f"flush p99 {_metric(metrics, 'repro_wire_flush_us_p99'):,.0f}µs"
+        )
+    if "repro_trace_anomalies_total" in metrics:
+        lines.append(
+            f"slow ticks {_metric(metrics, 'repro_slow_ticks_total'):,.0f}   "
+            f"anomalies "
+            f"{_metric(metrics, 'repro_trace_anomalies_total'):,.0f}"
+        )
+    return lines
+
+
 def render_top(doc: dict, source: str = "") -> str:
     """Render one dashboard frame from a ``repro-obs/v1`` JSON document."""
     meta = doc.get("meta") or {}
+    metrics = doc.get("metrics") or {}
     lines: list[str] = []
     title = meta.get("campaign") or meta.get("cell") or ""
     header = "repro top"
@@ -92,86 +140,41 @@ def render_top(doc: dict, source: str = "") -> str:
     banner = _hygiene_banner(meta)
     if banner:
         lines.append(banner)
-    lines.append("")
-    ticks = _metric(doc, "repro_ticks_total")
-    lines.append(
-        f"ticks {ticks:,.0f}   "
-        f"p50 {_metric(doc, 'repro_tick_ms_p50'):.1f}ms   "
-        f"p99 {_metric(doc, 'repro_tick_ms_p99'):.1f}ms   "
-        f"CoV {_metric(doc, 'repro_tick_cov'):.3f}"
-    )
-    lines.append(
-        f"ISR {_metric(doc, 'repro_isr'):.4f}   "
-        f"overloaded {100.0 * _metric(doc, 'repro_overloaded_fraction'):.1f}%"
-        f"   entities {_metric(doc, 'repro_entities'):,.0f}"
-        f" (peak {_metric(doc, 'repro_entities_peak'):,.0f})"
-    )
-    phases = _family(doc, "repro_phase_us_total")
-    total_us = sum(phases.values())
-    if total_us > 0:
-        lines.append("")
-        lines.append("top buckets (simulated µs):")
-        ranked = sorted(phases.items(), key=lambda kv: (-kv[1], kv[0]))
-        for name, us in ranked[:_TOP_BUCKETS]:
-            share = 100.0 * us / total_us
-            bar = "#" * max(1, int(share / 4))
-            lines.append(f"  {name:<14} {share:5.1f}%  {bar}")
-    samples = _metric(doc, "repro_response_samples_total")
-    lines.append("")
-    lines.append(
-        f"responses {samples:,.0f}   "
-        f"p50 {_metric(doc, 'repro_response_ms_p50'):.1f}ms   "
-        f"p99 {_metric(doc, 'repro_response_ms_p99'):.1f}ms"
-    )
-    metrics = doc.get("metrics") or {}
-    if "repro_wire_bytes_out_total" in metrics:
-        lines.append(
-            f"wire in {_metric(doc, 'repro_wire_bytes_in_total'):,.0f}B  "
-            f"out {_metric(doc, 'repro_wire_bytes_out_total'):,.0f}B  "
-            f"connects {_metric(doc, 'repro_wire_connects_total'):,.0f}  "
-            f"flush p99 {_metric(doc, 'repro_wire_flush_us_p99'):,.0f}µs"
-        )
-    if "repro_trace_anomalies_total" in metrics:
-        lines.append(
-            f"slow ticks {_metric(doc, 'repro_slow_ticks_total'):,.0f}   "
-            f"anomalies {_metric(doc, 'repro_trace_anomalies_total'):,.0f}"
-        )
-    if "repro_jobs_total" in metrics:
-        lines.append(
-            f"jobs {_metric(doc, 'repro_jobs_observed'):,.0f}"
-            f"/{_metric(doc, 'repro_jobs_total'):,.0f} observed   "
-            f"iterations {_metric(doc, 'repro_iterations_total'):,.0f}"
-        )
+    if "repro_jobs_total" not in metrics:
+        return "\n".join([*lines, "", *_cell_block(metrics)]) + "\n"
+    # A campaign: every metric read from records is keyed by cell.
+    for cell in sorted(_family(metrics, "repro_ticks_total")):
+        per_cell = {
+            name: value[cell]
+            for name, value in metrics.items()
+            if EXPOSITION[name].path is not None and cell in value
+        }
+        lines += ["", f"cell {cell}", *_cell_block(per_cell)]
+    lines += [
+        "",
+        f"jobs {_metric(metrics, 'repro_jobs_observed'):,.0f}"
+        f"/{_metric(metrics, 'repro_jobs_total'):,.0f} observed   "
+        f"iterations {_metric(metrics, 'repro_iterations_total'):,.0f}",
+    ]
     return "\n".join(lines) + "\n"
 
 
-class _DirPoller:
-    """Poll a campaign output directory through the record follower."""
+def _dir_poller(target: str):
+    """A poll function that snapshots a campaign directory's records."""
+    from repro.campaign.store import JobStore
+    from repro.obs.aggregate import campaign_meta, campaign_snapshot
+    from repro.obs.registry import render_json
 
-    def __init__(self, target: str) -> None:
-        from repro.campaign.store import JobStore, SidecarFollower
-        from repro.obs.aggregate import CampaignObsAggregate, campaign_meta
-
-        self.store = JobStore(target)
-        manifest = self.store.read_manifest()
-        if manifest is None:
-            raise FileNotFoundError(
-                f"no campaign manifest in {target!r} — "
-                "point repro top at an output_dir or an endpoint URL"
-            )
-        self.follower = SidecarFollower(self.store)
-        self.aggregate = CampaignObsAggregate(
-            n_jobs=len(manifest.get("jobs") or []),
-            meta=campaign_meta(
-                manifest.get("name", ""), manifest.get("provenance")
-            ),
+    store = JobStore(target)
+    manifest = store.read_manifest()
+    if manifest is None:
+        raise FileNotFoundError(
+            f"no campaign manifest in {target!r} — "
+            "point repro top at an output_dir or an endpoint URL"
         )
-
-    def __call__(self) -> dict:
-        for line in self.follower.poll():
-            self.aggregate.fold(line)
-        snap = self.aggregate.snapshot()
-        return {"meta": snap.meta, "metrics": snap.values}
+    meta = campaign_meta(manifest.get("name", ""), manifest.get("provenance"))
+    # The document an endpoint would serve for the same snapshot.
+    return lambda: json.loads(render_json(campaign_snapshot(store, meta)))
 
 
 def run_top(
@@ -189,18 +192,16 @@ def run_top(
     out = sys.stdout if out is None else out
     if target.startswith(("http://", "https://")):
         poller = lambda: fetch_snapshot(target)  # noqa: E731
-        source = target
     else:
-        poller = _DirPoller(target)
-        source = target
+        poller = _dir_poller(target)
     polls = 0
     try:
         while True:
             try:
                 doc = poller()
-                frame = render_top(doc, source=source)
+                frame = render_top(doc, source=target)
             except (OSError, ValueError) as exc:
-                frame = f"repro top — {source}\n(unreachable: {exc})\n"
+                frame = f"repro top — {target}\n(unreachable: {exc})\n"
             if once or max_polls is not None:
                 out.write(frame)
             else:

@@ -17,7 +17,7 @@ import math
 from collections.abc import Iterable, Sequence
 
 from repro.reporting.spec import PivotSpec
-from repro.reporting.text import format_table, write_csv_rows
+from repro.reporting.text import write_csv_rows
 from repro.telemetry.summary import summarize, total
 
 __all__ = ["PivotTable", "aggregate", "build_pivot"]
@@ -109,9 +109,6 @@ class PivotTable:
                 )
             out.append(line)
         return out
-
-    def to_ascii(self) -> str:
-        return format_table(self.headers(), self.rows())
 
     def write_csv(self, path) -> None:
         write_csv_rows(path, self.headers(), self.rows())

@@ -34,7 +34,3 @@ class TelemetryBus:
         # Shim: only benchmarks/hostclock calls it; goes with ROADMAP
         # item 12(e).
         return self.stream(name)
-
-    @property
-    def metric_names(self) -> list[str]:
-        return sorted(self.series)

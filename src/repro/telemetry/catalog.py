@@ -6,7 +6,7 @@ them.  Here a metric is one :class:`Metric` entry that says where the
 value sits in a record line and what each reader calls it; the readers
 (:func:`repro.reporting.dataset.sidecar_row`, ``METRIC_FIELDS``,
 :func:`repro.obs.registry.telemetry_obs_snapshot`, the Prometheus
-renderer, :class:`repro.obs.aggregate.CampaignObsAggregate`, ``repro
+renderer, :func:`repro.obs.aggregate.campaign_snapshot`, ``repro
 status`` and ``repro top``) are loops or lookups over :data:`CATALOG`.
 Adding a report column that is also scraped is one entry.  This module
 imports nothing from the rest of the package, so every layer may read it.
@@ -91,12 +91,6 @@ class Metric:
     kind: str | None = None
     help: str = ""
     label_key: str = ""
-    #: How iterations combine on the campaign endpoint: ``sum``, ``max``,
-    #: ``last``, or ``mean`` weighted by ``weight`` — the name of a count
-    #: that sits beside the value in the same section of the line, so a
-    #: quantile can only be weighted by its own stream's sample count.
-    combine: str | None = None
-    weight: str | None = None
 
 
 def top_bucket(buckets: dict | None) -> tuple[str, float, float] | None:
@@ -133,7 +127,7 @@ _OPTIONAL_SECTIONS = ("wire", "trace")
 
 #: Every metric, in report-row order (the order of ``report_grid.csv``'s
 #: metric columns).  One line per reader: where the value is, what the
-#: report calls it, what the endpoint calls it, how a campaign combines it.
+#: report calls it, what the endpoint calls it.
 CATALOG = (
     Metric(("crashed",), column="crashed", header="crashed", derive=bool),
     Metric(
@@ -141,99 +135,82 @@ CATALOG = (
         column="isr", header="instability ratio (Eq. 1)",
         name="repro_isr", kind="gauge",
         help="Instability Ratio (Eq. 1)",
-        combine="mean", weight="ticks",
     ),
     Metric(
         (*_TICK, "ticks"),
         column="ticks", header="ticks",
         name="repro_ticks_total", kind="counter",
         help="ticks simulated so far",
-        combine="sum",
     ),
-    # A campaign's quantiles and CoV are the sample-weighted mean of its
-    # iterations' (a pooled quantile is not a function of the summaries);
-    # its mean so weighted and its maximum are exact.
     Metric(
         (*_TICK_MS, "mean"), TICK_MS,
         column="tick_mean_ms", header="mean tick (ms)",
         name="repro_tick_ms_mean", kind="gauge",
         help="mean tick duration (ms)",
-        combine="mean", weight="count",
     ),
     Metric(
         (*_TICK_MS, "p50"), TICK_MS,
         column="tick_p50_ms", header="p50 tick (ms)",
         name="repro_tick_ms_p50", kind="gauge",
         help="p50 tick duration (ms)",
-        combine="mean", weight="count",
     ),
     Metric(
         (*_TICK_MS, "p95"), TICK_MS,
         column="tick_p95_ms", header="p95 tick (ms)",
         name="repro_tick_ms_p95", kind="gauge",
         help="p95 tick duration (ms)",
-        combine="mean", weight="count",
     ),
     Metric(
         (*_TICK_MS, "p99"), TICK_MS,
         column="tick_p99_ms", header="p99 tick (ms)",
         name="repro_tick_ms_p99", kind="gauge",
         help="p99 tick duration (ms)",
-        combine="mean", weight="count",
     ),
     Metric(
         (*_TICK_MS, "max"), TICK_MS,
         column="tick_max_ms", header="max tick (ms)",
         name="repro_tick_ms_max", kind="gauge",
         help="max tick duration (ms)",
-        combine="max",
     ),
     Metric(
         (*_TICK_MS, "cov"), TICK_MS,
         column="tick_cov", header="tick CoV",
         name="repro_tick_cov", kind="gauge",
         help="tick-duration coefficient of variation",
-        combine="mean", weight="count",
     ),
     Metric(
         (*_TICK, "overloaded_fraction"),
         column="overloaded_fraction", header="ticks over budget",
         name="repro_overloaded_fraction", kind="gauge",
         help="fraction of ticks over the 50 ms budget",
-        combine="mean", weight="ticks",
     ),
     Metric(
         (*_TICK, "entities_last"),
         name="repro_entities", kind="gauge",
         help="live entities at the last observed tick",
-        combine="last",
     ),
     Metric(
         (*_TICK, "entities_peak"),
         column="entities_peak", header="peak entities",
         name="repro_entities_peak", kind="gauge",
         help="peak live-entity population",
-        combine="max",
     ),
     Metric(
         (*_RESPONSE, "count"), RESPONSE_MS,
         name="repro_response_samples_total", kind="counter",
         help="client response samples observed",
-        combine="sum",
     ),
     Metric(
         (*_RESPONSE, "p50"), RESPONSE_MS,
         column="response_p50_ms", header="p50 response (ms)",
         name="repro_response_ms_p50", kind="gauge",
         help="p50 client response time (ms)",
-        combine="mean", weight="count",
     ),
     Metric(
         (*_RESPONSE, "p99"), RESPONSE_MS,
         column="response_p99_ms", header="p99 response (ms)",
         name="repro_response_ms_p99", kind="gauge",
         help="p99 client response time (ms)",
-        combine="mean", weight="count",
     ),
     Metric(
         (*_TICK, "windows", "steady"),
@@ -248,14 +225,12 @@ CATALOG = (
         column="slow_ticks", header="slow ticks",
         name="repro_slow_ticks_total", kind="counter",
         help="ticks slower than the flight-recorder cut",
-        combine="sum",
     ),
     Metric(
         (*_TRACE, "anomaly_count"),
         column="anomaly_count", header="anomaly dumps",
         name="repro_trace_anomalies_total", kind="counter",
         help="slow-tick flight-recorder dumps",
-        combine="sum",
     ),
     # The tap's cumulative per-bucket totals, three ways: the family the
     # endpoint exports, and the dominant bucket with its share — the
@@ -264,7 +239,6 @@ CATALOG = (
         (*_TICK, "breakdown_us"),
         name="repro_phase_us_total", kind="counter", label_key="phase",
         help="simulated microseconds per Fig. 11 work bucket",
-        combine="sum",
     ),
     Metric((*_TICK, "breakdown_us"), column="top_bucket", derive=_top_name),
     Metric(
@@ -277,30 +251,29 @@ CATALOG = (
         column="wire_bytes_in", header="wire bytes in",
         name="repro_wire_bytes_in_total", kind="counter",
         help="bytes received on the wire",
-        combine="sum",
     ),
     Metric(
         (*_WIRE, WIRE_BYTES_OUT, "total"), WIRE_BYTES_OUT,
         column="wire_bytes_out", header="wire bytes out",
         name="repro_wire_bytes_out_total", kind="counter",
         help="bytes flushed to the wire",
-        combine="sum",
     ),
+    # A record line keeps the flush series only as its summary, so a
+    # campaign cell reads the largest of its iterations' p99s.
     Metric(
         (*_WIRE, WIRE_FLUSH_US, "p99"), WIRE_FLUSH_US,
         column="wire_flush_p99_us", header="p99 wire flush (µs)",
         name="repro_wire_flush_us_p99", kind="gauge",
         help="p99 wire flush wall time (µs)",
-        combine="mean", weight="count",
     ),
     Metric(
         (*_WIRE, WIRE_CONNECTS, "count"), WIRE_CONNECTS,
         column="wire_connects", header="wire connects",
         name="repro_wire_connects_total", kind="counter",
         help="client connections accepted",
-        combine="sum",
     ),
-    # Kept by the campaign parent as it folds, not read from a line.
+    # Counted over a campaign's records, not read from a line, and
+    # never labelled by cell.
     Metric(
         None, name="repro_jobs_total", kind="gauge",
         help="planned campaign jobs",

@@ -369,11 +369,6 @@ class Tracer:
 
     # -- introspection / export ----------------------------------------------
 
-    @property
-    def last_dump(self) -> dict | None:
-        """The most recent tick's dump (spans as objects)."""
-        return self._ring[-1] if self._ring else None
-
     def recent_ticks(self, max_ticks: int | None = None) -> list[dict]:
         """Retained tick dumps, oldest first."""
         dumps = list(self._ring)

@@ -39,6 +39,8 @@ class TestCli:
 
         assert main(["status", str(out_dir)]) == 0
         status_out = capsys.readouterr().out
+        assert "Campaign 'cli-tiny'" in status_out
+        assert status_out.count(" done ") == 2
         assert "2/2 jobs complete" in status_out
 
         assert main(["export", str(out_dir)]) == 0
@@ -225,13 +227,40 @@ class TestRemovedKnobs:
             assert f"error: unknown campaign spec fields ['{field}']" in err
 
 
-def test_each_watch_refresh_is_the_one_shot_status_frame(
-    finished_control, capsys
+def test_status_reads_pending_then_running_from_the_record_tail(
+    tmp_path, capsys
 ):
-    from repro.campaign.cli import _load_spec, _watch_status
+    from repro.campaign import CampaignSpec, JobPlanner
 
-    spec = _load_spec(str(finished_control))
-    _watch_status(spec, JobStore(spec.output_dir), 0.0, max_refreshes=1)
-    watched = capsys.readouterr().out
-    assert main(["status", str(finished_control)]) == 0
-    assert watched == "\x1b[2J\x1b[H" + capsys.readouterr().out
+    spec = CampaignSpec(
+        name="inflight",
+        servers=["vanilla"],
+        workloads=["control"],
+        environments=["das5-2core"],
+        iterations=2,
+        duration_s=1.0,
+        output_dir=str(tmp_path / "out"),
+    )
+    (job,) = JobPlanner(spec).plan()
+    store = JobStore(spec.output_dir)
+    store.write_manifest(spec, [job])
+    assert main(["status", spec.output_dir]) == 0
+    assert " pending " in capsys.readouterr().out
+    # One streamed line flips the job to running, with its progress.
+    store.telemetry_dir.mkdir()
+    store.telemetry_path(job.job_id).write_text(
+        json.dumps(
+            {
+                "job_id": job.job_id,
+                "iteration": 0,
+                "telemetry": {
+                    "tick": {"tick_ms": {"p50": 5.0, "p99": 9.0, "cov": 0.2}}
+                },
+            }
+        )
+        + "\n"
+    )
+    assert main(["status", spec.output_dir]) == 0
+    out = capsys.readouterr().out
+    assert " running " in out and " 1/2 " in out and " 9.0 " in out
+    assert "0/1 jobs complete, 1 running" in out

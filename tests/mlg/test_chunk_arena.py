@@ -45,18 +45,21 @@ def _generated(seed, keys):
     return world
 
 
-def _smaps_rss_kb(address: int) -> int:
-    """``Rss:`` of the mapping holding ``address`` (``/proc/self/smaps``)."""
-    inside = False
-    with open("/proc/self/smaps") as smaps:
-        for line in smaps:
-            head = line.split(None, 1)[0]
-            if "-" in head and not head.endswith(":"):
-                start, end = (int(bound, 16) for bound in head.split("-"))
-                inside = start <= address < end
-            elif inside and head == "Rss:":
-                return int(line.split()[1])
-    raise LookupError(f"no mapping holds {address:#x}")
+def _written_kb(array: np.ndarray) -> int:
+    """kB of ``array``'s bytes on pages this process wrote: present and
+    mapped by it alone (bits 63 and 56 of each ``/proc/self/pagemap``
+    entry).  A read of a never-written page maps the shared zero page,
+    which is present but not exclusive."""
+    page = os.sysconf("SC_PAGE_SIZE")
+    first = array.ctypes.data // page
+    last = (array.ctypes.data + array.nbytes - 1) // page
+    with open("/proc/self/pagemap", "rb") as pagemap:
+        pagemap.seek(first * 8)
+        entries = np.frombuffer(
+            pagemap.read((last - first + 1) * 8), dtype="<u8"
+        )
+    written = (entries >> np.uint64(63)) & (entries >> np.uint64(56)) & 1
+    return int(written.sum()) * page // 1024
 
 
 def _small_pages(monkeypatch):
@@ -92,27 +95,27 @@ class TestSlots:
         assert world.count_blocks(Block.TNT) == 0
 
     @pytest.mark.skipif(
-        not os.path.exists("/proc/self/smaps"), reason="reads Linux smaps"
+        not os.path.exists("/proc/self/pagemap"), reason="reads Linux pagemap"
     )
     def test_releasing_leaves_fields_never_written_untouched(self):
-        # Each field of a page is its own anonymous mapping, resident only
+        # Each field of a page is zero-initialised memory, backed only
         # where written.  Releasing a chunk whose aux and blocklight were
-        # never written must not fault those mappings in by zeroing them.
+        # never written must not fault their pages in by zeroing them.
         arena = ChunkArena()
         page = arena._pages[0]
         for cx in range(100):
             arena.create(cx, 0).blocks[:, :, :64] = Block.STONE
 
-        def rss_kb():
+        def written_kb():
             return {
-                name: _smaps_rss_kb(getattr(page, name).ctypes.data)
+                name: _written_kb(getattr(page, name))
                 for name in ("aux", "blocklight")
             }
 
-        before = rss_kb()
+        before = written_kb()
         for cx in range(100):
             released = arena.release(cx, 0)
-        after = rss_kb()
+        after = written_kb()
         # 100 zeroed slots would be 6 400 kB of each field.
         for name in before:
             assert after[name] - before[name] < 256, name

@@ -50,22 +50,16 @@ def sample_telemetry(wire: bool = True, trace: bool = True) -> dict:
 
 
 class TestExpositionTable:
-    def test_every_entry_has_a_type_help_and_combine_rule(self):
+    def test_every_entry_has_a_type_and_help(self):
         for name, metric in EXPOSITION.items():
             assert metric.kind in {"counter", "gauge"}, name
             assert metric.help, name
-            if metric.path is not None:
-                assert metric.combine in {"sum", "max", "last", "mean"}, name
-                assert (metric.weight is not None) == (
-                    metric.combine == "mean"
-                ), name
 
     def test_naming_convention(self):
         for name, metric in EXPOSITION.items():
             assert name.startswith("repro_"), name
             if metric.kind == "counter":
                 assert name.endswith(("_total", "_observed")), name
-                assert metric.combine in {"sum", None}, name
 
 
 class TestExportValidation:
@@ -73,6 +67,20 @@ class TestExportValidation:
         snap = ObsSnapshot()
         with pytest.raises(ValueError, match="not in the metric catalog"):
             snap.export("repro_mystery_total", 1)
+
+    def test_cell_label_discipline(self):
+        snap = ObsSnapshot()
+        with pytest.raises(ValueError, match="takes no cell label"):
+            snap.export("repro_jobs_total", 2, cell="a")
+        snap.export("repro_isr", 0.5, cell="a")
+        with pytest.raises(ValueError, match="mixes label sets"):
+            snap.export("repro_isr", 0.5)
+        snap.export("repro_phase_us_total", 2.0, label="fluids", cell="a")
+        snap.export("repro_phase_us_total", 3.0, label="fluids", cell="b")
+        assert snap.values["repro_phase_us_total"] == {
+            "a": {"fluids": 2.0},
+            "b": {"fluids": 3.0},
+        }
 
     def test_label_discipline(self):
         snap = ObsSnapshot()
@@ -115,6 +123,17 @@ class TestPrometheusRendering:
         assert 'repro_phase_us_total{phase="fluids"} 300' in body
         assert 'repro_phase_us_total{phase="redstone"} 900' in body
         assert "repro_ticks_total 120" in body  # integral stays integral
+
+    def test_cell_label_comes_first(self):
+        snap = ObsSnapshot()
+        snap.export_telemetry(sample_telemetry(), cell="vanilla|farm")
+        snap.export("repro_jobs_total", 1)
+        body = render_prometheus(snap)
+        assert 'repro_ticks_total{cell="vanilla|farm"} 120\n' in body
+        assert (
+            'repro_phase_us_total{cell="vanilla|farm",phase="fluids"} 300\n'
+        ) in body
+        assert "\nrepro_jobs_total 1\n" in body
 
     def test_label_values_escaped(self):
         snap = ObsSnapshot()

@@ -111,16 +111,25 @@ class TestRunTop:
             provenance={"hygiene": {"status": "pass", "warn_count": 0}},
         )
         store.telemetry_dir.mkdir(parents=True, exist_ok=True)
-        sidecar = {
+        line = {
             "job_id": plan[0].job_id,
+            "cell": plan[0].cell.key(),
             "iteration": 0,
+            "tick_durations_ms": [8.0] * 99,
+            "response_times_ms": [20.0],
             "telemetry": {
-                "tick": {"ticks": 99, "tick_ms": {"p50": 8.0}},
-                "response_ms": {"count": 1, "p50": 20.0, "p99": 20.0},
+                "tick": {
+                    "ticks": 99,
+                    "isr": 0.0,
+                    "entities_last": 5,
+                    "entities_peak": 5,
+                    "breakdown_us": {},
+                },
+                "response_ms": {},
             },
         }
         store.telemetry_path(plan[0].job_id).write_text(
-            json.dumps(sidecar) + "\n"
+            json.dumps(line) + "\n"
         )
         out = io.StringIO()
         code = run_top(
@@ -130,8 +139,8 @@ class TestRunTop:
         frame = out.getvalue()
         assert "repro top — topdir" in frame
         assert "hygiene: PASS" in frame
-        assert "ticks 99" in frame
-        assert f"jobs 1/{len(plan)} observed" in frame
+        assert f"cell {plan[0].cell.key()}\nticks 99   p50 8.0ms" in frame
+        assert f"jobs 1/{len(plan)} observed   iterations 1" in frame
 
     def test_directory_without_manifest_is_an_error(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="manifest"):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.reporting.pivot import aggregate, build_pivot
+from repro.reporting.text import format_table
 from repro.reporting.spec import PivotSpec
 
 
@@ -87,7 +88,7 @@ class TestBuildPivot:
 
     def test_ascii_and_csv_share_the_text_code_path(self, tmp_path):
         table = build_pivot(rows(), PivotSpec(value="tick_p99_ms"))
-        ascii_out = table.to_ascii()
+        ascii_out = format_table(table.headers(), table.rows())
         assert "control" in ascii_out and "vanilla" in ascii_out
         csv_path = tmp_path / "pivot.csv"
         table.write_csv(csv_path)

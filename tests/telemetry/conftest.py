@@ -105,4 +105,4 @@ def _serve_wire_cell(tmp_path_factory) -> dict:
     job_id = served["job_id"]
     (line,) = store.read_job_telemetry(job_id)
     (iteration,) = store.load_job(job_id)
-    return {"line": line, "iteration": iteration}
+    return {"line": line, "iteration": iteration, "root": store.root}

@@ -30,7 +30,7 @@ from repro.campaign import CampaignSpec, JobPlanner, JobStore
 from repro.campaign.cli import _status_frame
 from repro.core import run_iteration
 from repro.obs import (
-    CampaignObsAggregate,
+    campaign_snapshot,
     render_json,
     render_prometheus,
     telemetry_obs_snapshot,
@@ -62,7 +62,7 @@ def published(bus) -> list[str]:
     """The streams that received a sample (``wire_metrics_snapshot`` and
     the tap register theirs up front, so being on the bus proves
     nothing)."""
-    return [name for name in bus.metric_names if bus.series[name]]
+    return [name for name in sorted(bus.series) if bus.series[name]]
 
 
 def reaches(line: dict, path: tuple) -> bool:
@@ -81,11 +81,11 @@ class TestStreamsOnTheBus:
         before = len(created["bus"])
         run_iteration("farm", "vanilla", "das5", duration_s=1.0, seed=3)
         (bus,) = created["bus"][before:]
-        assert published(bus) == bus.metric_names == sorted(TAP_STREAMS)
+        assert published(bus) == sorted(bus.series) == sorted(TAP_STREAMS)
 
     def test_wire_cell_adds_exactly_the_wire_streams(self, wire_cell):
         bus = wire_cell["bus"]
-        assert published(bus) == bus.metric_names == sorted(
+        assert published(bus) == sorted(bus.series) == sorted(
             TAP_STREAMS + WIRE_STREAMS
         )
 
@@ -99,25 +99,30 @@ class TestEntriesAreProduced:
         ]
         assert missing == []
 
-    def test_every_weight_sits_beside_its_value(self, wire_line):
-        for metric in CATALOG:
-            if metric.combine == "mean":
-                assert reaches(
-                    wire_line, (*metric.path[:-1], metric.weight)
-                ), metric.name
-
 
 class TestScrapeSurface:
-    def test_bodies_carry_every_exposition_name_and_no_other(self, wire_line):
-        aggregate = CampaignObsAggregate(n_jobs=1)
-        aggregate.fold(wire_line)
+    def test_bodies_carry_every_exposition_name_and_no_other(self, wire_cell):
         bodies = render_prometheus(
-            telemetry_obs_snapshot(wire_line["telemetry"])
-        ) + render_prometheus(aggregate.snapshot())
+            telemetry_obs_snapshot(wire_cell["line"]["telemetry"])
+        ) + render_prometheus(campaign_snapshot(JobStore(wire_cell["root"])))
         named = {
             row.split()[2] for row in bodies.splitlines() if "# TYPE" in row
         }
         assert named == set(EXPOSITION)
+
+    def test_a_one_iteration_cell_reads_its_lines_own_scrape(self, wire_cell):
+        # Every rule the campaign view applies per cell (summarize over
+        # the concatenated series, the median ISR, sums, maxima, the
+        # latest line) gives back the one line's own values, bit for bit.
+        line = wire_cell["line"]
+        own = telemetry_obs_snapshot(line["telemetry"]).values
+        campaign = campaign_snapshot(JobStore(wire_cell["root"])).values
+        cell = {
+            name: value[line["cell"]]
+            for name, value in campaign.items()
+            if EXPOSITION[name].path is not None
+        }
+        assert cell == own
 
 
 @pytest.mark.parametrize("kind", sorted(PINS["cells"]))

@@ -227,7 +227,7 @@ class TestTelemetryBus:
         bus = TelemetryBus()
         assert len(bus.stream("b")) == 0
         bus.publish("a", 1.0)
-        assert bus.metric_names == ["a", "b"]
+        assert sorted(bus.series) == ["a", "b"]
 
     def test_watch_returns_the_stream(self):
         # Old callers pass the windowed view's keywords; they are ignored.

@@ -66,7 +66,7 @@ class TestReconciliation:
         for _ in range(150):
             record = server.loop.run_tick()
             swarm.step()
-            dump = server.tracer.last_dump
+            dump = server.tracer.recent_ticks()[-1]
             assert dump["tick"] == record.index
 
             merged = WorkReport()
@@ -87,7 +87,7 @@ class TestReconciliation:
         for _ in range(60):
             server.loop.run_tick()
             swarm.step()
-            for span in server.tracer.last_dump["spans"]:
+            for span in server.tracer.recent_ticks()[-1]["spans"]:
                 if span.depth == 1:
                     totals[span.name] = (
                         totals.get(span.name, 0.0) + span.cost_us
@@ -107,7 +107,7 @@ class TestReconciliation:
         for _ in range(37):
             server.loop.run_tick()
             swarm.step()
-            for span in tracer.last_dump["spans"]:
+            for span in tracer.recent_ticks()[-1]["spans"]:
                 if span.depth == 1:
                     expected.setdefault(span.name, []).append(span.cost_us)
         assert tracer.phases == expected
