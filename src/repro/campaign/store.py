@@ -245,6 +245,12 @@ class JobStore:
             return [], None
         return list(cached[1]), cached[2]
 
+    def record_identity(self, job_id: str) -> tuple | None:
+        """``(st_ino, st_size, st_mtime_ns)`` of the job's record as
+        :meth:`read_record` last parsed it (``None``: never parsed)."""
+        cached = self._records.get(job_id)
+        return None if cached is None else cached[0]
+
     def read_job_telemetry(self, job_id: str) -> list[dict]:
         """The iteration lines of a job's record (see :meth:`read_record`)."""
         return self.read_record(job_id)[0]

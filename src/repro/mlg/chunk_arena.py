@@ -1,14 +1,18 @@
 """Slab storage for terrain state (§2.3): one array per field, one row
 per loaded chunk.
 
-:class:`ChunkArena` keeps ``blocks``/``aux``/``blocklight`` as ``[slot,
-lx, lz, y]`` slabs (plus ``heightmap`` and ``skylit`` as ``[slot, lx, lz]``,
+:class:`ChunkArena` keeps ``blocks``/``aux``/``blocklight`` as ``[slot, y,
+lx, lz]`` slabs (plus ``heightmap`` and ``skylit`` as ``[slot, lx, lz]``,
 ``dirty[slot]`` and ``glows[slot]``), so a query that spans many chunks is
-one fancy index instead of a Python loop over chunk objects.  Skylight is
-not a slab: a column is lit from the top down to its highest opaque block,
-so ``skylit`` holds how many cells that is, an all-zero slot reads dark,
-and :attr:`Chunk.skylight` derives the voxels.  :class:`Chunk` is a handle
-over one slot: its array attributes are views resolved on access.  A
+one fancy index instead of a Python loop over chunk objects.  A voxel slot
+is ``y``-major, the way Minecraft-like servers store a chunk column: 16
+layers of it, one *section*, are one 4 KiB memory page, so a section that
+is all zero (the open sky over terrain) is a page never written and never
+resident.  Skylight is not a slab: a column is lit from the top down to
+its highest opaque block, so ``skylit`` holds how many cells that is, an
+all-zero slot reads dark, and :attr:`Chunk.skylight` derives the voxels.
+:class:`Chunk` is a handle over one slot: its array attributes are views
+resolved on access, the voxel ones transposed to ``[lx, lz, y]``.  A
 free-standing ``Chunk(cx, cz)`` (region IO, tests) owns a private one-slot
 page; :meth:`ChunkArena.adopt` copies it into a slot, and
 :meth:`ChunkArena.release` *detaches* the handle back onto a private copy,
@@ -17,10 +21,13 @@ reuses the slot (the ``Entity`` reap pattern).
 
 Whole-chunk work (generation, initial lighting) addresses chunks a
 :class:`ChunkStrip` at a time: up to ``STRIP_CHUNKS`` handles whose fields
-read and write as one ``[n, ...]`` array.
+read and write as one ``[n, ...]`` array.  Whatever fills a fresh slot
+whole — generation, a region load, :meth:`ChunkArena.adopt` — writes only
+the sections under the chunk's top.
 
 Slabs grow by whole pages and never move, so growth neither copies nor
-touches a live slot.  Released slots are zeroed and reused lowest-first,
+touches a live slot.  Released slots are handed back to the kernel
+(``MADV_DONTNEED``: they read as zeros again) and reused lowest-first,
 which keeps the touched part of a page dense under eviction churn.
 """
 
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import mmap
+import sys
 from math import prod
 from operator import attrgetter
 
@@ -37,11 +45,22 @@ from repro.mlg.blocks import Block
 from repro.mlg.constants import CHUNK_SIZE, MAX_LIGHT, WORLD_HEIGHT
 
 __all__ = [
-    "Chunk", "ChunkArena", "ChunkStrip", "column_tops", "pack_keys", "strips",
+    "Chunk", "ChunkArena", "ChunkStrip", "LAYER", "SECTION_HEIGHT",
+    "column_tops", "pack_keys", "strips", "used_rows",
 ]
 
-_VOXELS = ((CHUNK_SIZE, CHUNK_SIZE, WORLD_HEIGHT), np.uint8)
+#: Cells of one ``y`` layer of a chunk: the ``y`` stride of a voxel slot.
+LAYER = CHUNK_SIZE * CHUNK_SIZE
+_LAYER_OFFSETS = np.arange(WORLD_HEIGHT) * LAYER
+#: Layers per section; one section of one voxel field is one 4 KiB page.
+SECTION_HEIGHT = 16
+_VOXELS = ((WORLD_HEIGHT, CHUNK_SIZE, CHUNK_SIZE), np.uint8)
 _VOXEL_CELLS = prod(_VOXELS[0])
+_VOXEL_FIELDS = ("blocks", "aux", "blocklight")
+#: Whether a released slot's voxel pages can be returned whole: Linux
+#: refills a dropped private anonymous page with zeros (other systems may
+#: keep its contents), and each slot must start on a page boundary.
+_DISCARD = sys.platform == "linux" and _VOXEL_CELLS % mmap.PAGESIZE == 0
 _COLUMNS = ((CHUNK_SIZE, CHUNK_SIZE), np.int16)
 #: Per-slot shape and dtype of every terrain field.
 _FIELDS = {
@@ -57,34 +76,85 @@ _FIELDS = {
 }
 
 
-def _lazy_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """Zeros on a private anonymous mapping of their own: resident only
-    where written, 4 KiB at a time, and returned to the kernel whole.
+def _lazy_zeros(shape: tuple[int, ...], dtype) -> mmap.mmap:
+    """A private anonymous mapping to hold ``shape`` of ``dtype``: zeros,
+    resident only where written, 4 KiB at a time, and returned to the
+    kernel whole.
     ``np.zeros`` promises neither at slab size — numpy advises huge pages
     for large blocks (a first write then faults in 2 MiB of each field),
     and malloc may hand back recycled heap that it has to memset.
     POSIX only (``MAP_PRIVATE``/``MAP_ANONYMOUS``); the mapping counts
     against ``RLIMIT_AS`` and strict overcommit in full from the start."""
     size = prod(shape) * np.dtype(dtype).itemsize
-    buffer = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    return np.frombuffer(buffer, dtype).reshape(shape)
+    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
 
 
 class _Page:
-    """``n`` slots of every terrain field, zero-initialised."""
+    """``n`` slots of every terrain field, zero-initialised: on heap
+    (the private page of a free chunk) or, ``lazy``, on mappings of their
+    own (an arena page)."""
 
-    __slots__ = ("base", *_FIELDS)
+    __slots__ = ("base", "_maps", *_FIELDS)
 
-    def __init__(self, n: int, base: int = -1, zeros=np.zeros) -> None:
+    def __init__(self, n: int, base: int = -1, lazy: bool = False) -> None:
         #: Arena slot of row 0 (-1: the private page of a free chunk).
         self.base = base
+        self._maps = {}
         for name, (shape, dtype) in _FIELDS.items():
-            setattr(self, name, zeros((n, *shape), dtype))
+            shape = (n, *shape)
+            if lazy:
+                buffer = self._maps[name] = _lazy_zeros(shape, dtype)
+                field = np.frombuffer(buffer, dtype).reshape(shape)
+            else:
+                field = np.zeros(shape, dtype)
+            setattr(self, name, field)
+
+    def clear(self, slot: int) -> None:
+        """Zero slot ``slot`` of every field without faulting in a voxel
+        page that holds none of its data."""
+        for name in _FIELDS:
+            field = getattr(self, name)
+            if name not in _VOXEL_FIELDS:
+                field[slot] = 0
+            elif _DISCARD:
+                # The mapping is private and anonymous: a dropped page
+                # reads back as zeros and is resident again only when
+                # written.  (A voxel slot is uint8: its size in bytes is
+                # its cell count.)
+                self._maps[name].madvise(
+                    mmap.MADV_DONTNEED, slot * _VOXEL_CELLS, _VOXEL_CELLS
+                )
+            elif field[slot].any():
+                # A row never written reads the shared zero page; zeroing
+                # it would fault its pages in for nothing.
+                field[slot] = 0
+
+
+def _section_rows(top: int) -> int:
+    """Layers ``y < top``, rounded up to whole sections."""
+    return -(-top // SECTION_HEIGHT) * SECTION_HEIGHT
+
+
+def used_rows(voxels: np.ndarray) -> int:
+    """:func:`_section_rows` of the highest non-zero cell of one chunk's
+    ``voxels[y, lx, lz]`` (any strides) + 1: the layers a copy of it has
+    to write."""
+    layers = np.flatnonzero(voxels.any(axis=(1, 2)))
+    return _section_rows(int(layers[-1]) + 1) if layers.size else 0
 
 
 def _copy_slot(src: _Page, i: int, dst: _Page, j: int) -> None:
+    """Copy slot ``i`` of ``src`` into the all-zero slot ``j`` of ``dst``,
+    a voxel field only up to its highest section that holds data."""
     for name in _FIELDS:
-        getattr(dst, name)[j] = getattr(src, name)[i]
+        values = getattr(src, name)[i]
+        if name == "blocklight" and not src.glows[i]:
+            continue  # all zero: nothing lit it (the light engine's flag)
+        if name in _VOXEL_FIELDS:
+            values = values[: used_rows(values)]
+            getattr(dst, name)[j, : len(values)] = values
+        else:
+            getattr(dst, name)[j] = values
 
 
 def _slot_view(name: str) -> property:
@@ -92,10 +162,19 @@ def _slot_view(name: str) -> property:
     return property(lambda self: field(self._page)[self._slot])
 
 
+def _voxel_view(name: str) -> property:
+    field = attrgetter(name)
+    # A slot is [y, lx, lz]; a chunk reads and writes it as [lx, lz, y].
+    return property(
+        lambda self: field(self._page)[self._slot].transpose(1, 2, 0)
+    )
+
+
 class Chunk:
     """A 16×16 column of blocks with light and auxiliary state.
 
-    Arrays are indexed ``[local_x, local_z, y]``.  ``aux`` stores per-block
+    Arrays are indexed ``[local_x, local_z, y]`` (the voxel ones are
+    transposed views of the ``y``-major slot).  ``aux`` stores per-block
     metadata (crop growth stage, repeater delay, redstone power, fluid
     level).  ``heightmap[x, z]`` is the y of the highest non-air block plus
     one (0 for an empty column).
@@ -114,9 +193,9 @@ class Chunk:
         self._page = _Page(1) if _page is None else _page
         self._slot = _slot
 
-    blocks = _slot_view("blocks")
-    aux = _slot_view("aux")
-    blocklight = _slot_view("blocklight")
+    blocks = _voxel_view("blocks")
+    aux = _voxel_view("aux")
+    blocklight = _voxel_view("blocklight")
     heightmap = _slot_view("heightmap")
     skylit = _slot_view("skylit")
 
@@ -155,9 +234,11 @@ def column_tops(filled: np.ndarray) -> np.ndarray:
     """Highest set index + 1 along the last (``y``) axis of a boolean
     array, 0 where a column has none set: the heightmap of ``blocks !=
     AIR``, the skylight cut-off of an opacity mask.  Columns are read eight
-    cells at a time, so the last axis must be contiguous and a multiple of
-    eight long (``WORLD_HEIGHT`` is)."""
-    words = filled.view("<u8")
+    cells at a time, so the last axis must be a multiple of eight long
+    (``WORLD_HEIGHT`` is), and it is copied first unless it is contiguous
+    (a chunk's ``blocks`` view is not; the bulk paths pass contiguous
+    columns)."""
+    words = np.ascontiguousarray(filled).view("<u8")
     top_word = words.shape[-1] - 1 - (words[..., ::-1] != 0).argmax(axis=-1)
     word = np.take_along_axis(words, top_word[..., None], axis=-1)[..., 0]
     # A word of bools is a sum of 256**k: its float exponent is 8k + 1 for
@@ -168,8 +249,9 @@ def column_tops(filled: np.ndarray) -> np.ndarray:
 
 
 #: Most chunks addressed by one index.  A whole-field temporary of a strip
-#: is ``STRIP_CHUNKS`` x 32 KiB = 1 MiB, so building a view's 289 chunks
-#: peaks no higher than building 32.
+#: is ``STRIP_CHUNKS`` x 32 KiB = 1 MiB whatever the terrain (the slab
+#: skips all-air sections, a temporary does not), so building a view's 289
+#: chunks peaks no higher than building 32.
 STRIP_CHUNKS = 32
 
 
@@ -211,8 +293,9 @@ class ChunkStrip:
         return corner[:, 0] + local[:, None], corner[:, 1] + local
 
     def read(self, name: str) -> np.ndarray:
-        """Field ``name`` of every chunk, ``[n, ...]``, for reading: a
-        view of the slab where the strip is a slice of it, else a copy."""
+        """Field ``name`` of every chunk, ``[n, ...]`` (a voxel field
+        ``[n, y, lx, lz]``, the slab's order), for reading: a view of the
+        slab where the strip is a slice of it, else a copy."""
         if self._run:
             page, _, run = self._groups[0]
             return getattr(page, name)[run]
@@ -222,8 +305,20 @@ class ChunkStrip:
             out[rows] = getattr(page, name)[slots]
         return out
 
-    def write(self, name: str, values: np.ndarray) -> None:
-        """Store ``values[i]`` as field ``name`` of ``chunks[i]``."""
+    def write(
+        self, name: str, values: np.ndarray, tops: np.ndarray | None = None
+    ) -> None:
+        """Store ``values[i]`` as field ``name`` of ``chunks[i]``.  With
+        ``tops``, a voxel field of all-zero slots: only the layers below
+        ``tops[i]``, in whole sections, are written (those above must be
+        zero in ``values``), so an all-air section stays a page never
+        touched."""
+        if tops is not None:
+            field = attrgetter(name)
+            for chunk, row, top in zip(self.chunks, values, tops.tolist()):
+                rows = _section_rows(top)
+                field(chunk._page)[chunk._slot, :rows] = row[:rows]
+            return
         for page, rows, slots in self._groups:
             getattr(page, name)[slots] = values[rows]
 
@@ -250,7 +345,7 @@ class ChunkArena:
         #: draws with chunks, so it must survive unload/reload as a dict's).
         self.handles: dict[tuple[int, int], Chunk] = {}
         self._page_slots = self.PAGE_SLOTS
-        self._pages = [_Page(self._page_slots, 0, _lazy_zeros)]
+        self._pages = [_Page(self._page_slots, 0, lazy=True)]
         self._free: list[int] = []  # heap: released slots, all-zero
         self._fresh = 0  # lowest never-claimed slot
         self._cache: tuple[np.ndarray, ...] | None = None  # see _index
@@ -265,7 +360,7 @@ class ChunkArena:
             slot = self._fresh
             self._fresh += 1
             if slot == len(self._pages) * self._page_slots:
-                self._pages.append(_Page(self._page_slots, slot, _lazy_zeros))
+                self._pages.append(_Page(self._page_slots, slot, lazy=True))
         page, local = divmod(slot, self._page_slots)
         return self._pages[page], local
 
@@ -288,41 +383,42 @@ class ChunkArena:
 
     def release(self, cx: int, cz: int) -> Chunk | None:
         """Unload ``(cx, cz)``: detach its handle onto a private copy of
-        its state, then zero and free the slot."""
+        its state, then clear and free the slot."""
         chunk = self.handles.pop((cx, cz), None)
         if chunk is None:
             return None
         page, slot = chunk._page, chunk._slot
         chunk._page, chunk._slot = _Page(1), 0
-        for name in _FIELDS:
-            field = getattr(page, name)
-            # A row never written reads the shared zero page; copying or
-            # zeroing it would fault its pages in for nothing.
-            if field[slot].any():
-                getattr(chunk._page, name)[0] = field[slot]
-                field[slot] = 0
+        _copy_slot(page, slot, chunk._page, 0)
+        page.clear(slot)
         heapq.heappush(self._free, page.base + slot)
         self._cache = None
         return chunk
 
     # -- vectorised addressing -----------------------------------------------
 
-    def _index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Slots in iteration order; sorted packed keys and their slots."""
+    def _index(self) -> tuple[np.ndarray, ...]:
+        """Slots and ``[n, 2]`` coordinates in iteration order; sorted
+        packed keys and their slots."""
         if self._cache is None:
             order = np.array(
                 [c._page.base + c._slot for c in self.handles.values()],
                 dtype=np.int64,
             )
-            coords = np.array(list(self.handles), dtype=np.int64)
-            keys = pack_keys(*coords.reshape(-1, 2).T)
+            coords = np.array(list(self.handles), np.int64).reshape(-1, 2)
+            keys = pack_keys(*coords.T)
             by_key = np.argsort(keys)
-            self._cache = order, keys[by_key], order[by_key]
+            self._cache = order, coords, keys[by_key], order[by_key]
         return self._cache
 
     def order(self) -> np.ndarray:
         """Slots of the loaded chunks, in iteration order."""
         return self._index()[0]
+
+    def coords(self) -> np.ndarray:
+        """``[n, 2]`` ``(cx, cz)`` of the loaded chunks, in iteration
+        order (shared: not to be written)."""
+        return self._index()[1]
 
     def locate(
         self, cxs: np.ndarray, czs: np.ndarray
@@ -331,7 +427,7 @@ class ChunkArena:
         not loaded its slot is some claimed one (slot 0 in an empty
         arena): a gather stays in range, and ``loaded`` masks what it
         read."""
-        _, keys, slots = self._index()
+        *_, keys, slots = self._index()
         wanted = pack_keys(cxs, czs)
         if not keys.size:
             return np.zeros_like(wanted), np.zeros(wanted.shape, np.bool_)
@@ -341,16 +437,22 @@ class ChunkArena:
 
     @staticmethod
     def voxel_index(slots, lx, lz) -> np.ndarray:
-        """Flat index of voxel ``[slot, lx, lz, 0]`` of every voxel field:
-        add ``y`` and :meth:`take`."""
+        """Flat index of voxel ``[slot, 0, lx, lz]`` of every voxel field:
+        add ``y * LAYER`` and :meth:`take`."""
         # In place: at a few hundred elements a temporary's allocation
         # costs as much as the arithmetic.
-        flat = slots * CHUNK_SIZE
+        flat = slots * WORLD_HEIGHT
+        flat *= CHUNK_SIZE
         flat += lx
         flat *= CHUNK_SIZE
         flat += lz
-        flat *= WORLD_HEIGHT
         return flat
+
+    def columns(self, field: str, slots, lx, lz) -> np.ndarray:
+        """Whole columns ``[k, y]`` of voxel field ``field`` (slots must
+        be claimed), contiguous in ``y`` as :func:`column_tops` reads."""
+        flat = self.voxel_index(slots, lx, lz)
+        return self.take(field, flat[:, None] + _LAYER_OFFSETS)
 
     def take(self, field: str, flat: np.ndarray) -> np.ndarray:
         """Voxel field ``field`` at flat indices from :meth:`voxel_index`
@@ -397,6 +499,7 @@ class ChunkArena:
                 getattr(page, field)[at] = values[where]
             else:
                 ufunc.at(getattr(page, field), at, values[where])
+
 
 
 def pack_keys(cxs: np.ndarray, czs: np.ndarray) -> np.ndarray:

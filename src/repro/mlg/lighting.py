@@ -54,7 +54,7 @@ class LightEngine:
         BFS-propagates from emitters, in the chunks that hold one."""
         nodes = []
         for strip in strips(chunks):
-            blocks = strip.read("blocks")
+            blocks = strip.read("blocks")  # [n, y, lx, lz]
             cut = _sky_cutoffs(blocks, strip.read("heightmap"))
             strip.write("skylit", WORLD_HEIGHT - cut)
             raw = blocks.tobytes()
@@ -82,7 +82,8 @@ class LightEngine:
     def _seed_blocklight(self, chunk: Chunk) -> int:
         """BFS block light from all emitting blocks inside the chunk."""
         blocks, blocklight = chunk.blocks, chunk.blocklight
-        blocklight[:] = 0
+        if chunk._page.glows[chunk._slot]:
+            blocklight[:] = 0  # else it is all zero, and its pages unwritten
         emitters = np.nonzero(LIGHT_EMISSION_LUT[blocks])
         blocklight[emitters] = levels = LIGHT_EMISSION_LUT[blocks[emitters]]
         chunk._page.glows[chunk._slot] = levels.size > 0
@@ -116,8 +117,9 @@ class LightEngine:
         chunk = self.world.get_chunk(x >> 4, z >> 4)
         if chunk is None:
             return 0
-        lx, lz = x & 15, z & 15
-        cut = _sky_cutoffs(chunk.blocks[lx, lz], chunk.heightmap[lx, lz])
+        lx, lz = slice(x & 15, (x & 15) + 1), slice(z & 15, (z & 15) + 1)
+        column = chunk._page.blocks[chunk._slot, :, lx, lz]  # [y, 1, 1]
+        cut = _sky_cutoffs(column, chunk.heightmap[lx, lz])
         chunk.skylit[lx, lz] = WORLD_HEIGHT - cut
         if report is not None:
             report.add(Op.LIGHTING, WORLD_HEIGHT)
@@ -163,23 +165,23 @@ class LightEngine:
         page, slot, lx, lz = chunk._page, chunk._slot, x & 15, z & 15
         if WORLD_HEIGHT - y <= page.skylit[slot, lx, lz]:
             return MAX_LIGHT
-        return int(page.blocklight[slot, lx, lz, y]) if page.glows[slot] else 0
+        return int(page.blocklight[slot, y, lx, lz]) if page.glows[slot] else 0
 
 
 def _sky_cutoffs(blocks: np.ndarray, heightmap: np.ndarray) -> np.ndarray:
-    """Highest opaque block + 1 of each column of ``blocks[..., y]``: the
-    ``heightmap`` where it is 0 or the block under it is opaque, else a
-    scan of the column (a see-through top, or air under a stale-high
-    heightmap)."""
+    """Highest opaque block + 1 of each column of ``blocks[..., y, lx,
+    lz]`` (the slab's order): the ``heightmap[..., lx, lz]`` where it is 0
+    or the block under it is opaque, else a scan of the column (a
+    see-through top, or air under a stale-high heightmap)."""
     heightmap = np.asarray(heightmap)
     # Height 0 reads y = -1, wrapped to the top, and is not used.
-    top = np.take_along_axis(blocks, heightmap[..., None] - 1, axis=-1)
+    top = np.take_along_axis(blocks, heightmap[..., None, :, :] - 1, axis=-3)
     cut = heightmap.astype(np.int16)
-    scan = ~OPAQUE_LUT[top[..., 0]] & (heightmap > 0)
+    scan = ~OPAQUE_LUT[top[..., 0, :, :]] & (heightmap > 0)
     if scan.any():
         # bytes.translate: the uint8 table lookup that does not widen
         # block ids into 8x the bytes of indices first.
-        columns = blocks[scan]
+        columns = np.moveaxis(blocks, -3, -1)[scan]  # [k, y]
         opaque = np.frombuffer(
             columns.tobytes().translate(_OPAQUE_BYTES), np.bool_
         ).reshape(columns.shape)

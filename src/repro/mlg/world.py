@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.mlg.blocks import SOLID_LUT, Block, is_solid
 from repro.mlg.chunk_arena import (
+    LAYER,
     Chunk,
     ChunkArena,
     column_tops,
@@ -270,8 +271,9 @@ class World:
             for chunk in created:
                 self._generator(chunk)
             for strip in strips(created):
-                nonair = strip.read("blocks") != Block.AIR
-                strip.write("heightmap", column_tops(nonair))
+                nonair = strip.read("blocks") != Block.AIR  # [n, y, x, z]
+                tops = column_tops(np.moveaxis(nonair, 1, -1))
+                strip.write("heightmap", tops)
         self.chunks_generated_this_tick += len(created)
 
     def set_loader(
@@ -312,6 +314,11 @@ class World:
         """Set-like view of the loaded ``(cx, cz)``, in load order."""
         return self._chunks.keys()
 
+    def loaded_coords(self) -> Array:
+        """The loaded ``(cx, cz)`` as one ``[n, 2]`` array, in load order
+        (shared with the arena's index: read it, do not write it)."""
+        return self._arena.coords()
+
     @property
     def loaded_chunk_count(self) -> int:
         return len(self._chunks)
@@ -343,7 +350,7 @@ class World:
         chunk = self._chunks.get((x >> 4, z >> 4))
         if chunk is None:
             return Block.AIR
-        return int(chunk._page.blocks[chunk._slot, x & 15, z & 15, y])
+        return int(chunk._page.blocks[chunk._slot, y, x & 15, z & 15])
 
     def get_aux(self, x: int, y: int, z: int) -> int:
         if not 0 <= y < WORLD_HEIGHT:
@@ -351,13 +358,13 @@ class World:
         chunk = self._chunks.get((x >> 4, z >> 4))
         if chunk is None:
             return 0
-        return int(chunk._page.aux[chunk._slot, x & 15, z & 15, y])
+        return int(chunk._page.aux[chunk._slot, y, x & 15, z & 15])
 
     def set_aux(self, x: int, y: int, z: int, value: int) -> None:
         if not 0 <= y < WORLD_HEIGHT:
             return
         chunk = self.ensure_chunk(x >> 4, z >> 4)
-        chunk._page.aux[chunk._slot, x & 15, z & 15, y] = value & 0xFF
+        chunk._page.aux[chunk._slot, y, x & 15, z & 15] = value & 0xFF
         chunk._page.dirty[chunk._slot] = True
 
     def set_block(
@@ -377,13 +384,13 @@ class World:
         chunk = self.ensure_chunk(x >> 4, z >> 4)
         page, slot = chunk._page, chunk._slot
         lx, lz = x & 15, z & 15
-        old = int(page.blocks[slot, lx, lz, y])
-        old_aux = int(page.aux[slot, lx, lz, y])
+        old = int(page.blocks[slot, y, lx, lz])
+        old_aux = int(page.aux[slot, y, lx, lz])
         if old == block_id and old_aux == aux:
             return None
-        page.blocks[slot, lx, lz, y] = block_id
+        page.blocks[slot, y, lx, lz] = block_id
         if old_aux != aux & 0xFF:
-            page.aux[slot, lx, lz, y] = aux & 0xFF
+            page.aux[slot, y, lx, lz] = aux & 0xFF
         page.dirty[slot] = True
         height = int(page.heightmap[slot, lx, lz])
         if block_id != Block.AIR and y >= height:
@@ -439,20 +446,10 @@ class World:
         :meth:`ChunkArena.locate`)."""
         return self._arena.locate(xs >> 4, zs >> 4)
 
-    def column_heights_bulk(self, xs: Array, zs: Array) -> Array:
-        """Vectorized :meth:`column_height` for integer coordinate arrays.
-
-        Unloaded chunks report height 0.
-        """
-        xs, zs = _int64(xs), _int64(zs)
-        slots, loaded = self._locate(xs, zs)
-        heights = self._arena.gather("heightmap", slots, xs & 15, zs & 15)
-        return np.where(loaded, heights, 0).astype(np.int64)
-
     def _columns(self, xs: Array, zs: Array) -> tuple[Array, Array]:
         """``(flat, loaded)``: the :meth:`ChunkArena.voxel_index` of each
         column's ``y = 0`` voxel (a stand-in column's where no chunk is
-        loaded), and whether its chunk is loaded."""
+        loaded; add ``y * LAYER``), and whether its chunk is loaded."""
         slots, loaded = self._locate(xs, zs)
         return self._arena.voxel_index(slots, xs & 15, zs & 15), loaded
 
@@ -464,7 +461,7 @@ class World:
         # A y below 0 reads as a huge unsigned value: one compare checks
         # both bounds.
         ok = ok & (ys.view(np.uint64) < WORLD_HEIGHT)
-        flat = np.where(ok, flat + ys, 0)
+        flat = np.where(ok, flat + ys * LAYER, 0)
         return [
             np.where(ok, self._arena.take(field, flat), np.uint8(0))
             for field in fields
@@ -506,9 +503,9 @@ class World:
                     xa - x0 : xb - x0 + 1, za - z0 : zb - z0 + 1,
                     ya - y0 : yb - y0 + 1,
                 ] = chunk._page.blocks[
-                    chunk._slot, xa & 15 : (xb & 15) + 1,
-                    za & 15 : (zb & 15) + 1, ya : yb + 1,
-                ]
+                    chunk._slot, ya : yb + 1,
+                    xa & 15 : (xb & 15) + 1, za & 15 : (zb & 15) + 1,
+                ].transpose(1, 2, 0)
         return out
 
     def aux_bulk(self, xs: Array, ys: Array, zs: Array) -> Array:
@@ -521,7 +518,7 @@ class World:
         order (the random-tick read, one gather for the whole world)."""
         order = self._arena.order()
         slots = np.repeat(order, lxs.size // max(1, order.size))
-        return self._arena.gather("blocks", slots, lxs, lzs, ys)
+        return self._arena.gather("blocks", slots, ys, lxs, lzs)
 
     def _slots_for_write(self, xs: Array, zs: Array) -> Array:
         """Slot of the chunk over each column, loading or generating the
@@ -554,7 +551,7 @@ class World:
         xs, zs = _int64(xs)[sel], _int64(zs)[sel]
         slots = self._slots_for_write(xs, zs)
         self._arena.scatter(
-            "aux", slots, xs & 15, zs & 15, ys[sel],
+            "aux", slots, ys[sel], xs & 15, zs & 15,
             values=np.asarray(values).astype(np.uint8)[sel],
         )
         self._arena.scatter("dirty", slots, values=np.ones(sel.size, np.bool_))
@@ -584,15 +581,16 @@ class World:
             return 0
         arena = self._arena
         slots = self._slots_for_write(xs[sel], zs[sel])
-        at = (slots, xs[sel] & 15, zs[sel] & 15, ys[sel])
+        at = (slots, ys[sel], xs[sel] & 15, zs[sel] & 15)
         old = arena.gather("blocks", *at)
         new_aux = arena.gather("aux", *at) != auxs[sel]
         mask = (old != block_ids[sel]) | new_aux
         if not mask.any():
             return 0
-        # Everything below is in input order, restricted to real changes.
+        # Everything below is in input order, restricted to real changes
+        # (so a section none of them is in is never written).
         sel, old, new_aux = sel[mask], old[mask], new_aux[mask]
-        slots, lx, lz, y = at = tuple(a[mask] for a in at)
+        slots, y, lx, lz = at = tuple(a[mask] for a in at)
         new = block_ids[sel]
         arena.scatter("blocks", *at, values=new)
         if new_aux.any():
@@ -615,8 +613,7 @@ class World:
             carved = air[y[air] == tops - 1]
             if carved.size:
                 column = slots[carved], lx[carved], lz[carved]
-                # Whole columns: one row copy each, no [n, 128] index.
-                cells = arena.gather("blocks", *column)
+                cells = arena.columns("blocks", *column)
                 arena.scatter(
                     "heightmap", *column,
                     values=column_tops(cells != Block.AIR),
@@ -626,16 +623,6 @@ class World:
                 BlockChanges(xs[sel], ys[sel], zs[sel], old, new)
             )
         return int(sel.size)
-
-    def chunks_loaded_bulk(self, xs: Array, zs: Array) -> Array:
-        """Boolean mask: is the chunk containing each ``(x, z)`` loaded?"""
-        return self._locate(_int64(xs), _int64(zs))[1]
-
-    def ground_below_bulk(
-        self, xs: Array, ys: Array, zs: Array, max_scan: int = 12
-    ) -> Array:
-        """The ground half of :meth:`ground_and_loaded_bulk`."""
-        return self.ground_and_loaded_bulk(xs, ys, zs, max_scan)[0]
 
     def ground_and_loaded_bulk(
         self, xs: Array, ys: Array, zs: Array, max_scan: int = 12
@@ -660,6 +647,7 @@ class World:
         scan_y = start - np.arange(max_scan)[:, None]
         flat, loaded = self._columns(xs, zs)
         cells = np.maximum(scan_y, 0)
+        cells *= LAYER
         cells += flat
         solid = SOLID_LUT.take(self._arena.take("blocks", cells))
         solid &= scan_y >= 0
@@ -685,13 +673,6 @@ class World:
             (x, y, z - 1),
         )
 
-    def count_blocks(self, block_id: int) -> int:
-        """Total count of ``block_id`` across loaded chunks (vectorized)."""
-        return sum(
-            int((chunk.blocks == block_id).sum())
-            for chunk in self._chunks.values()
-        )
-
     def fill(
         self, x0: int, y0: int, z0: int, x1: int, y1: int, z1: int,
         block_id: int, log: bool = False,
@@ -704,14 +685,15 @@ class World:
         load in is the order random ticks will visit them); y is clipped
         to the world; a cell changes when its block differs or its aux is
         non-zero, and each changed cell takes ``block_id`` with aux 0 (only
-        the non-zero ``aux`` cells are written, so a fill over zero ``aux``
-        leaves its pages untouched), dirties its chunk, raises its column's
+        changed cells are stored, so a section where nothing changes — the
+        sky over a fill of air — is never written, and only the non-zero
+        ``aux`` cells are cleared), dirties its chunk, raises its column's
         heightmap or, when it was the column top and is carved to AIR, has
         the column rescanned.
         With ``log`` the changes are logged as one segment in x, z, y
         order.  The work is one ``blocks`` and one ``aux`` slice per chunk,
-        so no per-cell index array is built (a logged fill keeps two bytes
-        a cell for the log).
+        read ``[x, z, y]`` through a transposed view, so no per-cell index
+        array is built (a logged fill keeps two bytes a cell for the log).
         """
         if x1 < x0 or y1 < y0 or z1 < z0:
             raise ValueError("fill cuboid corners must be ordered")
@@ -734,10 +716,12 @@ class World:
             # The cuboid's x and z range inside this chunk, end exclusive.
             xa, xb = max(x0, bx), min(x1, bx + 15) + 1
             za, zb = max(z0, bz), min(z1, bz + 15) + 1
-            at = slot, slice(xa - bx, xb - bx), slice(za - bz, zb - bz)
-            columns = page.blocks[at]
+            lx, lz = slice(xa - bx, xb - bx), slice(za - bz, zb - bz)
+            # [x, z, y] views of the y-major slab: whole columns, and the
+            # cuboid's part of them.
+            columns = page.blocks[slot, :, lx, lz].transpose(1, 2, 0)
             cells = columns[..., span]
-            auxs = page.aux[at][..., span]
+            auxs = page.aux[slot, span, lx, lz].transpose(1, 2, 0)
             stale = auxs != 0
             changed = cells != block
             changed |= stale
@@ -748,11 +732,11 @@ class World:
             if log:
                 at_log = slice(xa - x0, xb - x0), slice(za - z0, zb - z0)
                 logged[at_log], olds[at_log] = changed, cells
-            cells[...] = block
+            np.copyto(cells, block, where=changed)
             if stale.any():
                 auxs[stale] = 0
             page.dirty[slot] = True
-            heights = page.heightmap[at]
+            heights = page.heightmap[slot, lx, lz]
             if block != Block.AIR:
                 # Each column's highest changed cell, + 1 (0: unchanged).
                 tops = span.stop - changed[..., ::-1].argmax(axis=-1)

@@ -9,10 +9,13 @@ trees, and underwater kelp — enough structure for every downstream engine
 
 Chunks are generated a strip at a time (one chunk is a strip of one).
 Stone, dirt, grass, bedrock, water and beach sand depend on nothing but a
-column's terrain height, so a strip's voxels and heightmap are row
-``height`` of two column tables built at import, gathered for all ``n x 16
-x 16`` columns at once.  Trees and kelp reach into neighbouring columns and
-stop at the chunk edge, so they are stamped onto the gathered strip after.
+column's terrain height, so a strip's voxels and heightmap are column
+``height`` of two tables built at import, gathered for all ``n x 16 x 16``
+columns at once, ``y``-major as the slab stores them.  Trees and kelp
+reach into neighbouring columns and stop at the chunk edge, so they are
+stamped onto the gathered strip after.  Each chunk's slot is then written
+only up to its highest block, in whole sections: the sky over the terrain
+is never written.
 """
 
 from __future__ import annotations
@@ -105,6 +108,26 @@ def _terrain_columns() -> tuple[np.ndarray, np.ndarray]:
 
 
 _COLUMN_BLOCKS, _COLUMN_TOPS = _terrain_columns()
+#: ``_COLUMN_BLOCKS`` as ``[y, h]``, the slab's order.
+_LAYER_BLOCKS = np.ascontiguousarray(_COLUMN_BLOCKS.T)
+
+
+def _layers(heights: np.ndarray) -> np.ndarray:
+    """``[y, *heights.shape]`` voxels of columns of terrain ``heights``.
+    Only the layers whose block differs between the heights present are
+    gathered cell by cell; the rest (deep stone, the sky) are one block
+    across the strip and filled whole."""
+    lo = int(heights.min())
+    table = _LAYER_BLOCKS[:, lo : int(heights.max()) + 1]
+    varies = np.flatnonzero((table != table[:, :1]).any(axis=1))
+    a, b = (int(varies[0]), int(varies[-1]) + 1) if varies.size else (0, 0)
+    layers = np.empty((WORLD_HEIGHT, *heights.shape), np.uint8)
+    uniform = table[:, 0].reshape(-1, *(1,) * heights.ndim)
+    layers[:a], layers[b:] = uniform[:a], uniform[b:]
+    layers[a:b] = table[a:b, heights - lo]
+    return layers
+
+
 #: Leaf blob of a tree: 60 ``(dx, dz, dy)`` from the trunk's ground cell.
 _LEAF_DX, _LEAF_DZ, _LEAF_DY = np.array([
     (dx, dz, dy) for dx in range(-2, 3) for dz in range(-2, 3)
@@ -114,11 +137,12 @@ _TRUNK, _KELP = np.arange(5), np.arange(6)  # tallest trunk / kelp stalk
 
 
 def _stamp(blocks, tops, cells, keep, block: int) -> None:
-    """Write ``block`` at the ``[chunk, lx, lz, y]`` ``cells`` selected by
-    ``keep`` and raise the tops of the columns it now stands above."""
+    """Write ``block`` into ``blocks[chunk, y, lx, lz]`` at the ``(chunk,
+    lx, lz, y)`` ``cells`` selected by ``keep`` and raise the tops of the
+    columns it now stands above."""
     keep, *cells = np.broadcast_arrays(keep, *cells)
     c, lx, lz, ys = (a[keep] for a in cells)
-    blocks[c, lx, lz, ys] = block
+    blocks[c, ys, lx, lz] = block
     np.maximum.at(tops, (c, lx, lz), (ys + 1).astype(tops.dtype))
 
 
@@ -130,10 +154,10 @@ def _plant_trees(blocks, tops, heights, mask) -> None:
     mask = mask & (heights > SEA_LEVEL) & (heights + 7 < WORLD_HEIGHT)
     c, lx, lz = (a[:, None] for a in np.nonzero(mask))
     ground = heights[c, lx, lz]
-    grass = blocks[c, lx, lz, ground - 1] == Block.GRASS
+    grass = blocks[c, ground - 1, lx, lz] == Block.GRASS
     tx, tz, ty = lx + _LEAF_DX, lz + _LEAF_DZ, ground + _LEAF_DY
     inside = (tx >= 0) & (tx < CHUNK_SIZE) & (tz >= 0) & (tz < CHUNK_SIZE)
-    air = blocks[c, tx % CHUNK_SIZE, tz % CHUNK_SIZE, ty] == Block.AIR
+    air = blocks[c, ty, tx % CHUNK_SIZE, tz % CHUNK_SIZE] == Block.AIR
     _stamp(blocks, tops, (c, tx, tz, ty), grass & inside & air, Block.LEAVES)
     _stamp(blocks, tops, (c, lx, lz, ground + _TRUNK), grass, Block.WOOD)
 
@@ -179,11 +203,13 @@ class TerrainGenerator:
             # One evaluation per noise octave and feature hash per strip.
             xs, zs = strip.lattice()
             heights = self.height_at(xs, zs)
-            blocks, tops = _COLUMN_BLOCKS[heights], _COLUMN_TOPS[heights]
+            # [n, y, lx, lz], a view of the [y, n, lx, lz] layers.
+            blocks = _layers(heights).transpose(1, 0, 2, 3)
+            tops = _COLUMN_TOPS[heights]
             # Deterministic per-column Bernoulli masks place the features.
             trees = _hash_lattice(xs, zs, self.seed ^ 0x7E3E) < 0.004
             kelp = _hash_lattice(xs, zs, self.seed ^ 0x6B21) < 0.01
             _plant_trees(blocks, tops, heights, trees)
             _plant_kelp(blocks, tops, heights, kelp)
-            strip.write("blocks", blocks)
+            strip.write("blocks", blocks, tops.max(axis=(1, 2)))
             strip.write("heightmap", tops)

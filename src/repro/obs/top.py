@@ -174,7 +174,10 @@ def _dir_poller(target: str):
         )
     meta = campaign_meta(manifest.get("name", ""), manifest.get("provenance"))
     # The document an endpoint would serve for the same snapshot.
-    return lambda: json.loads(render_json(campaign_snapshot(store, meta)))
+    scraped: dict = {}
+    return lambda: json.loads(
+        render_json(campaign_snapshot(store, meta, scraped))
+    )
 
 
 def run_top(

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, Iterable
-from itertools import chain
 
 import numpy as np
 
@@ -361,13 +360,12 @@ class ChunkLifecycle:
             ] = old
         self._seen, self._seen_origin = grown, (xa, za)
 
-    def _last_seen(self, keys: list[tuple[int, int]]) -> list[int]:
-        """The recency grid's entry for each of ``keys``."""
+    def _last_seen(self, coords) -> list[int]:
+        """The recency grid's entry for each ``(cx, cz)`` of ``coords``."""
         seen, origin = self._seen, self._seen_origin
-        flat = np.fromiter(chain.from_iterable(keys), np.int64, 2 * len(keys))
-        at = flat.reshape(-1, 2) - origin
+        at = np.asarray(coords, np.int64).reshape(-1, 2) - origin
         inside = ((at >= 0) & (at < seen.shape)).all(axis=1)
-        last = np.full(len(keys), -1, np.int32)
+        last = np.full(len(at), -1, np.int32)
         last[inside] = seen[at[inside, 0], at[inside, 1]]
         return last.tolist()
 
@@ -386,12 +384,13 @@ class ChunkLifecycle:
         ):
             self._pinned_cache = self.pinned()
             self._pinned_refresh_tick = tick_index
-        keys = list(self.world.loaded_keys())
-        last_seen = self._last_seen(keys)
+        # The arena's coordinate array, in the order of loaded_keys.
+        last_seen = self._last_seen(self.world.loaded_coords())
         if min(last_seen) == tick_index:
             # Every loaded chunk was stamped this tick (no stamp is
             # later): all are in view, so nothing can go.
             return
+        keys = list(self.world.loaded_keys())
         pinned = self._pinned_cache
         regenerable = self.world.generator is not None
         candidates: list[tuple[int, tuple[int, int]]] = []

@@ -16,17 +16,19 @@ flat file::
     |   payloads, concatenated    |
     +-----------------------------+
 
-Chunk payloads are the raw bytes of the persisted arrays — blocks
-(uint8), then aux (uint8) only when it is not all zero, then the heightmap
-(little-endian int16) — and a payload's length says which form it is.  A
-load is two or three ``np.frombuffer`` copies into the chunk's arrays,
-wherever those live: a private page, or an arena slot the caller claimed,
-which arrives all zero — a payload without ``aux`` writes nothing onto
-those pages.  Files written when every payload held ``aux`` still load; a
-checkout from before the short form reports a short payload as a named
-corrupt entry and never zero-fills it.  Light is derived state, absent
-from the payload; the caller relights what it loaded, exactly as after
-generation.
+Chunk payloads are the raw bytes of the persisted arrays, each in x, z,
+y order — blocks (uint8), then aux (uint8) only when it is not all zero,
+then the heightmap (little-endian int16) — and a payload's length says
+which form it is.  A load decodes them into the chunk's arrays, wherever
+those live: a private page, or an arena slot the caller claimed, which
+arrives all zero.  So a load writes only the sections under the chunk's
+top — a voxel array's layers up to its highest non-zero cell, in whole
+sections, never the sky above — and a payload without ``aux`` writes
+nothing onto those pages.  Files written when every payload held ``aux``
+still load; a checkout from before the short form reports a short
+payload as a named corrupt entry and never zero-fills it.  Light is
+derived state, absent from the payload; the caller relights what it
+loaded, exactly as after generation.
 
 Crash safety is two-layered: whole files are written via temp-file +
 ``os.replace`` (a killed save leaves either the old region or the new one,
@@ -46,6 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.mlg.chunk_arena import used_rows
 from repro.mlg.constants import CHUNK_SIZE, WORLD_HEIGHT
 from repro.mlg.world import Chunk
 
@@ -139,13 +142,16 @@ def deserialize_chunk(
         )
     shape = (CHUNK_SIZE, CHUNK_SIZE, WORLD_HEIGHT)
     chunk = create(cx, cz)
-    chunk.blocks[:] = np.frombuffer(
-        raw, dtype=np.uint8, count=_BLOCK_BYTES, offset=0
-    ).reshape(shape)
-    if len(raw) == RAW_CHUNK_BYTES:
-        chunk.aux[:] = np.frombuffer(
-            raw, dtype=np.uint8, count=_BLOCK_BYTES, offset=_BLOCK_BYTES
+    fields = ("blocks", "aux") if len(raw) == RAW_CHUNK_BYTES else ("blocks",)
+    for k, name in enumerate(fields):
+        values = np.frombuffer(
+            raw, dtype=np.uint8, count=_BLOCK_BYTES, offset=k * _BLOCK_BYTES
         ).reshape(shape)
+        # The chunk's arrays arrive all zero: the layers above the
+        # payload's highest non-zero cell are left as they are.  (Scanned,
+        # not read off the heightmap: a payload is taken as it stands.)
+        rows = used_rows(values.transpose(2, 0, 1))
+        getattr(chunk, name)[..., :rows] = values[..., :rows]
     chunk.heightmap[:] = np.frombuffer(
         raw, dtype="<i2", count=CHUNK_SIZE * CHUNK_SIZE,
         offset=len(raw) - _HEIGHTMAP_BYTES,

@@ -26,6 +26,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.mlg.constants import CHUNK_SIZE, WORLD_HEIGHT
 from repro.mlg.world import Chunk, World
 from repro.persistence.region import (
     REGION_CHUNKS,
@@ -213,6 +214,10 @@ class RegionStore:
         return report
 
 
+#: An all-zero aux as world_hash reads it.
+_NO_AUX = bytes(CHUNK_SIZE * CHUNK_SIZE * WORLD_HEIGHT)
+
+
 def world_hash(world: World) -> int:
     """Order-independent CRC32 of the world's persisted state.
 
@@ -224,8 +229,10 @@ def world_hash(world: World) -> int:
     digest = 0
     for chunk in sorted(world.loaded_chunks(), key=lambda c: (c.cx, c.cz)):
         digest = zlib.crc32(struct.pack("<qq", chunk.cx, chunk.cz), digest)
-        # Slot views are C-contiguous: crc32 reads them where they are.
-        digest = zlib.crc32(chunk.blocks, digest)
-        digest = zlib.crc32(chunk.aux, digest)
+        # In the payload's x, z, y order: a transposing copy of the
+        # y-major slot, skipped for an all-zero aux.
+        digest = zlib.crc32(chunk.blocks.tobytes(), digest)
+        aux = chunk.aux
+        digest = zlib.crc32(aux.tobytes() if aux.any() else _NO_AUX, digest)
         digest = zlib.crc32(chunk.heightmap.astype("<i2", copy=False), digest)
     return digest & 0xFFFFFFFF

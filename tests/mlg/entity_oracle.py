@@ -306,9 +306,9 @@ def ground_and_loaded_bulk(self, xs, ys, zs, max_scan=12):
     )
     scan_y = start[:, None] - np.arange(max_scan)
     slots, loaded = self._locate(xs, zs)
-    column = (slots[:, None], (xs & 15)[:, None], (zs & 15)[:, None])
     columns = self._arena.gather(
-        "blocks", *column, np.clip(scan_y, 0, WORLD_HEIGHT - 1)
+        "blocks", slots[:, None], np.clip(scan_y, 0, WORLD_HEIGHT - 1),
+        (xs & 15)[:, None], (zs & 15)[:, None],
     )
     solid = SOLID_LUT[columns] & (scan_y >= 0) & loaded[:, None]
     first = solid.argmax(axis=1)

@@ -226,19 +226,20 @@ class TestWorld:
         with pytest.raises(ValueError):
             world.fill(5, 5, 5, 4, 5, 5, Block.STONE)
 
-    def test_count_blocks(self):
+    def test_fill_writes_exactly_its_cuboid(self):
         world = World()
         world.fill(0, 10, 0, 2, 10, 2, Block.TNT)
-        assert world.count_blocks(Block.TNT) == 9
+        around = world.blocks_cuboid(-1, 9, -1, 3, 11, 3)
+        assert int((around == Block.TNT).sum()) == 9
+        assert (around[1:4, 1:4, 1] == Block.TNT).all()
 
-    def test_column_heights_bulk_matches_scalar(self):
+    def test_column_height_follows_set_block(self):
         world = World()
         world.set_block(2, 40, 3, Block.STONE)
         world.set_block(20, 55, 30, Block.STONE)
-        xs = np.array([2, 20, 100])
-        zs = np.array([3, 30, 100])
-        heights = world.column_heights_bulk(xs, zs)
-        assert list(heights) == [41, 56, 0]
+        heights = [world.column_height(x, z) for x, z in
+                   ((2, 3), (20, 30), (100, 100))]
+        assert heights == [41, 56, 0]
 
     def test_nbytes_grows_with_chunks(self):
         world = World()

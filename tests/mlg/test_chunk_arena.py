@@ -2,10 +2,10 @@
 every bulk query over the slabs equals its scalar twin."""
 
 import math
-import os
 
 import numpy as np
 import pytest
+from pagemap_probe import needs_pagemap, written_kb
 from terrain_oracle import growth_tick_scalar
 
 from repro.mlg.blocks import Block, is_solid
@@ -45,23 +45,6 @@ def _generated(seed, keys):
     return world
 
 
-def _written_kb(array: np.ndarray) -> int:
-    """kB of ``array``'s bytes on pages this process wrote: present and
-    mapped by it alone (bits 63 and 56 of each ``/proc/self/pagemap``
-    entry).  A read of a never-written page maps the shared zero page,
-    which is present but not exclusive."""
-    page = os.sysconf("SC_PAGE_SIZE")
-    first = array.ctypes.data // page
-    last = (array.ctypes.data + array.nbytes - 1) // page
-    with open("/proc/self/pagemap", "rb") as pagemap:
-        pagemap.seek(first * 8)
-        entries = np.frombuffer(
-            pagemap.read((last - first + 1) * 8), dtype="<u8"
-        )
-    written = (entries >> np.uint64(63)) & (entries >> np.uint64(56)) & 1
-    return int(written.sum()) * page // 1024
-
-
 def _small_pages(monkeypatch):
     """Worlds created from here on get four slots per page, so a handful
     of chunks spans several pages; earlier worlds keep their page size."""
@@ -92,11 +75,9 @@ class TestSlots:
         assert old.skylight[0, 0].all() and old._page.glows[old._slot]
         assert old.dirty
         old.blocks[0, 0, 0] = Block.TNT  # a detached handle writes nowhere
-        assert world.count_blocks(Block.TNT) == 0
+        assert (fresh.blocks == Block.DIRT).all()
 
-    @pytest.mark.skipif(
-        not os.path.exists("/proc/self/pagemap"), reason="reads Linux pagemap"
-    )
+    @needs_pagemap
     def test_releasing_leaves_fields_never_written_untouched(self):
         # Each field of a page is zero-initialised memory, backed only
         # where written.  Releasing a chunk whose aux and blocklight were
@@ -106,16 +87,16 @@ class TestSlots:
         for cx in range(100):
             arena.create(cx, 0).blocks[:, :, :64] = Block.STONE
 
-        def written_kb():
+        def resident_kb():
             return {
-                name: _written_kb(getattr(page, name))
+                name: written_kb(getattr(page, name))
                 for name in ("aux", "blocklight")
             }
 
-        before = written_kb()
+        before = resident_kb()
         for cx in range(100):
             released = arena.release(cx, 0)
-        after = written_kb()
+        after = resident_kb()
         # 100 zeroed slots would be 6 400 kB of each field.
         for name in before:
             assert after[name] - before[name] < 256, name
@@ -235,14 +216,11 @@ class TestPaging:
                 getattr(paged, query)(xs, ys, zs),
                 getattr(monolith, query)(xs, ys, zs),
             )
-        np.testing.assert_array_equal(
-            paged.ground_below_bulk(xs + 0.5, ys + 6.0, zs + 0.5),
-            monolith.ground_below_bulk(xs + 0.5, ys + 6.0, zs + 0.5),
-        )
-        np.testing.assert_array_equal(
-            paged.column_heights_bulk(xs, zs),
-            monolith.column_heights_bulk(xs, zs),
-        )
+        for left, right in zip(
+            paged.ground_and_loaded_bulk(xs + 0.5, ys + 6.0, zs + 0.5),
+            monolith.ground_and_loaded_bulk(xs + 0.5, ys + 6.0, zs + 0.5),
+        ):
+            np.testing.assert_array_equal(left, right)
         none = np.array([], dtype=np.int64)
         assert paged.blocks_bulk(none, none, none).shape == (0,)
         assert paged.set_blocks_bulk(none, none, none, none) == 0
@@ -335,7 +313,8 @@ class TestBulkEqualsScalar:
 
     def test_reads(self, world, coords):
         xs, ys, zs = coords
-        tag = np.flatnonzero(world.chunks_loaded_bulk(xs, zs))[::3]
+        tag = np.flatnonzero(world.ground_and_loaded_bulk(xs, ys, zs)[1])
+        tag = tag[::3]
         world.set_aux_bulk(xs[tag], ys[tag], zs[tag], 1 + tag % 250)
         triples = list(zip(xs.tolist(), ys.tolist(), zs.tolist()))
         np.testing.assert_array_equal(
@@ -346,18 +325,18 @@ class TestBulkEqualsScalar:
             world.aux_bulk(xs, ys, zs), [world.get_aux(*p) for p in triples]
         )
         assert world.aux_bulk(xs, ys, zs).any()
+        fx, fy, fz = xs + 0.25, ys + 0.75, zs - 0.25
+        ground, loaded = world.ground_and_loaded_bulk(fx, fy, fz)
         np.testing.assert_array_equal(
-            world.column_heights_bulk(xs, zs),
-            [world.column_height(x, z) for x, _, z in triples],
-        )
-        loaded = world.chunks_loaded_bulk(xs, zs)
-        np.testing.assert_array_equal(
-            loaded, [world.has_chunk(x >> 4, z >> 4) for x, _, z in triples]
+            loaded,
+            [
+                world.has_chunk(math.floor(x) >> 4, math.floor(z) >> 4)
+                for x, z in zip(fx.tolist(), fz.tolist())
+            ],
         )
         assert loaded.any() and not loaded.all()
-        fx, fy, fz = xs + 0.25, ys + 0.75, zs - 0.25
         np.testing.assert_array_equal(
-            world.ground_below_bulk(fx, fy, fz),
+            ground,
             [
                 _ground_below_scalar(world, x, y, z)
                 for x, y, z in zip(fx.tolist(), fy.tolist(), fz.tolist())
@@ -370,25 +349,25 @@ class TestBulkEqualsScalar:
         self, world, max_scan
     ):
         xs = np.array([1.5, -7.25])
-        for query in (world.ground_below_bulk, world.ground_and_loaded_bulk):
-            with pytest.raises(ValueError, match="max_scan"):
-                query(xs, xs + 70.0, xs, max_scan=max_scan)
+        with pytest.raises(ValueError, match="max_scan"):
+            world.ground_and_loaded_bulk(xs, xs + 70.0, xs, max_scan=max_scan)
 
     def test_empty_world_and_empty_queries(self, coords):
         xs, ys, zs = coords
         world = World()
         assert not world.blocks_bulk(xs, ys, zs).any()
-        assert not world.chunks_loaded_bulk(xs, zs).any()
+        ground, loaded = world.ground_and_loaded_bulk(xs, ys, zs)
+        assert not loaded.any()
         np.testing.assert_array_equal(
-            world.ground_below_bulk(xs, ys, zs),
-            np.maximum(0, np.minimum(ys, WORLD_HEIGHT - 1) - 12),
+            ground, np.maximum(0, np.minimum(ys, WORLD_HEIGHT - 1) - 12)
         )
         empty = np.zeros(0, dtype=np.int64)
         full = World(generator=TerrainGenerator(seed=3))
         full.ensure_chunk(0, 0)
         for w in (world, full):
             assert w.blocks_bulk(empty, empty, empty).shape == (0,)
-            assert w.ground_below_bulk(empty, empty, empty).shape == (0,)
+            for part in w.ground_and_loaded_bulk(empty, empty, empty):
+                assert part.shape == (0,)
             assert w.set_blocks_bulk(empty, empty, empty, empty) == 0
         assert world.blocks_per_chunk(empty, empty, empty).shape == (0,)
 

@@ -209,12 +209,10 @@ class TestEnclosedFarmGrounding:
         # roof they must disagree (heightmap sees the roof top).
         xs = np.array([5.5])
         zs = np.array([5.5])
-        ground = world.ground_below_bulk(xs, np.array([62.0]), zs)
+        ground, _ = world.ground_and_loaded_bulk(xs, np.array([62.0]), zs)
         assert ground[0] == 60.0
-        heights = world.column_heights_bulk(
-            xs.astype(np.int64), zs.astype(np.int64)
-        )
-        assert heights[0] == 66  # roof top + 1: the WRONG ground for items
+        # Roof top + 1: the WRONG ground for items.
+        assert world.column_height(5, 5) == 66
 
 
 class TestWaterTransportAtScale:

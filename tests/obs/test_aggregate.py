@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.campaign import CampaignSpec, JobPlanner, JobStore
-from repro.obs import campaign_snapshot, render_prometheus
+from repro.obs import aggregate, campaign_snapshot, render_prometheus
 from repro.telemetry.summary import summarize
 
 
@@ -287,3 +287,57 @@ class TestReadFromTheRecords:
                 assert total >= previous[name]
                 previous[name] = total
             assert values["repro_iterations_total"] == index + 1
+
+
+class TestIdleScrapes:
+    """A cell is summarised again only when a record its lines come from
+    changed; otherwise a scrape reuses the cell's last statistics."""
+
+    @staticmethod
+    def _two_cells(store):
+        first = jobs(store)[0]
+        other = next(
+            job for job in jobs(store) if job.cell.key() != first.cell.key()
+        )
+        write(store, first, raw(line(first, 0, [10.0, 12.0]),
+                                line(first, 1, [11.0])))
+        write(store, other, raw(line(other, 0, [30.0] * 4)))
+        return first, other
+
+    @staticmethod
+    def _count_summaries(monkeypatch) -> list:
+        calls = []
+        real = aggregate.summarize
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(aggregate, "summarize", counted)
+        return calls
+
+    def test_a_scrape_with_no_record_changed_summarises_nothing(
+        self, store, monkeypatch
+    ):
+        self._two_cells(store)
+        scraped = {}
+        first = render_prometheus(campaign_snapshot(store, scraped=scraped))
+        calls = self._count_summaries(monkeypatch)
+        again = render_prometheus(campaign_snapshot(store, scraped=scraped))
+        assert again == first
+        assert calls == []
+
+    def test_a_rewritten_record_rescrapes_only_its_cell_and_equals_a_cold_store(
+        self, store, monkeypatch
+    ):
+        first, _ = self._two_cells(store)
+        scraped = {}
+        campaign_snapshot(store, scraped=scraped)
+        write(store, first, raw(line(first, 0, [20.0] * 3)))
+        calls = self._count_summaries(monkeypatch)
+        warm = campaign_snapshot(store, scraped=scraped)
+        # tick_ms, isr and response_ms of the one changed cell.
+        assert len(calls) == 3
+        cold = campaign_snapshot(JobStore(store.root))
+        assert render_prometheus(warm) == render_prometheus(cold)
+        assert warm.values["repro_tick_ms_p50"][first.cell.key()] == 20.0
