@@ -300,9 +300,8 @@ class CampaignExecutor:
 
         store = JobStore(self.store.root)
         meta = campaign_meta(self.spec.name, provenance)
-        scraped: dict = {}
         return ObsHttpServer(
-            lambda: campaign_snapshot(store, meta, scraped),
+            lambda: campaign_snapshot(store, meta),
             port=self.spec.obs_port,
             scrape_grace_s=self.spec.obs_scrape_grace,
         ).start()

@@ -77,6 +77,10 @@ class JobStore:
         #: ``merge``, ``load_job`` and the report share one copy of its
         #: lines — a traced record's span dumps sit in memory once.
         self._records: dict[str, tuple] = {}
+        #: cell key -> (the ``(job_id, record identity)`` pairs its lines
+        #: came from, its scraped statistics): kept by
+        #: ``repro.obs.aggregate.campaign_snapshot`` across scrapes.
+        self.cell_stats: dict[str, tuple] = {}
 
     @property
     def manifest_path(self) -> Path:

@@ -82,11 +82,17 @@ def _lazy_zeros(shape: tuple[int, ...], dtype) -> mmap.mmap:
     kernel whole.
     ``np.zeros`` promises neither at slab size — numpy advises huge pages
     for large blocks (a first write then faults in 2 MiB of each field),
-    and malloc may hand back recycled heap that it has to memset.
+    and malloc may hand back recycled heap that it has to memset.  The
+    mapping advises against huge pages for the same reason: where the
+    kernel's transparent huge pages are ``always`` on, it would otherwise
+    back each first write with 2 MiB, sky sections included.
     POSIX only (``MAP_PRIVATE``/``MAP_ANONYMOUS``); the mapping counts
     against ``RLIMIT_AS`` and strict overcommit in full from the start."""
     size = prod(shape) * np.dtype(dtype).itemsize
-    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    buffer = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    return buffer
 
 
 class _Page:

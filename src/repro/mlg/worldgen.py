@@ -11,11 +11,11 @@ Chunks are generated a strip at a time (one chunk is a strip of one).
 Stone, dirt, grass, bedrock, water and beach sand depend on nothing but a
 column's terrain height, so a strip's voxels and heightmap are column
 ``height`` of two tables built at import, gathered for all ``n x 16 x 16``
-columns at once, ``y``-major as the slab stores them.  Trees and kelp
-reach into neighbouring columns and stop at the chunk edge, so they are
-stamped onto the gathered strip after.  Each chunk's slot is then written
-only up to its highest block, in whole sections: the sky over the terrain
-is never written.
+columns at once and viewed ``y``-major, as the slab stores them.  Trees
+and kelp reach into neighbouring columns and stop at the chunk edge, so
+they are stamped onto the gathered strip after.  Each chunk's slot is
+then written only up to its highest block, in whole sections: the sky
+over the terrain is never written.
 """
 
 from __future__ import annotations
@@ -108,24 +108,6 @@ def _terrain_columns() -> tuple[np.ndarray, np.ndarray]:
 
 
 _COLUMN_BLOCKS, _COLUMN_TOPS = _terrain_columns()
-#: ``_COLUMN_BLOCKS`` as ``[y, h]``, the slab's order.
-_LAYER_BLOCKS = np.ascontiguousarray(_COLUMN_BLOCKS.T)
-
-
-def _layers(heights: np.ndarray) -> np.ndarray:
-    """``[y, *heights.shape]`` voxels of columns of terrain ``heights``.
-    Only the layers whose block differs between the heights present are
-    gathered cell by cell; the rest (deep stone, the sky) are one block
-    across the strip and filled whole."""
-    lo = int(heights.min())
-    table = _LAYER_BLOCKS[:, lo : int(heights.max()) + 1]
-    varies = np.flatnonzero((table != table[:, :1]).any(axis=1))
-    a, b = (int(varies[0]), int(varies[-1]) + 1) if varies.size else (0, 0)
-    layers = np.empty((WORLD_HEIGHT, *heights.shape), np.uint8)
-    uniform = table[:, 0].reshape(-1, *(1,) * heights.ndim)
-    layers[:a], layers[b:] = uniform[:a], uniform[b:]
-    layers[a:b] = table[a:b, heights - lo]
-    return layers
 
 
 #: Leaf blob of a tree: 60 ``(dx, dz, dy)`` from the trunk's ground cell.
@@ -203,8 +185,9 @@ class TerrainGenerator:
             # One evaluation per noise octave and feature hash per strip.
             xs, zs = strip.lattice()
             heights = self.height_at(xs, zs)
-            # [n, y, lx, lz], a view of the [y, n, lx, lz] layers.
-            blocks = _layers(heights).transpose(1, 0, 2, 3)
+            # [n, y, lx, lz], a view of the [n, lx, lz, y] gather of whole
+            # columns (row copies); the slab write transposes it.
+            blocks = _COLUMN_BLOCKS[heights].transpose(0, 3, 1, 2)
             tops = _COLUMN_TOPS[heights]
             # Deterministic per-column Bernoulli masks place the features.
             trees = _hash_lattice(xs, zs, self.seed ^ 0x7E3E) < 0.004

@@ -19,10 +19,10 @@ record-shaped telemetry mapping a single-cell snapshot exports, labelled
 
 Values are what the records hold at scrape time.  A counter falls only
 when ``resume`` restarts a job, whose re-run truncates its record; a
-scraper reads that as a counter reset.  A scraper that keeps a
-``scraped`` dict between scrapes has a cell's statistics computed again
-only when a record its lines come from changed (the file identities
-``read_record`` keys its parse on): an idle scrape summarises nothing.
+scraper reads that as a counter reset.  Repeated scrapes of one
+``JobStore`` compute a cell's statistics again only when a record its
+lines come from changed (the file identities ``read_record`` keys its
+parse on): an idle scrape summarises nothing.
 """
 
 from __future__ import annotations
@@ -113,15 +113,12 @@ def _cell_telemetry(lines: list[dict]) -> dict:
     return telemetry
 
 
-def campaign_snapshot(
-    store, meta: dict | None = None, scraped: dict | None = None
-) -> ObsSnapshot:
+def campaign_snapshot(store, meta: dict | None = None) -> ObsSnapshot:
     """One snapshot of ``store``'s campaign as its records hold it now:
     each cell's metrics under its ``cell`` label, and the unlabelled job
-    and iteration counts.  ``scraped``, a dict the caller keeps between
-    scrapes of one store, holds each cell's last statistics with the
-    ``(job_id, record identity)`` of the records they were read from,
-    and they are reused while those are unchanged."""
+    and iteration counts.  Each cell's statistics are kept in
+    ``store.cell_stats`` with the ``(job_id, record identity)`` of the
+    records they were read from, and reused while those are unchanged."""
     jobs = store.manifest_jobs()
     cells: dict[str, list[dict]] = {}
     sources: dict[str, list[tuple]] = {}
@@ -137,12 +134,11 @@ def campaign_snapshot(
             if source not in came_from[-1:]:
                 came_from.append(source)
     snap = ObsSnapshot(meta)
-    memo = {} if scraped is None else scraped
     for cell, lines in cells.items():
         key = tuple(sources[cell])
-        hit = memo.get(cell)
+        hit = store.cell_stats.get(cell)
         if hit is None or hit[0] != key:
-            hit = memo[cell] = key, _cell_telemetry(lines)
+            hit = store.cell_stats[cell] = key, _cell_telemetry(lines)
         snap.export_telemetry(hit[1], cell=cell)
     snap.export("repro_jobs_total", len(jobs))
     snap.export("repro_jobs_observed", observed)

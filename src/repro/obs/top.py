@@ -174,10 +174,7 @@ def _dir_poller(target: str):
         )
     meta = campaign_meta(manifest.get("name", ""), manifest.get("provenance"))
     # The document an endpoint would serve for the same snapshot.
-    scraped: dict = {}
-    return lambda: json.loads(
-        render_json(campaign_snapshot(store, meta, scraped))
-    )
+    return lambda: json.loads(render_json(campaign_snapshot(store, meta)))
 
 
 def run_top(

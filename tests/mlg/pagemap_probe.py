@@ -10,22 +10,11 @@ import pytest
 
 PAGE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 _PAGEMAP = Path("/proc/self/pagemap")
-_HUGE = Path("/sys/kernel/mm/transparent_hugepage/enabled")
-
-
-def _probe_skip_reason() -> str | None:
-    if not _PAGEMAP.exists():
-        return "reads Linux pagemap"
-    # With transparent huge pages always on, a first write to a slab may
-    # fault in 2 MiB of it: page-sized residency is not observable.
-    if _HUGE.exists() and "[always]" in _HUGE.read_text():
-        return "transparent huge pages are always on"
-    return None
 
 
 #: Marks a test that reads the probe.
 needs_pagemap = pytest.mark.skipif(
-    _probe_skip_reason() is not None, reason=str(_probe_skip_reason())
+    not _PAGEMAP.exists(), reason="reads Linux pagemap"
 )
 
 
@@ -47,3 +36,17 @@ def written_pages(array: np.ndarray) -> np.ndarray:
 def written_kb(array: np.ndarray) -> int:
     """kB of ``array``'s bytes on pages this process wrote."""
     return int(written_pages(array).sum()) * PAGE // 1024
+
+
+def vm_flags(array: np.ndarray) -> set[str]:
+    """The ``VmFlags`` of the mapping that holds ``array``'s first byte,
+    read from ``/proc/self/smaps`` (``nh``: no huge pages)."""
+    address, inside = array.ctypes.data, False
+    for line in Path("/proc/self/smaps").read_text().splitlines():
+        head = line.split(None, 1)[0]
+        if "-" in head and not head.endswith(":"):
+            lo, hi = (int(end, 16) for end in head.split("-"))
+            inside = lo <= address < hi
+        elif inside and head == "VmFlags:":
+            return set(line.split()[1:])
+    raise LookupError(f"no mapping holds {address:#x}")

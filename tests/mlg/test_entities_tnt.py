@@ -18,14 +18,6 @@ from repro.mlg.workreport import Op, WorkReport
 from repro.mlg.world import World
 
 
-def _count(world, block_id):
-    """Cells holding ``block_id`` across the loaded chunks."""
-    return sum(
-        int((chunk.blocks == block_id).sum())
-        for chunk in world.loaded_chunks()
-    )
-
-
 def _flat_world(ground_y=60, size=3):
     world = World()
     for cx in range(size):
@@ -277,7 +269,7 @@ class TestTNT:
         tnt.explode(entity, WorkReport())
         assert bystander.vx > 0  # pushed in +x, away from the blast
 
-    def test_full_cuboid_chain_consumes_all_tnt(self):
+    def test_full_cuboid_chain_consumes_all_tnt(self, count_blocks):
         tnt, mgr, world = self._system()
         world.fill(20, 61, 20, 25, 63, 25, Block.TNT)
         tnt.prime_region(20, 61, 20, 25, 63, 25, fuse_spread=(1, 5))
@@ -289,7 +281,7 @@ class TestTNT:
             if not mgr.entities_of(EntityKind.TNT):
                 break
         assert not mgr.entities_of(EntityKind.TNT)
-        assert _count(world, Block.TNT) == 0
+        assert count_blocks(world, Block.TNT) == 0
         assert tnt.explosions_total == 6 * 6 * 3
 
 

@@ -18,14 +18,6 @@ from repro.mlg.workreport import Op, WorkReport
 from repro.mlg.world import World
 
 
-def _count(world, block_id):
-    """Cells holding ``block_id`` across the loaded chunks."""
-    return sum(
-        int((chunk.blocks == block_id).sum())
-        for chunk in world.loaded_chunks()
-    )
-
-
 def _flat_world(ground_y=60, size=1):
     """A flat stone slab covering ``size``x``size`` chunks."""
     world = World()
@@ -234,7 +226,7 @@ class TestLava:
         assert fluids.tick(LAVA_TICK_INTERVAL, report) == 1
         assert world.get_block(5, 60, 4) == Block.LAVA
 
-    def test_queued_lava_is_not_pure_churn(self):
+    def test_queued_lava_is_not_pure_churn(self, count_blocks):
         # The old engine enqueued lava cells and silently dropped them in
         # _update_cell — work was counted with nothing simulated.  Now a
         # processed lava cell actually spreads.
@@ -246,7 +238,7 @@ class TestLava:
         report = WorkReport()
         for tick in range(0, 2 * LAVA_TICK_INTERVAL):
             fluids.tick(tick, report)
-        assert _count(world, Block.LAVA) > 1
+        assert count_blocks(world, Block.LAVA) > 1
 
     def test_unsupported_lava_flow_clears(self):
         world = _flat_world(ground_y=60)

@@ -8,7 +8,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from pagemap_probe import PAGE, needs_pagemap, written_pages
+from pagemap_probe import PAGE, needs_pagemap, vm_flags, written_pages
 
 from repro.cloud import get_environment
 from repro.emulation import BotSwarm
@@ -144,6 +144,14 @@ class TestAllAirSectionsStayUnwritten:
         _assert_sky_unwritten(world, at_least=2 + 2 * SECTIONS - 1)
 
 
+    def test_the_slabs_refuse_huge_pages(self):
+        # With transparent huge pages always on, a first write would
+        # otherwise fault in 2 MiB of a slab, sky sections included.
+        page = _generated([(0, 0)])._arena._pages[0]
+        for field in VOXEL_FIELDS:
+            assert "nh" in vm_flags(getattr(page, field))
+
+
 class TestLayoutIsInvisible:
     def test_scalar_access_round_trips_through_every_path(self):
         world = World(generator=TerrainGenerator(3))
@@ -181,7 +189,8 @@ class TestLayoutIsInvisible:
     ):
         world = _installed(name, seed=3, ticks=20)
         assert world.loaded_chunk_count == chunks
-        assert sum(bool(c.aux.any()) for c in world.loaded_chunks()) == with_aux
+        loaded = world.loaded_chunks()
+        assert sum(bool(c.aux.any()) for c in loaded) == with_aux
         assert f"{world_hash(world):08x}" == hashed
         digest = hashlib.sha256()
         for chunk in sorted(world.loaded_chunks(), key=lambda c: (c.cx, c.cz)):

@@ -320,10 +320,9 @@ class TestIdleScrapes:
         self, store, monkeypatch
     ):
         self._two_cells(store)
-        scraped = {}
-        first = render_prometheus(campaign_snapshot(store, scraped=scraped))
+        first = render_prometheus(campaign_snapshot(store))
         calls = self._count_summaries(monkeypatch)
-        again = render_prometheus(campaign_snapshot(store, scraped=scraped))
+        again = render_prometheus(campaign_snapshot(store))
         assert again == first
         assert calls == []
 
@@ -331,11 +330,10 @@ class TestIdleScrapes:
         self, store, monkeypatch
     ):
         first, _ = self._two_cells(store)
-        scraped = {}
-        campaign_snapshot(store, scraped=scraped)
+        campaign_snapshot(store)
         write(store, first, raw(line(first, 0, [20.0] * 3)))
         calls = self._count_summaries(monkeypatch)
-        warm = campaign_snapshot(store, scraped=scraped)
+        warm = campaign_snapshot(store)
         # tick_ms, isr and response_ms of the one changed cell.
         assert len(calls) == 3
         cold = campaign_snapshot(JobStore(store.root))

@@ -22,14 +22,6 @@ from repro.workloads import (
 )
 
 
-def _count(world, block_id):
-    """Cells holding ``block_id`` across the loaded chunks."""
-    return sum(
-        int((chunk.blocks == block_id).sum())
-        for chunk in world.loaded_chunks()
-    )
-
-
 class FixedMachine:
     throttled_executions = 0
     total_executions = 0
@@ -107,12 +99,12 @@ class TestControl:
 
 
 class TestTNT:
-    def test_world_contains_tnt_cuboid(self):
+    def test_world_contains_tnt_cuboid(self, count_blocks):
         workload = TNTWorkload()
         world = workload.create_world(seed=1)
         dx, dy, dz = workload.cuboid_dims()
         assert (dx, dy, dz) == (16, 14, 16)
-        assert _count(world, Block.TNT) == 16 * 14 * 16
+        assert count_blocks(world, Block.TNT) == 16 * 14 * 16
 
     def test_scale_grows_cuboid(self):
         workload = TNTWorkload(scale=2.0)
@@ -207,21 +199,21 @@ class TestLag:
 
 
 class TestFlood:
-    def test_world_has_reservoir_and_gates(self):
+    def test_world_has_reservoir_and_gates(self, count_blocks):
         workload = FloodWorkload()
         world = workload.create_world(seed=1)
-        assert _count(world, Block.WATER_SOURCE) > 1000
+        assert count_blocks(world, Block.WATER_SOURCE) > 1000
         gx0, gy0, gz0, gx1, gy1, gz1 = workload._gates[0]
         assert world.get_block(gx0, gy0, gz0) == Block.OBSIDIAN
 
-    def test_breach_floods_the_basin(self):
+    def test_breach_floods_the_basin(self, count_blocks):
         workload = FloodWorkload()
         server, swarm = _setup(workload)
         world = server.world
-        assert _count(world, Block.WATER_FLOW) == 0
+        assert count_blocks(world, Block.WATER_FLOW) == 0
         _run(server, swarm, 25.0)
         # The dam opened at T+10 s and the cascade is spreading.
-        assert _count(world, Block.WATER_FLOW) > 500
+        assert count_blocks(world, Block.WATER_FLOW) > 500
         gx0, gy0, gz0, *_ = workload._gates[0]
         assert world.get_block(gx0, gy0, gz0) in (
             Block.AIR, Block.WATER_FLOW,
