@@ -90,10 +90,6 @@ class Machine:
         """Current burst-credit balance in cpu-seconds (0 if not burstable)."""
         return self._credits_us / 1e6
 
-    @property
-    def is_throttled(self) -> bool:
-        return self.spec.burst is not None and self._credits_us <= 0.0
-
     def utilization(self) -> float:
         """Lifetime CPU utilization across all vCPUs."""
         if self.wall_observed_us <= 0:

@@ -58,11 +58,6 @@ class NoiseModel:
         self._last_us: int | None = None
         self._steal_until_us = -1
 
-    @property
-    def placement_factor(self) -> float:
-        """The boot-time hardware-lottery slowdown (1.0 = reference)."""
-        return self._placement
-
     def new_placement(self) -> float:
         """Redeploy: draw a fresh placement factor (new VM boot)."""
         if self.params.placement_sigma > 0:

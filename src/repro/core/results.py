@@ -118,10 +118,6 @@ class ExperimentResult:
             out.extend(it.tick_durations_ms)
         return out
 
-    def any_crashed(self, server: str | None = None) -> bool:
-        pool = self.iterations if server is None else self.for_server(server)
-        return any(it.crashed for it in pool)
-
     # -- export (Data Retrieval, Fig. 5 #9) ---------------------------------
 
     def save_json(self, path: str | Path) -> Path:
@@ -133,9 +129,3 @@ class ExperimentResult:
         }
         path.write_text(json.dumps(payload, indent=2))
         return path
-
-    @classmethod
-    def load_json(cls, path: str | Path) -> "ExperimentResult":
-        payload = json.loads(Path(path).read_text())
-        iterations = map(IterationResult.from_dict, payload["iterations"])
-        return cls(config=payload["config"], iterations=list(iterations))

@@ -120,11 +120,6 @@ class SpiralMarch(Behavior):
         self._direction = 1
         self._max_radius = self.initial_radius
 
-    @property
-    def sortie_radius(self) -> float:
-        """The current sortie's turnaround radius (grows over the run)."""
-        return self._max_radius
-
     def next_move(
         self, x: float, z: float, rng: np.random.Generator
     ) -> tuple[float, float] | None:

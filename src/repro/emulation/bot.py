@@ -129,9 +129,3 @@ class EmulatedPlayer:
         self._next_probe_us = now_us + self.probe_interval_us + int(
             self.rng.uniform(-0.1, 0.1) * self.probe_interval_us
         )
-
-    # -- results ------------------------------------------------------------------------
-
-    @property
-    def outstanding_probes(self) -> int:
-        return len(self._pending_probes)

@@ -61,9 +61,6 @@ class ChatSystem:
         else:
             self._pending.append(PendingChat(client_id, probe_id, arrival_us))
 
-    def pending_count(self) -> int:
-        return len(self._pending)
-
     def process_tick(self, report: WorkReport) -> int:
         """Sync mode: account in-tick chat work; returns processed count.
 

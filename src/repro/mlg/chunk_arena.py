@@ -13,11 +13,12 @@ its highest opaque block, so ``skylit`` holds how many cells that is, an
 all-zero slot reads dark, and :attr:`Chunk.skylight` derives the voxels.
 :class:`Chunk` is a handle over one slot: its array attributes are views
 resolved on access, the voxel ones transposed to ``[lx, lz, y]``.  A
-free-standing ``Chunk(cx, cz)`` (region IO, tests) owns a private one-slot
-page; :meth:`ChunkArena.adopt` copies it into a slot, and
-:meth:`ChunkArena.release` *detaches* the handle back onto a private copy,
-so a stale reference keeps reading the chunk it named, not whichever one
-reuses the slot (the ``Entity`` reap pattern).
+free-standing ``Chunk(cx, cz)`` (what a world-cache probe or ``repro world
+inspect`` decodes; a world's loads decode into their slots) owns a private
+one-slot page, and :meth:`ChunkArena.adopt` copies it into a slot.
+:meth:`ChunkArena.release` frees the slot and leaves the handle on no
+page, so a stale reference raises on its next read instead of reading
+whichever chunk reuses the slot.
 
 Whole-chunk work (generation, initial lighting) addresses chunks a
 :class:`ChunkStrip` at a time: up to ``STRIP_CHUNKS`` handles whose fields
@@ -41,7 +42,6 @@ from operator import attrgetter
 
 import numpy as np
 
-from repro.mlg.blocks import Block
 from repro.mlg.constants import CHUNK_SIZE, MAX_LIGHT, WORLD_HEIGHT
 
 __all__ = [
@@ -222,14 +222,6 @@ class Chunk:
     def dirty(self, value: bool) -> None:
         self._page.dirty[self._slot] = value
 
-    @property
-    def nbytes(self) -> int:
-        return self.NBYTES
-
-    def recompute_heightmap(self) -> None:
-        """Rebuild the heightmap from the block array (vectorized)."""
-        self.heightmap[:, :] = column_tops(self.blocks != Block.AIR)
-
     def update_height_at(self, lx: int, lz: int) -> None:
         """Recompute the heightmap for a single column."""
         nz = np.flatnonzero(self.blocks[lx, lz])
@@ -387,19 +379,18 @@ class ChunkArena:
         self.handles[(chunk.cx, chunk.cz)] = chunk
         return chunk
 
-    def release(self, cx: int, cz: int) -> Chunk | None:
-        """Unload ``(cx, cz)``: detach its handle onto a private copy of
-        its state, then clear and free the slot."""
+    def release(self, cx: int, cz: int) -> None:
+        """Unload ``(cx, cz)`` (a no-op when it is not loaded): clear and
+        free its slot, and leave its handle on no page, so that reading
+        it raises."""
         chunk = self.handles.pop((cx, cz), None)
         if chunk is None:
-            return None
+            return
         page, slot = chunk._page, chunk._slot
-        chunk._page, chunk._slot = _Page(1), 0
-        _copy_slot(page, slot, chunk._page, 0)
+        chunk._page = None
         page.clear(slot)
         heapq.heappush(self._free, page.base + slot)
         self._cache = None
-        return chunk
 
     # -- vectorised addressing -----------------------------------------------
 

@@ -130,7 +130,7 @@ class Entity:
         self._store.vz[self._slot] = value
 
     @property
-    def age_ticks(self) -> int:
+    def age_ticks(self) -> int:  # test-only: the tick ages the store's column
         return int(self._store.age[self._slot])
 
     @age_ticks.setter

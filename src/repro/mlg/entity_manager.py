@@ -168,9 +168,6 @@ class EntityManager:
     def get(self, eid: int) -> Entity | None:
         return self._entities.get(eid)
 
-    def all_entities(self) -> Iterable[Entity]:
-        return self._entities.values()
-
     def count(self, kind: str | None = None) -> int:
         """Live entity count — an array reduction over the store."""
         return self.store.count(None if kind is None else KIND_CODE[kind])
@@ -189,7 +186,11 @@ class EntityManager:
         """Live entities that moved this tick — an array reduction."""
         return self.store.moved_count()
 
-    def entities_of(self, kind: str) -> list[Entity]:
+    def entities_of(  # test-only: handles by kind; the tick reads slots
+        self, kind: str
+    ) -> list[Entity]:
+        """Live handles of ``kind`` in slot order (dead, unreaped ones
+        skipped)."""
         slots = self.store.alive_slots(KIND_CODE[kind])
         return [self._handles[slot] for slot in slots.tolist()]
 

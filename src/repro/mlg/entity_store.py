@@ -160,10 +160,6 @@ class EntityStore:
         self._free.extend(slots.tolist())
         return final
 
-    @property
-    def free_count(self) -> int:
-        return len(self._free)
-
     # -- queries --------------------------------------------------------------
 
     def used_slots(self) -> np.ndarray:

@@ -120,16 +120,6 @@ class FluidEngine:
         self._water = _CellQueue()
         self._lava = _CellQueue()
 
-    def schedule(self, x: int, y: int, z: int) -> None:
-        """Queue a fluid update at a position (idempotent while queued).
-
-        Lava cells go to the slow queue; everything else (including cells
-        whose type is not yet known) rides the water-rate queue — a stale
-        entry is reclassified, uncharged, when it is popped.
-        """
-        lava = self.world.get_block(x, y, z) == Block.LAVA
-        (self._lava if lava else self._water).push(pack_cells([x], [y], [z]))
-
     def schedule_neighbors(self, x: int, y: int, z: int) -> None:
         """Queue updates for fluid blocks adjacent to a changed block."""
         self.schedule_neighbors_bulk([x], [y], [z])
@@ -158,7 +148,7 @@ class FluidEngine:
         cx, _y, cz = unpack_cells(chunks[run_heads(chunks)])
         return set(zip(cx.tolist(), cz.tolist()))
 
-    def queued_cells(
+    def queued_cells(  # test-only: parity tests pin the order; ticks pop it
         self,
     ) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
         """The water and lava queues, head first, as ``(x, y, z)``."""

@@ -151,9 +151,6 @@ class RedstoneEngine:
     def clocks(self) -> list[ClockCircuit]:
         return self._clocks
 
-    def pending_events(self) -> int:
-        return len(self._heap)
-
     def anchored_chunks(self) -> set[tuple[int, int]]:
         """Chunks referenced by live redstone state (eviction anchors):
         clock wire nets and pistons, scheduled event positions, and

@@ -250,7 +250,9 @@ class MLGServer:
         self._maybe_autosave()
         return record
 
-    def run_for(self, sim_seconds: float, max_ticks: int | None = None) -> list[TickRecord]:
+    def run_for(  # test-only: a fleetless tick loop; tests read its records
+        self, sim_seconds: float, max_ticks: int | None = None
+    ) -> list[TickRecord]:
         """Tick until ``sim_seconds`` of simulated time pass (or crash)."""
         deadline = self.clock.now_us + s_to_us(sim_seconds)
         records: list[TickRecord] = []

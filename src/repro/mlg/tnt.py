@@ -28,10 +28,8 @@ from repro.mlg.entity_manager import EntityManager
 from repro.mlg.workreport import Op, WorkReport
 from repro.mlg.world import World, run_heads
 
-__all__ = ["TNTSystem", "DEFAULT_FUSE_TICKS", "RAYS_PER_EXPLOSION"]
+__all__ = ["TNTSystem", "RAYS_PER_EXPLOSION"]
 
-#: Vanilla fuse length, in game ticks (4 s).
-DEFAULT_FUSE_TICKS = 80
 #: Rays cast per explosion in the vanilla algorithm (16×16×16 minus interior).
 RAYS_PER_EXPLOSION = 1352
 #: Blast radius of a TNT explosion, in blocks.
@@ -59,20 +57,6 @@ class TNTSystem:
         self.blocks_destroyed_total = 0
 
     # -- priming ------------------------------------------------------------------
-
-    def prime_block(
-        self, x: int, y: int, z: int, fuse_ticks: int | None = None
-    ) -> Entity | None:
-        """Convert a TNT block into a primed TNT entity."""
-        if self.world.get_block(x, y, z) != Block.TNT:
-            return None
-        self.world.set_block(x, y, z, Block.AIR)
-        fuse = (
-            fuse_ticks
-            if fuse_ticks is not None
-            else DEFAULT_FUSE_TICKS + int(self.rng.integers(-10, 11))
-        )
-        return self._spawn_primed(x, y, z, fuse)
 
     def _spawn_primed(self, x: int, y: int, z: int, fuse: int) -> Entity:
         """The primed entity of the (already cleared) TNT block."""

@@ -66,9 +66,6 @@ class VariantProfile:
     #: (PaperMC's "limited per-thread cache duplication" allocates less).
     gc_factor: float
 
-    def cost_of(self, op: str) -> float:
-        return self.cost_table.get(op, 0.0)
-
 
 VANILLA = VariantProfile(
     name="vanilla",

@@ -204,11 +204,6 @@ class World:
 
     # -- chunk management ---------------------------------------------------
 
-    @staticmethod
-    def chunk_coords(x: int, z: int) -> tuple[int, int]:
-        """Chunk coordinates containing world ``(x, z)``."""
-        return x >> 4, z >> 4
-
     def has_chunk(self, cx: int, cz: int) -> bool:
         return (cx, cz) in self._chunks
 
@@ -221,10 +216,6 @@ class World:
         if chunk is None:
             chunk = self.ensure_chunks(((cx, cz),))[0][0]
         return chunk
-
-    def ensure_chunk_tracked(self, cx: int, cz: int) -> tuple[Chunk, str]:
-        """:meth:`ensure_chunks` for one coordinate pair."""
-        return self.ensure_chunks(((cx, cz),))[0]
 
     def ensure_chunks(
         self, coords: Iterable[tuple[int, int]]
@@ -298,14 +289,15 @@ class World:
         """What populates newly created chunks (``None``: they stay air)."""
         return self._generator
 
-    def unload_chunk(self, cx: int, cz: int) -> Chunk | None:
-        """Drop a chunk from memory (the eviction half of streaming).
+    def unload_chunk(self, cx: int, cz: int) -> None:
+        """Drop a chunk from memory (the eviction half of streaming); a
+        no-op when it is not loaded.
 
-        Returns the evicted chunk, detached onto a private copy of its
-        state, or ``None`` when it was not loaded.  The caller (the
-        lifecycle manager) must never evict unsaved dirty state.
+        Its state is gone and its handle raises on the next read.  The
+        caller (the lifecycle manager) must never evict unsaved dirty
+        state.
         """
-        return self._arena.release(cx, cz)
+        self._arena.release(cx, cz)
 
     def loaded_chunks(self) -> Iterator[Chunk]:
         return iter(self._chunks.values())
@@ -428,9 +420,6 @@ class World:
             np.concatenate([getattr(part, name) for part in parts])
             for name in BlockChange._fields
         ))
-
-    def pending_change_count(self) -> int:
-        return sum(map(len, self._change_log)) + len(self._change_records)
 
     # -- queries used by the engines ----------------------------------------
 

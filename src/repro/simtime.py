@@ -62,28 +62,12 @@ class SimClock:
         """Current simulated time in microseconds."""
         return self._now_us
 
-    @property
-    def now_ms(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now_us / US_PER_MS
-
-    @property
-    def now_s(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now_us / US_PER_SECOND
-
     def advance(self, delta_us: int) -> int:
         """Move the clock forward by ``delta_us`` and return the new time."""
         delta = int(delta_us)
         if delta < 0:
             raise ValueError(f"cannot advance time backwards ({delta_us!r})")
         self._now_us += delta
-        return self._now_us
-
-    def advance_to(self, target_us: int) -> int:
-        """Advance to an absolute time (no-op if already past it)."""
-        if target_us > self._now_us:
-            self._now_us = int(target_us)
         return self._now_us
 
     def __repr__(self) -> str:

@@ -134,7 +134,7 @@ class TestBurstCredits:
             duration = machine.execute(200_000, 0.0, now)  # 4x budget
             now += duration
         assert machine.throttled_executions > 0
-        assert machine.is_throttled or machine.credits_s < 2.0
+        assert machine.credits_s < 2.0
 
     def test_throttled_ticks_are_slower(self):
         machine = self._burst_machine(baseline=0.2, initial=0.0)
@@ -188,16 +188,16 @@ class TestNoiseIntegration:
         assert len(durations) > 10
 
     def test_placement_factor_is_stable_within_boot(self):
+        # Placement is the only noise here, so it alone sets a duration.
         spec = MachineSpec(
             name="placed", vcpus=2, memory_gb=8.0, per_core_speed=1.0,
-            noise=NoiseParams(placement_sigma=0.2),
+            noise=NoiseParams(placement_sigma=0.2, jitter_sigma=0.0),
         )
         machine = Machine(spec, seed=9)
-        first = machine.noise.placement_factor
-        machine.execute(1_000, 0.0, 0)
-        assert machine.noise.placement_factor == first
+        first = machine.execute(50_000, 0.0, 0)
+        assert machine.execute(50_000, 0.0, 50_000) == first
         machine.redeploy()
-        assert machine.noise.placement_factor != first
+        assert machine.execute(50_000, 0.0, 100_000) != first
 
     def test_determinism_given_seed(self):
         a = _machine(seed=3).execute(50_000, 0.2, 0)

@@ -24,11 +24,7 @@ class FixedMachine:
 
 def _server(seed=0):
     world = World()
-    for cx in range(-1, 4):
-        for cz in range(-1, 4):
-            chunk = world.ensure_chunk(cx, cz)
-            chunk.blocks[:, :, :60] = Block.STONE
-            chunk.recompute_heightmap()
+    world.fill(-16, 0, -16, 63, 59, 63, Block.STONE)
     return MLGServer("vanilla", FixedMachine(), world=world, seed=seed)
 
 

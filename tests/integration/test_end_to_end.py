@@ -100,7 +100,7 @@ class TestDeterminismAndCrash:
             seed=2,
         )
         result = ExperimentRunner(config).run()
-        assert result.any_crashed("vanilla")
+        assert any(it.crashed for it in result.for_server("vanilla"))
         assert result.iterations[0].crash_reason
 
     def test_isr_recomputable_from_trace(self):

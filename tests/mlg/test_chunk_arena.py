@@ -10,13 +10,14 @@ from terrain_oracle import growth_tick_scalar
 
 from repro.mlg.blocks import Block, is_solid
 from repro.mlg.chunk_arena import ChunkArena
-from repro.mlg.constants import MAX_LIGHT, WORLD_HEIGHT
+from repro.mlg.constants import WORLD_HEIGHT
 from repro.mlg.growth import GrowthEngine
 from repro.mlg.lighting import LightEngine
 from repro.mlg.workreport import WorkReport
 from repro.mlg.world import Chunk, World
 from repro.mlg.worldgen import TerrainGenerator
 from repro.persistence.lifecycle import ChunkLifecycle
+from repro.persistence.region import deserialize_chunk, serialize_chunk
 from repro.persistence.store import RegionStore, world_hash
 
 
@@ -52,30 +53,37 @@ def _small_pages(monkeypatch):
 
 
 class TestSlots:
-    def test_reused_slot_is_zeroed_and_old_handle_keeps_its_snapshot(self):
+    def test_reused_slot_is_zeroed_and_old_handle_raises(self):
         world = World()
         old = world.ensure_chunk(0, 0)
         world.set_block(3, 70, 5, Block.STONE, aux=9)
         world.set_block(3, 71, 5, Block.TORCH)
         LightEngine(world).light_chunks([old])
         assert old._page.glows[old._slot]
-        evicted = world.unload_chunk(0, 0)
-        assert evicted is old and not world.has_chunk(0, 0)
+        slot = old._slot
+        assert world.unload_chunk(0, 0) is None
+        assert not world.has_chunk(0, 0)
         fresh = world.ensure_chunk(5, 5)  # lowest free slot: the same one
+        assert fresh._slot == slot
         for name in (
             "blocks", "aux", "skylight", "skylit", "blocklight", "heightmap",
         ):
             assert not getattr(fresh, name).any(), name
         assert not fresh.dirty and not fresh._page.glows[fresh._slot]
         fresh.blocks[:] = Block.DIRT
-        assert old.blocks[3, 5, 70] == Block.STONE and old.aux[3, 5, 70] == 9
-        assert int((old.blocks == Block.STONE).sum()) == 1
-        assert old.heightmap[3, 5] == 72 and old.blocklight[3, 5, 71] == 14
-        assert old.skylight[3, 5].tolist() == [0] * 71 + [MAX_LIGHT] * 57
-        assert old.skylight[0, 0].all() and old._page.glows[old._slot]
-        assert old.dirty
-        old.blocks[0, 0, 0] = Block.TNT  # a detached handle writes nowhere
-        assert (fresh.blocks == Block.DIRT).all()
+        # The unloaded handle names no slot: every read and write raises,
+        # and none reaches the chunk that reuses its slot.
+        for name in (
+            "blocks", "aux", "skylight", "skylit", "blocklight", "heightmap",
+            "dirty",
+        ):
+            with pytest.raises(AttributeError):
+                getattr(old, name)
+        with pytest.raises(AttributeError):
+            old.blocks[0, 0, 0] = Block.TNT
+        with pytest.raises(AttributeError):
+            old.dirty = True
+        assert (fresh.blocks == Block.DIRT).all() and not fresh.dirty
 
     @needs_pagemap
     def test_releasing_leaves_fields_never_written_untouched(self):
@@ -94,13 +102,15 @@ class TestSlots:
             }
 
         before = resident_kb()
+        handles = list(arena.handles.values())
         for cx in range(100):
-            released = arena.release(cx, 0)
+            arena.release(cx, 0)
         after = resident_kb()
         # 100 zeroed slots would be 6 400 kB of each field.
         for name in before:
             assert after[name] - before[name] < 256, name
-        assert (released.blocks[:, :, :64] == Block.STONE).all()
+        with pytest.raises(AttributeError):
+            handles[-1].blocks
         assert not page.blocks[:100].any()
 
     def test_released_slots_are_reused_lowest_first(self):
@@ -126,24 +136,32 @@ class TestSlots:
         assert loose._slot == 1  # in the freed slot
         assert world.get_block(16 + 2, 2, 2) == Block.STONE
         assert world.get_block(16, 1, 0) == Block.AIR
-        assert resident.blocks[0, 0, 1] == Block.SAND  # detached, intact
+        with pytest.raises(AttributeError):  # released: it names no slot
+            resident.blocks
         loose.blocks[4, 4, 4] = Block.DIRT  # now a view of the slab
         assert world.get_block(16 + 4, 4, 4) == Block.DIRT
-        # A handle names one slot of one world: it cannot be adopted twice.
+        # A handle names one slot of one world: it cannot be adopted twice,
+        # nor once it is unloaded.
         with pytest.raises(ValueError, match="attached"):
             World().adopt_chunk(loose)
-        World().adopt_chunk(world.unload_chunk(1, 0))  # detached again: fine
+        world.unload_chunk(1, 0)
+        with pytest.raises(AttributeError):
+            World().adopt_chunk(loose)
 
 
 class TestOrder:
     def test_order_is_dict_insertion_order_through_evict_reload_generate(self):
-        # Every other evicted chunk comes back through the loader (the
-        # detached handle itself, re-adopted); the rest are regenerated.
-        shelf: dict[tuple[int, int], Chunk] = {}
-        world = World(
-            generator=TerrainGenerator(seed=4),
-            loader=lambda cx, cz, create: shelf.pop((cx, cz), None),
-        )
+        # Every other evicted chunk comes back through the loader (its
+        # payload, saved before the eviction, decoded into a fresh slot);
+        # the rest are regenerated.
+        shelf: dict[tuple[int, int], bytes] = {}
+
+        def loader(cx, cz, create):
+            raw = shelf.pop((cx, cz), None)
+            if raw is not None:
+                return deserialize_chunk(cx, cz, raw, create)
+
+        world = World(generator=TerrainGenerator(seed=4), loader=loader)
         model: dict[tuple[int, int], None] = {}
         rng = np.random.default_rng(11)
         sources = []
@@ -151,12 +169,12 @@ class TestOrder:
             key = tuple(int(v) for v in rng.integers(-3, 4, size=2))
             if key in model and rng.random() < 0.5:
                 del model[key]
-                evicted = world.unload_chunk(*key)
                 if step % 2:
-                    shelf[key] = evicted
+                    shelf[key] = serialize_chunk(world.get_chunk(*key))
+                world.unload_chunk(*key)
             else:
                 model[key] = None
-                sources.append(world.ensure_chunk_tracked(*key)[1])
+                sources.append(world.ensure_chunks([key])[0][1])
             assert _keys(world) == list(model)
         assert {"resident", "loaded", "generated"} == set(sources)
         assert world_hash(world) == world_hash(_generated(4, model))
@@ -248,7 +266,7 @@ def _churned_growth(root, scalar: bool):
         ccx = 6 - abs(6 - tick // 10)
         for cx in range(ccx - 2, ccx + 3):
             for cz in range(-2, 3):
-                chunk, source = world.ensure_chunk_tracked(cx, cz)
+                chunk, source = world.ensure_chunks([(cx, cz)])[0]
                 if source == "generated":  # something for random ticks to hit
                     chunk.blocks[::2, ::2, 60:100] = Block.CROP
                     chunk.blocks[1::4, 1::4, 60:90] = Block.SAPLING

@@ -20,11 +20,8 @@ from repro.mlg.world import World
 
 def _flat_world(ground_y=60, size=3):
     world = World()
-    for cx in range(size):
-        for cz in range(size):
-            chunk = world.ensure_chunk(cx, cz)
-            chunk.blocks[:, :, :ground_y] = Block.STONE
-            chunk.recompute_heightmap()
+    edge = 16 * size - 1
+    world.fill(0, 0, 0, edge, ground_y - 1, edge, Block.STONE)
     return world
 
 
@@ -202,18 +199,19 @@ class TestTNT:
         mgr, world = _manager(world)
         return TNTSystem(world, mgr, np.random.default_rng(seed)), mgr, world
 
-    def test_prime_block_replaces_block_with_entity(self):
+    def test_priming_replaces_block_with_entity(self):
         tnt, mgr, world = self._system()
         world.set_block(8, 60, 8, Block.TNT, log=False)
-        entity = tnt.prime_block(8, 60, 8)
-        assert entity is not None
+        assert tnt.prime_region(8, 60, 8, 8, 60, 8) == 1
+        (entity,) = mgr.spawned_this_tick
         assert world.get_block(8, 60, 8) == Block.AIR
         assert entity.kind == EntityKind.TNT
         assert entity.fuse_ticks > 0
 
-    def test_prime_non_tnt_returns_none(self):
-        tnt, _, world = self._system()
-        assert tnt.prime_block(8, 60, 8) is None
+    def test_priming_non_tnt_spawns_nothing(self):
+        tnt, mgr, world = self._system()
+        assert tnt.prime_region(8, 60, 8, 8, 60, 8) == 0
+        assert mgr.spawned_this_tick == []
 
     def test_prime_region_counts(self):
         tnt, _, world = self._system()
@@ -224,7 +222,7 @@ class TestTNT:
     def test_fuse_countdown_and_explosion(self):
         tnt, mgr, world = self._system()
         world.set_block(8, 61, 8, Block.TNT, log=False)
-        tnt.prime_block(8, 61, 8, fuse_ticks=3)
+        tnt.prime_region(8, 61, 8, 8, 61, 8, fuse_spread=(3, 3))
         report = WorkReport()
         explosions = 0
         for _ in range(5):

@@ -27,11 +27,8 @@ OLD_SWARM_THRESHOLD = 96
 
 def _flat_world(ground_y=60, span=(-1, 3)):
     world = World()
-    for cx in range(span[0], span[1]):
-        for cz in range(span[0], span[1]):
-            chunk = world.ensure_chunk(cx, cz)
-            chunk.blocks[:, :, :ground_y] = Block.STONE
-            chunk.recompute_heightmap()
+    lo, hi = 16 * span[0], 16 * span[1] - 1
+    world.fill(lo, 0, lo, hi, ground_y - 1, hi, Block.STONE)
     return world
 
 
@@ -273,14 +270,14 @@ class TestStoreInvariants:
         mgr, _ = _manager()
         first = [mgr.spawn(EntityKind.ITEM, 1.0 + i, 61.0, 1.0) for i in range(10)]
         cap = mgr.store.capacity
-        free_before = mgr.store.free_count
+        freed = mgr.slots_of(first[:5])
         for e in first[:5]:
             mgr.remove(e)
         self._reap(mgr)
-        assert mgr.store.free_count == free_before + 5
+        assert not np.isin(freed, mgr.store.used_slots()).any()
         again = [mgr.spawn(EntityKind.ITEM, 2.0 + i, 61.0, 2.0) for i in range(5)]
         assert mgr.store.capacity == cap
-        assert mgr.store.free_count == free_before
+        assert sorted(mgr.slots_of(again).tolist()) == sorted(freed.tolist())
         eids = [e.eid for e in first + again]
         assert len(set(eids)) == len(eids)
 
@@ -480,11 +477,14 @@ class TestStoreInvariants:
 
     def test_live_count_matches_dict(self):
         mgr, _ = _manager()
-        for i in range(20):
-            mgr.spawn(EntityKind.ITEM, 1.0 + i, 61.0, 1.0)
-        mgr.remove(next(iter(mgr.all_entities())))
+        spawned = [
+            mgr.spawn(EntityKind.ITEM, 1.0 + i, 61.0, 1.0) for i in range(20)
+        ]
+        mgr.remove(spawned[0])
         self._reap(mgr)
-        assert mgr.count() == len(list(mgr.all_entities())) == 19
+        registered = [e for e in spawned if mgr.get(e.eid) is e]
+        assert mgr.count() == len(registered) == 19
+        assert mgr.get(spawned[0].eid) is None
 
 
 class TestFloorBucketing:

@@ -141,12 +141,8 @@ def _scenario_world():
     left unloaded, a flowing channel and a source pond on the surface,
     and a shaft down to bedrock level."""
     world = World()
-    for cx in range(-2, 2):
-        for cz in range(-2, 2):
-            if (cx, cz) != (1, -2):
-                chunk = world.ensure_chunk(cx, cz)
-                chunk.blocks[:, :, :60] = Block.STONE
-                chunk.recompute_heightmap()
+    world.fill(-32, 0, -32, 31, 59, 31, Block.STONE)
+    world.unload_chunk(1, -2)
     for i, x in enumerate(range(-24, 12)):  # level falling along +x
         world.set_block(x, 60, -3, Block.WATER_FLOW, aux=36 - i)
     world.fill(-12, 60, 4, -7, 60, 9, Block.WATER_SOURCE)
@@ -196,7 +192,7 @@ def _scenario(oracle, monkeypatch, ticks=300):
             counts.append(list(report.counts.items()))
             # Removals after the tick, as spawning and hooks make them,
             # in no slot order; and a few newcomers.
-            live = sorted(e.eid for e in mgr.all_entities() if e.alive)
+            live = sorted(mgr.store.eid[mgr.store.alive_slots()].tolist())
             for eid in place.permutation(live)[:2].tolist():
                 mgr.remove(mgr.get(eid))
             if tick % 5 == 0:

@@ -38,11 +38,9 @@ class FixedMachine:
 def _server(variant="vanilla", machine=None, flat=True, seed=0, **kwargs):
     if flat:
         world = World()
-        for cx in range(-1, 3):
-            for cz in range(-1, 3):
-                chunk = world.ensure_chunk(cx, cz)
-                chunk.blocks[:, :, :60] = Block.STONE
-                chunk.recompute_heightmap()
+        world.fill(-16, 0, -16, 47, 59, 47, Block.STONE)
+        for chunk in world.loaded_chunks():  # saved: nothing to autosave
+            chunk.dirty = False
     else:
         world = World(generator=TerrainGenerator(seed=1))
     return MLGServer(

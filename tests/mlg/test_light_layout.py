@@ -42,7 +42,7 @@ def _random_world(seed, n_chunks=5):
         blocks[0, 1, 0] = blocks[0, 2, 127] = Block.STONE
         blocks[0, 3, 0] = blocks[0, 3, 127] = Block.STONE
         blocks[0, 4, 40:90] = Block.GLASS
-        chunk.recompute_heightmap()
+        chunk.heightmap[:] = column_tops(chunk.blocks != Block.AIR)
     return world, rng
 
 
@@ -127,7 +127,7 @@ def _see_through_tops():
     blocks[0, 7, 100] = Block.GLASS  # floating over an empty column
     blocks[0, 8, 127] = Block.TORCH  # at the top of the world
     blocks[1] = Block.AIR
-    chunk.recompute_heightmap()
+    chunk.heightmap[:] = column_tops(chunk.blocks != Block.AIR)
     chunk.heightmap[2, :4] = (61, 90, WORLD_HEIGHT, 75)
     blocks[2, 3] = Block.AIR
     return world, chunk

@@ -21,11 +21,8 @@ from repro.mlg.world import World
 def _flat_world(ground_y=60, size=1):
     """A flat stone slab covering ``size``x``size`` chunks."""
     world = World()
-    for cx in range(size):
-        for cz in range(size):
-            chunk = world.ensure_chunk(cx, cz)
-            chunk.blocks[:, :, :ground_y] = Block.STONE
-            chunk.recompute_heightmap()
+    edge = 16 * size - 1
+    world.fill(0, 0, 0, edge, ground_y - 1, edge, Block.STONE)
     return world
 
 
@@ -93,7 +90,7 @@ class TestFluids:
         # A water source on a ledge with a pit next to it.
         world.set_block(4, 59, 4, Block.AIR)  # pit at (4, 4)
         world.set_block(5, 60, 4, Block.WATER_SOURCE)
-        fluids.schedule(5, 60, 4)
+        fluids.schedule_neighbors(5, 61, 4)
         report = WorkReport()
         for tick in range(0, 10 * WATER_TICK_INTERVAL):
             fluids.tick(tick, report)
@@ -106,7 +103,7 @@ class TestFluids:
         world = _flat_world(ground_y=60)
         fluids = FluidEngine(world)
         world.set_block(8, 60, 8, Block.WATER_SOURCE)
-        fluids.schedule(8, 60, 8)
+        fluids.schedule_neighbors(8, 61, 8)
         report = WorkReport()
         for tick in range(0, 20 * WATER_TICK_INTERVAL):
             fluids.tick(tick, report)
@@ -119,7 +116,7 @@ class TestFluids:
         world = _flat_world(ground_y=60, size=2)
         fluids = FluidEngine(world)
         world.set_block(8, 60, 8, Block.WATER_SOURCE)
-        fluids.schedule(8, 60, 8)
+        fluids.schedule_neighbors(8, 61, 8)
         report = WorkReport()
         for tick in range(0, 40 * WATER_TICK_INTERVAL):
             fluids.tick(tick, report)
@@ -130,7 +127,7 @@ class TestFluids:
         world = _flat_world()
         fluids = FluidEngine(world)
         world.set_block(4, 60, 4, Block.WATER_SOURCE)
-        fluids.schedule(4, 60, 4)
+        fluids.schedule_neighbors(4, 61, 4)
         report = WorkReport()
         assert fluids.tick(1, report) == 0  # not a fluid tick
         assert fluids.tick(WATER_TICK_INTERVAL, report) == 1
@@ -154,7 +151,7 @@ class TestFluids:
         world = _flat_world(ground_y=60)
         fluids = FluidEngine(world)
         world.set_block(8, 60, 8, Block.WATER_SOURCE)
-        fluids.schedule(8, 60, 8)
+        fluids.schedule_neighbors(8, 61, 8)
         report = WorkReport()
         for tick in range(0, 10 * WATER_TICK_INTERVAL):
             fluids.tick(tick, report)
@@ -167,7 +164,7 @@ class TestFluids:
         world = _flat_world(ground_y=60)
         fluids = FluidEngine(world)
         world.set_block(4, 60, 4, Block.WATER_SOURCE)
-        fluids.schedule(4, 60, 4)
+        fluids.schedule_neighbors(4, 61, 4)
         world.set_block(4, 60, 4, Block.STONE)  # gone before the tick
         report = WorkReport()
         assert fluids.tick(WATER_TICK_INTERVAL, report) == 0
@@ -181,7 +178,7 @@ class TestFluids:
         world.set_block(4, 60, 4, Block.WATER_SOURCE)
         world.set_block(4, 59, 4, Block.WATER_FLOW, aux=2)
         fluids = FluidEngine(world)
-        fluids.schedule(4, 60, 4)
+        fluids.schedule_neighbors(4, 61, 4)
         report = WorkReport()
         fluids.tick(WATER_TICK_INTERVAL, report)
         assert world.get_aux(4, 59, 4) == MAX_FLOW_LEVEL
@@ -192,7 +189,7 @@ class TestLava:
         world = _flat_world(ground_y=60)
         fluids = FluidEngine(world)
         world.set_block(8, 60, 8, Block.LAVA)
-        fluids.schedule(8, 60, 8)
+        fluids.schedule_neighbors(8, 61, 8)
         report = WorkReport()
         for tick in range(0, 30 * LAVA_TICK_INTERVAL):
             fluids.tick(tick, report)
@@ -207,7 +204,7 @@ class TestLava:
         world.set_block(4, 59, 4, Block.AIR)  # pit
         world.set_block(4, 60, 4, Block.LAVA)
         fluids = FluidEngine(world)
-        fluids.schedule(4, 60, 4)
+        fluids.schedule_neighbors(4, 61, 4)
         report = WorkReport()
         for tick in range(0, 5 * LAVA_TICK_INTERVAL):
             fluids.tick(tick, report)
@@ -219,7 +216,7 @@ class TestLava:
         world = _flat_world(ground_y=60)
         world.set_block(4, 60, 4, Block.LAVA)
         fluids = FluidEngine(world)
-        fluids.schedule(4, 60, 4)
+        fluids.schedule_neighbors(4, 61, 4)
         report = WorkReport()
         assert fluids.tick(WATER_TICK_INTERVAL, report) == 0
         assert world.get_block(5, 60, 4) == Block.AIR
@@ -245,7 +242,7 @@ class TestLava:
         world.set_block(4, 60, 4, Block.LAVA)
         world.set_aux(4, 60, 4, 1)  # a flow with no feeding neighbor
         fluids = FluidEngine(world)
-        fluids.schedule(4, 60, 4)
+        fluids.schedule_neighbors(4, 61, 4)
         report = WorkReport()
         for tick in range(0, 2 * LAVA_TICK_INTERVAL):
             fluids.tick(tick, report)

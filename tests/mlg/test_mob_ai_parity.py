@@ -11,6 +11,7 @@ batching a pure performance change rather than a simulation-model change
 """
 
 import heapq
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -23,6 +24,7 @@ import repro.mlg.pathfinding as pathfinding
 from repro.cloud.providers import get_environment
 from repro.emulation.swarm import BotSwarm
 from repro.mlg.blocks import Block
+from repro.mlg.chunk_arena import column_tops
 from repro.mlg.constants import WORLD_HEIGHT
 from repro.mlg.entity import Entity, EntityKind
 from repro.mlg.entity_manager import REPATH_INTERVAL, EntityManager
@@ -264,7 +266,7 @@ def _run_farm(seed: int, oracle: bool, monkeypatch, duration_s: float = 30.0):
         "collected_items": collected,
         "entities": sorted(
             (e.eid, e.kind, e.x, e.y, e.z, e.vx, e.vz, e.age_ticks)
-            for e in server.entities.all_entities()
+            for e in server.entities.entities_near(0.0, 0.0, 0.0, math.inf)
         ),
         "world_hash": world_hash(server.world),
         "rng": server.rng.bit_generator.state,
@@ -309,7 +311,7 @@ def _random_terrain(seed: int) -> World:
             chunk.blocks[:, :, 0:2] = Block.STONE
             chunk.blocks[:, :, 2:6] = Block.AIR
             chunk.blocks[:, :, WORLD_HEIGHT - 4] = Block.STONE
-            chunk.recompute_heightmap()
+            chunk.heightmap[:] = column_tops(chunk.blocks != Block.AIR)
     return world
 
 
@@ -368,11 +370,8 @@ class TestWindowParity:
 
 def _flat_world(ground_y=60, size=2):
     world = World()
-    for cx in range(size):
-        for cz in range(size):
-            chunk = world.ensure_chunk(cx, cz)
-            chunk.blocks[:, :, :ground_y] = Block.STONE
-            chunk.recompute_heightmap()
+    edge = 16 * size - 1
+    world.fill(0, 0, 0, edge, ground_y - 1, edge, Block.STONE)
     return world
 
 
@@ -430,7 +429,7 @@ class TestBatchPins:
                 (
                     sorted(
                         (e.eid, e.x, e.y, e.z, e.vx, e.vz, e.age_ticks)
-                        for e in mgr.all_entities()
+                        for e in mgr.entities_near(0.0, 0.0, 0.0, math.inf)
                     ),
                     report.counts,
                     mgr.rng.bit_generator.state,

@@ -18,9 +18,7 @@ from repro.mlg.world import BlockChange, BlockChanges, World
 
 def _flat_world(ground_y=60):
     world = World()
-    chunk = world.ensure_chunk(0, 0)
-    chunk.blocks[:, :, :ground_y] = Block.STONE
-    chunk.recompute_heightmap()
+    world.fill(0, 0, 0, 15, ground_y - 1, 15, Block.STONE)
     return world
 
 
@@ -241,8 +239,7 @@ class TestWirePropagation:
             ),
             now_us=0,
         )
-        assert engine.pending_events() == 1
-        engine.tick(REDSTONE_TICK_US, report)
+        assert engine.tick(REDSTONE_TICK_US, report) == 1  # one pulse
         assert report.get(Op.REDSTONE) >= 1
 
     def test_no_observers_means_no_overhead(self):
@@ -254,7 +251,8 @@ class TestWirePropagation:
             ),
             now_us=0,
         )
-        assert engine.pending_events() == 0
+        # Nothing was scheduled: no event position anchors a chunk.
+        assert engine.anchored_chunks() == set()
 
     def test_observer_pulses_equal_the_per_change_loop(self, monkeypatch):
         """Pulses queue change by change, each change's neighbours in

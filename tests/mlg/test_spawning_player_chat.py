@@ -19,11 +19,8 @@ from repro.mlg.world import Chunk, World
 
 def _flat_world(ground_y=60, size=3):
     world = World()
-    for cx in range(size):
-        for cz in range(size):
-            chunk = world.ensure_chunk(cx, cz)
-            chunk.blocks[:, :, :ground_y] = Block.STONE
-            chunk.recompute_heightmap()
+    edge = 16 * size - 1
+    world.fill(0, 0, 0, edge, ground_y - 1, edge, Block.STONE)
     return world
 
 
@@ -309,7 +306,7 @@ class TestChat:
         chat = ChatSystem(net, async_mode=False)
         report = WorkReport()
         chat.submit(1, probe_id=7, arrival_us=100, report=report)
-        assert chat.pending_count() == 1
+        assert net.client(1).drain_deliveries() == []
         assert chat.process_tick(report) == 1
         flushed = chat.flush_processed(50_000, report)
         assert flushed == 1
@@ -327,7 +324,7 @@ class TestChat:
         chat = ChatSystem(net, async_mode=True)
         report = WorkReport()
         chat.submit(1, probe_id=3, arrival_us=10_000, report=report)
-        assert chat.pending_count() == 0
+        assert chat.process_tick(report) == 0
         deliveries = net.client(1).drain_deliveries()
         assert len(deliveries) == 1
         assert (

@@ -17,6 +17,7 @@ from terrain_oracle import (
 )
 
 from repro.mlg.blocks import Block
+from repro.mlg.chunk_arena import column_tops
 from repro.mlg.constants import CHUNK_SIZE, WORLD_HEIGHT
 from repro.mlg.fluids import (
     LAVA_TICK_INTERVAL,
@@ -32,11 +33,8 @@ from repro.persistence.store import world_hash
 
 def _flat_world(ground_y=40, size=3):
     world = World()
-    for cx in range(size):
-        for cz in range(size):
-            chunk = world.ensure_chunk(cx, cz)
-            chunk.blocks[:, :, :ground_y] = Block.STONE
-            chunk.recompute_heightmap()
+    edge = 16 * size - 1
+    world.fill(0, 0, 0, edge, ground_y - 1, edge, Block.STONE)
     return world
 
 
@@ -60,6 +58,12 @@ def _assert_worlds_identical(a: World, b: World):
 # so the comparison really is of a settled final state.
 
 
+def _wake(fluids: FluidEngine, x: int, y: int, z: int) -> None:
+    """Queue the fluid cell ``(x, y, z)`` as a block change does: as a
+    face neighbour of the changed cell, here the empty one above it."""
+    fluids.schedule_neighbors(x, y + 1, z)
+
+
 def _scenario_dam_break(world: World, fluids: FluidEngine):
     """Water spilling from a ledge down a two-step terrace."""
     # Carve a stepped pit into the 3x3-chunk slab.
@@ -70,7 +74,7 @@ def _scenario_dam_break(world: World, fluids: FluidEngine):
     # A line of sources on the ledge.
     for z in range(10, 28):
         world.set_block(8, 41, z, Block.WATER_SOURCE)
-        fluids.schedule(8, 41, z)
+        _wake(fluids, 8, 41, z)
 
 
 def _scenario_drain(world: World, fluids: FluidEngine):
@@ -80,7 +84,7 @@ def _scenario_drain(world: World, fluids: FluidEngine):
             world.set_block(x, 41, z, Block.WATER_FLOW, aux=7 - i)
     # Sources fed the sheet from x=9; remove them and wake the edge.
     for z in range(12, 24):
-        fluids.schedule(10, 41, z)
+        _wake(fluids, 10, 41, z)
 
 
 def _scenario_lava_pond(world: World, fluids: FluidEngine):
@@ -88,10 +92,10 @@ def _scenario_lava_pond(world: World, fluids: FluidEngine):
     world.fill(20, 41, 20, 26, 41, 26, Block.STONE)  # a raised slab
     for pos in ((22, 42, 22), (24, 42, 24)):
         world.set_block(*pos, Block.LAVA)
-        fluids.schedule(*pos)
+        _wake(fluids, *pos)
     world.set_block(10, 41, 10, Block.LAVA)
     world.set_aux(10, 41, 10, 1)  # stray flow with no source: must clear
-    fluids.schedule(10, 41, 10)
+    _wake(fluids, 10, 41, 10)
 
 
 def _scenario_mixed(world: World, fluids: FluidEngine):
@@ -107,9 +111,9 @@ def _scenario_origin_spill(world: World, fluids: FluidEngine):
     world.fill(0, 38, -16, 47, 39, -1, Block.STONE)
     for pos in ((0, 41, 0), (-1, 41, 3), (2, 41, -1)):
         world.set_block(*pos, Block.WATER_SOURCE)
-        fluids.schedule(*pos)
+        _wake(fluids, *pos)
     world.set_block(-5, 41, -5, Block.LAVA)
-    fluids.schedule(-5, 41, -5)
+    _wake(fluids, -5, 41, -5)
 
 
 FLUID_SCENARIOS = {
@@ -215,10 +219,13 @@ class TestFluidQueueSequence:
         assert len(set(water)) == len(water)
 
     def test_an_unpackable_cell_is_refused_not_aliased(self):
-        fluids = FluidEngine(_flat_world())
-        fluids.schedule(-(2**23), 41, 5)
+        world = _flat_world()
+        fluids = FluidEngine(world)
+        for x in (-(2**23), 2**23):
+            world.set_block(x, 41, 5, Block.WATER_SOURCE)
+        _wake(fluids, -(2**23), 41, 5)
         with pytest.raises(ValueError, match=r"\(8388608, 41, 5\)"):
-            fluids.schedule(2**23, 41, 5)
+            _wake(fluids, 2**23, 41, 5)
         assert fluids.queued_cells() == ([(-(2**23), 41, 5)], [])
 
 
@@ -330,9 +337,9 @@ class TestSetBlocksBulk:
             (8, 8): 51,
         }
         for chunk in world.loaded_chunks():
-            recorded = chunk.heightmap.copy()
-            chunk.recompute_heightmap()
-            np.testing.assert_array_equal(recorded, chunk.heightmap)
+            np.testing.assert_array_equal(
+                chunk.heightmap, column_tops(chunk.blocks != Block.AIR)
+            )
 
     def test_aux_bulk_matches_get_aux(self):
         world = _flat_world(size=2)
@@ -460,7 +467,7 @@ class TestFillVectorized:
         assert world.fill(-20, -9, -20, 20, -1, 20, Block.STONE, log=True) == 0
         assert world.fill(-20, WORLD_HEIGHT, -20, 20, 300, 20, Block.AIR) == 0
         assert world.loaded_chunk_count == 0
-        assert world.pending_change_count() == 0
+        assert len(world.drain_changes()) == 0
 
     def test_out_of_bounds_y_is_clamped(self):
         world = World()

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from tnt_oracle import OracleTNTSystem
 
 from repro.mlg.blocks import Block
+from repro.mlg.chunk_arena import column_tops
 from repro.mlg.constants import WORLD_HEIGHT
 from repro.mlg.entity import EntityKind
 from repro.mlg.entity_manager import EntityManager
@@ -46,7 +47,7 @@ def _world(ground_y=56, full_height=False):
                 _SCATTER, size=(16, 16, top - ground_y)
             )
             chunk.aux[:] = rng.integers(1, 8, size=chunk.aux.shape)
-            chunk.recompute_heightmap()
+            chunk.heightmap[:] = column_tops(chunk.blocks != Block.AIR)
     return world
 
 

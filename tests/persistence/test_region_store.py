@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.mlg.blocks import Block
+from repro.mlg.chunk_arena import column_tops
 from repro.mlg.constants import CHUNK_SIZE, WORLD_HEIGHT
 from repro.mlg.world import Chunk, World
 from repro.mlg.worldgen import TerrainGenerator
@@ -38,7 +39,7 @@ def _random_chunk(cx: int, cz: int, seed: int) -> Chunk:
     shape = (CHUNK_SIZE, CHUNK_SIZE, WORLD_HEIGHT)
     chunk.blocks[:] = rng.integers(0, 12, size=shape, dtype=np.uint8)
     chunk.aux[:] = rng.integers(0, 256, size=shape, dtype=np.uint8)
-    chunk.recompute_heightmap()
+    chunk.heightmap[:] = column_tops(chunk.blocks != Block.AIR)
     return chunk
 
 
@@ -80,6 +81,8 @@ class TestSerialization:
         assert previous.aux.any()
         slot = previous._page.base + previous._slot
         world.unload_chunk(0, 0)
+        with pytest.raises(AttributeError):  # its state went with the slot
+            previous.aux
         world.set_loader(
             lambda cx, cz, create: deserialize_chunk(cx, cz, raw, create)
         )

@@ -44,9 +44,7 @@ class FixedMachine:
 
 def _flat_server(machine=None) -> MLGServer:
     world = World()
-    chunk = world.ensure_chunk(0, 0)
-    chunk.blocks[:, :, :60] = Block.STONE
-    chunk.recompute_heightmap()
+    world.fill(0, 0, 0, 15, 59, 15, Block.STONE)
     return MLGServer(
         "vanilla",
         machine if machine is not None else FixedMachine(),
@@ -186,8 +184,8 @@ class TestIterationTelemetry:
         experiment = ExperimentResult(config={})
         experiment.iterations.append(result)
         path = experiment.save_json(tmp_path / "results.json")
-        loaded = ExperimentResult.load_json(path)
-        assert loaded.iterations[0].telemetry == result.telemetry
+        (loaded,) = json.loads(path.read_text())["iterations"]
+        assert IterationResult.from_dict(loaded).telemetry == result.telemetry
 
     def test_legacy_results_without_telemetry_still_load(self):
         result = IterationResult(
