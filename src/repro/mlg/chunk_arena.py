@@ -23,8 +23,9 @@ whichever chunk reuses the slot.
 Whole-chunk work (generation, initial lighting) addresses chunks a
 :class:`ChunkStrip` at a time: up to ``STRIP_CHUNKS`` handles whose fields
 read and write as one ``[n, ...]`` array.  Whatever fills a fresh slot
-whole — generation, a region load, :meth:`ChunkArena.adopt` — writes only
-the sections under the chunk's top.
+whole writes no section of the sky: generation writes the sections under
+each chunk's top, a region load and :meth:`ChunkArena.adopt` those that
+hold a non-zero cell (:meth:`Chunk.sections`).
 
 Slabs grow by whole pages and never move, so growth neither copies nor
 touches a live slot.  Released slots are handed back to the kernel
@@ -46,7 +47,7 @@ from repro.mlg.constants import CHUNK_SIZE, MAX_LIGHT, WORLD_HEIGHT
 
 __all__ = [
     "Chunk", "ChunkArena", "ChunkStrip", "LAYER", "SECTION_HEIGHT",
-    "column_tops", "pack_keys", "strips", "used_rows",
+    "column_tops", "pack_keys", "strips",
 ]
 
 #: Cells of one ``y`` layer of a chunk: the ``y`` stride of a voxel slot.
@@ -54,6 +55,7 @@ LAYER = CHUNK_SIZE * CHUNK_SIZE
 _LAYER_OFFSETS = np.arange(WORLD_HEIGHT) * LAYER
 #: Layers per section; one section of one voxel field is one 4 KiB page.
 SECTION_HEIGHT = 16
+_SECTIONS = WORLD_HEIGHT // SECTION_HEIGHT
 _VOXELS = ((WORLD_HEIGHT, CHUNK_SIZE, CHUNK_SIZE), np.uint8)
 _VOXEL_CELLS = prod(_VOXELS[0])
 _VOXEL_FIELDS = ("blocks", "aux", "blocklight")
@@ -136,29 +138,17 @@ class _Page:
                 field[slot] = 0
 
 
-def _section_rows(top: int) -> int:
-    """Layers ``y < top``, rounded up to whole sections."""
-    return -(-top // SECTION_HEIGHT) * SECTION_HEIGHT
-
-
-def used_rows(voxels: np.ndarray) -> int:
-    """:func:`_section_rows` of the highest non-zero cell of one chunk's
-    ``voxels[y, lx, lz]`` (any strides) + 1: the layers a copy of it has
-    to write."""
-    layers = np.flatnonzero(voxels.any(axis=(1, 2)))
-    return _section_rows(int(layers[-1]) + 1) if layers.size else 0
-
-
 def _copy_slot(src: _Page, i: int, dst: _Page, j: int) -> None:
     """Copy slot ``i`` of ``src`` into the all-zero slot ``j`` of ``dst``,
-    a voxel field only up to its highest section that holds data."""
+    a voxel field only in the sections that hold data."""
     for name in _FIELDS:
         values = getattr(src, name)[i]
         if name == "blocklight" and not src.glows[i]:
             continue  # all zero: nothing lit it (the light engine's flag)
         if name in _VOXEL_FIELDS:
-            values = values[: used_rows(values)]
-            getattr(dst, name)[j, : len(values)] = values
+            rows = values.reshape(_SECTIONS, -1)
+            used = rows.view("<u8").any(axis=1)
+            getattr(dst, name)[j].reshape(_SECTIONS, -1)[used] = rows[used]
         else:
             getattr(dst, name)[j] = values
 
@@ -213,6 +203,11 @@ class Chunk:
         voxels = lit * np.uint8(MAX_LIGHT)
         voxels.flags.writeable = False
         return voxels
+
+    def sections(self, name: str) -> np.ndarray:
+        """Voxel field ``name`` as the slot holds it: one row per section,
+        bottom up, of its 16 ``[y, lx, lz]`` layers (one page)."""
+        return getattr(self._page, name)[self._slot].reshape(_SECTIONS, -1)
 
     @property
     def dirty(self) -> bool:
@@ -308,14 +303,12 @@ class ChunkStrip:
     ) -> None:
         """Store ``values[i]`` as field ``name`` of ``chunks[i]``.  With
         ``tops``, a voxel field of all-zero slots: only the layers below
-        ``tops[i]``, in whole sections, are written (those above must be
-        zero in ``values``), so an all-air section stays a page never
-        touched."""
+        ``tops[i]`` are written (those above must be zero in ``values``),
+        so an all-air section stays a page never touched."""
         if tops is not None:
             field = attrgetter(name)
             for chunk, row, top in zip(self.chunks, values, tops.tolist()):
-                rows = _section_rows(top)
-                field(chunk._page)[chunk._slot, :rows] = row[:rows]
+                field(chunk._page)[chunk._slot, :top] = row[:top]
             return
         for page, rows, slots in self._groups:
             getattr(page, name)[slots] = values[rows]

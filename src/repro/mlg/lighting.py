@@ -55,24 +55,24 @@ class LightEngine:
         nodes = []
         for strip in strips(chunks):
             blocks = strip.read("blocks")  # [n, y, lx, lz]
-            cut = _sky_cutoffs(blocks, strip.read("heightmap"))
+            heightmap = strip.read("heightmap")
+            cut = _sky_cutoffs(blocks, heightmap)
             strip.write("skylit", WORLD_HEIGHT - cut)
-            raw = blocks.tobytes()
             # Block light is seeded where there is light to spread, or some
             # left over from an emitter since removed (``glows``); everywhere
-            # else it is, and stays, zero.
-            size = blocks[0].size
-            for chunk, glows, start in zip(
+            # else it is, and stays, zero.  An emitter is a block, so it
+            # lies under its chunk's top: only those layers are searched.
+            for chunk, voxels, glows, top in zip(
                 strip.chunks,
+                blocks,
                 strip.read("glows").tolist(),
-                range(0, len(raw), size),
+                heightmap.max(axis=(1, 2)).tolist(),
             ):
                 # One node per column, not per voxel, so initial lighting
                 # stays proportional to the real engine's column-based pass.
                 lit = CHUNK_SIZE * CHUNK_SIZE
-                if glows or any(
-                    raw.find(e, start, start + size) >= 0 for e in _EMITTERS
-                ):
+                raw = voxels[:top].tobytes()  # a search per id is a memchr
+                if glows or any(e in raw for e in _EMITTERS):
                     lit += self._seed_blocklight(chunk)
                 nodes.append(lit)
         if report is not None:

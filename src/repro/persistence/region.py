@@ -16,19 +16,20 @@ flat file::
     |   payloads, concatenated    |
     +-----------------------------+
 
-Chunk payloads are the raw bytes of the persisted arrays, each in x, z,
-y order — blocks (uint8), then aux (uint8) only when it is not all zero,
-then the heightmap (little-endian int16) — and a payload's length says
-which form it is.  A load decodes them into the chunk's arrays, wherever
-those live: a private page, or an arena slot the caller claimed, which
-arrives all zero.  So a load writes only the sections under the chunk's
-top — a voxel array's layers up to its highest non-zero cell, in whole
-sections, never the sky above — and a payload without ``aux`` writes
-nothing onto those pages.  Files written when every payload held ``aux``
-still load; a checkout from before the short form reports a short
-payload as a named corrupt entry and never zero-fills it.  Light is
-derived state, absent from the payload; the caller relights what it
-loaded, exactly as after generation.
+A chunk payload (format 2) holds what its slot holds, in the slot's
+order, as Anvil stores a chunk: its non-empty 16-high sections::
+
+    blocks mask   1 byte     bit k set: section k (layers 16k..16k+15)
+    blocks        4096 bytes per set bit, [y, lx, lz] uint8, bottom up
+    aux mask      1 byte
+    aux           4096 bytes per set bit
+    heightmap     512 bytes  [lx, lz] little-endian int16
+
+A section is absent when it is all zero (the sky, and all of ``aux`` in
+most chunks), so saving, hashing and loading a chunk copy neither its sky
+nor a transpose of it.  Light is derived state, absent from the payload.
+A file of another version (format 1 stored whole ``[x, z, y]`` arrays) is
+refused whole with :class:`RegionCorruptError` naming its version.
 
 Crash safety is two-layered: whole files are written via temp-file +
 ``os.replace`` (a killed save leaves either the old region or the new one,
@@ -40,6 +41,7 @@ silently zero-filled.
 
 from __future__ import annotations
 
+import re
 import struct
 import zlib
 from collections.abc import Callable
@@ -48,12 +50,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.mlg.chunk_arena import used_rows
-from repro.mlg.constants import CHUNK_SIZE, WORLD_HEIGHT
+from repro.mlg.chunk_arena import SECTION_HEIGHT
+from repro.mlg.constants import CHUNK_SIZE
 from repro.mlg.world import Chunk
 
 __all__ = [
     "CorruptEntry",
+    "FORMAT_VERSION",
     "REGION_CHUNKS",
     "RegionCorruptError",
     "chunk_to_region",
@@ -68,15 +71,22 @@ __all__ = [
 REGION_CHUNKS = 32
 
 MAGIC = b"MSRG"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _HEADER = struct.Struct("<4sBBH")
 _ENTRY = struct.Struct("<BBHIII")
 
-#: Raw (uncompressed) payload size of a chunk whose ``aux`` is stored.
-_BLOCK_BYTES = CHUNK_SIZE * CHUNK_SIZE * WORLD_HEIGHT
+#: Payload fields stored by section, in payload order.
+_FIELDS = ("blocks", "aux")
+#: Bytes of one section of one field: one slab page.
+_SECTION_BYTES = SECTION_HEIGHT * CHUNK_SIZE * CHUNK_SIZE
 _HEIGHTMAP_BYTES = CHUNK_SIZE * CHUNK_SIZE * 2
-RAW_CHUNK_BYTES = 2 * _BLOCK_BYTES + _HEIGHTMAP_BYTES
+#: The runs of set bits of each mask, as ``(lo, hi)`` section ranges:
+#: a run of present sections is one contiguous part of slot and payload.
+_RUNS = [
+    [(m.start(), m.end()) for m in re.finditer("1+", f"{mask:08b}"[::-1])]
+    for mask in range(256)
+]
 
 #: zlib level: 6 is the stock speed/ratio trade-off real servers ship.
 _ZLIB_LEVEL = 6
@@ -108,19 +118,26 @@ def region_filename(rx: int, rz: int) -> str:
 
 
 def serialize_chunk(chunk: Chunk) -> bytes:
-    """Raw persisted bytes of one chunk: blocks, aux, heightmap.
+    """The persisted bytes of one chunk, read straight off its slot: for
+    each of ``blocks`` and ``aux`` a mask byte (bit ``k`` set: section
+    ``k`` holds a non-zero cell) and the present sections, then the
+    heightmap.  Presence is read from the voxels, never from the
+    heightmap.  Light is absent: it is derived state, recomputed on load
+    the same way as after generation."""
+    parts = []
+    for name in _FIELDS:
+        sections = chunk.sections(name)
+        # packbits sets the bit of each section whose largest word is not 0.
+        mask = np.packbits(sections.view("<u8").max(axis=1), bitorder="little")
+        parts.append(mask)
+        parts.extend(sections[lo:hi] for lo, hi in _RUNS[mask[0]])
+    parts.append(chunk.heightmap.astype("<i2", copy=False))
+    return b"".join(parts)
 
-    The ``aux`` section is left out when it is all zero (most chunks'),
-    which makes the payload ``_BLOCK_BYTES`` shorter.  Light arrays are
-    deliberately absent: they are derived state, recomputed on load the
-    same way they are computed after generation.
-    """
-    aux = chunk.aux.tobytes() if chunk.aux.any() else b""
-    return (
-        chunk.blocks.tobytes()
-        + aux
-        + chunk.heightmap.astype("<i2", copy=False).tobytes()
-    )
+
+def compress_chunk(chunk: Chunk) -> bytes:
+    """A region entry's payload: :func:`serialize_chunk`, deflated."""
+    return zlib.compress(serialize_chunk(chunk), _ZLIB_LEVEL)
 
 
 def deserialize_chunk(
@@ -128,39 +145,33 @@ def deserialize_chunk(
 ) -> Chunk:
     """Rebuild a chunk from its persisted bytes (bit-identical arrays).
 
-    A payload of ``RAW_CHUNK_BYTES`` holds ``aux``; one ``_BLOCK_BYTES``
-    shorter does not, and leaves the chunk's all zero.  The bytes are
-    decoded straight into the chunk ``create(cx, cz)`` returns — all-air
-    and free-standing by default, a fresh arena slot when the caller is a
-    world — and ``create`` is not called for a payload of another length.
+    The payload's length must be what its masks say, else
+    :class:`ValueError` is raised before ``create(cx, cz)`` is called.
+    The present sections are copied onto the chunk that call returns —
+    all-air and free-standing by default, a fresh arena slot when the
+    caller is a world — which arrives all zero, so an absent section is
+    a page never written.
     """
-    short = RAW_CHUNK_BYTES - _BLOCK_BYTES
-    if len(raw) not in (RAW_CHUNK_BYTES, short):
+    at, present = 0, []
+    for name in _FIELDS:
+        mask = raw[at] if at < len(raw) else 0  # cut: refused below
+        present.append((name, at + 1, _RUNS[mask]))
+        at += 1 + _SECTION_BYTES * mask.bit_count()
+    if len(raw) != at + _HEIGHTMAP_BYTES:
         raise ValueError(
-            f"chunk payload is {len(raw)} bytes, expected "
-            f"{RAW_CHUNK_BYTES} or {short}"
+            f"chunk payload is {len(raw)} bytes, not the "
+            f"{at + _HEIGHTMAP_BYTES} its section masks say"
         )
-    shape = (CHUNK_SIZE, CHUNK_SIZE, WORLD_HEIGHT)
     chunk = create(cx, cz)
-    fields = ("blocks", "aux") if len(raw) == RAW_CHUNK_BYTES else ("blocks",)
-    for k, name in enumerate(fields):
-        values = np.frombuffer(
-            raw, dtype=np.uint8, count=_BLOCK_BYTES, offset=k * _BLOCK_BYTES
-        ).reshape(shape)
-        # The chunk's arrays arrive all zero: the layers above the
-        # payload's highest non-zero cell are left as they are.  (Scanned,
-        # not read off the heightmap: a payload is taken as it stands.)
-        rows = used_rows(values.transpose(2, 0, 1))
-        getattr(chunk, name)[..., :rows] = values[..., :rows]
-    chunk.heightmap[:] = np.frombuffer(
-        raw, dtype="<i2", count=CHUNK_SIZE * CHUNK_SIZE,
-        offset=len(raw) - _HEIGHTMAP_BYTES,
-    ).reshape((CHUNK_SIZE, CHUNK_SIZE))
+    data = np.frombuffer(raw, np.uint8)
+    for name, start, runs in present:
+        sections = chunk.sections(name)
+        for lo, hi in runs:
+            end = start + _SECTION_BYTES * (hi - lo)
+            sections[lo:hi] = data[start:end].reshape(hi - lo, -1)
+            start = end
+    chunk.heightmap[:] = data[at:].view("<i2").reshape(CHUNK_SIZE, CHUNK_SIZE)
     return chunk
-
-
-def compress_payload(raw: bytes) -> bytes:
-    return zlib.compress(raw, _ZLIB_LEVEL)
 
 
 # -- whole-region IO ----------------------------------------------------------

@@ -26,14 +26,13 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.mlg.constants import CHUNK_SIZE, WORLD_HEIGHT
 from repro.mlg.world import Chunk, World
 from repro.persistence.region import (
     REGION_CHUNKS,
     CorruptEntry,
     RegionCorruptError,
     chunk_to_region,
-    compress_payload,
+    compress_chunk,
     deserialize_chunk,
     read_region,
     region_filename,
@@ -180,9 +179,7 @@ class RegionStore:
         for (rx, rz), group in sorted(by_region.items()):
             table = dict(self._region(rx, rz))
             for chunk in group:
-                table[(chunk.cx, chunk.cz)] = compress_payload(
-                    serialize_chunk(chunk)
-                )
+                table[(chunk.cx, chunk.cz)] = compress_chunk(chunk)
             written += write_region(self.region_path(rx, rz), rx, rz, table)
             self._cache_put(rx, rz, table)
         self.bytes_written += written
@@ -214,25 +211,16 @@ class RegionStore:
         return report
 
 
-#: An all-zero aux as world_hash reads it.
-_NO_AUX = bytes(CHUNK_SIZE * CHUNK_SIZE * WORLD_HEIGHT)
-
-
 def world_hash(world: World) -> int:
     """Order-independent CRC32 of the world's persisted state.
 
-    Covers every loaded chunk's coordinates, blocks, aux, and heightmap —
-    the exact arrays persistence round-trips — so a warm-booted world and
-    a cold-generated one can be compared for bit-identity in O(world)
-    without serializing to disk.
+    Covers every loaded chunk's coordinates and the payload a save
+    deflates (:func:`serialize_chunk`, read off the slot), so a
+    warm-booted world and a cold-generated one can be compared for
+    bit-identity in O(world) without writing to disk.
     """
     digest = 0
     for chunk in sorted(world.loaded_chunks(), key=lambda c: (c.cx, c.cz)):
         digest = zlib.crc32(struct.pack("<qq", chunk.cx, chunk.cz), digest)
-        # In the payload's x, z, y order: a transposing copy of the
-        # y-major slot, skipped for an all-zero aux.
-        digest = zlib.crc32(chunk.blocks.tobytes(), digest)
-        aux = chunk.aux
-        digest = zlib.crc32(aux.tobytes() if aux.any() else _NO_AUX, digest)
-        digest = zlib.crc32(chunk.heightmap.astype("<i2", copy=False), digest)
+        digest = zlib.crc32(serialize_chunk(chunk), digest)
     return digest & 0xFFFFFFFF

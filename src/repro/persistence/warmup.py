@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.mlg.constants import DEFAULT_VIEW_DISTANCE
+from repro.persistence.region import FORMAT_VERSION, serialize_chunk
 from repro.persistence.store import (
     REGION_DIR,
     RegionStore,
@@ -87,6 +88,7 @@ class PrepareReport:
     chunks: int
     bytes_written: int
     world_hash: str
+    format: int = FORMAT_VERSION  # of the region files
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -171,7 +173,6 @@ def _probe_chunk_matches(
     the world-construction primitives is caught, for the cost of a few
     chunk builds.
     """
-    from repro.persistence.region import serialize_chunk
     from repro.workloads import get_workload
 
     store = RegionStore(out_dir)
@@ -203,17 +204,21 @@ def ensure_world_cache(
     return its path and whether it was prepared.
 
     Matching means the recorded manifest's key, seed and radius equal the
-    request *and* probe chunks of ``workload``'s own fresh build equal the
-    stored bytes — a stale, foreign, or generator-drifted directory is
-    re-prepared, so a restored CI cache from another commit can never
-    poison a campaign, every workload sharing a snapshot checks the bytes
-    it boots from, and none re-prepares another's.
+    request, its region format is this build's (a snapshot of another
+    format is re-prepared, never read), *and* probe chunks of
+    ``workload``'s own fresh build equal the stored bytes — a stale,
+    foreign, or generator-drifted directory is re-prepared, so a restored
+    CI cache from another commit can never poison a campaign, every
+    workload sharing a snapshot checks the bytes it boots from, and none
+    re-prepares another's.
     """
     key = world_cache_key(workload, scale, seed)
     out_dir = Path(cache_root) / key
     manifest = read_world_manifest(out_dir) or {}
-    recorded = [manifest.get(name) for name in ("key", "seed", "radius")]
-    if recorded == [key, seed, radius] and _probe_chunk_matches(
+    fields = ("key", "seed", "radius", "format")
+    recorded = [manifest.get(name) for name in fields]
+    wanted = [key, seed, radius, FORMAT_VERSION]
+    if recorded == wanted and _probe_chunk_matches(
         out_dir, workload, scale, seed
     ):
         return out_dir, False

@@ -1,8 +1,9 @@
 """Voxel slots are ``y``-major, 16 layers (one section) to a 4 KiB page:
 every writer leaves a section it puts nothing in unwritten, so the open
 sky over the terrain costs no memory.  The layout is invisible from
-outside — region bytes, world hashes and scalar ``[lx, lz, y]`` access are
-what they were."""
+outside: scalar ``[lx, lz, y]`` access is what it was, and so is the
+world's content (region format 2 stores the slot's sections as they are,
+so its bytes and world hashes are pinned anew)."""
 
 import hashlib
 
@@ -176,25 +177,37 @@ class TestLayoutIsInvisible:
         assert LightEngine(world).light_at(x, 101, z) == 14
 
     @pytest.mark.parametrize(
-        ("name", "chunks", "with_aux", "hashed", "payloads"),
+        ("name", "chunks", "with_aux", "format_1", "hashed", "payloads"),
         [
-            # Captured when a slot was [lx, lz, y]: the layout must not show.
-            ("control", 289, 0, "d79c157b", "746fee685740dbe3"),
-            ("tnt", 289, 0, "a1ec6379", "100e841f272d7fe3"),
-            ("farm", 289, 11, "2ad16aa8", "762692cf58269e38"),
+            # format_1: captured when a slot was [lx, lz, y] and region
+            # format 1 stored it so; the layout and format 2 must not
+            # change the world's content.  hashed and payloads: format 2.
+            ("control", 289, 0, "746fee685740dbe3", "69ff31df",
+             "25bcc2a0f2d353b3"),
+            ("tnt", 289, 0, "100e841f272d7fe3", "d8a352f5",
+             "751a11d804c7d5cf"),
+            ("farm", 289, 11, "762692cf58269e38", "a8a43c38",
+             "8e0b2b19d7a6c0ad"),
         ],
     )
-    def test_region_bytes_and_world_hash_are_unchanged(
-        self, name, chunks, with_aux, hashed, payloads
+    def test_content_is_unchanged_and_payloads_are_pinned(
+        self, name, chunks, with_aux, format_1, hashed, payloads
     ):
         world = _installed(name, seed=3, ticks=20)
         assert world.loaded_chunk_count == chunks
-        loaded = world.loaded_chunks()
+        loaded = sorted(world.loaded_chunks(), key=lambda c: (c.cx, c.cz))
         assert sum(bool(c.aux.any()) for c in loaded) == with_aux
-        assert f"{world_hash(world):08x}" == hashed
-        digest = hashlib.sha256()
-        for chunk in sorted(world.loaded_chunks(), key=lambda c: (c.cx, c.cz)):
+        content, digest = hashlib.sha256(), hashlib.sha256()
+        for chunk in loaded:
+            # Format 1, from the [lx, lz, y] views: blocks, aux where it
+            # is not all zero, heightmap.
+            content.update(chunk.blocks.tobytes())
+            if chunk.aux.any():
+                content.update(chunk.aux.tobytes())
+            content.update(chunk.heightmap.astype("<i2").tobytes())
             digest.update(serialize_chunk(chunk))
+        assert content.hexdigest()[:16] == format_1
+        assert f"{world_hash(world):08x}" == hashed
         assert digest.hexdigest()[:16] == payloads
 
 

@@ -9,6 +9,9 @@ all five terrain fields and on load order, and pins today's worlds to
 golden hashes so that a later worldgen change has to say so.
 """
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 import worldgen_oracle as oracle
@@ -236,12 +239,26 @@ def _connected(seed=PAPER_SEED):
     return world, net, report
 
 
+def _format_1_hash(world) -> int:
+    """``world_hash`` as region format 1 took it, from the ``[lx, lz, y]``
+    views: coordinates, blocks, aux (zeros where it is all zero) and
+    heightmap of each chunk."""
+    digest = 0
+    for chunk in sorted(world.loaded_chunks(), key=lambda c: (c.cx, c.cz)):
+        digest = zlib.crc32(struct.pack("<qq", chunk.cx, chunk.cz), digest)
+        heightmap = chunk.heightmap.astype("<i2")
+        for part in (chunk.blocks, chunk.aux, heightmap):
+            digest = zlib.crc32(part.tobytes(), digest)
+    return digest
+
+
 class TestGolden:
     """Values captured at the parent commit (per-chunk generation)."""
 
     def test_control_view_after_connect(self):
         world, net, report = _connected()
-        assert f"{world_hash(world):08x}" == "c549474f"
+        assert f"{world_hash(world):08x}" == "23d02355"  # region format 2
+        assert f"{_format_1_hash(world):08x}" == "c549474f"
         # Key order too: ``total_cost_us`` sums the priced ops in it.
         assert list(report.counts.items()) == [
             (Op.CHUNK_GEN, 288.0),
@@ -260,8 +277,9 @@ class TestGolden:
 
     def test_prepared_tnt_snapshot(self, tmp_path):
         report = prepare_world(tmp_path, "tnt")
-        assert (report.world_hash, report.chunks) == ("601afe0e", 441)
-        assert report.bytes_written == 163937
+        # Region format 2 (format 1: "601afe0e", 163 937 bytes).
+        assert (report.world_hash, report.chunks) == ("cd51d913", 441)
+        assert report.bytes_written == 124721
 
 
 @pytest.mark.xfail(

@@ -1,5 +1,6 @@
 """Region-file format and store: round trips, atomicity, crash safety."""
 
+import json
 import zlib
 
 import numpy as np
@@ -11,10 +12,9 @@ from repro.mlg.constants import CHUNK_SIZE, WORLD_HEIGHT
 from repro.mlg.world import Chunk, World
 from repro.mlg.worldgen import TerrainGenerator
 from repro.persistence.region import (
-    RAW_CHUNK_BYTES,
+    FORMAT_VERSION,
     RegionCorruptError,
     chunk_to_region,
-    compress_payload,
     deserialize_chunk,
     read_region,
     serialize_chunk,
@@ -24,13 +24,13 @@ from repro.persistence.store import RegionStore, world_hash
 from repro.persistence.warmup import (
     WORLD_MANIFEST,
     ensure_world_cache,
+    prepare_world,
     read_world_manifest,
 )
 
-#: Bytes in a payload's blocks section, and in its ``aux`` section.
-VOXEL_BYTES = CHUNK_SIZE * CHUNK_SIZE * WORLD_HEIGHT
-#: Length of a payload without its ``aux`` section.
-SHORT_CHUNK_BYTES = RAW_CHUNK_BYTES - VOXEL_BYTES
+#: Bytes of one 16-high section of one voxel field, and the heightmap's.
+SECTION_BYTES = 16 * CHUNK_SIZE * CHUNK_SIZE
+HEIGHTMAP_BYTES = 2 * CHUNK_SIZE * CHUNK_SIZE
 
 
 def _random_chunk(cx: int, cz: int, seed: int) -> Chunk:
@@ -49,11 +49,26 @@ def _zero_aux_chunk(cx: int, cz: int, seed: int) -> Chunk:
     return chunk
 
 
-def _long_form(raw: bytes) -> bytes:
-    """The payload as every region file written before the short form
-    holds it: ``aux`` present, all zero."""
-    assert len(raw) == SHORT_CHUNK_BYTES
-    return raw[:VOXEL_BYTES] + bytes(VOXEL_BYTES) + raw[VOXEL_BYTES:]
+def _terrain_chunk(cx: int, cz: int) -> Chunk:
+    """Stone up to y = 40 with one glass block at y = 100 (sections 0-2
+    and 6 of ``blocks`` hold a block), and ``aux`` set in section 1."""
+    chunk = Chunk(cx, cz)
+    chunk.blocks[:, :, :40] = Block.STONE
+    chunk.blocks[3, 5, 100] = Block.GLASS
+    chunk.aux[2, 2, 20] = 9
+    chunk.heightmap[:] = column_tops(chunk.blocks != Block.AIR)
+    return chunk
+
+
+def _format_1_payload(chunk: Chunk) -> bytes:
+    """A chunk as format 1 stored it: blocks in ``[x, z, y]`` order, then
+    ``aux`` only when it is not all zero, then the heightmap."""
+    aux = chunk.aux.tobytes() if chunk.aux.any() else b""
+    return chunk.blocks.tobytes() + aux + chunk.heightmap.tobytes()
+
+
+def _never_create(cx, cz):
+    pytest.fail(f"a bad payload claimed a chunk for ({cx}, {cz})")
 
 
 def _assert_chunks_equal(a: Chunk, b: Chunk) -> None:
@@ -69,12 +84,37 @@ class TestSerialization:
         restored = deserialize_chunk(3, -7, serialize_chunk(chunk))
         _assert_chunks_equal(chunk, restored)
 
-    def test_zero_aux_payload_is_short_and_round_trips(self):
+    def test_payload_is_the_slots_present_sections(self):
+        """Masks, then the slot's own ``[y, lx, lz]`` section bytes, then
+        the heightmap; a section is present because a voxel in it is set,
+        whatever the heightmap says."""
+        chunk = _terrain_chunk(3, -7)
+        chunk.heightmap[:] = 40  # stale: the glass at y = 100 is above it
+        raw = serialize_chunk(chunk)
+        assert len(raw) == 2 + 5 * SECTION_BYTES + HEIGHTMAP_BYTES
+        assert raw[0] == 0b0100_0111
+        blocks = chunk._page.blocks[chunk._slot]  # [y, lx, lz]
+        expected = b"".join(
+            blocks[16 * k : 16 * (k + 1)].tobytes() for k in (0, 1, 2, 6)
+        )
+        assert raw[1 : 1 + len(expected)] == expected
+        at = 1 + len(expected)
+        assert raw[at] == 0b10
+        aux = chunk._page.aux[chunk._slot]
+        assert raw[at + 1 : at + 1 + SECTION_BYTES] == aux[16:32].tobytes()
+        assert raw[-HEIGHTMAP_BYTES:] == chunk.heightmap.astype("<i2").tobytes()
+        restored = deserialize_chunk(3, -7, raw)
+        _assert_chunks_equal(chunk, restored)
+        assert restored.blocks[3, 5, 100] == Block.GLASS
+
+    def test_zero_aux_payload_has_no_aux_section_and_round_trips(self):
         """Free-standing, and into an arena slot whose previous occupant
         wrote ``aux`` all over: the release that freed it zeroed it."""
         chunk = _zero_aux_chunk(3, -7, seed=1)
         raw = serialize_chunk(chunk)
-        assert len(raw) == RAW_CHUNK_BYTES - 32768
+        aux_mask_at = 1 + 8 * SECTION_BYTES  # every blocks section is set
+        assert raw[aux_mask_at] == 0
+        assert len(raw) == aux_mask_at + 1 + HEIGHTMAP_BYTES
         _assert_chunks_equal(chunk, deserialize_chunk(3, -7, raw))
         world = World()
         previous = world.adopt_chunk(_random_chunk(0, 0, seed=3))
@@ -90,30 +130,63 @@ class TestSerialization:
         assert restored._page.base + restored._slot == slot
         _assert_chunks_equal(chunk, restored)
 
-    def test_long_form_zero_aux_payload_loads_bit_identically(self, tmp_path):
-        chunk = _zero_aux_chunk(1, 2, seed=4)
-        raw = _long_form(serialize_chunk(chunk))
-        assert len(raw) == RAW_CHUNK_BYTES
-        _assert_chunks_equal(chunk, deserialize_chunk(1, 2, raw))
-        store = RegionStore(tmp_path)
-        write_region(
-            store.region_path(0, 0), 0, 0, {(1, 2): compress_payload(raw)}
-        )
-        _assert_chunks_equal(chunk, store.load_chunk(1, 2))
-        assert not store.corrupt
+    def test_an_all_air_chunk_is_two_masks_and_a_heightmap(self):
+        raw = serialize_chunk(Chunk(0, 0))
+        assert raw == bytes(2 + HEIGHTMAP_BYTES)
+        _assert_chunks_equal(Chunk(0, 0), deserialize_chunk(0, 0, raw))
 
     @pytest.mark.parametrize(
         "length",
-        [0, 10, SHORT_CHUNK_BYTES - 1, SHORT_CHUNK_BYTES + 1,
-         RAW_CHUNK_BYTES - 1, RAW_CHUNK_BYTES + 1],
+        [
+            0,  # before the blocks mask
+            1,  # after the blocks mask
+            1 + SECTION_BYTES // 2,  # inside a section
+            1 + SECTION_BYTES,  # on a section boundary
+            1 + 4 * SECTION_BYTES,  # before the aux mask
+            2 + 4 * SECTION_BYTES,  # after the aux mask
+            2 + 5 * SECTION_BYTES,  # before the heightmap
+            2 + 5 * SECTION_BYTES + HEIGHTMAP_BYTES - 1,  # one byte short
+            2 + 5 * SECTION_BYTES + HEIGHTMAP_BYTES + 1,  # one byte over
+            2 + 6 * SECTION_BYTES + HEIGHTMAP_BYTES,  # a section over
+        ],
     )
-    def test_rejects_wrong_payload_size(self, length):
-        with pytest.raises(ValueError) as raised:
-            deserialize_chunk(0, 0, b"\x00" * length)
-        message = str(raised.value)
-        assert f"{length} bytes" in message
-        assert str(RAW_CHUNK_BYTES) in message
-        assert str(SHORT_CHUNK_BYTES) in message
+    def test_a_cut_or_padded_payload_is_a_named_corrupt_entry(
+        self, tmp_path, length
+    ):
+        raw = serialize_chunk(_terrain_chunk(1, 2))
+        assert len(raw) == 2 + 5 * SECTION_BYTES + HEIGHTMAP_BYTES
+        bad = (raw + bytes(SECTION_BYTES))[:length]
+        with pytest.raises(ValueError, match=f"payload is {length} bytes"):
+            deserialize_chunk(1, 2, bad, _never_create)
+        store = RegionStore(tmp_path)
+        write_region(
+            store.region_path(0, 0), 0, 0, {(1, 2): zlib.compress(bad)}
+        )
+        assert store.load_chunk(1, 2, _never_create) is None
+        [entry] = store.corrupt
+        assert (entry.cx, entry.cz) == (1, 2)
+        assert entry.reason.startswith("payload: chunk payload is")
+        world = World(loader=RegionStore(tmp_path).load_chunk)
+        generated = world.ensure_chunk(1, 2)  # the fallback: a fresh slot
+        assert generated._page.base + generated._slot == 0
+
+    @pytest.mark.parametrize(
+        ("at", "refusal"),
+        [
+            # Eight blocks sections: the aux mask would lie past the end,
+            # and counts as no section.
+            (0, "not the 33282 its section masks say"),
+            # Eight aux sections (4 + 8 in all); the payload holds one.
+            (1 + 4 * SECTION_BYTES, "not the 49666 its section masks say"),
+        ],
+    )
+    def test_a_mask_claiming_more_sections_than_the_bytes_hold(
+        self, at, refusal
+    ):
+        raw = bytearray(serialize_chunk(_terrain_chunk(1, 2)))
+        raw[at] = 0xFF
+        with pytest.raises(ValueError, match=refusal):
+            deserialize_chunk(1, 2, bytes(raw), _never_create)
 
     def test_region_coords_floor_at_negatives(self):
         assert chunk_to_region(0, 0) == (0, 0)
@@ -206,6 +279,19 @@ class TestCrashSafety:
         assert scan.corrupt_regions and scan.regions == 0
 
 
+    def test_a_format_1_region_is_refused_naming_its_version(self, tmp_path):
+        _chunks, path = self._store_with_three_chunks(tmp_path)
+        data = bytearray(path.read_bytes())
+        assert data[4] == FORMAT_VERSION == 2  # header: magic, then version
+        data[4] = 1
+        path.write_bytes(bytes(data))
+        with pytest.raises(RegionCorruptError, match="unsupported version 1"):
+            read_region(path, 0, 0)
+        fresh = RegionStore(tmp_path)
+        assert fresh.load_chunk(0, 0) is None
+        assert "version 1" in fresh.corrupt[0].reason
+
+
 class TestWorldHash:
     def test_sensitive_to_content_and_stable_across_round_trip(
         self, tmp_path
@@ -228,30 +314,58 @@ class TestWorldHash:
         assert world_hash(world) != digest
 
 
-class TestLongFormCache:
-    def test_ensure_keeps_a_cache_of_long_form_payloads(self, tmp_path):
-        """A world cache restored from before the short form is kept as
-        it is, not re-prepared, and loads the world it recorded."""
+class TestFormat1Cache:
+    def test_a_format_1_snapshot_is_re_prepared_not_read(self, tmp_path):
+        """A world cache written by a format-1 build — its manifest has no
+        ``format`` field and its regions hold version-1 payloads — is
+        prepared again, and then loads the world it records."""
         path, _ = ensure_world_cache(tmp_path, "control", 1.0, 3, radius=1)
         store = RegionStore(path)
+        world = World(loader=store.load_chunk)
+        world.ensure_chunks(sorted(store.chunk_positions()))
         regions = sorted(store.region_dir.glob("r.*.msr"))
         for region in regions:
             rx, rz = (int(part) for part in region.name.split(".")[1:3])
-            payloads, corrupt = read_region(region, rx, rz)
-            assert not corrupt
-            write_region(region, rx, rz, {
-                key: compress_payload(_long_form(zlib.decompress(comp)))
-                for key, comp in payloads.items()
-            })
-        before = {region: region.read_bytes() for region in regions}
-        stamp = (path / WORLD_MANIFEST).stat().st_mtime_ns
-        again = ensure_world_cache(tmp_path, "control", 1.0, 3, radius=1)
-        assert again == (path, False)
-        assert (path / WORLD_MANIFEST).stat().st_mtime_ns == stamp
-        assert {region: region.read_bytes() for region in regions} == before
-        cache = RegionStore(path)
-        world = World(loader=cache.load_chunk)
-        world.ensure_chunks(sorted(cache.chunk_positions()))
-        assert world.loaded_chunk_count == 9 and not cache.corrupt
+            payloads = {
+                (c.cx, c.cz): zlib.compress(_format_1_payload(c))
+                for c in world.loaded_chunks()
+                if chunk_to_region(c.cx, c.cz) == (rx, rz)
+            }
+            write_region(region, rx, rz, payloads)
+            data = bytearray(region.read_bytes())
+            data[4] = 1
+            region.write_bytes(bytes(data))
         manifest = read_world_manifest(path)
-        assert f"{world_hash(world):08x}" == manifest["world_hash"]
+        del manifest["format"]
+        (path / WORLD_MANIFEST).write_text(json.dumps(manifest))
+        assert ensure_world_cache(tmp_path, "control", 1.0, 3, radius=1) == (
+            path, True,
+        )
+        assert read_world_manifest(path)["format"] == FORMAT_VERSION
+        cache = RegionStore(path)
+        restored = World(loader=cache.load_chunk)
+        restored.ensure_chunks(sorted(cache.chunk_positions()))
+        assert restored.loaded_chunk_count == 9 and not cache.corrupt
+        assert world_hash(restored) == world_hash(world)
+        assert f"{world_hash(restored):08x}" == manifest["world_hash"]
+
+    def test_a_manifest_of_another_format_alone_re_prepares(self, tmp_path):
+        path, _ = ensure_world_cache(tmp_path, "control", 1.0, 3, radius=1)
+        manifest = read_world_manifest(path)
+        manifest["format"] = 1
+        (path / WORLD_MANIFEST).write_text(json.dumps(manifest))
+        again = ensure_world_cache(tmp_path, "control", 1.0, 3, radius=1)
+        assert again == (path, True)
+        assert ensure_world_cache(tmp_path, "control", 1.0, 3, radius=1) == (
+            path, False,
+        )
+
+
+def test_a_prepared_control_world_is_no_larger_than_format_1():
+    """161 321 bytes is what format 1 wrote for this world."""
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        report = prepare_world(tmp, "control", seed=7, radius=10)
+    assert report.chunks == 441
+    assert report.bytes_written <= 161_321
