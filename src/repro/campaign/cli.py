@@ -15,7 +15,6 @@ Usage (also via the ``repro`` console script)::
     python -m repro clients --port 25570 -n 25
     python -m repro world prepare worlds/control --workload control
     python -m repro world inspect worlds/control
-    python -m repro lint src
 
 ``run``/``resume`` take a campaign spec file (YAML or JSON);
 ``status``/``export``/``trace`` take either a spec file or a campaign
@@ -26,10 +25,7 @@ view, redrawing one block per cell — each cell's statistics computed
 from its records' series, as the report computes them — from a campaign
 directory or an obs endpoint.  ``trace export`` renders a traced
 campaign (spec ``trace: true``) as Chrome trace-event JSON, loadable in
-Perfetto or ``chrome://tracing``.
-``lint`` runs the static invariant checkers (:mod:`repro.lint`) that
-guard the determinism, RNG-threading and transport conventions the
-bit-identity claims rest on.  ``serve``/``clients`` split one cell
+Perfetto or ``chrome://tracing``.  ``serve``/``clients`` split one cell
 across real TCP sockets: ``serve`` runs a cell's server chain behind the
 asyncio wire front end (writing the standard manifest and job record),
 and ``clients`` ramps emulated players against it from a separate
@@ -242,10 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scan a world directory: chunk counts, damage, content hash",
     )
     inspect_.add_argument("world_dir", help="world directory to scan")
-
-    from repro.lint.cli import add_lint_parser
-
-    add_lint_parser(sub)
     return parser
 
 
@@ -694,10 +686,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_top(args)
         if args.command == "world":
             return _cmd_world(args)
-        if args.command == "lint":
-            from repro.lint.cli import run_lint
-
-            return run_lint(args)
     except (FileNotFoundError, FileExistsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -304,9 +304,3 @@ class CampaignSpec(RunKnobs):
                 f"campaign spec {path} must contain a mapping at top level"
             )
         return cls.from_dict(data)
-
-    def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2))
-        return path

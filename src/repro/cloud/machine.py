@@ -109,7 +109,9 @@ class Machine:
         """
         self._credits_us = 0.0
 
-    def redeploy(self) -> None:
+    def redeploy(  # test-only: placement per iteration is ROADMAP item 4
+        self,
+    ) -> None:
         """Fresh VM boot: new placement lottery, refilled launch credits."""
         self.noise.new_placement()
         if self.spec.burst:

@@ -7,8 +7,9 @@ probe and receiving its own echo — exactly the paper's instrument (§3.5.1):
 uplink + input-queue wait + tick processing + outbound flush + downlink.
 
 Bots speak only the :class:`~repro.mlg.transport.ServerSession` surface
-(MSL007): the same behaviour code drives an in-process server and a TCP
-connection in :mod:`repro.net`.
+(MSL007, enforced by ``tests/lint/test_determinism_gate.py``): the same
+behaviour code drives an in-process server and a TCP connection in
+:mod:`repro.net`.
 """
 
 from __future__ import annotations

@@ -196,7 +196,9 @@ class Chunk:
     skylit = _slot_view("skylit")
 
     @property
-    def skylight(self) -> np.ndarray:
+    def skylight(  # test-only: src reads skylit, never this 3-D view
+        self,
+    ) -> np.ndarray:
         """Sky light per voxel, derived from ``skylit`` (read-only: light
         is written through the :class:`~repro.mlg.lighting.LightEngine`)."""
         lit = np.arange(WORLD_HEIGHT, 0, -1) <= self.skylit[:, :, None]

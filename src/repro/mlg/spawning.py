@@ -62,9 +62,6 @@ class SpawnPlatform:
     #: Fractional-attempt accumulator.
     _accumulator: float = field(default=0.0, repr=False)
 
-    def contains(self, x: float, z: float) -> bool:
-        return self.x0 <= x <= self.x1 and self.z0 <= z <= self.z1
-
 
 class SpawnEngine:
     """Executes natural and platform spawning each tick."""

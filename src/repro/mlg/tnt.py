@@ -113,10 +113,6 @@ class TNTSystem:
 
     # -- explosion --------------------------------------------------------------------
 
-    def explode(self, entity: Entity, report: WorkReport) -> int:
-        """Detonate ``entity``; returns the number of blocks destroyed."""
-        return self.detonate([entity], report)
-
     def detonate(self, entities: list[Entity], report: WorkReport) -> int:
         """Detonate ``entities`` as one batch; returns the blocks destroyed.
 

@@ -5,9 +5,10 @@ Bots used to reach straight into server internals (``server.net``,
 over a socket.  This module narrows the whole bot↔server surface to a
 :class:`ServerSession`: connect/disconnect, action submission, delivery
 draining, a ground probe, and clock queries.  ``repro.emulation`` may
-import *only* this module and :mod:`repro.mlg.protocol` (lint rule
-MSL007 enforces the boundary), so every behaviour that runs in-process
-also runs over the TCP transport in :mod:`repro.net`.
+import *only* this module and :mod:`repro.mlg.protocol` (rule MSL007,
+enforced by ``tests/lint/test_determinism_gate.py``), so every
+behaviour that runs in-process also runs over the TCP transport in
+:mod:`repro.net`.
 
 :class:`InProcessTransport` is the direct-call implementation.  It is
 bit-identical to the historical reach-in path: every method forwards to

@@ -9,7 +9,7 @@ paper's Figure 11 buckets (Block Add/Remove, Block Update, Entities, Other).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -180,10 +180,6 @@ class WorkReport:
             bucket = bucket_of(op)
             buckets[bucket] = buckets.get(bucket, 0.0) + us
         return buckets
-
-    def nonzero_ops(self) -> Iterable[str]:
-        """Operations with a positive count, in insertion order."""
-        return (op for op, n in self.counts.items() if n > 0)
 
     def copy(self) -> "WorkReport":
         return WorkReport(dict(self.counts))

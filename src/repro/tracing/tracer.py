@@ -113,9 +113,6 @@ class TracedWorkReport(WorkReport):
             if get(op, 0.0) > 0.0
         }
 
-    def nonzero_ops(self):
-        return (op for op, n in self._merged().items() if n > 0)
-
     def copy(self) -> WorkReport:
         return WorkReport(dict(self._merged()))
 

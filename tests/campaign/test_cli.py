@@ -264,3 +264,12 @@ def test_status_reads_pending_then_running_from_the_record_tail(
     out = capsys.readouterr().out
     assert " running " in out and " 1/2 " in out and " 9.0 " in out
     assert "0/1 jobs complete, 1 running" in out
+
+
+def test_the_lint_verb_is_gone(capsys):
+    # The determinism lint is a tier-1 test (tests/lint), not a verb: no
+    # stub answers for it.
+    with pytest.raises(SystemExit) as exc:
+        main(["lint", "src"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'lint'" in capsys.readouterr().err

@@ -105,7 +105,8 @@ class TestSpec:
 
     def test_json_file_round_trip(self, tmp_path):
         spec = small_spec(scales=[1.0, 1.5])
-        path = spec.save(tmp_path / "spec.json")
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec.to_dict()))
         loaded = CampaignSpec.from_file(path)
         assert loaded == spec
 

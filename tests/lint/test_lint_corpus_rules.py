@@ -3,7 +3,7 @@ quiet on the safe twin.
 
 The fixture under ``corpus/`` is a mini project tree that mirrors the
 real ``src/repro/...`` layout, so path scoping (MSL001, MSL007) resolves
-exactly as it does on the real tree — the engine just gets a different
+exactly as it does on the real tree — the lint just gets a different
 ``root``.  ``corpus/<tree>.findings.txt`` pins each tree's full finding
 list.
 """
@@ -12,20 +12,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import lint_paths, render_text
+from determinism_lint import lint, render
 
 CORPUS = Path(__file__).parent / "corpus"
 
 
 def lint_project(project: str):
-    return lint_paths(["src"], root=CORPUS / project)
+    return lint(CORPUS / project)
 
 
 def findings_in(findings, path_suffix, rule=None):
     return [
         f
         for f in findings
-        if f.path.endswith(path_suffix) and (rule is None or f.rule == rule)
+        if f[0].endswith(path_suffix) and (rule is None or f[3] == rule)
     ]
 
 
@@ -34,7 +34,7 @@ class TestMSL001Determinism:
         found = findings_in(
             lint_project("badproj"), "determinism_bad.py", "MSL001"
         )
-        messages = "\n".join(f.message for f in found)
+        messages = "\n".join(f[4] for f in found)
         assert "time.time()" in messages
         assert "datetime.datetime.now()" in messages
         assert "random.random()" in messages
@@ -63,7 +63,7 @@ class TestMSL001Determinism:
 class TestMSL006RngDiscipline:
     def test_fires_on_every_construction_pattern(self):
         found = findings_in(lint_project("badproj"), "rng_bad.py", "MSL006")
-        messages = "\n".join(f.message for f in found)
+        messages = "\n".join(f[4] for f in found)
         assert "default_rng() without a seed" in messages
         assert "ignores_seed() takes rng/seed" in messages
         assert "numpy.random.seed() reseeds the *global* generator" in messages
@@ -80,7 +80,7 @@ class TestMSL007TransportLayering:
         found = findings_in(
             lint_project("badproj"), "transport_bad.py", "MSL007"
         )
-        messages = "\n".join(f.message for f in found)
+        messages = "\n".join(f[4] for f in found)
         assert "'repro.mlg.server'" in messages
         assert "'repro.mlg.netqueue'" in messages
         assert "'repro.mlg.world'" in messages
@@ -102,4 +102,4 @@ def test_full_finding_list_is_pinned(tree):
     # Rule, path, line, col and message of every finding: a dropped,
     # moved or reworded finding fails here.
     expected = (CORPUS / f"{tree}.findings.txt").read_text()
-    assert render_text(lint_project(tree)) == expected
+    assert render(lint_project(tree)) == expected

@@ -1,9 +1,8 @@
-"""Engine-level behavior: no suppression, ordering, and determinism."""
+"""Lint-level behaviour: no suppression, ordering, and determinism."""
 
 from pathlib import Path
 
-from repro.lint import lint_paths, render_text
-from repro.lint.findings import Finding, sort_findings
+from determinism_lint import lint, render
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -23,36 +22,44 @@ class TestNoSuppression:
             "    return time.time()"
             "  # lint: allow[MSL001] operator log stamp only\n",
         )
-        findings = lint_paths(["src"], root=tmp_path)
-        assert [(f.rule, f.line) for f in findings] == [("MSL001", 5)]
+        found = [(rule, line) for _, line, _, rule, _ in lint(tmp_path)]
+        assert found == [("MSL001", 5)]
 
 
 class TestOrderingAndDeterminism:
     def test_findings_are_stably_sorted(self):
-        findings = lint_paths(["src"], root=CORPUS / "badproj")
-        assert findings == sort_findings(findings)
-        keys = [f.sort_key() for f in findings]
-        assert keys == sorted(keys)
+        findings = lint(CORPUS / "badproj")
+        assert len(findings) == 18
+        assert findings == sorted(findings)
 
     def test_two_runs_render_byte_identical(self):
-        first = lint_paths(["src"], root=CORPUS / "badproj")
-        second = lint_paths(["src"], root=CORPUS / "badproj")
-        assert render_text(first).encode() == render_text(second).encode()
+        first = lint(CORPUS / "badproj")
+        second = lint(CORPUS / "badproj")
+        assert render(first).encode() == render(second).encode()
 
     def test_text_rendering_shape(self):
-        findings = lint_paths(["src"], root=CORPUS / "badproj")
-        lines = render_text(findings).splitlines()
+        findings = lint(CORPUS / "badproj")
+        lines = render(findings).splitlines()
         assert lines[-1] == "18 finding(s)"
-        first = findings[0]
-        assert lines[0] == (
-            f"{first.path}:{first.line}:{first.col}: "
-            f"{first.rule} {first.message}"
-        )
+        path, line, col, rule, message = findings[0]
+        assert lines[0] == f"{path}:{line}:{col}: {rule} {message}"
 
 
 class TestFindingOrderKey:
-    def test_sort_key_orders_by_location_then_rule(self):
-        a = Finding("MSL006", "a.py", 3, 1, "zzz")
-        b = Finding("MSL001", "a.py", 3, 1, "aaa")
-        c = Finding("MSL001", "a.py", 2, 9, "mmm")
-        assert sort_findings([a, b, c]) == [c, b, a]
+    def test_sort_key_orders_by_location_then_rule(self, tmp_path):
+        # MSL006 runs before MSL001 on a file, and both fire on the
+        # global reseed at 6:5; the list is ordered by location, then
+        # rule.
+        write_sim_file(
+            tmp_path,
+            "import numpy as np\nimport time\n\n\ndef f():\n"
+            "    np.random.seed(1)\n"
+            "    return time.time(), np.random.default_rng()\n",
+        )
+        found = [(line, col, rule) for _, line, col, rule, _ in lint(tmp_path)]
+        assert found == [
+            (6, 5, "MSL001"),
+            (6, 5, "MSL006"),
+            (7, 12, "MSL001"),
+            (7, 25, "MSL006"),
+        ]

@@ -236,7 +236,7 @@ class TestTNT:
         tnt, mgr, world = self._system()
         entity = mgr.spawn(EntityKind.TNT, 24.5, 60.5, 24.5, fuse_ticks=1)
         report = WorkReport()
-        destroyed = tnt.explode(entity, report)
+        destroyed = tnt.detonate([entity], report)
         assert destroyed > 0
         assert world.get_block(24, 59, 24) == Block.AIR
         assert report.get(Op.EXPLOSION_RAY) == RAYS_PER_EXPLOSION
@@ -246,7 +246,7 @@ class TestTNT:
         tnt, mgr, world = self._system()
         world.set_block(24, 61, 24, Block.OBSIDIAN, log=False)
         entity = mgr.spawn(EntityKind.TNT, 24.5, 62.5, 24.5)
-        tnt.explode(entity, WorkReport())
+        tnt.detonate([entity], WorkReport())
         assert world.get_block(24, 61, 24) == Block.OBSIDIAN
 
     def test_chain_reaction_primes_neighbors(self):
@@ -254,7 +254,7 @@ class TestTNT:
         world.fill(24, 61, 24, 26, 61, 26, Block.TNT)
         entity = mgr.spawn(EntityKind.TNT, 25.5, 61.5, 25.5, fuse_ticks=1)
         report = WorkReport()
-        tnt.explode(entity, report)
+        tnt.detonate([entity], report)
         chained = mgr.entities_of(EntityKind.TNT)
         assert len(chained) >= 8, "surrounding TNT blocks must be primed"
         for primed in chained:
@@ -264,7 +264,7 @@ class TestTNT:
         tnt, mgr, world = self._system()
         bystander = mgr.spawn(EntityKind.ITEM, 27.0, 61.0, 24.5)
         entity = mgr.spawn(EntityKind.TNT, 24.5, 61.0, 24.5)
-        tnt.explode(entity, WorkReport())
+        tnt.detonate([entity], WorkReport())
         assert bystander.vx > 0  # pushed in +x, away from the blast
 
     def test_full_cuboid_chain_consumes_all_tnt(self, count_blocks):

@@ -137,7 +137,7 @@ class TestDetonateEqualsSequential:
             rig.bystanders()
             before = _velocities(rig)
             entity = rig.fuse(24.5, 58.5, 24.5)
-            rig.returned.append(rig.tnt.explode(entity, rig.report))
+            rig.returned.append(rig.tnt.detonate([entity], rig.report))
             rig.pushed = sum(
                 int((a != b).any()) for a, b in zip(before, _velocities(rig))
             )
@@ -151,7 +151,7 @@ class TestDetonateEqualsSequential:
     def test_overlapping_spheres_first_wins(self):
         def alone(rig):
             rig.returned.append(
-                rig.tnt.explode(rig.fuse(26.5, 58.5, 24.5), rig.report)
+                rig.tnt.detonate([rig.fuse(26.5, 58.5, 24.5)], rig.report)
             )
 
         def scenario(rig):

@@ -56,14 +56,12 @@ class OracleTNTSystem(TNTSystem):
                         primed += 1
         return primed
 
-    def tick(self, report):
-        exploding = self.entities.expire_fuses()
-        for entity in exploding:
-            self.explode(entity, report)
-        return len(exploding)
+    def detonate(self, entities, report):
+        """Detonate ``entities`` one after another; returns the blocks
+        destroyed."""
+        return sum(self._explode(entity, report) for entity in entities)
 
-    def explode(self, entity, report):
-        """Detonate ``entity``; returns the number of blocks destroyed."""
+    def _explode(self, entity, report):
         self.entities.remove(entity)
         cx, cy, cz = entity.x, entity.y, entity.z
         report.add(Op.EXPLOSION_RAY, RAYS_PER_EXPLOSION)

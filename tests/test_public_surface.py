@@ -3,16 +3,22 @@
 Every public function, method and property under ``src/repro`` must be
 named somewhere in ``src/``, ``benchmarks/`` or ``examples/`` other than
 its own definition, or say why not on its ``def`` line with a
-``# test-only: <reason>`` comment.  A test that drives the system through
-an entry point the system never uses pins a shadow of it.  A method that
-overrides one of a base class is exempt: the base calls it.  No
-simulation runs here; the check reads the source.
+``# test-only: <reason>`` comment.  Only code names it: a name, an
+attribute, a keyword argument, an imported name, or a string that is an
+identifier (``getattr(obj, "name")``); a docstring or a comment does
+not.  A test that drives the system through an entry point the system
+never uses pins a shadow of it.  A method that overrides one of a base
+class is exempt: the base calls it.  No simulation runs here; the check
+reads the source.
 """
 
 import ast
 import re
 from collections import Counter
+from functools import cache
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
@@ -21,8 +27,14 @@ CALLER_DIRS = ("src", "benchmarks", "examples")
 #: Bases from outside the package that call no subclass method by name
 #: (any other, e.g. ``BaseHTTPRequestHandler``, dispatches its hooks).
 PLAIN_BASES = {"NamedTuple", "Protocol", "object"}
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TEST_ONLY = re.compile(r"#\s*test-only:\s*\S")
+
+
+@cache
+def _parse(path):
+    """``(lines, tree)`` of one source file, parsed once per session."""
+    text = path.read_text()
+    return text.splitlines(), ast.parse(text)
 
 
 def _functions(body):
@@ -32,14 +44,13 @@ def _functions(body):
     ]
 
 
-def _definitions():
+def _definitions(paths):
     """``(path, lines, class or None, defs)`` per public name, ``defs``
     being every ``def`` of it in one scope (a property and its setter),
     and the package's classes by name."""
     scopes, classes = [], {}
-    for path in sorted(PACKAGE.rglob("*.py")):
-        text = path.read_text()
-        lines = text.splitlines()
+    for path in paths:
+        lines, tree = _parse(path)
 
         def visit(body, cls=None):
             by_name = {}
@@ -52,7 +63,7 @@ def _definitions():
                     classes.setdefault(node.name, []).append(node)
                     visit(node.body, node)
 
-        visit(ast.parse(text).body)
+        visit(tree.body)
     return scopes, classes
 
 
@@ -73,15 +84,33 @@ def _inherits(cls: ast.ClassDef, name: str, classes, seen=()) -> bool:
     return False
 
 
-def _word_counts():
-    """Occurrences of each identifier-like word, per ``(path, line)``."""
+def _identifiers(node) -> list[str]:
+    """The identifiers one AST node names."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.keyword):
+        return [node.arg] if node.arg else []
+    if isinstance(node, ast.alias):
+        return [*node.name.split("."), *filter(None, [node.asname])]
+    if (
+        isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.isidentifier()
+    ):
+        return [node.value]
+    return []
+
+
+def _identifier_counts(paths):
+    """Occurrences of each identifier, also per ``(path, line)``."""
     counts = Counter()
-    for top in CALLER_DIRS:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            for number, line in enumerate(path.read_text().splitlines(), 1):
-                for word in _WORD.findall(line):
-                    counts[word] += 1
-                    counts[word, path, number] += 1
+    for path in paths:
+        for node in ast.walk(_parse(path)[1]):
+            for word in _identifiers(node):
+                counts[word] += 1
+                counts[word, path, node.lineno] += 1
     return counts
 
 
@@ -92,10 +121,11 @@ def _own_lines(defs) -> set[int]:
     }
 
 
-def test_every_public_name_has_a_caller_or_says_why_not():
-    scopes, classes = _definitions()
-    counts = _word_counts()
-    flagged = []
+def _unreferenced(package, callers):
+    """``(path, line, [Class.]name)`` of each public name defined in
+    ``package`` that nothing in ``callers`` names and no marker excuses."""
+    scopes, classes = _definitions(package)
+    counts = _identifier_counts(callers)
     for path, lines, cls, defs in scopes:
         name = defs[0].name
         if cls is not None and _inherits(cls, name, classes):
@@ -103,10 +133,23 @@ def test_every_public_name_has_a_caller_or_says_why_not():
         if any(_TEST_ONLY.search(lines[d.lineno - 1]) for d in defs):
             continue
         own = sum(counts[name, path, n] for n in _own_lines(defs))
-        if counts[name] > own:
-            continue
-        where = f"{path.relative_to(ROOT)}:{defs[0].lineno}"
-        flagged.append(f"{where} {cls.name + '.' if cls else ''}{name}")
+        if counts[name] <= own:
+            qualified = f"{cls.name}.{name}" if cls else name
+            yield path, defs[0].lineno, qualified
+
+
+def test_every_public_name_has_a_caller_or_says_why_not():
+    callers = [
+        path
+        for top in CALLER_DIRS
+        for path in sorted((ROOT / top).rglob("*.py"))
+    ]
+    flagged = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path, line, name in _unreferenced(
+            sorted(PACKAGE.rglob("*.py")), callers
+        )
+    ]
     assert not flagged, (
         "public names that nothing in src/, benchmarks/ or examples/ "
         "references; delete them, or mark the def line "
@@ -114,10 +157,11 @@ def test_every_public_name_has_a_caller_or_says_why_not():
     )
 
 
-def test_the_scan_sees_overrides_and_markers():
+def test_the_scan_sees_overrides_and_markers(tmp_path):
     """The exemptions are narrow: a hook of a foreign base is exempt, a
     method of a package base is exempt only where that base defines it,
-    and a marker needs a reason."""
+    a marker needs a reason, and a docstring or comment naming a method
+    does not call it."""
     tree = ast.parse(
         "class Base:\n"
         "    def hook(self): ...\n"
@@ -136,3 +180,56 @@ def test_the_scan_sees_overrides_and_markers():
     assert not _inherits(classes["Row"][0], "total", classes)
     assert _TEST_ONLY.search("    def f(self):  # test-only: pins X")
     assert not _TEST_ONLY.search("    def f(self):  # test-only:")
+    module = tmp_path / "spec.py"
+    module.write_text(
+        "class Spec:\n"
+        "    def save(self):\n"
+        "        \"\"\"Write it; ``Spec.save`` is the only writer.\"\"\"\n"
+        "    def load(self): ...\n"
+        "    def dump(self): ...\n"
+        "def _use(spec):\n"
+        "    # spec.save() would write it\n"
+        "    getattr(spec, 'dump')()\n"
+        "    return spec.load()\n"
+    )
+    flagged = [name for *_, name in _unreferenced([module], [module])]
+    assert flagged == ["Spec.save"]
+
+
+#: One caller line per kind of identifier the scan counts, and lines
+#: that name ``save`` without calling it.
+NAMES_IT = {
+    "name": "handler = save\n",
+    "attribute": "spec.save()\n",
+    "keyword": "configure(save=True)\n",
+    "import": "from spec import save\n",
+    "import_alias": "import spec.save as writer\n",
+    "getattr_string": "getattr(spec, 'save')()\n",
+}
+DOES_NOT_NAME_IT = {
+    "docstring": "def f():\n    \"\"\"Call ``save`` to write it.\"\"\"\n",
+    "comment": "# save() writes the spec\n",
+    "sentence_string": "message = 'save failed'\n",
+}
+
+
+def _flags_save(tmp_path, caller_source):
+    module = tmp_path / "spec.py"
+    module.write_text("def save():\n    return 1\n")
+    caller = tmp_path / "caller.py"
+    caller.write_text(caller_source)
+    return [
+        name for *_, name in _unreferenced([module], [module, caller])
+    ] == ["save"]
+
+
+@pytest.mark.parametrize("source", NAMES_IT.values(), ids=NAMES_IT)
+def test_an_identifier_counts_as_a_caller(tmp_path, source):
+    assert not _flags_save(tmp_path, source)
+
+
+@pytest.mark.parametrize(
+    "source", DOES_NOT_NAME_IT.values(), ids=DOES_NOT_NAME_IT
+)
+def test_prose_does_not_count_as_a_caller(tmp_path, source):
+    assert _flags_save(tmp_path, source)
