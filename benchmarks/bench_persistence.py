@@ -7,7 +7,10 @@ Four artifacts:
 * the disk path's host cost on one prepared world: ``world_hash``,
   ``serialize_chunk`` over every chunk, and a region load (read, inflate
   and decode into a world), each a median with its 95 % interval and
-  stamped with the host it ran on, for a later change to compare with,
+  stamped with the host it ran on, for a later change to compare with;
+  beside them, the warm-boot prepare of that world in a fresh process:
+  how far it raises the process's peak resident set above its
+  post-import level, and its wall seconds,
 * the Exploration workload's tick-time distribution with persistence on —
   "Autosave" and "Chunk Load" must both be visible buckets, with the
   full-flush tick spike surfaced next to the p50/p99 tick durations,
@@ -20,7 +23,10 @@ import gc
 import json
 import os
 import platform
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -44,6 +50,34 @@ WORLD_CACHE_ROOT = OUT_DIR / "world-cache"
 #: 441 chunks a campaign's warm boot prepares, saves and hashes.
 DISK_PATH_WORLD = ("players", 2, 10)
 DISK_PATH_REPS = 7
+
+#: Prepares ``argv[1:4]`` (workload, seed, radius) into ``argv[4]`` and
+#: prints what the prepare alone added to the process's peak RSS.  The
+#: peak is ``VmHWM`` where Linux reports it: a spawned process's
+#: ``ru_maxrss`` starts at its parent's high-water mark (Linux carries it
+#: across fork and exec), which under pytest hides the prepare's.
+PREPARE_PROBE = """
+import json, resource, sys, time
+from repro.persistence.warmup import prepare_world
+
+def peak_kib():
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+name, seed, radius, out = sys.argv[1:]
+base_kib = peak_kib()
+start = time.perf_counter()
+prepare_world(out, name, seed=int(seed), radius=int(radius))
+wall_s = time.perf_counter() - start
+rise_mib = (peak_kib() - base_kib) / 1024
+print(json.dumps({"peak_rise_mib": rise_mib, "wall_s": wall_s}))
+"""
 
 
 def _bench_world(tmp_path):
@@ -109,8 +143,26 @@ def _median_ms(fn) -> tuple[float, float, float]:
     return median_interval(times)
 
 
+def _prepare_in_fresh_process(out: Path) -> dict:
+    """``PREPARE_PROBE`` on ``DISK_PATH_WORLD``, in a new interpreter (a
+    process's ``ru_maxrss`` only rises, so only a fresh one isolates the
+    prepare's)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    )
+    args = [str(v) for v in DISK_PATH_WORLD]
+    done = subprocess.run(
+        [sys.executable, "-c", PREPARE_PROBE, *args, str(out)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
 def test_disk_path_timing(benchmark, out_dir, tmp_path):
-    """Host cost of the three disk-path passes on one prepared world.
+    """Host cost of the three disk-path passes on one prepared world, and
+    the warm-boot prepare's peak-memory rise and wall seconds.
 
     Not gated: the numbers are host time, which the hostclock A/B judges;
     this records them with the host they were taken on.
@@ -141,6 +193,7 @@ def test_disk_path_timing(benchmark, out_dir, tmp_path):
         rounds=1, iterations=1,
     )
     payload = sum(len(serialize_chunk(chunk)) for chunk in chunks)
+    prepare = _prepare_in_fresh_process(tmp_path / "fresh")
     host = {
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
@@ -158,7 +211,13 @@ def test_disk_path_timing(benchmark, out_dir, tmp_path):
         [f"{label}, median of {DISK_PATH_REPS}",
          f"{median:.2f} ms [{low:.2f}, {high:.2f}]"]
         for label, (median, low, high) in timed.items()
-    ] + [["host", ", ".join(f"{k} {v}" for k, v in host.items())]]
+    ] + [
+        ["prepare_world, fresh process: peak RSS rise",
+         f"{prepare['peak_rise_mib']:.2f} MiB over post-import"],
+        ["prepare_world, fresh process: wall",
+         f"{prepare['wall_s'] * 1e3:.1f} ms"],
+        ["host", ", ".join(f"{k} {v}" for k, v in host.items())],
+    ]
     text = format_table(["metric", "value"], rows)
     text += "\n\nintervals: 95 % distribution-free interval of the median."
     write_artifact("persistence_disk_path.txt", text)
@@ -169,6 +228,7 @@ def test_disk_path_timing(benchmark, out_dir, tmp_path):
         "payload_bytes": payload,
         "bytes_written": report.bytes_written,
         "ms": {label: list(t) for label, t in timed.items()},
+        "prepare_fresh_process": prepare,
         "host": host,
     }, indent=2))
     assert len(chunks) == (2 * radius + 1) ** 2

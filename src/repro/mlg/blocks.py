@@ -16,7 +16,6 @@ __all__ = [
     "BlockSpec",
     "spec",
     "is_solid",
-    "is_opaque",
     "BLOCK_SPECS",
     "SOLID_LUT",
     "OPAQUE_LUT",
@@ -220,8 +219,3 @@ LIGHT_EMISSION_LUT = np.array(
 def is_solid(block_id: int) -> bool:
     """True if entities collide with this block."""
     return spec(block_id).solid
-
-
-def is_opaque(block_id: int) -> bool:
-    """True if the block stops light."""
-    return spec(block_id).opaque

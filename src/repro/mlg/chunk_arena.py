@@ -38,6 +38,7 @@ from __future__ import annotations
 import heapq
 import mmap
 import sys
+from collections.abc import Iterable
 from math import prod
 from operator import attrgetter
 
@@ -117,25 +118,29 @@ class _Page:
                 field = np.zeros(shape, dtype)
             setattr(self, name, field)
 
-    def clear(self, slot: int) -> None:
-        """Zero slot ``slot`` of every field without faulting in a voxel
-        page that holds none of its data."""
+    def clear(self, lo: int, hi: int) -> None:
+        """Zero slots ``lo`` to ``hi - 1`` of every field without faulting
+        in a voxel page that holds none of their data."""
         for name in _FIELDS:
             field = getattr(self, name)
             if name not in _VOXEL_FIELDS:
-                field[slot] = 0
+                field[lo:hi] = 0
             elif _DISCARD:
                 # The mapping is private and anonymous: a dropped page
                 # reads back as zeros and is resident again only when
                 # written.  (A voxel slot is uint8: its size in bytes is
                 # its cell count.)
                 self._maps[name].madvise(
-                    mmap.MADV_DONTNEED, slot * _VOXEL_CELLS, _VOXEL_CELLS
+                    mmap.MADV_DONTNEED,
+                    lo * _VOXEL_CELLS,
+                    (hi - lo) * _VOXEL_CELLS,
                 )
-            elif field[slot].any():
-                # A row never written reads the shared zero page; zeroing
-                # it would fault its pages in for nothing.
-                field[slot] = 0
+            else:
+                for row in field[lo:hi]:
+                    # A row never written reads the shared zero page;
+                    # zeroing it would fault its pages in for nothing.
+                    if row.any():
+                        row[...] = 0
 
 
 def _copy_slot(src: _Page, i: int, dst: _Page, j: int) -> None:
@@ -378,13 +383,29 @@ class ChunkArena:
         """Unload ``(cx, cz)`` (a no-op when it is not loaded): clear and
         free its slot, and leave its handle on no page, so that reading
         it raises."""
-        chunk = self.handles.pop((cx, cz), None)
-        if chunk is None:
+        self.release_chunks(((cx, cz),))
+
+    def release_chunks(self, coords: Iterable[tuple[int, int]]) -> None:
+        """:meth:`release` each of ``coords``, clearing each contiguous run
+        of their slots with one call per field."""
+        slots = []
+        for key in coords:
+            chunk = self.handles.pop(key, None)
+            if chunk is not None:
+                slots.append(chunk._page.base + chunk._slot)
+                chunk._page = None
+        if not slots:
             return
-        page, slot = chunk._page, chunk._slot
-        chunk._page = None
-        page.clear(slot)
-        heapq.heappush(self._free, page.base + slot)
+        slots.sort()
+        lo = slots[0]
+        for prev, slot in zip(slots, [*slots[1:], None]):
+            if slot == prev + 1 and slot % self._page_slots:
+                continue  # the run goes on
+            page, start = divmod(lo, self._page_slots)
+            self._pages[page].clear(start, start + prev + 1 - lo)
+            lo = slot
+        for slot in slots:
+            heapq.heappush(self._free, slot)
         self._cache = None
 
     # -- vectorised addressing -----------------------------------------------

@@ -138,15 +138,16 @@ class NetworkQueues:
     def broadcast_counted(
         self, category: str, n_per_client: int, report: WorkReport
     ) -> None:
-        """Count ``n_per_client`` packets of a category to every client."""
-        if n_per_client <= 0:
+        """Count ``n_per_client`` packets of a category to every connected
+        client: one tally of ``n_per_client × k`` for ``k`` clients, what
+        ``k`` :meth:`send_counted` calls add up to (integer counts)."""
+        k = self.connected_count
+        if n_per_client <= 0 or not k:
             return
-        for endpoint in self._clients.values():
-            if endpoint.disconnected:
-                continue
-            added = self.stats.record(category, n_per_client)
-            report.add(Op.PACKET, n_per_client)
-            report.add(Op.BYTES_OUT, added)
+        n = n_per_client * k
+        added = self.stats.record(category, n)
+        report.add(Op.PACKET, n)
+        report.add(Op.BYTES_OUT, added)
 
     def send_counted(
         self, client_id: int, category: str, n: int, report: WorkReport

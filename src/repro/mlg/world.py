@@ -278,7 +278,9 @@ class World:
         self._loader = loader
         self._relight = relight
 
-    def adopt_chunk(self, chunk: Chunk) -> Chunk:
+    def adopt_chunk(  # test-only: loads adopt through ensure_chunks
+        self, chunk: Chunk
+    ) -> Chunk:
         """Install a free-standing chunk (deserialization) by copying it
         into the arena, replacing any resident chunk at its coordinates;
         ``chunk`` becomes the handle of its slot."""
@@ -298,6 +300,11 @@ class World:
         state.
         """
         self._arena.release(cx, cz)
+
+    def unload_chunks(self, coords: Iterable[tuple[int, int]]) -> None:
+        """:meth:`unload_chunk` each of ``coords``, their slots released
+        together (one page-release call per contiguous run)."""
+        self._arena.release_chunks(coords)
 
     def loaded_chunks(self) -> Iterator[Chunk]:
         return iter(self._chunks.values())

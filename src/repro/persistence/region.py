@@ -135,9 +135,10 @@ def serialize_chunk(chunk: Chunk) -> bytes:
     return b"".join(parts)
 
 
-def compress_chunk(chunk: Chunk) -> bytes:
-    """A region entry's payload: :func:`serialize_chunk`, deflated."""
-    return zlib.compress(serialize_chunk(chunk), _ZLIB_LEVEL)
+def compress_payload(raw: bytes) -> bytes:
+    """A region entry's payload: ``raw`` (:func:`serialize_chunk`'s
+    bytes), deflated."""
+    return zlib.compress(raw, _ZLIB_LEVEL)
 
 
 def deserialize_chunk(

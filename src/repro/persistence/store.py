@@ -19,10 +19,11 @@ absent — the world falls back to regeneration — never silently zeroed.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from collections import OrderedDict
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from repro.persistence.region import (
     CorruptEntry,
     RegionCorruptError,
     chunk_to_region,
-    compress_chunk,
+    compress_payload,
     deserialize_chunk,
     read_region,
     region_filename,
@@ -40,9 +41,27 @@ from repro.persistence.region import (
     write_region,
 )
 
-__all__ = ["RegionStore", "StoreScan", "world_hash"]
+__all__ = [
+    "HashEntry",
+    "RegionStore",
+    "StoreScan",
+    "fold_entries",
+    "serialize_entry",
+    "world_hash",
+]
 
 REGION_DIR = "region"
+
+#: What the content hash needs of one chunk: ``(cx, cz, crc32(payload),
+#: len(payload))``, the payload being :func:`serialize_chunk`'s bytes.
+HashEntry = tuple[int, int, int, int]
+
+
+def serialize_entry(chunk: Chunk) -> tuple[bytes, HashEntry]:
+    """``chunk``'s payload and its :data:`HashEntry`, from one
+    serialization."""
+    raw = serialize_chunk(chunk)
+    return raw, (chunk.cx, chunk.cz, zlib.crc32(raw), len(raw))
 
 
 @dataclass
@@ -163,8 +182,10 @@ class RegionStore:
         self.bytes_read += len(comp)
         return chunk
 
-    def save_chunks(self, chunks: list[Chunk]) -> int:
-        """Write chunks back to their regions; returns bytes written.
+    def save_chunks(self, chunks: list[Chunk]) -> list[HashEntry]:
+        """Write chunks back to their regions; returns each chunk's
+        :data:`HashEntry`, taken from the bytes it deflated (the bytes
+        written accrue on :attr:`bytes_written`).
 
         Groups by region and does one atomic read-modify-write per
         touched region file, so a kill mid-save leaves every region
@@ -175,15 +196,18 @@ class RegionStore:
             by_region.setdefault(chunk_to_region(chunk.cx, chunk.cz), []).append(
                 chunk
             )
-        written = 0
+        entries = []
         for (rx, rz), group in sorted(by_region.items()):
             table = dict(self._region(rx, rz))
             for chunk in group:
-                table[(chunk.cx, chunk.cz)] = compress_chunk(chunk)
-            written += write_region(self.region_path(rx, rz), rx, rz, table)
+                raw, entry = serialize_entry(chunk)
+                entries.append(entry)
+                table[(chunk.cx, chunk.cz)] = compress_payload(raw)
+            self.bytes_written += write_region(
+                self.region_path(rx, rz), rx, rz, table
+            )
             self._cache_put(rx, rz, table)
-        self.bytes_written += written
-        return written
+        return entries
 
     # -- inspection ----------------------------------------------------------
 
@@ -211,16 +235,50 @@ class RegionStore:
         return report
 
 
+#: Zeros to run a CRC over, a slice at a time.
+_ZEROS = memoryview(bytes(1 << 16))
+
+
+def _crc32_of_zeros(n: int, crc: int = 0) -> int:
+    """``zlib.crc32(bytes(n), crc)``, without allocating the zeros."""
+    while n > len(_ZEROS):
+        crc = zlib.crc32(_ZEROS, crc)
+        n -= len(_ZEROS)
+    return zlib.crc32(_ZEROS[:n], crc)
+
+
+#: ``crc32(bytes(n))``: a payload's length takes a handful of values.
+_zeros_crc = functools.lru_cache(maxsize=64)(_crc32_of_zeros)
+
+
+def fold_entries(entries: Iterable[HashEntry]) -> int:
+    """The content hash of the chunks ``entries`` describe, given in any
+    order: the CRC-32 chain over each chunk's coordinates (``<qq``) and
+    payload, in ``(cx, cz)`` order, built from the per-chunk CRCs alone.
+
+    CRC-32 is linear, so a payload ``B`` of ``n`` bytes continues a
+    chain at ``c`` as ``crc32(B, c) == crc32(B) ^ crc32(bytes(n), c) ^
+    crc32(bytes(n))``: a chunk can be hashed when it is saved and
+    dropped, and the chain put together after the last region.
+    """
+    digest = 0
+    for cx, cz, crc, n in sorted(entries):
+        digest = zlib.crc32(struct.pack("<qq", cx, cz), digest)
+        digest = crc ^ _crc32_of_zeros(n, digest) ^ _zeros_crc(n)
+    return digest
+
+
 def world_hash(world: World) -> int:
     """Order-independent CRC32 of the world's persisted state.
 
     Covers every loaded chunk's coordinates and the payload a save
     deflates (:func:`serialize_chunk`, read off the slot), so a
     warm-booted world and a cold-generated one can be compared for
-    bit-identity in O(world) without writing to disk.
+    bit-identity in O(world) without writing to disk.  It is
+    :func:`fold_entries` over one :data:`HashEntry` per chunk, so it
+    equals the ``world_hash`` a region-at-a-time save records (the
+    entries :meth:`RegionStore.save_chunks` returns) for the same chunks.
     """
-    digest = 0
-    for chunk in sorted(world.loaded_chunks(), key=lambda c: (c.cx, c.cz)):
-        digest = zlib.crc32(struct.pack("<qq", chunk.cx, chunk.cz), digest)
-        digest = zlib.crc32(serialize_chunk(chunk), digest)
-    return digest & 0xFFFFFFFF
+    return fold_entries(
+        serialize_entry(chunk)[1] for chunk in world.loaded_chunks()
+    )

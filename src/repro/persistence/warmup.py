@@ -22,15 +22,21 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import asdict, dataclass
+from itertools import chain, product
 from pathlib import Path
 
 from repro.mlg.constants import DEFAULT_VIEW_DISTANCE
-from repro.persistence.region import FORMAT_VERSION, serialize_chunk
+from repro.persistence.region import (
+    FORMAT_VERSION,
+    chunk_to_region,
+    serialize_chunk,
+)
 from repro.persistence.store import (
     REGION_DIR,
     RegionStore,
     StoreScan,
-    world_hash,
+    fold_entries,
+    serialize_entry,
 )
 
 __all__ = [
@@ -103,11 +109,18 @@ def prepare_world(
 ) -> PrepareReport:
     """Generate a workload's starting world and snapshot it to ``out_dir``.
 
-    Builds the workload world for ``seed``, forces generation of the
-    ``(2·radius+1)²`` chunk square around the spawn chunk, writes every
-    loaded chunk into region files, and records a ``world.json`` manifest
-    (parameters + content hash) that makes re-preparation idempotent and
-    the cache verifiable.
+    Builds the workload world for ``seed`` and snapshots its resident
+    chunks plus the ``(2·radius+1)²`` chunk square around the spawn
+    chunk, one region at a time: a region's chunks are made resident
+    (the square's generated), saved with one
+    :meth:`~repro.persistence.store.RegionStore.save_chunks` call (one
+    write of its region file) and unloaded, so memory holds one region's
+    chunks (at most 32×32), not the world's.  Records a ``world.json``
+    manifest (parameters + content hash) that makes re-preparation
+    idempotent and the cache verifiable.  The hash is
+    :func:`~repro.persistence.store.fold_entries` over the entries the
+    saves return — the bytes each chunk was deflated from — which is
+    ``world_hash`` of the whole world, had it been held at once.
 
     Any previous snapshot in ``out_dir`` is removed first: region saves
     are read-modify-write, so merging into leftovers would let chunks
@@ -124,13 +137,19 @@ def prepare_world(
     world = workload.create_world(seed)
     key = _snapshot_key(world, workload_name, scale, seed)
     span = range(-radius, radius + 1)
-    world.ensure_chunks((cx, cz) for cx in span for cz in span)
+    regions: dict[tuple[int, int], dict[tuple[int, int], None]] = {}
+    for coords in chain(world.loaded_keys(), product(span, span)):
+        regions.setdefault(chunk_to_region(*coords), {})[coords] = None
     out_dir = Path(out_dir)
     if (out_dir / REGION_DIR).exists():
         shutil.rmtree(out_dir / REGION_DIR)
     (out_dir / WORLD_MANIFEST).unlink(missing_ok=True)
     store = RegionStore(out_dir)
-    bytes_written = store.save_chunks(list(world.loaded_chunks()))
+    entries = []
+    for _, coords in sorted(regions.items()):
+        chunks = [chunk for chunk, _ in world.ensure_chunks(coords)]
+        entries += store.save_chunks(chunks)
+        world.unload_chunks(coords)
     report = PrepareReport(
         path=str(out_dir),
         key=key,
@@ -138,9 +157,9 @@ def prepare_world(
         scale=float(scale),
         seed=int(seed),
         radius=int(radius),
-        chunks=world.loaded_chunk_count,
-        bytes_written=bytes_written,
-        world_hash=f"{world_hash(world):08x}",
+        chunks=len(entries),
+        bytes_written=store.bytes_written,
+        world_hash=f"{fold_entries(entries):08x}",
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / WORLD_MANIFEST).write_text(
@@ -229,25 +248,27 @@ def ensure_world_cache(
 def inspect_world(root: str | Path) -> dict:
     """Everything ``repro world inspect`` reports about a world directory.
 
-    Walks the region files (recovering per-entry damage reports), loads
-    every intact chunk to compute the content hash, and includes the
-    ``world.json`` manifest when present so a cache entry can be checked
-    against what it claims to contain.
+    Walks the region files (recovering per-entry damage reports), decodes
+    every intact chunk, region by region, into the content hash — one
+    chunk held at a time — and includes the ``world.json`` manifest when
+    present so a cache entry can be checked against what it claims to
+    contain.
     """
     if not Path(root).is_dir():
         raise FileNotFoundError(f"{root} is not a world directory")
     store = RegionStore(root)
     scan: StoreScan = store.scan()
-    from repro.mlg.world import World
-
     # Hash only what actually decodes: a payload that passes its CRC but
     # fails deserialization must surface as damage, never as a zero-
     # filled chunk baked into the content hash.
-    world = World()
-    for cx, cz in sorted(store.chunk_positions()):
+    entries = []
+    positions = sorted(
+        store.chunk_positions(), key=lambda c: (chunk_to_region(*c), c)
+    )
+    for cx, cz in positions:
         chunk = store.load_chunk(cx, cz)
         if chunk is not None:
-            world.adopt_chunk(chunk)
+            entries.append(serialize_entry(chunk)[1])
     # Fold in decode-stage failures (CRC-valid but undeserializable) —
     # deduplicated, since a re-read region re-records entry damage.
     seen = {(e.cx, e.cz, e.reason) for e in scan.corrupt_entries}
@@ -266,6 +287,6 @@ def inspect_world(root: str | Path) -> dict:
             {"cx": entry.cx, "cz": entry.cz, "reason": entry.reason}
             for entry in scan.corrupt_entries
         ],
-        "world_hash": f"{world_hash(world):08x}",
+        "world_hash": f"{fold_entries(entries):08x}",
         "manifest": read_world_manifest(root),
     }

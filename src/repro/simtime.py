@@ -13,9 +13,7 @@ __all__ = [
     "US_PER_SECOND",
     "MS_PER_SECOND",
     "SimClock",
-    "ms_to_us",
     "s_to_us",
-    "us_to_ms",
     "us_to_s",
 ]
 
@@ -24,19 +22,9 @@ US_PER_SECOND = 1_000_000
 MS_PER_SECOND = 1_000
 
 
-def ms_to_us(ms: float) -> int:
-    """Convert milliseconds to integer microseconds."""
-    return int(round(ms * US_PER_MS))
-
-
 def s_to_us(seconds: float) -> int:
     """Convert seconds to integer microseconds."""
     return int(round(seconds * US_PER_SECOND))
-
-
-def us_to_ms(us: float) -> float:
-    """Convert microseconds to (float) milliseconds."""
-    return us / US_PER_MS
 
 
 def us_to_s(us: float) -> float:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.mlg.blocks import BLOCK_SPECS, Block, is_opaque, is_solid, spec
+from repro.mlg.blocks import BLOCK_SPECS, Block, is_solid, spec
 from repro.mlg.constants import CHUNK_SIZE, WORLD_HEIGHT
 from repro.mlg.world import (
     BlockChange,
@@ -26,11 +26,11 @@ class TestBlockRegistry:
 
     def test_air_is_not_solid_and_not_opaque(self):
         assert not is_solid(Block.AIR)
-        assert not is_opaque(Block.AIR)
+        assert not spec(Block.AIR).opaque
 
     def test_stone_is_solid_and_opaque(self):
         assert is_solid(Block.STONE)
-        assert is_opaque(Block.STONE)
+        assert spec(Block.STONE).opaque
 
     def test_water_is_fluid(self):
         assert spec(Block.WATER_SOURCE).fluid

@@ -113,6 +113,38 @@ class TestSlots:
             handles[-1].blocks
         assert not page.blocks[:100].any()
 
+    def test_unloading_together_equals_one_at_a_time(self, monkeypatch):
+        """``unload_chunks`` clears runs of slots, across page edges and
+        gaps, to the state ``unload_chunk`` leaves one slot at a time:
+        the same free slots, zero on reuse, and dead handles."""
+        _small_pages(monkeypatch)
+        keys = [(cx, cz) for cx in range(4) for cz in range(4)]
+        gone = [keys[i] for i in (13, 1, 2, 3, 4, 5, 9, 10, 7)] + [(9, 9)]
+        worlds = []
+        for together in (True, False):
+            world = World(generator=TerrainGenerator(seed=6))
+            world.ensure_chunks(keys)
+            for key in keys:
+                world.set_block(key[0] * 16, 120, key[1] * 16, Block.TORCH)
+            handle = world.get_chunk(*gone[0])
+            if together:
+                world.unload_chunks(gone)
+            else:
+                for key in gone:
+                    world.unload_chunk(*key)
+            with pytest.raises(AttributeError):
+                handle.blocks
+            world.ensure_chunks(gone[:-1])  # back in the freed slots
+            worlds.append(world)
+        together, alone = worlds
+        assert _keys(together) == _keys(alone)
+        slots = [c._page.base + c._slot for c in together.loaded_chunks()]
+        assert slots == [c._page.base + c._slot for c in alone.loaded_chunks()]
+        assert world_hash(together) == world_hash(alone)
+        for cx, cz in keys:  # a reused slot read zero before generation
+            torch = together.get_block(cx * 16, 120, cz * 16) == Block.TORCH
+            assert torch == ((cx, cz) not in gone)
+
     def test_released_slots_are_reused_lowest_first(self):
         world = World()
         for cx in range(6):

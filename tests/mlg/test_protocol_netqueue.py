@@ -102,6 +102,37 @@ class TestNetworkQueues:
         assert net.stats.counts[PacketCategory.ENTITY_MOVE] == 5  # one client
         assert report.get(Op.PACKET) == 5
 
+    @pytest.mark.parametrize("k", [0, 1, 3, 25])
+    def test_broadcast_equals_one_send_per_client(self, k):
+        """One tally of ``n × k`` is what ``k`` per-client sends add up
+        to: counts, bytes and the report's counts, key order included."""
+        nets, reports = [], []
+        for _ in range(2):
+            net = NetworkQueues()
+            for client_id in range(k + 1):
+                net.register_client(client_id, 0, 1_000, 1_000)
+            net.disconnect(k, "gone")
+            report = WorkReport()
+            report.add(Op.CHUNK_LOAD, 2)
+            nets.append(net)
+            reports.append(report)
+        for category, n in ((PacketCategory.ENTITY_MOVE, 7),
+                            (PacketCategory.CHAT, 3),
+                            (PacketCategory.TIME_UPDATE, 1)):
+            nets[0].broadcast_counted(category, n, reports[0])
+            for client_id in range(k):
+                nets[1].send_counted(client_id, category, n, reports[1])
+        broadcast, sends = nets
+        assert list(broadcast.stats.counts.items()) == list(
+            sends.stats.counts.items()
+        )
+        assert list(broadcast.stats.bytes_.items()) == list(
+            sends.stats.bytes_.items()
+        )
+        assert list(reports[0].counts.items()) == list(
+            reports[1].counts.items()
+        )
+
     def test_deliveries_carry_downlink_latency(self):
         net = NetworkQueues()
         net.register_client(1, 0, 1_000, 7_000)

@@ -5,11 +5,11 @@ named somewhere in ``src/``, ``benchmarks/`` or ``examples/`` other than
 its own definition, or say why not on its ``def`` line with a
 ``# test-only: <reason>`` comment.  Only code names it: a name, an
 attribute, a keyword argument, an imported name, or a string that is an
-identifier (``getattr(obj, "name")``); a docstring or a comment does
-not.  A test that drives the system through an entry point the system
-never uses pins a shadow of it.  A method that overrides one of a base
-class is exempt: the base calls it.  No simulation runs here; the check
-reads the source.
+identifier (``getattr(obj, "name")``); a docstring, a comment or a
+module's own ``__all__`` does not.  A test that drives the system
+through an entry point the system never uses pins a shadow of it.  A
+method that overrides one of a base class is exempt: the base calls it.
+No simulation runs here; the check reads the source.
 """
 
 import ast
@@ -103,11 +103,33 @@ def _identifiers(node) -> list[str]:
     return []
 
 
+def _exported(tree) -> set[int]:
+    """``id`` of each string listed in an ``__all__`` assignment: an
+    export list names what a module offers, not a use of it."""
+    strings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if node.value is not None and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in targets
+        ):
+            strings.update(map(id, ast.walk(node.value)))
+    return strings
+
+
 def _identifier_counts(paths):
     """Occurrences of each identifier, also per ``(path, line)``."""
     counts = Counter()
     for path in paths:
-        for node in ast.walk(_parse(path)[1]):
+        tree = _parse(path)[1]
+        exported = _exported(tree)
+        for node in ast.walk(tree):
+            if id(node) in exported:
+                continue
             for word in _identifiers(node):
                 counts[word] += 1
                 counts[word, path, node.lineno] += 1
@@ -210,6 +232,9 @@ DOES_NOT_NAME_IT = {
     "docstring": "def f():\n    \"\"\"Call ``save`` to write it.\"\"\"\n",
     "comment": "# save() writes the spec\n",
     "sentence_string": "message = 'save failed'\n",
+    "dunder_all": "__all__ = ['save']\n",
+    "dunder_all_extended": "__all__ += ('save',)\n",
+    "dunder_all_annotated": "__all__: list[str] = ['save']\n",
 }
 
 
