@@ -124,6 +124,10 @@ def test_trace_overhead(benchmark, out_dir):
     null_median, null_low, null_high = median_interval(control)
     identical = base_records == traced_records
     trace_snapshot = traced.tracer.snapshot()
+    # What the snapshot adds to a traced record line, and how much of it
+    # is the exported tick dumps: a size later changes can be held to.
+    snapshot_bytes = len(json.dumps(trace_snapshot, sort_keys=True))
+    ticks_bytes = len(json.dumps(trace_snapshot["ticks"], sort_keys=True))
 
     rows = [
         ["paired blocks x ticks", f"{BLOCKS} x {BLOCK_TICKS}"],
@@ -134,6 +138,8 @@ def test_trace_overhead(benchmark, out_dir):
         ["budget", f"{TRACE_BUDGET_US_PER_TICK:.0f} us/tick"],
         ["ticks traced", f"{trace_snapshot['ticks_seen']}"],
         ["phases traced", f"{len(trace_snapshot['phases'])}"],
+        ["trace snapshot, json bytes", f"{snapshot_bytes}"],
+        ["  of which ticks", f"{ticks_bytes}"],
         ["tick records bit-identical", f"{identical}"],
     ]
     text = format_table(["metric", "value"], rows)

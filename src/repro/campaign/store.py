@@ -261,7 +261,8 @@ class JobStore:
 
     #: ``status`` reads each record's tail: this window for the commit
     #: line, and a window growing from ``_TAIL_BYTES`` until it holds one
-    #: intact iteration line (a traced line runs to ~83 KB).  Either way
+    #: intact iteration line (a traced ``campaign_matrix`` line runs to
+    #: 36-41 KB, so one window holds it).  Either way
     #: the cost is O(jobs), not O(file bytes).
     _COMMIT_BYTES = 4096
     _TAIL_BYTES = 65536

@@ -291,7 +291,9 @@ class World:
         """What populates newly created chunks (``None``: they stay air)."""
         return self._generator
 
-    def unload_chunk(self, cx: int, cz: int) -> None:
+    def unload_chunk(  # test-only: eviction and warm-up unload in batches
+        self, cx: int, cz: int
+    ) -> None:
         """Drop a chunk from memory (the eviction half of streaming); a
         no-op when it is not loaded.
 

@@ -409,9 +409,10 @@ class ChunkLifecycle:
                     continue
             candidates.append((last, key))
         candidates.sort()
+        chosen = candidates[:over]
+        self.world.unload_chunks([key for _, key in chosen])
         x0, z0 = self._seen_origin
-        for last, (cx, cz) in candidates[:over]:
-            self.world.unload_chunk(cx, cz)
+        for last, (cx, cz) in chosen:
             if last >= 0:
                 self._seen[cx - x0, cz - z0] = -1
-            self.chunks_evicted += 1
+        self.chunks_evicted += len(chosen)

@@ -22,6 +22,7 @@ from repro.tracing.tracer import (
     Span,
     Tracer,
     compact_span,
+    decode_ticks,
     merge_span_ops,
 )
 
@@ -31,6 +32,7 @@ __all__ = [
     "Span",
     "Tracer",
     "compact_span",
+    "decode_ticks",
     "environment_fingerprint",
     "merge_span_ops",
     "provenance_fingerprint",

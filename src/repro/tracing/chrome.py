@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import json
 
+from repro.tracing.tracer import decode_ticks
+
 __all__ = [
     "client_span_events",
     "read_client_spans",
@@ -54,13 +56,14 @@ CLIENT_TIDS = {"wait": 1, "dispatch": 2, "step": 3, "drain": 4}
 def tick_events(dump: dict, pid: int, tid_of) -> list[dict]:
     """Render one traced tick's compact span dump as complete events.
 
-    ``dump`` is one entry of a trace snapshot's ``ticks`` list.  Spans
+    ``dump`` is one tick :func:`~repro.tracing.tracer.decode_ticks`
+    reads from a trace snapshot's ``ticks`` columns.  Spans
     arrive in pre-order with depths; a cursor stack tiles each span into
     its parent's extent (children start at the parent's start and
     consume its width left to right), scaled so the tick's top-level
     spans exactly fill its wall duration.
     """
-    spans = dump.get("spans") or []
+    spans = dump["spans"]
     top_us = sum(span["us"] for span in spans if span["d"] == 1)
     scale = dump["duration_us"] / top_us if top_us > 0 else 0.0
     events: list[dict] = []
@@ -197,8 +200,13 @@ def render_campaign_trace(store, provenance: dict | None = None) -> dict:
         job_end: float | None = None
         for line in store.read_job_telemetry(job.job_id):
             trace = line["telemetry"].get("trace") or {}
-            ticks = trace.get("ticks") or []
-            if not trace.get("enabled") or not ticks:
+            if not trace.get("enabled"):
+                continue
+            try:
+                ticks = list(decode_ticks(trace["ticks"]))
+            except ValueError as exc:
+                raise ValueError(f"job {job.job_id}: {exc}") from None
+            if not ticks:
                 continue
             traced_iterations += 1
             it_start = float(ticks[0]["start_us"])

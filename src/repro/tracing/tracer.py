@@ -48,6 +48,7 @@ On top of the spans:
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from collections.abc import Iterator
 
 from repro.mlg.workreport import WorkReport
 from repro.telemetry.summary import summarize
@@ -59,7 +60,9 @@ __all__ = [
     "TracedWorkReport",
     "Tracer",
     "compact_span",
+    "decode_ticks",
     "merge_span_ops",
+    "tick_columns",
 ]
 
 
@@ -250,6 +253,88 @@ def compact_span(span: Span) -> dict:
     return compact
 
 
+def tick_columns(dumps) -> dict:
+    """The exported form of ring dumps: flat columns, no object per span.
+
+    Per tick, oldest first: ``tick``, ``start_us``, ``duration_us``,
+    ``work_us`` and ``span_count``.  Per span, tick by tick and then in
+    pre-order: ``name`` (an index into ``names``, which lists each name
+    once, in order of first use), depth ``d`` and cost ``us``.  ``args``
+    maps a span's flat index (as a string: it is a JSON key) to its
+    ``note()`` values; few spans have any.  :func:`decode_ticks` reads
+    the columns back.
+    """
+    names: dict[str, int] = {}
+    name_col: list[int] = []
+    depth_col: list[int] = []
+    cost_col: list[float] = []
+    args: dict[str, dict] = {}
+    for dump in dumps:
+        for span in dump["spans"]:
+            if span.args:
+                args[str(len(cost_col))] = dict(span.args)
+            name_col.append(names.setdefault(span.name, len(names)))
+            depth_col.append(span.depth)
+            cost_col.append(span.cost_us)
+    return {
+        "tick": [dump["tick"] for dump in dumps],
+        "start_us": [dump["start_us"] for dump in dumps],
+        "duration_us": [dump["duration_us"] for dump in dumps],
+        "work_us": [dump["work_us"] for dump in dumps],
+        "span_count": [len(dump["spans"]) for dump in dumps],
+        "names": list(names),
+        "name": name_col,
+        "d": depth_col,
+        "us": cost_col,
+        "args": args,
+    }
+
+
+def decode_ticks(columns: dict) -> Iterator[dict]:
+    """Each tick of :func:`tick_columns`' columns, oldest first.
+
+    A tick comes back as ``{"tick", "start_us", "duration_us",
+    "work_us", "spans"}``, its ``spans`` the :func:`compact_span` dicts
+    of its spans in pre-order.  This is the one reader of a snapshot's
+    ``ticks``; records written before the columns held a list of such
+    dicts, and are refused.
+    """
+    if not isinstance(columns, dict):
+        raise ValueError(
+            "trace.ticks is a list of per-tick dicts, the layout before "
+            "columns; re-run the job to trace it again"
+        )
+    names, name_col = columns["names"], columns["name"]
+    depth_col, cost_col = columns["d"], columns["us"]
+    args = {int(at): noted for at, noted in columns["args"].items()}
+    first = 0
+    for tick, start_us, duration_us, work_us, count in zip(
+        columns["tick"],
+        columns["start_us"],
+        columns["duration_us"],
+        columns["work_us"],
+        columns["span_count"],
+    ):
+        spans = []
+        for at in range(first, first + count):
+            span = {
+                "n": names[name_col[at]],
+                "d": depth_col[at],
+                "us": cost_col[at],
+            }
+            if at in args:
+                span["args"] = args[at]
+            spans.append(span)
+        first += count
+        yield {
+            "tick": tick,
+            "start_us": start_us,
+            "duration_us": duration_us,
+            "work_us": work_us,
+            "spans": spans,
+        }
+
+
 class Tracer:
     """Span tracer + flight recorder for one server's tick loop.
 
@@ -374,7 +459,8 @@ class Tracer:
         return dumps[max(0, len(dumps) - max_ticks):]
 
     def snapshot(self) -> dict:
-        """JSON-able trace state: knobs, phase stats, anomalies, span dumps.
+        """JSON-able trace state: knobs, phase stats, anomalies, and the
+        most recent span dumps as :func:`tick_columns`.
 
         This is what :func:`repro.core.experiment.run_iteration` files
         under ``telemetry["trace"]`` — and therefore what the job records
@@ -392,14 +478,5 @@ class Tracer:
             },
             "anomaly_count": len(self.anomalies),
             "anomalies": list(self.anomalies),
-            "ticks": [
-                {
-                    "tick": dump["tick"],
-                    "start_us": dump["start_us"],
-                    "duration_us": dump["duration_us"],
-                    "work_us": dump["work_us"],
-                    "spans": [compact_span(span) for span in dump["spans"]],
-                }
-                for dump in self.recent_ticks(self.EXPORT_TICKS)
-            ],
+            "ticks": tick_columns(self.recent_ticks(self.EXPORT_TICKS)),
         }

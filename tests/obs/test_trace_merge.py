@@ -12,6 +12,7 @@ from repro.tracing.chrome import (
     read_client_spans,
     render_campaign_trace,
 )
+from repro.tracing.tracer import decode_ticks
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +37,8 @@ def merged_store(tmp_path_factory):
     store = JobStore(spec.output_dir)
     CampaignExecutor(spec, store=store).run()
     job = store.manifest_jobs()[0]
-    ticks = store.load_job(job.job_id)[0].telemetry["trace"]["ticks"]
+    columns = store.load_job(job.job_id)[0].telemetry["trace"]["ticks"]
+    ticks = list(decode_ticks(columns))
     spans = []
     for client in range(2):
         for dump in ticks[:2]:

@@ -23,13 +23,21 @@ CAP = 40
 def _rig(cls, store_dir, pinned_box):
     world = World(generator=lambda chunk: None)
     evicted = []
-    unload = world.unload_chunk
+    unload, unload_batch = world.unload_chunk, world.unload_chunks
 
+    # The grid releases each evict pass in one batch call; the oracle
+    # unloads chunk by chunk.  Either way, record what goes, in order.
     def recording_unload(cx, cz):
         evicted.append((cx, cz))
         return unload(cx, cz)
 
+    def recording_unload_batch(coords):
+        coords = list(coords)
+        evicted.extend(coords)
+        return unload_batch(coords)
+
     world.unload_chunk = recording_unload
+    world.unload_chunks = recording_unload_batch
     lifecycle = cls(
         world,
         store=RegionStore(store_dir) if store_dir is not None else None,
@@ -164,13 +172,21 @@ def test_an_evicting_cell_evicts_what_the_oracle_did(monkeypatch, seed):
     for cls in (ChunkLifecycle, OracleLifecycle):
         monkeypatch.setattr("repro.mlg.server.ChunkLifecycle", cls)
         evicted = []
-        unload = World.unload_chunk
+        unload, unload_batch = World.unload_chunk, World.unload_chunks
 
         def recording_unload(self, cx, cz, evicted=evicted, unload=unload):
             evicted.append((cx, cz))
             return unload(self, cx, cz)
 
+        def recording_unload_batch(
+            self, coords, evicted=evicted, unload_batch=unload_batch
+        ):
+            coords = list(coords)
+            evicted.extend(coords)
+            return unload_batch(self, coords)
+
         monkeypatch.setattr(World, "unload_chunk", recording_unload)
+        monkeypatch.setattr(World, "unload_chunks", recording_unload_batch)
         it = run_iteration(
             "exploration", "vanilla", "aws-t3.large", 5.0, seed=seed,
             max_loaded_chunks=120,

@@ -2,15 +2,40 @@
 ``repro trace export`` CLI path."""
 
 import json
+import shutil
+from types import SimpleNamespace
 
 import pytest
 
 from repro.campaign import CampaignExecutor, CampaignSpec, JobStore
 from repro.campaign.cli import main as cli_main
 from repro.tracing.chrome import JOB_TID, render_campaign_trace, tick_events
+from repro.tracing.tracer import decode_ticks, tick_columns
 
 #: Phases every X event must carry (trace-event format requirements).
 _X_REQUIRED = ("name", "ph", "ts", "dur", "pid", "tid")
+
+
+def _span(name, depth, cost_us, args=None):
+    """A closed span as the tracer's ring holds it."""
+    return SimpleNamespace(name=name, depth=depth, cost_us=cost_us, args=args)
+
+
+def _one_tick(spans):
+    """One exported tick, as a snapshot's columns carry it, decoded."""
+    columns = tick_columns(
+        [
+            {
+                "tick": 4,
+                "start_us": 1_000,
+                "duration_us": 60_000,
+                "work_us": 30_000.0,
+                "spans": spans,
+            }
+        ]
+    )
+    (dump,) = decode_ticks(json.loads(json.dumps(columns)))
+    return dump
 
 
 def _tiled(dump):
@@ -18,18 +43,14 @@ def _tiled(dump):
 
 
 class TestTickTiling:
-    DUMP = {
-        "tick": 4,
-        "start_us": 1_000,
-        "duration_us": 60_000,
-        "work_us": 30_000.0,
-        "spans": [
-            {"n": "players", "d": 1, "us": 10_000.0},
-            {"n": "lifecycle", "d": 1, "us": 20_000.0},
-            {"n": "autosave", "d": 2, "us": 15_000.0},
-            {"n": "broadcast", "d": 1, "us": 0.0},
-        ],
-    }
+    DUMP = _one_tick(
+        [
+            _span("players", 1, 10_000.0),
+            _span("lifecycle", 1, 20_000.0),
+            _span("autosave", 2, 15_000.0),
+            _span("broadcast", 1, 0.0),
+        ]
+    )
 
     def test_top_level_spans_tile_the_wall_duration(self):
         events = _tiled(self.DUMP)
@@ -51,22 +72,12 @@ class TestTickTiling:
         assert child["dur"] == pytest.approx(parent["dur"] * 0.75)
 
     def test_zero_work_tick_renders_zero_width(self):
-        dump = dict(self.DUMP, spans=[{"n": "begin", "d": 1, "us": 0.0}])
+        dump = _one_tick([_span("begin", 1, 0.0)])
         (event,) = _tiled(dump)
         assert event["dur"] == 0.0
 
     def test_span_args_ride_into_event_args(self):
-        dump = dict(
-            self.DUMP,
-            spans=[
-                {
-                    "n": "pricing",
-                    "d": 1,
-                    "us": 5.0,
-                    "args": {"work_us": 5.0},
-                }
-            ],
-        )
+        dump = _one_tick([_span("pricing", 1, 5.0, {"work_us": 5.0})])
         (event,) = _tiled(dump)
         assert event["args"]["work_us"] == 5.0
         assert event["args"]["tick"] == 4
@@ -138,7 +149,7 @@ class TestRenderCampaign:
         _, store = traced_store
         job = store.manifest_jobs()[0]
         iteration = store.load_job(job.job_id)[0]
-        ticks = iteration.telemetry["trace"]["ticks"]
+        ticks = list(decode_ticks(iteration.telemetry["trace"]["ticks"]))
         events = render_campaign_trace(store)["traceEvents"]
         for dump in ticks[:20]:
             top = [
@@ -189,3 +200,26 @@ class TestCli:
         ]
         assert anomaly_lines
         assert all("job_id" in line for line in anomaly_lines)
+
+    def test_trace_export_refuses_list_form_ticks(
+        self, traced_store, tmp_path, capsys
+    ):
+        # A record from before the column layout: the same line with its
+        # ticks rewritten as the list of per-tick dicts they used to be.
+        _, store = traced_store
+        copy = tmp_path / "copy"
+        shutil.copytree(
+            store.root, copy, ignore=shutil.ignore_patterns("export")
+        )
+        job = JobStore(copy).manifest_jobs()[0]
+        path = JobStore(copy).telemetry_path(job.job_id)
+        first, *rest = path.read_text().splitlines()
+        line = json.loads(first)
+        trace = line["telemetry"]["trace"]
+        trace["ticks"] = list(decode_ticks(trace["ticks"]))
+        first = json.dumps(line, sort_keys=True)
+        path.write_text("\n".join([first, *rest]) + "\n")
+        assert cli_main(["trace", "export", str(copy)]) == 2
+        err = capsys.readouterr().err
+        assert f"job {job.job_id}: trace.ticks is a list" in err
+        assert not (copy / "export" / "trace.json").exists()

@@ -15,6 +15,7 @@ lives with the other benchmarks (``benchmarks/bench_trace_overhead.py``,
 an absolute cost in µs per tick with its interval), not here.
 """
 
+import json
 from collections import deque
 
 import numpy as np
@@ -31,17 +32,20 @@ from repro.tracing.tracer import (
     NULL_TRACER,
     Tracer,
     TracedWorkReport,
+    compact_span,
+    decode_ticks,
     merge_span_ops,
 )
 from repro.workloads import get_workload
 
 
-def _traced_server(seed=5, **trace_kwargs):
-    """A players-workload server with its bot swarm, ready to tick."""
+def _traced_server(seed=5, workload="players", **trace_kwargs):
+    """A server running ``workload`` with its bot swarm, ready to tick."""
     env = get_environment("das5-2core")
     machine = env.create_machine(seed=seed)
+    bots = {"n_bots": 25, "behavior": "bounded-random"}
     workload = get_workload(
-        "players", scale=1.0, n_bots=25, behavior="bounded-random"
+        workload, scale=1.0, **(bots if workload == "players" else {})
     )
     world = workload.create_world(seed)
     server = MLGServer(
@@ -186,7 +190,7 @@ class TestRetention:
         for _ in range(12):
             server.loop.run_tick()
             swarm.step()
-        exported = server.tracer.snapshot()["ticks"]
+        exported = decode_ticks(server.tracer.snapshot()["ticks"])
         assert [dump["tick"] for dump in exported] == list(range(7, 12))
         assert len(server.tracer.recent_ticks()) == 12
 
@@ -196,6 +200,87 @@ class TestRetention:
         with NULL_TRACER.span("anything") as span:
             assert span is None
         assert NULL_TRACER.snapshot() == {"enabled": False}
+
+
+class TestTickColumns:
+    @pytest.mark.parametrize("workload", ["players", "tnt"])
+    def test_columns_decode_to_the_rings_compact_spans(
+        self, tmp_path, workload
+    ):
+        # A world directory, a short autosave interval and a chunk cap
+        # below what the world loads: every tick opens lifecycle ->
+        # evict, and some open lifecycle -> autosave.
+        server, swarm = _traced_server(
+            trace=True,
+            workload=workload,
+            world_dir=str(tmp_path / "world"),
+            autosave_interval_s=1.0,
+            max_loaded_chunks=40,
+        )
+        tracer = server.tracer
+        for _ in range(tracer.EXPORT_TICKS + 30):
+            server.loop.run_tick()
+            swarm.step()
+        snapshot = tracer.snapshot()
+        ring = tracer.recent_ticks(tracer.EXPORT_TICKS)
+        expected = [
+            {
+                "tick": dump["tick"],
+                "start_us": dump["start_us"],
+                "duration_us": dump["duration_us"],
+                "work_us": dump["work_us"],
+                "spans": [compact_span(span) for span in dump["spans"]],
+            }
+            for dump in ring
+        ]
+        # Straight from the snapshot, and as a record line reads it back.
+        assert list(decode_ticks(snapshot["ticks"])) == expected
+        line = json.loads(json.dumps(snapshot, sort_keys=True))
+        assert list(decode_ticks(line["ticks"])) == expected
+        nested = {
+            (span["n"], span["d"])
+            for dump in expected
+            for span in dump["spans"]
+            if span["d"] > 1
+        }
+        assert {("autosave", 2), ("evict", 2)} <= nested
+        assert all(
+            "args" in span
+            for dump in expected
+            for span in dump["spans"]
+            if span["n"] == "pricing"
+        )
+
+    def test_nothing_under_ticks_is_an_object_but_args(self):
+        server, swarm = _traced_server(trace=True)
+        for _ in range(20):
+            server.loop.run_tick()
+            swarm.step()
+        ticks = json.loads(json.dumps(server.tracer.snapshot()))["ticks"]
+
+        def objects(value, path):
+            if isinstance(value, dict):
+                yield path
+                for key, item in value.items():
+                    yield from objects(item, f"{path}.{key}")
+            elif isinstance(value, list):
+                for item in value:
+                    yield from objects(item, f"{path}[]")
+
+        found = set(objects(ticks, "ticks"))
+        assert found == {"ticks", "ticks.args"} | {
+            f"ticks.args.{at}" for at in ticks["args"]
+        }
+        assert all(
+            not isinstance(column, dict)
+            for key, column in ticks.items()
+            if key != "args"
+        )
+
+    def test_the_list_form_is_refused(self):
+        listed = [{"tick": 0, "start_us": 0, "duration_us": 1, "spans": []}]
+        with pytest.raises(ValueError, match="layout before columns"):
+            list(decode_ticks(listed))
 
 
 class TestBitIdentity:
